@@ -12,6 +12,7 @@
 //!        [--out FILE] [--epochs N] [--agents N] [--seed S]
 
 use dufp_net::chaos::{run_scenario, ChaosConfig};
+use dufp_types::Watts;
 use serde::Serialize;
 use std::time::Instant;
 
@@ -72,8 +73,12 @@ fn main() {
     }
 
     let mut cfg = ChaosConfig::new(seed);
+    // Keep the default shape's budget per agent, so every fleet size can
+    // fund its honest floors.
+    let budget_per_agent = cfg.budget.value() / cfg.agents as f64;
     cfg.epochs = epochs;
     cfg.agents = agents;
+    cfg.budget = Watts(budget_per_agent * agents as f64);
 
     eprintln!("chaos_bench: {agents} agents x {epochs} virtual epochs, seed {seed}...");
     let scenarios = vec![

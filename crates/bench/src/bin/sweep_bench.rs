@@ -122,8 +122,7 @@ fn main() {
     let event_serial = serial_for("event").jobs_per_sec;
     let widest = series
         .iter()
-        .filter(|s| s.engine == "event")
-        .next_back()
+        .rfind(|s| s.engine == "event")
         .expect("event series");
     let report = Report {
         bench: "sweep",

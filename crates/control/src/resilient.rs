@@ -26,7 +26,7 @@
 
 use crate::actuators::Actuators;
 use dufp_telemetry::{Actuator as TelActuator, Counter, DecisionEvent, Reason, SocketTelemetry};
-use dufp_types::{Error, Hertz, Result, Watts};
+use dufp_types::{splitmix, Error, Hertz, Result, Watts};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use std::time::Duration;
@@ -113,16 +113,11 @@ impl RetryPolicy {
         if span.is_zero() {
             return full;
         }
-        // SplitMix64 finalizer over a (seed, attempt) stream — the same
+        // One SplitMix64 step from a (seed, attempt) state — the same
         // generator the fault-injection DSL uses, so one seed governs the
         // whole adversarial run.
-        let mut z = seed
-            .wrapping_add(u64::from(attempt).wrapping_mul(0x9E37_79B9_7F4A_7C15))
-            .wrapping_add(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
-        let frac = (z >> 11) as f64 / (1u64 << 53) as f64;
+        let mut state = seed.wrapping_add(u64::from(attempt).wrapping_mul(splitmix::GAMMA));
+        let frac = splitmix::unit_f64(&mut state);
         (half + span.mul_f64(frac)).min(self.max_backoff)
     }
 }

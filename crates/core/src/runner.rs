@@ -150,7 +150,10 @@ impl Engine {
         match s {
             "tick" => Ok(Engine::Tick),
             "event" => Ok(Engine::Event),
-            other => Err(Error::invalid("engine", format!("unknown engine `{other}` (expected `tick` or `event`)"))),
+            other => Err(Error::invalid(
+                "engine",
+                format!("unknown engine `{other}` (expected `tick` or `event`)"),
+            )),
         }
     }
 

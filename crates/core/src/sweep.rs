@@ -19,13 +19,14 @@
 //!
 //! ## Grid files
 //!
-//! Grids are written in a small TOML subset (flat `key = value` pairs,
-//! single-line arrays, `#` comments) parsed by [`parse_grid`] — see the
-//! README's "Running paper-scale sweeps" section for an example.
+//! Grids are flat `key = value` files in the suite's TOML subset
+//! ([`dufp_types::toml`]), parsed by [`parse_grid`] — see the README's
+//! "Running paper-scale sweeps" section for an example.
 
 use crate::runner::{run_once, ControllerKind, Engine, ExperimentSpec};
 use dufp_msr::FaultPlan;
 use dufp_sim::SimConfig;
+use dufp_types::toml::{self, Line};
 use dufp_types::{Error, Ratio, Result, Watts};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
@@ -365,10 +366,9 @@ pub fn to_jsonl_bytes(rows: &[SweepRow]) -> Result<Vec<u8>> {
     Ok(buf)
 }
 
-/// Parses a grid file written in the supported TOML subset: flat
-/// `key = value` lines, single-line arrays, strings in double quotes,
-/// `#` comments. Unknown keys and malformed lines are rejected with the
-/// line number.
+/// Parses a grid file written in the supported TOML subset
+/// ([`dufp_types::toml`]): flat `key = value` lines, no sections. Unknown
+/// keys and malformed lines are rejected with the line number and key.
 pub fn parse_grid(text: &str) -> Result<SweepGrid> {
     let mut grid = SweepGrid {
         apps: Vec::new(),
@@ -381,112 +381,39 @@ pub fn parse_grid(text: &str) -> Result<SweepGrid> {
         machine: None,
         engine: Engine::default(),
     };
-    for (lineno, raw) in text.lines().enumerate() {
-        let line = strip_comment(raw).trim();
-        if line.is_empty() {
-            continue;
-        }
-        let err = |detail: String| Error::invalid("grid", format!("line {}: {detail}", lineno + 1));
-        if line.starts_with('[') {
-            return Err(err("tables are not supported; use flat key = value".into()));
-        }
-        let (key, value) = line
-            .split_once('=')
-            .ok_or_else(|| err("expected key = value".into()))?;
-        let key = key.trim();
-        let value = value.trim();
+    toml::read(text, "grid", |line| {
+        let Line::Pair { key, value } = line else {
+            return Err("tables are not supported; use flat key = value".into());
+        };
         match key {
-            "apps" => grid.apps = parse_string_array(value).map_err(&err)?,
-            "policies" => grid.policies = parse_string_array(value).map_err(&err)?,
-            "slowdowns_pct" => grid.slowdowns_pct = parse_number_array(value).map_err(&err)?,
+            "apps" => grid.apps = toml::string_array(value)?,
+            "policies" => grid.policies = toml::string_array(value)?,
+            "slowdowns_pct" => grid.slowdowns_pct = toml::number_array(value)?,
             "seeds" => {
-                grid.seeds = parse_number_array(value)
-                    .map_err(&err)?
+                grid.seeds = toml::number_array(value)?
                     .into_iter()
                     .map(|n| {
                         if n.fract() == 0.0 && (0.0..=u64::MAX as f64).contains(&n) {
                             Ok(n as u64)
                         } else {
-                            Err(err(format!("seed {n} is not a non-negative integer")))
+                            Err(format!("seed {n} is not a non-negative integer"))
                         }
                     })
-                    .collect::<Result<Vec<_>>>()?;
+                    .collect::<std::result::Result<Vec<_>, _>>()?;
             }
-            "sockets" => {
-                grid.sockets = value
-                    .parse()
-                    .map_err(|_| err(format!("bad socket count {value}")))?;
-            }
-            "interval_ms" => {
-                grid.interval_ms = Some(
-                    value
-                        .parse()
-                        .map_err(|_| err(format!("bad interval {value}")))?,
-                );
-            }
-            "fault_plan" => grid.fault_plan = Some(parse_string(value).map_err(&err)?),
-            "machine" => grid.machine = Some(parse_string(value).map_err(&err)?),
+            "sockets" => grid.sockets = toml::integer(value)?,
+            "interval_ms" => grid.interval_ms = Some(toml::integer(value)?),
+            "fault_plan" => grid.fault_plan = Some(toml::string(value)?),
+            "machine" => grid.machine = Some(toml::string(value)?),
             "engine" => {
-                grid.engine = Engine::parse(&parse_string(value).map_err(&err)?)
-                    .map_err(|e| err(e.to_string()))?;
+                grid.engine = Engine::parse(&toml::string(value)?).map_err(|e| e.to_string())?;
             }
-            other => return Err(err(format!("unknown key `{other}`"))),
+            _ => return Err("unknown key".into()),
         }
-    }
+        Ok(())
+    })?;
     grid.validate()?;
     Ok(grid)
-}
-
-/// Cuts `line` at the first `#` that is not inside a double-quoted string.
-fn strip_comment(line: &str) -> &str {
-    let mut in_string = false;
-    for (i, c) in line.char_indices() {
-        match c {
-            '"' => in_string = !in_string,
-            '#' if !in_string => return &line[..i],
-            _ => {}
-        }
-    }
-    line
-}
-
-/// `"value"` → `value`.
-fn parse_string(v: &str) -> std::result::Result<String, String> {
-    let inner = v
-        .strip_prefix('"')
-        .and_then(|s| s.strip_suffix('"'))
-        .ok_or_else(|| format!("expected a double-quoted string, got {v}"))?;
-    if inner.contains('"') {
-        return Err(format!("embedded quotes are not supported: {v}"));
-    }
-    Ok(inner.to_string())
-}
-
-/// `[ "a", "b" ]` → the elements.
-fn parse_string_array(v: &str) -> std::result::Result<Vec<String>, String> {
-    array_elements(v)?.iter().map(|e| parse_string(e)).collect()
-}
-
-/// `[ 0, 5.0, 10 ]` → the numbers.
-fn parse_number_array(v: &str) -> std::result::Result<Vec<f64>, String> {
-    array_elements(v)?
-        .iter()
-        .map(|e| e.parse::<f64>().map_err(|_| format!("bad number {e}")))
-        .collect()
-}
-
-/// Splits `[ a, b, c ]` into trimmed element strings. Elements cannot
-/// contain commas (strings here are names and plans, not prose).
-fn array_elements(v: &str) -> std::result::Result<Vec<String>, String> {
-    let inner = v
-        .strip_prefix('[')
-        .and_then(|s| s.strip_suffix(']'))
-        .ok_or_else(|| format!("expected a [ ... ] array, got {v}"))?;
-    let trimmed = inner.trim();
-    if trimmed.is_empty() {
-        return Ok(Vec::new());
-    }
-    Ok(trimmed.split(',').map(|e| e.trim().to_string()).collect())
 }
 
 #[cfg(test)]
@@ -605,7 +532,8 @@ mod tests {
             ("apps = \"CG\"", "array"),
             ("seeds = [1.5]", "integer"),
             ("apps = [CG]", "double-quoted"),
-            ("sockets = many", "socket count"),
+            ("sockets = many", "line 1: sockets"),
+            ("interval_ms = 200.9", "line 1: interval_ms"),
         ] {
             let err = parse_grid(text).unwrap_err().to_string();
             assert!(err.contains(want), "{text:?} → {err}");

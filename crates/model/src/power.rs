@@ -241,10 +241,19 @@ impl LadderPoint {
     /// non-decreasing in `f`), so "this rung fits, the next one up does
     /// not" pins the descending walk's first hit.
     pub fn stable_for(&self, allowance: Watts) -> bool {
+        // "Does not fit" is the negation of `<=`, not `>`: a NaN power or
+        // allowance must count as not fitting, exactly as the search's
+        // `<=` test fails on it.
+        let over = |p: Watts| {
+            !matches!(
+                p.partial_cmp(&allowance),
+                Some(std::cmp::Ordering::Less | std::cmp::Ordering::Equal)
+            )
+        };
         if !self.fits {
-            return !(self.power_at <= allowance);
+            return over(self.power_at);
         }
-        self.power_at <= allowance && self.power_above.is_none_or(|p| !(p <= allowance))
+        self.power_at <= allowance && self.power_above.is_none_or(over)
     }
 }
 

@@ -14,7 +14,7 @@
 //! per rule, while clocked backends (the simulator) pass their tick so
 //! `at=`/`window=` rules align with simulated time.
 
-use dufp_types::{Error, Result};
+use dufp_types::{splitmix, Error, Result};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
@@ -136,104 +136,50 @@ impl FaultPlan {
     /// address), an optional `cpu=N` or `cpu=A-B` range, and a schedule
     /// (`always`, `p=0.01`, `at=N`, `window=FROM+COUNT`; default `always`).
     pub fn parse(text: &str) -> Result<Self> {
-        let mut plan = FaultPlan::default();
-        for segment in text.split(';') {
-            let segment = segment.trim();
-            if segment.is_empty() {
-                continue;
-            }
-            if let Some(seed) = segment.strip_prefix("seed=") {
-                plan.seed = seed
-                    .trim()
-                    .parse()
-                    .map_err(|_| Error::invalid("fault plan seed", seed.to_string()))?;
-                continue;
-            }
-            plan.rules.push(Self::parse_rule(segment)?);
-        }
-        Ok(plan)
+        let (seed, rules) = parse_plan(text, "fault plan", Self::parse_rule)?;
+        Ok(FaultPlan { seed, rules })
     }
 
-    fn parse_rule(segment: &str) -> Result<FaultRule> {
-        let bad = |detail: String| Error::invalid("fault plan rule", detail);
-        let mut items = segment.split(',').map(str::trim);
-        let op = match items.next() {
-            Some("read") => FaultOp::Read,
-            Some("write") => FaultOp::Write,
-            Some("sample") => FaultOp::Sample,
-            Some("crash") => FaultOp::Crash,
-            Some("any") => FaultOp::Any,
-            other => {
-                return Err(bad(format!(
-                    "rule must start with read|write|sample|crash|any, got {other:?}"
-                )))
-            }
-        };
-        let mut rule = FaultRule {
-            op,
-            register: None,
-            cpus: None,
-            when: FaultWhen::Always,
-        };
-        for item in items {
+    fn parse_rule(segment: &str) -> std::result::Result<FaultRule, String> {
+        let (mut register, mut cpus) = (None, None);
+        let (op, when, when_item) = parse_rule_items(segment, |item| {
             if let Some(reg) = item.strip_prefix("reg=") {
-                rule.register = Some(Self::parse_register(reg)?);
+                register = Some(Self::parse_register(reg)?);
             } else if let Some(range) = item.strip_prefix("cpu=") {
-                let (lo, hi) = match range.split_once('-') {
-                    Some((lo, hi)) => (
-                        lo.parse()
-                            .map_err(|_| bad(format!("bad cpu range {range}")))?,
-                        hi.parse()
-                            .map_err(|_| bad(format!("bad cpu range {range}")))?,
-                    ),
-                    None => {
-                        let cpu = range.parse().map_err(|_| bad(format!("bad cpu {range}")))?;
-                        (cpu, cpu)
-                    }
-                };
-                if lo > hi {
-                    return Err(bad(format!("empty cpu range {range}")));
-                }
-                rule.cpus = Some((lo, hi));
-            } else if let Some(p) = item.strip_prefix("p=") {
-                let p: f64 = p.parse().map_err(|_| bad(format!("bad probability {p}")))?;
-                if !(0.0..=1.0).contains(&p) {
-                    return Err(bad(format!("probability {p} outside [0, 1]")));
-                }
-                rule.when = FaultWhen::Probability { p };
-            } else if let Some(at) = item.strip_prefix("at=") {
-                rule.when = FaultWhen::At {
-                    at: at.parse().map_err(|_| bad(format!("bad at={at}")))?,
-                };
-            } else if let Some(window) = item.strip_prefix("window=") {
-                let (from, count) = window
-                    .split_once('+')
-                    .ok_or_else(|| bad(format!("window wants FROM+COUNT, got {window}")))?;
-                let count: u64 = count
-                    .parse()
-                    .map_err(|_| bad(format!("bad window length {count}")))?;
-                if count == 0 {
-                    return Err(bad("window length must be positive".into()));
-                }
-                rule.when = FaultWhen::Window {
-                    from: from
-                        .parse()
-                        .map_err(|_| bad(format!("bad window start {from}")))?,
-                    count,
-                };
-            } else if item == "always" {
-                rule.when = FaultWhen::Always;
+                cpus = Some(parse_range(range)?);
             } else {
-                return Err(bad(format!("unknown item {item}")));
+                return Ok(false);
             }
+            Ok(true)
+        })?;
+        let op = match op {
+            "read" => FaultOp::Read,
+            "write" => FaultOp::Write,
+            "sample" => FaultOp::Sample,
+            "crash" => FaultOp::Crash,
+            "any" => FaultOp::Any,
+            _ => {
+                return Err(reject(
+                    op,
+                    "rule must start with read|write|sample|crash|any",
+                ))
+            }
+        };
+        if op == FaultOp::Crash && !matches!(when, FaultWhen::At { .. }) {
+            return Err(reject(
+                when_item.unwrap_or("crash"),
+                "crash rules require an at=TICK schedule",
+            ));
         }
-        if rule.op == FaultOp::Crash && !matches!(rule.when, FaultWhen::At { .. }) {
-            return Err(bad("crash rules require an at=TICK schedule".into()));
-        }
-        Ok(rule)
+        Ok(FaultRule {
+            op,
+            register,
+            cpus,
+            when,
+        })
     }
 
-    fn parse_register(text: &str) -> Result<u32> {
+    fn parse_register(text: &str) -> std::result::Result<u32, String> {
         use crate::registers::*;
         Ok(match text {
             "cap" => MSR_PKG_POWER_LIMIT,
@@ -246,9 +192,125 @@ impl FaultPlan {
                     Some(hex) => u32::from_str_radix(hex, 16),
                     None => raw.parse(),
                 };
-                parsed.map_err(|_| Error::invalid("fault plan register", raw.to_string()))?
+                parsed.map_err(|_| format!("unknown register {raw}"))?
             }
         })
+    }
+}
+
+/// Formats a rejected plan item: every plan error names the item.
+pub fn reject(item: &str, why: impl std::fmt::Display) -> String {
+    format!("`{item}`: {why}")
+}
+
+/// The plan grammar both fault-plan languages (this one and the network
+/// plans of `dufp-net`) share: `;`-separated segments, where `seed=N` sets
+/// the plan seed and every other non-empty segment is one rule that `rule`
+/// parses (typically through [`parse_rule_items`]). Errors name the item
+/// they reject (see [`reject`]) and become an [`Error::InvalidValue`] for
+/// `plan`.
+pub fn parse_plan<R>(
+    text: &str,
+    plan: &'static str,
+    mut rule: impl FnMut(&str) -> std::result::Result<R, String>,
+) -> Result<(u64, Vec<R>)> {
+    let bad = |why: String| Error::invalid(plan, why);
+    let mut seed = 0;
+    let mut rules = Vec::new();
+    for segment in text.split(';').map(str::trim).filter(|s| !s.is_empty()) {
+        if let Some(value) = segment.strip_prefix("seed=") {
+            seed = value
+                .trim()
+                .parse()
+                .map_err(|_| bad(reject(segment, "seed wants an unsigned integer")))?;
+        } else {
+            rules.push(rule(segment).map_err(bad)?);
+        }
+    }
+    Ok((seed, rules))
+}
+
+/// Tokenizes one rule, `op,item,item,...`. Schedule items (`always`,
+/// `p=P`, `at=N`, `window=FROM+COUNT`; the last one wins, default
+/// `always`) are parsed here; every other item goes to `scope`, which
+/// applies the plan's own items and returns `Ok(false)` for one it does
+/// not know. Returns the op keyword, the schedule and the schedule item as
+/// written.
+pub fn parse_rule_items<'a>(
+    segment: &'a str,
+    mut scope: impl FnMut(&'a str) -> std::result::Result<bool, String>,
+) -> std::result::Result<(&'a str, FaultWhen, Option<&'a str>), String> {
+    let mut items = segment.split(',').map(str::trim);
+    let op = items.next().unwrap_or_default();
+    let (mut when, mut when_item) = (FaultWhen::Always, None);
+    for item in items {
+        let known = match parse_schedule(item) {
+            Some(Ok(schedule)) => {
+                (when, when_item) = (schedule, Some(item));
+                Ok(true)
+            }
+            Some(Err(why)) => Err(why),
+            None => scope(item),
+        };
+        match known {
+            Ok(true) => {}
+            Ok(false) => return Err(reject(item, "unknown item")),
+            Err(why) => return Err(reject(item, why)),
+        }
+    }
+    Ok((op, when, when_item))
+}
+
+/// A schedule item, or `None` when `item` is not one.
+fn parse_schedule(item: &str) -> Option<std::result::Result<FaultWhen, String>> {
+    let int = |v: &str| v.parse::<u64>().map_err(|_| format!("bad number {v}"));
+    let when = if item == "always" {
+        Ok(FaultWhen::Always)
+    } else if let Some(p) = item.strip_prefix("p=") {
+        match p.parse::<f64>() {
+            Ok(p) if (0.0..=1.0).contains(&p) => Ok(FaultWhen::Probability { p }),
+            _ => Err("probability must lie in [0, 1]".to_string()),
+        }
+    } else if let Some(at) = item.strip_prefix("at=") {
+        int(at).map(|at| FaultWhen::At { at })
+    } else if let Some(window) = item.strip_prefix("window=") {
+        match window.split_once('+') {
+            None => Err("window wants FROM+COUNT".to_string()),
+            Some((from, count)) => match (int(from), int(count)) {
+                (Ok(_), Ok(0)) => Err("window length must be positive".to_string()),
+                (Ok(from), Ok(count)) => Ok(FaultWhen::Window { from, count }),
+                (Err(e), _) | (_, Err(e)) => Err(e),
+            },
+        }
+    } else {
+        return None;
+    };
+    Some(when)
+}
+
+/// An inclusive `N` or `A-B` range item value (`cpu=`, `peer=`).
+pub fn parse_range(range: &str) -> std::result::Result<(usize, usize), String> {
+    let (lo, hi) = range.split_once('-').unwrap_or((range, range));
+    let bound = |v: &str| v.parse::<usize>().map_err(|_| format!("bad range {range}"));
+    let (lo, hi) = (bound(lo)?, bound(hi)?);
+    if lo > hi {
+        return Err(format!("empty range {range}"));
+    }
+    Ok((lo, hi))
+}
+
+impl FaultWhen {
+    /// Whether the schedule fires at clock value `now`. `p=` rules draw
+    /// from `rng`; without one (a check that must not consume the stream)
+    /// they never fire.
+    #[inline]
+    pub fn fires(self, now: u64, rng: Option<&mut u64>) -> bool {
+        match self {
+            FaultWhen::Always => true,
+            FaultWhen::Probability { p } => rng.is_some_and(|rng| splitmix::unit_f64(rng) < p),
+            FaultWhen::At { at } => now == at,
+            FaultWhen::Window { from, count } => now >= from && now - from < count,
+        }
     }
 }
 
@@ -288,7 +350,7 @@ impl FaultInjector {
             rules: plan.rules,
             state: Mutex::new(InjectorState {
                 // Offset so seed 0 still produces a scrambled stream.
-                rng: plan.seed ^ 0x9E37_79B9_7F4A_7C15,
+                rng: plan.seed ^ splitmix::GAMMA,
                 hits,
             }),
         }
@@ -349,12 +411,7 @@ impl FaultInjector {
             }
             let now = clock.unwrap_or(state.hits[idx]);
             state.hits[idx] += 1;
-            fail |= match rule.when {
-                FaultWhen::Always => true,
-                FaultWhen::Probability { p } => next_uniform(&mut state.rng) < p,
-                FaultWhen::At { at } => now == at,
-                FaultWhen::Window { from, count } => now >= from && now - from < count,
-            };
+            fail |= rule.when.fires(now, Some(&mut state.rng));
         }
         fail
     }
@@ -371,16 +428,6 @@ impl FaultInjector {
             Ok(())
         }
     }
-}
-
-/// One SplitMix64 step mapped to a uniform draw in `[0, 1)`.
-fn next_uniform(state: &mut u64) -> f64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^= z >> 31;
-    (z >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }
 
 #[cfg(test)]

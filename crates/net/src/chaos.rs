@@ -43,7 +43,7 @@ use crate::wire::Frame;
 use dufp_msr::fault::{FaultInjector, FaultOp, FaultPlan};
 use dufp_msr::registers::MSR_PKG_POWER_LIMIT;
 use dufp_telemetry::Telemetry;
-use dufp_types::{Error, Result, Watts};
+use dufp_types::{splitmix, Error, Result, Watts};
 use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
@@ -105,8 +105,22 @@ impl ChaosConfig {
                 format!("{} is absurd", self.agents),
             ));
         }
-        // Budget/floor/node_max plausibility rides on the coordinator
+        // Every honest floor must be fundable, or the floor invariant the
+        // soak scores is violated by construction. The rest of the
+        // budget/floor/node_max plausibility rides on the coordinator
         // config validation inside run().
+        let floors = self.floor.value() * self.agents as f64;
+        if self.budget.value().is_nan() || self.budget.value() < floors {
+            return Err(Error::invalid(
+                "budget",
+                format!(
+                    "{} W cannot fund {} agents at their {} W floors ({floors} W)",
+                    self.budget.value(),
+                    self.agents,
+                    self.floor.value()
+                ),
+            ));
+        }
         Ok(())
     }
 }
@@ -349,9 +363,9 @@ impl SimAgent {
     fn new(idx: usize, cfg: &ChaosConfig) -> Self {
         let mut rng = cfg
             .seed
-            .wrapping_add((idx as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+            .wrapping_add((idx as u64 + 1).wrapping_mul(splitmix::GAMMA));
         let span = cfg.node_max.value() - cfg.floor.value();
-        let demand = cfg.floor.value() + next_uniform(&mut rng) * span;
+        let demand = cfg.floor.value() + splitmix::unit_f64(&mut rng) * span;
         SimAgent {
             idx,
             name: format!("n{idx}"),
@@ -811,7 +825,7 @@ impl ChaosFleet {
                     hi
                 }
             } else {
-                (a.demand + (next_uniform(&mut a.rng) - 0.5) * 20.0).clamp(lo, hi)
+                (a.demand + (splitmix::unit_f64(&mut a.rng) - 0.5) * 20.0).clamp(lo, hi)
             };
         }
 
@@ -939,7 +953,7 @@ impl ChaosFleet {
             corrupt(&mut bytes);
             self.tallies.frames_corrupted += 1;
         }
-        let deliver = epoch + fate.delay_epochs;
+        let deliver = epoch.saturating_add(fate.delay_epochs);
         let queue = &mut self.agents[i].up;
         for _ in 0..=fate.duplicates {
             queue.push((deliver, dest, bytes.clone()));
@@ -968,7 +982,7 @@ impl ChaosFleet {
         }
         // A grant sent during epoch e is applicable from e+1: the TCP
         // plane's agents also see grants one reporting beat later.
-        let deliver = epoch + 1 + fate.delay_epochs;
+        let deliver = epoch.saturating_add(1).saturating_add(fate.delay_epochs);
         let queue = &mut self.agents[i].down;
         for _ in 0..=fate.duplicates {
             queue.push((deliver, bytes.clone()));
@@ -1284,16 +1298,6 @@ fn corrupt(bytes: &mut [u8]) {
     }
 }
 
-/// One SplitMix64 step mapped to a uniform draw in `[0, 1)`.
-fn next_uniform(state: &mut u64) -> f64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^= z >> 31;
-    (z >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1408,6 +1412,55 @@ mod tests {
         cfg.msr_plan = dufp_msr::fault::FaultPlan::parse("write,reg=cap,cpu=0,always").unwrap();
         let sc = scenario("baseline").unwrap();
         let card = ChaosFleet::new(cfg, sc).unwrap().run();
+        assert!(card.conservation_ok && card.floor_ok, "{card:?}");
+    }
+
+    #[test]
+    fn a_budget_below_the_honest_floors_is_rejected_naming_budget() {
+        // 11 agents × 65 W floors = 715 W > the default 700 W budget.
+        let mut cfg = ChaosConfig::new(42);
+        cfg.agents = 11;
+        match cfg.validate() {
+            Err(Error::InvalidValue { what, detail }) => {
+                assert_eq!(what, "budget");
+                assert!(detail.contains("715"), "{detail}");
+            }
+            other => panic!("expected a budget error, got {other:?}"),
+        }
+        assert!(run_matrix(&cfg).is_err());
+        cfg.budget = Watts(715.0);
+        cfg.validate().unwrap();
+    }
+
+    /// Runs the baseline scenario with `plan` merged in, for the `n=` bound
+    /// regressions below.
+    fn baseline_with(plan: &str) -> ScenarioScore {
+        let mut cfg = ChaosConfig::new(42);
+        cfg.epochs = 8;
+        cfg.extra_net = NetFaultPlan::parse(plan).unwrap();
+        run_scenario(&cfg, "baseline").unwrap()
+    }
+
+    #[test]
+    fn delay_n_is_bounded_and_the_largest_delay_runs() {
+        // Unbounded, this n overflowed the delivery-epoch addition.
+        let err = NetFaultPlan::parse("delay,n=18446744073709551615,at=3").unwrap_err();
+        assert!(
+            err.to_string().contains("`n=18446744073709551615`"),
+            "{err}"
+        );
+        let max = crate::netfault::MAX_N;
+        let card = baseline_with(&format!("delay,n={max},at=3"));
+        assert!(card.conservation_ok && card.floor_ok, "{card:?}");
+    }
+
+    #[test]
+    fn dup_n_is_bounded_and_the_largest_dup_runs() {
+        // Unbounded, this n queued four billion copies of one frame.
+        let err = NetFaultPlan::parse("dup,n=4000000000,at=3").unwrap_err();
+        assert!(err.to_string().contains("`n=4000000000`"), "{err}");
+        let max = crate::netfault::MAX_N;
+        let card = baseline_with(&format!("dup,n={max},at=3"));
         assert!(card.conservation_ok && card.floor_ok, "{card:?}");
     }
 }

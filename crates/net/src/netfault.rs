@@ -1,14 +1,15 @@
 //! Declarative network-fault plans for chaos testing the fleet plane.
 //!
 //! [`dufp_msr::fault::FaultPlan`] chaos-tests the *actuation* path (MSR
-//! reads/writes); this module applies the same grammar to the *network*
-//! path: frames between the coordinator and its agents can be dropped,
-//! delayed, duplicated, corrupted or reordered, links can be partitioned,
-//! whole agents killed, and agents can be turned byzantine (lying demand
+//! reads/writes); this module applies the same rule tokenizer
+//! ([`dufp_msr::fault::parse_plan`]) to the *network* path: frames
+//! between the coordinator and its agents can be dropped, delayed,
+//! duplicated, corrupted or reordered, links can be partitioned, whole
+//! agents killed, and agents can be turned byzantine (lying demand
 //! reports, replayed frames, heartbeat flapping, grant-ignoring
-//! overdraw). A [`NetFaultPlan`] is a seed plus scoped [`NetFaultRule`]s;
-//! schedules reuse [`FaultWhen`] verbatim, so `--net-fault-plan` composes
-//! with `--fault-plan` — one seeded grammar, two failure domains.
+//! overdraw). A [`NetFaultPlan`] is a seed plus scoped [`NetFaultRule`]s
+//! whose schedules are [`FaultWhen`]s, so `--net-fault-plan` composes with
+//! `--fault-plan` — one seeded grammar, two failure domains.
 //!
 //! Command-line syntax (segments by `;`, items by `,`):
 //!
@@ -22,14 +23,20 @@
 //! `byz-replay`, `byz-flap`, `byz-overdraw`). Items scope it: `peer=N` or
 //! `peer=A-B` (agent indices; default all), `dir=up|down|both` (agent →
 //! coordinator is *up*; default both), `n=K` (delay length in epochs /
-//! extra duplicates; default 1), and a schedule (`always`, `p=0.01`,
-//! `at=EPOCH`, `window=FROM+COUNT`; default `always`), clocked on the
-//! chaos epoch. Plans are fully deterministic given their seed.
+//! extra duplicates / replays, 1 to [`MAX_N`]; default 1), and a schedule
+//! (`always`, `p=0.01`, `at=EPOCH`, `window=FROM+COUNT`; default
+//! `always`), clocked on the chaos epoch. Plans are fully deterministic
+//! given their seed.
 
-use dufp_msr::fault::FaultWhen;
-use dufp_types::{Error, Result};
+use dufp_msr::fault::{parse_plan, parse_range, parse_rule_items, reject, FaultWhen};
+use dufp_types::{splitmix, Result};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
+
+/// The largest `n=` a rule accepts: a delay of this many epochs, or this
+/// many extra copies of each frame. The bound keeps a typo'd plan from
+/// overflowing epoch arithmetic or queueing billions of duplicates.
+pub const MAX_N: u64 = 1000;
 
 /// What a network-fault rule does.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -171,138 +178,79 @@ impl NetFaultPlan {
     }
 
     /// Parses the compact command-line syntax described in the module
-    /// docs. Mirrors [`dufp_msr::fault::FaultPlan::parse`].
+    /// docs, through the rule grammar of [`dufp_msr::fault::parse_plan`].
     pub fn parse(text: &str) -> Result<Self> {
-        let mut plan = NetFaultPlan::default();
-        for segment in text.split(';') {
-            let segment = segment.trim();
-            if segment.is_empty() {
-                continue;
-            }
-            if let Some(seed) = segment.strip_prefix("seed=") {
-                plan.seed = seed
-                    .trim()
-                    .parse()
-                    .map_err(|_| Error::invalid("net fault plan seed", seed.to_string()))?;
-                continue;
-            }
-            plan.rules.push(Self::parse_rule(segment)?);
-        }
-        Ok(plan)
+        let (seed, rules) = parse_plan(text, "net fault plan", Self::parse_rule)?;
+        Ok(NetFaultPlan { seed, rules })
     }
 
-    fn parse_rule(segment: &str) -> Result<NetFaultRule> {
-        let bad = |detail: String| Error::invalid("net fault plan rule", detail);
-        let mut items = segment.split(',').map(str::trim);
-        let op = match items.next() {
-            Some("drop") => NetFaultOp::Drop,
-            Some("delay") => NetFaultOp::Delay,
-            Some("dup") => NetFaultOp::Dup,
-            Some("corrupt") => NetFaultOp::Corrupt,
-            Some("reorder") => NetFaultOp::Reorder,
-            Some("partition") => NetFaultOp::Partition,
-            Some("kill") => NetFaultOp::Kill,
-            Some("coord-kill") => NetFaultOp::CoordKill,
-            Some("byz-inflate") => NetFaultOp::ByzInflate,
-            Some("byz-nan") => NetFaultOp::ByzNan,
-            Some("byz-negative") => NetFaultOp::ByzNegative,
-            Some("byz-replay") => NetFaultOp::ByzReplay,
-            Some("byz-flap") => NetFaultOp::ByzFlap,
-            Some("byz-overdraw") => NetFaultOp::ByzOverdraw,
-            other => {
-                return Err(bad(format!(
-                    "rule must start with a net fault op \
-                     (drop|delay|dup|corrupt|reorder|partition|kill|coord-kill|byz-*), \
-                     got {other:?}"
-                )))
-            }
-        };
-        let mut rule = NetFaultRule {
-            op,
-            peers: None,
-            dir: Dir::Both,
-            n: 1,
-            when: FaultWhen::Always,
-        };
-        for item in items {
+    fn parse_rule(segment: &str) -> std::result::Result<NetFaultRule, String> {
+        let (mut peers, mut dir, mut n) = (None, Dir::Both, 1);
+        let (op, when, when_item) = parse_rule_items(segment, |item| {
             if let Some(range) = item.strip_prefix("peer=") {
-                let (lo, hi) = match range.split_once('-') {
-                    Some((lo, hi)) => (
-                        lo.parse()
-                            .map_err(|_| bad(format!("bad peer range {range}")))?,
-                        hi.parse()
-                            .map_err(|_| bad(format!("bad peer range {range}")))?,
-                    ),
-                    None => {
-                        let peer = range
-                            .parse()
-                            .map_err(|_| bad(format!("bad peer {range}")))?;
-                        (peer, peer)
-                    }
-                };
-                if lo > hi {
-                    return Err(bad(format!("empty peer range {range}")));
-                }
-                rule.peers = Some((lo, hi));
-            } else if let Some(dir) = item.strip_prefix("dir=") {
-                rule.dir = match dir {
+                peers = Some(parse_range(range)?);
+            } else if let Some(d) = item.strip_prefix("dir=") {
+                dir = match d {
                     "up" => Dir::Up,
                     "down" => Dir::Down,
                     "both" => Dir::Both,
-                    other => return Err(bad(format!("dir wants up|down|both, got {other}"))),
+                    _ => return Err("dir wants up|down|both".into()),
                 };
-            } else if let Some(n) = item.strip_prefix("n=") {
-                rule.n = n.parse().map_err(|_| bad(format!("bad n={n}")))?;
-                if rule.n == 0 {
-                    return Err(bad("n must be positive".into()));
-                }
-            } else if let Some(p) = item.strip_prefix("p=") {
-                let p: f64 = p.parse().map_err(|_| bad(format!("bad probability {p}")))?;
-                if !(0.0..=1.0).contains(&p) {
-                    return Err(bad(format!("probability {p} outside [0, 1]")));
-                }
-                rule.when = FaultWhen::Probability { p };
-            } else if let Some(at) = item.strip_prefix("at=") {
-                rule.when = FaultWhen::At {
-                    at: at.parse().map_err(|_| bad(format!("bad at={at}")))?,
+            } else if let Some(count) = item.strip_prefix("n=") {
+                n = match count.parse() {
+                    Ok(count @ 1..=MAX_N) => count,
+                    _ => return Err(format!("n wants an integer in 1..={MAX_N}")),
                 };
-            } else if let Some(window) = item.strip_prefix("window=") {
-                let (from, count) = window
-                    .split_once('+')
-                    .ok_or_else(|| bad(format!("window wants FROM+COUNT, got {window}")))?;
-                let count: u64 = count
-                    .parse()
-                    .map_err(|_| bad(format!("bad window length {count}")))?;
-                if count == 0 {
-                    return Err(bad("window length must be positive".into()));
-                }
-                rule.when = FaultWhen::Window {
-                    from: from
-                        .parse()
-                        .map_err(|_| bad(format!("bad window start {from}")))?,
-                    count,
-                };
-            } else if item == "always" {
-                rule.when = FaultWhen::Always;
             } else {
-                return Err(bad(format!("unknown item {item}")));
+                return Ok(false);
             }
-        }
+            Ok(true)
+        })?;
+        let op = match op {
+            "drop" => NetFaultOp::Drop,
+            "delay" => NetFaultOp::Delay,
+            "dup" => NetFaultOp::Dup,
+            "corrupt" => NetFaultOp::Corrupt,
+            "reorder" => NetFaultOp::Reorder,
+            "partition" => NetFaultOp::Partition,
+            "kill" => NetFaultOp::Kill,
+            "coord-kill" => NetFaultOp::CoordKill,
+            "byz-inflate" => NetFaultOp::ByzInflate,
+            "byz-nan" => NetFaultOp::ByzNan,
+            "byz-negative" => NetFaultOp::ByzNegative,
+            "byz-replay" => NetFaultOp::ByzReplay,
+            "byz-flap" => NetFaultOp::ByzFlap,
+            "byz-overdraw" => NetFaultOp::ByzOverdraw,
+            _ => {
+                return Err(reject(
+                    op,
+                    "rule must start with a net fault op \
+                     (drop|delay|dup|corrupt|reorder|partition|kill|coord-kill|byz-*)",
+                ))
+            }
+        };
         // Topology and byzantine schedules must be epoch-deterministic;
         // a probabilistic partition/kill/byz state would flicker per check.
-        if matches!(
-            rule.op,
+        let structural = matches!(
+            op,
             NetFaultOp::Partition | NetFaultOp::Kill | NetFaultOp::CoordKill
-        ) || rule.op.is_byzantine()
-        {
-            if let FaultWhen::Probability { .. } = rule.when {
-                return Err(bad(format!(
+        ) || op.is_byzantine();
+        if let (true, FaultWhen::Probability { .. }, Some(item)) = (structural, when, when_item) {
+            return Err(reject(
+                item,
+                format!(
                     "{} rules need an epoch schedule (always/at/window), not p=",
-                    rule.op.keyword()
-                )));
-            }
+                    op.keyword()
+                ),
+            ));
         }
-        Ok(rule)
+        Ok(NetFaultRule {
+            op,
+            peers,
+            dir,
+            n,
+            when,
+        })
     }
 }
 
@@ -338,7 +286,7 @@ impl NetFaultInjector {
         NetFaultInjector {
             rules: plan.rules,
             // Offset so seed 0 still produces a scrambled stream.
-            rng: Mutex::new(plan.seed ^ 0x9E37_79B9_7F4A_7C15),
+            rng: Mutex::new(plan.seed ^ splitmix::GAMMA),
         }
     }
 
@@ -357,7 +305,7 @@ impl NetFaultInjector {
                 | NetFaultOp::Delay
                 | NetFaultOp::Dup
                 | NetFaultOp::Corrupt
-                | NetFaultOp::Reorder => active(rule.when, epoch, &mut rng),
+                | NetFaultOp::Reorder => rule.when.fires(epoch, Some(&mut *rng)),
                 _ => continue,
             };
             if !fires {
@@ -379,14 +327,14 @@ impl NetFaultInjector {
     /// partition schedules are epoch-deterministic (no `p=`).
     pub fn partitioned(&self, peer: usize, dir: Dir, epoch: u64) -> bool {
         self.rules.iter().any(|r| {
-            r.op == NetFaultOp::Partition && r.matches(peer, dir) && scheduled(r.when, epoch)
+            r.op == NetFaultOp::Partition && r.matches(peer, dir) && r.when.fires(epoch, None)
         })
     }
 
     /// Whether `peer` is killed at `epoch`. Pure.
     pub fn killed(&self, peer: usize, epoch: u64) -> bool {
         self.rules.iter().any(|r| {
-            r.op == NetFaultOp::Kill && r.matches(peer, Dir::Both) && scheduled(r.when, epoch)
+            r.op == NetFaultOp::Kill && r.matches(peer, Dir::Both) && r.when.fires(epoch, None)
         })
     }
 
@@ -395,7 +343,7 @@ impl NetFaultInjector {
     pub fn coord_killed(&self, epoch: u64) -> bool {
         self.rules
             .iter()
-            .any(|r| r.op == NetFaultOp::CoordKill && scheduled(r.when, epoch))
+            .any(|r| r.op == NetFaultOp::CoordKill && r.when.fires(epoch, None))
     }
 
     /// Whether this plan ever kills the primary (i.e. the chaos fleet
@@ -409,7 +357,7 @@ impl NetFaultInjector {
         self.rules
             .iter()
             .filter(|r| {
-                r.op.is_byzantine() && r.matches(peer, Dir::Both) && scheduled(r.when, epoch)
+                r.op.is_byzantine() && r.matches(peer, Dir::Both) && r.when.fires(epoch, None)
             })
             .map(|r| r.op)
             .collect()
@@ -424,7 +372,7 @@ impl NetFaultInjector {
             .filter(|r| {
                 r.op == NetFaultOp::ByzReplay
                     && r.matches(peer, Dir::Both)
-                    && scheduled(r.when, epoch)
+                    && r.when.fires(epoch, None)
             })
             .map(|r| r.n)
             .max()
@@ -437,36 +385,6 @@ impl NetFaultInjector {
             .iter()
             .any(|r| r.op.is_byzantine() && r.matches(peer, Dir::Both))
     }
-}
-
-/// Epoch-deterministic schedule check (partition/kill/byz rules, which the
-/// parser guarantees are never probabilistic).
-fn scheduled(when: FaultWhen, epoch: u64) -> bool {
-    match when {
-        FaultWhen::Always => true,
-        FaultWhen::Probability { .. } => false,
-        FaultWhen::At { at } => epoch == at,
-        FaultWhen::Window { from, count } => epoch >= from && epoch - from < count,
-    }
-}
-
-/// Schedule check with the seeded stream for `p=` rules.
-fn active(when: FaultWhen, epoch: u64, rng: &mut u64) -> bool {
-    match when {
-        FaultWhen::Probability { p } => next_uniform(rng) < p,
-        other => scheduled(other, epoch),
-    }
-}
-
-/// One SplitMix64 step mapped to a uniform draw in `[0, 1)` (same
-/// generator as `dufp_msr::fault`).
-fn next_uniform(state: &mut u64) -> f64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^= z >> 31;
-    (z >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }
 
 #[cfg(test)]

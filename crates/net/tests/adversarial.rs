@@ -113,6 +113,94 @@ proptest! {
     }
 }
 
+/// Fragments of the network fault-rule grammar for token-soup plans.
+const PLAN_FRAGMENTS: &[&str] = &[
+    ";",
+    ";",
+    ",",
+    ",",
+    " ",
+    "=",
+    "-",
+    "+",
+    "seed=",
+    "drop",
+    "delay",
+    "dup",
+    "corrupt",
+    "reorder",
+    "partition",
+    "kill",
+    "coord-kill",
+    "byz-nan",
+    "byz-replay",
+    "write",
+    "peer=",
+    "dir=",
+    "up",
+    "down",
+    "sideways",
+    "n=",
+    "p=",
+    "at=",
+    "window=",
+    "always",
+    "reg=",
+    "0",
+    "1",
+    "3",
+    "0.5",
+    "1.5",
+    "1000",
+    "1001",
+    "4000000000",
+    "18446744073709551615",
+    "x",
+    "é",
+    "`",
+];
+
+/// Every rejection is a typed `net fault plan` error that names the
+/// `;`-segment or `,`-item it rejected.
+fn check_plan(text: &str) -> Result<(), String> {
+    let Err(err) = NetFaultPlan::parse(text) else {
+        return Ok(());
+    };
+    let dufp_types::Error::InvalidValue { what, detail } = err else {
+        return Err(format!("not a typed plan error: {err:?}"));
+    };
+    prop_assert_eq!(what, "net fault plan");
+    let mut named = text.split(';').flat_map(|segment| {
+        std::iter::once(segment.trim()).chain(segment.split(',').map(str::trim))
+    });
+    prop_assert!(
+        named.any(|item| detail.starts_with(&format!("`{item}`: "))),
+        "error names no item of {:?}: {}",
+        text,
+        detail
+    );
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn arbitrary_bytes_never_panic_the_net_fault_plan_parser(
+        bytes in prop::collection::vec(any::<u8>(), 0..128)
+    ) {
+        check_plan(&String::from_utf8_lossy(&bytes))?;
+    }
+
+    #[test]
+    fn net_fault_plan_token_soup_errors_name_the_rejected_item(
+        picks in prop::collection::vec(0..PLAN_FRAGMENTS.len(), 0..24)
+    ) {
+        let text: String = picks.iter().map(|&i| PLAN_FRAGMENTS[i]).collect();
+        check_plan(&text)?;
+    }
+}
+
 /// The full matrix replays byte-identically — the CI contract, verified
 /// here without spawning the CLI.
 #[test]

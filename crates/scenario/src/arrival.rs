@@ -14,6 +14,7 @@
 //! * a **flash crowd** — one scheduled spike decaying exponentially
 //!   (a product launch, a breaking-news moment).
 
+use dufp_types::splitmix;
 use serde::{Deserialize, Serialize};
 
 /// Hard ceiling on composed intensity: 8× the design-point load.
@@ -77,20 +78,6 @@ impl Default for ArrivalSpec {
     }
 }
 
-/// SplitMix64 — the same tiny deterministic stream the chaos harness
-/// seeds its scenarios with.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-fn unit_f64(state: &mut u64) -> f64 {
-    (splitmix64(state) >> 11) as f64 / (1u64 << 53) as f64
-}
-
 /// A materialized, replayable intensity function.
 #[derive(Debug, Clone)]
 pub struct LoadProfile {
@@ -110,7 +97,7 @@ impl LoadProfile {
             let mut rng = seed ^ 0xA5A5_5A5A_C3C3_3C3C;
             let mut t = 0.0;
             while t < horizon_s && bursts.len() < 4096 {
-                let u = unit_f64(&mut rng).max(1e-12);
+                let u = splitmix::unit_f64(&mut rng).max(1e-12);
                 t += -u.ln() / rate_per_s;
                 if t < horizon_s {
                     bursts.push((t, t + spec.burst_duration_s));

@@ -3,19 +3,18 @@
 //! A scenario spec is the one file that describes a whole datacenter
 //! experiment: the global budget, the arrival model, the machine classes
 //! (including GPU-style nodes with their own uncore transfer functions)
-//! and the node → tenant topology. Like the PR-5 sweep-grid parser, the
-//! parser is a hand-rolled TOML subset that reports *line numbers* for
-//! syntax errors and *field paths* for semantic ones — a spec typo fails
-//! in milliseconds with a pointed message, not twenty virtual minutes into
-//! a fleet run.
+//! and the node → tenant topology. Specs are read by the same TOML-subset
+//! reader as sweep grids ([`dufp_types::toml`]), which reports *line
+//! numbers and keys* for syntax errors; validation reports *field paths*
+//! for semantic ones — a spec typo fails in milliseconds with a pointed
+//! message, not twenty virtual minutes into a fleet run.
 //!
-//! Supported syntax: `[scenario]`, `[arrival]`, `[machine.<id>]` and
-//! `[node.<id>]` sections of `key = value` lines, where values are
-//! double-quoted strings, numbers, string arrays or number arrays.
-//! Comments (`#`) and blank lines are ignored.
+//! Sections: `[scenario]`, `[arrival]`, `[machine.<id>]` and
+//! `[node.<id>]`, each holding `key = value` lines.
 
 use crate::arrival::{ArrivalKind, ArrivalSpec};
 use dufp_sim::SharedSocketCfg;
+use dufp_types::toml::{self, Line};
 use dufp_types::{ArchSpec, BytesPerSec, Error, FlopsPerSec, Hertz, Result, Seconds, Watts};
 use dufp_workloads::MaterializeCtx;
 use serde::{Deserialize, Serialize};
@@ -544,8 +543,6 @@ enum Section {
 }
 
 fn parse_spec(text: &str) -> Result<ScenarioSpec> {
-    let bad = |line: usize, why: String| Error::invalid("scenario", format!("line {line}: {why}"));
-
     let mut spec = ScenarioSpec {
         name: String::new(),
         duration_s: 60.0,
@@ -559,122 +556,78 @@ fn parse_spec(text: &str) -> Result<ScenarioSpec> {
     };
     let mut section = Section::None;
 
-    for (idx, raw) in text.lines().enumerate() {
-        let lineno = idx + 1;
-        let line = strip_comment(raw).trim();
-        if line.is_empty() {
-            continue;
-        }
-
-        if let Some(header) = line.strip_prefix('[').and_then(|s| s.strip_suffix(']')) {
-            let header = header.trim();
-            section = match header {
-                "scenario" => Section::Scenario,
-                "arrival" => Section::Arrival,
-                _ => {
-                    if let Some(id) = header.strip_prefix("machine.") {
-                        if id.is_empty() {
-                            return Err(bad(lineno, "machine section needs an id".into()));
-                        }
-                        spec.machines.push(MachineClass::new(id, MachineKind::Yeti));
-                        Section::Machine(spec.machines.len() - 1)
-                    } else if let Some(id) = header.strip_prefix("node.") {
-                        if id.is_empty() {
-                            return Err(bad(lineno, "node section needs an id".into()));
-                        }
-                        spec.nodes.push(NodeSpec {
-                            id: id.to_string(),
-                            machine: String::new(),
-                            tenants: Vec::new(),
-                            weights: Vec::new(),
-                        });
-                        Section::Node(spec.nodes.len() - 1)
-                    } else {
-                        return Err(bad(
-                            lineno,
-                            format!(
-                                "unknown section [{header}] (expected [scenario], [arrival], [machine.<id>] or [node.<id>])"
-                            ),
-                        ));
-                    }
-                }
-            };
-            continue;
-        }
-
-        let Some((key, value)) = line.split_once('=') else {
-            return Err(bad(lineno, format!("expected key = value, got {line:?}")));
+    toml::read(text, "scenario", |line| {
+        let (key, value) = match line {
+            Line::Header(header) => {
+                section = spec.open_section(header)?;
+                return Ok(());
+            }
+            Line::Pair { key, value } => (key, value),
         };
-        let key = key.trim();
-        let value = value.trim();
-        let num = |v: &str| -> std::result::Result<f64, String> {
-            v.parse::<f64>().map_err(|_| format!("bad number {v}"))
-        };
-
-        let result: std::result::Result<(), String> = match &section {
-            Section::None => Err(format!("key {key} before any [section] header")),
+        let num = || toml::number(value);
+        match &section {
+            Section::None => return Err("key before any [section] header".into()),
             Section::Scenario => match key {
-                "name" => parse_string(value).map(|v| spec.name = v),
-                "duration_s" => num(value).map(|v| spec.duration_s = v),
-                "interval_ms" => num(value).map(|v| spec.interval_ms = v as u64),
-                "epoch_intervals" => num(value).map(|v| spec.epoch_intervals = v as u32),
-                "budget_w" => num(value).map(|v| spec.budget_w = v),
-                "slo_backlog_s" => num(value).map(|v| spec.slo_backlog_s = v),
-                other => Err(format!("unknown [scenario] key {other}")),
+                "name" => spec.name = toml::string(value)?,
+                "duration_s" => spec.duration_s = num()?,
+                "interval_ms" => spec.interval_ms = toml::integer(value)?,
+                "epoch_intervals" => spec.epoch_intervals = toml::integer(value)?,
+                "budget_w" => spec.budget_w = num()?,
+                "slo_backlog_s" => spec.slo_backlog_s = num()?,
+                _ => return Err("unknown [scenario] key".into()),
             },
-            Section::Arrival => match key {
-                "model" => parse_string(value).and_then(|v| match v.as_str() {
-                    "constant" => {
-                        spec.arrival.kind = ArrivalKind::Constant;
-                        Ok(())
+            Section::Arrival => {
+                let a = &mut spec.arrival;
+                match key {
+                    "model" => {
+                        a.kind = match toml::string(value)?.as_str() {
+                            "constant" => ArrivalKind::Constant,
+                            "diurnal" => ArrivalKind::Diurnal,
+                            other => {
+                                return Err(format!(
+                                    "unknown arrival model {other:?} (expected constant or diurnal)"
+                                ))
+                            }
+                        }
                     }
-                    "diurnal" => {
-                        spec.arrival.kind = ArrivalKind::Diurnal;
-                        Ok(())
-                    }
-                    other => Err(format!(
-                        "unknown arrival model {other:?} (expected constant or diurnal)"
-                    )),
-                }),
-                "base" => num(value).map(|v| spec.arrival.base = v),
-                "period_s" => num(value).map(|v| spec.arrival.period_s = v),
-                "peak" => num(value).map(|v| spec.arrival.peak = v),
-                "trough" => num(value).map(|v| spec.arrival.trough = v),
-                "bursts_per_hour" => num(value).map(|v| spec.arrival.bursts_per_hour = v),
-                "burst_intensity" => num(value).map(|v| spec.arrival.burst_intensity = v),
-                "burst_duration_s" => num(value).map(|v| spec.arrival.burst_duration_s = v),
-                "flash_at_s" => num(value).map(|v| spec.arrival.flash_at_s = Some(v)),
-                "flash_magnitude" => num(value).map(|v| spec.arrival.flash_magnitude = v),
-                "flash_decay_s" => num(value).map(|v| spec.arrival.flash_decay_s = v),
-                "node_stagger_s" => num(value).map(|v| spec.arrival.node_stagger_s = v),
-                other => Err(format!("unknown [arrival] key {other}")),
-            },
+                    "base" => a.base = num()?,
+                    "period_s" => a.period_s = num()?,
+                    "peak" => a.peak = num()?,
+                    "trough" => a.trough = num()?,
+                    "bursts_per_hour" => a.bursts_per_hour = num()?,
+                    "burst_intensity" => a.burst_intensity = num()?,
+                    "burst_duration_s" => a.burst_duration_s = num()?,
+                    "flash_at_s" => a.flash_at_s = Some(num()?),
+                    "flash_magnitude" => a.flash_magnitude = num()?,
+                    "flash_decay_s" => a.flash_decay_s = num()?,
+                    "node_stagger_s" => a.node_stagger_s = num()?,
+                    _ => return Err("unknown [arrival] key".into()),
+                }
+            }
             Section::Machine(i) => {
                 let m = &mut spec.machines[*i];
                 match key {
-                    "kind" => parse_string(value)
-                        .and_then(|v| MachineKind::parse(&v))
-                        .map(|k| m.kind = k),
-                    "uncore_knee_ghz" => num(value).map(|v| m.uncore_knee_ghz = Some(v)),
-                    "uncore_exponent" => num(value).map(|v| m.uncore_exponent = Some(v)),
-                    "peak_bw_gib" => num(value).map(|v| m.peak_bw_gib = Some(v)),
-                    "pl1_w" => num(value).map(|v| m.pl1_w = Some(v)),
-                    "cap_floor_w" => num(value).map(|v| m.cap_floor_w = Some(v)),
-                    other => Err(format!("unknown [machine] key {other}")),
+                    "kind" => m.kind = MachineKind::parse(&toml::string(value)?)?,
+                    "uncore_knee_ghz" => m.uncore_knee_ghz = Some(num()?),
+                    "uncore_exponent" => m.uncore_exponent = Some(num()?),
+                    "peak_bw_gib" => m.peak_bw_gib = Some(num()?),
+                    "pl1_w" => m.pl1_w = Some(num()?),
+                    "cap_floor_w" => m.cap_floor_w = Some(num()?),
+                    _ => return Err("unknown [machine] key".into()),
                 }
             }
             Section::Node(i) => {
                 let n = &mut spec.nodes[*i];
                 match key {
-                    "machine" => parse_string(value).map(|v| n.machine = v),
-                    "tenants" => parse_string_array(value).map(|v| n.tenants = v),
-                    "weights" => parse_number_array(value).map(|v| n.weights = v),
-                    other => Err(format!("unknown [node] key {other}")),
+                    "machine" => n.machine = toml::string(value)?,
+                    "tenants" => n.tenants = toml::string_array(value)?,
+                    "weights" => n.weights = toml::number_array(value)?,
+                    _ => return Err("unknown [node] key".into()),
                 }
             }
-        };
-        result.map_err(|why| bad(lineno, why))?;
-    }
+        }
+        Ok(())
+    })?;
 
     if spec.name.is_empty() {
         return Err(Error::invalid(
@@ -691,50 +644,39 @@ fn parse_spec(text: &str) -> Result<ScenarioSpec> {
     Ok(spec)
 }
 
-fn strip_comment(line: &str) -> &str {
-    let mut in_string = false;
-    for (i, c) in line.char_indices() {
-        match c {
-            '"' => in_string = !in_string,
-            '#' if !in_string => return &line[..i],
-            _ => {}
+impl ScenarioSpec {
+    /// Opens the section a `[header]` names, declaring its machine or node.
+    fn open_section(&mut self, header: &str) -> std::result::Result<Section, String> {
+        if header == "scenario" {
+            return Ok(Section::Scenario);
         }
+        if header == "arrival" {
+            return Ok(Section::Arrival);
+        }
+        if let Some(id) = header.strip_prefix("machine.") {
+            if id.is_empty() {
+                return Err("machine section needs an id".into());
+            }
+            self.machines.push(MachineClass::new(id, MachineKind::Yeti));
+            return Ok(Section::Machine(self.machines.len() - 1));
+        }
+        if let Some(id) = header.strip_prefix("node.") {
+            if id.is_empty() {
+                return Err("node section needs an id".into());
+            }
+            self.nodes.push(NodeSpec {
+                id: id.to_string(),
+                machine: String::new(),
+                tenants: Vec::new(),
+                weights: Vec::new(),
+            });
+            return Ok(Section::Node(self.nodes.len() - 1));
+        }
+        Err(
+            "unknown section (expected [scenario], [arrival], [machine.<id>] or [node.<id>])"
+                .into(),
+        )
     }
-    line
-}
-
-fn parse_string(v: &str) -> std::result::Result<String, String> {
-    let inner = v
-        .strip_prefix('"')
-        .and_then(|s| s.strip_suffix('"'))
-        .ok_or_else(|| format!("expected a double-quoted string, got {v}"))?;
-    if inner.contains('"') {
-        return Err(format!("embedded quotes are not supported: {v}"));
-    }
-    Ok(inner.to_string())
-}
-
-fn parse_string_array(v: &str) -> std::result::Result<Vec<String>, String> {
-    array_elements(v)?.iter().map(|e| parse_string(e)).collect()
-}
-
-fn parse_number_array(v: &str) -> std::result::Result<Vec<f64>, String> {
-    array_elements(v)?
-        .iter()
-        .map(|e| e.parse::<f64>().map_err(|_| format!("bad number {e}")))
-        .collect()
-}
-
-fn array_elements(v: &str) -> std::result::Result<Vec<String>, String> {
-    let inner = v
-        .strip_prefix('[')
-        .and_then(|s| s.strip_suffix(']'))
-        .ok_or_else(|| format!("expected a [ ... ] array, got {v}"))?;
-    let trimmed = inner.trim();
-    if trimmed.is_empty() {
-        return Ok(Vec::new());
-    }
-    Ok(trimmed.split(',').map(|e| e.trim().to_string()).collect())
 }
 
 #[cfg(test)]
@@ -771,6 +713,20 @@ mod tests {
         assert!(detail(err).contains("line 1"));
         let err = ScenarioSpec::from_toml("name = \"x\"\n").unwrap_err();
         assert!(detail(err).contains("before any [section]"));
+        // Integer fields reject fractions, negatives and overflow instead
+        // of truncating them.
+        for (key, value) in [
+            ("interval_ms", "200.9"),
+            ("interval_ms", "-1"),
+            ("interval_ms", "1e30"),
+            ("epoch_intervals", "2.5"),
+            ("epoch_intervals", "-1"),
+            ("epoch_intervals", "4294967296"),
+        ] {
+            let text = format!("[scenario]\nname = \"x\"\n{key} = {value}\n");
+            let d = detail(ScenarioSpec::from_toml(&text).unwrap_err());
+            assert!(d.contains(&format!("line 3: {key}")), "{d}");
+        }
     }
 
     #[test]

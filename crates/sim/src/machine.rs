@@ -242,8 +242,7 @@ impl Machine {
                 break;
             }
         }
-        self.now_us
-            .fetch_add(advanced * tick_us, Ordering::Relaxed);
+        self.now_us.fetch_add(advanced * tick_us, Ordering::Relaxed);
         advanced
     }
 
@@ -595,11 +594,7 @@ mod tests {
                     }
                 }
                 let s = m.sample(SocketId(1)).unwrap();
-                sig.push((
-                    m.now().0,
-                    s.pkg_energy.value().to_bits(),
-                    s.flops.to_bits(),
-                ));
+                sig.push((m.now().0, s.pkg_energy.value().to_bits(), s.flops.to_bits()));
                 if m.done() {
                     break;
                 }

@@ -703,7 +703,9 @@ mod tests {
         // EMA decays geometrically (~0.95/step at this dt) and only pins
         // after ~15k steps, which is exactly when fast-forwarding becomes
         // legal.
-        let schedule: [(usize, Option<(f64, f64)>, Option<Watts>); 6] = [
+        // (steps, new tenant intensities, new ceiling) per leg.
+        type Leg = (usize, Option<(f64, f64)>, Option<Watts>);
+        let schedule: [Leg; 6] = [
             (300, Some((0.7, 0.9)), None),
             (17_000, Some((0.0, 0.0)), None),
             (4_000, None, Some(Watts(90.0))),

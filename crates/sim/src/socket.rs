@@ -470,7 +470,6 @@ impl SocketSim {
         }
     }
 
-
     /// True when the memo's cached outputs are exactly what `tick` would
     /// recompute from the current state.
     fn memo_valid(&self, memo: &StepMemo) -> bool {
@@ -722,7 +721,8 @@ impl SocketSim {
             let perf_noise =
                 (self.run_perf_factor + self.walk + noise.tick_sigma * sym(&mut self.rng)).max(0.1);
             let power_noise =
-                (self.run_power_factor + self.walk + noise.tick_sigma * sym(&mut self.rng)).max(0.1);
+                (self.run_power_factor + self.walk + noise.tick_sigma * sym(&mut self.rng))
+                    .max(0.1);
             let advanced_units = memo.units_rate * dtv * perf_noise;
             self.acc.flops += memo.flops_rate * dtv * perf_noise;
             self.acc.bytes += memo.progress_bw * dtv * perf_noise;
@@ -1111,10 +1111,13 @@ mod tests {
         assert!((delta - 0.2).abs() < 0.01, "delta {delta}");
     }
 
+    /// A register write applied at a given tick.
+    type TickWrite<'a> = (u64, &'a dyn Fn(&mut SocketSim));
+
     /// Drives a tick-stepped and a fast-path socket in lockstep through
     /// mid-run register writes, asserting every observable stays
     /// bit-identical tick by tick.
-    fn assert_fast_path_equivalent(c: SimConfig, writes: &[(u64, &dyn Fn(&mut SocketSim))]) {
+    fn assert_fast_path_equivalent(c: SimConfig, writes: &[TickWrite]) {
         let ctx = MaterializeCtx::from_arch(&c.arch);
         let w = apps::cg(&ctx).unwrap();
         let mut slow = SocketSim::new(c.clone(), 0);
@@ -1179,9 +1182,10 @@ mod tests {
         let deep = cap(65.0);
         let mid = cap(95.0);
         let lift = cap(125.0);
-        let pin = |s: &mut SocketSim| s.write_uncore(UncoreRatioLimit::pinned(Hertz::from_ghz(1.6)));
+        let pin =
+            |s: &mut SocketSim| s.write_uncore(UncoreRatioLimit::pinned(Hertz::from_ghz(1.6)));
         let ceil = |s: &mut SocketSim| s.write_perf_ctl(PerfCtl::capped_at(Hertz::from_ghz(2.2)));
-        let writes: [(u64, &dyn Fn(&mut SocketSim)); 5] = [
+        let writes: [TickWrite; 5] = [
             (2_000, &mid),
             (6_000, &deep),
             (10_000, &lift),

@@ -17,7 +17,9 @@ pub mod arch;
 pub mod error;
 pub mod ids;
 pub mod shutdown;
+pub mod splitmix;
 pub mod time;
+pub mod toml;
 pub mod units;
 
 pub use arch::ArchSpec;

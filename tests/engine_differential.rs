@@ -48,7 +48,13 @@ fn controller(policy: &str, slowdown_pct: f64) -> ControllerKind {
     }
 }
 
-fn spec(engine: Engine, app: &str, policy: &str, slowdown_pct: f64, plan: Option<&str>) -> ExperimentSpec {
+fn spec(
+    engine: Engine,
+    app: &str,
+    policy: &str,
+    slowdown_pct: f64,
+    plan: Option<&str>,
+) -> ExperimentSpec {
     ExperimentSpec {
         // The noisy single-socket machine: per-tick RNG draws active and
         // the event engine on its batched fast path (the sweep shape).
@@ -82,7 +88,10 @@ fn assert_same_result(a: &RunResult, b: &RunResult) {
         a.exec_time.value(),
         b.exec_time.value()
     );
-    assert_eq!(a.pkg_energy.value().to_bits(), b.pkg_energy.value().to_bits());
+    assert_eq!(
+        a.pkg_energy.value().to_bits(),
+        b.pkg_energy.value().to_bits()
+    );
     assert_eq!(
         a.dram_energy.value().to_bits(),
         b.dram_energy.value().to_bits()

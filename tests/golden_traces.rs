@@ -96,7 +96,12 @@ fn all_cases() -> Vec<(&'static str, f64, Option<&'static str>, PathBuf)> {
         .map(|&(p, s)| (p, s, None, golden_path(p, s)))
         .collect();
     let (p, s, plan) = FAULT_CASE;
-    cases.push((p, s, Some(plan), golden_dir().join(format!("{p}_fault_{s:.0}.jsonl"))));
+    cases.push((
+        p,
+        s,
+        Some(plan),
+        golden_dir().join(format!("{p}_fault_{s:.0}.jsonl")),
+    ));
     cases
 }
 

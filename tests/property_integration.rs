@@ -1,11 +1,13 @@
 //! Cross-crate property tests: random-but-valid workloads and
-//! configurations must never break the controllers' invariants.
+//! configurations must never break the controllers' invariants, and
+//! arbitrary input text must never panic the sweep-grid, scenario-spec or
+//! fault-plan parsers.
 
 use dufp_control::{Actuators, ControlConfig, Controller, Duf, Dufp};
 use dufp_counters::{Sampler, Telemetry};
 use dufp_rapl::MsrRapl;
 use dufp_sim::{Machine, SimConfig};
-use dufp_types::{Ratio, SocketId};
+use dufp_types::{toml, Error, Ratio, SocketId};
 use dufp_workloads::synthetic::{GeneratorConfig, WorkloadGenerator};
 use dufp_workloads::MaterializeCtx;
 use proptest::prelude::*;
@@ -201,5 +203,233 @@ fn telemetry_counters_are_monotonic_under_control() {
         assert!(cur.dram_energy >= prev.dram_energy);
         assert!(cur.at > prev.at);
         prev = cur;
+    }
+}
+
+/// Fragments of the TOML-subset grammar, glued at random into token soup
+/// that reaches deeper into the parsers than random bytes do.
+const TOML_FRAGMENTS: &[&str] = &[
+    "\n",
+    "\n",
+    "\n",
+    " ",
+    "=",
+    " = ",
+    "\"",
+    "[",
+    "]",
+    ",",
+    "#",
+    "\r\n",
+    "[scenario]",
+    "[arrival]",
+    "[machine.",
+    "[node.",
+    "[grid]",
+    "apps",
+    "policies",
+    "seeds",
+    "sockets",
+    "interval_ms",
+    "epoch_intervals",
+    "name",
+    "budget_w",
+    "duration_s",
+    "fault_plan",
+    "machine",
+    "tenants",
+    "weights",
+    "kind",
+    "model",
+    "engine",
+    "\"CG\"",
+    "\"dufp\"",
+    "\"gpu-hbm\"",
+    "\"tick\"",
+    "\"seed=1;write,p=2\"",
+    "[\"EP\"]",
+    "[1, 2]",
+    "[]",
+    "0",
+    "1",
+    "5",
+    "200",
+    "200.9",
+    "-1",
+    "1e30",
+    "nan",
+    "inf",
+    "4294967296",
+    "x",
+    "é",
+];
+
+/// The reader's line/key contract: a syntax or value error (detail
+/// `line N: ...`) names line N of `text` and that line's key, `[section]`
+/// or, for a malformed line, its text; any other error is a semantic one
+/// that `semantic` must accept as naming its field.
+fn check_toml_error(
+    text: &str,
+    err: Error,
+    file: &str,
+    semantic: impl Fn(&str, &str) -> bool,
+) -> Result<(), String> {
+    let Error::InvalidValue { what, detail } = err else {
+        return Err(format!("not a typed field error: {err:?}"));
+    };
+    let Some(rest) = detail.strip_prefix("line ") else {
+        prop_assert!(semantic(what, &detail), "unnamed field: {what}: {detail}");
+        return Ok(());
+    };
+    prop_assert_eq!(what, file);
+    let n: usize = rest.split(':').next().unwrap_or("").parse().unwrap_or(0);
+    let line = text.lines().nth(n.wrapping_sub(1));
+    prop_assert!(line.is_some(), "line {} is not in the input: {}", n, detail);
+    let line = toml::strip_comment(line.unwrap_or("")).trim();
+    let named = match line.strip_prefix('[').and_then(|h| h.strip_suffix(']')) {
+        Some(header) => format!("[{}]", header.trim()),
+        None => match line.split_once('=') {
+            Some((key, _)) if !key.trim().is_empty() => key.trim().to_string(),
+            _ => line.to_string(),
+        },
+    };
+    prop_assert!(
+        detail.starts_with(&format!("line {n}: {named}: ")),
+        "error does not name `{}`: {}",
+        named,
+        detail
+    );
+    Ok(())
+}
+
+const GRID_KEYS: &[&str] = &[
+    "apps",
+    "policies",
+    "slowdowns_pct",
+    "seeds",
+    "sockets",
+    "fault_plan",
+];
+
+fn check_toml_inputs(text: &str) -> Result<(), String> {
+    if let Err(e) = dufp::parse_grid(text) {
+        check_toml_error(text, e, "grid", |what, _| GRID_KEYS.contains(&what))?;
+    }
+    if let Err(e) = dufp_scenario::ScenarioSpec::from_toml(text) {
+        check_toml_error(text, e, "scenario", |what, detail| {
+            what == "scenario"
+                && ["scenario", "arrival", "machine", "node"]
+                    .iter()
+                    .any(|section| detail.starts_with(section))
+        })?;
+    }
+    Ok(())
+}
+
+/// Fragments of the fault-rule grammar, MSR and network ops alike.
+const PLAN_FRAGMENTS: &[&str] = &[
+    ";",
+    ";",
+    ",",
+    ",",
+    " ",
+    "=",
+    "-",
+    "+",
+    "seed=",
+    "read",
+    "write",
+    "sample",
+    "crash",
+    "any",
+    "drop",
+    "delay",
+    "dup",
+    "partition",
+    "kill",
+    "byz-nan",
+    "coord-kill",
+    "reg=",
+    "cap",
+    "0x611",
+    "nope",
+    "cpu=",
+    "peer=",
+    "dir=",
+    "up",
+    "both",
+    "n=",
+    "p=",
+    "at=",
+    "window=",
+    "always",
+    "0",
+    "1",
+    "3",
+    "0.5",
+    "1.5",
+    "1000",
+    "1001",
+    "18446744073709551615",
+    "99999999999999999999",
+    "x",
+    "é",
+    "`",
+];
+
+/// Every rejection names the `;`-segment or `,`-item it rejected.
+fn check_plan_error(text: &str, err: Error, plan: &str) -> Result<(), String> {
+    let Error::InvalidValue { what, detail } = err else {
+        return Err(format!("not a typed plan error: {err:?}"));
+    };
+    prop_assert_eq!(what, plan);
+    let mut named = text.split(';').flat_map(|segment| {
+        std::iter::once(segment.trim()).chain(segment.split(',').map(str::trim))
+    });
+    prop_assert!(
+        named.any(|item| detail.starts_with(&format!("`{item}`: "))),
+        "error names no item of {:?}: {}",
+        text,
+        detail
+    );
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn arbitrary_bytes_never_panic_the_toml_readers(
+        bytes in prop::collection::vec(any::<u8>(), 0..256)
+    ) {
+        check_toml_inputs(&String::from_utf8_lossy(&bytes))?;
+    }
+
+    #[test]
+    fn toml_token_soup_errors_name_their_line_and_key(
+        picks in prop::collection::vec(0..TOML_FRAGMENTS.len(), 0..48)
+    ) {
+        let text: String = picks.iter().map(|&i| TOML_FRAGMENTS[i]).collect();
+        check_toml_inputs(&text)?;
+    }
+
+    #[test]
+    fn arbitrary_bytes_never_panic_the_fault_plan_parser(
+        bytes in prop::collection::vec(any::<u8>(), 0..128)
+    ) {
+        let text = String::from_utf8_lossy(&bytes);
+        if let Err(e) = dufp_msr::FaultPlan::parse(&text) {
+            check_plan_error(&text, e, "fault plan")?;
+        }
+    }
+
+    #[test]
+    fn fault_plan_token_soup_errors_name_the_rejected_item(
+        picks in prop::collection::vec(0..PLAN_FRAGMENTS.len(), 0..24)
+    ) {
+        let text: String = picks.iter().map(|&i| PLAN_FRAGMENTS[i]).collect();
+        if let Err(e) = dufp_msr::FaultPlan::parse(&text) {
+            check_plan_error(&text, e, "fault plan")?;
+        }
     }
 }
