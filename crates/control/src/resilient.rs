@@ -322,16 +322,8 @@ impl<A: Actuators> ResilientActuators<A> {
             return;
         }
         self.tel.telemetry().record_decision(DecisionEvent {
-            tick: self.ops,
-            at_us: 0,
             socket: self.tel.socket(),
-            phase: 0,
-            oi_class: None,
-            flops_ratio: None,
-            actuator,
-            old,
-            new,
-            reason,
+            ..DecisionEvent::new(self.ops, actuator, old, new, reason)
         });
     }
 
@@ -578,16 +570,8 @@ impl<A: Actuators> SafeStateGuard<A> {
         ];
         for (actuator, old, new) in events {
             tel.telemetry().record_decision(DecisionEvent {
-                tick: 0,
-                at_us: 0,
                 socket: tel.socket(),
-                phase: 0,
-                oi_class: None,
-                flops_ratio: None,
-                actuator,
-                old,
-                new,
-                reason: Reason::SafeStateRestore,
+                ..DecisionEvent::new(0, actuator, old, new, Reason::SafeStateRestore)
             });
         }
     }

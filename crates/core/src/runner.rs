@@ -522,17 +522,11 @@ pub(crate) fn run_driver(
             let kept = truncate_records(&session.dir, replay_to)?;
             session.writer = Some(JournalWriter::open(&session.dir, session.fsync, kept)?);
             completed = replay_to;
+            let tick = machine.now().0 / machine.config().tick.as_micros();
+            let (old, new) = (replay_to as f64, head as f64);
             tel.record_decision(DecisionEvent {
-                tick: machine.now().0 / machine.config().tick.as_micros(),
                 at_us: machine.now().0,
-                socket: 0,
-                phase: 0,
-                oi_class: None,
-                flops_ratio: None,
-                actuator: Actuator::Journal,
-                old: replay_to as f64,
-                new: head as f64,
-                reason: Reason::Resumed,
+                ..DecisionEvent::new(tick, Actuator::Journal, old, new, Reason::Resumed)
             });
         }
         let writer = session
@@ -682,17 +676,13 @@ pub(crate) fn run_driver(
                     let cap_before = act.cap_long().value();
                     let _ = act.reset_cap();
                     watchdog_resets.inc();
+                    let cap = act.cap_long().value();
+                    let reset = Reason::WatchdogReset;
                     tel.record_decision(DecisionEvent {
-                        tick: tick_now,
                         at_us: machine.now().0,
                         socket: idx as u16,
-                        phase: 0,
                         oi_class: Some(trip.label().to_string()),
-                        flops_ratio: None,
-                        actuator: Actuator::PowerCap,
-                        old: cap_before,
-                        new: act.cap_long().value(),
-                        reason: Reason::WatchdogReset,
+                        ..DecisionEvent::new(tick_now, Actuator::PowerCap, cap_before, cap, reset)
                     });
                     continue;
                 }
@@ -739,17 +729,10 @@ pub(crate) fn run_driver(
                 );
                 write_checkpoint(&j.dir, completed, &cp.encode()?)?;
                 journal_checkpoints.inc();
+                let (old, new) = ((completed - j.checkpoint_every) as f64, completed as f64);
                 tel.record_decision(DecisionEvent {
-                    tick: tick_now,
                     at_us: machine.now().0,
-                    socket: 0,
-                    phase: 0,
-                    oi_class: None,
-                    flops_ratio: None,
-                    actuator: Actuator::Journal,
-                    old: (completed - j.checkpoint_every) as f64,
-                    new: completed as f64,
-                    reason: Reason::Checkpoint,
+                    ..DecisionEvent::new(tick_now, Actuator::Journal, old, new, Reason::Checkpoint)
                 });
             }
         }

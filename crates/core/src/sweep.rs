@@ -389,18 +389,7 @@ pub fn parse_grid(text: &str) -> Result<SweepGrid> {
             "apps" => grid.apps = toml::string_array(value)?,
             "policies" => grid.policies = toml::string_array(value)?,
             "slowdowns_pct" => grid.slowdowns_pct = toml::number_array(value)?,
-            "seeds" => {
-                grid.seeds = toml::number_array(value)?
-                    .into_iter()
-                    .map(|n| {
-                        if n.fract() == 0.0 && (0.0..=u64::MAX as f64).contains(&n) {
-                            Ok(n as u64)
-                        } else {
-                            Err(format!("seed {n} is not a non-negative integer"))
-                        }
-                    })
-                    .collect::<std::result::Result<Vec<_>, _>>()?;
-            }
+            "seeds" => grid.seeds = toml::integer_array(value)?,
             "sockets" => grid.sockets = toml::integer(value)?,
             "interval_ms" => grid.interval_ms = Some(toml::integer(value)?),
             "fault_plan" => grid.fault_plan = Some(toml::string(value)?),
@@ -534,10 +523,17 @@ mod tests {
             ("apps = [CG]", "double-quoted"),
             ("sockets = many", "line 1: sockets"),
             ("interval_ms = 200.9", "line 1: interval_ms"),
+            ("seeds = [18446744073709551616]", "line 1: seeds"),
+            ("seeds = [1.0]", "line 1: seeds"),
+            ("seeds = [1e3]", "line 1: seeds"),
         ] {
             let err = parse_grid(text).unwrap_err().to_string();
             assert!(err.contains(want), "{text:?} → {err}");
         }
+        // 2^53 + 1 has no f64 twin: seeds must parse as integers, exactly.
+        let exact = "apps = [\"EP\"]\npolicies = [\"dufp\"]\nslowdowns_pct = [5]\nseeds = [9007199254740993]";
+        let g = parse_grid(exact).unwrap();
+        assert_eq!(g.seeds, vec![9_007_199_254_740_993]);
     }
 
     #[test]

@@ -2,10 +2,14 @@
 //! [`BudgetedCapper`], reporting demand to the coordinator and enforcing
 //! the ceilings it grants.
 //!
+//! Its protocol decisions live in [`AgentCore`], a transport-free state
+//! machine the chaos fleet ([`crate::chaos`]) drives too, so the soak and
+//! the adversarial proptests check the code the agent ships.
+//!
 //! The agent is built to survive the coordinator, not the other way
 //! around. It connects with bounded retry/backoff; if the coordinator is
-//! unreachable — at startup or mid-run — it degrades to its safe local
-//! static cap ([`crate::AgentConfig::safe_cap`]), records a
+//! unreachable — at startup or mid-run — it never runs above its safe
+//! local static cap ([`crate::AgentConfig::safe_cap`]), records a
 //! `CoordinatorLost` decision, keeps running its job queue, and retries
 //! the connection from its control loop. The hardware actuators sit
 //! inside a [`SafeStateGuard`], so however the agent exits — drain, crash
@@ -30,7 +34,7 @@ use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::io::Write as _;
 use std::net::{Shutdown, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -77,29 +81,205 @@ pub struct AgentOutcome {
     pub telemetry: TelemetryReport,
 }
 
+/// What [`AgentCore::on_grant`] decided about one `BudgetGrant`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum GrantVerdict {
+    /// Newer than every commit: actuate, then [`AgentCore::commit`].
+    Apply,
+    /// A superseded coordinator's grant, below `seen`, the highest term
+    /// seen: obeying it would let a split brain double-spend the budget.
+    Fenced {
+        /// The highest term seen.
+        seen: u64,
+    },
+    /// Not newer than the last committed `(term, epoch)`: a delayed,
+    /// duplicated or replayed grant.
+    Stale,
+}
+
+/// The transport-free agent state machine (DESIGN.md §12, §15): term
+/// fencing, lexicographic `(term, epoch)` grant ordering — so a delayed
+/// or replayed grant, even from a fenced ex-primary whose epoch counter
+/// ran ahead, never rolls the ceiling back — report and heartbeat
+/// sequencing, and the safe-cap fallback `min(ceiling, safe_cap)` once
+/// the link has been down for `grace` ticks of the caller's clock.
+/// Actuation stays outside: a verdict before it, a commit after it.
+#[derive(Debug, Clone)]
+pub struct AgentCore {
+    safe_cap: Watts,
+    grace: u64,
+    ceiling: Watts,
+    granted: Option<Watts>,
+    max_term: u64,
+    last_grant: (u64, u64),
+    report_seq: u64,
+    heartbeat_seq: u64,
+    down_since: Option<u64>,
+    grants_applied: u64,
+    stale_term_grants: u64,
+}
+
+impl AgentCore {
+    /// A fresh agent process at `safe_cap` with no term seen; `grace` is 0
+    /// when the transport notices loss itself, as TCP does on EOF.
+    pub fn new(safe_cap: Watts, grace: u64) -> Self {
+        AgentCore {
+            safe_cap,
+            grace,
+            ceiling: safe_cap,
+            granted: None,
+            max_term: 0,
+            last_grant: (0, 0),
+            report_seq: 0,
+            heartbeat_seq: 0,
+            down_since: None,
+            grants_applied: 0,
+            stale_term_grants: 0,
+        }
+    }
+
+    /// Judges a `BudgetGrant`: fencing first (adopting a fresh `term`),
+    /// then ordering against the last *commit*, so a grant whose
+    /// actuation failed can be applied from a later copy.
+    #[must_use]
+    pub fn on_grant(&mut self, term: u64, epoch: u64) -> GrantVerdict {
+        if term < self.max_term {
+            self.stale_term_grants += 1;
+            return GrantVerdict::Fenced {
+                seen: self.max_term,
+            };
+        }
+        self.max_term = term;
+        if (term, epoch) <= self.last_grant {
+            return GrantVerdict::Stale;
+        }
+        GrantVerdict::Apply
+    }
+
+    /// Records an [`GrantVerdict::Apply`] grant once `ceiling` actuated.
+    pub fn commit(&mut self, term: u64, epoch: u64, ceiling: Watts) {
+        self.last_grant = (term, epoch);
+        self.granted = Some(ceiling);
+        self.ceiling = ceiling;
+        self.grants_applied += 1;
+    }
+
+    /// Adopts a `Handover`'s `term`, so nothing older is obeyed while the
+    /// agent re-homes.
+    pub fn on_handover(&mut self, term: u64) {
+        self.max_term = self.max_term.max(term);
+    }
+
+    /// Notes whether the link is up at tick `now`. Once it has been down
+    /// for the grace, forfeits the grant and lowers the ceiling to
+    /// `min(ceiling, safe_cap)` — losing its grantor never raises an
+    /// agent's power — and returns the ceiling from before.
+    pub fn on_link(&mut self, up: bool, now: u64) -> Option<Watts> {
+        if up {
+            self.down_since = None;
+            return None;
+        }
+        let since = *self.down_since.get_or_insert(now);
+        if now.saturating_sub(since) < self.grace {
+            return None;
+        }
+        let old = self.ceiling;
+        if self.ceiling > self.safe_cap {
+            self.ceiling = self.safe_cap;
+        }
+        self.granted = None;
+        Some(old)
+    }
+
+    /// The sequence number for the next demand report.
+    pub fn next_report_seq(&mut self) -> u64 {
+        self.report_seq += 1;
+        self.report_seq
+    }
+
+    /// The sequence number for the next heartbeat.
+    pub fn next_heartbeat_seq(&mut self) -> u64 {
+        self.heartbeat_seq += 1;
+        self.heartbeat_seq
+    }
+
+    /// The highest term seen, announced by `Hello` and `Heartbeat` so a
+    /// resurrected stale primary is fenced on contact.
+    pub fn max_term(&self) -> u64 {
+        self.max_term
+    }
+
+    /// The ceiling the agent enforces.
+    pub fn ceiling(&self) -> Watts {
+        self.ceiling
+    }
+
+    /// The grant in force, if the link has not forfeited it.
+    pub fn granted(&self) -> Option<Watts> {
+        self.granted
+    }
+
+    /// Grants committed.
+    pub fn grants_applied(&self) -> u64 {
+        self.grants_applied
+    }
+
+    /// Grants refused by term fencing.
+    pub fn stale_term_grants(&self) -> u64 {
+        self.stale_term_grants
+    }
+}
+
+/// Why the coordinator link ended.
+enum LinkEnd {
+    /// EOF, a wire error or a failed write: the coordinator is gone.
+    Lost,
+    /// A Goodbye: the coordinator detached on purpose; do not chase it.
+    Goodbye,
+    /// A Handover: reconnect to this successor, skipping the disconnect
+    /// degradation (the new term fences stale grants anyway).
+    Handover(String),
+}
+
 /// Coordinator-link state shared with the grant-reader thread.
 struct Link {
     budget: Arc<NodeBudget>,
     capper: NodeCapper,
-    /// Reader saw EOF or a wire error: the coordinator is gone.
-    lost: AtomicBool,
-    /// Reader saw a Goodbye: the coordinator detached gracefully.
-    goodbye: AtomicBool,
-    /// Reader saw a Handover: reconnect to this successor, skipping the
-    /// disconnect degradation (the new term fences stale grants anyway).
-    handover: Mutex<Option<String>>,
-    grants_applied: AtomicU64,
-    /// Highest `(term, epoch)` applied so far, compared lexicographically:
-    /// a delayed, duplicated or replayed grant — including one from a
-    /// fenced ex-primary whose epoch counter ran ahead — never rolls the
-    /// ceiling back over a newer coordinator decision.
-    last_applied: Mutex<(u64, u64)>,
-    /// Highest coordination term seen in any frame. Grants below it are
-    /// discarded: only the latest coordinator incarnation is obeyed.
-    max_term: AtomicU64,
-    /// Grants discarded by term fencing.
-    stale_term_grants: AtomicU64,
+    /// How the current session ended, once it has. A Goodbye or Handover
+    /// the reader saw outranks a loss the write path flagged.
+    end: Mutex<Option<LinkEnd>>,
+    /// The agent's protocol state; the reader thread judges grants with
+    /// it and the control loop sequences reports and falls back with it.
+    core: Mutex<AgentCore>,
     tel: Telemetry,
+}
+
+impl Link {
+    /// Flags the session lost, unless a Goodbye or Handover ended it.
+    fn lost(&self) {
+        self.end.lock().get_or_insert(LinkEnd::Lost);
+    }
+
+    /// Marks the link down at `tick` and actuates the core's safe-cap
+    /// fallback. Returns the ceiling before and after it.
+    fn fall_back(&self, tick: u64) -> Result<(Watts, Watts)> {
+        let mut core = self.core.lock();
+        let old = core.on_link(false, tick).unwrap_or(core.ceiling());
+        let new = core.ceiling();
+        drop(core);
+        self.budget.set_ceiling(new);
+        self.capper.enforce_ceiling(SocketId(0))?;
+        Ok((old, new))
+    }
+
+    /// Counts a coordinator loss and records its `CoordinatorLost`
+    /// decision (ceiling `old` → `new`).
+    fn record_loss(&self, tick: u64, old: Watts, new: Watts) {
+        self.tel.counter("coordinator_losses_total").inc();
+        let (old, new, lost) = (old.value(), new.value(), Reason::CoordinatorLost);
+        let decision = DecisionEvent::new(tick, Actuator::Budget, old, new, lost);
+        self.tel.record_decision(decision);
+    }
 }
 
 /// Round-robin reconnect schedule over the primary and its standbys.
@@ -264,13 +444,10 @@ impl Agent {
         let link = Arc::new(Link {
             budget: Arc::clone(&budget),
             capper: Arc::clone(&capper),
-            lost: AtomicBool::new(false),
-            goodbye: AtomicBool::new(false),
-            handover: Mutex::new(None),
-            grants_applied: AtomicU64::new(0),
-            last_applied: Mutex::new((0, 0)),
-            max_term: AtomicU64::new(0),
-            stale_term_grants: AtomicU64::new(0),
+            end: Mutex::new(None),
+            // No grace: the reader notices loss on EOF, so the fallback
+            // applies the moment the control loop sees it.
+            core: Mutex::new(AgentCore::new(cfg.safe_cap, 0)),
             tel: tel.clone(),
         });
 
@@ -284,7 +461,7 @@ impl Agent {
             floor,
             node_max: cfg.node_max,
             app: cfg.queue.join("+"),
-            term: link.max_term.load(Ordering::Relaxed),
+            term: link.core.lock().max_term(),
         };
         let mut readers: Vec<std::thread::JoinHandle<()>> = Vec::new();
         let mut degradations: u64 = 0;
@@ -297,7 +474,9 @@ impl Agent {
             plan.on_established();
         } else {
             degradations += 1;
-            record_loss(&tel, 0, cfg.safe_cap.value(), cfg.safe_cap.value());
+            let safe = cfg.safe_cap.value();
+            let lost = DecisionEvent::new(0, Actuator::Budget, safe, safe, Reason::CoordinatorLost);
+            tel.record_decision(lost);
         }
 
         // -- Control loop (mirrors crates/cluster's interval loop).
@@ -307,7 +486,6 @@ impl Agent {
         let report_period = cfg.report_intervals as f64 * interval.as_seconds().value();
         let mut elapsed = Seconds(0.0);
         let mut intervals: u64 = 0;
-        let mut seq: u64 = 0;
         let mut reports_sent: u64 = 0;
         let mut finished_at: Option<Seconds> = None;
         let mut power_sum = 0.0;
@@ -364,55 +542,43 @@ impl Agent {
                     let snap = machine.sample(SocketId(0))?;
                     let consumed = snap.pkg_energy.value() - last_report_energy;
                     last_report_energy = snap.pkg_energy.value();
-                    seq += 1;
                     let frame = Frame::DemandReport {
-                        seq,
+                        seq: link.core.lock().next_report_seq(),
                         ceiling: budget.ceiling(),
                         consumption: Watts(consumed / report_period),
                         active: finished_at.is_none(),
                     };
                     match frame.write_to(s).and_then(|()| Ok(s.flush()?)) {
                         Ok(()) => reports_sent += 1,
-                        Err(_) => link.lost.store(true, Ordering::Relaxed),
+                        Err(_) => link.lost(),
                     }
                 }
             }
 
-            // Graceful handover: the coordinator named its successor, so
-            // skip the loss degradation — the ceiling in force stays (the
-            // successor's hold-down reserves it, and its higher term
-            // fences any stale grant) and the reconnect rotation dials the
-            // successor first. The write path may have flagged the closed
-            // socket as lost in the same interval; the handover wins.
-            if let Some(successor) = link.handover.lock().take() {
-                link.lost.store(false, Ordering::Relaxed);
+            let end = link.end.lock().take();
+            if let Some(end) = end {
                 if let Some(s) = stream.take() {
                     let _ = s.shutdown(Shutdown::Both);
                 }
-                handovers += 1;
-                tel.counter("handovers_followed_total").inc();
-                plan.prefer(successor);
-            }
-
-            // Coordinator loss or graceful detach: fall back to the safe
-            // local cap so a stale (possibly generous) grant cannot
-            // outlive its grantor.
-            let detached = link.goodbye.swap(false, Ordering::Relaxed);
-            if link.lost.swap(false, Ordering::Relaxed) || detached {
-                if let Some(s) = stream.take() {
-                    let _ = s.shutdown(Shutdown::Both);
-                }
-                let old = budget.ceiling();
-                budget.set_ceiling(cfg.safe_cap);
-                capper.enforce_ceiling(SocketId(0))?;
-                degradations += 1;
-                tel.counter("coordinator_losses_total").inc();
-                record_loss(&tel, intervals, old.value(), cfg.safe_cap.value());
-                if detached {
-                    // A Goodbye is deliberate; do not chase the coordinator.
-                    plan.halt();
+                if let LinkEnd::Handover(successor) = end {
+                    // Graceful handover: skip the loss degradation — the
+                    // ceiling in force stays (the successor's hold-down
+                    // reserves it, and its higher term fences any stale
+                    // grant) and the rotation dials the successor first.
+                    handovers += 1;
+                    tel.counter("handovers_followed_total").inc();
+                    plan.prefer(successor);
                 } else {
-                    plan.on_loss(&cfg.retry, cfg.seed);
+                    // Loss or graceful detach: fall back so a stale
+                    // (possibly generous) grant cannot outlive its grantor.
+                    let (old, new) = link.fall_back(intervals)?;
+                    degradations += 1;
+                    link.record_loss(intervals, old, new);
+                    if matches!(end, LinkEnd::Goodbye) {
+                        plan.halt();
+                    } else {
+                        plan.on_loss(&cfg.retry, cfg.seed);
+                    }
                 }
             }
 
@@ -425,6 +591,7 @@ impl Agent {
                 {
                     Ok(s) => {
                         stream = Some(s);
+                        link.core.lock().on_link(true, intervals);
                         plan.on_established();
                         tel.counter("reconnects_total").inc();
                     }
@@ -434,13 +601,10 @@ impl Agent {
                 // A followed handover kept the granted ceiling while
                 // chasing the successor; if the chase dies, the grantor is
                 // truly gone — degrade like any other loss.
-                let old = budget.ceiling();
-                if old != cfg.safe_cap {
-                    budget.set_ceiling(cfg.safe_cap);
-                    capper.enforce_ceiling(SocketId(0))?;
+                let (old, new) = link.fall_back(intervals)?;
+                if new != old {
                     degradations += 1;
-                    tel.counter("coordinator_losses_total").inc();
-                    record_loss(&tel, intervals, old.value(), cfg.safe_cap.value());
+                    link.record_loss(intervals, old, new);
                 }
             }
 
@@ -459,9 +623,8 @@ impl Agent {
         // watts are redistributed immediately instead of by timeout.
         if !crashed {
             if let Some(mut s) = stream.take() {
-                seq += 1;
                 let bye = Frame::DemandReport {
-                    seq,
+                    seq: link.core.lock().next_report_seq(),
                     ceiling: budget.ceiling(),
                     consumption: Watts::ZERO,
                     active: false,
@@ -477,6 +640,7 @@ impl Agent {
         }
         let final_ceiling = budget.ceiling();
         drop(guard); // restore platform defaults before reporting
+        let core = link.core.lock();
 
         Ok(AgentOutcome {
             node: cfg.node,
@@ -487,11 +651,11 @@ impl Agent {
             final_ceiling,
             intervals,
             reports_sent,
-            grants_applied: link.grants_applied.load(Ordering::Relaxed),
+            grants_applied: core.grants_applied(),
             degradations,
             handovers,
-            stale_term_grants: link.stale_term_grants.load(Ordering::Relaxed),
-            max_term: link.max_term.load(Ordering::Relaxed),
+            stale_term_grants: core.stale_term_grants(),
+            max_term: core.max_term(),
             crashed,
             telemetry: tel.report(),
         })
@@ -542,103 +706,56 @@ fn reader_loop(mut stream: TcpStream, link: Arc<Link>) {
                 kind,
                 term,
             })) => {
-                // Term fencing first: a grant from below the highest term
-                // seen is a stale ex-primary's — obeying it would let a
-                // split brain double-spend the budget.
-                let seen = link.max_term.fetch_max(term, Ordering::Relaxed);
-                if term < seen {
-                    link.stale_term_grants.fetch_add(1, Ordering::Relaxed);
-                    link.tel.counter("stale_term_grants_fenced_total").inc();
-                    link.tel.record_decision(DecisionEvent {
-                        tick: epoch,
-                        at_us: 0,
-                        socket: 0,
-                        phase: 0,
-                        oi_class: None,
-                        flops_ratio: None,
-                        actuator: Actuator::Budget,
-                        old: term as f64,
-                        new: seen as f64,
-                        reason: Reason::TermFenced,
-                    });
-                    continue;
-                }
-                // Then `(term, epoch)` monotonicity: a delayed, duplicated
-                // or replayed grant — even one whose fenced sender's epoch
-                // counter ran ahead of its successor's — must never roll
-                // the ceiling back over a newer decision.
-                {
-                    let mut last = link.last_applied.lock();
-                    if (term, epoch) <= *last {
+                let mut core = link.core.lock();
+                let (old, new, reason) = match core.on_grant(term, epoch) {
+                    GrantVerdict::Fenced { seen } => {
+                        link.tel.counter("stale_term_grants_fenced_total").inc();
+                        (term as f64, seen as f64, Reason::TermFenced)
+                    }
+                    GrantVerdict::Stale => {
                         link.tel.counter("stale_grants_ignored_total").inc();
                         continue;
                     }
-                    *last = (term, epoch);
-                }
-                let old = link.budget.ceiling();
-                link.budget.set_ceiling(ceiling);
-                if link.capper.enforce_ceiling(SocketId(0)).is_err() {
-                    link.tel.counter("enforce_failures_total").inc();
-                }
-                link.grants_applied.fetch_add(1, Ordering::Relaxed);
-                link.tel.record_decision(DecisionEvent {
-                    tick: epoch,
-                    at_us: 0,
-                    socket: 0,
-                    phase: 0,
-                    oi_class: None,
-                    flops_ratio: None,
-                    actuator: Actuator::Budget,
-                    old: old.value(),
-                    new: ceiling.value(),
-                    reason: match kind {
-                        GrantKind::Raise => Reason::BudgetGrant,
-                        GrantKind::Shrink => Reason::BudgetShrink,
-                    },
-                });
+                    GrantVerdict::Apply => {
+                        let old = link.budget.ceiling();
+                        link.budget.set_ceiling(ceiling);
+                        if link.capper.enforce_ceiling(SocketId(0)).is_err() {
+                            link.tel.counter("enforce_failures_total").inc();
+                        }
+                        core.commit(term, epoch, ceiling);
+                        let reason = match kind {
+                            GrantKind::Raise => Reason::BudgetGrant,
+                            GrantKind::Shrink => Reason::BudgetShrink,
+                        };
+                        (old.value(), ceiling.value(), reason)
+                    }
+                };
+                drop(core);
+                let decision = DecisionEvent::new(epoch, Actuator::Budget, old, new, reason);
+                link.tel.record_decision(decision);
             }
             Ok(Some(Frame::Handover { successor, term })) => {
                 // The coordinator is leaving on purpose and named its
                 // heir: adopt the heir's term now so nothing older is
                 // obeyed, and let the control loop re-home immediately —
                 // no disconnect grace, no safe-cap dip.
-                link.max_term.fetch_max(term, Ordering::Relaxed);
-                *link.handover.lock() = Some(successor);
+                link.core.lock().on_handover(term);
+                *link.end.lock() = Some(LinkEnd::Handover(successor));
                 link.tel.counter("handovers_received_total").inc();
                 break;
             }
             Ok(Some(Frame::Goodbye)) => {
-                link.goodbye.store(true, Ordering::Relaxed);
+                *link.end.lock() = Some(LinkEnd::Goodbye);
                 break;
             }
-            Ok(Some(_)) => {
-                // Agent-to-coordinator frames arriving here mean a confused
-                // peer; treat like loss.
-                link.lost.store(true, Ordering::Relaxed);
-                break;
-            }
-            Ok(None) | Err(_) => {
-                link.lost.store(true, Ordering::Relaxed);
+            // EOF, a wire error, or agent-to-coordinator frames arriving
+            // here (a confused peer): treat like loss.
+            _ => {
+                link.lost();
                 break;
             }
         }
     }
-}
-
-/// Records a CoordinatorLost decision (ceiling `old` → safe cap `new`).
-fn record_loss(tel: &Telemetry, tick: u64, old: f64, new: f64) {
-    tel.record_decision(DecisionEvent {
-        tick,
-        at_us: 0,
-        socket: 0,
-        phase: 0,
-        oi_class: None,
-        flops_ratio: None,
-        actuator: Actuator::Budget,
-        old,
-        new,
-        reason: Reason::CoordinatorLost,
-    });
 }
 
 #[cfg(test)]
@@ -649,6 +766,101 @@ mod tests {
         let mut cfg = AgentConfig::new(addrs[0], "n0", "EP");
         cfg.standbys = addrs[1..].iter().map(|s| s.to_string()).collect();
         ReconnectPlan::new(&cfg)
+    }
+
+    const SAFE: Watts = Watts(90.0);
+
+    /// A core that has committed `(term, epoch)` at `ceiling`.
+    fn granted(term: u64, epoch: u64, ceiling: f64) -> AgentCore {
+        let mut core = AgentCore::new(SAFE, 0);
+        assert_eq!(core.on_grant(term, epoch), GrantVerdict::Apply);
+        core.commit(term, epoch, Watts(ceiling));
+        core
+    }
+
+    #[test]
+    fn agent_core_fences_grants_below_the_highest_term_seen() {
+        let mut core = granted(2, 5, 110.0);
+        assert_eq!(core.on_grant(1, 99), GrantVerdict::Fenced { seen: 2 });
+        assert_eq!(core.stale_term_grants(), 1);
+        assert_eq!(core.ceiling(), Watts(110.0));
+        // A newer term is adopted even before it commits anything.
+        assert_eq!(core.on_grant(3, 1), GrantVerdict::Apply);
+        assert_eq!(core.max_term(), 3);
+        assert_eq!(core.on_grant(2, 6), GrantVerdict::Fenced { seen: 3 });
+    }
+
+    #[test]
+    fn agent_core_orders_grants_by_term_then_epoch() {
+        let mut core = granted(1, 5, 110.0);
+        assert_eq!(core.on_grant(1, 5), GrantVerdict::Stale, "duplicate");
+        assert_eq!(core.on_grant(1, 4), GrantVerdict::Stale, "delayed");
+        assert_eq!(core.on_grant(1, 6), GrantVerdict::Apply);
+        // A new term wins even with a smaller epoch counter.
+        assert_eq!(core.on_grant(2, 1), GrantVerdict::Apply);
+        core.commit(2, 1, Watts(70.0));
+        assert_eq!(core.on_grant(2, 1), GrantVerdict::Stale);
+        assert_eq!(core.ceiling(), Watts(70.0));
+        assert_eq!(core.granted(), Some(Watts(70.0)));
+        assert_eq!(core.grants_applied(), 2);
+    }
+
+    #[test]
+    fn agent_core_commits_only_after_actuation() {
+        let mut core = granted(1, 5, 110.0);
+        // The actuation for (1, 6) failed: no commit, so the ceiling stays
+        // and a redelivered copy is still applicable.
+        assert_eq!(core.on_grant(1, 6), GrantVerdict::Apply);
+        assert_eq!(core.ceiling(), Watts(110.0));
+        assert_eq!(core.grants_applied(), 1);
+        assert_eq!(core.on_grant(1, 6), GrantVerdict::Apply);
+    }
+
+    #[test]
+    fn agent_core_adopts_a_handover_term() {
+        let mut core = granted(1, 5, 110.0);
+        core.on_handover(2);
+        assert_eq!(core.max_term(), 2);
+        assert_eq!(core.on_grant(1, 6), GrantVerdict::Fenced { seen: 2 });
+        core.on_handover(1);
+        assert_eq!(core.max_term(), 2, "a handover never lowers the term");
+        // The granted ceiling survives the handover itself.
+        assert_eq!(core.ceiling(), Watts(110.0));
+    }
+
+    #[test]
+    fn agent_core_falls_back_after_its_grace() {
+        let mut tcp = granted(1, 1, 110.0);
+        assert_eq!(tcp.on_link(false, 10), Some(Watts(110.0)), "grace 0");
+        assert_eq!((tcp.ceiling(), tcp.granted()), (SAFE, None));
+
+        let mut chaos = AgentCore::new(SAFE, 2);
+        assert_eq!(chaos.on_grant(1, 1), GrantVerdict::Apply);
+        chaos.commit(1, 1, Watts(110.0));
+        assert_eq!(chaos.on_link(false, 10), None, "the clock starts at 10");
+        assert_eq!(chaos.on_link(false, 11), None, "inside the grace");
+        assert_eq!(chaos.ceiling(), Watts(110.0));
+        assert_eq!(chaos.on_link(false, 12), Some(Watts(110.0)));
+        assert_eq!(chaos.ceiling(), SAFE);
+        // A healed link stops the clock.
+        assert_eq!(chaos.on_link(true, 13), None);
+        assert_eq!(chaos.on_link(false, 14), None);
+    }
+
+    #[test]
+    fn agent_core_keeps_a_grant_below_the_safe_cap_on_loss() {
+        let mut core = granted(1, 1, 70.0);
+        assert_eq!(core.on_link(false, 3), Some(Watts(70.0)));
+        assert_eq!(core.ceiling(), Watts(70.0), "loss never raises power");
+        assert_eq!(core.granted(), None, "the grant is forfeited");
+    }
+
+    #[test]
+    fn agent_core_sequences_reports_and_heartbeats_separately() {
+        let mut core = AgentCore::new(SAFE, 0);
+        assert_eq!(core.next_report_seq(), 1);
+        assert_eq!(core.next_report_seq(), 2);
+        assert_eq!(core.next_heartbeat_seq(), 1);
     }
 
     #[test]

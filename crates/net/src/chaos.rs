@@ -22,7 +22,9 @@
 //! * **Reclaim latency** — a killed agent's watts return to the pool
 //!   within two epochs.
 //! * **Safe-cap fallback** — an agent partitioned or disconnected past a
-//!   grace period enforces its safe local cap.
+//!   grace period enforces at most its safe local cap. Agents run the
+//!   shipped [`AgentCore`], and the check reads the ceiling the core
+//!   enforces after its fallback.
 //! * **Failover** (DESIGN.md §15) — when the plan kills the *primary
 //!   coordinator* (`coord-kill`), a warm standby replays the primary's
 //!   event log, must rebuild its state byte-identically, promotes to a
@@ -34,6 +36,7 @@
 //! the built-in [`SCENARIOS`] and ranks them. `dufp chaos` is the CLI
 //! face; CI fails the build on any conservation or floor violation.
 
+use crate::agent::{AgentCore, GrantVerdict};
 use crate::config::CoordinatorConfig;
 use crate::core::{EpochStep, FleetCore, NodeState};
 use crate::fleet_journal::FleetEvent;
@@ -307,38 +310,27 @@ impl ScenarioScore {
     }
 }
 
-/// A queued down-frame: the epoch it becomes deliverable, and its bytes.
-type Queued = (u64, Vec<u8>);
-
-/// A queued up-frame: deliverable epoch, destination coordinator, bytes.
-/// The destination is fixed at send time — a frame in flight to a dead
-/// coordinator is lost, never silently rerouted.
-type QueuedUp = (u64, usize, Vec<u8>);
+/// A queued frame: the epoch it becomes deliverable, its destination and
+/// its bytes. Up-frames name their coordinator, fixed at send time — a
+/// frame in flight to a dead coordinator is lost, never silently
+/// rerouted; down-frames have one destination, `()`.
+type Queued<D> = (u64, D, Vec<u8>);
 
 /// Epochs an agent tolerates without a live coordinator link before it
-/// falls back to the safe local cap.
+/// falls back to the safe local cap: the partition stands in for a TCP
+/// timeout.
 const DISCONNECT_GRACE_EPOCHS: u64 = 2;
 
-/// One simulated agent in the chaos fleet.
+/// One simulated agent in the chaos fleet: the shipped [`AgentCore`] plus
+/// the harness's demand model, link and metric clocks.
 struct SimAgent {
     idx: usize,
     name: String,
     rng: u64,
     /// Wandering honest demand in watts.
     demand: f64,
-    /// The ceiling the agent currently enforces.
-    ceiling: f64,
-    /// Last grant applied, as a `(term, epoch)` pair: grants are ordered
-    /// lexicographically by term then epoch, so a replayed or stale grant
-    /// — even one from a higher epoch of a *superseded* term — never
-    /// reaches the capper.
-    last_grant: (u64, u64),
-    /// Highest coordination term this agent has ever seen; grants below
-    /// it are fenced (split-brain defense, DESIGN.md §15).
-    max_term: u64,
-    granted: Option<f64>,
-    report_seq: u64,
-    heartbeat_seq: u64,
+    /// Fencing, grant ordering, sequencing and the safe-cap fallback.
+    core: AgentCore,
     alive: bool,
     /// Which coordinator the agent's link points at, chosen at dial time.
     coord: Option<usize>,
@@ -346,17 +338,14 @@ struct SimAgent {
     slot: Option<usize>,
     /// Admission permanently refused (evicted name).
     rejected: bool,
-    /// First epoch of the current no-link stretch (partition or closed
-    /// socket), if any.
-    disconnected_since: Option<u64>,
     /// Pending kill start, for the reclaim-latency metric.
     killed_at: Option<u64>,
     /// Epoch the last partition ended, until the next applied grant.
     heal_started: Option<u64>,
     /// First epoch this agent actually sent distorted traffic.
     first_lie: Option<u64>,
-    up: Vec<QueuedUp>,
-    down: Vec<Queued>,
+    up: Vec<Queued<usize>>,
+    down: Vec<Queued<()>>,
 }
 
 impl SimAgent {
@@ -371,17 +360,11 @@ impl SimAgent {
             name: format!("n{idx}"),
             rng,
             demand,
-            ceiling: cfg.safe_cap.value(),
-            last_grant: (0, 0),
-            max_term: 0,
-            granted: None,
-            report_seq: 0,
-            heartbeat_seq: 0,
+            core: AgentCore::new(cfg.safe_cap, DISCONNECT_GRACE_EPOCHS),
             alive: true,
             coord: None,
             slot: None,
             rejected: false,
-            disconnected_since: None,
             killed_at: None,
             heal_started: None,
             first_lie: None,
@@ -402,18 +385,12 @@ impl SimAgent {
         self.down.clear();
     }
 
-    fn restart(&mut self, cfg: &ChaosConfig) {
+    /// A fresh process: a fresh core. It forgets the terms it has seen —
+    /// the stale-primary defense for fresh agents is the primary's own
+    /// pause self-fencing, not agent memory.
+    fn restart(&mut self, safe_cap: Watts) {
         self.alive = true;
-        self.report_seq = 0;
-        self.heartbeat_seq = 0;
-        // A restarted process forgets the terms it has seen: the stale-
-        // primary defense for fresh agents is the primary's own pause
-        // self-fencing, not agent memory.
-        self.last_grant = (0, 0);
-        self.max_term = 0;
-        self.granted = None;
-        self.ceiling = cfg.safe_cap.value();
-        self.disconnected_since = None;
+        self.core = AgentCore::new(safe_cap, DISCONNECT_GRACE_EPOCHS);
     }
 }
 
@@ -497,29 +474,19 @@ impl ChaosFleet {
         msr_plan.seed = msr_plan.seed.wrapping_add(cfg.seed);
         let agents = (0..cfg.agents).map(|i| SimAgent::new(i, &cfg)).collect();
         let net = NetFaultInjector::new(plan);
-        let mut primary = FleetCore::new(&coord_cfg, Telemetry::enabled());
-        let mut coords = Vec::new();
+        let coord = |alive| CoordSim {
+            core: FleetCore::new(&coord_cfg, Telemetry::enabled()),
+            slot_owner: Vec::new(),
+            alive,
+        };
+        let mut coords = vec![coord(true)];
         if net.has_coord_kill() {
             // A killable primary self-fences when its virtual clock pauses
             // past 2× the heartbeat timeout — the same arming the TCP
             // coordinator gets when a standby or successor is configured.
-            primary.enable_pause_fencing(2 * coord_cfg.heartbeat_timeout.as_millis() as u64);
-            coords.push(CoordSim {
-                core: primary,
-                slot_owner: Vec::new(),
-                alive: true,
-            });
-            coords.push(CoordSim {
-                core: FleetCore::new(&coord_cfg, Telemetry::enabled()),
-                slot_owner: Vec::new(),
-                alive: false,
-            });
-        } else {
-            coords.push(CoordSim {
-                core: primary,
-                slot_owner: Vec::new(),
-                alive: true,
-            });
+            let pause_ms = 2 * coord_cfg.heartbeat_timeout.as_millis() as u64;
+            coords[0].core.enable_pause_fencing(pause_ms);
+            coords.push(coord(false));
         }
         Ok(ChaosFleet {
             coords,
@@ -587,8 +554,7 @@ impl ChaosFleet {
             if killed && self.agents[i].alive {
                 self.agents[i].die(epoch);
             } else if !killed && !self.agents[i].alive {
-                let cfg = self.cfg.clone();
-                self.agents[i].restart(&cfg);
+                self.agents[i].restart(self.cfg.safe_cap);
             }
         }
 
@@ -603,10 +569,10 @@ impl ChaosFleet {
         // cadence.
         let ingest_ms = epoch * 1000 - 500;
         for i in 0..self.agents.len() {
-            let due = drain_due_up(&mut self.agents[i].up, epoch);
+            let due = drain_due(&mut self.agents[i].up, epoch);
             for (dest, bytes) in due {
                 if self.coords[dest].alive {
-                    self.ingest(i, dest, &bytes, ingest_ms, epoch);
+                    self.ingest(i, dest, &bytes, ingest_ms);
                 } else {
                     // In flight to a dead coordinator: lost with the host.
                     self.tallies.frames_dropped += 1;
@@ -634,13 +600,7 @@ impl ChaosFleet {
         for (c, step) in &steps {
             // Coordinator-side disconnects close the agent's link.
             for &slot in &step.disconnects {
-                let Some(&owner) = self.coords[*c].slot_owner.get(slot) else {
-                    continue;
-                };
-                if owner != usize::MAX
-                    && self.agents[owner].coord == Some(*c)
-                    && self.agents[owner].slot == Some(slot)
-                {
+                if let Some(owner) = self.linked_owner(*c, slot) {
                     self.agents[owner].slot = None;
                     self.agents[owner].coord = None;
                 }
@@ -648,16 +608,10 @@ impl ChaosFleet {
 
             // Grant fan-out through the chaotic down-links.
             for (slot, frame) in &step.grants {
-                let Some(&owner) = self.coords[*c].slot_owner.get(*slot) else {
-                    continue;
-                };
-                if owner == usize::MAX
-                    || self.agents[owner].coord != Some(*c)
-                    || self.agents[owner].slot != Some(*slot)
-                {
-                    continue; // link already closed
+                // A closed link has no owner to deliver to.
+                if let Some(owner) = self.linked_owner(*c, *slot) {
+                    self.send_down(owner, frame, epoch);
                 }
-                self.send_down(owner, frame, epoch);
             }
 
             // Invariants and latency metrics for this epoch.
@@ -689,6 +643,13 @@ impl ChaosFleet {
         self.promoted = true;
     }
 
+    /// The agent whose live link holds coordinator `c`'s `slot`, if any.
+    fn linked_owner(&self, c: usize, slot: usize) -> Option<usize> {
+        let owner = *self.coords[c].slot_owner.get(slot)?;
+        let a = self.agents.get(owner)?;
+        (a.coord == Some(c) && a.slot == Some(slot)).then_some(owner)
+    }
+
     /// The coordinator a fresh dial reaches: the first listening (alive,
     /// unfenced) one in address order, as in the agent's standby list.
     fn listener(&self) -> Option<usize> {
@@ -705,27 +666,16 @@ impl ChaosFleet {
         let partitioned = up_cut || down_cut;
 
         // A dead or fenced coordinator's sockets are gone: the link drops
-        // and the agent re-dials down its standby list.
-        {
+        // and the agent re-dials down its standby list. A partition (the
+        // stand-in for TCP timeouts) or a closed socket leaves the agent
+        // unlinked this epoch; healing a partition starts the heal clock.
+        let linked = {
             let a = &mut self.agents[i];
             if let Some(c) = a.coord {
                 if !self.coords[c].alive || self.coords[c].core.fenced() {
                     a.coord = None;
                     a.slot = None;
                 }
-            }
-        }
-
-        // Link-state bookkeeping: a partition (stand-in for TCP timeouts)
-        // or a closed socket starts the disconnect clock; a healthy link
-        // clears it. Healing a partition starts the heal-latency clock.
-        {
-            let a = &mut self.agents[i];
-            let linkless = partitioned || a.slot.is_none();
-            match (linkless, a.disconnected_since) {
-                (true, None) => a.disconnected_since = Some(epoch),
-                (false, Some(_)) => a.disconnected_since = None,
-                _ => {}
             }
             if !partitioned
                 && a.heal_started.is_none()
@@ -735,12 +685,13 @@ impl ChaosFleet {
             {
                 a.heal_started = Some(epoch);
             }
-        }
+            !partitioned && a.slot.is_some()
+        };
 
-        // Apply deliverable grants (epoch-monotonic, unless the MSR fault
-        // plan says this epoch's cap write fails).
+        // Apply deliverable grants through the agent core, unless the MSR
+        // fault plan says this epoch's cap write fails.
         let due = drain_due(&mut self.agents[i].down, epoch);
-        for bytes in due {
+        for ((), bytes) in due {
             let frame = match Frame::decode(&bytes) {
                 Ok(f) => f,
                 Err(_) => {
@@ -756,27 +707,21 @@ impl ChaosFleet {
                     ..
                 } => {
                     let a = &mut self.agents[i];
-                    if term < a.max_term {
-                        // A superseded coordinator's grant — perhaps a
-                        // delayed frame from before the takeover, perhaps
-                        // a resurrected stale primary. Fence it, no
-                        // matter how fresh its epoch claims to be.
-                        self.tallies.stale_grants_fenced += 1;
-                        continue;
-                    }
-                    a.max_term = term;
-                    if (term, grant_epoch) <= a.last_grant {
-                        continue; // stale or replayed grant
+                    match a.core.on_grant(term, grant_epoch) {
+                        GrantVerdict::Fenced { .. } => {
+                            self.tallies.stale_grants_fenced += 1;
+                            continue;
+                        }
+                        GrantVerdict::Stale => continue,
+                        GrantVerdict::Apply => {}
                     }
                     if self
                         .msr
                         .should_fail_at(FaultOp::Write, i, MSR_PKG_POWER_LIMIT, Some(epoch))
                     {
-                        continue; // actuation failed; grant not enforced
+                        continue; // actuation failed; grant not committed
                     }
-                    a.last_grant = (term, grant_epoch);
-                    a.granted = Some(ceiling.value());
-                    a.ceiling = ceiling.value();
+                    a.core.commit(term, grant_epoch, ceiling);
                     if term > 1 && self.takeover_epoch.is_none() {
                         self.takeover_epoch = Some(epoch);
                     }
@@ -793,25 +738,13 @@ impl ChaosFleet {
             }
         }
 
-        // Safe-cap fallback after the grace period without a link.
+        // Safe-cap fallback after the grace period without a link, scored
+        // on the ceiling the core then enforces.
+        let core = &mut self.agents[i].core;
+        if core.on_link(linked, epoch).is_some()
+            && core.ceiling().value() > self.cfg.safe_cap.value() + 1e-9
         {
-            let a = &mut self.agents[i];
-            if let Some(since) = a.disconnected_since {
-                if epoch.saturating_sub(since) >= DISCONNECT_GRACE_EPOCHS {
-                    if a.ceiling > self.cfg.safe_cap.value() + 1e-9 {
-                        // The fallback itself: clamp to the safe cap. An
-                        // agent that failed to do so would be violating.
-                        a.ceiling = self.cfg.safe_cap.value();
-                    }
-                    // The grant is forfeited with the link: local autonomy
-                    // replaces it, and the coordinator's failure detector
-                    // reclaims the watts on its side.
-                    a.granted = None;
-                    if a.ceiling > self.cfg.safe_cap.value() + 1e-9 {
-                        self.tallies.safe_cap_violations += 1;
-                    }
-                }
-            }
+            self.tallies.safe_cap_violations += 1;
         }
 
         // Demand model: seeded wander, or floor↔max thrash.
@@ -847,7 +780,7 @@ impl ChaosFleet {
                 floor: self.cfg.floor,
                 node_max: self.cfg.node_max,
                 app: "chaos".to_string(),
-                term: self.agents[i].max_term,
+                term: self.agents[i].core.max_term(),
             };
             self.send_up(i, &hello, epoch, up_cut, dest);
         }
@@ -856,11 +789,10 @@ impl ChaosFleet {
         let flapping = byz.contains(&NetFaultOp::ByzFlap);
         let silent_flap = flapping && epoch.is_multiple_of(2);
         if !silent_flap {
-            self.agents[i].report_seq += 1;
-            let seq = self.agents[i].report_seq;
-            let honest_ceiling = self.agents[i].ceiling;
+            let seq = self.agents[i].core.next_report_seq();
+            let honest_ceiling = self.agents[i].core.ceiling().value();
             let honest_consumption = self.agents[i].demand.min(honest_ceiling);
-            let granted = self.agents[i].granted;
+            let granted = self.agents[i].core.granted().map(Watts::value);
             let mut lied = false;
             let ten_x = self.cfg.node_max.value() * 10.0;
             let (mut c, mut k) = (honest_ceiling, honest_consumption);
@@ -892,8 +824,8 @@ impl ChaosFleet {
                     _ => {}
                 }
             }
-            if lied && self.agents[i].first_lie.is_none() {
-                self.agents[i].first_lie = Some(epoch);
+            if lied {
+                self.agents[i].first_lie.get_or_insert(epoch);
             }
             let report = Frame::DemandReport {
                 seq,
@@ -905,9 +837,7 @@ impl ChaosFleet {
 
             // Replayed stale frames, beyond what reordering could excuse.
             if byz.contains(&NetFaultOp::ByzReplay) && seq > 1 {
-                if self.agents[i].first_lie.is_none() {
-                    self.agents[i].first_lie = Some(epoch);
-                }
+                self.agents[i].first_lie.get_or_insert(epoch);
                 let stale_seq = seq.saturating_sub(3);
                 let n = self.net.byz_replay_count(i, epoch).max(1);
                 for _ in 0..n {
@@ -926,10 +856,10 @@ impl ChaosFleet {
         let heartbeats = if flapping && !silent_flap { 40 } else { 1 };
         if !silent_flap {
             for _ in 0..heartbeats {
-                self.agents[i].heartbeat_seq += 1;
+                let core = &mut self.agents[i].core;
                 let hb = Frame::Heartbeat {
-                    seq: self.agents[i].heartbeat_seq,
-                    term: self.agents[i].max_term,
+                    seq: core.next_heartbeat_seq(),
+                    term: core.max_term(),
                 };
                 self.send_up(i, &hb, epoch, up_cut, dest);
             }
@@ -939,65 +869,25 @@ impl ChaosFleet {
     /// Queues one up-frame through the chaos transport, addressed to
     /// coordinator `dest`.
     fn send_up(&mut self, i: usize, frame: &Frame, epoch: u64, up_cut: bool, dest: usize) {
-        if up_cut {
-            self.tallies.frames_dropped += 1;
-            return;
-        }
-        let fate = self.net.fate(i, Dir::Up, epoch);
-        if fate.drop {
-            self.tallies.frames_dropped += 1;
-            return;
-        }
-        let mut bytes = frame.encode();
-        if fate.corrupt {
-            corrupt(&mut bytes);
-            self.tallies.frames_corrupted += 1;
-        }
-        let deliver = epoch.saturating_add(fate.delay_epochs);
-        let queue = &mut self.agents[i].up;
-        for _ in 0..=fate.duplicates {
-            queue.push((deliver, dest, bytes.clone()));
-        }
-        if fate.reorder && queue.len() >= 2 {
-            let n = queue.len();
-            queue.swap(n - 1, n - 2);
-        }
+        let (wire, queue) = ((&self.net, &mut self.tallies), &mut self.agents[i].up);
+        transmit(wire, queue, (i, Dir::Up, up_cut), (epoch, 0), dest, frame);
     }
 
     /// Queues one down-frame (grant/Goodbye) through the chaos transport.
+    /// A grant sent during epoch e is applicable from e+1: the TCP plane's
+    /// agents also see grants one reporting beat later.
     fn send_down(&mut self, i: usize, frame: &Frame, epoch: u64) {
-        if self.net.partitioned(i, Dir::Down, epoch) {
-            self.tallies.frames_dropped += 1;
-            return;
-        }
-        let fate = self.net.fate(i, Dir::Down, epoch);
-        if fate.drop {
-            self.tallies.frames_dropped += 1;
-            return;
-        }
-        let mut bytes = frame.encode();
-        if fate.corrupt {
-            corrupt(&mut bytes);
-            self.tallies.frames_corrupted += 1;
-        }
-        // A grant sent during epoch e is applicable from e+1: the TCP
-        // plane's agents also see grants one reporting beat later.
-        let deliver = epoch.saturating_add(1).saturating_add(fate.delay_epochs);
+        let cut = self.net.partitioned(i, Dir::Down, epoch);
+        let wire = (&self.net, &mut self.tallies);
         let queue = &mut self.agents[i].down;
-        for _ in 0..=fate.duplicates {
-            queue.push((deliver, bytes.clone()));
-        }
-        if fate.reorder && queue.len() >= 2 {
-            let n = queue.len();
-            queue.swap(n - 1, n - 2);
-        }
+        transmit(wire, queue, (i, Dir::Down, cut), (epoch, 1), (), frame);
     }
 
     /// Feeds one delivered up-frame into coordinator `c`'s core. The
     /// primary's inputs are mirrored into the in-memory event journal
     /// until it dies; replaying those events re-drives the same core
     /// entry points, so even vetoed frames replay identically.
-    fn ingest(&mut self, i: usize, c: usize, bytes: &[u8], now_ms: u64, epoch: u64) {
+    fn ingest(&mut self, i: usize, c: usize, bytes: &[u8], now_ms: u64) {
         let frame = match Frame::decode(bytes) {
             Ok(f) => f,
             Err(_) => {
@@ -1065,19 +955,15 @@ impl ChaosFleet {
                     return; // link moved on; frame orphaned
                 }
                 if let Some(slot) = self.agents[i].slot {
-                    if logging {
-                        self.event_log.push(FleetEvent::Report {
-                            slot,
-                            seq,
-                            ceiling_w: ceiling.value(),
-                            consumption_w: consumption.value(),
-                            active,
-                            now_ms,
-                        });
-                    }
-                    self.coords[c]
-                        .core
-                        .on_report(slot, seq, ceiling, consumption, active, now_ms);
+                    let report = FleetEvent::Report {
+                        slot,
+                        seq,
+                        ceiling_w: ceiling.value(),
+                        consumption_w: consumption.value(),
+                        active,
+                        now_ms,
+                    };
+                    self.feed(c, logging, report);
                 }
             }
             Frame::Heartbeat { seq, term } => {
@@ -1088,11 +974,7 @@ impl ChaosFleet {
                     return;
                 }
                 if let Some(slot) = self.agents[i].slot {
-                    if logging {
-                        self.event_log
-                            .push(FleetEvent::Heartbeat { slot, seq, now_ms });
-                    }
-                    self.coords[c].core.on_heartbeat(slot, seq, now_ms);
+                    self.feed(c, logging, FleetEvent::Heartbeat { slot, seq, now_ms });
                 }
             }
             Frame::Goodbye => {
@@ -1100,10 +982,7 @@ impl ChaosFleet {
                     return;
                 }
                 if let Some(slot) = self.agents[i].slot.take() {
-                    if logging {
-                        self.event_log.push(FleetEvent::Goodbye { slot });
-                    }
-                    self.coords[c].core.on_goodbye(slot);
+                    self.feed(c, logging, FleetEvent::Goodbye { slot });
                 }
                 self.agents[i].coord = None;
             }
@@ -1111,7 +990,15 @@ impl ChaosFleet {
                 self.tallies.wire_errors += 1; // wrong-direction frame
             }
         }
-        let _ = epoch;
+    }
+
+    /// Applies `ev` to coordinator `c`'s core, journaling it first while
+    /// `logging` the primary's inputs.
+    fn feed(&mut self, c: usize, logging: bool, ev: FleetEvent) {
+        ev.apply(&mut self.coords[c].core);
+        if logging {
+            self.event_log.push(ev);
+        }
     }
 
     /// Epoch-close invariant checks and latency metrics.
@@ -1261,8 +1148,45 @@ pub fn run_matrix(cfg: &ChaosConfig) -> Result<Vec<ScenarioScore>> {
     Ok(cards)
 }
 
-/// Pops every queued up-frame due at `epoch`, preserving queue order.
-fn drain_due_up(queue: &mut Vec<QueuedUp>, epoch: u64) -> Vec<(usize, Vec<u8>)> {
+/// One frame through the chaos transport, either direction: a cut link
+/// or a drop loses it; corruption flips a bit; the survivors are queued
+/// `1 + duplicates` times, deliverable `lag + delay` epochs after
+/// `epoch`, and a reorder swaps the last two queued frames. The fate is
+/// drawn only for an uncut link.
+fn transmit<D: Copy>(
+    (net, tallies): (&NetFaultInjector, &mut Tallies),
+    queue: &mut Vec<Queued<D>>,
+    (i, dir, cut): (usize, Dir, bool),
+    (epoch, lag): (u64, u64),
+    dest: D,
+    frame: &Frame,
+) {
+    if cut {
+        tallies.frames_dropped += 1;
+        return;
+    }
+    let fate = net.fate(i, dir, epoch);
+    if fate.drop {
+        tallies.frames_dropped += 1;
+        return;
+    }
+    let mut bytes = frame.encode();
+    if fate.corrupt {
+        corrupt(&mut bytes);
+        tallies.frames_corrupted += 1;
+    }
+    let deliver = epoch.saturating_add(lag).saturating_add(fate.delay_epochs);
+    for _ in 0..=fate.duplicates {
+        queue.push((deliver, dest, bytes.clone()));
+    }
+    if fate.reorder && queue.len() >= 2 {
+        let n = queue.len();
+        queue.swap(n - 1, n - 2);
+    }
+}
+
+/// Pops every queued frame due at `epoch`, preserving queue order.
+fn drain_due<D>(queue: &mut Vec<Queued<D>>, epoch: u64) -> Vec<(D, Vec<u8>)> {
     let mut due = Vec::new();
     let mut keep = Vec::with_capacity(queue.len());
     for (deliver, dest, bytes) in queue.drain(..) {
@@ -1270,21 +1194,6 @@ fn drain_due_up(queue: &mut Vec<QueuedUp>, epoch: u64) -> Vec<(usize, Vec<u8>)> 
             due.push((dest, bytes));
         } else {
             keep.push((deliver, dest, bytes));
-        }
-    }
-    *queue = keep;
-    due
-}
-
-/// Pops every queued frame due at `epoch`, preserving queue order.
-fn drain_due(queue: &mut Vec<Queued>, epoch: u64) -> Vec<Vec<u8>> {
-    let mut due = Vec::new();
-    let mut keep = Vec::with_capacity(queue.len());
-    for (deliver, bytes) in queue.drain(..) {
-        if deliver <= epoch {
-            due.push(bytes);
-        } else {
-            keep.push((deliver, bytes));
         }
     }
     *queue = keep;

@@ -444,18 +444,9 @@ pub fn run_standby(cfg: CoordinatorConfig) -> Result<FleetOutcome> {
     }
     let coord = Coordinator::bind(cfg)?;
     coord.shared.tel.counter("standby_promotions_total").inc();
-    coord.shared.tel.record_decision(DecisionEvent {
-        tick: 0,
-        at_us: 0,
-        socket: 0,
-        phase: 0,
-        oi_class: None,
-        flops_ratio: None,
-        actuator: Actuator::Budget,
-        old: 0.0,
-        new: coord.term() as f64,
-        reason: Reason::StandbyPromoted,
-    });
+    let term = coord.term() as f64;
+    let promoted = DecisionEvent::new(0, Actuator::Budget, 0.0, term, Reason::StandbyPromoted);
+    coord.shared.tel.record_decision(promoted);
     coord.run()
 }
 
@@ -567,11 +558,11 @@ fn handle_connection(stream: TcpStream, shared: Arc<Shared>) {
                 active,
             })) => {
                 let now_ms = shared.now_ms();
-                let mut st = shared.state.lock();
-                if !st.core.fenced() {
-                    st.core
-                        .on_report(slot, seq, ceiling, consumption, active, now_ms);
-                }
+                shared
+                    .state
+                    .lock()
+                    .core
+                    .on_report(slot, seq, ceiling, consumption, active, now_ms);
             }
             Ok(Some(Frame::Heartbeat { seq, term })) => {
                 let now_ms = shared.now_ms();

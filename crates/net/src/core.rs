@@ -516,7 +516,9 @@ impl FleetCore {
     }
 
     /// Ingests a demand report. Returns what the vetting layer decided;
-    /// only [`FrameVerdict::Accepted`] frames update the registry.
+    /// only [`FrameVerdict::Accepted`] frames update the registry. A
+    /// fenced core refuses every report ([`FrameVerdict::Vetoed`]), as it
+    /// refuses admission: its registry is frozen for the successor.
     pub fn on_report(
         &mut self,
         slot: usize,
@@ -526,7 +528,7 @@ impl FleetCore {
         active: bool,
         now_ms: u64,
     ) -> FrameVerdict {
-        if !self.slot_is_live(slot) {
+        if self.fenced() || !self.slot_is_live(slot) {
             return FrameVerdict::Vetoed;
         }
         // Journal before vetting: rejected frames still move sequence
@@ -948,16 +950,9 @@ impl FleetCore {
 
     fn record(&self, slot: usize, now_ms: u64, old: f64, new: f64, reason: Reason) {
         self.tel.record_decision(DecisionEvent {
-            tick: self.epoch,
             at_us: now_ms.saturating_mul(1000),
             socket: slot as u16,
-            phase: 0,
-            oi_class: None,
-            flops_ratio: None,
-            actuator: Actuator::Budget,
-            old,
-            new,
-            reason,
+            ..DecisionEvent::new(self.epoch, Actuator::Budget, old, new, reason)
         });
     }
 
@@ -1201,6 +1196,19 @@ mod tests {
         assert!(matches!(err, Error::Fenced { .. }), "{err:?}");
         // Equal or lower peer terms never unfence.
         assert!(core.observe_term(1).is_err());
+    }
+
+    #[test]
+    fn a_fenced_core_refuses_reports_and_changes_no_view() {
+        let mut core = core(300.0);
+        let a = admit(&mut core, "a");
+        core.on_report(a, 1, Watts(90.0), Watts(85.0), true, 500);
+        core.epoch_once(1000);
+        assert!(core.observe_term(2).is_err());
+        let before = core.snapshot_bytes().unwrap();
+        let verdict = core.on_report(a, 2, Watts(120.0), Watts(118.0), true, 1500);
+        assert_eq!(verdict, FrameVerdict::Vetoed);
+        assert_eq!(core.snapshot_bytes().unwrap(), before, "registry moved");
     }
 
     #[test]

@@ -6,7 +6,9 @@
 //! runs an [`dufp_cluster::allocator::AllocatorPolicy`] over live demand
 //! reports; each [`Agent`] wraps a node-local simulated machine and DUFP
 //! controller behind a [`dufp_cluster::budget::BudgetedCapper`] enforcing
-//! the granted ceiling.
+//! the granted ceiling. Both sides keep their decisions in transport-free
+//! state machines — [`FleetCore`] for the coordinator, [`AgentCore`] for
+//! the agent — which the TCP shells and the [`chaos`] fleet share.
 //!
 //! Layering:
 //!
@@ -26,9 +28,10 @@
 //!   (default 1.5 allocator epochs) is declared dead and its watts return
 //!   to the pool within two epochs of the failure.
 //! * **Agent autonomy** — an agent outlives its coordinator: on
-//!   connection loss it falls back to a safe local static cap and keeps
-//!   running its jobs; on exit a [`dufp_control::SafeStateGuard`] restores
-//!   platform defaults.
+//!   connection loss [`AgentCore`] forfeits the grant and enforces
+//!   `min(ceiling, safe_cap)` — losing its grantor never raises an
+//!   agent's power — and the agent keeps running its jobs; on exit a
+//!   [`dufp_control::SafeStateGuard`] restores platform defaults.
 //! * **No trust in the wire** — every frame is CRC-checked and bounded
 //!   (global and per-frame-type payload limits); a malformed frame drops
 //!   the connection, never panics the process.
@@ -64,7 +67,7 @@ pub mod netfault;
 pub mod vet;
 pub mod wire;
 
-pub use agent::{Agent, AgentOutcome};
+pub use agent::{Agent, AgentCore, AgentOutcome, GrantVerdict};
 pub use chaos::{ChaosConfig, ChaosFleet, ScenarioScore, SCENARIOS};
 pub use config::{AgentConfig, CoordinatorConfig, PolicyKind};
 pub use coordinator::{

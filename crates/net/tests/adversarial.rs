@@ -8,11 +8,13 @@
 //!
 //! — plus targeted regressions: NaN demand at the ingestion boundary,
 //! quarantine latency, and the deterministic bounded reconnect backoff
-//! agents use when the coordinator vanishes.
+//! agents use when the coordinator vanishes. The agent side is checked on
+//! the shipped [`AgentCore`] under arbitrary grant, handover and link
+//! interleavings.
 
 use dufp_control::RetryPolicy;
 use dufp_net::chaos::{run_matrix, run_scenario, ChaosConfig, ChaosFleet};
-use dufp_net::{CoordinatorConfig, FleetCore, NetFaultPlan};
+use dufp_net::{AgentCore, CoordinatorConfig, FleetCore, GrantVerdict, NetFaultPlan};
 use dufp_telemetry::Telemetry;
 use dufp_types::Watts;
 use proptest::prelude::*;
@@ -110,6 +112,90 @@ proptest! {
         // Different attempts under the same seed de-synchronize.
         let other = policy.backoff_jittered(attempt + 1, seed);
         prop_assert!(other <= policy.backoff(attempt + 1));
+    }
+}
+
+/// One input to an agent core: a delivered grant (whose actuation may
+/// fail), a `Handover`, or the link going up or down.
+#[derive(Debug, Clone)]
+enum AgentInput {
+    Grant {
+        term: u64,
+        epoch: u64,
+        ceiling: f64,
+        actuated: bool,
+    },
+    Handover(u64),
+    Link(bool),
+}
+
+fn agent_input() -> impl Strategy<Value = AgentInput> {
+    prop_oneof![
+        4 => (0u64..4, 0u64..6, 40.0f64..140.0, 0u8..5).prop_map(
+            |(term, epoch, ceiling, fail)| AgentInput::Grant {
+                term,
+                epoch,
+                ceiling,
+                actuated: fail != 0,
+            }
+        ),
+        1 => (0u64..5).prop_map(AgentInput::Handover),
+        2 => any::<bool>().prop_map(AgentInput::Link),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The agent core under any interleaving of grants, handovers and link
+    /// events, one tick each: commits strictly climb in `(term, epoch)`
+    /// and never come from below the highest term seen, the ceiling is the
+    /// greatest committed grant's (clamped only by the fallback), and past
+    /// the grace without a link the ceiling is at most the safe cap.
+    #[test]
+    fn the_agent_core_obeys_only_the_newest_grant_and_never_exceeds_its_safe_cap_unlinked(
+        grace in 0u64..4,
+        inputs in proptest::collection::vec(agent_input(), 0..64),
+    ) {
+        let safe = Watts(90.0);
+        let mut core = AgentCore::new(safe, grace);
+        // A fresh core has committed nothing newer than (0, 0).
+        let mut best = (0u64, 0u64);
+        let mut ceiling = safe;
+        let (mut up, mut down_since) = (false, None);
+        for (now, input) in inputs.iter().enumerate() {
+            let now = now as u64;
+            match *input {
+                AgentInput::Grant { term, epoch, ceiling: c, actuated } => {
+                    let seen = core.max_term();
+                    let verdict = core.on_grant(term, epoch);
+                    if term < seen {
+                        prop_assert_eq!(verdict, GrantVerdict::Fenced { seen });
+                    } else if (term, epoch) <= best {
+                        prop_assert_eq!(verdict, GrantVerdict::Stale);
+                    } else {
+                        prop_assert_eq!(verdict, GrantVerdict::Apply);
+                    }
+                    if verdict == GrantVerdict::Apply && actuated {
+                        prop_assert!(term >= seen, "committed below term {}", seen);
+                        core.commit(term, epoch, Watts(c));
+                        best = (term, epoch);
+                        ceiling = Watts(c);
+                    }
+                }
+                AgentInput::Handover(term) => core.on_handover(term),
+                AgentInput::Link(link) => up = link,
+            }
+            down_since = if up { None } else { down_since.or(Some(now)) };
+            if core.on_link(up, now).is_some() {
+                ceiling = if ceiling > safe { safe } else { ceiling };
+            }
+            prop_assert_eq!(core.ceiling(), ceiling);
+            if down_since.is_some_and(|since| now - since >= grace) {
+                prop_assert!(core.ceiling() <= safe, "{:?} past the grace", core.ceiling());
+                prop_assert_eq!(core.granted(), None);
+            }
+        }
     }
 }
 

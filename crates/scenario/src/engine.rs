@@ -249,7 +249,6 @@ pub fn run_one(spec: &ScenarioSpec, seed: u64, policy: PolicyChoice) -> Result<R
                         tick,
                         now_ms,
                         i,
-                        Actuator::Budget,
                         f64::from(bands[i]),
                         f64::from(band),
                         Reason::IntensityShift,
@@ -292,7 +291,6 @@ pub fn run_one(spec: &ScenarioSpec, seed: u64, policy: PolicyChoice) -> Result<R
                         tick,
                         now_ms,
                         i,
-                        Actuator::Budget,
                         backlog,
                         spec.slo_backlog_s,
                         Reason::SloViolation,
@@ -323,7 +321,6 @@ pub fn run_one(spec: &ScenarioSpec, seed: u64, policy: PolicyChoice) -> Result<R
                             tick,
                             now_ms,
                             slot,
-                            Actuator::Budget,
                             old.value(),
                             ceiling.value(),
                             Reason::BudgetGrant,
@@ -387,26 +384,12 @@ pub fn run_one(spec: &ScenarioSpec, seed: u64, policy: PolicyChoice) -> Result<R
     })
 }
 
-fn event(
-    tick: u64,
-    now_ms: u64,
-    node: usize,
-    actuator: Actuator,
-    old: f64,
-    new: f64,
-    reason: Reason,
-) -> DecisionEvent {
+/// A node's budget decision at `tick`, stamped with the scenario clock.
+fn event(tick: u64, now_ms: u64, node: usize, old: f64, new: f64, reason: Reason) -> DecisionEvent {
     DecisionEvent {
-        tick,
         at_us: now_ms * 1000,
         socket: node as u16,
-        phase: 0,
-        oi_class: None,
-        flops_ratio: None,
-        actuator,
-        old,
-        new,
-        reason,
+        ..DecisionEvent::new(tick, Actuator::Budget, old, new, reason)
     }
 }
 

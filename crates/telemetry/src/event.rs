@@ -219,6 +219,25 @@ pub struct DecisionEvent {
     pub reason: Reason,
 }
 
+impl DecisionEvent {
+    /// A decision at `tick` outside any controller phase: socket 0, no
+    /// timestamp, OI class or FLOPS ratio.
+    pub fn new(tick: u64, actuator: Actuator, old: f64, new: f64, reason: Reason) -> Self {
+        DecisionEvent {
+            tick,
+            at_us: 0,
+            socket: 0,
+            phase: 0,
+            oi_class: None,
+            flops_ratio: None,
+            actuator,
+            old,
+            new,
+            reason,
+        }
+    }
+}
+
 /// Writes events as JSON Lines (one compact object per line).
 pub fn write_jsonl<W: Write>(mut w: W, events: &[DecisionEvent]) -> io::Result<()> {
     for event in events {

@@ -106,6 +106,11 @@ pub fn number_array(v: &str) -> std::result::Result<Vec<f64>, String> {
     array_elements(v)?.into_iter().map(number).collect()
 }
 
+/// `[ 1, 2 ]` → the integers, each parsed exactly by [`integer`].
+pub fn integer_array<T: TryFrom<u64>>(v: &str) -> std::result::Result<Vec<T>, String> {
+    array_elements(v)?.into_iter().map(integer).collect()
+}
+
 /// Splits `[ a, b, c ]` into trimmed elements. Elements cannot contain
 /// commas (strings here are names and plans, not prose).
 fn array_elements(v: &str) -> std::result::Result<Vec<&str>, String> {
@@ -198,5 +203,7 @@ mod tests {
         assert_eq!(number_array("[0, 5.0]"), Ok(vec![0.0, 5.0]));
         assert!(number_array("0, 5").is_err());
         assert!(number_array("[1,,2]").is_err());
+        assert_eq!(integer_array::<u64>("[1, 2]"), Ok(vec![1, 2]));
+        assert!(integer_array::<u64>("[1.0]").is_err());
     }
 }
