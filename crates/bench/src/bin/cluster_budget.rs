@@ -4,12 +4,18 @@
 //!
 //! Runs a four-job mix (HPL, CG, EP, MG) under a cluster budget tighter
 //! than 4 × PL1 and compares a static even split against demand-based
-//! reallocation, with DUFP running unmodified on every node.
+//! reallocation, with DUFP running unmodified on every node and the
+//! coordinator's `FleetCore` splitting the budget each epoch.
 //!
 //! Usage: `cluster_budget [--budget W] [--slowdown PCT] [--seed S]`
+//!
+//! ```sh
+//! cargo run --release -p dufp-bench --bin cluster_budget -- --budget 400 --seed 11
+//! ```
 
 use dufp_bench::report::markdown_table;
-use dufp_cluster::{Cluster, ClusterConfig, DemandBased, StaticSplit};
+use dufp_cluster::ClusterConfig;
+use dufp_net::{run_cluster, PolicyKind};
 use dufp_types::{Ratio, Watts};
 
 fn main() {
@@ -35,14 +41,10 @@ fn main() {
         cfg.nodes.len()
     );
 
-    for policy in [
-        Box::new(StaticSplit) as Box<dyn dufp_cluster::AllocatorPolicy>,
-        Box::new(DemandBased::default()),
-    ] {
-        let out = Cluster::new(cfg.clone(), policy)
-            .expect("cluster builds")
-            .run()
-            .expect("cluster runs");
+    let mut makespans = Vec::new();
+    for policy in [PolicyKind::StaticSplit, PolicyKind::DemandBased] {
+        let out = run_cluster(&cfg, policy).expect("cluster runs");
+        makespans.push(out.makespan.value());
         println!("### policy: {}\n", out.policy);
         let rows: Vec<Vec<String>> = out
             .nodes
@@ -69,6 +71,11 @@ fn main() {
             out.peak_cluster_power.value()
         );
     }
+    let gain = (1.0 - makespans[1] / makespans[0]) * 100.0;
+    println!(
+        "makespan {:.1} s static-split vs {:.1} s demand-based: {gain:.1} % shorter under the same budget\n",
+        makespans[0], makespans[1]
+    );
     println!(
         "Demand-based allocation moves watts from nodes DUFP already trimmed \
          (EP, the finished jobs) to the budget-hungry solver (HPL) — the \

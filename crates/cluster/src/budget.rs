@@ -1,7 +1,8 @@
 //! Per-node budget ceilings and the capper wrapper that enforces them.
 
 use dufp_rapl::{Constraint, PowerCapper};
-use dufp_types::{Error, Joules, Result, SocketId, Watts};
+use dufp_types::check::positive;
+use dufp_types::{Joules, Result, SocketId, Watts};
 use parking_lot::Mutex;
 use std::sync::Arc;
 
@@ -13,31 +14,15 @@ pub struct NodeBudget {
 }
 
 impl NodeBudget {
-    /// New budget at the given ceiling.
-    pub fn new(ceiling: Watts) -> Arc<Self> {
-        Arc::new(NodeBudget {
-            ceiling: Mutex::new(ceiling),
-        })
-    }
-
-    /// Like [`NodeBudget::new`], but rejects ceilings no node can enforce
-    /// (zero, negative, NaN, infinite) with a typed
-    /// [`Error::InvalidValue`] naming the field — the same contract
-    /// `ControlConfig::validate` gives control-side settings.
+    /// A budget at `ceiling`. Rejects ceilings no node can enforce (zero,
+    /// negative, NaN, infinite) with a typed
+    /// [`dufp_types::Error::InvalidValue`] naming the field — the same
+    /// contract `ControlConfig::validate` gives control-side settings.
     pub fn try_new(ceiling: Watts) -> Result<Arc<Self>> {
-        if !ceiling.value().is_finite() {
-            return Err(Error::invalid(
-                "ceiling",
-                format!("{} is not finite", ceiling.value()),
-            ));
-        }
-        if ceiling.value() <= 0.0 {
-            return Err(Error::invalid(
-                "ceiling",
-                format!("{} W must be positive", ceiling.value()),
-            ));
-        }
-        Ok(NodeBudget::new(ceiling))
+        positive("ceiling", ceiling.value())?;
+        Ok(Arc::new(NodeBudget {
+            ceiling: Mutex::new(ceiling),
+        }))
     }
 
     /// The current ceiling.
@@ -68,6 +53,12 @@ impl<C: PowerCapper> BudgetedCapper<C> {
     /// The node's budget handle.
     pub fn budget(&self) -> &Arc<NodeBudget> {
         &self.budget
+    }
+
+    /// Moves the node's ceiling to `ceiling`, then enforces it.
+    pub fn set_ceiling(&self, socket: SocketId, ceiling: Watts) -> Result<()> {
+        self.budget.set_ceiling(ceiling);
+        self.enforce_ceiling(socket)
     }
 
     /// Re-applies the ceiling to the hardware if the currently programmed
@@ -122,7 +113,7 @@ mod tests {
     };
     use dufp_msr::FakeMsr;
     use dufp_rapl::MsrRapl;
-    use dufp_types::Seconds;
+    use dufp_types::{Error, Seconds};
 
     fn rig(ceiling: f64) -> (Arc<NodeBudget>, BudgetedCapper<MsrRapl<FakeMsr>>) {
         let m = FakeMsr::new(16);
@@ -130,7 +121,7 @@ mod tests {
         let units = RaplPowerUnit::skylake_sp();
         let reg = PkgPowerLimit::defaults(Watts(125.0), Seconds(1.0), Watts(150.0), Seconds(0.01));
         m.seed(MSR_PKG_POWER_LIMIT, reg.encode(&units).unwrap());
-        let budget = NodeBudget::new(Watts(ceiling));
+        let budget = NodeBudget::try_new(Watts(ceiling)).unwrap();
         let capper = BudgetedCapper::new(MsrRapl::new(m, 1, 16).unwrap(), Arc::clone(&budget));
         (budget, capper)
     }

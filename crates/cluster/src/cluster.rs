@@ -1,16 +1,14 @@
-//! The cluster simulation: N single-socket nodes, per-node DUFP, a global
-//! budget allocator epoch.
+//! A DUFP cluster experiment: its configuration and its outcome.
+//!
+//! Each node is a [`crate::node::DufpNode`]; a global allocator epoch
+//! splits the budget between them. `dufp_net::run_cluster` runs it on
+//! `dufp_net`'s in-process fleet loop, with the same `FleetCore` the TCP
+//! coordinator and the scenario engine run.
 
-use crate::allocator::{AllocatorPolicy, NodeObservation};
-use crate::budget::{BudgetedCapper, NodeBudget};
-use dufp_control::{Actuators, ControlConfig, Controller, Dufp, HwActuators};
-use dufp_counters::{Sampler, Telemetry};
-use dufp_rapl::MsrRapl;
-use dufp_sim::{Machine, SimConfig};
-use dufp_types::{Duration, Error, Ratio, Result, Seconds, SocketId, Watts};
-use dufp_workloads::{apps, MaterializeCtx, Workload};
+use crate::node::DufpNode;
+use dufp_types::check::{fraction, positive};
+use dufp_types::{Duration, Error, Ratio, Result, Seconds, Watts};
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
 
 /// One node's job queue: applications run back to back; the node counts as
 /// active until the queue drains.
@@ -46,10 +44,11 @@ pub struct ClusterConfig {
 
 impl ClusterConfig {
     /// Rejects configurations no cluster can run — empty node lists or
-    /// queues, zero/negative/NaN budgets, slowdowns outside [0, 1),
-    /// zero-length epochs — with a typed [`Error::InvalidValue`] naming
-    /// the offending field, the same contract
-    /// [`dufp_control::ControlConfig::validate`] gives control settings.
+    /// queues, zero/negative/NaN budgets, budgets that cannot fund every
+    /// node's cap floor, slowdowns outside [0, 1), zero-length epochs —
+    /// with a typed [`Error::InvalidValue`] naming the offending field,
+    /// the same contract [`dufp_control::ControlConfig::validate`] gives
+    /// control settings.
     pub fn validate(&self) -> Result<()> {
         if self.nodes.is_empty() {
             return Err(Error::invalid("nodes", "cluster needs at least one node"));
@@ -62,24 +61,20 @@ impl ClusterConfig {
                 ));
             }
         }
-        if !self.budget.value().is_finite() {
+        positive("budget", self.budget.value())?;
+        let floors = DufpNode::cap_floor() * self.nodes.len() as f64;
+        if self.budget < floors {
             return Err(Error::invalid(
                 "budget",
-                format!("{} is not finite", self.budget.value()),
+                format!(
+                    "{} W cannot fund {} nodes at their {} W cap floor",
+                    self.budget.value(),
+                    self.nodes.len(),
+                    DufpNode::cap_floor().value()
+                ),
             ));
         }
-        if self.budget.value() <= 0.0 {
-            return Err(Error::invalid(
-                "budget",
-                format!("{} W must be positive", self.budget.value()),
-            ));
-        }
-        if !self.slowdown.value().is_finite() || !(0.0..1.0).contains(&self.slowdown.value()) {
-            return Err(Error::invalid(
-                "slowdown",
-                format!("{} must be within [0, 1)", self.slowdown.value()),
-            ));
-        }
+        fraction("slowdown", self.slowdown.value())?;
         if self.epoch.as_micros() == 0 {
             return Err(Error::invalid("epoch", "zero allocator epoch"));
         }
@@ -128,272 +123,14 @@ pub struct ClusterOutcome {
     pub peak_cluster_power: Watts,
 }
 
-/// The budget-enforcing RAPL stack shared by a node's actuators.
-type NodeCapper = Arc<BudgetedCapper<MsrRapl<Arc<Machine>>>>;
-
-struct Node {
-    app: String,
-    /// Jobs not yet started.
-    pending: Vec<Workload>,
-    machine: Arc<Machine>,
-    controller: Dufp,
-    sampler: Sampler,
-    actuators: HwActuators<Arc<Machine>, NodeCapper>,
-    budget: Arc<NodeBudget>,
-    capper: NodeCapper,
-    epoch_start_energy: f64,
-    finished_at: Option<Seconds>,
-    power_sum: f64,
-    power_samples: u64,
-}
-
-/// The running cluster.
-pub struct Cluster {
-    cfg: ClusterConfig,
-    nodes: Vec<Node>,
-    policy: Box<dyn AllocatorPolicy>,
-}
-
-impl Cluster {
-    /// Builds the cluster: one single-socket simulated node per job, an
-    /// even initial split of the budget.
-    pub fn new(cfg: ClusterConfig, policy: Box<dyn AllocatorPolicy>) -> Result<Self> {
-        cfg.validate()?;
-        let initial = cfg.budget / cfg.nodes.len() as f64;
-        let mut nodes = Vec::with_capacity(cfg.nodes.len());
-        for (i, spec) in cfg.nodes.iter().enumerate() {
-            let sim = SimConfig::yeti_single_socket(cfg.seed.wrapping_add(i as u64 * 131));
-            let arch = sim.arch.clone();
-            let ctx = MaterializeCtx::from_arch(&arch);
-            let machine = Arc::new(Machine::new(sim));
-            let mut jobs = spec
-                .queue
-                .iter()
-                .map(|app| apps::by_name(app, &ctx))
-                .collect::<Result<Vec<_>>>()?;
-            machine.load_all(&jobs.remove(0));
-            jobs.reverse(); // pop() yields the next job in order
-
-            let budget = NodeBudget::try_new(initial)?;
-            let capper = Arc::new(BudgetedCapper::new(
-                MsrRapl::new(Arc::clone(&machine), 1, arch.cores_per_socket as usize)?,
-                Arc::clone(&budget),
-            ));
-            let control_cfg = ControlConfig::from_arch(&arch, cfg.slowdown)?;
-            let mut actuators = HwActuators::new(
-                Arc::clone(&machine),
-                Arc::clone(&capper),
-                SocketId(0),
-                0,
-                control_cfg.clone(),
-            )?;
-            // Start the node at its allocation.
-            actuators.reset_cap()?;
-            let mut sampler = Sampler::new();
-            sampler.sample(machine.as_ref(), SocketId(0))?;
-            nodes.push(Node {
-                app: spec.queue.join("+"),
-                pending: jobs,
-                machine,
-                controller: Dufp::new(control_cfg),
-                sampler,
-                actuators,
-                budget,
-                capper,
-                epoch_start_energy: 0.0,
-                finished_at: None,
-                power_sum: 0.0,
-                power_samples: 0,
-            });
-        }
-        Ok(Cluster { cfg, nodes, policy })
-    }
-
-    /// Runs to completion (all jobs done) and reports the outcome.
-    pub fn run(mut self) -> Result<ClusterOutcome> {
-        let interval = Duration::from_millis(200);
-        let tick = self.nodes[0].machine.config().tick;
-        let ticks_per_interval = (interval.as_micros() / tick.as_micros()).max(1);
-        let intervals_per_epoch = (self.cfg.epoch.as_micros() / interval.as_micros()).max(1);
-
-        let mut elapsed = Seconds(0.0);
-        let mut interval_count: u64 = 0;
-        let mut peak_cluster_power = 0.0f64;
-        let max_time = 3600.0;
-
-        while self.nodes.iter().any(|n| n.finished_at.is_none()) {
-            // Advance every node one monitoring interval.
-            for _ in 0..ticks_per_interval {
-                for n in &self.nodes {
-                    n.machine.tick();
-                }
-            }
-            elapsed += interval.as_seconds();
-            interval_count += 1;
-            if elapsed.value() > max_time {
-                return Err(Error::Precondition("cluster run exceeded 1 h".into()));
-            }
-
-            // Node-local DUFP decisions; drained machines pull the next
-            // queued job.
-            for n in &mut self.nodes {
-                if n.finished_at.is_none() && n.machine.done() {
-                    match n.pending.pop() {
-                        Some(next) => n.machine.load_all(&next),
-                        None => n.finished_at = Some(elapsed),
-                    }
-                }
-                if let Some(m) = n.sampler.sample(n.machine.as_ref(), SocketId(0))? {
-                    n.power_sum += m.pkg_power.value();
-                    n.power_samples += 1;
-                    if n.finished_at.is_none() {
-                        n.controller.on_interval(&m, &mut n.actuators)?;
-                    }
-                }
-            }
-
-            // Allocator epoch.
-            if interval_count.is_multiple_of(intervals_per_epoch) {
-                let epoch_secs = self.cfg.epoch.as_seconds().value();
-                let observations: Vec<NodeObservation> = self
-                    .nodes
-                    .iter_mut()
-                    .map(|n| {
-                        let snap = n.machine.sample(SocketId(0))?;
-                        let consumed = snap.pkg_energy.value() - n.epoch_start_energy;
-                        n.epoch_start_energy = snap.pkg_energy.value();
-                        Ok(NodeObservation {
-                            ceiling: n.budget.ceiling(),
-                            consumption: Watts(consumed / epoch_secs),
-                            active: n.finished_at.is_none(),
-                        })
-                    })
-                    .collect::<Result<Vec<_>>>()?;
-
-                let cluster_power: f64 = observations.iter().map(|o| o.consumption.value()).sum();
-                peak_cluster_power = peak_cluster_power.max(cluster_power);
-
-                let ceilings = self.policy.allocate(self.cfg.budget, &observations);
-                for (n, ceiling) in self.nodes.iter_mut().zip(ceilings) {
-                    n.budget.set_ceiling(ceiling);
-                    n.capper.enforce_ceiling(SocketId(0))?;
-                }
-            }
-        }
-
-        let makespan = self
-            .nodes
-            .iter()
-            .filter_map(|n| n.finished_at)
-            .fold(Seconds(0.0), |acc, t| acc.max(t));
-        let nodes = self
-            .nodes
-            .into_iter()
-            .map(|n| NodeOutcome {
-                exec_time: n.finished_at.expect("all finished"),
-                avg_power: Watts(n.power_sum / n.power_samples.max(1) as f64),
-                final_ceiling: n.budget.ceiling(),
-                app: n.app,
-            })
-            .collect();
-        Ok(ClusterOutcome {
-            policy: self.policy.name().to_string(),
-            nodes,
-            makespan,
-            peak_cluster_power: Watts(peak_cluster_power),
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::allocator::{DemandBased, StaticSplit};
-
-    #[test]
-    fn demo_cluster_completes_under_both_policies() {
-        for policy in [
-            Box::new(StaticSplit) as Box<dyn AllocatorPolicy>,
-            Box::new(DemandBased::default()),
-        ] {
-            let out = Cluster::new(ClusterConfig::demo(3), policy)
-                .unwrap()
-                .run()
-                .unwrap();
-            assert_eq!(out.nodes.len(), 4);
-            assert!(out.makespan.value() > 10.0);
-            // Epoch-average cluster power stays within the budget (small
-            // enforcement slack allowed).
-            assert!(
-                out.peak_cluster_power.value() <= 420.0 * 1.05,
-                "{}: peak {:?}",
-                out.policy,
-                out.peak_cluster_power
-            );
-        }
-    }
-
-    #[test]
-    fn demand_based_beats_static_split_on_the_hungry_node() {
-        let static_out = Cluster::new(ClusterConfig::demo(7), Box::new(StaticSplit))
-            .unwrap()
-            .run()
-            .unwrap();
-        let demand_out = Cluster::new(ClusterConfig::demo(7), Box::new(DemandBased::default()))
-            .unwrap()
-            .run()
-            .unwrap();
-        // HPL is node 0 and is the budget-hungry job: demand-based
-        // allocation must speed it up.
-        let hpl_static = static_out.nodes[0].exec_time.value();
-        let hpl_demand = demand_out.nodes[0].exec_time.value();
-        assert!(
-            hpl_demand < hpl_static * 0.99,
-            "HPL: static {hpl_static:.1}s vs demand {hpl_demand:.1}s"
-        );
-        // And the whole mix should not get worse.
-        assert!(demand_out.makespan.value() <= static_out.makespan.value() * 1.02);
-    }
-
-    #[test]
-    fn job_queues_run_back_to_back_and_donate_when_drained() {
-        // Node 0 runs two short jobs in sequence; node 1 runs one long one.
-        let cfg = ClusterConfig {
-            nodes: vec![
-                NodeSpec {
-                    queue: vec!["EP".into(), "MG".into()],
-                },
-                NodeSpec::single("HPL"),
-            ],
-            budget: Watts(220.0),
-            slowdown: Ratio::from_percent(10.0),
-            epoch: Duration::from_secs(1),
-            seed: 5,
-        };
-        let out = Cluster::new(cfg, Box::new(DemandBased::default()))
-            .unwrap()
-            .run()
-            .unwrap();
-        // The queued node takes at least the sum of both jobs' shortest
-        // possible times (EP ≈ 30 s + MG ≈ 30 s).
-        assert!(
-            out.nodes[0].exec_time.value() > 55.0,
-            "queue ran too fast: {:?}",
-            out.nodes[0].exec_time
-        );
-        assert_eq!(out.nodes[0].app, "EP+MG");
-        // HPL finishes first here; once it drains, its budget flows to the
-        // still-running queue node, whose final ceiling reflects that.
-        assert!(
-            out.nodes[0].final_ceiling >= Watts(100.0),
-            "{:?}",
-            out.nodes[0]
-        );
-    }
 
     #[test]
     fn validation_names_the_offending_field() {
-        for bad in [0.0, -50.0, f64::NAN, f64::INFINITY] {
+        // 100 W and 250 W cannot fund the demo's four 65 W floors.
+        for bad in [0.0, -50.0, f64::NAN, f64::INFINITY, 100.0, 250.0] {
             let mut cfg = ClusterConfig::demo(1);
             cfg.budget = Watts(bad);
             let err = cfg.validate().unwrap_err();
@@ -402,6 +139,9 @@ mod tests {
                 "{bad}: {err:?}"
             );
         }
+        let mut cfg = ClusterConfig::demo(1);
+        cfg.budget = Watts(260.0);
+        assert!(cfg.validate().is_ok(), "exactly the floors is fundable");
         let mut cfg = ClusterConfig::demo(1);
         cfg.slowdown = Ratio(1.5);
         assert!(matches!(
@@ -429,7 +169,10 @@ mod tests {
             epoch: Duration::from_secs(1),
             seed: 1,
         };
-        assert!(Cluster::new(cfg, Box::new(StaticSplit)).is_err());
+        assert!(matches!(
+            cfg.validate().unwrap_err(),
+            Error::InvalidValue { what: "nodes", .. }
+        ));
     }
 
     #[test]
@@ -441,6 +184,9 @@ mod tests {
             epoch: Duration::from_secs(1),
             seed: 1,
         };
-        assert!(Cluster::new(cfg, Box::new(StaticSplit)).is_err());
+        assert!(matches!(
+            cfg.validate().unwrap_err(),
+            Error::InvalidValue { what: "nodes", .. }
+        ));
     }
 }

@@ -15,7 +15,8 @@
 //! rate(cap) = peak_rate · ((cap − idle) / (tdp − idle))^α ,  α ≈ 0.7
 //! ```
 
-use dufp_types::{Error, Result, Seconds, Watts};
+use dufp_types::check::positive;
+use dufp_types::{Result, Seconds, Watts};
 use serde::{Deserialize, Serialize};
 
 /// Static description of a GPU device.
@@ -64,9 +65,7 @@ pub struct GpuSim {
 impl GpuSim {
     /// Starts a job of `work_units` on a board at its TDP limit.
     pub fn new(spec: GpuSpec, work_units: f64) -> Result<Self> {
-        if work_units <= 0.0 || !work_units.is_finite() {
-            return Err(Error::invalid("work_units", format!("{work_units}")));
-        }
+        positive("work_units", work_units)?;
         Ok(GpuSim {
             limit: spec.tdp,
             spec,

@@ -3,8 +3,8 @@
 //! GPU, can we benefit from dynamic power capping to reduce the budget of
 //! the CPU when it does not need it and increase the GPU power budget?"*
 //!
-//! One simulated CPU socket runs an application under an unmodified DUFP
-//! instance (behind a [`crate::budget::BudgetedCapper`]); one
+//! One [`DufpNode`] runs the CPU application under an unmodified DUFP
+//! instance behind a [`crate::budget::BudgetedCapper`]; one
 //! [`crate::gpu::GpuSim`] runs a GPU job under an NVML-style power limit.
 //! Every epoch a coordinator re-splits the shared budget:
 //!
@@ -12,16 +12,12 @@
 //! * **donate** — the CPU keeps `consumption + margin` (whatever DUFP's
 //!   capping left it actually using); everything else goes to the GPU.
 
-use crate::budget::{BudgetedCapper, NodeBudget};
 use crate::gpu::{GpuSim, GpuSpec};
-use dufp_control::{Actuators, ControlConfig, Controller, Dufp, HwActuators};
-use dufp_counters::{Sampler, Telemetry};
-use dufp_rapl::MsrRapl;
-use dufp_sim::{Machine, SimConfig};
-use dufp_types::{Duration, Error, Ratio, Result, Seconds, SocketId, Watts};
-use dufp_workloads::{apps, MaterializeCtx};
+use crate::node::{DufpNode, INTERVAL};
+use dufp_telemetry::Telemetry;
+use dufp_types::check::{finite, fraction, positive};
+use dufp_types::{Duration, Error, Ratio, Result, Seconds, Watts};
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
 
 /// How the shared budget is split each epoch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -67,6 +63,32 @@ impl HeteroConfig {
             seed,
         }
     }
+
+    /// Rejects experiments no node can run — a budget that is not finite
+    /// or cannot fund the GPU's minimum limit plus the CPU's cap floor, a
+    /// non-positive or non-finite GPU job, a zero-length epoch, a
+    /// slowdown outside [0, 1) — with a typed [`Error::InvalidValue`]
+    /// naming the offending field.
+    pub fn validate(&self) -> Result<()> {
+        finite("budget", self.budget.value())?;
+        let floor = self.gpu.min_limit + DufpNode::cap_floor();
+        if self.budget < floor {
+            return Err(Error::invalid(
+                "budget",
+                format!(
+                    "{} W cannot fund the GPU's {} W minimum limit plus the CPU's {} W cap floor",
+                    self.budget.value(),
+                    self.gpu.min_limit.value(),
+                    DufpNode::cap_floor().value()
+                ),
+            ));
+        }
+        positive("gpu_work", self.gpu_work)?;
+        if self.epoch.as_micros() == 0 {
+            return Err(Error::invalid("epoch", "zero coordinator epoch"));
+        }
+        fraction("slowdown", self.slowdown.value())
+    }
 }
 
 /// Outcome of one heterogeneous run.
@@ -86,74 +108,37 @@ pub struct HeteroOutcome {
 
 /// Runs the experiment under `policy`.
 pub fn run_hetero(cfg: &HeteroConfig, policy: SharePolicy) -> Result<HeteroOutcome> {
-    let sim = SimConfig::yeti_single_socket(cfg.seed);
-    let arch = sim.arch.clone();
-    let ctx = MaterializeCtx::from_arch(&arch);
-    let machine = Arc::new(Machine::new(sim));
-    machine.load_all(&apps::by_name(&cfg.cpu_app, &ctx)?);
+    cfg.validate()?;
+    let pl1 = DufpNode::pl1();
 
     // Static split: CPU gets PL1's share of the budget (or everything the
     // GPU cannot use).
-    let gpu_static = (cfg.budget - arch.pl1_default).clamp(cfg.gpu.min_limit, cfg.gpu.tdp);
+    let gpu_static = (cfg.budget - pl1).clamp(cfg.gpu.min_limit, cfg.gpu.tdp);
     let cpu_initial = cfg.budget - gpu_static;
-
-    let budget = NodeBudget::new(cpu_initial);
-    let capper = Arc::new(BudgetedCapper::new(
-        MsrRapl::new(Arc::clone(&machine), 1, arch.cores_per_socket as usize)?,
-        Arc::clone(&budget),
-    ));
-    let control_cfg = ControlConfig::from_arch(&arch, cfg.slowdown)?;
-    let mut actuators = HwActuators::new(
-        Arc::clone(&machine),
-        Arc::clone(&capper),
-        SocketId(0),
-        0,
-        control_cfg.clone(),
-    )?;
-    actuators.reset_cap()?;
-    let mut controller = Dufp::new(control_cfg.clone());
-    let mut sampler = Sampler::new();
-    sampler.sample(machine.as_ref(), SocketId(0))?;
+    let queue = std::slice::from_ref(&cfg.cpu_app);
+    let tel = Telemetry::disabled();
+    let mut cpu = DufpNode::new(cfg.seed, queue, cfg.slowdown, cpu_initial, &tel)?;
 
     let mut gpu = GpuSim::new(cfg.gpu, cfg.gpu_work)?;
     gpu.set_power_limit(gpu_static);
 
-    let interval = Duration::from_millis(200);
-    let tick = machine.config().tick;
-    let ticks_per_interval = (interval.as_micros() / tick.as_micros()).max(1);
-    let intervals_per_epoch = (cfg.epoch.as_micros() / interval.as_micros()).max(1);
+    let (ticks, tick) = cpu.ticks();
+    let intervals_per_epoch = (cfg.epoch.as_micros() / INTERVAL.as_micros()).max(1);
+    let epoch_secs = cfg.epoch.as_seconds().value();
 
-    let mut elapsed = Seconds(0.0);
-    let mut intervals = 0u64;
-    let mut cpu_done_at: Option<Seconds> = None;
     let mut gpu_done_at: Option<Seconds> = None;
-    let mut epoch_energy_start = 0.0;
     let mut peak_combined = 0.0f64;
     let mut gpu_limit_sum = 0.0;
     let mut gpu_limit_samples = 0u64;
     let mut prev_cpu_ceiling = cpu_initial.value();
 
-    while cpu_done_at.is_none() || gpu_done_at.is_none() {
-        for _ in 0..ticks_per_interval {
-            machine.tick();
-            gpu.tick(tick.as_seconds());
-        }
-        elapsed += interval.as_seconds();
-        intervals += 1;
-        if elapsed.value() > 3600.0 {
-            return Err(Error::Precondition("hetero run exceeded 1 h".into()));
-        }
-
-        if cpu_done_at.is_none() && machine.done() {
-            cpu_done_at = Some(elapsed);
+    while cpu.finished_at().is_none() || gpu_done_at.is_none() {
+        cpu.step()?;
+        for _ in 0..ticks {
+            gpu.tick(tick);
         }
         if gpu_done_at.is_none() && gpu.done() {
-            gpu_done_at = Some(elapsed);
-        }
-        if let Some(m) = sampler.sample(machine.as_ref(), SocketId(0))? {
-            if cpu_done_at.is_none() {
-                controller.on_interval(&m, &mut actuators)?;
-            }
+            gpu_done_at = Some(cpu.elapsed());
         }
         if gpu_done_at.is_none() {
             gpu_limit_sum += gpu.power_limit().value();
@@ -161,11 +146,8 @@ pub fn run_hetero(cfg: &HeteroConfig, policy: SharePolicy) -> Result<HeteroOutco
         }
 
         // Coordinator epoch.
-        if intervals.is_multiple_of(intervals_per_epoch) {
-            let snap = machine.sample(SocketId(0))?;
-            let epoch_secs = cfg.epoch.as_seconds().value();
-            let cpu_power = (snap.pkg_energy.value() - epoch_energy_start) / epoch_secs;
-            epoch_energy_start = snap.pkg_energy.value();
+        if cpu.intervals().is_multiple_of(intervals_per_epoch) {
+            let cpu_power = cpu.consumption(epoch_secs)?.value();
             peak_combined = peak_combined.max(cpu_power + gpu.power().value());
 
             if policy == SharePolicy::Donate {
@@ -175,19 +157,19 @@ pub fn run_hetero(cfg: &HeteroConfig, policy: SharePolicy) -> Result<HeteroOutco
                 // down (every reset would land on the squeezed ceiling and
                 // probing headroom would vanish).
                 let margin = 15.0;
-                let demand = if cpu_done_at.is_some() {
+                let demand = if cpu.finished_at().is_some() {
                     cpu_power + margin
                 } else {
-                    (cpu_power + margin).min(arch.pl1_default.value())
+                    (cpu_power + margin).min(pl1.value())
                 };
                 let cpu_share = demand.max(prev_cpu_ceiling * 0.93);
                 let gpu_share = (cfg.budget.value() - cpu_share)
                     .clamp(cfg.gpu.min_limit.value(), cfg.gpu.tdp.value());
                 // Whatever the GPU cannot absorb flows back to the CPU.
-                let cpu_ceiling = (cfg.budget.value() - gpu_share).max(65.0);
+                let cpu_ceiling =
+                    (cfg.budget.value() - gpu_share).max(DufpNode::cap_floor().value());
                 prev_cpu_ceiling = cpu_ceiling;
-                budget.set_ceiling(Watts(cpu_ceiling));
-                capper.enforce_ceiling(SocketId(0))?;
+                cpu.set_ceiling(Watts(cpu_ceiling))?;
                 gpu.set_power_limit(Watts(gpu_share));
             }
         }
@@ -195,7 +177,7 @@ pub fn run_hetero(cfg: &HeteroConfig, policy: SharePolicy) -> Result<HeteroOutco
 
     Ok(HeteroOutcome {
         policy,
-        cpu_time: cpu_done_at.expect("cpu finished"),
+        cpu_time: cpu.finished_at().expect("cpu finished"),
         gpu_time: gpu_done_at.expect("gpu finished"),
         avg_gpu_limit: Watts(gpu_limit_sum / gpu_limit_samples.max(1) as f64),
         peak_combined_power: Watts(peak_combined),
@@ -218,6 +200,53 @@ mod tests {
                 out.peak_combined_power
             );
         }
+    }
+
+    #[test]
+    fn validation_names_the_offending_field() {
+        // The demo's floor is the V100's 100 W minimum plus the 65 W CPU
+        // cap floor.
+        for bad in [f64::NAN, 0.0, -5.0, 100.0, 150.0] {
+            let mut cfg = HeteroConfig::demo(1);
+            cfg.budget = Watts(bad);
+            let err = run_hetero(&cfg, SharePolicy::Static).unwrap_err();
+            assert!(
+                matches!(err, Error::InvalidValue { what: "budget", .. }),
+                "{bad} W: {err:?}"
+            );
+        }
+        let mut cfg = HeteroConfig::demo(1);
+        cfg.budget = Watts(165.0);
+        assert!(cfg.validate().is_ok(), "exactly the floors is fundable");
+        for bad in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let mut cfg = HeteroConfig::demo(1);
+            cfg.gpu_work = bad;
+            assert!(matches!(
+                cfg.validate().unwrap_err(),
+                Error::InvalidValue {
+                    what: "gpu_work",
+                    ..
+                }
+            ));
+        }
+        let mut cfg = HeteroConfig::demo(1);
+        cfg.epoch = Duration::from_secs(0);
+        assert!(matches!(
+            cfg.validate().unwrap_err(),
+            Error::InvalidValue { what: "epoch", .. }
+        ));
+        for bad in [1.0, -0.1, f64::NAN] {
+            let mut cfg = HeteroConfig::demo(1);
+            cfg.slowdown = Ratio(bad);
+            assert!(matches!(
+                cfg.validate().unwrap_err(),
+                Error::InvalidValue {
+                    what: "slowdown",
+                    ..
+                }
+            ));
+        }
+        assert!(HeteroConfig::demo(1).validate().is_ok());
     }
 
     #[test]

@@ -13,8 +13,12 @@
 //! * [`allocator`] — allocation policies: static even split, and a
 //!   demand-based policy that moves watts from nodes with headroom to
 //!   nodes riding their ceiling,
-//! * [`cluster`] — the cluster simulation: one simulated node (socket) per
-//!   job, per-node DUFP instances, a global allocator epoch,
+//! * [`node`] — the budgeted DUFP node: one simulated socket running a job
+//!   queue under DUFP behind a [`BudgetedCapper`], assembled once for the
+//!   in-process cluster, the heterogeneous node and the TCP agent,
+//! * [`cluster`] — a cluster experiment's configuration and outcome; the
+//!   run loop over its nodes is `dufp_net::run_cluster`, which drives the
+//!   allocator through the coordinator's own `FleetCore`,
 //! * [`gpu`] / [`hetero`] — the §VII future-work question: a power-capped
 //!   GPU model and a CPU+GPU shared-budget coordinator that donates the
 //!   watts DUFP frees on the CPU to the GPU.
@@ -27,9 +31,11 @@ pub mod budget;
 pub mod cluster;
 pub mod gpu;
 pub mod hetero;
+pub mod node;
 
 pub use allocator::{AllocatorPolicy, DemandBased, StaticSplit};
 pub use budget::{BudgetedCapper, NodeBudget};
-pub use cluster::{Cluster, ClusterConfig, ClusterOutcome, NodeSpec};
+pub use cluster::{ClusterConfig, ClusterOutcome, NodeOutcome, NodeSpec};
 pub use gpu::{GpuSim, GpuSpec};
 pub use hetero::{run_hetero, HeteroConfig, HeteroOutcome, SharePolicy};
+pub use node::{DufpNode, NodeCapper};

@@ -1,5 +1,6 @@
 //! Controller configuration.
 
+use dufp_types::check::{finite, fraction, positive};
 use dufp_types::{ArchSpec, Duration, Error, Hertz, Ratio, Result, Watts};
 use serde::{Deserialize, Serialize};
 
@@ -65,25 +66,6 @@ pub struct ControlConfig {
     pub cumulative_guard: bool,
 }
 
-/// A finite `f64`, or a typed error naming the offending field.
-fn finite(name: &'static str, v: f64) -> Result<()> {
-    if v.is_finite() {
-        Ok(())
-    } else {
-        Err(Error::invalid(name, format!("{v} is not finite")))
-    }
-}
-
-/// A finite, strictly positive `f64`.
-fn positive(name: &'static str, v: f64) -> Result<()> {
-    finite(name, v)?;
-    if v > 0.0 {
-        Ok(())
-    } else {
-        Err(Error::invalid(name, format!("{v} must be positive")))
-    }
-}
-
 impl ControlConfig {
     /// The paper's configuration for `arch` at the given tolerated
     /// slowdown.
@@ -123,20 +105,8 @@ impl ControlConfig {
     /// [`ControlConfig::from_arch`] and by anything deserializing a config
     /// from user input.
     pub fn validate(&self) -> Result<()> {
-        finite("slowdown", self.slowdown.value())?;
-        if !(0.0..1.0).contains(&self.slowdown.value()) {
-            return Err(Error::invalid(
-                "slowdown",
-                format!("{} must be within [0, 1)", self.slowdown.value()),
-            ));
-        }
-        finite("epsilon", self.epsilon.value())?;
-        if !(0.0..1.0).contains(&self.epsilon.value()) {
-            return Err(Error::invalid(
-                "epsilon",
-                format!("{} must be within [0, 1)", self.epsilon.value()),
-            ));
-        }
+        fraction("slowdown", self.slowdown.value())?;
+        fraction("epsilon", self.epsilon.value())?;
         if self.interval.as_micros() == 0 {
             return Err(Error::invalid("interval", "zero monitoring interval"));
         }

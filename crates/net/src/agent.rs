@@ -1,6 +1,6 @@
-//! The node agent: a simulated single-socket machine running DUFP under a
-//! [`BudgetedCapper`], reporting demand to the coordinator and enforcing
-//! the ceilings it grants.
+//! The node agent: a [`DufpNode`] — a simulated single-socket machine
+//! running DUFP under a [`dufp_cluster::BudgetedCapper`] — reporting
+//! demand to the coordinator and enforcing the ceilings it grants.
 //!
 //! Its protocol decisions live in [`AgentCore`], a transport-free state
 //! machine the chaos fleet ([`crate::chaos`]) drives too, so the soak and
@@ -11,9 +11,10 @@
 //! unreachable — at startup or mid-run — it never runs above its safe
 //! local static cap ([`crate::AgentConfig::safe_cap`]), records a
 //! `CoordinatorLost` decision, keeps running its job queue, and retries
-//! the connection from its control loop. The hardware actuators sit
-//! inside a [`SafeStateGuard`], so however the agent exits — drain, crash
-//! switch, Ctrl-C — the socket's platform defaults are restored.
+//! the connection from its control loop. The node's actuators sit inside
+//! a [`dufp_control::SafeStateGuard`], so however the agent exits —
+//! drain, crash switch, Ctrl-C — the socket's platform defaults are
+//! restored.
 //!
 //! A test-only crash switch ([`Agent::with_crash_switch`]) makes the agent
 //! die the way SIGKILL would: the socket is torn down with no Goodbye and
@@ -22,14 +23,9 @@
 
 use crate::config::AgentConfig;
 use crate::wire::{Frame, GrantKind};
-use dufp_cluster::budget::{BudgetedCapper, NodeBudget};
-use dufp_control::{Actuators, ControlConfig, Controller, Dufp, HwActuators, SafeStateGuard};
-use dufp_counters::{Sampler, Telemetry as CounterSource};
-use dufp_rapl::MsrRapl;
-use dufp_sim::{Machine, SimConfig};
+use dufp_cluster::node::{DufpNode, NodeCapper, INTERVAL};
 use dufp_telemetry::{Actuator, DecisionEvent, Reason, Telemetry, TelemetryReport};
-use dufp_types::{shutdown, Duration, Error, Result, Seconds, SocketId, Watts};
-use dufp_workloads::{apps, MaterializeCtx};
+use dufp_types::{shutdown, Error, Result, Seconds, SocketId, Watts};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::io::Write as _;
@@ -37,9 +33,6 @@ use std::net::{Shutdown, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
-
-/// The budget-enforcing RAPL stack under the agent's actuators.
-type NodeCapper = Arc<BudgetedCapper<MsrRapl<Arc<Machine>>>>;
 
 /// What one agent run produced.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -243,7 +236,6 @@ enum LinkEnd {
 
 /// Coordinator-link state shared with the grant-reader thread.
 struct Link {
-    budget: Arc<NodeBudget>,
     capper: NodeCapper,
     /// How the current session ended, once it has. A Goodbye or Handover
     /// the reader saw outranks a loss the write path flagged.
@@ -267,8 +259,7 @@ impl Link {
         let old = core.on_link(false, tick).unwrap_or(core.ceiling());
         let new = core.ceiling();
         drop(core);
-        self.budget.set_ceiling(new);
-        self.capper.enforce_ceiling(SocketId(0))?;
+        self.capper.set_ceiling(SocketId(0), new)?;
         Ok((old, new))
     }
 
@@ -407,43 +398,12 @@ impl Agent {
         let tel = self.tel;
         let crash_switch = self.crash;
 
-        // -- Node rig: the same stack crates/cluster assembles in-process.
-        let sim = SimConfig::yeti_single_socket(cfg.seed);
-        let arch = sim.arch.clone();
-        let ctx = MaterializeCtx::from_arch(&arch);
-        let machine = Arc::new(Machine::new(sim));
-        let mut jobs = cfg
-            .queue
-            .iter()
-            .map(|app| apps::by_name(app, &ctx))
-            .collect::<Result<Vec<_>>>()?;
-        machine.load_all(&jobs.remove(0));
-        jobs.reverse(); // pop() yields the next job in order
-
-        // Until the first grant lands the node self-enforces its safe cap.
-        let budget = NodeBudget::try_new(cfg.safe_cap)?;
-        let capper: NodeCapper = Arc::new(BudgetedCapper::new(
-            MsrRapl::new(Arc::clone(&machine), 1, arch.cores_per_socket as usize)?,
-            Arc::clone(&budget),
-        ));
-        let control_cfg = ControlConfig::from_arch(&arch, cfg.slowdown)?;
-        let floor = control_cfg.cap_floor;
-        let mut actuators = HwActuators::new(
-            Arc::clone(&machine),
-            Arc::clone(&capper),
-            SocketId(0),
-            0,
-            control_cfg.clone(),
-        )?;
-        actuators.reset_cap()?;
-        let mut guard = SafeStateGuard::new(actuators).with_telemetry(tel.for_socket(0));
-        let mut controller = Dufp::new(control_cfg).with_telemetry(tel.for_socket(0));
-        let mut sampler = Sampler::new();
-        sampler.sample(machine.as_ref(), SocketId(0))?;
+        // -- Node rig. Until the first grant lands the node self-enforces
+        // its safe cap.
+        let mut node = DufpNode::new(cfg.seed, &cfg.queue, cfg.slowdown, cfg.safe_cap, &tel)?;
 
         let link = Arc::new(Link {
-            budget: Arc::clone(&budget),
-            capper: Arc::clone(&capper),
+            capper: Arc::clone(node.capper()),
             end: Mutex::new(None),
             // No grace: the reader notices loss on EOF, so the fallback
             // applies the moment the control loop sees it.
@@ -458,7 +418,7 @@ impl Agent {
         // resurrected stale primary on contact.
         let make_hello = |link: &Link| Frame::Hello {
             node: cfg.node.clone(),
-            floor,
+            floor: DufpNode::cap_floor(),
             node_max: cfg.node_max,
             app: cfg.queue.join("+"),
             term: link.core.lock().max_term(),
@@ -479,18 +439,9 @@ impl Agent {
             tel.record_decision(lost);
         }
 
-        // -- Control loop (mirrors crates/cluster's interval loop).
-        let interval = Duration::from_millis(200);
-        let tick = machine.config().tick;
-        let ticks_per_interval = (interval.as_micros() / tick.as_micros()).max(1);
-        let report_period = cfg.report_intervals as f64 * interval.as_seconds().value();
-        let mut elapsed = Seconds(0.0);
-        let mut intervals: u64 = 0;
+        // -- Control loop: one node interval, then the coordinator link.
+        let report_period = cfg.report_intervals as f64 * INTERVAL.as_seconds().value();
         let mut reports_sent: u64 = 0;
-        let mut finished_at: Option<Seconds> = None;
-        let mut power_sum = 0.0;
-        let mut power_samples: u64 = 0;
-        let mut last_report_energy = machine.sample(SocketId(0))?.pkg_energy.value();
         let mut crashed = false;
 
         loop {
@@ -510,43 +461,17 @@ impl Agent {
                 break;
             }
 
-            // Advance the machine one monitoring interval.
-            for _ in 0..ticks_per_interval {
-                machine.tick();
-            }
-            elapsed += interval.as_seconds();
-            intervals += 1;
-            if elapsed.value() > 3600.0 {
-                return Err(Error::Precondition("agent run exceeded 1 h".into()));
-            }
-
-            // Node-local DUFP decision; a drained machine pulls the next
-            // queued job.
-            if finished_at.is_none() && machine.done() {
-                match jobs.pop() {
-                    Some(next) => machine.load_all(&next),
-                    None => finished_at = Some(elapsed),
-                }
-            }
-            if let Some(m) = sampler.sample(machine.as_ref(), SocketId(0))? {
-                power_sum += m.pkg_power.value();
-                power_samples += 1;
-                if finished_at.is_none() {
-                    controller.on_interval(&m, &mut *guard)?;
-                }
-            }
+            node.step()?;
+            let intervals = node.intervals();
 
             // Demand report (doubles as the heartbeat).
             if intervals.is_multiple_of(cfg.report_intervals as u64) {
                 if let Some(s) = stream.as_mut() {
-                    let snap = machine.sample(SocketId(0))?;
-                    let consumed = snap.pkg_energy.value() - last_report_energy;
-                    last_report_energy = snap.pkg_energy.value();
                     let frame = Frame::DemandReport {
                         seq: link.core.lock().next_report_seq(),
-                        ceiling: budget.ceiling(),
-                        consumption: Watts(consumed / report_period),
-                        active: finished_at.is_none(),
+                        ceiling: node.ceiling(),
+                        consumption: node.consumption(report_period)?,
+                        active: node.finished_at().is_none(),
                     };
                     match frame.write_to(s).and_then(|()| Ok(s.flush()?)) {
                         Ok(()) => reports_sent += 1,
@@ -608,7 +533,7 @@ impl Agent {
                 }
             }
 
-            if finished_at.is_some() {
+            if node.finished_at().is_some() {
                 break;
             }
             if cfg.max_intervals.is_some_and(|max| intervals >= max) {
@@ -625,7 +550,7 @@ impl Agent {
             if let Some(mut s) = stream.take() {
                 let bye = Frame::DemandReport {
                     seq: link.core.lock().next_report_seq(),
-                    ceiling: budget.ceiling(),
+                    ceiling: node.ceiling(),
                     consumption: Watts::ZERO,
                     active: false,
                 };
@@ -638,16 +563,18 @@ impl Agent {
         for h in readers {
             let _ = h.join();
         }
-        let final_ceiling = budget.ceiling();
-        drop(guard); // restore platform defaults before reporting
+        let final_ceiling = node.ceiling();
+        let (exec_time, avg_power, intervals) =
+            (node.finished_at(), node.avg_power(), node.intervals());
+        drop(node); // restore platform defaults before reporting
         let core = link.core.lock();
 
         Ok(AgentOutcome {
             node: cfg.node,
             app: cfg.queue.join("+"),
-            completed: finished_at.is_some(),
-            exec_time: finished_at,
-            avg_power: Watts(power_sum / power_samples.max(1) as f64),
+            completed: exec_time.is_some(),
+            exec_time,
+            avg_power,
             final_ceiling,
             intervals,
             reports_sent,
@@ -717,9 +644,8 @@ fn reader_loop(mut stream: TcpStream, link: Arc<Link>) {
                         continue;
                     }
                     GrantVerdict::Apply => {
-                        let old = link.budget.ceiling();
-                        link.budget.set_ceiling(ceiling);
-                        if link.capper.enforce_ceiling(SocketId(0)).is_err() {
+                        let old = link.capper.budget().ceiling();
+                        if link.capper.set_ceiling(SocketId(0), ceiling).is_err() {
                             link.tel.counter("enforce_failures_total").inc();
                         }
                         core.commit(term, epoch, ceiling);

@@ -1,28 +1,10 @@
 //! Coordinator and agent configuration, with the same typed field-naming
 //! validation [`dufp_control::ControlConfig::validate`] established.
 
+use dufp_types::check::{fraction, positive};
 use dufp_types::{Error, Ratio, Result, Watts};
 use std::path::PathBuf;
 use std::time::Duration;
-
-/// A finite `f64`, or a typed error naming the offending field.
-fn finite(name: &'static str, v: f64) -> Result<()> {
-    if v.is_finite() {
-        Ok(())
-    } else {
-        Err(Error::invalid(name, format!("{v} is not finite")))
-    }
-}
-
-/// A finite, strictly positive `f64`.
-fn positive(name: &'static str, v: f64) -> Result<()> {
-    finite(name, v)?;
-    if v > 0.0 {
-        Ok(())
-    } else {
-        Err(Error::invalid(name, format!("{v} must be positive")))
-    }
-}
 
 /// Which allocation policy the coordinator runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -250,13 +232,7 @@ impl AgentConfig {
         if self.queue.is_empty() || self.queue.iter().any(String::is_empty) {
             return Err(Error::invalid("queue", "empty application queue"));
         }
-        finite("slowdown", self.slowdown.value())?;
-        if !(0.0..1.0).contains(&self.slowdown.value()) {
-            return Err(Error::invalid(
-                "slowdown",
-                format!("{} must be within [0, 1)", self.slowdown.value()),
-            ));
-        }
+        fraction("slowdown", self.slowdown.value())?;
         positive("safe_cap", self.safe_cap.value())?;
         positive("node_max", self.node_max.value())?;
         if self.safe_cap > self.node_max {

@@ -1,14 +1,16 @@
 //! `dufp-net`: the networked fleet control plane.
 //!
-//! The in-process cluster simulation (`dufp-cluster`) proves the budget
-//! allocation policies; this crate runs the same policies over a real
-//! network boundary. A [`Coordinator`] owns the global power budget and
-//! runs an [`dufp_cluster::allocator::AllocatorPolicy`] over live demand
-//! reports; each [`Agent`] wraps a node-local simulated machine and DUFP
-//! controller behind a [`dufp_cluster::budget::BudgetedCapper`] enforcing
-//! the granted ceiling. Both sides keep their decisions in transport-free
-//! state machines — [`FleetCore`] for the coordinator, [`AgentCore`] for
-//! the agent — which the TCP shells and the [`chaos`] fleet share.
+//! `dufp-cluster` holds the budget allocation policies and the budgeted
+//! DUFP node ([`dufp_cluster::DufpNode`]); this crate runs them over a
+//! real network boundary and in process. A [`Coordinator`] owns the global
+//! power budget and runs an [`dufp_cluster::allocator::AllocatorPolicy`]
+//! over live demand reports; each [`Agent`] runs a `DufpNode`, whose
+//! [`dufp_cluster::budget::BudgetedCapper`] enforces the granted ceiling.
+//! Both sides keep their decisions in transport-free state machines —
+//! [`FleetCore`] for the coordinator, [`AgentCore`] for the agent — which
+//! the TCP shells and the [`chaos`] fleet share. [`FleetSim`] is the
+//! in-process fleet loop over `FleetCore` without a transport: the DUFP
+//! cluster ([`run_cluster`]) and the scenario engine are its models.
 //!
 //! Layering:
 //!
@@ -59,16 +61,19 @@
 
 pub mod agent;
 pub mod chaos;
+pub mod cluster;
 pub mod config;
 pub mod coordinator;
 pub mod core;
 pub mod fleet_journal;
+pub mod fleet_sim;
 pub mod netfault;
 pub mod vet;
 pub mod wire;
 
 pub use agent::{Agent, AgentCore, AgentOutcome, GrantVerdict};
 pub use chaos::{ChaosConfig, ChaosFleet, ScenarioScore, SCENARIOS};
+pub use cluster::run_cluster;
 pub use config::{AgentConfig, CoordinatorConfig, PolicyKind};
 pub use coordinator::{
     run_standby, Coordinator, FleetOutcome, NodeSummary, STANDBY_PROBE_FAILURES,
@@ -79,6 +84,7 @@ pub use core::{
 pub use fleet_journal::{
     journal_present, recover, FleetEvent, FleetJournal, Recovered, DEFAULT_FLEET_CHECKPOINT_EVERY,
 };
+pub use fleet_sim::{fleet_event, FleetModel, FleetPlan, FleetSim, FleetStats, NodeHello};
 pub use netfault::{Dir, NetFaultInjector, NetFaultOp, NetFaultPlan, NetFaultRule};
 pub use vet::{FrameVerdict, NodeVet, Trust, VetConfig};
 pub use wire::{Frame, FrameType, GrantKind, VERSION};

@@ -6,10 +6,12 @@
 //!   class, co-scheduling its tenants' weight-scaled phase tables,
 //! * the arrival model ([`crate::LoadProfile`]) modulates every node's
 //!   offered load over virtual time,
-//! * a [`dufp_net::FleetCore`] plays coordinator on the same virtual
-//!   clock: nodes report demand each allocator epoch, the core runs its
-//!   real allocator policy ([`dufp_net::PolicyKind`]) against the global
-//!   budget and its grants move the nodes' RAPL ceilings.
+//! * [`dufp_net::FleetSim`] runs the fleet as a [`dufp_net::FleetModel`]
+//!   and plays coordinator on the same virtual clock with a real
+//!   [`dufp_net::FleetCore`]: nodes report demand each allocator epoch,
+//!   the core runs its allocator policy ([`dufp_net::PolicyKind`])
+//!   against the global budget and its grants move the nodes' RAPL
+//!   ceilings.
 //!
 //! Everything is a pure function of `(spec, seed, policy)`: the scorecard
 //! JSON — and the decision trace — are byte-identical across reruns and
@@ -17,14 +19,14 @@
 
 use crate::arrival::{intensity_band, LoadProfile};
 use crate::spec::ScenarioSpec;
-use dufp_net::{CoordinatorConfig, FleetCore, Frame, GrantKind, PolicyKind};
+use dufp_cluster::allocator::NodeObservation;
+use dufp_net::{fleet_event, FleetModel, FleetPlan, FleetSim, FleetStats, NodeHello, PolicyKind};
 use dufp_sim::SharedSocketSim;
-use dufp_telemetry::{Actuator, DecisionEvent, Reason, Telemetry};
+use dufp_telemetry::{DecisionEvent, Reason, Telemetry};
 use dufp_types::{Error, Result, Seconds, Watts};
 use dufp_workloads::cache;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Physics sub-steps per control interval (finer than the 200 ms control
 /// cadence so cap-enforcer dynamics stay smooth).
@@ -170,94 +172,178 @@ pub struct RunResult {
 pub fn run_one(spec: &ScenarioSpec, seed: u64, policy: PolicyChoice) -> Result<RunResult> {
     spec.validate()?;
     let tel = Telemetry::enabled();
-    let dt = spec.interval_ms as f64 / 1000.0;
-    let intervals = (spec.duration_s / dt).ceil() as u64;
-    let sub_dt = Seconds(dt / f64::from(SUBSTEPS));
+    let plan = FleetPlan {
+        budget: Watts(spec.budget_w),
+        policy: policy.kind(),
+        interval_ms: spec.interval_ms,
+        epoch_intervals: u64::from(spec.epoch_intervals),
+    };
+    let fleet = ScenarioFleet::new(spec, seed, plan.policy.is_some())?;
+    let mut sim = FleetSim::new(fleet, plan, tel.clone())?;
+    let stats = sim.run()?;
+    Ok(RunResult {
+        row: sim.into_model().scorecard(seed, policy, stats),
+        events: tel.drain_events(),
+    })
+}
 
-    // Build the fleet: one shared socket per node, tenants weight-scaled.
-    let mut sims: Vec<SharedSocketSim> = Vec::with_capacity(spec.nodes.len());
-    let mut machines: Vec<String> = Vec::with_capacity(spec.nodes.len());
-    for node in &spec.nodes {
-        let class = spec
-            .class_of(node)
-            .expect("validated spec resolves machines");
-        let ctx = class.materialize_ctx();
-        let weights = ScenarioSpec::weights_of(node);
-        let mut tenants = Vec::with_capacity(node.tenants.len());
-        for (app, w) in node.tenants.iter().zip(&weights) {
-            let table = cache::shared_by_name(app, &ctx)?;
-            tenants.push((app.clone(), Arc::new(table.scaled(*w)?)));
+/// One scenario node: its shared socket and its accounting.
+struct Node {
+    sim: SharedSocketSim,
+    /// Machine-class id.
+    machine: String,
+    /// Current intensity band (`u8::MAX` before the first).
+    band: u8,
+    epoch_energy: f64,
+    energy: f64,
+    dram: f64,
+    /// SLO violations per tenant.
+    viol: Vec<u64>,
+}
+
+/// The scenario's co-tenant fleet under [`FleetSim`]: shared-socket
+/// physics, arrivals and SLO accounting.
+struct ScenarioFleet<'a> {
+    spec: &'a ScenarioSpec,
+    profile: LoadProfile,
+    nodes: Vec<Node>,
+    intervals: u64,
+    /// Interval length (s).
+    dt: f64,
+    conservation_ok: bool,
+}
+
+impl<'a> ScenarioFleet<'a> {
+    /// One shared socket per node, tenants weight-scaled. Capped nodes
+    /// start at their class floor (an agent enforces its floor until the
+    /// first grant).
+    fn new(spec: &'a ScenarioSpec, seed: u64, capped: bool) -> Result<Self> {
+        let mut nodes = Vec::with_capacity(spec.nodes.len());
+        for node in &spec.nodes {
+            let class = spec
+                .class_of(node)
+                .expect("validated spec resolves machines");
+            let ctx = class.materialize_ctx();
+            let weights = ScenarioSpec::weights_of(node);
+            let mut tenants = Vec::with_capacity(node.tenants.len());
+            for (app, w) in node.tenants.iter().zip(&weights) {
+                let table = cache::shared_by_name(app, &ctx)?;
+                tenants.push((app.clone(), Arc::new(table.scaled(*w)?)));
+            }
+            let mut sim = SharedSocketSim::new(class.shared_cfg(), tenants)?;
+            if capped {
+                sim.set_ceiling(sim.cfg().cap_floor);
+            }
+            nodes.push(Node {
+                sim,
+                machine: class.id.clone(),
+                band: u8::MAX,
+                epoch_energy: 0.0,
+                energy: 0.0,
+                dram: 0.0,
+                viol: vec![0; node.tenants.len()],
+            });
         }
-        sims.push(SharedSocketSim::new(class.shared_cfg(), tenants)?);
-        machines.push(class.id.clone());
+        let dt = spec.interval_ms as f64 / 1000.0;
+        Ok(ScenarioFleet {
+            spec,
+            profile: LoadProfile::new(&spec.arrival, seed, spec.duration_s),
+            nodes,
+            intervals: (spec.duration_s / dt).ceil() as u64,
+            dt,
+            conservation_ok: true,
+        })
     }
 
-    // The coordinator, when the policy caps at all. Nodes start at their
-    // class floor (an agent enforces its floor until the first grant).
-    let mut core = match policy.kind() {
-        None => None,
-        Some(kind) => {
-            let mut cfg = CoordinatorConfig::new("scenario:virtual", Watts(spec.budget_w))
-                .with_epoch(Duration::from_millis(
-                    spec.interval_ms * u64::from(spec.epoch_intervals),
-                ));
-            cfg.policy = kind;
-            cfg.floor = Watts(
-                sims.iter()
-                    .map(|s| s.cfg().cap_floor.value())
-                    .fold(f64::INFINITY, f64::min),
-            );
-            cfg.node_max = Watts(sims.iter().map(|s| s.cfg().pl1.value()).fold(0.0, f64::max));
-            cfg.validate()?;
-            let mut core = FleetCore::new(&cfg, Telemetry::disabled());
-            for (i, (node, sim)) in spec.nodes.iter().zip(&mut sims).enumerate() {
-                let floor = sim.cfg().cap_floor;
-                let pl1 = sim.cfg().pl1;
-                let slot = core.admit(node.id.clone(), node.tenants.join("+"), floor, pl1, 0)?;
-                debug_assert_eq!(slot, i, "slots are admission-ordered");
-                sim.set_ceiling(floor);
-            }
-            Some(core)
+    /// The run's scorecard (baseline fields are filled by [`run_rows`]).
+    fn scorecard(self, seed: u64, policy: PolicyChoice, stats: FleetStats) -> ScorecardRow {
+        let spec = self.spec;
+        let nodes: Vec<NodeScore> = (spec.nodes.iter().zip(self.nodes))
+            .map(|(node, n)| NodeScore {
+                node: node.id.clone(),
+                machine: n.machine,
+                energy_j: n.energy,
+                dram_energy_j: n.dram,
+                avg_power_w: n.energy / spec.duration_s.max(1e-9),
+                slo_violations: n.viol.iter().sum(),
+                tenants: (node.tenants.iter().zip(&n.viol).enumerate())
+                    .map(|(j, (app, &slo_violations))| {
+                        let acct = n.sim.account(j);
+                        TenantScore {
+                            tenant: app.clone(),
+                            energy_j: acct.energy_j,
+                            flops: acct.flops,
+                            offered_units: acct.offered_units,
+                            served_units: acct.served_units,
+                            slo_violations,
+                        }
+                    })
+                    .collect(),
+            })
+            .collect();
+        let fleet_energy_j: f64 = nodes.iter().map(|n| n.energy_j).sum();
+        let slo_violations: u64 = nodes.iter().map(|n| n.slo_violations).sum();
+        let slo_total = stats.intervals * spec.tenant_count() as u64;
+        ScorecardRow {
+            scenario: spec.name.clone(),
+            policy: policy.label().to_string(),
+            seed,
+            budget_w: spec.budget_w,
+            duration_s: spec.duration_s,
+            intervals: stats.intervals,
+            fleet_energy_j,
+            baseline_energy_j: fleet_energy_j,
+            energy_saved_pct: 0.0,
+            slo_violations,
+            slo_total,
+            slo_violation_pct: 100.0 * slo_violations as f64 / (slo_total as f64).max(1.0),
+            baseline_slo_violations: slo_violations,
+            grants: stats.raises,
+            shrinks: stats.shrinks,
+            conservation_ok: self.conservation_ok,
+            nodes,
         }
-    };
+    }
+}
 
-    let profile = LoadProfile::new(&spec.arrival, seed, spec.duration_s);
-    let mut bands: Vec<u8> = vec![u8::MAX; spec.nodes.len()];
-    let mut epoch_energy: Vec<f64> = vec![0.0; spec.nodes.len()];
-    let mut node_energy: Vec<f64> = vec![0.0; spec.nodes.len()];
-    let mut node_dram: Vec<f64> = vec![0.0; spec.nodes.len()];
-    let mut tenant_viol: Vec<Vec<u64>> = spec
-        .nodes
-        .iter()
-        .map(|n| vec![0u64; n.tenants.len()])
-        .collect();
-    let mut grants = 0u64;
-    let mut shrinks = 0u64;
-    let mut conservation_ok = true;
+impl FleetModel for ScenarioFleet<'_> {
+    fn hellos(&self) -> Vec<NodeHello> {
+        (self.spec.nodes.iter().zip(&self.nodes))
+            .map(|(node, n)| NodeHello {
+                name: node.id.clone(),
+                app: node.tenants.join("+"),
+                floor: n.sim.cfg().cap_floor,
+                node_max: n.sim.cfg().pl1,
+            })
+            .collect()
+    }
 
-    for tick in 0..intervals {
-        let t = tick as f64 * dt;
+    fn finished(&self, tick: u64) -> bool {
+        tick >= self.intervals
+    }
+
+    /// Three fleet-wide passes, in this order: arrivals, physics, SLO.
+    fn interval(&mut self, tick: u64, tel: &Telemetry) -> Result<()> {
+        let spec = self.spec;
+        let t = tick as f64 * self.dt;
         let now_ms = tick * spec.interval_ms;
+        let event = |i, old, new, why| fleet_event(tick, now_ms, i, old, new, why);
 
         // Arrival model → per-node offered load (+ IntensityShift events).
-        for (i, sim) in sims.iter_mut().enumerate() {
-            let v = profile.intensity(t, i as f64 * spec.arrival.node_stagger_s);
+        for (i, n) in self.nodes.iter_mut().enumerate() {
+            let v = self
+                .profile
+                .intensity(t, i as f64 * spec.arrival.node_stagger_s);
             let band = intensity_band(v);
-            if bands[i] != band {
-                if bands[i] != u8::MAX {
-                    tel.record_decision(event(
-                        tick,
-                        now_ms,
-                        i,
-                        f64::from(bands[i]),
-                        f64::from(band),
-                        Reason::IntensityShift,
-                    ));
+            if n.band != band {
+                if n.band != u8::MAX {
+                    let (old, new) = (f64::from(n.band), f64::from(band));
+                    tel.record_decision(event(i, old, new, Reason::IntensityShift));
                 }
-                bands[i] = band;
+                n.band = band;
             }
-            for j in 0..sim.tenant_count() {
-                sim.set_intensity(j, v);
+            for j in 0..n.sim.tenant_count() {
+                n.sim.set_intensity(j, v);
             }
             tel.gauge(&format!("scenario.node{i}.intensity")).set(v);
         }
@@ -266,130 +352,51 @@ pub fn run_one(spec: &ScenarioSpec, seed: u64, policy: PolicyChoice) -> Result<R
         // idle fixed points and falls back to the full (oracle) step the
         // moment any tenant has backlog or offered load, so the scenario
         // trace is bit-identical to per-step evaluation either way.
-        for (i, sim) in sims.iter_mut().enumerate() {
+        let sub_dt = Seconds(self.dt / f64::from(SUBSTEPS));
+        for n in &mut self.nodes {
             for _ in 0..SUBSTEPS {
-                let step = sim.step_fast(sub_dt);
+                let step = n.sim.step_fast(sub_dt);
                 let attributed: f64 = step.tenant_energy_j.iter().sum();
-                conservation_ok &= attributed == step.pkg_energy_j;
-                node_energy[i] += step.pkg_energy_j;
-                node_dram[i] += step.dram_energy_j;
-                epoch_energy[i] += step.pkg_energy_j;
+                self.conservation_ok &= attributed == step.pkg_energy_j;
+                n.energy += step.pkg_energy_j;
+                n.dram += step.dram_energy_j;
+                n.epoch_energy += step.pkg_energy_j;
             }
         }
 
         // SLO bookkeeping.
-        for (i, sim) in sims.iter().enumerate() {
-            for (j, viol) in tenant_viol[i].iter_mut().enumerate() {
-                let backlog = sim.backlog_seconds(j);
+        for (i, n) in self.nodes.iter_mut().enumerate() {
+            for (j, viol) in n.viol.iter_mut().enumerate() {
+                let backlog = n.sim.backlog_seconds(j);
                 tel.gauge(&format!("scenario.node{i}.tenant{j}.backlog_s"))
                     .set(backlog);
                 tel.gauge(&format!("scenario.node{i}.tenant{j}.energy_j"))
-                    .set(sim.account(j).energy_j);
+                    .set(n.sim.account(j).energy_j);
                 if backlog > spec.slo_backlog_s {
                     *viol += 1;
-                    tel.record_decision(event(
-                        tick,
-                        now_ms,
-                        i,
-                        backlog,
-                        spec.slo_backlog_s,
-                        Reason::SloViolation,
-                    ));
+                    let slo = spec.slo_backlog_s;
+                    tel.record_decision(event(i, backlog, slo, Reason::SloViolation));
                 }
             }
         }
-
-        // Allocator epoch: demand reports in, budget grants out.
-        if let Some(core) = core.as_mut() {
-            if (tick + 1) % u64::from(spec.epoch_intervals) == 0 {
-                let epoch_s = dt * f64::from(spec.epoch_intervals);
-                for (i, sim) in sims.iter().enumerate() {
-                    let avg = Watts(epoch_energy[i] / epoch_s);
-                    core.on_report(i, tick, sim.ceiling(), avg, sim.has_backlog(), now_ms);
-                    epoch_energy[i] = 0.0;
-                }
-                let step = core.epoch_once(now_ms);
-                for (slot, frame) in step.grants {
-                    if let Frame::BudgetGrant { ceiling, kind, .. } = frame {
-                        let old = sims[slot].ceiling();
-                        sims[slot].set_ceiling(ceiling);
-                        match kind {
-                            GrantKind::Raise => grants += 1,
-                            GrantKind::Shrink => shrinks += 1,
-                        }
-                        tel.record_decision(event(
-                            tick,
-                            now_ms,
-                            slot,
-                            old.value(),
-                            ceiling.value(),
-                            Reason::BudgetGrant,
-                        ));
-                    }
-                }
-            }
-        }
+        Ok(())
     }
 
-    // Assemble the scorecard.
-    let mut nodes = Vec::with_capacity(spec.nodes.len());
-    for (i, (node, sim)) in spec.nodes.iter().zip(&sims).enumerate() {
-        let mut tenants = Vec::with_capacity(node.tenants.len());
-        for (j, app) in node.tenants.iter().enumerate() {
-            let acct = sim.account(j);
-            tenants.push(TenantScore {
-                tenant: app.clone(),
-                energy_j: acct.energy_j,
-                flops: acct.flops,
-                offered_units: acct.offered_units,
-                served_units: acct.served_units,
-                slo_violations: tenant_viol[i][j],
-            });
-        }
-        nodes.push(NodeScore {
-            node: node.id.clone(),
-            machine: machines[i].clone(),
-            energy_j: node_energy[i],
-            dram_energy_j: node_dram[i],
-            avg_power_w: node_energy[i] / spec.duration_s.max(1e-9),
-            slo_violations: tenant_viol[i].iter().sum(),
-            tenants,
-        });
+    fn reports(&mut self) -> Result<Vec<NodeObservation>> {
+        let epoch_s = self.dt * f64::from(self.spec.epoch_intervals);
+        let report = |n: &mut Node| NodeObservation {
+            ceiling: n.sim.ceiling(),
+            consumption: Watts(std::mem::take(&mut n.epoch_energy) / epoch_s),
+            active: n.sim.has_backlog(),
+        };
+        Ok(self.nodes.iter_mut().map(report).collect())
     }
-    let fleet_energy_j: f64 = node_energy.iter().sum();
-    let slo_violations: u64 = nodes.iter().map(|n| n.slo_violations).sum();
-    let slo_total = intervals * spec.tenant_count() as u64;
-    let row = ScorecardRow {
-        scenario: spec.name.clone(),
-        policy: policy.label().to_string(),
-        seed,
-        budget_w: spec.budget_w,
-        duration_s: spec.duration_s,
-        intervals,
-        fleet_energy_j,
-        baseline_energy_j: fleet_energy_j,
-        energy_saved_pct: 0.0,
-        slo_violations,
-        slo_total,
-        slo_violation_pct: 100.0 * slo_violations as f64 / (slo_total as f64).max(1.0),
-        baseline_slo_violations: slo_violations,
-        grants,
-        shrinks,
-        conservation_ok,
-        nodes,
-    };
-    Ok(RunResult {
-        row,
-        events: tel.drain_events(),
-    })
-}
 
-/// A node's budget decision at `tick`, stamped with the scenario clock.
-fn event(tick: u64, now_ms: u64, node: usize, old: f64, new: f64, reason: Reason) -> DecisionEvent {
-    DecisionEvent {
-        at_us: now_ms * 1000,
-        socket: node as u16,
-        ..DecisionEvent::new(tick, Actuator::Budget, old, new, reason)
+    fn grant(&mut self, node: usize, ceiling: Watts) -> Result<Watts> {
+        let sim = &mut self.nodes[node].sim;
+        let old = sim.ceiling();
+        sim.set_ceiling(ceiling);
+        Ok(old)
     }
 }
 
@@ -466,6 +473,7 @@ pub fn to_jsonl_bytes(rows: &[ScorecardRow]) -> Result<Vec<u8>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dufp_telemetry::Actuator;
 
     fn mini() -> ScenarioSpec {
         ScenarioSpec::mini()

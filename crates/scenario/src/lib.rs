@@ -15,11 +15,12 @@
 //!   classes (including GPU-style nodes whose uncore transfer function is
 //!   nearly flat), nodes, co-tenant mixes and a global power budget, all
 //!   parsed from a TOML subset with line/field-level errors,
-//! * [`engine`] — the virtual-clock fleet run: per-node
-//!   [`dufp_sim::SharedSocketSim`] co-tenant physics, a real
-//!   [`dufp_net::FleetCore`] allocator redistributing the global budget
-//!   each epoch, and a fleet-wide energy-saved vs. SLO-violation
-//!   scorecard that is byte-identical for equal seeds.
+//! * [`engine`] — the virtual-clock fleet run, a [`dufp_net::FleetModel`]
+//!   under [`dufp_net::FleetSim`]: per-node [`dufp_sim::SharedSocketSim`]
+//!   co-tenant physics, a real [`dufp_net::FleetCore`] allocator
+//!   redistributing the global budget each epoch, and a fleet-wide
+//!   energy-saved vs. SLO-violation scorecard that is byte-identical for
+//!   equal seeds.
 
 #![warn(missing_docs)]
 

@@ -14,6 +14,7 @@
 #![warn(missing_docs)]
 
 pub mod arch;
+pub mod check;
 pub mod error;
 pub mod ids;
 pub mod shutdown;

@@ -126,11 +126,9 @@ fn dufpf_trace_shows_direct_frequency_descent() {
 
 #[test]
 fn cluster_composes_with_unmodified_dufp() {
-    use dufp_cluster::{Cluster, ClusterConfig, DemandBased};
-    let out = Cluster::new(ClusterConfig::demo(21), Box::new(DemandBased::default()))
-        .unwrap()
-        .run()
-        .unwrap();
+    use dufp_cluster::ClusterConfig;
+    use dufp_net::{run_cluster, PolicyKind};
+    let out = run_cluster(&ClusterConfig::demo(21), PolicyKind::DemandBased).unwrap();
     // Every node finished, consumed sane power, and the final allocations
     // still sum within the budget.
     let total_ceiling: f64 = out.nodes.iter().map(|n| n.final_ceiling.value()).sum();

@@ -1,16 +1,22 @@
-//! Golden regression for the datacenter scenario engine.
+//! Golden regression for the in-process fleet runs: the datacenter
+//! scenario engine, the DUFP cluster and the CPU+GPU node.
 //!
 //! `tests/golden/scenario_mini.toml` is a checked-in diurnal co-tenant
-//! scenario; the goldens pin two byte-exact artifacts of running it at a
-//! fixed seed:
+//! scenario; the goldens pin byte-exact artifacts of running it at a
+//! fixed seed, plus the cluster and heterogeneous-node outcomes:
 //!
 //! * `scenario_mini_trace.jsonl` — the demand-based policy's full
 //!   decision trace (intensity shifts, SLO violations, budget grants),
 //! * `scenario_mini_scorecard.jsonl` — the scorecard rows for all three
-//!   policies, exactly as `dufp scenario` would emit them.
+//!   policies, exactly as `dufp scenario` would emit them,
+//! * `cluster_demo.jsonl` — `ClusterOutcome` rows under static-split and
+//!   demand-based for four cluster configurations,
+//! * `hetero_demo.jsonl` — `HeteroOutcome` rows for two seeds under both
+//!   share policies.
 //!
-//! Any change to arrival-model sampling, co-tenant physics, allocator
-//! behavior or serialization shows up here as a byte diff. To bless new
+//! Any change to arrival-model sampling, co-tenant or node physics,
+//! DUFP, allocator behavior or serialization shows up here as a byte
+//! diff. To bless new
 //! behavior after an intentional change:
 //!
 //! ```text
@@ -19,8 +25,11 @@
 //!
 //! then review the regenerated files like any other diff.
 
+use dufp_cluster::{run_hetero, ClusterConfig, HeteroConfig, NodeSpec, SharePolicy};
+use dufp_net::{run_cluster, PolicyKind};
 use dufp_scenario::{run_one, run_rows, to_jsonl_bytes, PolicyChoice, ScenarioSpec};
 use dufp_telemetry::write_jsonl;
+use dufp_types::{Duration, Ratio, Watts};
 use std::path::{Path, PathBuf};
 
 const GOLDEN_SEED: u64 = 17;
@@ -92,4 +101,63 @@ fn scorecard_rows_match_golden() {
     let rows = run_rows(&spec, GOLDEN_SEED, &policies, 2).expect("golden rows");
     let bytes = to_jsonl_bytes(&rows).expect("serialize scorecard");
     check_golden("scenario_mini_scorecard.jsonl", &bytes);
+}
+
+/// Joins serialized rows as JSON Lines.
+fn jsonl(lines: Vec<String>) -> Vec<u8> {
+    lines
+        .into_iter()
+        .map(|l| l + "\n")
+        .collect::<String>()
+        .into_bytes()
+}
+
+/// The cluster configurations the golden pins: two demo seeds, the
+/// 400 W seed-11 comparison `cluster_budget --budget 400 --seed 11`
+/// prints, and a two-node queue that drains and donates.
+fn golden_clusters() -> Vec<ClusterConfig> {
+    let mut budget_400 = ClusterConfig::demo(11);
+    budget_400.budget = Watts(400.0);
+    let queue = ClusterConfig {
+        nodes: vec![
+            NodeSpec {
+                queue: vec!["EP".into(), "MG".into()],
+            },
+            NodeSpec::single("HPL"),
+        ],
+        budget: Watts(220.0),
+        slowdown: Ratio::from_percent(10.0),
+        epoch: Duration::from_secs(1),
+        seed: 5,
+    };
+    vec![
+        ClusterConfig::demo(3),
+        ClusterConfig::demo(7),
+        budget_400,
+        queue,
+    ]
+}
+
+#[test]
+fn cluster_outcomes_match_golden() {
+    let mut rows = Vec::new();
+    for cfg in golden_clusters() {
+        for policy in [PolicyKind::StaticSplit, PolicyKind::DemandBased] {
+            let out = run_cluster(&cfg, policy).expect("cluster run");
+            rows.push(serde_json::to_string(&out).expect("serialize"));
+        }
+    }
+    check_golden("cluster_demo.jsonl", &jsonl(rows));
+}
+
+#[test]
+fn hetero_outcomes_match_golden() {
+    let mut rows = Vec::new();
+    for seed in [3, 7] {
+        for policy in [SharePolicy::Static, SharePolicy::Donate] {
+            let out = run_hetero(&HeteroConfig::demo(seed), policy).expect("hetero run");
+            rows.push(serde_json::to_string(&out).expect("serialize"));
+        }
+    }
+    check_golden("hetero_demo.jsonl", &jsonl(rows));
 }
