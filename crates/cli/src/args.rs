@@ -1,5 +1,6 @@
 //! Argument parsing for the `dufp` tool (hand-rolled; no external parser).
 
+use dufp::Engine;
 use dufp_types::{Ratio, Watts};
 
 /// Usage text.
@@ -179,26 +180,7 @@ pub struct RunSpec {
     /// Fsync policy for journal appends (`always`, `never`, `every:N`).
     pub fsync: Option<FsyncArg>,
     /// Simulation stepping engine.
-    pub engine: EngineArg,
-}
-
-/// Parsed `--engine` value. Mirrors `dufp::Engine` so argument parsing
-/// stays free of the core crate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EngineArg {
-    /// Legacy per-tick stepping — the differential oracle.
-    Tick,
-    /// Memoized fast path (default), bit-identical to `Tick`.
-    #[default]
-    Event,
-}
-
-fn parse_engine(v: &str) -> Result<EngineArg, String> {
-    match v {
-        "tick" => Ok(EngineArg::Tick),
-        "event" => Ok(EngineArg::Event),
-        other => Err(format!("unknown engine {other} (tick|event)")),
-    }
+    pub engine: Engine,
 }
 
 /// Parsed `--fsync` value.
@@ -405,7 +387,7 @@ pub struct SweepCmd {
     pub json: bool,
     /// Stepping engine override (`None` = whatever the grid file says,
     /// which itself defaults to the fast path).
-    pub engine: Option<EngineArg>,
+    pub engine: Option<Engine>,
 }
 
 /// Subcommands.
@@ -569,7 +551,7 @@ impl Cli {
                         "--json" => cmd.json = true,
                         "--engine" => {
                             let v = it.next().ok_or("--engine needs tick|event")?;
-                            cmd.engine = Some(parse_engine(v)?);
+                            cmd.engine = Some(Engine::parse(v).map_err(|e| e.to_string())?);
                         }
                         other => return Err(format!("unknown flag {other}\n\n{USAGE}")),
                     }
@@ -878,7 +860,7 @@ impl Cli {
                     fault_plan: None,
                     journal_dir: None,
                     fsync: None,
-                    engine: EngineArg::default(),
+                    engine: Engine::default(),
                 };
                 while let Some(flag) = it.next() {
                     match flag.as_str() {
@@ -938,7 +920,7 @@ impl Cli {
                         }
                         "--engine" => {
                             let v = it.next().ok_or("--engine needs tick|event")?;
-                            spec.engine = parse_engine(v)?;
+                            spec.engine = Engine::parse(v).map_err(|e| e.to_string())?;
                         }
                         other => return Err(format!("unknown flag {other}\n\n{USAGE}")),
                     }
@@ -1468,25 +1450,25 @@ mod tests {
         let Command::Run(spec) = cli.command else {
             panic!()
         };
-        assert_eq!(spec.engine, EngineArg::Tick);
+        assert_eq!(spec.engine, Engine::Tick);
 
         let cli = parse(&["run", "CG"]).unwrap();
         let Command::Run(spec) = cli.command else {
             panic!()
         };
-        assert_eq!(spec.engine, EngineArg::Event, "fast path is the default");
+        assert_eq!(spec.engine, Engine::Event, "fast path is the default");
 
         let cli = parse(&["sweep", "--paper", "--engine", "tick"]).unwrap();
         let Command::Sweep(cmd) = cli.command else {
             panic!()
         };
-        assert_eq!(cmd.engine, Some(EngineArg::Tick));
+        assert_eq!(cmd.engine, Some(Engine::Tick));
 
         let cli = parse(&["timeline", "CG", "--engine", "event"]).unwrap();
         let Command::Timeline(spec) = cli.command else {
             panic!()
         };
-        assert_eq!(spec.engine, EngineArg::Event);
+        assert_eq!(spec.engine, Engine::Event);
 
         assert!(parse(&["run", "CG", "--engine", "warp"])
             .unwrap_err()

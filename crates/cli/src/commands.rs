@@ -1,12 +1,12 @@
 //! Subcommand implementations.
 
 use crate::args::{
-    AgentCmd, ChaosCmd, ControllerArg, CoordinateCmd, EngineArg, FsyncArg, JournalCmd, RecordSpec,
-    ResumeCmd, RunSpec, ScenarioCmd, SweepCmd, TraceCmd,
+    AgentCmd, ChaosCmd, ControllerArg, CoordinateCmd, FsyncArg, JournalCmd, RecordSpec, ResumeCmd,
+    RunSpec, ScenarioCmd, SweepCmd, TraceCmd,
 };
 use crate::plot::{chart, Series};
 use dufp::{
-    run_journaled, run_once, run_repeated, ControllerKind, Engine, ExperimentSpec, JournalOptions,
+    run_journaled, run_once, run_repeated, ControllerKind, ExperimentSpec, JournalOptions,
     TraceSpec,
 };
 use dufp_journal::{list_checkpoints, FsyncPolicy};
@@ -71,13 +71,6 @@ pub fn machine_template() -> String {
         .expect("SimConfig always serializes")
 }
 
-fn engine_kind(arg: EngineArg) -> Engine {
-    match arg {
-        EngineArg::Tick => Engine::Tick,
-        EngineArg::Event => Engine::Event,
-    }
-}
-
 fn controller_kind(spec: &RunSpec) -> ControllerKind {
     match spec.controller {
         ControllerArg::Default => ControllerKind::Default,
@@ -132,7 +125,7 @@ pub fn run_app(spec: &RunSpec) -> Result<String, String> {
         // the observable record of how the run survived its faults.
         telemetry: spec.trace_out.is_some() || fault_plan.is_some(),
         fault_plan: fault_plan.clone(),
-        engine: engine_kind(spec.engine),
+        engine: spec.engine,
     };
 
     if spec.runs == 1 {
@@ -329,7 +322,7 @@ pub fn timeline(spec: &RunSpec) -> Result<String, String> {
         interval_ms: None,
         telemetry: false,
         fault_plan: resolve_fault_plan(spec)?,
-        engine: engine_kind(spec.engine),
+        engine: spec.engine,
     };
     let r = run_once(&exp, spec.seed).map_err(|e| e.to_string())?;
     let trace = r.trace.as_ref().ok_or("trace missing")?;
@@ -558,7 +551,7 @@ pub fn plan(spec: &RunSpec) -> Result<String, String> {
         interval_ms: None,
         telemetry: false,
         fault_plan: None,
-        engine: engine_kind(spec.engine),
+        engine: spec.engine,
     };
     let base =
         run_repeated(&exp(ControllerKind::Default), runs, spec.seed).map_err(|e| e.to_string())?;
@@ -626,7 +619,7 @@ pub fn sweep(cmd: &SweepCmd) -> Result<String, String> {
         None => dufp::SweepGrid::paper(),
     };
     if let Some(engine) = cmd.engine {
-        grid.engine = engine_kind(engine);
+        grid.engine = engine;
     }
     let jobs = cmd.jobs.unwrap_or_else(|| {
         std::thread::available_parallelism()
@@ -1105,6 +1098,7 @@ pub fn scenario(cmd: &ScenarioCmd) -> Result<String, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dufp::Engine;
     use dufp_types::Ratio;
 
     #[test]
@@ -1180,7 +1174,7 @@ mod tests {
             fault_plan: None,
             journal_dir: None,
             fsync: None,
-            engine: EngineArg::default(),
+            engine: Engine::default(),
         }
     }
 

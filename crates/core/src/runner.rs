@@ -456,7 +456,29 @@ pub(crate) fn run_driver(
         .collect::<Result<Vec<_>>>()?;
     let started = machine.now();
 
-    let ticks_per_interval = (cfg.interval.as_micros() / machine.config().tick.as_micros()).max(1);
+    let tick_len = machine.config().tick.as_micros();
+    let ticks_per_interval = (cfg.interval.as_micros() / tick_len).max(1);
+    let tick_index = || machine.now().0 / tick_len;
+    // The one stepping primitive both engines share: advances up to `n`
+    // ticks, stopping after the tick on which every socket is done, and
+    // returns the ticks advanced. `Tick` is the per-tick oracle; `Event`
+    // replays memoized operating points in batches, bit-identically.
+    let step = |n: u64| -> u64 {
+        match spec.engine {
+            Engine::Tick => {
+                let mut ticks = 0;
+                while ticks < n {
+                    machine.tick();
+                    ticks += 1;
+                    if machine.done() {
+                        break;
+                    }
+                }
+                ticks
+            }
+            Engine::Event => machine.advance(n),
+        }
+    };
 
     // Journal activation. On resume this replays the journaled prefix —
     // tick batches plus each interval's final registers, which by the
@@ -481,20 +503,7 @@ pub(crate) fn run_driver(
                 )));
             }
             for regs in resume.intervals.iter().take(replay_to as usize) {
-                match spec.engine {
-                    Engine::Tick => {
-                        for _ in 0..ticks_per_interval {
-                            machine.tick();
-                        }
-                    }
-                    // The fast path stops early once every socket is done;
-                    // the tick loop would idle-tick to the interval boundary
-                    // instead. The divergence is unobservable: either way
-                    // the next check rejects the journal as corrupt.
-                    Engine::Event => {
-                        machine.advance(ticks_per_interval);
-                    }
-                }
+                step(ticks_per_interval);
                 if machine.done() {
                     return Err(Error::Corruption(
                         "journal extends past workload completion".into(),
@@ -522,7 +531,7 @@ pub(crate) fn run_driver(
             let kept = truncate_records(&session.dir, replay_to)?;
             session.writer = Some(JournalWriter::open(&session.dir, session.fsync, kept)?);
             completed = replay_to;
-            let tick = machine.now().0 / machine.config().tick.as_micros();
+            let tick = tick_index();
             let (old, new) = (replay_to as f64, head as f64);
             tel.record_decision(DecisionEvent {
                 at_us: machine.now().0,
@@ -578,78 +587,46 @@ pub(crate) fn run_driver(
             ));
         }
         let t0 = timed.then(std::time::Instant::now);
-        match spec.engine {
-            Engine::Tick => {
-                for _ in 0..ticks_per_interval {
-                    machine.tick();
-                    if machine.done() {
-                        break 'outer;
-                    }
-                    if let Some(at) = crash_at {
-                        if machine.now().0 / machine.config().tick.as_micros() >= at {
-                            // The modeled process death: the journal keeps
-                            // only what was durably appended — no Complete
-                            // record — and the safe-state guards restore the
-                            // platform as the error unwinds, exactly like a
-                            // wrapper script cleaning up after a killed run.
-                            return Err(Error::Precondition(format!(
-                                "fault plan crash at tick {at}"
-                            )));
-                        }
-                    }
-                    if machine.now().duration_since(started) >= max_duration {
-                        return Err(Error::Precondition(format!(
-                            "{} did not finish within 10x nominal time under {}",
-                            spec.app,
-                            spec.controller.label()
-                        )));
-                    }
-                }
+        // Step up to the next *scheduled* event: the interval boundary, a
+        // `crash,at=N` rule, or the 10× timeout. Each barrier caps the
+        // batch so its check fires at exactly the tick a per-tick loop
+        // would fire it; completion needs no barrier because `step` stops
+        // the moment every socket reports done.
+        let mut remaining = ticks_per_interval;
+        while remaining > 0 {
+            let mut batch = remaining;
+            if let Some(at) = crash_at {
+                batch = batch.min(at.saturating_sub(tick_index()).max(1));
             }
-            Engine::Event => {
-                // Batched fast-forward up to the next *scheduled* event: the
-                // interval boundary, a `crash,at=N` rule, or the 10× timeout.
-                // Each barrier caps the batch so the corresponding check
-                // fires at exactly the tick the per-tick loop would fire it;
-                // completion needs no barrier because `advance` stops the
-                // moment every socket reports done.
-                let tick_len = machine.config().tick.as_micros();
-                let mut remaining = ticks_per_interval;
-                while remaining > 0 {
-                    let mut batch = remaining;
-                    if let Some(at) = crash_at {
-                        let idx = machine.now().0 / tick_len;
-                        batch = batch.min(at.saturating_sub(idx).max(1));
-                    }
-                    let elapsed = machine.now().duration_since(started).as_micros();
-                    let budget = max_duration.as_micros().saturating_sub(elapsed);
-                    batch = batch.min(budget.div_ceil(tick_len).max(1));
-                    let advanced = machine.advance(batch);
-                    remaining -= advanced.min(remaining);
-                    if machine.done() {
-                        break 'outer;
-                    }
-                    if let Some(at) = crash_at {
-                        if machine.now().0 / tick_len >= at {
-                            return Err(Error::Precondition(format!(
-                                "fault plan crash at tick {at}"
-                            )));
-                        }
-                    }
-                    if machine.now().duration_since(started) >= max_duration {
-                        return Err(Error::Precondition(format!(
-                            "{} did not finish within 10x nominal time under {}",
-                            spec.app,
-                            spec.controller.label()
-                        )));
-                    }
-                }
+            let elapsed = machine.now().duration_since(started).as_micros();
+            let budget = max_duration.as_micros().saturating_sub(elapsed);
+            batch = batch.min(budget.div_ceil(tick_len).max(1));
+            remaining -= step(batch).min(remaining);
+            if machine.done() {
+                break 'outer;
+            }
+            if let Some(at) = crash_at.filter(|&at| tick_index() >= at) {
+                // The modeled process death: the journal keeps only what
+                // was durably appended — no Complete record — and the
+                // safe-state guards restore the platform as the error
+                // unwinds, exactly like a wrapper script cleaning up after
+                // a killed run.
+                return Err(Error::Precondition(format!(
+                    "fault plan crash at tick {at}"
+                )));
+            }
+            if machine.now().duration_since(started) >= max_duration {
+                return Err(Error::Precondition(format!(
+                    "{} did not finish within 10x nominal time under {}",
+                    spec.app,
+                    spec.controller.label()
+                )));
             }
         }
         if let Some(t0) = t0 {
             tick_us.observe(t0.elapsed().as_secs_f64() * 1e6);
         }
-        let tick_now = machine.now().0 / machine.config().tick.as_micros();
+        let tick_now = tick_index();
         for (idx, (controller, sampler, watchdog, act)) in per_socket.iter_mut().enumerate() {
             let t1 = timed.then(std::time::Instant::now);
             let sampled = match sampler.sample(machine.as_ref(), SocketId(idx as u16)) {
@@ -741,7 +718,7 @@ pub(crate) fn run_driver(
     if let Some(j) = active.as_mut() {
         let record = JournalRecord::Complete {
             intervals: completed,
-            tick: machine.now().0 / machine.config().tick.as_micros(),
+            tick: tick_index(),
         };
         j.writer.append(&record.encode()?)?;
         j.writer.sync()?;

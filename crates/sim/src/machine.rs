@@ -11,7 +11,7 @@ use dufp_msr::registers::{
     SKYLAKE_SP_POWER_UNIT_RAW,
 };
 use dufp_msr::{FaultInjector, FaultOp, FaultPlan, InjectorSnapshot, MsrIo};
-use dufp_types::{Duration, Error, Instant, Joules, Result, SocketId};
+use dufp_types::{Error, Instant, Joules, Result, SocketId};
 use dufp_workloads::Workload;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -185,80 +185,34 @@ impl Machine {
     /// Advances up to `max_ticks` ticks through the sockets' memoized fast
     /// path ([`SocketSim::tick_fast`]), stopping early — *after* the
     /// completing tick, matching the tick-engine's `tick(); done()` order —
-    /// once every socket has finished. Returns the number of ticks actually
-    /// advanced.
+    /// once every socket has finished, and never before the first tick.
+    /// Returns the number of ticks actually advanced.
     ///
-    /// Each socket is locked once for the whole batch and the clock is
-    /// published once at the end, which is observationally equivalent to
+    /// Sockets share nothing inside a batch, so each runs its memo-replay
+    /// kernel on its own, under its own lock, until it finishes or the
+    /// batch ends; a socket that finished before the last one is padded
+    /// with idle ticks up to the machine's stopping tick. The clock is
+    /// published once at the end. This is observationally equivalent to
     /// per-tick stepping because MSR accesses, telemetry samples and fault
     /// injection only happen between driver batches, never mid-batch.
     pub fn advance(&self, max_ticks: u64) -> u64 {
         let tick_us = self.cfg.tick.as_micros();
-        if let [only] = &self.sockets[..] {
-            // Single-socket machines (the paper sweep shape) hand whole
-            // batches to the socket's tight kernel, dropping to per-tick
-            // stepping only on ticks that must rebuild the memo.
-            let base = self.now_us.load(Ordering::Relaxed);
-            let mut g = only.lock();
-            let mut advanced = 0u64;
-            while advanced < max_ticks {
-                if g.done() {
-                    // An already-idle machine still performs the tick the
-                    // per-tick loop would before noticing it is done.
-                    g.tick_fast(Instant(base + advanced * tick_us));
-                    advanced += 1;
-                    break;
+        let start = self.now_us.load(Ordering::Relaxed);
+        let mut end = 0;
+        for (i, s) in self.sockets.iter().enumerate() {
+            let ran = s.lock().advance(Instant(start), end.max(1), max_ticks);
+            if ran > end {
+                // This socket outlasted every earlier one; those all
+                // finished at `end`, so they idle up to `ran`.
+                let pad = Instant(start + end * tick_us);
+                for earlier in &self.sockets[..i] {
+                    earlier.lock().advance(pad, ran - end, ran - end);
                 }
-                advanced += g.tick_fast_batch(
-                    Instant(base + advanced * tick_us),
-                    tick_us,
-                    max_ticks - advanced,
-                );
-                if g.done() || advanced >= max_ticks {
-                    break;
-                }
-                g.tick_fast(Instant(base + advanced * tick_us));
-                advanced += 1;
-                if g.done() {
-                    break;
-                }
-            }
-            drop(g);
-            self.now_us.fetch_add(advanced * tick_us, Ordering::Relaxed);
-            return advanced;
-        }
-        let mut guards: Vec<_> = self.sockets.iter().map(|s| s.lock()).collect();
-        let mut now = self.now_us.load(Ordering::Relaxed);
-        let mut advanced = 0u64;
-        while advanced < max_ticks {
-            let mut all_done = true;
-            for g in guards.iter_mut() {
-                g.tick_fast(Instant(now));
-                all_done &= g.done();
-            }
-            now += tick_us;
-            advanced += 1;
-            if all_done {
-                break;
+                end = ran;
             }
         }
-        self.now_us.fetch_add(advanced * tick_us, Ordering::Relaxed);
-        advanced
-    }
-
-    /// Runs until every socket finishes or `max` elapses; returns the
-    /// elapsed simulated time.
-    pub fn run_to_completion(&self, max: Duration) -> Result<Duration> {
-        let start = self.now();
-        while !self.done() {
-            if self.now().duration_since(start) >= max {
-                return Err(Error::Precondition(format!(
-                    "workload did not finish within {max}"
-                )));
-            }
-            self.tick();
-        }
-        Ok(self.now().duration_since(start))
+        self.now_us.fetch_add(end * tick_us, Ordering::Relaxed);
+        end
     }
 
     /// Enables per-tick tracing on one socket.
@@ -389,8 +343,9 @@ impl Telemetry for Machine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::TracePoint;
     use dufp_msr::registers::{PkgPowerLimit, PowerLimit};
-    use dufp_types::{Hertz, Seconds, Watts};
+    use dufp_types::{Duration, Hertz, Seconds, Watts};
     use dufp_workloads::{apps, MaterializeCtx};
 
     fn machine() -> Machine {
@@ -470,26 +425,6 @@ mod tests {
     }
 
     #[test]
-    fn run_to_completion_terminates_and_reports_duration() {
-        let m = machine();
-        let ctx = MaterializeCtx::from_arch(&m.config().arch);
-        let w = apps::ep(&ctx).unwrap();
-        let nominal = w.nominal_duration(&ctx).value();
-        m.load_all(&w);
-        let elapsed = m.run_to_completion(Duration::from_secs(200)).unwrap();
-        let t = elapsed.as_seconds().value();
-        assert!((t - nominal).abs() / nominal < 0.02, "{t} vs {nominal}");
-    }
-
-    #[test]
-    fn run_to_completion_times_out() {
-        let m = machine();
-        let ctx = MaterializeCtx::from_arch(&m.config().arch);
-        m.load_all(&apps::ep(&ctx).unwrap());
-        assert!(m.run_to_completion(Duration::from_secs(1)).is_err());
-    }
-
-    #[test]
     fn lowering_pl1_is_visible_in_power_telemetry() {
         let m = machine();
         let ctx = MaterializeCtx::from_arch(&m.config().arch);
@@ -565,44 +500,98 @@ mod tests {
         assert!(m.load_imbalanced(&w, &[1.0, 0.0, 1.0, 1.0]).is_err());
     }
 
-    #[test]
-    fn advance_is_bit_identical_to_per_tick_stepping() {
+    /// Everything a stepping run leaves observable: the clock and every
+    /// socket's counter bits after each round, then the end-of-run trace
+    /// and telemetry metrics.
+    type SteppingSignature = (Vec<(u64, Vec<[u64; 4]>)>, Vec<TracePoint>, String);
+
+    /// Builds a YETI machine with `setup`, then steps it in 200-tick rounds
+    /// — per tick, or through `advance` when `fast` — writing a 90 W cap
+    /// on socket 0 at round 40, until every socket is done.
+    fn stepping_signature(fast: bool, setup: &dyn Fn(&Machine)) -> SteppingSignature {
         let units = RaplPowerUnit::skylake_sp();
         let cap = PkgPowerLimit::defaults(Watts(90.0), Seconds(1.0), Watts(100.0), Seconds(0.01))
             .encode(&units)
             .unwrap();
-        let run = |fast: bool| -> Vec<(u64, u64, u64)> {
-            let m = Machine::new(SimConfig::yeti(5));
-            let ctx = MaterializeCtx::from_arch(&m.config().arch);
-            // Imbalanced loads make the sockets finish at different times,
-            // exercising the done-socket fast path alongside busy ones.
-            m.load_imbalanced(&apps::cg(&ctx).unwrap(), &[1.0, 1.1, 0.9, 1.0])
-                .unwrap();
-            let mut sig = Vec::new();
-            for round in 0..600 {
-                if round == 40 {
-                    m.write(0, MSR_PKG_POWER_LIMIT, cap).unwrap();
-                }
-                if fast {
-                    m.advance(200);
-                } else {
-                    for _ in 0..200 {
-                        m.tick();
-                        if m.done() {
-                            break;
-                        }
+        let m = Machine::new(SimConfig::yeti(5));
+        let tel = dufp_telemetry::Telemetry::enabled();
+        setup(&m);
+        m.with_socket(SocketId(1), |s| s.attach_telemetry(&tel, 1))
+            .unwrap();
+        let mut rounds = Vec::new();
+        for round in 0..600 {
+            if round == 40 {
+                m.write(0, MSR_PKG_POWER_LIMIT, cap).unwrap();
+            }
+            if fast {
+                m.advance(200);
+            } else {
+                for _ in 0..200 {
+                    m.tick();
+                    if m.done() {
+                        break;
                     }
                 }
-                let s = m.sample(SocketId(1)).unwrap();
-                sig.push((m.now().0, s.pkg_energy.value().to_bits(), s.flops.to_bits()));
-                if m.done() {
-                    break;
-                }
             }
-            assert!(m.done(), "workload must finish inside the round budget");
-            sig
+            let counters = (0..m.socket_count() as u16)
+                .map(|i| {
+                    let s = m.sample(SocketId(i)).unwrap();
+                    let (pkg, dram) = (s.pkg_energy.value(), s.dram_energy.value());
+                    [
+                        pkg.to_bits(),
+                        dram.to_bits(),
+                        s.flops.to_bits(),
+                        s.bytes.to_bits(),
+                    ]
+                })
+                .collect();
+            rounds.push((m.now().0, counters));
+            if m.done() {
+                break;
+            }
+        }
+        assert!(m.done(), "workload must finish inside the round budget");
+        let trace = m.take_trace(SocketId(1)).unwrap().unwrap_or_default();
+        (
+            rounds,
+            trace.points,
+            format!("{:?}", tel.metrics_snapshot()),
+        )
+    }
+
+    #[test]
+    fn advance_is_bit_identical_to_per_tick_stepping() {
+        let ctx = MaterializeCtx::from_arch(&SimConfig::yeti(5).arch);
+        let cg = apps::cg(&ctx).unwrap();
+        // Imbalanced loads make the sockets finish at different times,
+        // exercising the idle padding of early finishers.
+        let imbalanced = |m: &Machine| {
+            m.load_imbalanced(&cg, &[1.0, 1.1, 0.9, 1.0]).unwrap();
         };
-        assert_eq!(run(false), run(true));
+        // Socket 0 never gets a workload, so it is done from tick 0 and
+        // every batch pads it; socket 3 carries 5% extra work, so sockets
+        // 1 and 2 finish mid-batch ahead of it and are padded too. Socket
+        // 1 records a trace: the kernel's gauge and trace branch.
+        let unloaded_and_traced = |m: &Machine| {
+            for (i, factor) in [(1, 1.0), (2, 1.0), (3, 1.05)] {
+                let mut w = cg.clone();
+                for p in &mut w.phases {
+                    p.work_units *= factor;
+                }
+                m.load(SocketId(i), w).unwrap();
+            }
+            m.enable_trace(SocketId(1), 7).unwrap();
+        };
+        for setup in [&imbalanced as &dyn Fn(&Machine), &unloaded_and_traced] {
+            let (oracle, fast) = (
+                stepping_signature(false, setup),
+                stepping_signature(true, setup),
+            );
+            assert_eq!(oracle.0, fast.0, "counters diverged");
+            assert_eq!(oracle.1, fast.1, "traces diverged");
+            assert!(oracle.2.contains("sim.socket1.ticks"), "telemetry attached");
+            assert_eq!(oracle.2, fast.2, "telemetry diverged");
+        }
     }
 
     #[test]

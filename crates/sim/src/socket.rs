@@ -453,7 +453,7 @@ impl SocketSim {
     }
 
     /// Advances the socket by one tick, exactly like [`SocketSim::tick`]
-    /// but through a memoized fast path whenever the cached operating
+    /// but through the memo-replay kernel whenever the cached operating
     /// point is *provably* what `tick` would recompute — same phase, same
     /// entry `mem_util` bits, bandwidth bits unmoved, and the allowance
     /// still inside the ladder rung's stability interval. Every observable
@@ -461,12 +461,34 @@ impl SocketSim {
     /// phase log) is bit-identical to per-tick stepping; `tick` stays the
     /// untouched differential oracle.
     pub fn tick_fast(&mut self, now: Instant) {
-        match self.memo {
-            Some(memo) if self.memo_valid(&memo) => self.apply_memo(&memo, now),
-            _ => {
-                self.tick(now);
+        self.step_fast(now, 1);
+    }
+
+    /// Advances up to `max` ticks from `start` through the fast path,
+    /// stopping after the tick on which the socket is done, but never
+    /// before `min.min(max)` ticks: a finished socket idles up to there.
+    /// Returns the number of ticks advanced.
+    pub(crate) fn advance(&mut self, start: Instant, min: u64, max: u64) -> u64 {
+        let tick_us = self.cfg.tick.as_micros();
+        let mut advanced = 0;
+        while advanced < max && (advanced < min || !self.done()) {
+            let limit = if self.done() { min.min(max) } else { max };
+            advanced += self.step_fast(Instant(start.0 + advanced * tick_us), limit - advanced);
+        }
+        advanced
+    }
+
+    /// One step of the fast path: a kernel batch of up to `max >= 1` ticks
+    /// while the memo validates, else one full `tick` that rebuilds it.
+    /// Returns the number of ticks advanced.
+    fn step_fast(&mut self, start: Instant, max: u64) -> u64 {
+        match self.tick_fast_batch(start, max) {
+            0 => {
+                self.tick(start);
                 self.memo = Some(self.build_memo());
+                1
             }
+            ticks => ticks,
         }
     }
 
@@ -595,94 +617,31 @@ impl SocketSim {
         }
     }
 
-    /// The fast tick: replays `tick`'s per-tick arithmetic — RNG draws,
-    /// noise multiplies, accumulator additions, enforcer EMA update, gauge
-    /// and trace emission — against the memo's cached bit patterns.
-    fn apply_memo(&mut self, memo: &StepMemo, now: Instant) {
-        let dt = memo.dt;
-        let uncore = memo.uncore;
-        let allowance = self.enforcer.allowance();
-
-        // Noise evolution — the same draws, in the same order, as `tick`.
-        let n = self.cfg.noise;
-        if n.walk_sigma > 0.0 {
-            self.walk = 0.98 * self.walk + n.walk_sigma * sym(&mut self.rng);
-        }
-        let perf_noise =
-            (self.run_perf_factor + self.walk + n.tick_sigma * sym(&mut self.rng)).max(0.1);
-        let power_noise =
-            (self.run_power_factor + self.walk + n.tick_sigma * sym(&mut self.rng)).max(0.1);
-
-        self.core_freq = memo.core_freq;
-
-        // Progress the workload from the cached noise-free rates.
-        let advanced_units = memo.units_rate * dt.value() * perf_noise;
-        self.acc.flops += memo.flops_rate * dt.value() * perf_noise;
-        self.acc.bytes += memo.progress_bw * dt.value() * perf_noise;
-        self.mem_util = memo.new_mem_util;
-        self.advance_phase(advanced_units, now);
-
-        // Power accounting.
-        let pkg_power = Watts(memo.pkg_power_base * power_noise);
-        let dram_power = self
-            .cfg
-            .dram
-            .power(dufp_types::BytesPerSec(memo.progress_bw * perf_noise));
-        self.acc.pkg_energy += (pkg_power * dt).value();
-        self.acc.dram_energy += (dram_power * dt).value();
-        self.acc.aperf += self.core_freq.value() * dt.value();
-        self.acc.mperf += self.cfg.arch.core_freq_base.value() * dt.value();
-
-        // RAPL firmware reacts to the measured power.
-        self.enforcer.step_with_gains(pkg_power, &memo.gains);
-
-        if let Some(g) = &self.gauges {
-            g.pkg_power.set(pkg_power.value());
-            g.dram_power.set(dram_power.value());
-            g.flops.set(memo.flops_rate * perf_noise);
-            g.bandwidth.set(memo.progress_bw * perf_noise);
-            g.core_freq.set(self.core_freq.value());
-            g.uncore_freq.set(uncore.value());
-            g.ticks.inc();
-        }
-
-        // Trace.
-        if self.ticks.is_multiple_of(u64::from(self.trace_stride)) {
-            let pl1 = self.enforcer.pl1();
-            if let Some(tr) = self.trace.as_mut() {
-                tr.points.push(TracePoint {
-                    at: now,
-                    core_freq: self.core_freq,
-                    uncore_freq: uncore,
-                    pkg_power,
-                    allowance,
-                    pl1,
-                });
-            }
-        }
-        self.ticks += 1;
-    }
-
-    /// Runs up to `max` consecutive fast ticks in one tight loop — the
-    /// same per-tick operations as [`SocketSim::apply_memo`], in the same
-    /// order, with every batch-invariant load hoisted out of the loop and
-    /// the bitwise no-op writes (the fixed-point `mem_util` store, the
-    /// no-crossing half of `advance_phase`) reduced to their observable
-    /// effect. Returns the number of ticks advanced; stops early right
-    /// after a workload phase boundary or done transition, or right
-    /// before the first tick where the memo stops validating — the caller
-    /// falls back to the per-tick path, which rebuilds it.
-    pub(crate) fn tick_fast_batch(&mut self, start: Instant, tick_us: u64, max: u64) -> u64 {
+    /// The memo-replay kernel: runs up to `max` consecutive ticks against
+    /// the memo's cached bit patterns — `tick`'s RNG draws, noise
+    /// multiplies, accumulator additions, enforcer EMA update, gauge and
+    /// trace emission, in the same order — with every batch-invariant
+    /// load hoisted out of the loop and the no-crossing half of
+    /// `advance_phase` reduced to its observable effect. Returns the
+    /// number of ticks advanced: 0 when the memo does not validate, and
+    /// it stops early right after a workload phase boundary or done
+    /// transition, or right before the first tick where the memo stops
+    /// validating — the caller falls back to a full `tick`, which
+    /// rebuilds it.
+    fn tick_fast_batch(&mut self, start: Instant, max: u64) -> u64 {
         let Some(memo) = self.memo else { return 0 };
         if max == 0 || !self.memo_valid(&memo) {
             return 0;
         }
-        // Batching also needs `mem_util` at its fixed point; the opening
-        // ticks of a phase (where it still converges) invalidate the memo
-        // every tick and belong to the per-tick path.
-        if memo.new_mem_util.to_bits() != memo.mem_util_bits {
-            return 0;
-        }
+        // While `mem_util` still converges (the opening ticks of a phase)
+        // its store moves the memo's entry fingerprint, so the memo is
+        // stale after one tick.
+        let max = if memo.new_mem_util.to_bits() == memo.mem_util_bits {
+            max
+        } else {
+            1
+        };
+        let tick_us = self.cfg.tick.as_micros();
         let dtv = memo.dt.value();
         let noise = self.cfg.noise;
         let walk_on = noise.walk_sigma > 0.0;
@@ -699,7 +658,6 @@ impl SocketSim {
             let w = self.workload.as_ref().expect("not done implies loaded");
             w.phases[memo.phase_idx].work_units
         };
-        let seed_log = !memo.done && self.phase_log.is_empty();
         self.core_freq = memo.core_freq;
 
         let mut advanced = 0u64;
@@ -726,12 +684,12 @@ impl SocketSim {
             let advanced_units = memo.units_rate * dtv * perf_noise;
             self.acc.flops += memo.flops_rate * dtv * perf_noise;
             self.acc.bytes += memo.progress_bw * dtv * perf_noise;
-            // `mem_util = new_mem_util` is a bitwise no-op at the fixed
-            // point (entry precondition), so the store is elided.
+            self.mem_util = memo.new_mem_util;
             let crossing = !memo.done && self.units_done + advanced_units >= cur_work;
-            if crossing || (seed_log && advanced == 0) {
-                // Phase boundaries and the first-ever tick (which seeds
-                // the phase log) take the exact per-tick code.
+            if crossing {
+                // Phase boundaries take the exact per-tick code. No other
+                // tick needs it to seed the phase log: a memo exists only
+                // after a full `tick` since the last `load`, which seeded it.
                 self.advance_phase(advanced_units, now);
             } else if !memo.done {
                 // The no-crossing body of `advance_phase`, verbatim.

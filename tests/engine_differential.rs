@@ -5,16 +5,18 @@
 //! final energy/FLOPS counters, fault-injector RNG positions, journal
 //! bytes — must be bit-identical to `--engine tick`, which stays in the
 //! tree as the permanent oracle. The tests here state that contract at
-//! three layers:
+//! three layers, each on the 1-socket sweep machine and on the paper's
+//! 4-socket YETI:
 //!
 //! 1. **Runner level** — random (seed × policy × slowdown × fault plan ×
-//!    app) points produce byte-identical decision traces and result bits
-//!    under both engines.
+//!    app × socket count) points produce byte-identical decision traces
+//!    and result bits under both engines.
 //! 2. **Simulator level** — a `Machine` advanced in arbitrary batches,
 //!    with an armed fault plan and live MSR traffic between batches,
-//!    matches the per-tick loop on counters and injector state, and
-//!    tick-scheduled rules (`at=`, `window=`) fire at the exact tick even
-//!    when that tick sits inside a fast-forwarded span.
+//!    matches the per-tick loop on every socket's counters and on
+//!    injector state, and tick-scheduled rules (`at=`, `window=`) fire at
+//!    the exact tick even when that tick sits inside a fast-forwarded
+//!    span.
 //! 3. **Crash/resume** — a `crash,at=<random tick>` plan under the event
 //!    engine, resumed from its journal, reproduces the uninterrupted
 //!    tick-engine reference bit-for-bit (journal bytes included).
@@ -36,6 +38,25 @@ use std::path::{Path, PathBuf};
 const POLICIES: [&str; 4] = ["duf", "dufp", "dufpf", "dnpc"];
 const SLOWDOWNS: [f64; 3] = [5.0, 10.0, 20.0];
 const APPS: [&str; 2] = ["EP", "CG"];
+/// The socket counts every layer covers: the sweep shape and the paper's
+/// 4-socket YETI.
+const SOCKETS: [u16; 2] = [1, 4];
+
+/// The noisy machine with `sockets` packages: per-tick RNG draws active.
+fn machine_config(sockets: u16, seed: u64) -> SimConfig {
+    match sockets {
+        1 => SimConfig::yeti_single_socket(seed),
+        4 => SimConfig::yeti(seed),
+        other => panic!("no differential machine with {other} sockets"),
+    }
+}
+
+/// The CPU range of the last socket: a fault rule on a 4-socket machine
+/// then targets a non-zero socket.
+fn last_socket_cpus(sockets: u16) -> String {
+    let first = (u32::from(sockets) - 1) * 16;
+    format!("{first}-{}", first + 15)
+}
 
 fn controller(policy: &str, slowdown_pct: f64) -> ControllerKind {
     let slowdown = Ratio::from_percent(slowdown_pct);
@@ -50,15 +71,14 @@ fn controller(policy: &str, slowdown_pct: f64) -> ControllerKind {
 
 fn spec(
     engine: Engine,
+    sockets: u16,
     app: &str,
     policy: &str,
     slowdown_pct: f64,
     plan: Option<&str>,
 ) -> ExperimentSpec {
     ExperimentSpec {
-        // The noisy single-socket machine: per-tick RNG draws active and
-        // the event engine on its batched fast path (the sweep shape).
-        sim: SimConfig::yeti_single_socket(0),
+        sim: machine_config(sockets, 0),
         app: app.into(),
         controller: controller(policy, slowdown_pct),
         trace: None,
@@ -142,12 +162,15 @@ proptest! {
         slow_idx in 0usize..SLOWDOWNS.len(),
         app_idx in 0usize..APPS.len(),
         plan_sel in 0usize..3,
+        sockets_idx in 0usize..SOCKETS.len(),
     ) {
+        let sockets = SOCKETS[sockets_idx];
         let plans = [
             None,
             Some(format!("seed={seed};write,p=0.01;read,p=0.002")),
             Some(format!(
-                "seed={seed};write,reg=cap,cpu=0-15,window=200+5000;sample,p=0.002"
+                "seed={seed};write,reg=cap,cpu={},window=200+5000;sample,p=0.002",
+                last_socket_cpus(sockets)
             )),
         ];
         let plan = plans[plan_sel].as_deref();
@@ -155,12 +178,15 @@ proptest! {
         let slowdown = SLOWDOWNS[slow_idx];
         let app = APPS[app_idx];
 
-        let (rt, trace_tick) = run_traced(&spec(Engine::Tick, app, policy, slowdown, plan), seed);
-        let (re, trace_event) = run_traced(&spec(Engine::Event, app, policy, slowdown, plan), seed);
+        let tick = spec(Engine::Tick, sockets, app, policy, slowdown, plan);
+        let event = spec(Engine::Event, sockets, app, policy, slowdown, plan);
+        let (rt, trace_tick) = run_traced(&tick, seed);
+        let (re, trace_event) = run_traced(&event, seed);
 
         prop_assert!(!trace_tick.is_empty(), "{policy}@{slowdown}% produced no decisions");
-        prop_assert_eq!(trace_tick, trace_event, "decision traces diverged for {}@{}% on {} (plan {:?})",
-            policy, slowdown, app, plan);
+        prop_assert_eq!(trace_tick, trace_event,
+            "decision traces diverged for {}@{}% on {} with {} socket(s) (plan {:?})",
+            policy, slowdown, app, sockets, plan);
         assert_same_result(&rt, &re);
     }
 }
@@ -169,8 +195,8 @@ proptest! {
 // Layer 2: simulator-level counter + injector equivalence.
 // ---------------------------------------------------------------------------
 
-fn machine_with(plan: Option<&str>, seed: u64) -> Machine {
-    let cfg = SimConfig::yeti_single_socket(seed);
+fn machine_with(sockets: u16, plan: Option<&str>, seed: u64) -> Machine {
+    let cfg = machine_config(sockets, seed);
     let ctx = dufp_workloads::MaterializeCtx::from_arch(&cfg.arch);
     let workload = dufp_workloads::apps::by_name("EP", &ctx).expect("EP materializes");
     let m = Machine::new(cfg);
@@ -181,22 +207,28 @@ fn machine_with(plan: Option<&str>, seed: u64) -> Machine {
     m
 }
 
-/// The MSR traffic a control interval generates, issued identically to
-/// both machines; returns a digest of outcomes so faults that fire must
-/// fire on both.
+/// The MSR traffic a control interval generates on every socket's lead
+/// CPU, issued identically to both machines; returns a digest of outcomes
+/// so faults that fire must fire on both.
 fn msr_round(m: &Machine, step: u64) -> Vec<Result<u64, String>> {
     let mut out = Vec::new();
-    out.push(m.read(0, MSR_PKG_ENERGY_STATUS).map_err(|e| e.to_string()));
-    out.push(m.read(0, IA32_APERF).map_err(|e| e.to_string()));
-    // Write-back of the current cap: state-neutral, but it walks the
-    // injector's write-rule matchers and RNG exactly like a real actuation.
-    match m.read(0, MSR_PKG_POWER_LIMIT) {
-        Ok(v) => out.push(
-            m.write(0, MSR_PKG_POWER_LIMIT, v)
-                .map(|()| step)
+    for cpu in (0..m.cpu_count()).step_by(16) {
+        out.push(
+            m.read(cpu, MSR_PKG_ENERGY_STATUS)
                 .map_err(|e| e.to_string()),
-        ),
-        Err(e) => out.push(Err(e.to_string())),
+        );
+        out.push(m.read(cpu, IA32_APERF).map_err(|e| e.to_string()));
+        // Write-back of the current cap: state-neutral, but it walks the
+        // injector's write-rule matchers and RNG exactly like a real
+        // actuation.
+        match m.read(cpu, MSR_PKG_POWER_LIMIT) {
+            Ok(v) => out.push(
+                m.write(cpu, MSR_PKG_POWER_LIMIT, v)
+                    .map(|()| step)
+                    .map_err(|e| e.to_string()),
+            ),
+            Err(e) => out.push(Err(e.to_string())),
+        }
     }
     out
 }
@@ -206,27 +238,30 @@ proptest! {
 
     /// A machine advanced in arbitrary batch sizes, with fault rules and
     /// MSR traffic between batches, matches the per-tick loop: same
-    /// counter bits, same MSR outcomes, same injector RNG position and
-    /// per-rule hit counts after every round.
+    /// counter bits on every socket, same MSR outcomes, same injector RNG
+    /// position and per-rule hit counts after every round.
     #[test]
     fn batched_advance_matches_tick_loop_on_counters_and_injector_state(
         seed in 0u64..200,
         batch in 50u64..400,
         rounds in 3u64..12,
         plan_sel in 0usize..3,
+        sockets_idx in 0usize..SOCKETS.len(),
     ) {
+        let sockets = SOCKETS[sockets_idx];
         let at = batch * 2; // a tick-scheduled rule inside the span
         let plans = [
             None,
             Some(format!("seed={seed};write,p=0.05;read,p=0.02")),
             Some(format!(
-                "seed={seed};write,reg=cap,cpu=0-15,window={at}+{batch};sample,at={at}"
+                "seed={seed};write,reg=cap,cpu={},window={at}+{batch};sample,at={at}",
+                last_socket_cpus(sockets)
             )),
         ];
         let plan = plans[plan_sel].as_deref();
 
-        let a = machine_with(plan, seed); // per-tick oracle
-        let b = machine_with(plan, seed); // batched fast path
+        let a = machine_with(sockets, plan, seed); // per-tick oracle
+        let b = machine_with(sockets, plan, seed); // batched fast path
 
         for round in 0..rounds {
             for _ in 0..batch {
@@ -247,12 +282,16 @@ proptest! {
             );
         }
 
-        let sa = a.sample(SocketId(0)).expect("sample oracle");
-        let sb = b.sample(SocketId(0)).expect("sample fast path");
-        prop_assert_eq!(sa.flops.to_bits(), sb.flops.to_bits());
-        prop_assert_eq!(sa.bytes.to_bits(), sb.bytes.to_bits());
-        prop_assert_eq!(sa.pkg_energy.value().to_bits(), sb.pkg_energy.value().to_bits());
-        prop_assert_eq!(sa.dram_energy.value().to_bits(), sb.dram_energy.value().to_bits());
+        for s in 0..sockets {
+            let sa = a.sample(SocketId(s)).expect("sample oracle");
+            let sb = b.sample(SocketId(s)).expect("sample fast path");
+            prop_assert_eq!(sa.flops.to_bits(), sb.flops.to_bits(), "socket {}", s);
+            prop_assert_eq!(sa.bytes.to_bits(), sb.bytes.to_bits(), "socket {}", s);
+            prop_assert_eq!(sa.pkg_energy.value().to_bits(), sb.pkg_energy.value().to_bits(),
+                "socket {}", s);
+            prop_assert_eq!(sa.dram_energy.value().to_bits(), sb.dram_energy.value().to_bits(),
+                "socket {}", s);
+        }
     }
 }
 
@@ -267,8 +306,8 @@ fn scheduled_rules_fire_at_exact_ticks_across_batches() {
     // so the write-back there must fail identically.
     for boundary in [true, false] {
         let w = if boundary { 400 } else { 337 };
-        let a = machine_with(Some(&plan(w)), 3);
-        let b = machine_with(Some(&plan(w)), 3);
+        let a = machine_with(1, Some(&plan(w)), 3);
+        let b = machine_with(1, Some(&plan(w)), 3);
         for _ in 0..400 {
             a.tick();
         }
@@ -303,19 +342,21 @@ proptest! {
         seed in 0u64..100,
         crash_at in 500u64..9_000,
         fault_sel in 0usize..2,
+        sockets_idx in 0usize..SOCKETS.len(),
     ) {
+        let sockets = SOCKETS[sockets_idx];
         let base = (fault_sel == 1).then(|| format!("seed={seed};write,p=0.01"));
         let crash_plan = match &base {
             Some(b) => format!("{b};crash,at={crash_at}"),
             None => format!("crash,at={crash_at}"),
         };
 
-        let reference = spec(Engine::Tick, "EP", "dufp", 10.0, base.as_deref());
+        let reference = spec(Engine::Tick, sockets, "EP", "dufp", 10.0, base.as_deref());
         let dir_a = TestDir::new("ref");
         let ra = run_journaled(&reference, seed, &JournalOptions::new(dir_a.path()))
             .expect("reference run completes");
 
-        let crashed = spec(Engine::Event, "EP", "dufp", 10.0, Some(&crash_plan));
+        let crashed = spec(Engine::Event, sockets, "EP", "dufp", 10.0, Some(&crash_plan));
         let dir_b = TestDir::new("crash");
         match run_journaled(&crashed, seed, &JournalOptions::new(dir_b.path())) {
             // Crash tick beyond completion: the run finishes; it must
@@ -349,7 +390,7 @@ fn crash_inside_a_fast_forward_window_fires_at_the_exact_tick() {
     let mut msgs = Vec::new();
     let mut records = Vec::new();
     for engine in [Engine::Tick, Engine::Event] {
-        let s = spec(engine, "EP", "dufp", 10.0, Some(plan));
+        let s = spec(engine, 1, "EP", "dufp", 10.0, Some(plan));
         let dir = TestDir::new("mid");
         let err = run_journaled(&s, seed, &JournalOptions::new(dir.path()))
             .expect_err("crash rule must abort the run");
