@@ -4,15 +4,21 @@
 //! Usage: `all_experiments [--runs N] [--sockets N] [--seed S] [--out PATH]`
 //!
 //! The paper's protocol is 10 runs × 4 sockets; the default here matches.
-//! Smoke-test with `--runs 2 --sockets 1`.
+//! Smoke-test with `--runs 2 --sockets 1`. The output depends only on the
+//! arguments, never on the core count, so CI regenerates `EXPERIMENTS.md`
+//! and fails if it differs from the committed file.
 
+use dufp::{
+    ratios_vs_default, run_sweep, summarize_runs, Engine, Ratios, RepeatedResult, SweepGrid,
+    SweepRow,
+};
 use dufp_bench::fig1::{run_fig1, Fig1Results};
+use dufp_bench::fig2;
 use dufp_bench::fig5::run_fig5;
 use dufp_bench::paper::claims;
 use dufp_bench::report::{fmt_pct, markdown_table};
-use dufp_bench::sweep::{sweep_app, AppSweep, SweepConfig, APPS};
-use dufp_types::ArchSpec;
-use rayon::prelude::*;
+use dufp_types::{ArchSpec, Result};
+use dufp_workloads::apps;
 use std::collections::HashMap;
 use std::fmt::Write as _;
 
@@ -21,34 +27,97 @@ use std::fmt::Write as _;
 /// sub-percent excesses at 0 % tolerance as respected.
 const RESPECT_MARGIN_PCT: f64 = 0.75;
 
+/// The paper's evaluated tolerated-slowdown grid (percent).
+const SLOWDOWNS: [f64; 4] = [0.0, 5.0, 10.0, 20.0];
+
+/// One controller at one slowdown.
+struct Variant {
+    slowdown_pct: f64,
+    result: RepeatedResult,
+    ratios: Ratios,
+}
+
+/// Everything measured for one application.
+struct AppSweep {
+    app: &'static str,
+    default_run: RepeatedResult,
+    duf: Vec<Variant>,
+    dufp: Vec<Variant>,
+}
+
+/// Runs the Fig. 3/4 grid through `run_sweep` on every core: each app at
+/// the default configuration on seeds `seed + i·7919`, then DUF and DUFP at
+/// every slowdown on seeds `(seed ^ 0xABCD) + i·7919`. Each configuration's
+/// `runs` rows are summarized with the paper's trimmed protocol.
+fn sweep(runs: usize, sockets: u16, seed: u64) -> Result<Vec<AppSweep>> {
+    let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let rows = |policies: &[&str], slowdowns_pct: &[f64], base: u64| {
+        let grid = SweepGrid {
+            apps: apps::NAMES.map(String::from).to_vec(),
+            policies: policies.iter().map(|p| p.to_string()).collect(),
+            slowdowns_pct: slowdowns_pct.to_vec(),
+            seeds: (0..runs as u64)
+                .map(|i| base.wrapping_add(i * 7919))
+                .collect(),
+            sockets,
+            interval_ms: None,
+            fault_plan: None,
+            machine: None,
+            engine: Engine::default(),
+        };
+        run_sweep(&grid, workers).map(|out| out.rows)
+    };
+    let defaults = rows(&["default"], &[0.0], seed)?;
+    let variants = rows(&["duf", "dufp"], &SLOWDOWNS, seed ^ 0xABCD)?;
+    let summary = |rows: &[SweepRow]| summarize_runs(rows.iter().map(SweepRow::sample));
+    let per_app = runs * 2 * SLOWDOWNS.len();
+    Ok(apps::NAMES
+        .iter()
+        .zip(defaults.chunks(runs).zip(variants.chunks(per_app)))
+        .map(|(&app, (default_rows, variant_rows))| {
+            let default_run = summary(default_rows);
+            let variant = |rows: &[SweepRow]| {
+                let result = summary(rows);
+                Variant {
+                    slowdown_pct: rows[0].slowdown_pct,
+                    ratios: ratios_vs_default(&default_run, &result),
+                    result,
+                }
+            };
+            let (duf, dufp) = variant_rows.split_at(per_app / 2);
+            AppSweep {
+                app,
+                default_run,
+                duf: duf.chunks(runs).map(variant).collect(),
+                dufp: dufp.chunks(runs).map(variant).collect(),
+            }
+        })
+        .collect())
+}
+
 fn main() {
-    let mut cfg = SweepConfig::default();
+    let (mut runs, mut sockets, mut seed) = (10usize, 4u16, 42u64);
     let mut out_path = "EXPERIMENTS.md".to_string();
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--runs" => cfg.runs = args.next().expect("--runs N").parse().expect("int"),
-            "--sockets" => cfg.sockets = args.next().expect("--sockets N").parse().expect("int"),
-            "--seed" => cfg.seed = args.next().expect("--seed S").parse().expect("int"),
+            "--runs" => runs = args.next().expect("--runs N").parse().expect("int"),
+            "--sockets" => sockets = args.next().expect("--sockets N").parse().expect("int"),
+            "--seed" => seed = args.next().expect("--seed S").parse().expect("int"),
             "--out" => out_path = args.next().expect("--out PATH"),
             other => panic!("unknown argument {other}"),
         }
     }
 
     eprintln!(
-        "all_experiments: {} apps x 4 slowdowns x (DUF, DUFP) x {} runs on {} socket(s)...",
-        APPS.len(),
-        cfg.runs,
-        cfg.sockets
+        "all_experiments: {} apps x 4 slowdowns x (DUF, DUFP) x {runs} runs on {sockets} socket(s)...",
+        apps::NAMES.len(),
     );
-    let sweeps: Vec<AppSweep> = APPS
-        .par_iter()
-        .map(|app| sweep_app(app, &cfg).unwrap_or_else(|e| panic!("{app}: {e}")))
-        .collect();
+    let sweeps = sweep(runs, sockets, seed).expect("sweep");
     eprintln!("all_experiments: fig1 motivation runs...");
-    let fig1 = run_fig1(cfg.sockets, cfg.seed).expect("fig1");
+    let fig1 = run_fig1(sockets, seed).expect("fig1");
     eprintln!("all_experiments: fig5 traces...");
-    let (duf_trace, dufp_trace) = run_fig5(cfg.sockets, cfg.seed).expect("fig5");
+    let (duf_trace, dufp_trace) = run_fig5(sockets, seed).expect("fig5");
 
     let measured = measure_claims(
         &sweeps,
@@ -65,7 +134,7 @@ fn main() {
         "Regenerated by `cargo run --release -p dufp-bench --bin all_experiments` \
          with `--runs {}` `--sockets {}` `--seed {}` on the calibrated Skylake-SP \
          socket simulator (see DESIGN.md §2 for the substitution rationale).\n",
-        cfg.runs, cfg.sockets, cfg.seed
+        runs, sockets, seed
     )
     .unwrap();
     writeln!(
@@ -147,6 +216,9 @@ fn main() {
         &rows,
     ));
 
+    // ---- Fig 2 ----
+    md.push_str(&fig2::decision_section());
+
     // ---- Fig 3 panels + Fig 4 ----
     panel(
         &mut md,
@@ -215,12 +287,7 @@ fn main() {
     println!("{md}");
 }
 
-fn panel(
-    md: &mut String,
-    sweeps: &[AppSweep],
-    title: &str,
-    metric: impl Fn(&dufp_bench::sweep::VariantResult) -> f64,
-) {
+fn panel(md: &mut String, sweeps: &[AppSweep], title: &str, metric: impl Fn(&Variant) -> f64) {
     writeln!(md, "\n## {title}\n").unwrap();
     let header = [
         "app", "DUF@0", "DUFP@0", "DUF@5", "DUFP@5", "DUF@10", "DUFP@10", "DUF@20", "DUFP@20",
@@ -228,7 +295,7 @@ fn panel(
     let rows: Vec<Vec<String>> = sweeps
         .iter()
         .map(|s| {
-            let mut row = vec![s.app.clone()];
+            let mut row = vec![s.app.to_string()];
             for i in 0..4 {
                 row.push(fmt_pct(metric(&s.duf[i])));
                 row.push(fmt_pct(metric(&s.dufp[i])));

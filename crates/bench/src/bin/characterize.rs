@@ -19,7 +19,6 @@
 use dufp::prelude::*;
 use dufp::{run_once, ControllerKind, ExperimentSpec};
 use dufp_bench::report::markdown_table;
-use dufp_bench::sweep::APPS;
 use rayon::prelude::*;
 
 struct Row {
@@ -40,8 +39,14 @@ fn main() {
             other => panic!("unknown argument {other}"),
         }
     }
-    eprintln!("characterize: probing {} applications...", APPS.len());
-    let rows: Vec<Row> = APPS.par_iter().map(|app| characterize(app, seed)).collect();
+    eprintln!(
+        "characterize: probing {} applications...",
+        apps::NAMES.len()
+    );
+    let rows: Vec<Row> = apps::NAMES
+        .par_iter()
+        .map(|app| characterize(app, seed))
+        .collect();
 
     println!("\n## Application characterization (§V-F)\n");
     let table: Vec<Vec<String>> = rows

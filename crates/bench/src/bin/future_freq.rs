@@ -7,7 +7,6 @@
 use dufp::prelude::*;
 use dufp::{ratios_vs_default, run_repeated, ControllerKind, ExperimentSpec};
 use dufp_bench::report::{fmt_pct, markdown_table};
-use dufp_bench::sweep::APPS;
 use rayon::prelude::*;
 
 fn main() {
@@ -29,9 +28,9 @@ fn main() {
 
     eprintln!(
         "future_freq: DUFP vs DUFP-F on {} apps at {pct:.0}%...",
-        APPS.len()
+        apps::NAMES.len()
     );
-    let rows: Vec<Vec<String>> = APPS
+    let rows: Vec<Vec<String>> = apps::NAMES
         .par_iter()
         .map(|app| {
             let spec = |controller| ExperimentSpec {

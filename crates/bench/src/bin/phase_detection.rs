@@ -11,7 +11,6 @@
 //! Usage: `phase_detection [--seed S] [--cap W]`
 
 use dufp_bench::report::markdown_table;
-use dufp_bench::sweep::APPS;
 use dufp_control::{PhaseEvent, PhaseTracker};
 use dufp_counters::Sampler;
 use dufp_model::RooflineModel;
@@ -58,7 +57,7 @@ fn main() {
 
     println!("## Phase-change detection quality (200 ms sampler, ±1 interval match window)\n");
     let mut rows = Vec::new();
-    for app in APPS {
+    for app in apps::NAMES {
         let free = score(app, seed, None);
         let capped = score(app, seed, Some(Watts(cap)));
         rows.push(vec![

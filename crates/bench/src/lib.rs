@@ -1,26 +1,24 @@
 //! Shared harness code for regenerating the paper's tables and figures.
 //!
-//! Each `src/bin/*.rs` binary regenerates one artifact:
+//! The paper's artifacts come from two binaries:
 //!
 //! | binary            | paper artifact |
 //! |-------------------|----------------|
-//! | `table1`          | Table I — architecture characteristics |
-//! | `fig1`            | Fig. 1 — static/partial power capping on CG |
-//! | `fig3`            | Fig. 3a/b/c — time, package power, energy (10 apps × 4 slowdowns, DUF vs DUFP) |
-//! | `fig4`            | Fig. 4 — DRAM power |
-//! | `fig5`            | Fig. 5 — CPU frequency traces, CG @ 10 % |
-//! | `all_experiments` | everything above + EXPERIMENTS.md update |
+//! | `all_experiments` | `EXPERIMENTS.md`: headline claims, Table I, Figs. 1–4, the Fig. 5 averages, stability and slowdown respect |
+//! | `fig5`            | Fig. 5 — CPU frequency traces, CG @ 10 % (`--csv` exports the raw traces) |
+//!
+//! Figs. 3–4 run on [`dufp::run_sweep`]; the other binaries are the
+//! extension studies and benchmarks listed in the README.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod ablation;
 pub mod fig1;
+pub mod fig2;
 pub mod fig5;
 pub mod paper;
 pub mod report;
-pub mod sweep;
 
 pub use paper::PaperClaim;
 pub use report::{fmt_pct, markdown_table};
-pub use sweep::{sweep_app, AppSweep, SweepConfig, SLOWDOWNS};

@@ -65,7 +65,7 @@ pub use journal::{
 pub use runner::{
     run_once, run_repeated, ControllerKind, Engine, ExperimentSpec, RunResult, TraceSpec,
 };
-pub use stats::{trimmed, RepeatedResult, Summary};
+pub use stats::{summarize_runs, trimmed, RepeatedResult, Summary};
 pub use sweep::{
     parse_grid, run_sweep, to_jsonl_bytes, SweepGrid, SweepJob, SweepOutput, SweepRow,
 };

@@ -7,7 +7,7 @@
 //! total energy are reported for the whole node.
 
 use crate::journal::{ActuatorCache, CheckpointState, JournalRecord, SocketRegs};
-use crate::stats::{trimmed, RepeatedResult};
+use crate::stats::{summarize_runs, RepeatedResult};
 use crate::watchdog::Watchdog;
 use dufp_control::{
     classify, Actuators, ControlConfig, Controller, Duf, Dufp, ErrorClass, HwActuators, NoOp,
@@ -766,17 +766,14 @@ pub fn run_repeated(spec: &ExperimentSpec, runs: usize, base_seed: u64) -> Resul
         .into_par_iter()
         .map(|i| run_once(spec, base_seed.wrapping_add(i as u64 * 7919)))
         .collect::<Result<Vec<_>>>()?;
-
-    let times: Vec<f64> = results.iter().map(|r| r.exec_time.value()).collect();
-    let pkg: Vec<f64> = results.iter().map(|r| r.avg_pkg_power.value()).collect();
-    let dram: Vec<f64> = results.iter().map(|r| r.avg_dram_power.value()).collect();
-    let energy: Vec<f64> = results.iter().map(|r| r.total_energy().value()).collect();
-    Ok(RepeatedResult {
-        exec_time: trimmed(&times),
-        pkg_power: trimmed(&pkg),
-        dram_power: trimmed(&dram),
-        total_energy: trimmed(&energy),
-    })
+    Ok(summarize_runs(results.iter().map(|r| {
+        [
+            r.exec_time.value(),
+            r.avg_pkg_power.value(),
+            r.avg_dram_power.value(),
+            r.total_energy().value(),
+        ]
+    })))
 }
 
 #[cfg(test)]

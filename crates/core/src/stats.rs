@@ -63,6 +63,27 @@ pub struct RepeatedResult {
     pub total_energy: Summary,
 }
 
+/// Summarizes repeated runs into a [`RepeatedResult`], [`trimmed`] per
+/// quantity. Each run is given in field order: execution time (s), package
+/// power (W), DRAM power (W), package + DRAM energy (J). Both
+/// [`run_repeated`](crate::run_repeated) and sweeps summarized from
+/// [`SweepRow::sample`](crate::SweepRow::sample) go through here.
+pub fn summarize_runs(runs: impl IntoIterator<Item = [f64; 4]>) -> RepeatedResult {
+    let mut columns: [Vec<f64>; 4] = Default::default();
+    for run in runs {
+        for (column, value) in columns.iter_mut().zip(run) {
+            column.push(value);
+        }
+    }
+    let [exec_time, pkg_power, dram_power, total_energy] = columns.map(|c| trimmed(&c));
+    RepeatedResult {
+        exec_time,
+        pkg_power,
+        dram_power,
+        total_energy,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

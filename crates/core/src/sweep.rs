@@ -256,6 +256,20 @@ pub struct SweepRow {
     pub dram_energy_j: f64,
 }
 
+impl SweepRow {
+    /// The row's measurements in [`summarize_runs`](crate::summarize_runs)
+    /// order: execution time, package power, DRAM power, package + DRAM
+    /// energy.
+    pub fn sample(&self) -> [f64; 4] {
+        [
+            self.exec_time_s,
+            self.avg_pkg_power_w,
+            self.avg_dram_power_w,
+            self.pkg_energy_j + self.dram_energy_j,
+        ]
+    }
+}
+
 /// Everything a finished sweep reports.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SweepOutput {
@@ -590,5 +604,39 @@ mod tests {
         let parallel = to_jsonl_bytes(&run_sweep(&g, 4).unwrap().rows).unwrap();
         assert!(!serial.is_empty());
         assert_eq!(serial, parallel);
+    }
+
+    /// The paper pipeline summarizes `run_sweep` rows; on the same seeds
+    /// that must equal `run_repeated` on a directly built spec, bit for bit.
+    #[test]
+    fn sweep_rows_summarize_exactly_like_run_repeated() {
+        let (runs, base) = (4u64, 3u64);
+        let slowdown = Ratio::from_percent(10.0);
+        for (policy, slowdown_pct, controller) in [
+            ("default", 0.0, ControllerKind::Default),
+            ("dufp", 10.0, ControllerKind::Dufp { slowdown }),
+        ] {
+            let grid = SweepGrid {
+                apps: vec!["EP".into()],
+                policies: vec![policy.into()],
+                slowdowns_pct: vec![slowdown_pct],
+                seeds: (0..runs).map(|i| base + i * 7919).collect(),
+                ..tiny_grid()
+            };
+            let rows = run_sweep(&grid, 2).unwrap().rows;
+            let spec = ExperimentSpec {
+                sim: SimConfig::yeti_single_socket(base),
+                app: "EP".into(),
+                controller,
+                trace: None,
+                interval_ms: None,
+                telemetry: false,
+                fault_plan: None,
+                engine: Engine::default(),
+            };
+            let direct = crate::run_repeated(&spec, runs as usize, base).unwrap();
+            let swept = crate::summarize_runs(rows.iter().map(SweepRow::sample));
+            assert_eq!(swept, direct, "{policy}");
+        }
     }
 }

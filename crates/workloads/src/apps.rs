@@ -177,20 +177,14 @@ pub fn pointer_chase(ctx: &MaterializeCtx) -> Result<Workload> {
     )
 }
 
-/// All ten applications in the paper's figure order.
+/// The paper's ten applications, in figure order.
+pub const NAMES: [&str; 10] = [
+    "BT", "CG", "EP", "FT", "LU", "MG", "SP", "UA", "HPL", "LAMMPS",
+];
+
+/// All ten applications in the paper's figure order ([`NAMES`]).
 pub fn all(ctx: &MaterializeCtx) -> Result<Vec<Workload>> {
-    Ok(vec![
-        bt(ctx)?,
-        cg(ctx)?,
-        ep(ctx)?,
-        ft(ctx)?,
-        lu(ctx)?,
-        mg(ctx)?,
-        sp(ctx)?,
-        ua(ctx)?,
-        hpl(ctx)?,
-        lammps(ctx)?,
-    ])
+    NAMES.iter().map(|name| by_name(name, ctx)).collect()
 }
 
 /// Looks an application up by its figure name (case-insensitive).
