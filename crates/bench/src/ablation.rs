@@ -10,6 +10,7 @@
 //!   interval (reprobe window vs none),
 //! * **monitoring interval** — 50 ms vs the paper's 200 ms (§IV-D).
 
+use crate::report::{self, fmt_pct, markdown_table};
 use dufp_control::{Actuators, ControlConfig, Controller, Dufp, HwActuators};
 use dufp_counters::{Sampler, Telemetry};
 use dufp_rapl::MsrRapl;
@@ -157,6 +158,37 @@ pub fn run_ablation(apps: &[&str], slowdown_pct: f64, seed: u64) -> Result<Vec<A
         }
     }
     Ok(rows)
+}
+
+/// The ablation's `EXPERIMENTS.md` section: every variant on CG, EP, UA
+/// and LAMMPS at 10 % tolerated slowdown.
+pub fn section(seed: u64) -> Result<String> {
+    const SLOWDOWN_PCT: f64 = 10.0;
+    let apps = ["CG", "EP", "UA", "LAMMPS"];
+    let rows = run_ablation(&apps, SLOWDOWN_PCT, seed)?;
+    let mut header = vec!["variant"];
+    header.extend(apps);
+    let table: Vec<Vec<String>> = Variant::ALL
+        .iter()
+        .map(|v| {
+            let mut row = vec![v.label().to_string()];
+            row.extend(rows.iter().filter(|r| r.variant == *v).map(|r| {
+                format!(
+                    "{} / {}",
+                    fmt_pct(r.overhead_pct),
+                    fmt_pct(r.pkg_savings_pct)
+                )
+            }));
+            row
+        })
+        .collect();
+    Ok(report::section(
+        &format!("Ablation — DUFP @ {SLOWDOWN_PCT:.0}% (overhead% / package savings%)"),
+        &markdown_table(&header, &table),
+        "Read each row against 'full DUFP': a mechanism earns its place when \
+         removing it either breaks the tolerance (overhead above the target) \
+         or costs savings.",
+    ))
 }
 
 #[cfg(test)]

@@ -1,22 +1,27 @@
-//! Regenerates every table and figure in the paper's evaluation and writes
-//! the paper-vs-measured record to `EXPERIMENTS.md`.
+//! Regenerates every table and figure in the paper's evaluation, then the
+//! extension studies, and writes the paper-vs-measured record to
+//! `EXPERIMENTS.md`.
 //!
-//! Usage: `all_experiments [--runs N] [--sockets N] [--seed S] [--out PATH]`
+//! Usage: `all_experiments [--runs N] [--sockets N] [--seed S] [--out PATH] [--csv DIR]`
 //!
 //! The paper's protocol is 10 runs × 4 sockets; the default here matches.
-//! Smoke-test with `--runs 2 --sockets 1`. The output depends only on the
-//! arguments, never on the core count, so CI regenerates `EXPERIMENTS.md`
-//! and fails if it differs from the committed file.
+//! Smoke-test with `--runs 2 --sockets 1`. `--runs` and `--sockets` shape
+//! Figs. 1–5 only; the extension studies follow `--seed` alone. `--csv`
+//! also writes the Fig. 5 frequency traces as CSV. The output depends
+//! only on the arguments, never on the core count, so CI regenerates
+//! `EXPERIMENTS.md` and fails if it differs from the committed file.
 
 use dufp::{
     ratios_vs_default, run_sweep, summarize_runs, Engine, Ratios, RepeatedResult, SweepGrid,
     SweepRow,
 };
+use dufp_bench::cli::{exit_usage, parse_experiments, ExperimentsArgs, EXPERIMENTS_USAGE};
 use dufp_bench::fig1::{run_fig1, Fig1Results};
 use dufp_bench::fig2;
-use dufp_bench::fig5::run_fig5;
+use dufp_bench::fig5::{run_fig5, trace_csv, trace_section};
 use dufp_bench::paper::claims;
 use dufp_bench::report::{fmt_pct, markdown_table};
+use dufp_bench::studies;
 use dufp_types::{ArchSpec, Result};
 use dufp_workloads::apps;
 use std::collections::HashMap;
@@ -96,28 +101,31 @@ fn sweep(runs: usize, sockets: u16, seed: u64) -> Result<Vec<AppSweep>> {
 }
 
 fn main() {
-    let (mut runs, mut sockets, mut seed) = (10usize, 4u16, 42u64);
-    let mut out_path = "EXPERIMENTS.md".to_string();
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--runs" => runs = args.next().expect("--runs N").parse().expect("int"),
-            "--sockets" => sockets = args.next().expect("--sockets N").parse().expect("int"),
-            "--seed" => seed = args.next().expect("--seed S").parse().expect("int"),
-            "--out" => out_path = args.next().expect("--out PATH"),
-            other => panic!("unknown argument {other}"),
-        }
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let args = parse_experiments(&args)
+        .unwrap_or_else(|e| exit_usage("all_experiments", &e, EXPERIMENTS_USAGE));
+    if let Err(e) = regenerate(&args) {
+        eprintln!("all_experiments: {e}");
+        std::process::exit(1);
     }
+}
 
+fn regenerate(args: &ExperimentsArgs) -> std::result::Result<(), Box<dyn std::error::Error>> {
+    let ExperimentsArgs {
+        runs,
+        sockets,
+        seed,
+        ..
+    } = *args;
     eprintln!(
         "all_experiments: {} apps x 4 slowdowns x (DUF, DUFP) x {runs} runs on {sockets} socket(s)...",
         apps::NAMES.len(),
     );
-    let sweeps = sweep(runs, sockets, seed).expect("sweep");
+    let sweeps = sweep(runs, sockets, seed)?;
     eprintln!("all_experiments: fig1 motivation runs...");
-    let fig1 = run_fig1(sockets, seed).expect("fig1");
+    let fig1 = run_fig1(sockets, seed)?;
     eprintln!("all_experiments: fig5 traces...");
-    let (duf_trace, dufp_trace) = run_fig5(sockets, seed).expect("fig5");
+    let (duf_trace, dufp_trace) = run_fig5(sockets, seed)?;
 
     let measured = measure_claims(
         &sweeps,
@@ -282,9 +290,34 @@ fn main() {
     )
     .unwrap();
 
-    std::fs::write(&out_path, &md).expect("write EXPERIMENTS.md");
-    eprintln!("all_experiments: wrote {out_path}");
+    md.push_str(&trace_section(&duf_trace, &dufp_trace));
+
+    // ---- extension studies ----
+    eprintln!("all_experiments: extension studies...");
+    writeln!(
+        md,
+        "\n## Extension studies\n\n\
+         The sections below answer the questions the paper raises beyond its \
+         evaluation (§III, §V-A, §V-F, §V-G, §VI, §VII). They follow `--seed` \
+         alone: their runs, sockets, slowdown, budget, skew, application and \
+         cap are fixed in `dufp_bench::studies`, and DUFP vs DNPC and DUFP vs \
+         DUFP-F run on fixed seeds."
+    )
+    .unwrap();
+    md.push_str(&studies::sections(seed)?);
+
+    std::fs::write(&args.out, &md)?;
+    eprintln!("all_experiments: wrote {}", args.out);
+    if let Some(dir) = &args.csv {
+        std::fs::create_dir_all(dir)?;
+        for t in [&duf_trace, &dufp_trace] {
+            let path = format!("{dir}/fig5_{}.csv", t.label.replace(['@', '%'], "_"));
+            std::fs::write(&path, trace_csv(t))?;
+            eprintln!("all_experiments: wrote {path}");
+        }
+    }
     println!("{md}");
+    Ok(())
 }
 
 fn panel(md: &mut String, sweeps: &[AppSweep], title: &str, metric: impl Fn(&Variant) -> f64) {

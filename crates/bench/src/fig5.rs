@@ -6,6 +6,7 @@
 //! power capping pulls the average down to ≈2.5 GHz, which is where the
 //! extra package power savings come from.
 
+use crate::report::section;
 use dufp::prelude::*;
 use dufp::{run_once, ControllerKind, ExperimentSpec, TraceSpec};
 use dufp_sim::Trace;
@@ -78,6 +79,26 @@ pub fn trace_csv(t: &FreqTrace) -> String {
         ));
     }
     out
+}
+
+/// The traces' `EXPERIMENTS.md` section: each controller's average core
+/// frequency and package power.
+pub fn trace_section(duf: &FreqTrace, dufp: &FreqTrace) -> String {
+    section(
+        "Fig 5 — CPU frequency, CG @ 10% tolerated slowdown",
+        &format!(
+            "{}: average core frequency {:.2} GHz (paper: ≈2.8 GHz), package {:.1} W\n\
+             {}: average core frequency {:.2} GHz (paper: ≈2.5 GHz), package {:.1} W\n",
+            duf.label,
+            duf.avg_core_ghz,
+            duf.avg_pkg_power,
+            dufp.label,
+            dufp.avg_core_ghz,
+            dufp.avg_pkg_power
+        ),
+        "Power capping enables core-frequency reduction that uncore scaling \
+         alone cannot reach — the source of DUFP's extra package savings (§V-E).",
+    )
 }
 
 #[cfg(test)]

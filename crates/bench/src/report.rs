@@ -1,4 +1,4 @@
-//! Plain-text/markdown rendering helpers for the figure binaries.
+//! Markdown rendering helpers for `EXPERIMENTS.md`.
 
 /// Formats a percentage with sign, e.g. `+3.17` / `-13.98`.
 pub fn fmt_pct(v: f64) -> String {
@@ -26,6 +26,12 @@ pub fn markdown_table(header: &[&str], rows: &[Vec<String>]) -> String {
         out.push('\n');
     }
     out
+}
+
+/// One `EXPERIMENTS.md` section: a title, a body (usually a table) and a
+/// closing paragraph.
+pub fn section(title: &str, body: &str, prose: &str) -> String {
+    format!("\n## {title}\n\n{body}\n{prose}\n")
 }
 
 #[cfg(test)]

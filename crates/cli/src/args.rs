@@ -1,6 +1,7 @@
 //! Argument parsing for the `dufp` tool (hand-rolled; no external parser).
 
-use dufp::Engine;
+use dufp::{ControllerKind, Engine};
+use dufp_journal::FsyncPolicy;
 use dufp_types::{Ratio, Watts};
 
 /// Usage text.
@@ -153,10 +154,9 @@ EXAMPLES:
 pub struct RunSpec {
     /// Application name (BT, CG, ..., HPL, LAMMPS).
     pub app: String,
-    /// Controller selector.
-    pub controller: ControllerArg,
-    /// Tolerated slowdown.
-    pub slowdown: Ratio,
+    /// The controller, with `--slowdown` folded in; `--controller` names
+    /// it in the sweep grid's `policies` grammar ([`dufp::policy_kind`]).
+    pub controller: ControllerKind,
     /// Number of sockets to simulate.
     pub sockets: u16,
     /// Repetitions (1 = single run, no statistics).
@@ -178,26 +178,15 @@ pub struct RunSpec {
     /// journal + periodic checkpoints, resumable with `dufp resume`).
     pub journal_dir: Option<String>,
     /// Fsync policy for journal appends (`always`, `never`, `every:N`).
-    pub fsync: Option<FsyncArg>,
+    pub fsync: Option<FsyncPolicy>,
     /// Simulation stepping engine.
     pub engine: Engine,
 }
 
-/// Parsed `--fsync` value.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FsyncArg {
-    /// fsync after every record.
-    Always,
-    /// Never fsync (the OS decides).
-    Never,
-    /// fsync after every N records.
-    EveryN(u32),
-}
-
-fn parse_fsync(v: &str) -> Result<FsyncArg, String> {
+fn parse_fsync(v: &str) -> Result<FsyncPolicy, String> {
     match v {
-        "always" => Ok(FsyncArg::Always),
-        "never" => Ok(FsyncArg::Never),
+        "always" => Ok(FsyncPolicy::Always),
+        "never" => Ok(FsyncPolicy::Never),
         other => {
             let n = other
                 .strip_prefix("every:")
@@ -206,26 +195,9 @@ fn parse_fsync(v: &str) -> Result<FsyncArg, String> {
             if n == 0 {
                 return Err("fsync every:0 makes no sense; use never".into());
             }
-            Ok(FsyncArg::EveryN(n))
+            Ok(FsyncPolicy::EveryN(n))
         }
     }
-}
-
-/// Which controller to run.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum ControllerArg {
-    /// No actuation.
-    Default,
-    /// Uncore only.
-    Duf,
-    /// Uncore + dynamic cap.
-    Dufp,
-    /// Uncore + direct core frequency + trailing cap (§VII future work).
-    DufpF,
-    /// The DNPC related-work baseline (frequency-linear model).
-    Dnpc,
-    /// Fixed whole-run cap.
-    StaticCap(Watts),
 }
 
 /// A parsed command line.
@@ -847,10 +819,11 @@ impl Cli {
                     .next()
                     .ok_or_else(|| format!("{sub}: missing <APP>\n\n{USAGE}"))?
                     .clone();
+                let mut controller = "dufp".to_string();
+                let mut slowdown_pct = 5.0;
                 let mut spec = RunSpec {
                     app,
-                    controller: ControllerArg::Dufp,
-                    slowdown: Ratio::from_percent(5.0),
+                    controller: ControllerKind::Default,
                     sockets: 4,
                     runs: 1,
                     seed: 42,
@@ -865,8 +838,7 @@ impl Cli {
                 while let Some(flag) = it.next() {
                     match flag.as_str() {
                         "--controller" => {
-                            let v = it.next().ok_or("--controller needs a value")?;
-                            spec.controller = parse_controller(v)?;
+                            controller = it.next().ok_or("--controller needs a value")?.clone();
                         }
                         "--slowdown" => {
                             let v = it.next().ok_or("--slowdown needs a value")?;
@@ -874,7 +846,7 @@ impl Cli {
                             if !(0.0..100.0).contains(&pct) {
                                 return Err(format!("slowdown {pct} outside [0, 100)"));
                             }
-                            spec.slowdown = Ratio::from_percent(pct);
+                            slowdown_pct = pct;
                         }
                         "--sockets" => {
                             let v = it.next().ok_or("--sockets needs a value")?;
@@ -925,6 +897,11 @@ impl Cli {
                         other => return Err(format!("unknown flag {other}\n\n{USAGE}")),
                     }
                 }
+                spec.controller =
+                    dufp::policy_kind(&controller, slowdown_pct).map_err(|e| match e {
+                        dufp_types::Error::InvalidValue { detail, .. } => detail,
+                        other => other.to_string(),
+                    })?;
                 if spec.fsync.is_some() && spec.journal_dir.is_none() {
                     return Err("--fsync only applies to journaled runs; add --journal-dir".into());
                 }
@@ -942,29 +919,6 @@ impl Cli {
                 })
             }
             other => Err(format!("unknown subcommand {other}\n\n{USAGE}")),
-        }
-    }
-}
-
-fn parse_controller(v: &str) -> Result<ControllerArg, String> {
-    match v {
-        "default" => Ok(ControllerArg::Default),
-        "duf" => Ok(ControllerArg::Duf),
-        "dufp" => Ok(ControllerArg::Dufp),
-        "dufpf" | "dufp-f" => Ok(ControllerArg::DufpF),
-        "dnpc" => Ok(ControllerArg::Dnpc),
-        other => {
-            if let Some(w) = other.strip_prefix("cap:") {
-                let watts: f64 = w.parse().map_err(|_| format!("bad cap value {w}"))?;
-                if !(1.0..=1000.0).contains(&watts) {
-                    return Err(format!("cap {watts} W outside a sane range"));
-                }
-                Ok(ControllerArg::StaticCap(Watts(watts)))
-            } else {
-                Err(format!(
-                    "unknown controller {other} (default|duf|dufp|dufpf|dnpc|cap:<W>)"
-                ))
-            }
         }
     }
 }
@@ -1005,8 +959,12 @@ mod tests {
             panic!("expected run");
         };
         assert_eq!(spec.app, "CG");
-        assert_eq!(spec.controller, ControllerArg::Dufp);
-        assert_eq!(spec.slowdown, Ratio::from_percent(10.0));
+        assert_eq!(
+            spec.controller,
+            ControllerKind::Dufp {
+                slowdown: Ratio::from_percent(10.0)
+            }
+        );
         assert_eq!(spec.sockets, 2);
         assert_eq!(spec.runs, 5);
         assert_eq!(spec.seed, 7);
@@ -1030,10 +988,11 @@ mod tests {
 
     #[test]
     fn extension_controllers_parse() {
+        let slowdown = Ratio::from_percent(5.0);
         for (name, want) in [
-            ("dufpf", ControllerArg::DufpF),
-            ("dufp-f", ControllerArg::DufpF),
-            ("dnpc", ControllerArg::Dnpc),
+            ("dufpf", ControllerKind::DufpF { slowdown }),
+            ("dufp-f", ControllerKind::DufpF { slowdown }),
+            ("dnpc", ControllerKind::Dnpc { slowdown }),
         ] {
             let cli = parse(&["run", "CG", "--controller", name]).unwrap();
             let Command::Run(spec) = cli.command else {
@@ -1089,9 +1048,12 @@ mod tests {
             panic!()
         };
         assert_eq!(spec.journal_dir.as_deref(), Some("/tmp/j"));
-        assert_eq!(spec.fsync, Some(FsyncArg::EveryN(4)));
+        assert_eq!(spec.fsync, Some(FsyncPolicy::EveryN(4)));
 
-        for (v, want) in [("always", FsyncArg::Always), ("never", FsyncArg::Never)] {
+        for (v, want) in [
+            ("always", FsyncPolicy::Always),
+            ("never", FsyncPolicy::Never),
+        ] {
             let cli = parse(&["run", "EP", "--journal-dir", "/tmp/j", "--fsync", v]).unwrap();
             let Command::Run(spec) = cli.command else {
                 panic!()
@@ -1482,7 +1444,10 @@ mod tests {
         let Command::Run(spec) = cli.command else {
             panic!()
         };
-        assert_eq!(spec.controller, ControllerArg::StaticCap(Watts(100.0)));
+        assert_eq!(
+            spec.controller,
+            ControllerKind::StaticCap { cap: Watts(100.0) }
+        );
     }
 
     #[test]
@@ -1491,8 +1456,12 @@ mod tests {
         let Command::Run(spec) = cli.command else {
             panic!()
         };
-        assert_eq!(spec.controller, ControllerArg::Dufp);
-        assert_eq!(spec.slowdown, Ratio::from_percent(5.0));
+        assert_eq!(
+            spec.controller,
+            ControllerKind::Dufp {
+                slowdown: Ratio::from_percent(5.0)
+            }
+        );
         assert_eq!(spec.sockets, 4);
     }
 

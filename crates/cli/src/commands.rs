@@ -1,15 +1,15 @@
 //! Subcommand implementations.
 
 use crate::args::{
-    AgentCmd, ChaosCmd, ControllerArg, CoordinateCmd, FsyncArg, JournalCmd, RecordSpec, ResumeCmd,
-    RunSpec, ScenarioCmd, SweepCmd, TraceCmd,
+    AgentCmd, ChaosCmd, CoordinateCmd, JournalCmd, RecordSpec, ResumeCmd, RunSpec, ScenarioCmd,
+    SweepCmd, TraceCmd,
 };
 use crate::plot::{chart, Series};
 use dufp::{
     run_journaled, run_once, run_repeated, ControllerKind, ExperimentSpec, JournalOptions,
     TraceSpec,
 };
-use dufp_journal::{list_checkpoints, FsyncPolicy};
+use dufp_journal::list_checkpoints;
 use dufp_msr::FaultPlan;
 use dufp_telemetry::{read_jsonl, write_jsonl, Actuator, DecisionEvent, Reason};
 use dufp_types::ArchSpec;
@@ -71,35 +71,12 @@ pub fn machine_template() -> String {
         .expect("SimConfig always serializes")
 }
 
-fn controller_kind(spec: &RunSpec) -> ControllerKind {
-    match spec.controller {
-        ControllerArg::Default => ControllerKind::Default,
-        ControllerArg::Duf => ControllerKind::Duf {
-            slowdown: spec.slowdown,
-        },
-        ControllerArg::Dufp => ControllerKind::Dufp {
-            slowdown: spec.slowdown,
-        },
-        ControllerArg::DufpF => ControllerKind::DufpF {
-            slowdown: spec.slowdown,
-        },
-        ControllerArg::Dnpc => ControllerKind::Dnpc {
-            slowdown: spec.slowdown,
-        },
-        ControllerArg::StaticCap(cap) => ControllerKind::StaticCap { cap },
-    }
-}
-
 /// Resolves `--journal-dir`/`--fsync` into [`JournalOptions`].
 fn journal_options(spec: &RunSpec) -> Option<JournalOptions> {
     let dir = spec.journal_dir.as_ref()?;
     let mut opts = JournalOptions::new(dir);
     if let Some(fsync) = spec.fsync {
-        opts.fsync = match fsync {
-            FsyncArg::Always => FsyncPolicy::Always,
-            FsyncArg::Never => FsyncPolicy::Never,
-            FsyncArg::EveryN(n) => FsyncPolicy::EveryN(n),
-        };
+        opts.fsync = fsync;
     }
     Some(opts)
 }
@@ -113,7 +90,7 @@ pub fn run_app(spec: &RunSpec) -> Result<String, String> {
         return Err("--journal-dir journals a single run; use --runs 1".into());
     }
     let sim = resolve_sim(spec)?;
-    let kind = controller_kind(spec);
+    let kind = spec.controller;
     let fault_plan = resolve_fault_plan(spec)?;
     let exp = ExperimentSpec {
         sim,
@@ -310,7 +287,7 @@ pub fn journal(cmd: &JournalCmd) -> Result<String, String> {
 /// `dufp timeline <APP> ...` — one traced run rendered as ASCII charts.
 pub fn timeline(spec: &RunSpec) -> Result<String, String> {
     let sim = resolve_sim(spec)?;
-    let kind = controller_kind(spec);
+    let kind = spec.controller;
     let exp = ExperimentSpec {
         sim,
         app: spec.app.clone(),
@@ -1163,8 +1140,9 @@ mod tests {
     fn spec(app: &str, runs: usize) -> RunSpec {
         RunSpec {
             app: app.into(),
-            controller: ControllerArg::Dufp,
-            slowdown: Ratio::from_percent(10.0),
+            controller: ControllerKind::Dufp {
+                slowdown: Ratio::from_percent(10.0),
+            },
             sockets: 1,
             runs,
             seed: 3,

@@ -12,7 +12,7 @@
 //! measurable: on memory-bound codes DNPC *over*-estimates degradation
 //! (the cores idle at low frequency without hurting progress), backs the
 //! cap off early, and leaves savings on the table that DUFP collects. The
-//! `baseline_dnpc` bench binary reproduces that comparison.
+//! "DUFP vs DNPC" section of `EXPERIMENTS.md` reproduces that comparison.
 
 use crate::actuators::Actuators;
 use crate::config::ControlConfig;

@@ -67,7 +67,7 @@ pub use runner::{
 };
 pub use stats::{summarize_runs, trimmed, RepeatedResult, Summary};
 pub use sweep::{
-    parse_grid, run_sweep, to_jsonl_bytes, SweepGrid, SweepJob, SweepOutput, SweepRow,
+    parse_grid, policy_kind, run_sweep, to_jsonl_bytes, SweepGrid, SweepJob, SweepOutput, SweepRow,
 };
 pub use watchdog::{Watchdog, WatchdogTrip};
 

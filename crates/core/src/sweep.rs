@@ -179,9 +179,10 @@ impl SweepGrid {
     }
 }
 
-/// Maps a policy name (CLI syntax) plus the grid's slowdown to a
-/// [`ControllerKind`].
-fn policy_kind(policy: &str, slowdown_pct: f64) -> Result<ControllerKind> {
+/// Maps a controller name (`default`, `duf`, `dufp`, `dufpf`/`dufp-f`,
+/// `dnpc` or `cap:<W>`) plus a tolerated slowdown to a [`ControllerKind`]:
+/// the one grammar for sweep-grid `policies` and `dufp run --controller`.
+pub fn policy_kind(policy: &str, slowdown_pct: f64) -> Result<ControllerKind> {
     let slowdown = Ratio::from_percent(slowdown_pct);
     match policy {
         "default" => Ok(ControllerKind::Default),
@@ -204,7 +205,7 @@ fn policy_kind(policy: &str, slowdown_pct: f64) -> Result<ControllerKind> {
             }
             None => Err(Error::invalid(
                 "policies",
-                format!("unknown policy {other} (default|duf|dufp|dufpf|dnpc|cap:<W>)"),
+                format!("unknown controller {other} (default|duf|dufp|dufpf|dnpc|cap:<W>)"),
             )),
         },
     }

@@ -112,9 +112,9 @@ fn jsonl(lines: Vec<String>) -> Vec<u8> {
         .into_bytes()
 }
 
-/// The cluster configurations the golden pins: two demo seeds, the
-/// 400 W seed-11 comparison `cluster_budget --budget 400 --seed 11`
-/// prints, and a two-node queue that drains and donates.
+/// The cluster configurations the golden pins: two demo seeds, a 400 W
+/// seed-11 comparison (`ClusterConfig::demo(11)` at 400 W), and a
+/// two-node queue that drains and donates.
 fn golden_clusters() -> Vec<ClusterConfig> {
     let mut budget_400 = ClusterConfig::demo(11);
     budget_400.budget = Watts(400.0);
