@@ -22,7 +22,7 @@ use crate::spec::ScenarioSpec;
 use dufp_cluster::allocator::NodeObservation;
 use dufp_net::{fleet_event, FleetModel, FleetPlan, FleetSim, FleetStats, NodeHello, PolicyKind};
 use dufp_sim::SharedSocketSim;
-use dufp_telemetry::{DecisionEvent, Reason, Telemetry};
+use dufp_telemetry::{DecisionEvent, Gauge, Reason, Telemetry};
 use dufp_types::{Error, Result, Seconds, Watts};
 use dufp_workloads::cache;
 use serde::{Deserialize, Serialize};
@@ -172,19 +172,47 @@ pub struct RunResult {
 pub fn run_one(spec: &ScenarioSpec, seed: u64, policy: PolicyChoice) -> Result<RunResult> {
     spec.validate()?;
     let tel = Telemetry::enabled();
-    let plan = FleetPlan {
-        budget: Watts(spec.budget_w),
-        policy: policy.kind(),
-        interval_ms: spec.interval_ms,
-        epoch_intervals: u64::from(spec.epoch_intervals),
-    };
-    let fleet = ScenarioFleet::new(spec, seed, plan.policy.is_some())?;
+    let plan = fleet_plan(spec, policy);
+    let fleet = ScenarioFleet::new(spec, seed, plan.policy.is_some(), &tel)?;
     let mut sim = FleetSim::new(fleet, plan, tel.clone())?;
     let stats = sim.run()?;
     Ok(RunResult {
         row: sim.into_model().scorecard(seed, policy, stats),
         events: tel.drain_events(),
     })
+}
+
+/// The [`FleetSim`] plan of one `(spec, policy)` run.
+fn fleet_plan(spec: &ScenarioSpec, policy: PolicyChoice) -> FleetPlan {
+    FleetPlan {
+        budget: Watts(spec.budget_w),
+        policy: policy.kind(),
+        interval_ms: spec.interval_ms,
+        epoch_intervals: u64::from(spec.epoch_intervals),
+    }
+}
+
+/// A node's gauges, resolved once at construction so the interval loop
+/// only calls `.set()` and never touches the registry's name map.
+struct NodeGauges {
+    /// `scenario.node{i}.intensity`.
+    intensity: Arc<Gauge>,
+    /// `scenario.node{i}.tenant{j}.backlog_s`, by slot.
+    backlog_s: Vec<Arc<Gauge>>,
+    /// `scenario.node{i}.tenant{j}.energy_j`, by slot.
+    energy_j: Vec<Arc<Gauge>>,
+}
+
+impl NodeGauges {
+    fn new(tel: &Telemetry, node: usize, tenants: usize) -> Self {
+        let tenant =
+            |j: usize, metric: &str| tel.gauge(&format!("scenario.node{node}.tenant{j}.{metric}"));
+        NodeGauges {
+            intensity: tel.gauge(&format!("scenario.node{node}.intensity")),
+            backlog_s: (0..tenants).map(|j| tenant(j, "backlog_s")).collect(),
+            energy_j: (0..tenants).map(|j| tenant(j, "energy_j")).collect(),
+        }
+    }
 }
 
 /// One scenario node: its shared socket and its accounting.
@@ -199,6 +227,7 @@ struct Node {
     dram: f64,
     /// SLO violations per tenant.
     viol: Vec<u64>,
+    gauges: NodeGauges,
 }
 
 /// The scenario's co-tenant fleet under [`FleetSim`]: shared-socket
@@ -214,12 +243,12 @@ struct ScenarioFleet<'a> {
 }
 
 impl<'a> ScenarioFleet<'a> {
-    /// One shared socket per node, tenants weight-scaled. Capped nodes
-    /// start at their class floor (an agent enforces its floor until the
-    /// first grant).
-    fn new(spec: &'a ScenarioSpec, seed: u64, capped: bool) -> Result<Self> {
+    /// One shared socket per node, tenants weight-scaled, with its gauges
+    /// resolved on `tel`. Capped nodes start at their class floor (an
+    /// agent enforces its floor until the first grant).
+    fn new(spec: &'a ScenarioSpec, seed: u64, capped: bool, tel: &Telemetry) -> Result<Self> {
         let mut nodes = Vec::with_capacity(spec.nodes.len());
-        for node in &spec.nodes {
+        for (i, node) in spec.nodes.iter().enumerate() {
             let class = spec
                 .class_of(node)
                 .expect("validated spec resolves machines");
@@ -242,6 +271,7 @@ impl<'a> ScenarioFleet<'a> {
                 energy: 0.0,
                 dram: 0.0,
                 viol: vec![0; node.tenants.len()],
+                gauges: NodeGauges::new(tel, i, node.tenants.len()),
             });
         }
         let dt = spec.interval_ms as f64 / 1000.0;
@@ -345,17 +375,16 @@ impl FleetModel for ScenarioFleet<'_> {
             for j in 0..n.sim.tenant_count() {
                 n.sim.set_intensity(j, v);
             }
-            tel.gauge(&format!("scenario.node{i}.intensity")).set(v);
+            n.gauges.intensity.set(v);
         }
 
-        // Physics. `step_fast` self-gates: it fast-forwards through cached
-        // idle fixed points and falls back to the full (oracle) step the
-        // moment any tenant has backlog or offered load, so the scenario
-        // trace is bit-identical to per-step evaluation either way.
+        // Physics: every node takes `SUBSTEPS` full steps. The step reuses
+        // its socket's scratch buffers and caches, so it allocates only
+        // the attribution vector it returns.
         let sub_dt = Seconds(self.dt / f64::from(SUBSTEPS));
         for n in &mut self.nodes {
             for _ in 0..SUBSTEPS {
-                let step = n.sim.step_fast(sub_dt);
+                let step = n.sim.step(sub_dt);
                 let attributed: f64 = step.tenant_energy_j.iter().sum();
                 self.conservation_ok &= attributed == step.pkg_energy_j;
                 n.energy += step.pkg_energy_j;
@@ -368,10 +397,8 @@ impl FleetModel for ScenarioFleet<'_> {
         for (i, n) in self.nodes.iter_mut().enumerate() {
             for (j, viol) in n.viol.iter_mut().enumerate() {
                 let backlog = n.sim.backlog_seconds(j);
-                tel.gauge(&format!("scenario.node{i}.tenant{j}.backlog_s"))
-                    .set(backlog);
-                tel.gauge(&format!("scenario.node{i}.tenant{j}.energy_j"))
-                    .set(n.sim.account(j).energy_j);
+                n.gauges.backlog_s[j].set(backlog);
+                n.gauges.energy_j[j].set(n.sim.account(j).energy_j);
                 if backlog > spec.slo_backlog_s {
                     *viol += 1;
                     let slo = spec.slo_backlog_s;
@@ -536,6 +563,52 @@ mod tests {
             .events
             .iter()
             .any(|e| e.reason == Reason::BudgetGrant && e.actuator == Actuator::Budget));
+    }
+
+    #[test]
+    fn node_gauges_track_the_run() {
+        let (spec, seed, policy) = (mini(), 42, PolicyChoice::DemandBased);
+        let tel = Telemetry::enabled();
+        let fleet = ScenarioFleet::new(&spec, seed, true, &tel).unwrap();
+        let mut sim = FleetSim::new(fleet, fleet_plan(&spec, policy), tel.clone()).unwrap();
+        let stats = sim.run().unwrap();
+        let fleet = sim.into_model();
+        // The last interval's intensity and the final backlogs.
+        let t_last = (fleet.intervals - 1) as f64 * fleet.dt;
+        let want: Vec<(f64, Vec<f64>)> = (fleet.nodes.iter().enumerate())
+            .map(|(i, n)| {
+                let stagger = i as f64 * spec.arrival.node_stagger_s;
+                let backlogs = (0..n.sim.tenant_count())
+                    .map(|j| n.sim.backlog_seconds(j))
+                    .collect();
+                (fleet.profile.intensity(t_last, stagger), backlogs)
+            })
+            .collect();
+        let row = fleet.scorecard(seed, policy, stats);
+
+        let snap = tel.metrics_snapshot();
+        let gauge = |name: String| {
+            let g = snap.gauges.iter().find(|g| g.name == name);
+            g.unwrap_or_else(|| panic!("missing gauge {name}")).value
+        };
+        for (i, (node, (intensity, backlogs))) in row.nodes.iter().zip(&want).enumerate() {
+            assert_eq!(gauge(format!("scenario.node{i}.intensity")), *intensity);
+            for (j, (t, backlog)) in node.tenants.iter().zip(backlogs).enumerate() {
+                let energy = gauge(format!("scenario.node{i}.tenant{j}.energy_j"));
+                assert_eq!(energy, t.energy_j, "node{i}.tenant{j}");
+                assert!(t.energy_j > 0.0);
+                let b = gauge(format!("scenario.node{i}.tenant{j}.backlog_s"));
+                assert_eq!(b, *backlog, "node{i}.tenant{j}");
+            }
+        }
+        let scenario_gauges = snap
+            .gauges
+            .iter()
+            .filter(|g| g.name.starts_with("scenario."));
+        assert_eq!(
+            scenario_gauges.count(),
+            row.nodes.len() + 2 * spec.tenant_count()
+        );
     }
 
     #[test]

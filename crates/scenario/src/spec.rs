@@ -513,6 +513,15 @@ impl ScenarioSpec {
                 }
             }
             let ctx = class.materialize_ctx();
+            // The socket splits its cores evenly over tenants with backlog;
+            // past one tenant per core the highest slots would get none and
+            // never be served.
+            if n.tenants.len() > usize::from(ctx.cores) {
+                return fail(
+                    format!("{path}.tenants"),
+                    format!("{} tenants on {} cores", n.tenants.len(), ctx.cores),
+                );
+            }
             for app in &n.tenants {
                 if let Err(e) = dufp_workloads::apps::by_name(app, &ctx) {
                     return fail(format!("{path}.tenants"), format!("app {app:?}: {e}"));
@@ -756,6 +765,19 @@ mod tests {
         let d = detail(spec.validate().unwrap_err());
         assert!(d.contains("node.n0.tenants"), "{d}");
         assert!(d.contains("empty tenant mix"), "{d}");
+    }
+
+    #[test]
+    fn more_tenants_than_cores_rejected() {
+        // `n0` sits on the mini spec's 4-core `tiny` class.
+        let mut spec = ScenarioSpec::mini();
+        spec.nodes[0].tenants = ["CG", "EP", "MG", "LU", "BT"].map(String::from).to_vec();
+        spec.nodes[0].weights.clear();
+        let d = detail(spec.validate().unwrap_err());
+        assert!(d.contains("node.n0.tenants: 5 tenants on 4 cores"), "{d}");
+        // One tenant per core is still served.
+        spec.nodes[0].tenants.pop();
+        spec.validate().unwrap();
     }
 
     #[test]

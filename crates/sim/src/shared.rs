@@ -23,8 +23,8 @@
 //! noise lives in the arrival models one layer up.
 
 use dufp_model::{
-    BandwidthModel, CapEnforcer, CapEnforcerParams, DramPowerModel, PowerModel, RooflineModel,
-    SocketActivity,
+    BandwidthModel, CapEnforcer, CapEnforcerParams, CapGains, DramPowerModel, PowerModel,
+    RooflineModel, SocketActivity,
 };
 use dufp_types::{ArchSpec, BytesPerSec, Error, Hertz, Result, Seconds, Watts};
 use dufp_workloads::Workload;
@@ -153,19 +153,42 @@ pub struct SharedStep {
     pub tenant_energy_j: Vec<f64>,
 }
 
-/// A verified idle fixed point of [`SharedSocketSim::step`], replayed by
-/// [`SharedSocketSim::step_fast`] while every tenant queue stays drained.
-///
-/// The memo is only built after observing one full `step` that left the
-/// socket's evolving state (memory pressure, uncore point, firmware
-/// averages) bitwise unchanged — the analytic guarantee that replaying the
-/// cached outputs is exactly what ticking would produce. A backlogged or
-/// loaded socket never fast-forwards: any arrival intensity or queued work
-/// fails the idle check and falls through to the full step.
-#[derive(Debug, Clone)]
-struct IdleMemo {
-    dt_bits: u64,
-    step: SharedStep,
+/// Per-step working buffers, owned by the socket so that
+/// [`SharedSocketSim::step`] allocates nothing but the attribution vector
+/// it returns. Each step clears and resizes them to the tenant count and
+/// visits them in slot order, exactly as fresh vectors would be.
+#[derive(Debug, Clone, Default)]
+struct StepScratch {
+    /// Slots with backlog, ascending.
+    active: Vec<usize>,
+    /// Cores granted to each slot this step.
+    shares: Vec<u16>,
+    /// Unconstrained bandwidth demand per slot (B/s).
+    demand_bw: Vec<f64>,
+    /// FLOPs served per slot this step.
+    served_flops: Vec<f64>,
+    /// Bytes served per slot this step.
+    served_bytes: Vec<f64>,
+    /// Fraction of the step each slot spent serving.
+    busy_frac: Vec<f64>,
+}
+
+impl StepScratch {
+    /// Empties every buffer and zero-fills the per-slot ones to `n`.
+    fn reset(&mut self, n: usize) {
+        self.active.clear();
+        for v in [
+            &mut self.demand_bw,
+            &mut self.served_flops,
+            &mut self.served_bytes,
+            &mut self.busy_frac,
+        ] {
+            v.clear();
+            v.resize(n, 0.0);
+        }
+        self.shares.clear();
+        self.shares.resize(n, 0);
+    }
 }
 
 /// A package co-scheduling N tenants under one RAPL ceiling.
@@ -179,7 +202,15 @@ pub struct SharedSocketSim {
     /// EMA of achieved-bandwidth utilisation, drives the built-in
     /// DUF-style uncore governor (memory pressure up → uncore up).
     mem_pressure: f64,
-    memo: Option<IdleMemo>,
+    /// `bandwidth.uncore_factor(uncore)` keyed on the uncore's bits: a
+    /// pure function of them, so the cached value is exactly what
+    /// `achievable` would recompute, without its `powf`.
+    uf: (u64, f64),
+    /// `enforcer.gains(dt)` keyed on `dt`'s bits (the windows and settle
+    /// constant never change), so `step_with_gains` is bit-identical to
+    /// `step(dt, p)` without its division and `exp` per step.
+    gains: Option<(u64, CapGains)>,
+    scratch: StepScratch,
 }
 
 impl SharedSocketSim {
@@ -221,6 +252,10 @@ impl SharedSocketSim {
         let enforcer = CapEnforcer::new(cfg.pl1, cfg.pl1_window, cfg.pl2, cfg.pl2_window, cfg.cap);
         let ceiling = cfg.pl1;
         let uncore = cfg.uncore_max;
+        let uf = (
+            uncore.value().to_bits(),
+            cfg.bandwidth.uncore_factor(uncore),
+        );
         Ok(SharedSocketSim {
             cfg,
             tenants,
@@ -228,7 +263,9 @@ impl SharedSocketSim {
             ceiling,
             uncore,
             mem_pressure: 0.5,
-            memo: None,
+            uf,
+            gains: None,
+            scratch: StepScratch::default(),
         })
     }
 
@@ -269,13 +306,7 @@ impl SharedSocketSim {
     /// Sets tenant `i`'s offered-load multiplier for subsequent steps.
     pub fn set_intensity(&mut self, i: usize, intensity: f64) {
         if let Some(t) = self.tenants.get_mut(i) {
-            let v = intensity.clamp(0.0, 8.0);
-            // A no-op write (scenario drivers re-assert intensity every
-            // tick) must not evict the idle memo.
-            if v.to_bits() != t.intensity.to_bits() {
-                t.intensity = v;
-                self.memo = None;
-            }
+            t.intensity = intensity.clamp(0.0, 8.0);
         }
     }
 
@@ -287,15 +318,9 @@ impl SharedSocketSim {
                 .value()
                 .clamp(self.cfg.cap_floor.value(), self.cfg.pl1.value()),
         );
-        // Re-asserting the current ceiling (coordinators re-grant the same
-        // budget) changes nothing, so it must not evict the idle memo.
-        if c.value().to_bits() == self.ceiling.value().to_bits() {
-            return;
-        }
         self.ceiling = c;
         let ratio = self.cfg.pl2.value() / self.cfg.pl1.value().max(1e-9);
         self.enforcer.set_limits(c, Watts(c.value() * ratio));
-        self.memo = None;
     }
 
     /// The ceiling currently enforced.
@@ -308,49 +333,11 @@ impl SharedSocketSim {
         self.tenants.iter().any(|t| t.backlog_units > 1e-12)
     }
 
-    /// True when no tenant has backlog or offered load — the only regime
-    /// the fast path is allowed to fast-forward.
-    fn all_idle(&self) -> bool {
-        self.tenants
-            .iter()
-            .all(|t| t.backlog_units <= 1e-12 && t.intensity == 0.0)
-    }
-
-    /// [`SharedSocketSim::step`] with idle fast-forwarding: while every
-    /// tenant queue is drained, no load is offered and the socket state has
-    /// reached a bitwise fixed point, the cached step outputs are replayed
-    /// (plus the exact per-tenant energy accrual) instead of re-deriving
-    /// them. Bit-identical to calling `step` — proven, not assumed: the
-    /// memo is built only from an observed fixed-point step, and any
-    /// arrival, backlog, ceiling write or differing `dt` falls back to the
-    /// full step. Backlogged co-tenant sockets therefore always tick.
+    /// [`SharedSocketSim::step`] under its older name, kept only because
+    /// the `ledger` benchmark's scenario mirror
+    /// (`crates/bench/src/bin/ledger/mirror.rs`) calls it.
     pub fn step_fast(&mut self, dt: Seconds) -> SharedStep {
-        if let Some(memo) = &self.memo {
-            if memo.dt_bits == dt.value().to_bits() && self.all_idle() {
-                let step = memo.step.clone();
-                for (t, &e) in self.tenants.iter_mut().zip(&step.tenant_energy_j) {
-                    t.acct.energy_j += e;
-                }
-                return step;
-            }
-            self.memo = None;
-        }
-        let idle_entry = self.all_idle();
-        let pre_pressure = self.mem_pressure.to_bits();
-        let pre_uncore = self.uncore.value().to_bits();
-        let pre_enforcer = self.enforcer.clone();
-        let step = self.step(dt);
-        if idle_entry
-            && self.mem_pressure.to_bits() == pre_pressure
-            && self.uncore.value().to_bits() == pre_uncore
-            && self.enforcer == pre_enforcer
-        {
-            self.memo = Some(IdleMemo {
-                dt_bits: dt.value().to_bits(),
-                step: step.clone(),
-            });
-        }
-        step
+        self.step(dt)
     }
 
     /// Advances the socket by `dt`: arrivals, the core/uncore operating
@@ -375,14 +362,27 @@ impl SharedSocketSim {
             + ((raw - self.cfg.uncore_min.value()) / step_hz).round() * step_hz;
         self.uncore =
             Hertz(snapped.clamp(self.cfg.uncore_min.value(), self.cfg.uncore_max.value()));
+        if self.uf.0 != self.uncore.value().to_bits() {
+            self.uf = (
+                self.uncore.value().to_bits(),
+                self.cfg.bandwidth.uncore_factor(self.uncore),
+            );
+        }
 
         // 3. Core split across tenants with backlog (even shares, the
         // remainder cores to the lowest slots — deterministic).
-        let active: Vec<usize> = (0..self.tenants.len())
-            .filter(|&i| self.tenants[i].backlog_units > 1e-12)
-            .collect();
+        let n = self.tenants.len();
+        self.scratch.reset(n);
+        let StepScratch {
+            active,
+            shares,
+            demand_bw,
+            served_flops,
+            served_bytes,
+            busy_frac,
+        } = &mut self.scratch;
+        active.extend((0..n).filter(|&i| self.tenants[i].backlog_units > 1e-12));
         let n_active = active.len();
-        let mut shares = vec![0u16; self.tenants.len()];
         if n_active > 0 {
             let base = self.cfg.cores / n_active as u16;
             let rem = (self.cfg.cores % n_active as u16) as usize;
@@ -416,12 +416,13 @@ impl SharedSocketSim {
             &est_activity,
             allowance,
         );
-        let bw_total = self.cfg.bandwidth.achievable(self.uncore, allowance);
+        // `achievable(uncore, allowance)` with the cached uncore factor.
+        let bw_total =
+            self.cfg.bandwidth.peak * self.uf.1 * self.cfg.bandwidth.cap_factor(allowance);
 
         // 5. First pass: unconstrained demand at full bandwidth; second
         // pass: proportional bandwidth shares when demand oversubscribes.
-        let mut demand_bw = vec![0.0f64; self.tenants.len()];
-        for &i in &active {
+        for &i in active.iter() {
             let t = &self.tenants[i];
             let m = RooflineModel { cores: shares[i] };
             demand_bw[i] = m
@@ -434,10 +435,7 @@ impl SharedSocketSim {
 
         // 6. Serve: progress each tenant at its (possibly shared) rate,
         // cycling phases within the step as boundaries are crossed.
-        let mut served_flops = vec![0.0f64; self.tenants.len()];
-        let mut served_bytes = vec![0.0f64; self.tenants.len()];
-        let mut busy_frac = vec![0.0f64; self.tenants.len()];
-        for &i in &active {
+        for &i in active.iter() {
             let bw_i = if oversub {
                 BytesPerSec(bw_total.value() * demand_bw[i] / total_demand)
             } else {
@@ -497,7 +495,6 @@ impl SharedSocketSim {
         // FLOPs and bytes; the last participant absorbs the floating-point
         // remainder so Σ tenant energy == socket energy *exactly*. With no
         // demand at all, idle power splits evenly.
-        let n = self.tenants.len();
         let sum_f: f64 = served_flops.iter().sum();
         let sum_b: f64 = served_bytes.iter().sum();
         let mut tenant_energy = vec![0.0f64; n];
@@ -546,7 +543,16 @@ impl SharedSocketSim {
         }
 
         // 9. Firmware and pressure state advance for the next step.
-        self.enforcer.step(dt, pkg_power);
+        let dt_bits = dt.value().to_bits();
+        let gains = match self.gains {
+            Some((bits, g)) if bits == dt_bits => g,
+            _ => {
+                let g = self.enforcer.gains(dt);
+                self.gains = Some((dt_bits, g));
+                g
+            }
+        };
+        self.enforcer.step_with_gains(pkg_power, &gains);
         let alpha = (dt_s / 0.2).clamp(0.0, 1.0);
         self.mem_pressure += alpha * (mem_util - self.mem_pressure);
 
@@ -675,77 +681,6 @@ mod tests {
         assert_eq!(s.ceiling(), Watts(65.0));
         s.set_ceiling(Watts(500.0));
         assert_eq!(s.ceiling(), Watts(125.0));
-    }
-
-    /// Bitwise signature of one step, for differential comparison.
-    fn sig(st: &SharedStep) -> Vec<u64> {
-        let mut v = vec![
-            st.core_freq.value().to_bits(),
-            st.uncore_freq.value().to_bits(),
-            st.pkg_power.value().to_bits(),
-            st.pkg_energy_j.to_bits(),
-            st.dram_energy_j.to_bits(),
-            st.achieved_bw.value().to_bits(),
-        ];
-        v.extend(st.tenant_energy_j.iter().map(|e| e.to_bits()));
-        v
-    }
-
-    #[test]
-    fn step_fast_is_bit_identical_through_busy_idle_cycles() {
-        let mut oracle = two_tenant_socket();
-        let mut fast = two_tenant_socket();
-        let dt = Seconds(0.01);
-        // Trajectory: busy → drain to idle fixed point → ceiling write mid
-        // idle → idle again → busy burst → idle. Every regime transition
-        // the memo has to survive, in one run. Idle windows are long
-        // because "steady" is a *bitwise* fixed point: the memory-pressure
-        // EMA decays geometrically (~0.95/step at this dt) and only pins
-        // after ~15k steps, which is exactly when fast-forwarding becomes
-        // legal.
-        // (steps, new tenant intensities, new ceiling) per leg.
-        type Leg = (usize, Option<(f64, f64)>, Option<Watts>);
-        let schedule: [Leg; 6] = [
-            (300, Some((0.7, 0.9)), None),
-            (17_000, Some((0.0, 0.0)), None),
-            (4_000, None, Some(Watts(90.0))),
-            (500, None, None),
-            (200, Some((1.1, 0.4)), None),
-            (17_000, Some((0.0, 0.0)), None),
-        ];
-        let mut memo_hits = 0usize;
-        for (steps, intensities, ceiling) in schedule {
-            for s in [&mut oracle, &mut fast] {
-                if let Some((a, b)) = intensities {
-                    s.set_intensity(0, a);
-                    s.set_intensity(1, b);
-                }
-                if let Some(c) = ceiling {
-                    s.set_ceiling(c);
-                }
-            }
-            for _ in 0..steps {
-                let had_memo = fast.memo.is_some();
-                let a = oracle.step(dt);
-                let b = fast.step_fast(dt);
-                if had_memo && fast.memo.is_some() {
-                    memo_hits += 1;
-                }
-                assert_eq!(sig(&a), sig(&b), "step_fast diverged from step");
-            }
-        }
-        for i in 0..2 {
-            assert_eq!(
-                oracle.account(i),
-                fast.account(i),
-                "tenant {i} accounts diverged"
-            );
-        }
-        assert!(
-            memo_hits > 1000,
-            "fast path never engaged ({memo_hits} hits) — the test is vacuous"
-        );
-        assert!(!fast.has_backlog());
     }
 
     #[test]

@@ -12,7 +12,10 @@
 //! * `cluster_demo.jsonl` — `ClusterOutcome` rows under static-split and
 //!   demand-based for four cluster configurations,
 //! * `hetero_demo.jsonl` — `HeteroOutcome` rows for two seeds under both
-//!   share policies.
+//!   share policies,
+//! * `shared_step.jsonl` — a CRC-32 of every co-tenant socket step's
+//!   output bits, plus each tenant's account, leg by leg through a
+//!   busy → drain → ceiling write → burst → drain schedule.
 //!
 //! Any change to arrival-model sampling, co-tenant or node physics,
 //! DUFP, allocator behavior or serialization shows up here as a byte
@@ -28,9 +31,12 @@
 use dufp_cluster::{run_hetero, ClusterConfig, HeteroConfig, NodeSpec, SharePolicy};
 use dufp_net::{run_cluster, PolicyKind};
 use dufp_scenario::{run_one, run_rows, to_jsonl_bytes, PolicyChoice, ScenarioSpec};
+use dufp_sim::{SharedSocketCfg, SharedSocketSim, SharedStep};
 use dufp_telemetry::write_jsonl;
-use dufp_types::{Duration, Ratio, Watts};
+use dufp_types::{ArchSpec, Duration, Ratio, Seconds, Watts};
+use dufp_workloads::{shared_by_name, Boundness, MaterializeCtx, PhaseSpec, Workload};
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 const GOLDEN_SEED: u64 = 17;
 
@@ -160,4 +166,148 @@ fn hetero_outcomes_match_golden() {
         }
     }
     check_golden("hetero_demo.jsonl", &jsonl(rows));
+}
+
+/// A two-phase (memory-bound stream, compute-bound crunch) tenant.
+fn mixed_workload(name: &str) -> Arc<Workload> {
+    let specs = [
+        PhaseSpec {
+            name: "stream".into(),
+            seconds_at_default: 2.0,
+            oi: 0.06,
+            boundness: Boundness::MemoryBound { headroom: 1.5 },
+            core_util: 0.5,
+            overlap_penalty: 0.0,
+        },
+        PhaseSpec {
+            name: "crunch".into(),
+            seconds_at_default: 2.0,
+            oi: 150.0,
+            boundness: Boundness::ComputeBound { mem_frac: 0.2 },
+            core_util: 0.95,
+            overlap_penalty: 0.0,
+        },
+    ];
+    let ctx = MaterializeCtx::from_arch(&ArchSpec::yeti());
+    Arc::new(Workload::from_specs(name, &specs, &ctx).expect("valid phase specs"))
+}
+
+/// The co-tenant sockets the step golden drives: two mixed tenants on
+/// YETI; three NPB tenants on YETI, whose backlogs drain at different
+/// times so the active set shrinks and grows; and one socket per node of
+/// `scenario_mini.toml`, one per machine class, built as the scenario
+/// engine builds it.
+fn golden_sockets() -> Vec<(String, SharedSocketSim)> {
+    let yeti = SharedSocketCfg::from_arch(&ArchSpec::yeti());
+    let mixed = vec![
+        ("a".to_string(), mixed_workload("a")),
+        ("b".to_string(), mixed_workload("b")),
+    ];
+    let ctx = MaterializeCtx::from_arch(&ArchSpec::yeti());
+    let npb = ["CG", "EP", "MG"]
+        .iter()
+        .map(|app| {
+            let table = shared_by_name(app, &ctx).expect("known app");
+            let scaled = table.scaled(1.0 / 3.0).expect("positive weight");
+            (app.to_string(), Arc::new(scaled))
+        })
+        .collect();
+    let mut sockets = vec![
+        (
+            "yeti-2".to_string(),
+            SharedSocketSim::new(yeti.clone(), mixed).expect("socket"),
+        ),
+        (
+            "yeti-3".to_string(),
+            SharedSocketSim::new(yeti, npb).expect("socket"),
+        ),
+    ];
+    let spec = golden_spec();
+    for node in &spec.nodes {
+        let class = spec.class_of(node).expect("validated spec");
+        let ctx = class.materialize_ctx();
+        let tenants = node
+            .tenants
+            .iter()
+            .zip(ScenarioSpec::weights_of(node))
+            .map(|(app, w)| {
+                let table = shared_by_name(app, &ctx).expect("known app");
+                let scaled = table.scaled(w).expect("positive weight");
+                (app.clone(), Arc::new(scaled))
+            })
+            .collect();
+        let sim = SharedSocketSim::new(class.shared_cfg(), tenants).expect("socket");
+        sockets.push((class.id.clone(), sim));
+    }
+    sockets
+}
+
+/// Bitwise signature of one step.
+fn sig(st: &SharedStep) -> Vec<u64> {
+    let mut v = vec![
+        st.core_freq.value().to_bits(),
+        st.uncore_freq.value().to_bits(),
+        st.pkg_power.value().to_bits(),
+        st.pkg_energy_j.to_bits(),
+        st.dram_energy_j.to_bits(),
+        st.achieved_bw.value().to_bits(),
+    ];
+    v.extend(st.tenant_energy_j.iter().map(|e| e.to_bits()));
+    v
+}
+
+#[test]
+fn shared_socket_steps_match_golden() {
+    // (steps, per-tenant intensities, new ceiling) per leg: busy → drain
+    // to the idle fixed point (the memory-pressure EMA only pins after
+    // ~15k steps) → ceiling write mid idle → idle → busy burst → drain.
+    // Tenant j takes intensity `v[j]`; slot 2 drains last and sits out
+    // the burst.
+    type Leg = (usize, Option<[f64; 3]>, Option<Watts>);
+    const SCHEDULE: [Leg; 6] = [
+        (300, Some([0.7, 0.9, 1.3]), None),
+        (17_000, Some([0.0, 0.0, 0.0]), None),
+        (4_000, None, Some(Watts(90.0))),
+        (500, None, None),
+        (200, Some([1.1, 0.4, 0.0]), None),
+        (17_000, Some([0.0, 0.0, 0.0]), None),
+    ];
+    let dt = Seconds(0.01);
+    let mut out = String::new();
+    for (name, mut sim) in golden_sockets() {
+        for (leg, (steps, intensities, ceiling)) in SCHEDULE.into_iter().enumerate() {
+            if let Some(v) = intensities {
+                for (j, &x) in v.iter().enumerate().take(sim.tenant_count()) {
+                    sim.set_intensity(j, x);
+                }
+            }
+            if let Some(c) = ceiling {
+                sim.set_ceiling(c);
+            }
+            let mut bytes = Vec::new();
+            for _ in 0..steps {
+                let step = sim.step(dt);
+                let attributed: f64 = step.tenant_energy_j.iter().sum();
+                assert_eq!(attributed, step.pkg_energy_j, "{name}: inexact attribution");
+                bytes.extend(sig(&step).iter().flat_map(|b| b.to_le_bytes()));
+            }
+            let accounts: Vec<String> = (0..sim.tenant_count())
+                .map(|j| {
+                    let a = sim.account(j);
+                    format!(
+                        "{{\"energy_j\":{:?},\"flops\":{:?},\"bytes\":{:?},\
+                         \"offered_units\":{:?},\"served_units\":{:?}}}",
+                        a.energy_j, a.flops, a.bytes, a.offered_units, a.served_units
+                    )
+                })
+                .collect();
+            out += &format!(
+                "{{\"socket\":\"{name}\",\"leg\":{leg},\"steps\":{steps},\
+                 \"crc32\":{},\"accounts\":[{}]}}\n",
+                dufp_journal::crc32(&bytes),
+                accounts.join(",")
+            );
+        }
+    }
+    check_golden("shared_step.jsonl", out.as_bytes());
 }
