@@ -14,12 +14,6 @@ use std::time::Instant;
 /// Seeds per policy: 8 seeds × 3 policies = 24 runs per series.
 const SEEDS: u64 = 8;
 
-const POLICIES: [PolicyChoice; 3] = [
-    PolicyChoice::Uncapped,
-    PolicyChoice::StaticSplit,
-    PolicyChoice::DemandBased,
-];
-
 /// One worker-count measurement over the same run set.
 #[derive(Debug, Serialize)]
 struct Series {
@@ -71,8 +65,9 @@ fn measure(
 
 pub(super) fn run(cores: usize) -> BenchResult<Measured> {
     let spec = ScenarioSpec::mini();
-    let pairs: Vec<(u64, PolicyChoice)> =
-        (0..SEEDS).flat_map(|s| POLICIES.map(|p| (s, p))).collect();
+    let pairs: Vec<(u64, PolicyChoice)> = (0..SEEDS)
+        .flat_map(|s| PolicyChoice::ALL.map(|p| (s, p)))
+        .collect();
 
     // Warm the process-wide workload cache so the serial series is not
     // charged for phase-table materialization.
@@ -92,7 +87,7 @@ pub(super) fn run(cores: usize) -> BenchResult<Measured> {
         tenants: spec.tenant_count(),
         intervals: (spec.duration_s / dt).ceil() as u64,
         seeds: SEEDS,
-        policies: POLICIES.len(),
+        policies: PolicyChoice::ALL.len(),
         runs: pairs.len(),
         speedup_all_vs_serial: widest / serial,
         series,

@@ -1,9 +1,10 @@
 //! The command lines of `all_experiments` and `bench`. Both parsers reject
-//! an unknown flag or a malformed value with a message; the binaries print
-//! it with their usage line and exit with status 2.
+//! an unknown flag or a malformed value with a message (values are read
+//! through [`dufp_types::argv`]); the binaries print it with their usage
+//! line and exit with status 2.
 
 use crate::bench::Bench;
-use std::str::FromStr;
+use dufp_types::argv::Args;
 
 /// `all_experiments`'s usage line.
 pub const EXPERIMENTS_USAGE: &str =
@@ -41,17 +42,16 @@ impl Default for ExperimentsArgs {
 }
 
 /// Parses `all_experiments`'s arguments (without the program name).
-pub fn parse_experiments(args: &[String]) -> Result<ExperimentsArgs, String> {
+pub fn parse_experiments(argv: &[String]) -> Result<ExperimentsArgs, String> {
     let mut parsed = ExperimentsArgs::default();
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut value = || it.next().ok_or_else(|| format!("{flag} needs a value"));
-        match flag.as_str() {
-            "--runs" => parsed.runs = positive(flag, value()?)?,
-            "--sockets" => parsed.sockets = positive(flag, value()?)?,
-            "--seed" => parsed.seed = number(flag, value()?)?,
-            "--out" => parsed.out = value()?.clone(),
-            "--csv" => parsed.csv = Some(value()?.clone()),
+    let mut args = Args::new(argv);
+    while let Some(flag) = args.next() {
+        match flag {
+            "--runs" => parsed.runs = args.positive(flag)?,
+            "--sockets" => parsed.sockets = args.positive(flag)?,
+            "--seed" => parsed.seed = args.number(flag)?,
+            "--out" => parsed.out = args.value(flag)?.into(),
+            "--csv" => parsed.csv = Some(args.value(flag)?.into()),
             other => return Err(format!("unknown argument {other}")),
         }
     }
@@ -75,18 +75,6 @@ pub fn parse_bench(args: &[String]) -> Result<Bench, String> {
 pub fn exit_usage(program: &str, msg: &str, usage: &str) -> ! {
     eprintln!("{program}: {msg}\n{usage}");
     std::process::exit(2)
-}
-
-fn number<T: FromStr>(flag: &str, v: &str) -> Result<T, String> {
-    v.parse().map_err(|_| format!("{flag}: bad value {v}"))
-}
-
-fn positive<T: FromStr + Default + PartialEq>(flag: &str, v: &str) -> Result<T, String> {
-    let n = number(flag, v)?;
-    if n == T::default() {
-        return Err(format!("{flag}: must be at least 1"));
-    }
-    Ok(n)
 }
 
 #[cfg(test)]

@@ -1,8 +1,14 @@
-//! Argument parsing for the `dufp` tool (hand-rolled; no external parser).
+//! Argument parsing for the `dufp` tool. Flag values are read through
+//! [`dufp_types::argv`]; the fleet subcommands parse straight into the
+//! library configs and validate them once, at the end of parsing.
 
 use dufp::{ControllerKind, Engine};
 use dufp_journal::FsyncPolicy;
+use dufp_net::{AgentConfig, ChaosConfig, CoordinatorConfig, PolicyKind};
+use dufp_scenario::PolicyChoice;
+use dufp_types::argv::Args;
 use dufp_types::{Ratio, Watts};
+use std::time::Duration;
 
 /// Usage text.
 pub const USAGE: &str = "\
@@ -11,7 +17,7 @@ dufp — dynamic uncore frequency scaling and power capping
 USAGE:
     dufp run <APP> [--controller default|duf|dufp|dufpf|dnpc|cap:<W>] [--slowdown PCT]
                    [--sockets N] [--runs N] [--seed S] [--json]
-                   [--engine tick|event]
+                   [--machine FILE.json] [--engine tick|event]
                    [--trace-out FILE.jsonl] [--fault-plan PLAN|FILE.json]
                    [--journal-dir DIR] [--fsync always|never|every:N]
                    <APP> is a modeled application (see `dufp apps`) or a
@@ -39,14 +45,17 @@ USAGE:
     dufp trace <FILE.jsonl> [--summary]
                              inspect a decision trace written by --trace-out;
                              --summary tallies events per reason code
-    dufp timeline <APP> [--controller ...] [--slowdown PCT] [--seed S]
+    dufp timeline <APP> [--controller ...] [--slowdown PCT] [--sockets N]
+                        [--seed S] [--machine FILE.json]
+                        [--fault-plan PLAN|FILE.json] [--engine tick|event]
                              render frequency/power/cap timelines (Fig 5 style)
     dufp machine-template    print the default platform as editable JSON
                              (use with --machine FILE on run/timeline/plan)
     dufp record <APP> --out FILE.json [--seed S]
                              run once, capture the counter trace and emit a
                              workload spec reproducing its phase signature
-    dufp plan <APP> [--runs N] [--seed S]
+    dufp plan <APP> [--runs N] [--sockets N] [--seed S] [--machine FILE.json]
+                    [--engine tick|event]
                              sweep DUFP tolerances and recommend the best
                              power-saving setting with no energy loss (§V-H)
     dufp sweep [--grid FILE.toml | --paper] [--jobs N] [--out FILE.jsonl]
@@ -60,8 +69,8 @@ USAGE:
                              evaluation grid (4 policies × 5 slowdowns ×
                              8 seeds); --grid reads a TOML grid file
     dufp coordinate --listen ADDR --budget-w W
-                    [--policy static|demand] [--epoch-ms N] [--max-epochs N]
-                    [--journal-dir DIR] [--standby-of ADDR]
+                    [--policy static-split|demand-based] [--epoch-ms N]
+                    [--max-epochs N] [--journal-dir DIR] [--standby-of ADDR]
                     [--successor ADDR] [--json] [--trace-out FILE.jsonl]
                              serve a fleet power budget over TCP: run the
                              allocator each epoch over live agent demand
@@ -149,7 +158,47 @@ EXAMPLES:
     dufp scenario --seed 3 --policies demand-based --json
 ";
 
-/// A parsed `run` invocation.
+/// The flags each run-family subcommand accepts after `<APP>`.
+const RUN_FAMILY: [(&str, &str); 3] = [
+    (
+        "run",
+        "--controller --slowdown --sockets --runs --seed --json --machine \
+         --trace-out --fault-plan --journal-dir --fsync --engine",
+    ),
+    (
+        "timeline",
+        "--controller --slowdown --sockets --seed --machine --fault-plan --engine",
+    ),
+    ("plan", "--runs --sockets --seed --machine --engine"),
+];
+
+fn unknown_flag(flag: &str) -> String {
+    format!("unknown flag {flag}\n\n{USAGE}")
+}
+
+/// Consumes the remaining arguments, which may only be `name`; whether it
+/// was given.
+fn switch(args: &mut Args, name: &str) -> Result<bool, String> {
+    let mut on = false;
+    for flag in args {
+        if flag != name {
+            return Err(unknown_flag(flag));
+        }
+        on = true;
+    }
+    Ok(on)
+}
+
+/// The next argument, which `sub` requires (`what` names it in the error).
+fn positional(args: &mut Args, sub: &str, what: &str) -> Result<String, String> {
+    args.next()
+        .map(str::to_string)
+        .ok_or_else(|| format!("{sub}: missing {what}\n\n{USAGE}"))
+}
+
+/// A parsed `run`, `timeline` or `plan` invocation; each accepts only
+/// its own row of [`RUN_FAMILY`] and leaves the other fields at their
+/// defaults.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunSpec {
     /// Application name (BT, CG, ..., HPL, LAMMPS).
@@ -183,6 +232,70 @@ pub struct RunSpec {
     pub engine: Engine,
 }
 
+impl RunSpec {
+    fn parse(sub: &str, args: &mut Args) -> Result<Self, String> {
+        let mut spec = RunSpec {
+            app: positional(args, sub, "<APP>")?,
+            controller: ControllerKind::Default,
+            sockets: 4,
+            runs: 1,
+            seed: 42,
+            json: false,
+            machine: None,
+            trace_out: None,
+            fault_plan: None,
+            journal_dir: None,
+            fsync: None,
+            engine: Engine::default(),
+        };
+        let (mut controller, mut slowdown_pct) = ("dufp", 5.0);
+        while let Some(flag) = args.next() {
+            let takers: Vec<&str> = RUN_FAMILY
+                .iter()
+                .filter(|(_, flags)| flags.split_whitespace().any(|f| f == flag))
+                .map(|(name, _)| *name)
+                .collect();
+            if takers.is_empty() {
+                return Err(unknown_flag(flag));
+            }
+            if !takers.contains(&sub) {
+                return Err(format!(
+                    "unknown flag {flag} for `{sub}` (only valid with `{}`)\n\n{USAGE}",
+                    takers.join("`, `")
+                ));
+            }
+            match flag {
+                "--controller" => controller = args.value(flag)?,
+                "--slowdown" => {
+                    slowdown_pct = args.number(flag)?;
+                    if !(0.0..100.0).contains(&slowdown_pct) {
+                        return Err(format!("slowdown {slowdown_pct} outside [0, 100)"));
+                    }
+                }
+                "--sockets" => spec.sockets = args.positive(flag)?,
+                "--runs" => spec.runs = args.positive(flag)?,
+                "--seed" => spec.seed = args.number(flag)?,
+                "--json" => spec.json = true,
+                "--machine" => spec.machine = Some(args.value(flag)?.into()),
+                "--trace-out" => spec.trace_out = Some(args.value(flag)?.into()),
+                "--fault-plan" => spec.fault_plan = Some(args.value(flag)?.into()),
+                "--journal-dir" => spec.journal_dir = Some(args.value(flag)?.into()),
+                "--fsync" => spec.fsync = Some(parse_fsync(args.value(flag)?)?),
+                "--engine" => spec.engine = parse_engine(args.value(flag)?)?,
+                other => return Err(unknown_flag(other)),
+            }
+        }
+        spec.controller = dufp::policy_kind(controller, slowdown_pct).map_err(|e| match e {
+            dufp_types::Error::InvalidValue { detail, .. } => detail,
+            other => other.to_string(),
+        })?;
+        if spec.fsync.is_some() && spec.journal_dir.is_none() {
+            return Err("--fsync only applies to journaled runs; add --journal-dir".into());
+        }
+        Ok(spec)
+    }
+}
+
 fn parse_fsync(v: &str) -> Result<FsyncPolicy, String> {
     match v {
         "always" => Ok(FsyncPolicy::Always),
@@ -200,11 +313,8 @@ fn parse_fsync(v: &str) -> Result<FsyncPolicy, String> {
     }
 }
 
-/// A parsed command line.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Cli {
-    /// The selected subcommand.
-    pub command: Command,
+fn parse_engine(v: &str) -> Result<Engine, String> {
+    Engine::parse(v).map_err(|e| e.to_string())
 }
 
 /// A parsed `record` invocation.
@@ -216,6 +326,27 @@ pub struct RecordSpec {
     pub out: String,
     /// RNG seed.
     pub seed: u64,
+}
+
+impl RecordSpec {
+    fn parse(args: &mut Args) -> Result<Self, String> {
+        let mut spec = RecordSpec {
+            app: positional(args, "record", "<APP>")?,
+            out: String::new(),
+            seed: 42,
+        };
+        while let Some(flag) = args.next() {
+            match flag {
+                "--out" => spec.out = args.value(flag)?.into(),
+                "--seed" => spec.seed = args.number(flag)?,
+                other => return Err(unknown_flag(other)),
+            }
+        }
+        if spec.out.is_empty() {
+            return Err("record: --out FILE.json is required".into());
+        }
+        Ok(spec)
+    }
 }
 
 /// A parsed `trace` invocation.
@@ -243,107 +374,6 @@ pub struct JournalCmd {
     pub dir: String,
 }
 
-/// A parsed `coordinate` invocation.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CoordinateCmd {
-    /// Listen address (`host:port`; `:0` picks a free port).
-    pub listen: String,
-    /// Global fleet power budget.
-    pub budget: Watts,
-    /// `static` (even split) or `demand` (demand-based reallocation).
-    pub demand_based: bool,
-    /// Allocator epoch length in milliseconds.
-    pub epoch_ms: u64,
-    /// Stop after this many epochs (None = until the fleet drains).
-    pub max_epochs: Option<u64>,
-    /// Emit machine-readable JSON instead of a human summary.
-    pub json: bool,
-    /// Optional JSONL output path for the grant/reclaim decision trace.
-    pub trace_out: Option<String>,
-    /// Journal fleet inputs to this directory (checkpoint+replay
-    /// recovery; shared with a warm standby for failover).
-    pub journal_dir: Option<String>,
-    /// Run as a warm standby: probe this primary address and bind only
-    /// after it goes silent. Requires `journal_dir`.
-    pub standby_of: Option<String>,
-    /// Successor address handed to agents on clean shutdown.
-    pub successor: Option<String>,
-}
-
-/// A parsed `agent` invocation.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AgentCmd {
-    /// Coordinator address (first entry of `--connect`).
-    pub connect: String,
-    /// Standby coordinator addresses tried in order on reconnect.
-    pub standbys: Vec<String>,
-    /// Node name announced in the Hello frame.
-    pub node: String,
-    /// Applications to run back to back.
-    pub apps: Vec<String>,
-    /// Tolerated slowdown for the node-local DUFP.
-    pub slowdown: Ratio,
-    /// RNG seed for the simulated node.
-    pub seed: u64,
-    /// Safe local static cap enforced while unconnected or degraded.
-    pub safe_cap: Watts,
-    /// Wall-clock pause per 200 ms control interval, in milliseconds.
-    pub pace_ms: u64,
-    /// Stop after this many control intervals even with work left.
-    pub max_intervals: Option<u64>,
-    /// Emit machine-readable JSON instead of a human summary.
-    pub json: bool,
-    /// Optional JSONL output path for the node's decision trace.
-    pub trace_out: Option<String>,
-}
-
-/// A parsed `chaos` invocation.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ChaosCmd {
-    /// Master seed: the whole scorecard is a pure function of it.
-    pub seed: u64,
-    /// Fleet size.
-    pub agents: usize,
-    /// Virtual epochs per scenario.
-    pub epochs: u64,
-    /// Global fleet budget in watts.
-    pub budget_w: f64,
-    /// Run one named scenario instead of the whole matrix.
-    pub scenario: Option<String>,
-    /// Extra network-fault rules merged into every scenario: a path to a
-    /// JSON plan (when the value ends in `.json`) or an inline DSL string
-    /// (see `dufp_net::NetFaultPlan::parse`).
-    pub net_fault_plan: Option<String>,
-    /// MSR/actuation fault plan applied on the simulated agents (see
-    /// `dufp_msr::FaultPlan::parse`).
-    pub fault_plan: Option<String>,
-    /// Write the scorecard as JSON Lines to this path.
-    pub out: Option<String>,
-    /// Print the scorecard as JSON Lines on stdout instead of a table.
-    pub json: bool,
-}
-
-/// A parsed `scenario` invocation.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ScenarioCmd {
-    /// Path to a scenario TOML spec (`None` = the built-in example).
-    pub spec: Option<String>,
-    /// Seed: the whole scorecard is a pure function of it.
-    pub seed: u64,
-    /// Policies to score (labels accepted by `PolicyChoice::parse`).
-    pub policies: Vec<String>,
-    /// Worker count for the policy runs (`None` = all cores).
-    pub jobs: Option<usize>,
-    /// Write the scorecard as JSON Lines to this path.
-    pub out: Option<String>,
-    /// Write the first policy's decision trace as JSON Lines.
-    pub trace_out: Option<String>,
-    /// Print the scorecard as JSON Lines on stdout instead of a table.
-    pub json: bool,
-    /// Print the built-in example spec as TOML and exit.
-    pub print_example: bool,
-}
-
 /// A parsed `sweep` invocation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepCmd {
@@ -360,6 +390,259 @@ pub struct SweepCmd {
     /// Stepping engine override (`None` = whatever the grid file says,
     /// which itself defaults to the fast path).
     pub engine: Option<Engine>,
+}
+
+impl SweepCmd {
+    fn parse(args: &mut Args) -> Result<Self, String> {
+        let mut cmd = SweepCmd {
+            grid: None,
+            paper: false,
+            jobs: None,
+            out: "results.jsonl".into(),
+            json: false,
+            engine: None,
+        };
+        while let Some(flag) = args.next() {
+            match flag {
+                "--grid" => cmd.grid = Some(args.value(flag)?.into()),
+                "--paper" => cmd.paper = true,
+                "--jobs" => cmd.jobs = Some(args.positive(flag)?),
+                "--out" => cmd.out = args.value(flag)?.into(),
+                "--json" => cmd.json = true,
+                "--engine" => cmd.engine = Some(parse_engine(args.value(flag)?)?),
+                other => return Err(unknown_flag(other)),
+            }
+        }
+        match (&cmd.grid, cmd.paper) {
+            (None, false) => Err("sweep: pick a grid with --grid FILE.toml or --paper".into()),
+            (Some(_), true) => Err("sweep: --grid and --paper are mutually exclusive".into()),
+            _ => Ok(cmd),
+        }
+    }
+}
+
+/// A parsed `coordinate` invocation.
+#[derive(Debug, Clone, PartialEq)]
+pub struct CoordinateCmd {
+    /// The coordinator to serve, validated.
+    pub config: CoordinatorConfig,
+    /// Emit machine-readable JSON instead of a human summary.
+    pub json: bool,
+    /// Optional JSONL output path for the grant/reclaim decision trace.
+    pub trace_out: Option<String>,
+}
+
+impl CoordinateCmd {
+    fn parse(args: &mut Args) -> Result<Self, String> {
+        let mut cmd = CoordinateCmd {
+            config: CoordinatorConfig::new("", Watts(0.0)),
+            json: false,
+            trace_out: None,
+        };
+        let mut budget = None;
+        while let Some(flag) = args.next() {
+            let cfg = &mut cmd.config;
+            match flag {
+                "--listen" => cfg.listen = args.value(flag)?.into(),
+                "--budget-w" => budget = Some(Watts(args.number(flag)?)),
+                "--policy" => {
+                    cfg.policy = PolicyKind::parse(args.value(flag)?).map_err(|e| e.to_string())?
+                }
+                "--epoch-ms" => {
+                    let epoch = Duration::from_millis(args.number(flag)?);
+                    cmd.config = cmd.config.with_epoch(epoch);
+                }
+                "--max-epochs" => cfg.max_epochs = Some(args.number(flag)?),
+                "--journal-dir" => cfg.journal_dir = Some(args.value(flag)?.into()),
+                "--standby-of" => cfg.standby_of = Some(args.value(flag)?.into()),
+                "--successor" => cfg.successor = Some(args.value(flag)?.into()),
+                "--json" => cmd.json = true,
+                "--trace-out" => cmd.trace_out = Some(args.value(flag)?.into()),
+                other => return Err(unknown_flag(other)),
+            }
+        }
+        let cfg = &mut cmd.config;
+        if cfg.listen.is_empty() {
+            return Err("coordinate: --listen host:port is required".into());
+        }
+        cfg.budget = budget.ok_or("coordinate: --budget-w W is required")?;
+        if cfg.standby_of.is_some() && cfg.journal_dir.is_none() {
+            return Err(
+                "coordinate: --standby-of requires --journal-dir (a standby \
+                 promotes by replaying the shared journal)"
+                    .into(),
+            );
+        }
+        cfg.validate().map_err(|e| e.to_string())?;
+        Ok(cmd)
+    }
+}
+
+/// A parsed `agent` invocation.
+#[derive(Debug, Clone, PartialEq)]
+pub struct AgentCmd {
+    /// The agent to run, validated. `--connect`'s first address is the
+    /// coordinator, the rest are standbys.
+    pub config: AgentConfig,
+    /// Emit machine-readable JSON instead of a human summary.
+    pub json: bool,
+    /// Optional JSONL output path for the node's decision trace.
+    pub trace_out: Option<String>,
+}
+
+impl AgentCmd {
+    fn parse(args: &mut Args) -> Result<Self, String> {
+        let mut cmd = AgentCmd {
+            config: AgentConfig::new("", "", "EP"),
+            json: false,
+            trace_out: None,
+        };
+        while let Some(flag) = args.next() {
+            let cfg = &mut cmd.config;
+            match flag {
+                "--connect" => {
+                    let mut addrs = args.value(flag)?.split(',').map(str::to_string);
+                    cfg.connect = addrs.next().unwrap_or_default();
+                    cfg.standbys = addrs.collect();
+                }
+                "--node" => cfg.node = args.value(flag)?.into(),
+                "--app" => cfg.queue = args.value(flag)?.split(',').map(str::to_string).collect(),
+                "--slowdown" => cfg.slowdown = Ratio::from_percent(args.number(flag)?),
+                "--seed" => cfg.seed = args.number(flag)?,
+                "--safe-cap" => cfg.safe_cap = Watts(args.number(flag)?),
+                "--pace-ms" => cfg.pace = Duration::from_millis(args.number(flag)?),
+                "--max-intervals" => cfg.max_intervals = Some(args.number(flag)?),
+                "--json" => cmd.json = true,
+                "--trace-out" => cmd.trace_out = Some(args.value(flag)?.into()),
+                other => return Err(unknown_flag(other)),
+            }
+        }
+        let cfg = &mut cmd.config;
+        if cfg.connect.is_empty() {
+            return Err("agent: --connect host:port is required".into());
+        }
+        if cfg.node.is_empty() {
+            return Err("agent: --node NAME is required".into());
+        }
+        if !cfg.standbys.is_empty() {
+            // Failover needs patience: a standby takes a few heartbeat
+            // timeouts to notice the primary died and promote, so the
+            // default (sub-second) retry ladder would degrade to the safe
+            // cap before the successor even binds.
+            cfg.retry.max_retries = 40;
+            cfg.retry.base_backoff = Duration::from_millis(50);
+            cfg.retry.max_backoff = Duration::from_millis(500);
+        }
+        cfg.validate().map_err(|e| e.to_string())?;
+        Ok(cmd)
+    }
+}
+
+/// A parsed `chaos` invocation.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ChaosCmd {
+    /// The soak's shape, validated. Its fault plans stay empty here: the
+    /// plan arguments may name files, which `commands::chaos` reads.
+    pub config: ChaosConfig,
+    /// Run one named scenario instead of the whole matrix.
+    pub scenario: Option<String>,
+    /// Extra network-fault rules merged into every scenario: a path to a
+    /// JSON plan (when the value ends in `.json`) or an inline DSL string
+    /// (see `dufp_net::NetFaultPlan::parse`).
+    pub net_fault_plan: Option<String>,
+    /// MSR/actuation fault plan applied on the simulated agents (see
+    /// `dufp_msr::FaultPlan::parse`).
+    pub fault_plan: Option<String>,
+    /// Write the scorecard as JSON Lines to this path.
+    pub out: Option<String>,
+    /// Print the scorecard as JSON Lines on stdout instead of a table.
+    pub json: bool,
+}
+
+impl ChaosCmd {
+    fn parse(args: &mut Args) -> Result<Self, String> {
+        let mut cmd = ChaosCmd {
+            config: ChaosConfig::new(42),
+            scenario: None,
+            net_fault_plan: None,
+            fault_plan: None,
+            out: None,
+            json: false,
+        };
+        while let Some(flag) = args.next() {
+            let cfg = &mut cmd.config;
+            match flag {
+                "--seed" => cfg.seed = args.number(flag)?,
+                "--agents" => cfg.agents = args.number(flag)?,
+                "--epochs" => cfg.epochs = args.number(flag)?,
+                "--budget-w" => cfg.budget = Watts(args.number(flag)?),
+                "--scenario" => cmd.scenario = Some(args.value(flag)?.into()),
+                "--net-fault-plan" => cmd.net_fault_plan = Some(args.value(flag)?.into()),
+                "--fault-plan" => cmd.fault_plan = Some(args.value(flag)?.into()),
+                "--out" => cmd.out = Some(args.value(flag)?.into()),
+                "--json" => cmd.json = true,
+                other => return Err(unknown_flag(other)),
+            }
+        }
+        cmd.config.validate().map_err(|e| e.to_string())?;
+        Ok(cmd)
+    }
+}
+
+/// A parsed `scenario` invocation.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ScenarioCmd {
+    /// Path to a scenario TOML spec (`None` = the built-in example).
+    pub spec: Option<String>,
+    /// Seed: the whole scorecard is a pure function of it.
+    pub seed: u64,
+    /// Policies to score, in order.
+    pub policies: Vec<PolicyChoice>,
+    /// Worker count for the policy runs (`None` = all cores).
+    pub jobs: Option<usize>,
+    /// Write the scorecard as JSON Lines to this path.
+    pub out: Option<String>,
+    /// Write the first policy's decision trace as JSON Lines.
+    pub trace_out: Option<String>,
+    /// Print the scorecard as JSON Lines on stdout instead of a table.
+    pub json: bool,
+    /// Print the built-in example spec as TOML and exit.
+    pub print_example: bool,
+}
+
+impl ScenarioCmd {
+    fn parse(args: &mut Args) -> Result<Self, String> {
+        let mut cmd = ScenarioCmd {
+            spec: None,
+            seed: 42,
+            policies: PolicyChoice::ALL.to_vec(),
+            jobs: None,
+            out: None,
+            trace_out: None,
+            json: false,
+            print_example: false,
+        };
+        while let Some(flag) = args.next() {
+            match flag {
+                "--spec" => cmd.spec = Some(args.value(flag)?.into()),
+                "--seed" => cmd.seed = args.number(flag)?,
+                "--policies" => {
+                    cmd.policies = args
+                        .value(flag)?
+                        .split(',')
+                        .map(|p| PolicyChoice::parse(p.trim()).map_err(|e| e.to_string()))
+                        .collect::<Result<_, _>>()?
+                }
+                "--jobs" => cmd.jobs = Some(args.positive(flag)?),
+                "--out" => cmd.out = Some(args.value(flag)?.into()),
+                "--trace-out" => cmd.trace_out = Some(args.value(flag)?.into()),
+                "--json" => cmd.json = true,
+                "--print-example" => cmd.print_example = true,
+                other => return Err(unknown_flag(other)),
+            }
+        }
+        Ok(cmd)
+    }
 }
 
 /// Subcommands.
@@ -401,524 +684,44 @@ pub enum Command {
     Help,
 }
 
-impl Cli {
-    /// Parses `argv` (without the program name).
-    pub fn parse(argv: &[String]) -> Result<Cli, String> {
-        let mut it = argv.iter();
-        let sub = it.next().map(String::as_str).unwrap_or("help");
-        match sub {
-            "platform" => Ok(Cli {
-                command: Command::Platform,
+impl Command {
+    /// Parses `argv` (without the program name). Every subcommand accepts
+    /// exactly the flags it uses.
+    pub fn parse(argv: &[String]) -> Result<Command, String> {
+        let mut args = Args::new(argv);
+        let command = match args.next().unwrap_or("help") {
+            "platform" => Command::Platform,
+            "machine-template" => Command::MachineTemplate,
+            "apps" => Command::Apps,
+            "probe" => Command::Probe,
+            "help" | "--help" | "-h" => Command::Help,
+            "journal" => Command::Journal(JournalCmd {
+                dir: positional(&mut args, "journal", "<DIR>")?,
             }),
-            "machine-template" => Ok(Cli {
-                command: Command::MachineTemplate,
+            "resume" => Command::Resume(ResumeCmd {
+                dir: positional(&mut args, "resume", "<DIR>")?,
+                json: switch(&mut args, "--json")?,
             }),
-            "apps" => Ok(Cli {
-                command: Command::Apps,
+            "trace" => Command::Trace(TraceCmd {
+                file: positional(&mut args, "trace", "<FILE.jsonl>")?,
+                summary: switch(&mut args, "--summary")?,
             }),
-            "probe" => Ok(Cli {
-                command: Command::Probe,
-            }),
-            "help" | "--help" | "-h" => Ok(Cli {
-                command: Command::Help,
-            }),
-            "trace" => {
-                let file = it
-                    .next()
-                    .ok_or_else(|| format!("trace: missing <FILE.jsonl>\n\n{USAGE}"))?
-                    .clone();
-                let mut cmd = TraceCmd {
-                    file,
-                    summary: false,
-                };
-                for flag in it {
-                    match flag.as_str() {
-                        "--summary" => cmd.summary = true,
-                        other => return Err(format!("unknown flag {other}\n\n{USAGE}")),
-                    }
-                }
-                Ok(Cli {
-                    command: Command::Trace(cmd),
-                })
-            }
-            "resume" => {
-                let dir = it
-                    .next()
-                    .ok_or_else(|| format!("resume: missing <DIR>\n\n{USAGE}"))?
-                    .clone();
-                let mut cmd = ResumeCmd { dir, json: false };
-                for flag in it {
-                    match flag.as_str() {
-                        "--json" => cmd.json = true,
-                        other => return Err(format!("unknown flag {other}\n\n{USAGE}")),
-                    }
-                }
-                Ok(Cli {
-                    command: Command::Resume(cmd),
-                })
-            }
-            "journal" => {
-                let dir = it
-                    .next()
-                    .ok_or_else(|| format!("journal: missing <DIR>\n\n{USAGE}"))?
-                    .clone();
-                if let Some(other) = it.next() {
-                    return Err(format!("unknown flag {other}\n\n{USAGE}"));
-                }
-                Ok(Cli {
-                    command: Command::Journal(JournalCmd { dir }),
-                })
-            }
-            "record" => {
-                let app = it
-                    .next()
-                    .ok_or_else(|| format!("record: missing <APP>\n\n{USAGE}"))?
-                    .clone();
-                let mut spec = RecordSpec {
-                    app,
-                    out: String::new(),
-                    seed: 42,
-                };
-                while let Some(flag) = it.next() {
-                    match flag.as_str() {
-                        "--out" => spec.out = it.next().ok_or("--out needs a path")?.clone(),
-                        "--seed" => {
-                            let v = it.next().ok_or("--seed needs a value")?;
-                            spec.seed = v.parse().map_err(|_| format!("bad seed {v}"))?;
-                        }
-                        other => return Err(format!("unknown flag {other}\n\n{USAGE}")),
-                    }
-                }
-                if spec.out.is_empty() {
-                    return Err("record: --out FILE.json is required".into());
-                }
-                Ok(Cli {
-                    command: Command::Record(spec),
-                })
-            }
-            "sweep" => {
-                let mut cmd = SweepCmd {
-                    grid: None,
-                    paper: false,
-                    jobs: None,
-                    out: "results.jsonl".into(),
-                    json: false,
-                    engine: None,
-                };
-                while let Some(flag) = it.next() {
-                    match flag.as_str() {
-                        "--grid" => {
-                            cmd.grid = Some(it.next().ok_or("--grid needs a path")?.clone())
-                        }
-                        "--paper" => cmd.paper = true,
-                        "--jobs" => {
-                            let v = it.next().ok_or("--jobs needs a value")?;
-                            let n: usize = v.parse().map_err(|_| format!("bad job count {v}"))?;
-                            if n == 0 {
-                                return Err("need at least one worker".into());
-                            }
-                            cmd.jobs = Some(n);
-                        }
-                        "--out" => cmd.out = it.next().ok_or("--out needs a path")?.clone(),
-                        "--json" => cmd.json = true,
-                        "--engine" => {
-                            let v = it.next().ok_or("--engine needs tick|event")?;
-                            cmd.engine = Some(Engine::parse(v).map_err(|e| e.to_string())?);
-                        }
-                        other => return Err(format!("unknown flag {other}\n\n{USAGE}")),
-                    }
-                }
-                match (&cmd.grid, cmd.paper) {
-                    (None, false) => {
-                        return Err("sweep: pick a grid with --grid FILE.toml or --paper".into())
-                    }
-                    (Some(_), true) => {
-                        return Err("sweep: --grid and --paper are mutually exclusive".into())
-                    }
-                    _ => {}
-                }
-                Ok(Cli {
-                    command: Command::Sweep(cmd),
-                })
-            }
-            "coordinate" => {
-                let mut cmd = CoordinateCmd {
-                    listen: String::new(),
-                    budget: Watts(0.0),
-                    demand_based: true,
-                    epoch_ms: 1000,
-                    max_epochs: None,
-                    json: false,
-                    trace_out: None,
-                    journal_dir: None,
-                    standby_of: None,
-                    successor: None,
-                };
-                let mut budget_seen = false;
-                while let Some(flag) = it.next() {
-                    match flag.as_str() {
-                        "--listen" => {
-                            cmd.listen = it.next().ok_or("--listen needs host:port")?.clone()
-                        }
-                        "--budget-w" => {
-                            let v = it.next().ok_or("--budget-w needs a value")?;
-                            let w: f64 = v.parse().map_err(|_| format!("bad budget {v}"))?;
-                            cmd.budget = Watts(w);
-                            budget_seen = true;
-                        }
-                        "--policy" => {
-                            let v = it.next().ok_or("--policy needs static|demand")?;
-                            cmd.demand_based = match v.as_str() {
-                                "static" => false,
-                                "demand" => true,
-                                other => {
-                                    return Err(format!("unknown policy {other} (static|demand)"))
-                                }
-                            };
-                        }
-                        "--epoch-ms" => {
-                            let v = it.next().ok_or("--epoch-ms needs a value")?;
-                            cmd.epoch_ms = v.parse().map_err(|_| format!("bad epoch {v}"))?;
-                            if cmd.epoch_ms == 0 {
-                                return Err("epoch must be at least 1 ms".into());
-                            }
-                        }
-                        "--max-epochs" => {
-                            let v = it.next().ok_or("--max-epochs needs a value")?;
-                            cmd.max_epochs =
-                                Some(v.parse().map_err(|_| format!("bad epoch count {v}"))?);
-                        }
-                        "--json" => cmd.json = true,
-                        "--trace-out" => {
-                            cmd.trace_out =
-                                Some(it.next().ok_or("--trace-out needs a path")?.clone())
-                        }
-                        "--journal-dir" => {
-                            cmd.journal_dir =
-                                Some(it.next().ok_or("--journal-dir needs a path")?.clone())
-                        }
-                        "--standby-of" => {
-                            cmd.standby_of =
-                                Some(it.next().ok_or("--standby-of needs host:port")?.clone())
-                        }
-                        "--successor" => {
-                            cmd.successor =
-                                Some(it.next().ok_or("--successor needs host:port")?.clone())
-                        }
-                        other => return Err(format!("unknown flag {other}\n\n{USAGE}")),
-                    }
-                }
-                if cmd.listen.is_empty() {
-                    return Err("coordinate: --listen host:port is required".into());
-                }
-                if !budget_seen {
-                    return Err("coordinate: --budget-w W is required".into());
-                }
-                if cmd.standby_of.is_some() && cmd.journal_dir.is_none() {
-                    return Err(
-                        "coordinate: --standby-of requires --journal-dir (a standby \
-                         promotes by replaying the shared journal)"
-                            .into(),
-                    );
-                }
-                Ok(Cli {
-                    command: Command::Coordinate(cmd),
-                })
-            }
-            "agent" => {
-                let mut cmd = AgentCmd {
-                    connect: String::new(),
-                    standbys: Vec::new(),
-                    node: String::new(),
-                    apps: vec!["EP".into()],
-                    slowdown: Ratio::from_percent(10.0),
-                    seed: 42,
-                    safe_cap: Watts(90.0),
-                    pace_ms: 0,
-                    max_intervals: None,
-                    json: false,
-                    trace_out: None,
-                };
-                while let Some(flag) = it.next() {
-                    match flag.as_str() {
-                        "--connect" => {
-                            let v = it
-                                .next()
-                                .ok_or("--connect needs host:port[,host:port...]")?;
-                            let mut addrs = v.split(',').map(str::to_string);
-                            cmd.connect = addrs.next().unwrap_or_default();
-                            cmd.standbys = addrs.collect();
-                        }
-                        "--node" => cmd.node = it.next().ok_or("--node needs a name")?.clone(),
-                        "--app" => {
-                            let v = it.next().ok_or("--app needs a name (or list A,B)")?;
-                            cmd.apps = v.split(',').map(str::to_string).collect();
-                        }
-                        "--slowdown" => {
-                            let v = it.next().ok_or("--slowdown needs a value")?;
-                            let pct: f64 = v.parse().map_err(|_| format!("bad slowdown {v}"))?;
-                            if !(0.0..100.0).contains(&pct) {
-                                return Err(format!("slowdown {pct} outside [0, 100)"));
-                            }
-                            cmd.slowdown = Ratio::from_percent(pct);
-                        }
-                        "--seed" => {
-                            let v = it.next().ok_or("--seed needs a value")?;
-                            cmd.seed = v.parse().map_err(|_| format!("bad seed {v}"))?;
-                        }
-                        "--safe-cap" => {
-                            let v = it.next().ok_or("--safe-cap needs a value")?;
-                            let w: f64 = v.parse().map_err(|_| format!("bad safe cap {v}"))?;
-                            cmd.safe_cap = Watts(w);
-                        }
-                        "--pace-ms" => {
-                            let v = it.next().ok_or("--pace-ms needs a value")?;
-                            cmd.pace_ms = v.parse().map_err(|_| format!("bad pace {v}"))?;
-                        }
-                        "--max-intervals" => {
-                            let v = it.next().ok_or("--max-intervals needs a value")?;
-                            cmd.max_intervals =
-                                Some(v.parse().map_err(|_| format!("bad interval count {v}"))?);
-                        }
-                        "--json" => cmd.json = true,
-                        "--trace-out" => {
-                            cmd.trace_out =
-                                Some(it.next().ok_or("--trace-out needs a path")?.clone())
-                        }
-                        other => return Err(format!("unknown flag {other}\n\n{USAGE}")),
-                    }
-                }
-                if cmd.connect.is_empty() {
-                    return Err("agent: --connect host:port is required".into());
-                }
-                if cmd.node.is_empty() {
-                    return Err("agent: --node NAME is required".into());
-                }
-                Ok(Cli {
-                    command: Command::Agent(cmd),
-                })
-            }
-            "chaos" => {
-                let mut cmd = ChaosCmd {
-                    seed: 42,
-                    agents: 8,
-                    epochs: 40,
-                    budget_w: 700.0,
-                    scenario: None,
-                    net_fault_plan: None,
-                    fault_plan: None,
-                    out: None,
-                    json: false,
-                };
-                while let Some(flag) = it.next() {
-                    match flag.as_str() {
-                        "--seed" => {
-                            let v = it.next().ok_or("--seed needs a value")?;
-                            cmd.seed = v.parse().map_err(|_| format!("bad seed {v}"))?;
-                        }
-                        "--agents" => {
-                            let v = it.next().ok_or("--agents needs a value")?;
-                            cmd.agents = v.parse().map_err(|_| format!("bad agent count {v}"))?;
-                            if cmd.agents == 0 {
-                                return Err("need at least one agent".into());
-                            }
-                        }
-                        "--epochs" => {
-                            let v = it.next().ok_or("--epochs needs a value")?;
-                            cmd.epochs = v.parse().map_err(|_| format!("bad epoch count {v}"))?;
-                            if cmd.epochs == 0 {
-                                return Err("need at least one epoch".into());
-                            }
-                        }
-                        "--budget-w" => {
-                            let v = it.next().ok_or("--budget-w needs a value")?;
-                            cmd.budget_w = v.parse().map_err(|_| format!("bad budget {v}"))?;
-                        }
-                        "--scenario" => {
-                            cmd.scenario = Some(it.next().ok_or("--scenario needs a name")?.clone())
-                        }
-                        "--net-fault-plan" => {
-                            cmd.net_fault_plan = Some(
-                                it.next()
-                                    .ok_or("--net-fault-plan needs a plan string or file")?
-                                    .clone(),
-                            )
-                        }
-                        "--fault-plan" => {
-                            cmd.fault_plan = Some(
-                                it.next()
-                                    .ok_or("--fault-plan needs a plan string or file")?
-                                    .clone(),
-                            )
-                        }
-                        "--out" => cmd.out = Some(it.next().ok_or("--out needs a path")?.clone()),
-                        "--json" => cmd.json = true,
-                        other => return Err(format!("unknown flag {other}\n\n{USAGE}")),
-                    }
-                }
-                Ok(Cli {
-                    command: Command::Chaos(cmd),
-                })
-            }
-            "scenario" => {
-                let mut cmd = ScenarioCmd {
-                    spec: None,
-                    seed: 42,
-                    policies: vec![
-                        "uncapped".into(),
-                        "static-split".into(),
-                        "demand-based".into(),
-                    ],
-                    jobs: None,
-                    out: None,
-                    trace_out: None,
-                    json: false,
-                    print_example: false,
-                };
-                while let Some(flag) = it.next() {
-                    match flag.as_str() {
-                        "--spec" => {
-                            cmd.spec = Some(it.next().ok_or("--spec needs a path")?.clone())
-                        }
-                        "--seed" => {
-                            let v = it.next().ok_or("--seed needs a value")?;
-                            cmd.seed = v.parse().map_err(|_| format!("bad seed {v}"))?;
-                        }
-                        "--policies" => {
-                            let v = it.next().ok_or("--policies needs a comma list")?;
-                            cmd.policies = v.split(',').map(|s| s.trim().to_string()).collect();
-                            if cmd.policies.iter().any(String::is_empty) {
-                                return Err(format!("bad policy list {v}"));
-                            }
-                        }
-                        "--jobs" => {
-                            let v = it.next().ok_or("--jobs needs a value")?;
-                            let jobs: usize =
-                                v.parse().map_err(|_| format!("bad job count {v}"))?;
-                            if jobs == 0 {
-                                return Err("need at least one job".into());
-                            }
-                            cmd.jobs = Some(jobs);
-                        }
-                        "--out" => cmd.out = Some(it.next().ok_or("--out needs a path")?.clone()),
-                        "--trace-out" => {
-                            cmd.trace_out =
-                                Some(it.next().ok_or("--trace-out needs a path")?.clone())
-                        }
-                        "--json" => cmd.json = true,
-                        "--print-example" => cmd.print_example = true,
-                        other => return Err(format!("unknown flag {other}\n\n{USAGE}")),
-                    }
-                }
-                Ok(Cli {
-                    command: Command::Scenario(cmd),
-                })
-            }
-            "run" | "timeline" | "plan" => {
-                let app = it
-                    .next()
-                    .ok_or_else(|| format!("{sub}: missing <APP>\n\n{USAGE}"))?
-                    .clone();
-                let mut controller = "dufp".to_string();
-                let mut slowdown_pct = 5.0;
-                let mut spec = RunSpec {
-                    app,
-                    controller: ControllerKind::Default,
-                    sockets: 4,
-                    runs: 1,
-                    seed: 42,
-                    json: false,
-                    machine: None,
-                    trace_out: None,
-                    fault_plan: None,
-                    journal_dir: None,
-                    fsync: None,
-                    engine: Engine::default(),
-                };
-                while let Some(flag) = it.next() {
-                    match flag.as_str() {
-                        "--controller" => {
-                            controller = it.next().ok_or("--controller needs a value")?.clone();
-                        }
-                        "--slowdown" => {
-                            let v = it.next().ok_or("--slowdown needs a value")?;
-                            let pct: f64 = v.parse().map_err(|_| format!("bad slowdown {v}"))?;
-                            if !(0.0..100.0).contains(&pct) {
-                                return Err(format!("slowdown {pct} outside [0, 100)"));
-                            }
-                            slowdown_pct = pct;
-                        }
-                        "--sockets" => {
-                            let v = it.next().ok_or("--sockets needs a value")?;
-                            spec.sockets =
-                                v.parse().map_err(|_| format!("bad socket count {v}"))?;
-                            if spec.sockets == 0 {
-                                return Err("need at least one socket".into());
-                            }
-                        }
-                        "--runs" => {
-                            let v = it.next().ok_or("--runs needs a value")?;
-                            spec.runs = v.parse().map_err(|_| format!("bad run count {v}"))?;
-                            if spec.runs == 0 {
-                                return Err("need at least one run".into());
-                            }
-                        }
-                        "--seed" => {
-                            let v = it.next().ok_or("--seed needs a value")?;
-                            spec.seed = v.parse().map_err(|_| format!("bad seed {v}"))?;
-                        }
-                        "--json" => spec.json = true,
-                        "--machine" => {
-                            spec.machine = Some(it.next().ok_or("--machine needs a path")?.clone())
-                        }
-                        "--trace-out" => {
-                            spec.trace_out =
-                                Some(it.next().ok_or("--trace-out needs a path")?.clone())
-                        }
-                        "--fault-plan" => {
-                            spec.fault_plan = Some(
-                                it.next()
-                                    .ok_or("--fault-plan needs a plan string or file")?
-                                    .clone(),
-                            )
-                        }
-                        "--journal-dir" => {
-                            spec.journal_dir =
-                                Some(it.next().ok_or("--journal-dir needs a path")?.clone())
-                        }
-                        "--fsync" => {
-                            let v = it.next().ok_or("--fsync needs a policy")?;
-                            spec.fsync = Some(parse_fsync(v)?);
-                        }
-                        "--engine" => {
-                            let v = it.next().ok_or("--engine needs tick|event")?;
-                            spec.engine = Engine::parse(v).map_err(|e| e.to_string())?;
-                        }
-                        other => return Err(format!("unknown flag {other}\n\n{USAGE}")),
-                    }
-                }
-                spec.controller =
-                    dufp::policy_kind(&controller, slowdown_pct).map_err(|e| match e {
-                        dufp_types::Error::InvalidValue { detail, .. } => detail,
-                        other => other.to_string(),
-                    })?;
-                if spec.fsync.is_some() && spec.journal_dir.is_none() {
-                    return Err("--fsync only applies to journaled runs; add --journal-dir".into());
-                }
-                if spec.journal_dir.is_some() && sub != "run" {
-                    return Err(format!(
-                        "--journal-dir is only valid with `run`, not `{sub}`"
-                    ));
-                }
-                Ok(Cli {
-                    command: match sub {
-                        "timeline" => Command::Timeline(spec),
-                        "plan" => Command::Plan(spec),
-                        _ => Command::Run(spec),
-                    },
-                })
-            }
-            other => Err(format!("unknown subcommand {other}\n\n{USAGE}")),
+            "record" => Command::Record(RecordSpec::parse(&mut args)?),
+            "sweep" => Command::Sweep(SweepCmd::parse(&mut args)?),
+            "coordinate" => Command::Coordinate(CoordinateCmd::parse(&mut args)?),
+            "agent" => Command::Agent(AgentCmd::parse(&mut args)?),
+            "chaos" => Command::Chaos(ChaosCmd::parse(&mut args)?),
+            "scenario" => Command::Scenario(ScenarioCmd::parse(&mut args)?),
+            "run" => Command::Run(RunSpec::parse("run", &mut args)?),
+            "timeline" => Command::Timeline(RunSpec::parse("timeline", &mut args)?),
+            "plan" => Command::Plan(RunSpec::parse("plan", &mut args)?),
+            other => return Err(format!("unknown subcommand {other}\n\n{USAGE}")),
+        };
+        // Every flag loop drains the arguments: anything left over went to
+        // a subcommand that takes no more.
+        match args.next() {
+            Some(extra) => Err(unknown_flag(extra)),
+            None => Ok(command),
         }
     }
 }
@@ -927,14 +730,14 @@ impl Cli {
 mod tests {
     use super::*;
 
-    fn parse(args: &[&str]) -> Result<Cli, String> {
+    fn parse(args: &[&str]) -> Result<Command, String> {
         let v: Vec<String> = args.iter().map(|s| s.to_string()).collect();
-        Cli::parse(&v)
+        Command::parse(&v)
     }
 
     #[test]
     fn bare_invocation_is_help() {
-        assert_eq!(parse(&[]).unwrap().command, Command::Help);
+        assert_eq!(parse(&[]).unwrap(), Command::Help);
     }
 
     #[test]
@@ -955,7 +758,7 @@ mod tests {
             "--json",
         ])
         .unwrap();
-        let Command::Run(spec) = cli.command else {
+        let Command::Run(spec) = cli else {
             panic!("expected run");
         };
         assert_eq!(spec.app, "CG");
@@ -974,16 +777,14 @@ mod tests {
     #[test]
     fn record_and_plan_parse() {
         let cli = parse(&["record", "CG", "--out", "/tmp/cg.json", "--seed", "9"]).unwrap();
-        let Command::Record(spec) = cli.command else {
-            panic!()
-        };
+        let Command::Record(spec) = cli else { panic!() };
         assert_eq!(spec.app, "CG");
         assert_eq!(spec.out, "/tmp/cg.json");
         assert_eq!(spec.seed, 9);
         assert!(parse(&["record", "CG"]).unwrap_err().contains("--out"));
 
         let cli = parse(&["plan", "EP", "--runs", "4"]).unwrap();
-        assert!(matches!(cli.command, Command::Plan(_)));
+        assert!(matches!(cli, Command::Plan(_)));
     }
 
     #[test]
@@ -995,9 +796,7 @@ mod tests {
             ("dnpc", ControllerKind::Dnpc { slowdown }),
         ] {
             let cli = parse(&["run", "CG", "--controller", name]).unwrap();
-            let Command::Run(spec) = cli.command else {
-                panic!()
-            };
+            let Command::Run(spec) = cli else { panic!() };
             assert_eq!(spec.controller, want, "{name}");
         }
     }
@@ -1006,32 +805,26 @@ mod tests {
     fn trace_subcommand_parses() {
         let cli = parse(&["trace", "/tmp/t.jsonl", "--summary"]).unwrap();
         assert_eq!(
-            cli.command,
+            cli,
             Command::Trace(TraceCmd {
                 file: "/tmp/t.jsonl".into(),
                 summary: true,
             })
         );
         let cli = parse(&["trace", "/tmp/t.jsonl"]).unwrap();
-        let Command::Trace(cmd) = cli.command else {
-            panic!()
-        };
+        let Command::Trace(cmd) = cli else { panic!() };
         assert!(!cmd.summary);
         assert!(parse(&["trace"]).unwrap_err().contains("missing <FILE"));
 
         let cli = parse(&["run", "CG", "--trace-out", "/tmp/t.jsonl"]).unwrap();
-        let Command::Run(spec) = cli.command else {
-            panic!()
-        };
+        let Command::Run(spec) = cli else { panic!() };
         assert_eq!(spec.trace_out.as_deref(), Some("/tmp/t.jsonl"));
     }
 
     #[test]
     fn fault_plan_flag_parses() {
         let cli = parse(&["run", "CG", "--fault-plan", "seed=7;write,reg=cap,p=0.01"]).unwrap();
-        let Command::Run(spec) = cli.command else {
-            panic!()
-        };
+        let Command::Run(spec) = cli else { panic!() };
         assert_eq!(
             spec.fault_plan.as_deref(),
             Some("seed=7;write,reg=cap,p=0.01")
@@ -1044,9 +837,7 @@ mod tests {
     #[test]
     fn journal_flags_parse() {
         let cli = parse(&["run", "EP", "--journal-dir", "/tmp/j", "--fsync", "every:4"]).unwrap();
-        let Command::Run(spec) = cli.command else {
-            panic!()
-        };
+        let Command::Run(spec) = cli else { panic!() };
         assert_eq!(spec.journal_dir.as_deref(), Some("/tmp/j"));
         assert_eq!(spec.fsync, Some(FsyncPolicy::EveryN(4)));
 
@@ -1055,9 +846,7 @@ mod tests {
             ("never", FsyncPolicy::Never),
         ] {
             let cli = parse(&["run", "EP", "--journal-dir", "/tmp/j", "--fsync", v]).unwrap();
-            let Command::Run(spec) = cli.command else {
-                panic!()
-            };
+            let Command::Run(spec) = cli else { panic!() };
             assert_eq!(spec.fsync, Some(want), "{v}");
         }
 
@@ -1083,7 +872,7 @@ mod tests {
     fn resume_and_journal_subcommands_parse() {
         let cli = parse(&["resume", "/tmp/j", "--json"]).unwrap();
         assert_eq!(
-            cli.command,
+            cli,
             Command::Resume(ResumeCmd {
                 dir: "/tmp/j".into(),
                 json: true,
@@ -1093,7 +882,7 @@ mod tests {
 
         let cli = parse(&["journal", "/tmp/j"]).unwrap();
         assert_eq!(
-            cli.command,
+            cli,
             Command::Journal(JournalCmd {
                 dir: "/tmp/j".into(),
             })
@@ -1119,15 +908,22 @@ mod tests {
             "--json",
         ])
         .unwrap();
-        let Command::Coordinate(cmd) = cli.command else {
+        let Command::Coordinate(cmd) = cli else {
             panic!()
         };
-        assert_eq!(cmd.listen, "127.0.0.1:7070");
-        assert_eq!(cmd.budget, Watts(300.0));
-        assert!(!cmd.demand_based);
-        assert_eq!(cmd.epoch_ms, 250);
-        assert_eq!(cmd.max_epochs, Some(40));
-        assert!(cmd.json);
+        assert_eq!(
+            cmd,
+            CoordinateCmd {
+                config: CoordinatorConfig {
+                    policy: PolicyKind::StaticSplit,
+                    max_epochs: Some(40),
+                    ..CoordinatorConfig::new("127.0.0.1:7070", Watts(300.0))
+                        .with_epoch(Duration::from_millis(250))
+                },
+                json: true,
+                trace_out: None,
+            }
+        );
 
         assert!(parse(&["coordinate", "--budget-w", "300"])
             .unwrap_err()
@@ -1144,7 +940,26 @@ mod tests {
             "--policy",
             "greedy"
         ])
-        .is_err());
+        .unwrap_err()
+        .contains("greedy"));
+        // Single-value checks are the config's own, run at parse time.
+        for (flag, v, field) in [
+            ("--epoch-ms", "0", "epoch"),
+            ("--max-epochs", "0", "max_epochs"),
+            ("--budget-w", "-5", "budget"),
+        ] {
+            let err = parse(&[
+                "coordinate",
+                "--listen",
+                "127.0.0.1:0",
+                "--budget-w",
+                "300",
+                flag,
+                v,
+            ])
+            .unwrap_err();
+            assert!(err.contains(&format!("invalid value for {field}")), "{err}");
+        }
     }
 
     #[test]
@@ -1161,12 +976,17 @@ mod tests {
             "127.0.0.1:7071",
         ])
         .unwrap();
-        let Command::Coordinate(cmd) = cli.command else {
+        let Command::Coordinate(cmd) = cli else {
             panic!()
         };
-        assert_eq!(cmd.journal_dir.as_deref(), Some("/tmp/fleet-journal"));
-        assert_eq!(cmd.successor.as_deref(), Some("127.0.0.1:7071"));
-        assert_eq!(cmd.standby_of, None);
+        assert_eq!(
+            cmd.config,
+            CoordinatorConfig {
+                journal_dir: Some("/tmp/fleet-journal".into()),
+                successor: Some("127.0.0.1:7071".into()),
+                ..CoordinatorConfig::new("127.0.0.1:7070", Watts(300.0))
+            }
+        );
 
         let cli = parse(&[
             "coordinate",
@@ -1180,10 +1000,10 @@ mod tests {
             "127.0.0.1:7070",
         ])
         .unwrap();
-        let Command::Coordinate(cmd) = cli.command else {
+        let Command::Coordinate(cmd) = cli else {
             panic!()
         };
-        assert_eq!(cmd.standby_of.as_deref(), Some("127.0.0.1:7070"));
+        assert_eq!(cmd.config.standby_of.as_deref(), Some("127.0.0.1:7070"));
 
         // A standby without the shared journal cannot rebuild the fleet.
         let err = parse(&[
@@ -1217,15 +1037,21 @@ mod tests {
             "500",
         ])
         .unwrap();
-        let Command::Agent(cmd) = cli.command else {
-            panic!()
-        };
-        assert_eq!(cmd.connect, "127.0.0.1:7070");
-        assert_eq!(cmd.node, "n3");
-        assert_eq!(cmd.apps, vec!["EP".to_string(), "MG".to_string()]);
-        assert_eq!(cmd.safe_cap, Watts(85.0));
-        assert_eq!(cmd.pace_ms, 5);
-        assert_eq!(cmd.max_intervals, Some(500));
+        let Command::Agent(cmd) = cli else { panic!() };
+        assert_eq!(
+            cmd,
+            AgentCmd {
+                config: AgentConfig {
+                    queue: vec!["EP".into(), "MG".into()],
+                    safe_cap: Watts(85.0),
+                    pace: Duration::from_millis(5),
+                    max_intervals: Some(500),
+                    ..AgentConfig::new("127.0.0.1:7070", "n3", "EP")
+                },
+                json: false,
+                trace_out: None,
+            }
+        );
 
         assert!(parse(&["agent", "--node", "n0"])
             .unwrap_err()
@@ -1233,6 +1059,15 @@ mod tests {
         assert!(parse(&["agent", "--connect", "127.0.0.1:7070"])
             .unwrap_err()
             .contains("--node"));
+        // Single-value checks are the config's own, run at parse time.
+        for (flag, v, field) in [
+            ("--slowdown", "150", "slowdown"),
+            ("--safe-cap", "0", "safe_cap"),
+            ("--max-intervals", "0", "max_intervals"),
+        ] {
+            let err = parse(&["agent", "--connect", "a:1", "--node", "n0", flag, v]).unwrap_err();
+            assert!(err.contains(&format!("invalid value for {field}")), "{err}");
+        }
     }
 
     #[test]
@@ -1245,14 +1080,14 @@ mod tests {
             "n0",
         ])
         .unwrap();
-        let Command::Agent(cmd) = cli.command else {
-            panic!()
-        };
-        assert_eq!(cmd.connect, "127.0.0.1:7070");
+        let Command::Agent(cmd) = cli else { panic!() };
+        assert_eq!(cmd.config.connect, "127.0.0.1:7070");
         assert_eq!(
-            cmd.standbys,
+            cmd.config.standbys,
             vec!["127.0.0.1:7071".to_string(), "127.0.0.1:7072".to_string()]
         );
+        // Standbys make reconnects patient enough to outlast a takeover.
+        assert_eq!(cmd.config.retry.max_retries, 40);
     }
 
     #[test]
@@ -1279,12 +1114,14 @@ mod tests {
         ])
         .unwrap();
         assert_eq!(
-            cli.command,
+            cli,
             Command::Chaos(ChaosCmd {
-                seed: 7,
-                agents: 12,
-                epochs: 60,
-                budget_w: 900.0,
+                config: ChaosConfig {
+                    agents: 12,
+                    epochs: 60,
+                    budget: Watts(900.0),
+                    ..ChaosConfig::new(7)
+                },
                 scenario: Some("byzantine-minority".into()),
                 net_fault_plan: Some("drop,p=0.1".into()),
                 fault_plan: Some("write,reg=cap,p=0.01".into()),
@@ -1295,17 +1132,16 @@ mod tests {
 
         // Defaults match the CI matrix shape.
         let cli = parse(&["chaos"]).unwrap();
-        let Command::Chaos(cmd) = cli.command else {
-            panic!()
-        };
-        assert_eq!(cmd.seed, 42);
-        assert_eq!(cmd.agents, 8);
-        assert_eq!(cmd.epochs, 40);
-        assert_eq!(cmd.budget_w, 700.0);
+        let Command::Chaos(cmd) = cli else { panic!() };
+        assert_eq!(cmd.config, ChaosConfig::new(42));
         assert_eq!(cmd.scenario, None);
 
-        assert!(parse(&["chaos", "--agents", "0"]).is_err());
-        assert!(parse(&["chaos", "--epochs", "0"]).is_err());
+        assert!(parse(&["chaos", "--agents", "0"])
+            .unwrap_err()
+            .contains("invalid value for agents"));
+        assert!(parse(&["chaos", "--epochs", "0"])
+            .unwrap_err()
+            .contains("invalid value for epochs"));
         assert!(parse(&["chaos", "--scenario"]).is_err());
     }
 
@@ -1329,11 +1165,11 @@ mod tests {
         ])
         .unwrap();
         assert_eq!(
-            cli.command,
+            cli,
             Command::Scenario(ScenarioCmd {
                 spec: Some("day.toml".into()),
                 seed: 9,
-                policies: vec!["uncapped".into(), "demand-based".into()],
+                policies: vec![PolicyChoice::Uncapped, PolicyChoice::DemandBased],
                 jobs: Some(3),
                 out: Some("/tmp/rows.jsonl".into()),
                 trace_out: Some("/tmp/trace.jsonl".into()),
@@ -1344,25 +1180,25 @@ mod tests {
 
         // Defaults: the example spec, the full policy set, all cores.
         let cli = parse(&["scenario"]).unwrap();
-        let Command::Scenario(cmd) = cli.command else {
+        let Command::Scenario(cmd) = cli else {
             panic!()
         };
         assert_eq!(cmd.spec, None);
         assert_eq!(cmd.seed, 42);
-        assert_eq!(
-            cmd.policies,
-            vec!["uncapped", "static-split", "demand-based"]
-        );
+        assert_eq!(cmd.policies, PolicyChoice::ALL);
         assert!(!cmd.print_example);
 
         let cli = parse(&["scenario", "--print-example"]).unwrap();
-        let Command::Scenario(cmd) = cli.command else {
+        let Command::Scenario(cmd) = cli else {
             panic!()
         };
         assert!(cmd.print_example);
 
         assert!(parse(&["scenario", "--jobs", "0"]).is_err());
         assert!(parse(&["scenario", "--policies", "a,,b"]).is_err());
+        assert!(parse(&["scenario", "--policies", "uncapped,nope"])
+            .unwrap_err()
+            .contains("nope"));
         assert!(parse(&["scenario", "--spec"]).is_err());
     }
 
@@ -1379,7 +1215,7 @@ mod tests {
         ])
         .unwrap();
         assert_eq!(
-            cli.command,
+            cli,
             Command::Sweep(SweepCmd {
                 grid: None,
                 paper: true,
@@ -1391,9 +1227,7 @@ mod tests {
         );
 
         let cli = parse(&["sweep", "--grid", "g.toml"]).unwrap();
-        let Command::Sweep(cmd) = cli.command else {
-            panic!()
-        };
+        let Command::Sweep(cmd) = cli else { panic!() };
         assert_eq!(cmd.grid.as_deref(), Some("g.toml"));
         assert_eq!(cmd.jobs, None, "default = all cores");
         assert_eq!(cmd.out, "results.jsonl");
@@ -1409,25 +1243,19 @@ mod tests {
     #[test]
     fn engine_flag_parses_on_run_and_sweep() {
         let cli = parse(&["run", "CG", "--engine", "tick"]).unwrap();
-        let Command::Run(spec) = cli.command else {
-            panic!()
-        };
+        let Command::Run(spec) = cli else { panic!() };
         assert_eq!(spec.engine, Engine::Tick);
 
         let cli = parse(&["run", "CG"]).unwrap();
-        let Command::Run(spec) = cli.command else {
-            panic!()
-        };
+        let Command::Run(spec) = cli else { panic!() };
         assert_eq!(spec.engine, Engine::Event, "fast path is the default");
 
         let cli = parse(&["sweep", "--paper", "--engine", "tick"]).unwrap();
-        let Command::Sweep(cmd) = cli.command else {
-            panic!()
-        };
+        let Command::Sweep(cmd) = cli else { panic!() };
         assert_eq!(cmd.engine, Some(Engine::Tick));
 
         let cli = parse(&["timeline", "CG", "--engine", "event"]).unwrap();
-        let Command::Timeline(spec) = cli.command else {
+        let Command::Timeline(spec) = cli else {
             panic!()
         };
         assert_eq!(spec.engine, Engine::Event);
@@ -1441,9 +1269,7 @@ mod tests {
     #[test]
     fn static_cap_controller_parses() {
         let cli = parse(&["run", "EP", "--controller", "cap:100"]).unwrap();
-        let Command::Run(spec) = cli.command else {
-            panic!()
-        };
+        let Command::Run(spec) = cli else { panic!() };
         assert_eq!(
             spec.controller,
             ControllerKind::StaticCap { cap: Watts(100.0) }
@@ -1453,9 +1279,7 @@ mod tests {
     #[test]
     fn defaults_match_paper_tool() {
         let cli = parse(&["run", "LU"]).unwrap();
-        let Command::Run(spec) = cli.command else {
-            panic!()
-        };
+        let Command::Run(spec) = cli else { panic!() };
         assert_eq!(
             spec.controller,
             ControllerKind::Dufp {
@@ -1463,6 +1287,112 @@ mod tests {
             }
         );
         assert_eq!(spec.sockets, 4);
+    }
+
+    #[test]
+    fn the_cli_keeps_no_defaults_of_its_own() {
+        let cli = parse(&["coordinate", "--listen", "a:1", "--budget-w", "300"]).unwrap();
+        let Command::Coordinate(cmd) = cli else {
+            panic!()
+        };
+        assert_eq!(cmd.config, CoordinatorConfig::new("a:1", Watts(300.0)));
+
+        let cli = parse(&["agent", "--connect", "a:1", "--node", "n0"]).unwrap();
+        let Command::Agent(cmd) = cli else { panic!() };
+        assert_eq!(cmd.config, AgentConfig::new("a:1", "n0", "EP"));
+
+        let Command::Chaos(cmd) = parse(&["chaos"]).unwrap() else {
+            panic!()
+        };
+        assert_eq!(cmd.config, ChaosConfig::new(42));
+    }
+
+    #[test]
+    fn policy_names_share_one_grammar() {
+        for (name, want) in [
+            ("static-split", PolicyKind::StaticSplit),
+            ("static", PolicyKind::StaticSplit),
+            ("demand-based", PolicyKind::DemandBased),
+            ("demand", PolicyKind::DemandBased),
+        ] {
+            let argv = [
+                "coordinate",
+                "--listen",
+                "a:1",
+                "--budget-w",
+                "300",
+                "--policy",
+                name,
+            ];
+            let cli = parse(&argv).unwrap();
+            let Command::Coordinate(cmd) = cli else {
+                panic!()
+            };
+            assert_eq!(cmd.config.policy, want, "{name}");
+
+            let Command::Scenario(cmd) = parse(&["scenario", "--policies", name]).unwrap() else {
+                panic!()
+            };
+            assert_eq!(cmd.policies[0].kind(), Some(want), "{name}");
+        }
+    }
+
+    /// Every run-family flag with a value that parses, and the
+    /// subcommands that use it.
+    const RUN_FAMILY_MATRIX: [(&[&str], &[&str]); 12] = [
+        (&["--controller", "duf"], &["run", "timeline"]),
+        (&["--slowdown", "10"], &["run", "timeline"]),
+        (&["--sockets", "2"], &["run", "timeline", "plan"]),
+        (&["--runs", "3"], &["run", "plan"]),
+        (&["--seed", "7"], &["run", "timeline", "plan"]),
+        (&["--json"], &["run"]),
+        (&["--machine", "m.json"], &["run", "timeline", "plan"]),
+        (&["--trace-out", "t.jsonl"], &["run"]),
+        (&["--fault-plan", "seed=1"], &["run", "timeline"]),
+        (&["--journal-dir", "j"], &["run"]),
+        (&["--journal-dir", "j", "--fsync", "never"], &["run"]),
+        (&["--engine", "tick"], &["run", "timeline", "plan"]),
+    ];
+
+    #[test]
+    fn run_family_flags_are_accepted_exactly_where_used() {
+        for (flag, users) in RUN_FAMILY_MATRIX {
+            for sub in ["run", "timeline", "plan"] {
+                let argv: Vec<&str> = [sub, "EP"].iter().chain(flag).copied().collect();
+                let got = parse(&argv);
+                if users.contains(&sub) {
+                    assert!(got.is_ok(), "{argv:?}: {got:?}");
+                } else {
+                    let err = got.unwrap_err();
+                    assert!(err.starts_with("unknown flag --"), "{argv:?}: {err}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn subcommands_reject_flags_they_would_ignore() {
+        for argv in [
+            &["plan", "EP", "--runs", "3", "--fault-plan", "seed=nope"][..],
+            &["plan", "EP", "--trace-out", "x.jsonl"],
+            &["plan", "EP", "--controller", "duf"],
+            &["timeline", "EP", "--trace-out", "t.jsonl"],
+            &["timeline", "EP", "--runs", "7"],
+            &["timeline", "EP", "--json"],
+            &["platform", "--json"],
+            &["apps", "--bogus"],
+            &["probe", "x"],
+            &["machine-template", "--out", "m.json"],
+            &["help", "run"],
+            &["journal", "j", "--json"],
+            &["resume", "j", "--summary"],
+            &["trace", "t.jsonl", "--json"],
+        ] {
+            let err = parse(argv).unwrap_err();
+            assert!(err.starts_with("unknown flag "), "{argv:?}: {err}");
+        }
+        let err = parse(&["plan", "EP", "--trace-out", "x.jsonl"]).unwrap_err();
+        assert!(err.contains("only valid with `run`"), "{err}");
     }
 
     #[test]

@@ -37,14 +37,22 @@ fn resolve_sim(spec: &RunSpec) -> Result<dufp_sim::SimConfig, String> {
     Ok(sim)
 }
 
-/// Resolves `--fault-plan`: a path to a JSON plan file (when the value
-/// ends in `.json`) or an inline DSL string like
-/// `seed=42;write,reg=cap,p=0.01`.
-fn resolve_fault_plan(spec: &RunSpec) -> Result<Option<FaultPlan>, String> {
-    spec.fault_plan.as_deref().map(load_msr_plan).transpose()
+/// The experiment `spec` describes: untraced, telemetry off.
+fn experiment(spec: &RunSpec) -> Result<ExperimentSpec, String> {
+    Ok(ExperimentSpec {
+        sim: resolve_sim(spec)?,
+        app: spec.app.clone(),
+        controller: spec.controller,
+        trace: None,
+        interval_ms: None,
+        telemetry: false,
+        fault_plan: spec.fault_plan.as_deref().map(load_msr_plan).transpose()?,
+        engine: spec.engine,
+    })
 }
 
-/// Loads an MSR fault plan from a JSON file or an inline DSL string.
+/// Loads an MSR fault plan from a JSON file (when `arg` ends in `.json`)
+/// or an inline DSL string like `seed=42;write,reg=cap,p=0.01`.
 fn load_msr_plan(arg: &str) -> Result<FaultPlan, String> {
     if arg.ends_with(".json") {
         let text = std::fs::read_to_string(arg).map_err(|e| format!("fault plan {arg}: {e}"))?;
@@ -71,16 +79,6 @@ pub fn machine_template() -> String {
         .expect("SimConfig always serializes")
 }
 
-/// Resolves `--journal-dir`/`--fsync` into [`JournalOptions`].
-fn journal_options(spec: &RunSpec) -> Option<JournalOptions> {
-    let dir = spec.journal_dir.as_ref()?;
-    let mut opts = JournalOptions::new(dir);
-    if let Some(fsync) = spec.fsync {
-        opts.fsync = fsync;
-    }
-    Some(opts)
-}
-
 /// `dufp run <APP> ...`
 pub fn run_app(spec: &RunSpec) -> Result<String, String> {
     if spec.trace_out.is_some() && spec.runs != 1 {
@@ -89,48 +87,41 @@ pub fn run_app(spec: &RunSpec) -> Result<String, String> {
     if spec.journal_dir.is_some() && spec.runs != 1 {
         return Err("--journal-dir journals a single run; use --runs 1".into());
     }
-    let sim = resolve_sim(spec)?;
-    let kind = spec.controller;
-    let fault_plan = resolve_fault_plan(spec)?;
-    let exp = ExperimentSpec {
-        sim,
-        app: spec.app.clone(),
-        controller: kind,
-        trace: None,
-        interval_ms: None,
-        // A chaos run needs telemetry: the degradation/restore events are
-        // the observable record of how the run survived its faults.
-        telemetry: spec.trace_out.is_some() || fault_plan.is_some(),
-        fault_plan: fault_plan.clone(),
-        engine: spec.engine,
-    };
+    let mut exp = experiment(spec)?;
+    // A chaos run needs telemetry: the degradation/restore events are the
+    // observable record of how the run survived its faults.
+    let faulted = exp.fault_plan.is_some();
+    exp.telemetry = spec.trace_out.is_some() || faulted;
 
     if spec.runs == 1 {
-        let mut r = match journal_options(spec) {
-            Some(opts) => run_journaled(&exp, spec.seed, &opts).map_err(|e| e.to_string())?,
-            None => run_once(&exp, spec.seed).map_err(|e| e.to_string())?,
-        };
+        let mut r = match &spec.journal_dir {
+            Some(dir) => {
+                let mut opts = JournalOptions::new(dir);
+                opts.fsync = spec.fsync.unwrap_or(opts.fsync);
+                run_journaled(&exp, spec.seed, &opts)
+            }
+            None => run_once(&exp, spec.seed),
+        }
+        .map_err(|e| e.to_string())?;
         let mut trace_note = String::new();
         let mut resilience_note = String::new();
         // The trace goes to the file; keep stdout (human or JSON)
         // unchanged apart from a one-line pointer.
-        let report = if spec.trace_out.is_some() || (fault_plan.is_some() && !spec.json) {
+        let report = if spec.trace_out.is_some() || (faulted && !spec.json) {
             r.telemetry.take()
         } else {
             None
         };
         if let Some(path) = &spec.trace_out {
             let report = report.as_ref().ok_or("telemetry report missing")?;
-            let f = std::fs::File::create(path).map_err(|e| format!("{path}: {e}"))?;
-            let mut w = std::io::BufWriter::new(f);
-            write_jsonl(&mut w, &report.decisions).map_err(|e| format!("{path}: {e}"))?;
+            write_events(path, &report.decisions)?;
             trace_note = format!(
                 "  decision trace : {:>10} events -> {path} ({} dropped)\n",
                 report.decisions.len(),
                 report.dropped
             );
         }
-        if fault_plan.is_some() {
+        if faulted {
             if let Some(report) = &report {
                 let count = |name: &str| {
                     report
@@ -154,7 +145,7 @@ pub fn run_app(spec: &RunSpec) -> Result<String, String> {
             return serde_json::to_string_pretty(&r).map_err(|e| e.to_string());
         }
         let mut out = String::new();
-        writeln!(out, "{} under {}", spec.app, kind.label()).unwrap();
+        writeln!(out, "{} under {}", spec.app, spec.controller.label()).unwrap();
         writeln!(out, "  execution time : {:>10.2} s", r.exec_time.value()).unwrap();
         writeln!(
             out,
@@ -190,7 +181,7 @@ pub fn run_app(spec: &RunSpec) -> Result<String, String> {
             out,
             "{} under {} — {} runs, trimmed mean of {} (paper protocol)",
             spec.app,
-            kind.label(),
+            spec.controller.label(),
             spec.runs,
             r.exec_time.n
         )
@@ -286,20 +277,12 @@ pub fn journal(cmd: &JournalCmd) -> Result<String, String> {
 
 /// `dufp timeline <APP> ...` — one traced run rendered as ASCII charts.
 pub fn timeline(spec: &RunSpec) -> Result<String, String> {
-    let sim = resolve_sim(spec)?;
-    let kind = spec.controller;
     let exp = ExperimentSpec {
-        sim,
-        app: spec.app.clone(),
-        controller: kind,
         trace: Some(TraceSpec {
             socket: SocketId(0),
             stride: 100, // one point per 100 ms
         }),
-        interval_ms: None,
-        telemetry: false,
-        fault_plan: resolve_fault_plan(spec)?,
-        engine: spec.engine,
+        ..experiment(spec)?
     };
     let r = run_once(&exp, spec.seed).map_err(|e| e.to_string())?;
     let trace = r.trace.as_ref().ok_or("trace missing")?;
@@ -312,7 +295,7 @@ pub fn timeline(spec: &RunSpec) -> Result<String, String> {
         out,
         "{} under {} — socket 0, {:.1} s ({} samples)\n",
         spec.app,
-        kind.label(),
+        spec.controller.label(),
         r.exec_time.value(),
         trace.points.len()
     )
@@ -518,17 +501,11 @@ pub fn record(spec: &RecordSpec) -> Result<String, String> {
 /// power savings and no energy loss.
 pub fn plan(spec: &RunSpec) -> Result<String, String> {
     use dufp::{ratios_vs_default, run_repeated, Ratios};
-    let sim = resolve_sim(spec)?;
     let runs = spec.runs.max(3);
+    let plain = experiment(spec)?;
     let exp = |controller| ExperimentSpec {
-        sim: sim.clone(),
-        app: spec.app.clone(),
         controller,
-        trace: None,
-        interval_ms: None,
-        telemetry: false,
-        fault_plan: None,
-        engine: spec.engine,
+        ..plain.clone()
     };
     let base =
         run_repeated(&exp(ControllerKind::Default), runs, spec.seed).map_err(|e| e.to_string())?;
@@ -730,11 +707,19 @@ pub fn probe() -> String {
     out
 }
 
-/// Writes a decision trace to `path` as JSON Lines.
-fn write_trace(path: &str, decisions: &[DecisionEvent]) -> Result<String, String> {
+/// Writes decision events to `path` as JSON Lines.
+fn write_events(path: &str, events: &[DecisionEvent]) -> Result<(), String> {
     let f = std::fs::File::create(path).map_err(|e| format!("{path}: {e}"))?;
-    let mut w = std::io::BufWriter::new(f);
-    write_jsonl(&mut w, decisions).map_err(|e| format!("{path}: {e}"))?;
+    write_jsonl(std::io::BufWriter::new(f), events).map_err(|e| format!("{path}: {e}"))
+}
+
+/// Writes a fleet process's decision trace to `trace_out`, if given, and
+/// returns the report line pointing at it.
+fn write_trace(trace_out: Option<&str>, decisions: &[DecisionEvent]) -> Result<String, String> {
+    let Some(path) = trace_out else {
+        return Ok(String::new());
+    };
+    write_events(path, decisions)?;
     Ok(format!(
         "  decision trace : {:>10} events -> {path}\n",
         decisions.len()
@@ -743,39 +728,25 @@ fn write_trace(path: &str, decisions: &[DecisionEvent]) -> Result<String, String
 
 /// `dufp coordinate --listen ADDR --budget-w W ...` — serve a fleet budget.
 pub fn coordinate(cmd: &CoordinateCmd) -> Result<String, String> {
-    let mut cfg = dufp_net::CoordinatorConfig::new(&cmd.listen, cmd.budget)
-        .with_epoch(std::time::Duration::from_millis(cmd.epoch_ms));
-    cfg.policy = if cmd.demand_based {
-        dufp_net::PolicyKind::DemandBased
-    } else {
-        dufp_net::PolicyKind::StaticSplit
-    };
-    cfg.max_epochs = cmd.max_epochs;
-    cfg.journal_dir = cmd.journal_dir.as_ref().map(std::path::PathBuf::from);
-    cfg.standby_of = cmd.standby_of.clone();
-    cfg.successor = cmd.successor.clone();
-    cfg.validate().map_err(|e| e.to_string())?;
-    let outcome = if cfg.standby_of.is_some() {
-        eprintln!(
-            "dufp coordinate: standby for {} (promotes on primary silence)",
-            cmd.standby_of.as_deref().unwrap_or("?")
-        );
-        dufp_net::run_standby(cfg).map_err(|e| e.to_string())?
-    } else {
-        let coord = dufp_net::Coordinator::bind(cfg).map_err(|e| e.to_string())?;
-        let addr = coord.local_addr().map_err(|e| e.to_string())?;
-        eprintln!(
-            "dufp coordinate: serving {} W on {addr} (term {})",
-            cmd.budget.value(),
-            coord.term()
-        );
-        coord.run().map_err(|e| e.to_string())?
+    let outcome = match &cmd.config.standby_of {
+        Some(primary) => {
+            eprintln!("dufp coordinate: standby for {primary} (promotes on primary silence)");
+            dufp_net::run_standby(cmd.config.clone()).map_err(|e| e.to_string())?
+        }
+        None => {
+            let coord =
+                dufp_net::Coordinator::bind(cmd.config.clone()).map_err(|e| e.to_string())?;
+            let addr = coord.local_addr().map_err(|e| e.to_string())?;
+            eprintln!(
+                "dufp coordinate: serving {} W on {addr} (term {})",
+                cmd.config.budget.value(),
+                coord.term()
+            );
+            coord.run().map_err(|e| e.to_string())?
+        }
     };
 
-    let mut trace_note = String::new();
-    if let Some(path) = &cmd.trace_out {
-        trace_note = write_trace(path, &outcome.telemetry.decisions)?;
-    }
+    let trace_note = write_trace(cmd.trace_out.as_deref(), &outcome.telemetry.decisions)?;
     if cmd.json {
         return serde_json::to_string_pretty(&outcome).map_err(|e| e.to_string());
     }
@@ -816,30 +787,10 @@ pub fn coordinate(cmd: &CoordinateCmd) -> Result<String, String> {
 
 /// `dufp agent --connect ADDR --node NAME ...` — run a fleet node.
 pub fn agent(cmd: &AgentCmd) -> Result<String, String> {
-    let mut cfg = dufp_net::AgentConfig::new(&cmd.connect, &cmd.node, "");
-    cfg.queue = cmd.apps.clone();
-    cfg.slowdown = cmd.slowdown;
-    cfg.seed = cmd.seed;
-    cfg.safe_cap = cmd.safe_cap;
-    cfg.pace = std::time::Duration::from_millis(cmd.pace_ms);
-    cfg.max_intervals = cmd.max_intervals;
-    cfg.standbys = cmd.standbys.clone();
-    if !cfg.standbys.is_empty() {
-        // Failover needs patience: a standby takes a few heartbeat
-        // timeouts to notice the primary died and promote, so the default
-        // (sub-second) retry ladder would degrade to the safe cap before
-        // the successor even binds.
-        cfg.retry.max_retries = 40;
-        cfg.retry.base_backoff = std::time::Duration::from_millis(50);
-        cfg.retry.max_backoff = std::time::Duration::from_millis(500);
-    }
-    let agent = dufp_net::Agent::new(cfg).map_err(|e| e.to_string())?;
+    let agent = dufp_net::Agent::new(cmd.config.clone()).map_err(|e| e.to_string())?;
     let outcome = agent.run().map_err(|e| e.to_string())?;
 
-    let mut trace_note = String::new();
-    if let Some(path) = &cmd.trace_out {
-        trace_note = write_trace(path, &outcome.telemetry.decisions)?;
-    }
+    let trace_note = write_trace(cmd.trace_out.as_deref(), &outcome.telemetry.decisions)?;
     if cmd.json {
         return serde_json::to_string_pretty(&outcome).map_err(|e| e.to_string());
     }
@@ -886,10 +837,7 @@ pub fn agent(cmd: &AgentCmd) -> Result<String, String> {
 /// into a resilience scorecard. Errors (nonzero exit) if any scenario
 /// breaks budget conservation or an honest agent's floor.
 pub fn chaos(cmd: &ChaosCmd) -> Result<String, String> {
-    let mut cfg = dufp_net::ChaosConfig::new(cmd.seed);
-    cfg.agents = cmd.agents;
-    cfg.epochs = cmd.epochs;
-    cfg.budget = dufp_types::Watts(cmd.budget_w);
+    let mut cfg = cmd.config.clone();
     if let Some(arg) = &cmd.net_fault_plan {
         cfg.extra_net = load_net_plan(arg)?;
     }
@@ -924,7 +872,10 @@ pub fn chaos(cmd: &ChaosCmd) -> Result<String, String> {
         writeln!(
             out,
             "resilience scorecard — seed {}, {} agent(s), {} epoch(s), {:.0} W budget",
-            cmd.seed, cmd.agents, cmd.epochs, cmd.budget_w
+            cfg.seed,
+            cfg.agents,
+            cfg.epochs,
+            cfg.budget.value()
         )
         .unwrap();
         writeln!(
@@ -984,17 +935,12 @@ pub fn scenario(cmd: &ScenarioCmd) -> Result<String, String> {
         }
         None => dufp_scenario::ScenarioSpec::example(),
     };
-    let policies: Vec<dufp_scenario::PolicyChoice> = cmd
-        .policies
-        .iter()
-        .map(|p| dufp_scenario::PolicyChoice::parse(p).map_err(|e| e.to_string()))
-        .collect::<Result<_, _>>()?;
     let jobs = cmd
         .jobs
         .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, usize::from));
 
     let rows =
-        dufp_scenario::run_rows(&spec, cmd.seed, &policies, jobs).map_err(|e| e.to_string())?;
+        dufp_scenario::run_rows(&spec, cmd.seed, &cmd.policies, jobs).map_err(|e| e.to_string())?;
     let jsonl = dufp_scenario::to_jsonl_bytes(&rows).map_err(|e| e.to_string())?;
     let jsonl = String::from_utf8(jsonl).map_err(|e| e.to_string())?;
 
@@ -1005,7 +951,7 @@ pub fn scenario(cmd: &ScenarioCmd) -> Result<String, String> {
     }
     if let Some(path) = &cmd.trace_out {
         let run =
-            dufp_scenario::run_one(&spec, cmd.seed, policies[0]).map_err(|e| e.to_string())?;
+            dufp_scenario::run_one(&spec, cmd.seed, cmd.policies[0]).map_err(|e| e.to_string())?;
         let file = std::fs::File::create(path).map_err(|e| format!("trace {path}: {e}"))?;
         write_jsonl(std::io::BufWriter::new(file), &run.events)
             .map_err(|e| format!("trace {path}: {e}"))?;
@@ -1013,7 +959,7 @@ pub fn scenario(cmd: &ScenarioCmd) -> Result<String, String> {
             notes,
             "trace: {} event(s) for policy {} written to {path}",
             run.events.len(),
-            policies[0].label()
+            cmd.policies[0].label()
         )
         .unwrap();
     }
@@ -1081,10 +1027,12 @@ mod tests {
     #[test]
     fn chaos_runs_deterministically_and_flags_scenarios() {
         let cmd = ChaosCmd {
-            seed: 5,
-            agents: 4,
-            epochs: 10,
-            budget_w: 400.0,
+            config: dufp_net::ChaosConfig {
+                agents: 4,
+                epochs: 10,
+                budget: dufp_types::Watts(400.0),
+                ..dufp_net::ChaosConfig::new(5)
+            },
             scenario: Some("baseline".into()),
             net_fault_plan: None,
             fault_plan: None,
@@ -1109,7 +1057,10 @@ mod tests {
         let cmd = ScenarioCmd {
             spec: None,
             seed: 5,
-            policies: vec!["uncapped".into(), "demand-based".into()],
+            policies: vec![
+                dufp_scenario::PolicyChoice::Uncapped,
+                dufp_scenario::PolicyChoice::DemandBased,
+            ],
             jobs: Some(2),
             out: None,
             trace_out: None,
@@ -1129,11 +1080,9 @@ mod tests {
         .unwrap();
         assert_eq!(example, dufp_scenario::EXAMPLE_TOML);
 
-        let bad = scenario(&ScenarioCmd {
-            policies: vec!["nope".into()],
-            ..cmd
-        })
-        .unwrap_err();
+        // An unknown policy never reaches the engine: the parser rejects it.
+        let argv = ["scenario", "--policies", "nope"].map(String::from);
+        let bad = crate::Command::parse(&argv).unwrap_err();
         assert!(bad.contains("nope"), "{bad}");
     }
 

@@ -43,12 +43,11 @@ pub mod args;
 pub mod commands;
 pub mod plot;
 
-pub use args::{Cli, Command};
+pub use args::Command;
 
 /// Entry point shared by the binary and the tests.
 pub fn run(argv: &[String]) -> Result<String, String> {
-    let cli = Cli::parse(argv)?;
-    match cli.command {
+    match Command::parse(argv)? {
         Command::Run(ref spec) => commands::run_app(spec),
         Command::Resume(ref cmd) => commands::resume(cmd),
         Command::Journal(ref cmd) => commands::journal(cmd),

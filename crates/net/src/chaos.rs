@@ -53,7 +53,7 @@ use std::time::Duration;
 /// How a chaos soak is shaped. Defaults match the CI matrix: 8 agents,
 /// 40 virtual epochs, a 700 W budget over 65 W floors and 125 W silicon
 /// limits, 90 W safe local caps.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ChaosConfig {
     /// Master seed: keys every random stream in the soak.
     pub seed: u64,

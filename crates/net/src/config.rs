@@ -23,6 +23,19 @@ impl PolicyKind {
             PolicyKind::DemandBased => "demand-based",
         }
     }
+
+    /// Parses a policy name: its label or the short form (`static`,
+    /// `demand`).
+    pub fn parse(s: &str) -> Result<Self> {
+        match s {
+            "static-split" | "static" => Ok(PolicyKind::StaticSplit),
+            "demand-based" | "demand" => Ok(PolicyKind::DemandBased),
+            other => Err(Error::invalid(
+                "policy",
+                format!("unknown policy {other:?} (expected static-split or demand-based)"),
+            )),
+        }
+    }
 }
 
 /// Coordinator-side configuration.
@@ -258,6 +271,26 @@ impl AgentConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn policy_names_parse_in_long_and_short_form() {
+        for kind in [PolicyKind::StaticSplit, PolicyKind::DemandBased] {
+            assert_eq!(PolicyKind::parse(kind.label()).unwrap(), kind);
+        }
+        assert_eq!(
+            PolicyKind::parse("static").unwrap(),
+            PolicyKind::StaticSplit
+        );
+        assert_eq!(
+            PolicyKind::parse("demand").unwrap(),
+            PolicyKind::DemandBased
+        );
+        let err = PolicyKind::parse("greedy").unwrap_err().to_string();
+        assert!(
+            err.contains("greedy") && err.contains("static-split"),
+            "{err}"
+        );
+    }
 
     #[test]
     fn coordinator_defaults_validate() {

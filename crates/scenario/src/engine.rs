@@ -44,13 +44,16 @@ pub enum PolicyChoice {
 }
 
 impl PolicyChoice {
-    /// Scorecard label.
+    /// Every regime, baseline first.
+    pub const ALL: [PolicyChoice; 3] = [
+        PolicyChoice::Uncapped,
+        PolicyChoice::StaticSplit,
+        PolicyChoice::DemandBased,
+    ];
+
+    /// Scorecard label: `uncapped` or the allocator policy's label.
     pub fn label(self) -> &'static str {
-        match self {
-            PolicyChoice::Uncapped => "uncapped",
-            PolicyChoice::StaticSplit => "static-split",
-            PolicyChoice::DemandBased => "demand-based",
-        }
+        self.kind().map_or("uncapped", PolicyKind::label)
     }
 
     /// The allocator policy to run, `None` for the uncapped baseline.
@@ -62,17 +65,18 @@ impl PolicyChoice {
         }
     }
 
-    /// Parses a CLI label.
+    /// Parses a CLI label: `uncapped` or any name [`PolicyKind::parse`]
+    /// accepts.
     pub fn parse(s: &str) -> Result<Self> {
-        match s {
-            "uncapped" => Ok(PolicyChoice::Uncapped),
-            "static-split" | "static" => Ok(PolicyChoice::StaticSplit),
-            "demand-based" | "demand" => Ok(PolicyChoice::DemandBased),
-            other => Err(Error::invalid(
+        if s == "uncapped" {
+            return Ok(PolicyChoice::Uncapped);
+        }
+        match PolicyKind::parse(s) {
+            Ok(PolicyKind::StaticSplit) => Ok(PolicyChoice::StaticSplit),
+            Ok(PolicyKind::DemandBased) => Ok(PolicyChoice::DemandBased),
+            Err(_) => Err(Error::invalid(
                 "policy",
-                format!(
-                    "unknown policy {other:?} (expected uncapped, static-split or demand-based)"
-                ),
+                format!("unknown policy {s:?} (expected uncapped, static-split or demand-based)"),
             )),
         }
     }
@@ -507,6 +511,25 @@ mod tests {
     }
 
     #[test]
+    fn policy_names_keep_their_labels_and_spellings() {
+        let labels: Vec<&str> = PolicyChoice::ALL.iter().map(|p| p.label()).collect();
+        assert_eq!(labels, ["uncapped", "static-split", "demand-based"]);
+        for p in PolicyChoice::ALL {
+            assert_eq!(PolicyChoice::parse(p.label()).unwrap(), p);
+        }
+        assert_eq!(
+            PolicyChoice::parse("static").unwrap(),
+            PolicyChoice::StaticSplit
+        );
+        assert_eq!(
+            PolicyChoice::parse("demand").unwrap(),
+            PolicyChoice::DemandBased
+        );
+        let err = PolicyChoice::parse("nope").unwrap_err().to_string();
+        assert!(err.contains("nope") && err.contains("uncapped"), "{err}");
+    }
+
+    #[test]
     fn run_one_is_finite_and_conserves() {
         let r = run_one(&mini(), 42, PolicyChoice::DemandBased).unwrap();
         assert!(r.row.fleet_energy_j.is_finite() && r.row.fleet_energy_j > 0.0);
@@ -537,11 +560,7 @@ mod tests {
 
     #[test]
     fn rows_are_byte_identical_across_jobs() {
-        let policies = [
-            PolicyChoice::Uncapped,
-            PolicyChoice::StaticSplit,
-            PolicyChoice::DemandBased,
-        ];
+        let policies = PolicyChoice::ALL;
         let a = to_jsonl_bytes(&run_rows(&mini(), 3, &policies, 1).unwrap()).unwrap();
         let b = to_jsonl_bytes(&run_rows(&mini(), 3, &policies, 4).unwrap()).unwrap();
         assert_eq!(a, b);

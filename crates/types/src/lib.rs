@@ -14,6 +14,7 @@
 #![warn(missing_docs)]
 
 pub mod arch;
+pub mod argv;
 pub mod check;
 pub mod error;
 pub mod ids;

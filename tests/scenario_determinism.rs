@@ -10,12 +10,6 @@
 use dufp_scenario::{run_one, run_rows, to_jsonl_bytes, PolicyChoice, ScenarioSpec};
 use proptest::prelude::*;
 
-const ALL_POLICIES: [PolicyChoice; 3] = [
-    PolicyChoice::Uncapped,
-    PolicyChoice::StaticSplit,
-    PolicyChoice::DemandBased,
-];
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
@@ -25,10 +19,10 @@ proptest! {
     #[test]
     fn scorecard_bytes_are_a_pure_function_of_the_seed(seed in 0u64..1_000_000) {
         let spec = ScenarioSpec::mini();
-        let first = to_jsonl_bytes(&run_rows(&spec, seed, &ALL_POLICIES, 1).unwrap()).unwrap();
-        let rerun = to_jsonl_bytes(&run_rows(&spec, seed, &ALL_POLICIES, 1).unwrap()).unwrap();
+        let first = to_jsonl_bytes(&run_rows(&spec, seed, &PolicyChoice::ALL, 1).unwrap()).unwrap();
+        let rerun = to_jsonl_bytes(&run_rows(&spec, seed, &PolicyChoice::ALL, 1).unwrap()).unwrap();
         prop_assert_eq!(&first, &rerun, "serial rerun drifted");
-        let wide = to_jsonl_bytes(&run_rows(&spec, seed, &ALL_POLICIES, 4).unwrap()).unwrap();
+        let wide = to_jsonl_bytes(&run_rows(&spec, seed, &PolicyChoice::ALL, 4).unwrap()).unwrap();
         prop_assert_eq!(&first, &wide, "worker count leaked into the scorecard");
     }
 
@@ -42,7 +36,7 @@ proptest! {
         policy_idx in 0usize..3,
     ) {
         let spec = ScenarioSpec::mini();
-        let r = run_one(&spec, seed, ALL_POLICIES[policy_idx]).unwrap();
+        let r = run_one(&spec, seed, PolicyChoice::ALL[policy_idx]).unwrap();
         prop_assert!(r.row.conservation_ok, "per-step attribution broke exactness");
         for node in &r.row.nodes {
             let tenant_sum: f64 = node.tenants.iter().map(|t| t.energy_j).sum();
@@ -66,7 +60,7 @@ proptest! {
     ) {
         let mut spec = ScenarioSpec::mini();
         spec.budget_w = budget_w;
-        let rows = run_rows(&spec, seed, &ALL_POLICIES, 2).unwrap();
+        let rows = run_rows(&spec, seed, &PolicyChoice::ALL, 2).unwrap();
         prop_assert_eq!(rows.len(), 3);
         let baseline = rows.iter().find(|r| r.policy == "uncapped").unwrap();
         for row in &rows {
@@ -87,7 +81,7 @@ proptest! {
 #[test]
 fn seeds_change_the_scorecard() {
     let spec = ScenarioSpec::mini();
-    let a = to_jsonl_bytes(&run_rows(&spec, 7, &ALL_POLICIES, 1).unwrap()).unwrap();
-    let b = to_jsonl_bytes(&run_rows(&spec, 8, &ALL_POLICIES, 1).unwrap()).unwrap();
+    let a = to_jsonl_bytes(&run_rows(&spec, 7, &PolicyChoice::ALL, 1).unwrap()).unwrap();
+    let b = to_jsonl_bytes(&run_rows(&spec, 8, &PolicyChoice::ALL, 1).unwrap()).unwrap();
     assert_ne!(a, b, "seed is not reaching the arrival model");
 }
