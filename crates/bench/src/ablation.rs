@@ -11,10 +11,12 @@
 //! * **monitoring interval** — 50 ms vs the paper's 200 ms (§IV-D).
 
 use crate::report::{self, fmt_pct, markdown_table};
-use dufp_control::{Actuators, ControlConfig, Controller, Dufp, HwActuators};
-use dufp_counters::{Sampler, Telemetry};
+use dufp::SocketLoop;
+use dufp_control::{ControlConfig, Controller, Dufp, NoOp};
+use dufp_counters::Telemetry as _;
 use dufp_rapl::MsrRapl;
 use dufp_sim::{Machine, SimConfig};
+use dufp_telemetry::Telemetry;
 use dufp_types::{Duration, Ratio, Result, SocketId};
 use dufp_workloads::{apps, MaterializeCtx};
 use serde::{Deserialize, Serialize};
@@ -90,8 +92,8 @@ pub struct AblationRow {
     pub pkg_savings_pct: f64,
 }
 
-/// Runs one app under one DUFP variant on a single socket; returns
-/// (exec seconds, avg package watts).
+/// Runs one app under one DUFP variant (`None`: no controller) on a
+/// single socket; returns (exec seconds, avg package watts).
 fn run_variant(
     app: &str,
     variant: Option<Variant>,
@@ -105,36 +107,25 @@ fn run_variant(
     machine.load_all(&apps::by_name(app, &ctx)?);
 
     let mut cfg = ControlConfig::from_arch(&arch, Ratio::from_percent(slowdown_pct))?;
-    let mut controller: Option<(Dufp, _)> = match variant {
-        None => None,
+    let controller: Box<dyn Controller> = match variant {
+        None => Box::new(NoOp),
         Some(v) => {
             v.apply(&mut cfg);
-            let capper = Arc::new(MsrRapl::new(
-                Arc::clone(&machine),
-                1,
-                arch.cores_per_socket as usize,
-            )?);
-            let act = HwActuators::new(Arc::clone(&machine), capper, SocketId(0), 0, cfg.clone())?;
-            Some((Dufp::new(cfg.clone()), act))
+            Box::new(Dufp::new(cfg.clone()))
         }
     };
-
-    let mut sampler = Sampler::new();
-    sampler.sample(machine.as_ref(), SocketId(0))?;
+    let capper = Arc::new(MsrRapl::new(
+        Arc::clone(&machine),
+        1,
+        arch.cores_per_socket as usize,
+    )?);
+    let tel = Telemetry::disabled();
+    let mut socket = SocketLoop::new(&machine, capper, SocketId(0), &cfg, controller, &tel)?;
     let start = machine.sample(SocketId(0))?;
     let ticks = (cfg.interval.as_micros() / machine.config().tick.as_micros()).max(1);
     while !machine.done() {
-        for _ in 0..ticks {
-            machine.tick();
-            if machine.done() {
-                break;
-            }
-        }
-        if let Some(m) = sampler.sample(machine.as_ref(), SocketId(0))? {
-            if let Some((c, act)) = controller.as_mut() {
-                c.on_interval(&m, act as &mut dyn Actuators)?;
-            }
-        }
+        machine.advance(ticks);
+        socket.interval()?;
     }
     let end = machine.sample(SocketId(0))?;
     let secs = end.at.duration_since(start.at).as_seconds();

@@ -15,7 +15,7 @@ use dufp::{
     RepeatedResult,
 };
 use dufp_cluster::{run_hetero, ClusterConfig, HeteroConfig, SharePolicy};
-use dufp_control::{Actuators, HwActuators, PhaseEvent, PhaseTracker};
+use dufp_control::{PhaseEvent, PhaseTracker};
 use dufp_model::RooflineModel;
 use dufp_msr::registers::{PkgPowerLimit, RaplPowerUnit, MSR_PKG_POWER_LIMIT};
 use dufp_msr::MsrIo;
@@ -471,12 +471,7 @@ fn detection_score(app: &str, seed: u64, static_cap: Option<Watts>) -> Result<De
     sampler.sample(&machine, SocketId(0))?;
     let mut detections: Vec<Instant> = Vec::new();
     while !machine.done() {
-        for _ in 0..200 {
-            machine.tick();
-            if machine.done() {
-                break;
-            }
-        }
+        machine.advance(200);
         if let Some(m) = sampler.sample(&machine, SocketId(0))? {
             if tracker.observe(&m) == PhaseEvent::Changed {
                 detections.push(m.at);
@@ -550,18 +545,11 @@ fn imbalance(seed: u64) -> Result<String> {
         4,
         arch.cores_per_socket as usize,
     )?);
-    let mut per_socket = (0..4u16)
+    let tel = dufp_telemetry::Telemetry::disabled();
+    let mut sockets = (0..4u16)
         .map(|i| {
-            let act = HwActuators::new(
-                Arc::clone(&machine),
-                Arc::clone(&capper),
-                SocketId(i),
-                usize::from(i) * usize::from(arch.cores_per_socket),
-                cfg.clone(),
-            )?;
-            let mut sampler = Sampler::new();
-            sampler.sample(machine.as_ref(), SocketId(i))?;
-            Ok((Dufp::new(cfg.clone()), sampler, act))
+            let dufp = Box::new(Dufp::new(cfg.clone()));
+            SocketLoop::new(&machine, Arc::clone(&capper), SocketId(i), &cfg, dufp, &tel)
         })
         .collect::<Result<Vec<_>>>()?;
 
@@ -569,28 +557,27 @@ fn imbalance(seed: u64) -> Result<String> {
     let mut finish = [None::<f64>; 4];
     let mut tail_energy_start = [0.0f64; 4];
     while !machine.done() {
-        for _ in 0..ticks {
-            machine.tick();
+        // Every interval runs its full length, past the tick the last
+        // socket finishes on.
+        let mut advanced = 0;
+        while advanced < ticks {
+            advanced += machine.advance(ticks - advanced);
         }
         let now = machine.now().as_seconds().value();
-        for (i, (controller, sampler, act)) in per_socket.iter_mut().enumerate() {
-            let socket = SocketId(i as u16);
-            let done = machine.with_socket(socket, |s| s.done())?;
-            if done && finish[i].is_none() {
+        for (i, socket) in sockets.iter_mut().enumerate() {
+            let id = SocketId(i as u16);
+            if finish[i].is_none() && machine.with_socket(id, |s| s.done())? {
                 finish[i] = Some(now);
-                tail_energy_start[i] = machine.sample(socket)?.pkg_energy.value();
+                tail_energy_start[i] = machine.sample(id)?.pkg_energy.value();
+                socket.retire();
             }
-            if let Some(m) = sampler.sample(machine.as_ref(), socket)? {
-                if !done {
-                    controller.on_interval(&m, act)?;
-                }
-            }
+            socket.interval()?;
         }
     }
     let end = machine.now().as_seconds().value();
 
     let mut rows = Vec::new();
-    for (i, (_, _, act)) in per_socket.iter().enumerate() {
+    for (i, socket) in sockets.iter_mut().enumerate() {
         let t = finish[i].unwrap_or(end);
         let idle_secs = end - t;
         let tail_power = if idle_secs > 0.5 {
@@ -603,7 +590,7 @@ fn imbalance(seed: u64) -> Result<String> {
             format!("socket {i} (×{:.2})", factors[i]),
             format!("{t:.1}"),
             tail_power,
-            format!("{:.0}", act.cap_long().value()),
+            format!("{:.0}", socket.actuators().cap_long().value()),
         ]);
     }
     Ok(section(

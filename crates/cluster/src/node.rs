@@ -1,12 +1,14 @@
 //! The budgeted DUFP node: a simulated single-socket Yeti machine running
-//! a job queue under unmodified DUFP, whose caps pass through a
-//! [`BudgetedCapper`] under the node's [`crate::NodeBudget`] ceiling. The
-//! in-process cluster, the heterogeneous node's CPU and the TCP agent all
-//! run it; they differ only in who moves the ceiling.
+//! a job queue under unmodified DUFP in the runner's [`SocketLoop`], whose
+//! caps pass through a [`BudgetedCapper`] under the node's
+//! [`crate::NodeBudget`] ceiling. The in-process cluster, the
+//! heterogeneous node's CPU and the TCP agent all run it; they differ
+//! only in who moves the ceiling.
 
 use crate::budget::{BudgetedCapper, NodeBudget};
-use dufp_control::{Actuators, ControlConfig, Controller, Dufp, HwActuators, SafeStateGuard};
-use dufp_counters::{Sampler, Telemetry as CounterSource};
+use dufp::SocketLoop;
+use dufp_control::{ControlConfig, Dufp};
+use dufp_counters::Telemetry as CounterSource;
 use dufp_rapl::MsrRapl;
 use dufp_sim::{Machine, SimConfig};
 use dufp_telemetry::Telemetry;
@@ -25,10 +27,9 @@ pub struct DufpNode {
     machine: Arc<Machine>,
     /// Jobs not yet started, next job last.
     pending: Vec<Workload>,
-    sampler: Sampler,
-    controller: Dufp,
-    /// Restores platform defaults when the node drops; transparent before.
-    actuators: SafeStateGuard<HwActuators<Arc<Machine>, NodeCapper>>,
+    /// DUFP on the node's socket; restores platform defaults when the
+    /// node drops.
+    socket: SocketLoop<NodeCapper>,
     capper: NodeCapper,
     ticks_per_interval: u64,
     elapsed: Seconds,
@@ -68,25 +69,17 @@ impl DufpNode {
             MsrRapl::new(Arc::clone(&machine), 1, arch.cores_per_socket as usize)?,
             NodeBudget::try_new(ceiling)?,
         ));
-        let control_cfg = ControlConfig::from_arch(&arch, slowdown)?;
-        let mut actuators = HwActuators::new(
-            Arc::clone(&machine),
-            Arc::clone(&capper),
-            SocketId(0),
-            0,
-            control_cfg.clone(),
-        )?;
-        actuators.reset_cap()?; // start at the ceiling
-        let mut sampler = Sampler::new();
-        sampler.sample(machine.as_ref(), SocketId(0))?;
+        let cfg = ControlConfig::from_arch(&arch, slowdown)?;
+        let dufp = Box::new(Dufp::new(cfg.clone()).with_telemetry(tel.for_socket(0)));
+        let mut socket =
+            SocketLoop::new(&machine, Arc::clone(&capper), SocketId(0), &cfg, dufp, tel)?;
+        socket.actuators().reset_cap()?; // start at the ceiling
         Ok(DufpNode {
             ticks_per_interval: (INTERVAL.as_micros() / machine.config().tick.as_micros()).max(1),
             period_start_energy: machine.sample(SocketId(0))?.pkg_energy.value(),
             machine,
             pending,
-            sampler,
-            controller: Dufp::new(control_cfg).with_telemetry(tel.for_socket(0)),
-            actuators: SafeStateGuard::new(actuators).with_telemetry(tel.for_socket(0)),
+            socket,
             capper,
             elapsed: Seconds(0.0),
             intervals: 0,
@@ -106,12 +99,16 @@ impl DufpNode {
         ArchSpec::yeti().pl1_default
     }
 
-    /// One [`INTERVAL`]: tick the machine, start the next queued job once
-    /// it drains (or mark the queue finished), sample, and let DUFP
-    /// decide while work remains. Fails past an hour of simulated time.
+    /// One [`INTERVAL`]: advance the machine a whole interval, start the
+    /// next queued job once it drains (or retire DUFP when the queue is
+    /// finished), then run the socket loop. Fails past an hour of
+    /// simulated time.
     pub fn step(&mut self) -> Result<()> {
-        for _ in 0..self.ticks_per_interval {
-            self.machine.tick();
+        // `advance` stops at the tick a job drains; the interval keeps
+        // its full length, so step the idle rest too.
+        let mut ticks = 0;
+        while ticks < self.ticks_per_interval {
+            ticks += self.machine.advance(self.ticks_per_interval - ticks);
         }
         self.elapsed += INTERVAL.as_seconds();
         self.intervals += 1;
@@ -121,15 +118,15 @@ impl DufpNode {
         if self.finished_at.is_none() && self.machine.done() {
             match self.pending.pop() {
                 Some(next) => self.machine.load_all(&next),
-                None => self.finished_at = Some(self.elapsed),
+                None => {
+                    self.finished_at = Some(self.elapsed);
+                    self.socket.retire();
+                }
             }
         }
-        if let Some(m) = self.sampler.sample(self.machine.as_ref(), SocketId(0))? {
+        if let Some(m) = self.socket.interval()? {
             self.power_sum += m.pkg_power.value();
             self.power_samples += 1;
-            if self.finished_at.is_none() {
-                self.controller.on_interval(&m, &mut *self.actuators)?;
-            }
         }
         Ok(())
     }
@@ -190,6 +187,8 @@ impl DufpNode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dufp_msr::FaultPlan;
+    use dufp_telemetry::Reason;
 
     fn queue(apps: &[&str]) -> Vec<String> {
         apps.iter().map(|a| a.to_string()).collect()
@@ -215,6 +214,31 @@ mod tests {
             node.avg_power()
         );
         assert_eq!(node.ceiling(), Watts(90.0));
+    }
+
+    #[test]
+    fn a_node_rides_out_a_transient_cap_write_fault() {
+        let tel = Telemetry::enabled();
+        let slowdown = Ratio::from_percent(10.0);
+        let mut node = DufpNode::new(1, &queue(&["EP"]), slowdown, Watts(90.0), &tel).unwrap();
+        // Every cap write fails from 1 s to 6 s into the run.
+        let plan = FaultPlan::parse("write,reg=cap,window=1000+5000").unwrap();
+        node.machine.inject_faults(plan);
+        while node.finished_at().is_none() {
+            node.step()
+                .expect("cap-write faults must not stop the node");
+        }
+        let retried = tel
+            .report()
+            .decisions
+            .iter()
+            .any(|e| e.reason == Reason::ActuationRetry);
+        assert!(retried, "the fault window must have hit a cap write");
+        assert!(
+            node.avg_power() <= Watts(90.0 * 1.05),
+            "{:?}",
+            node.avg_power()
+        );
     }
 
     #[test]

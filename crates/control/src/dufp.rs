@@ -35,7 +35,7 @@ use crate::trace::TelState;
 use crate::Controller;
 use dufp_counters::IntervalMetrics;
 use dufp_telemetry::{Actuator, Reason, SocketTelemetry};
-use dufp_types::{Result, Watts};
+use dufp_types::Result;
 use serde::{Deserialize, Serialize};
 
 /// What the cap logic did this interval (trace/test visibility).
@@ -413,17 +413,12 @@ impl Controller for Dufp {
     }
 }
 
-/// Convenience: the default cap value DUFP would restore (`PL1`).
-pub fn default_cap(act: &dyn Actuators) -> Watts {
-    act.cap_defaults().0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::actuators::test_support::MemActuators;
     use dufp_types::{
-        ArchSpec, BytesPerSec, FlopsPerSec, Hertz, Instant, OpIntensity, Ratio, Seconds,
+        ArchSpec, BytesPerSec, FlopsPerSec, Hertz, Instant, OpIntensity, Ratio, Seconds, Watts,
     };
 
     fn cfg(slowdown_pct: f64) -> ControlConfig {

@@ -7,7 +7,8 @@
 //! controllers and the hardware:
 //!
 //! * [`ResilientActuators`] wraps any [`Actuators`] implementation and
-//!   (1) retries *transient* failures with bounded exponential backoff,
+//!   (1) retries *transient* failures, up to [`RetryPolicy::max_retries`]
+//!   times,
 //!   (2) absorbs *persistent* failures by walking the per-socket
 //!   degradation ladder — DUFP → DUF-only (cap knob disabled) → passive
 //!   (uncore knob disabled too) — while keeping the run alive, and
@@ -146,16 +147,6 @@ impl DegradationLevel {
             DegradationLevel::Passive => "passive",
         }
     }
-
-    /// The level for a ladder ordinal, if valid.
-    pub fn from_ordinal(ord: u64) -> Option<Self> {
-        match ord {
-            0 => Some(DegradationLevel::Full),
-            1 => Some(DegradationLevel::UncoreOnly),
-            2 => Some(DegradationLevel::Passive),
-            _ => None,
-        }
-    }
 }
 
 /// The knobs tracked independently by the degradation ladder.
@@ -205,7 +196,6 @@ pub struct ResilientActuators<A> {
     inner: A,
     policy: RetryPolicy,
     tel: SocketTelemetry,
-    sleep: fn(Duration),
     cap_floor: Watts,
     retries_total: Arc<Counter>,
     degradations_total: Arc<Counter>,
@@ -223,7 +213,6 @@ impl<A: Actuators> ResilientActuators<A> {
             inner,
             policy: RetryPolicy::default(),
             tel: SocketTelemetry::default(),
-            sleep: |_| {},
             cap_floor,
             retries_total: Arc::new(Counter::default()),
             degradations_total: Arc::new(Counter::default()),
@@ -245,14 +234,6 @@ impl<A: Actuators> ResilientActuators<A> {
     /// Overrides the default [`RetryPolicy`].
     pub fn with_policy(mut self, policy: RetryPolicy) -> Self {
         self.policy = policy;
-        self
-    }
-
-    /// Installs a real sleeper for the backoff (e.g. `std::thread::sleep`
-    /// on hardware). The default sleeper is a no-op so simulated runs and
-    /// tests never stall.
-    pub fn with_sleeper(mut self, sleep: fn(Duration)) -> Self {
-        self.sleep = sleep;
         self
     }
 
@@ -351,7 +332,6 @@ impl<A: Actuators> ResilientActuators<A> {
                         attempt += 1;
                         self.retries_total.inc();
                         self.emit(actuator, f64::from(attempt), target, Reason::ActuationRetry);
-                        (self.sleep)(self.policy.backoff(attempt));
                     }
                     // Persistent, or transient with retries exhausted:
                     // absorb and account toward degradation.

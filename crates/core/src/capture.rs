@@ -51,12 +51,7 @@ fn record_trace_with_deadline(
         ))
     });
     while !machine.done() {
-        for _ in 0..ticks {
-            machine.tick();
-            if machine.done() {
-                break;
-            }
-        }
+        machine.advance(ticks);
         if machine.now().duration_since(dufp_types::Instant::ZERO) >= max {
             return Err(dufp_types::Error::Timeout {
                 what: "trace recording",

@@ -43,7 +43,8 @@
 //! * [`dufp_workloads`] — phase-graph models of the paper's applications.
 //! * [`dufp_control`] — the DUF and DUFP controllers.
 //! * [`runner`] / [`stats`] / [`compare`] (this crate) — experiments,
-//!   trimmed statistics and paper-style ratio reporting.
+//!   trimmed statistics and paper-style ratio reporting; [`SocketLoop`]
+//!   is the one way a controller drives a simulated socket.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -52,6 +53,7 @@ pub mod capture;
 pub mod compare;
 pub mod journal;
 pub mod runner;
+pub mod socket_loop;
 pub mod stats;
 pub mod sweep;
 pub mod watchdog;
@@ -65,6 +67,7 @@ pub use journal::{
 pub use runner::{
     run_once, run_repeated, ControllerKind, Engine, ExperimentSpec, RunResult, TraceSpec,
 };
+pub use socket_loop::SocketLoop;
 pub use stats::{summarize_runs, trimmed, RepeatedResult, Summary};
 pub use sweep::{
     parse_grid, policy_kind, run_sweep, to_jsonl_bytes, SweepGrid, SweepJob, SweepOutput, SweepRow,
@@ -77,6 +80,7 @@ pub mod prelude {
     pub use crate::runner::{
         run_once, run_repeated, ControllerKind, Engine, ExperimentSpec, RunResult, TraceSpec,
     };
+    pub use crate::socket_loop::SocketLoop;
     pub use crate::stats::{trimmed, RepeatedResult, Summary};
     pub use dufp_control::{ControlConfig, Controller, Duf, Dufp};
     pub use dufp_counters::{IntervalMetrics, Sampler, Telemetry};

@@ -6,17 +6,14 @@
 //! frequency and power cap. Execution time, package power, DRAM power and
 //! total energy are reported for the whole node.
 
-use crate::journal::{ActuatorCache, CheckpointState, JournalRecord, SocketRegs};
+use crate::journal::{CheckpointState, JournalRecord, SocketRegs};
+use crate::socket_loop::{SocketLoop, STAGE_BOUNDS};
 use crate::stats::{summarize_runs, RepeatedResult};
-use crate::watchdog::Watchdog;
-use dufp_control::{
-    classify, Actuators, ControlConfig, Controller, Duf, Dufp, ErrorClass, HwActuators, NoOp,
-    ResilientActuators, SafeStateGuard, StaticCap,
-};
-use dufp_counters::{CounterSnapshot, Sampler, Telemetry};
+use dufp_control::{ControlConfig, Controller, Duf, Dufp, NoOp, StaticCap};
+use dufp_counters::{CounterSnapshot, Telemetry};
 use dufp_journal::{truncate_records, write_checkpoint, FsyncPolicy, JournalWriter};
 use dufp_msr::registers::{PerfCtl, UncoreRatioLimit};
-use dufp_msr::{FaultPlan, InjectorSnapshot, MsrIo};
+use dufp_msr::{FaultPlan, InjectorSnapshot};
 use dufp_rapl::{MsrRapl, PowerCapper};
 use dufp_sim::{Machine, SimConfig, Trace};
 use dufp_telemetry::{
@@ -286,43 +283,35 @@ struct ActiveJournal {
 
 /// Snapshot of everything the journal registers cannot rebuild, taken at
 /// a control-interval boundary.
-fn checkpoint_state<M: MsrIo, C: PowerCapper>(
+fn checkpoint_state<C: PowerCapper>(
     interval: u64,
     tick: u64,
     seed: u64,
-    per_socket: &[PerSocket<M, C>],
+    sockets: &[SocketLoop<C>],
     injector: Option<InjectorSnapshot>,
 ) -> CheckpointState {
-    CheckpointState {
+    let mut cp = CheckpointState {
         interval,
         tick,
         seed,
-        controllers: per_socket.iter().map(|(c, ..)| c.state()).collect(),
-        samplers: per_socket.iter().map(|(_, s, ..)| s.snapshot()).collect(),
-        resilience: per_socket.iter().map(|(.., g)| g.state()).collect(),
-        actuators: per_socket
-            .iter()
-            .map(|(.., g)| {
-                let hw = g.inner();
-                ActuatorCache {
-                    pinned: hw.uncore_pinned(),
-                    uncore: hw.uncore(),
-                    cap_long: hw.cap_long(),
-                    cap_short: hw.cap_short(),
-                    freq_cap: hw.core_freq_cap(),
-                }
-            })
-            .collect(),
+        controllers: Vec::with_capacity(sockets.len()),
+        samplers: Vec::with_capacity(sockets.len()),
+        resilience: Vec::with_capacity(sockets.len()),
+        actuators: Vec::with_capacity(sockets.len()),
         injector,
+    };
+    for socket in sockets {
+        socket.checkpoint_into(&mut cp);
     }
+    cp
 }
 
-/// Restores a checkpoint onto freshly constructed per-socket stacks.
-fn restore_checkpoint<M: MsrIo, C: PowerCapper>(
+/// Restores a checkpoint onto freshly constructed socket loops.
+fn restore_checkpoint<C: PowerCapper>(
     cp: &CheckpointState,
-    per_socket: &mut [PerSocket<M, C>],
+    sockets: &mut [SocketLoop<C>],
 ) -> Result<()> {
-    let n = per_socket.len();
+    let n = sockets.len();
     if cp.controllers.len() != n
         || cp.samplers.len() != n
         || cp.resilience.len() != n
@@ -333,25 +322,11 @@ fn restore_checkpoint<M: MsrIo, C: PowerCapper>(
             cp.controllers.len()
         )));
     }
-    for (i, (controller, sampler, _, guard)) in per_socket.iter_mut().enumerate() {
-        controller.restore(&cp.controllers[i])?;
-        sampler.restore(cp.samplers[i]);
-        let resilient: &mut ResilientActuators<_> = &mut *guard;
-        resilient.restore_state(&cp.resilience[i]);
-        let a = cp.actuators[i];
-        resilient.inner_mut().restore_cached(
-            a.pinned,
-            a.uncore,
-            a.cap_long,
-            a.cap_short,
-            a.freq_cap,
-        );
+    for (i, socket) in sockets.iter_mut().enumerate() {
+        socket.restore(cp, i)?;
     }
     Ok(())
 }
-
-type Guarded<M, C> = SafeStateGuard<ResilientActuators<HwActuators<M, C>>>;
-type PerSocket<M, C> = (Box<dyn Controller>, Sampler, Watchdog, Guarded<M, C>);
 
 /// Executes one run with the given seed.
 pub fn run_once(spec: &ExperimentSpec, seed: u64) -> Result<RunResult> {
@@ -392,13 +367,9 @@ pub(crate) fn run_driver(
         TelemetryHandle::disabled()
     };
     machine.attach_telemetry(&tel);
-    // Stage-timing histograms (µs); detached no-ops when telemetry is off.
-    let stage_bounds = [
-        1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 200.0, 500.0, 1000.0, 2000.0, 5000.0,
-    ];
-    let tick_us = tel.histogram("runner.tick_us", &stage_bounds);
-    let sample_us = tel.histogram("runner.sample_us", &stage_bounds);
-    let control_us = tel.histogram("runner.control_us", &stage_bounds);
+    // Stepping time (µs); a detached no-op when telemetry is off. Each
+    // socket loop times its own sample and control stages.
+    let tick_us = tel.histogram("runner.tick_us", &STAGE_BOUNDS);
     let timed = tel.is_enabled();
 
     let mut cfg = ControlConfig::from_arch(&arch, spec.controller.slowdown())?;
@@ -415,42 +386,22 @@ pub(crate) fn run_driver(
     )?;
     let capper = Arc::new(capper);
 
-    // One controller + sampler + watchdog + guarded actuator set per
-    // socket. The resilience stack (retry → degrade) absorbs non-fatal
-    // actuation failures, and the safe-state guard restores platform
-    // defaults however the run ends — normal completion, error return,
-    // panic unwind or a shutdown request.
-    let mut per_socket: Vec<PerSocket<_, _>> = (0..arch.sockets)
+    // One socket loop per socket, its sampler primed at t = 0. Its
+    // guard restores platform defaults however the run ends — normal
+    // completion, error return, panic unwind or a shutdown request.
+    let mut sockets = (0..arch.sockets)
         .map(|s| {
-            let act = HwActuators::new(
-                Arc::clone(&machine),
+            let controller = spec.controller.build(&cfg, tel.for_socket(s));
+            SocketLoop::new(
+                &machine,
                 Arc::clone(&capper),
                 SocketId(s),
-                usize::from(s) * usize::from(arch.cores_per_socket),
-                cfg.clone(),
-            )?;
-            let stel = tel.for_socket(s);
-            let resilient =
-                ResilientActuators::new(act, cfg.cap_floor).with_telemetry(stel.clone());
-            // A plausibility ceiling for per-socket power: PL2 plus ample
-            // headroom — anything beyond it is a glitched energy counter.
-            let watchdog = Watchdog::new(
-                cfg.interval.as_seconds(),
-                Watts(arch.pl2_default.value() * 4.0),
-            );
-            Ok((
-                spec.controller.build(&cfg, stel.clone()),
-                Sampler::new(),
-                watchdog,
-                SafeStateGuard::new(resilient).with_telemetry(stel),
-            ))
+                &cfg,
+                controller,
+                &tel,
+            )
         })
         .collect::<Result<Vec<_>>>()?;
-
-    // Prime all samplers at t = 0.
-    for (idx, (_, sampler, _, _)) in per_socket.iter_mut().enumerate() {
-        sampler.sample(machine.as_ref(), SocketId(idx as u16))?;
-    }
     let start_snaps: Vec<_> = (0..arch.sockets)
         .map(|s| machine.sample(SocketId(s)))
         .collect::<Result<Vec<_>>>()?;
@@ -509,11 +460,11 @@ pub(crate) fn run_driver(
                         "journal extends past workload completion".into(),
                     ));
                 }
-                if regs.len() != per_socket.len() {
+                if regs.len() != sockets.len() {
                     return Err(Error::Corruption(format!(
                         "journal record carries {} socket(s), run has {}",
                         regs.len(),
-                        per_socket.len()
+                        sockets.len()
                     )));
                 }
                 for (s, r) in regs.iter().enumerate() {
@@ -525,7 +476,7 @@ pub(crate) fn run_driver(
                 }
             }
             if let Some(cp) = resume.checkpoint {
-                restore_checkpoint(&cp, &mut per_socket)?;
+                restore_checkpoint(&cp, &mut sockets)?;
                 restored_injector = cp.injector;
             }
             let kept = truncate_records(&session.dir, replay_to)?;
@@ -567,8 +518,6 @@ pub(crate) fn run_driver(
     } else {
         None
     };
-    let watchdog_resets = tel.counter("watchdog_resets_total");
-    let sample_failures = tel.counter("sample_failures_total");
     let journal_checkpoints = tel.counter("journal_checkpoints_total");
 
     let max_duration = Duration::from_seconds(Seconds(nominal.value() * 10.0 + 30.0));
@@ -577,7 +526,7 @@ pub(crate) fn run_driver(
     // record type owns its Vec, so the buffer round-trips through each
     // record with mem::take and is reclaimed after encoding — one
     // allocation for the whole run instead of one per control interval.
-    let mut regs_buf: Vec<SocketRegs> = Vec::with_capacity(per_socket.len());
+    let mut regs_buf: Vec<SocketRegs> = Vec::with_capacity(sockets.len());
 
     'outer: loop {
         if shutdown::requested() {
@@ -626,57 +575,17 @@ pub(crate) fn run_driver(
         if let Some(t0) = t0 {
             tick_us.observe(t0.elapsed().as_secs_f64() * 1e6);
         }
-        let tick_now = tick_index();
-        for (idx, (controller, sampler, watchdog, act)) in per_socket.iter_mut().enumerate() {
-            let t1 = timed.then(std::time::Instant::now);
-            let sampled = match sampler.sample(machine.as_ref(), SocketId(idx as u16)) {
-                Ok(sampled) => sampled,
-                // A failed counter read is a sensor fault, not a reason to
-                // abort: drop the baseline (the next good sample re-primes)
-                // and skip this interval.
-                Err(e) if classify(&e) != ErrorClass::Fatal => {
-                    sample_failures.inc();
-                    sampler.reset();
-                    continue;
-                }
-                Err(e) => return Err(e),
-            };
-            if let Some(t1) = t1 {
-                sample_us.observe(t1.elapsed().as_secs_f64() * 1e6);
-            }
-            if let Some(metrics) = sampled {
-                if let Some(trip) = watchdog.check(&metrics) {
-                    // Corrupted interval: never show it to the controller.
-                    // Re-prime the sampler and park the cap at its default
-                    // (the §IV-D overshoot reset, generalized).
-                    sampler.reset();
-                    let cap_before = act.cap_long().value();
-                    let _ = act.reset_cap();
-                    watchdog_resets.inc();
-                    let cap = act.cap_long().value();
-                    let reset = Reason::WatchdogReset;
-                    tel.record_decision(DecisionEvent {
-                        at_us: machine.now().0,
-                        socket: idx as u16,
-                        oi_class: Some(trip.label().to_string()),
-                        ..DecisionEvent::new(tick_now, Actuator::PowerCap, cap_before, cap, reset)
-                    });
-                    continue;
-                }
-                let t2 = timed.then(std::time::Instant::now);
-                controller.on_interval(&metrics, &mut **act as &mut dyn Actuators)?;
-                if let Some(t2) = t2 {
-                    control_us.observe(t2.elapsed().as_secs_f64() * 1e6);
-                }
-            }
+        for socket in &mut sockets {
+            socket.interval()?;
         }
+        let tick_now = tick_index();
         completed += 1;
         if let Some(j) = active.as_mut() {
             // Journal the interval's *final* register state — the complete
             // actuation surface, whatever mix of controller moves, retries
             // and degradations produced it.
             regs_buf.clear();
-            for s in 0..per_socket.len() {
+            for s in 0..sockets.len() {
                 regs_buf.push(machine.with_socket(SocketId(s as u16), |ss| SocketRegs {
                     uncore: ss.uncore_raw().encode(),
                     limit: ss.limit_raw(),
@@ -689,10 +598,10 @@ pub(crate) fn run_driver(
                 sockets: std::mem::take(&mut regs_buf),
             };
             j.writer.append(&record.encode()?)?;
-            let JournalRecord::Interval { sockets, .. } = record else {
+            let JournalRecord::Interval { sockets: regs, .. } = record else {
                 unreachable!("record constructed as Interval above");
             };
-            regs_buf = sockets;
+            regs_buf = regs;
             if completed.is_multiple_of(j.checkpoint_every) {
                 // The journal prefix a checkpoint refers to must be
                 // durable before the checkpoint claims it exists.
@@ -701,7 +610,7 @@ pub(crate) fn run_driver(
                     completed,
                     tick_now,
                     seed,
-                    &per_socket,
+                    &sockets,
                     machine.injector_snapshot(),
                 );
                 write_checkpoint(&j.dir, completed, &cp.encode()?)?;
@@ -736,8 +645,8 @@ pub(crate) fn run_driver(
     // Restore platform defaults through the guards *before* draining the
     // report, so the restore (and any pending degradation) events are part
     // of the trace the caller sees.
-    for (_, _, _, guard) in per_socket {
-        drop(guard.restore_now());
+    for socket in sockets {
+        socket.restore_defaults();
     }
 
     let trace = match spec.trace {

@@ -18,11 +18,9 @@
 #![warn(missing_docs)]
 
 pub mod capper;
-pub mod faulty;
 pub mod msr;
 pub mod sysfs;
 
 pub use capper::{Constraint, PowerCapper};
-pub use faulty::FaultyCapper;
 pub use msr::MsrRapl;
 pub use sysfs::SysfsRapl;

@@ -103,7 +103,6 @@ impl SharedSocketCfg {
 /// One tenant's phase table plus its service-loop state.
 #[derive(Debug, Clone)]
 struct TenantState {
-    name: String,
     workload: Arc<Workload>,
     /// Design-point service rate per phase (units/s with the whole socket
     /// at max frequency and peak bandwidth) — the yardstick offered load
@@ -214,8 +213,9 @@ pub struct SharedSocketSim {
 }
 
 impl SharedSocketSim {
-    /// Builds the socket with `tenants` (name, phase table) pairs. Tenant
-    /// weights are expressed by scaling the table first
+    /// Builds the socket with `tenants` (name, phase table) pairs; the
+    /// socket knows its tenants by slot, so the names are the caller's
+    /// labels. Tenant weights are expressed by scaling the table first
     /// ([`Workload::scaled`]); the socket itself treats tenants equally.
     pub fn new(cfg: SharedSocketCfg, tenants: Vec<(String, Arc<Workload>)>) -> Result<Self> {
         if tenants.is_empty() {
@@ -227,7 +227,7 @@ impl SharedSocketSim {
         let roofline = RooflineModel { cores: cfg.cores };
         let tenants = tenants
             .into_iter()
-            .map(|(name, workload)| {
+            .map(|(_, workload)| {
                 let nominal_rate: Vec<f64> = workload
                     .phases
                     .iter()
@@ -238,7 +238,6 @@ impl SharedSocketSim {
                     })
                     .collect();
                 TenantState {
-                    name,
                     workload,
                     nominal_rate,
                     phase_idx: 0,
@@ -272,11 +271,6 @@ impl SharedSocketSim {
     /// Number of tenants.
     pub fn tenant_count(&self) -> usize {
         self.tenants.len()
-    }
-
-    /// Tenant names, in slot order.
-    pub fn tenant_names(&self) -> Vec<String> {
-        self.tenants.iter().map(|t| t.name.clone()).collect()
     }
 
     /// The config the socket was built with.

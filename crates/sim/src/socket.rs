@@ -805,13 +805,6 @@ pub fn rapl_counter_delta_joules(prev: u64, cur: u64, energy_unit: f64) -> f64 {
     delta as f64 * energy_unit
 }
 
-/// Convenience for tests and the machine: total seconds a workload needs
-/// in the default configuration.
-pub fn nominal_seconds(cfg: &SimConfig, w: &Workload) -> Seconds {
-    let ctx = dufp_workloads::MaterializeCtx::from_arch(&cfg.arch);
-    w.nominal_duration(&ctx)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -65,14 +65,6 @@ impl Trace {
             .collect()
     }
 
-    /// Residency of the applied core frequency.
-    pub fn core_freq_residency(&self) -> Vec<(Hertz, f64)> {
-        residency(self.points.iter().map(|p| p.core_freq.value()))
-            .into_iter()
-            .map(|(v, f)| (Hertz(v), f))
-            .collect()
-    }
-
     /// Number of PL1 changes over the trace — the cap actuation count,
     /// which on real hardware is an MSR write each (overhead discussion,
     /// §IV-D).

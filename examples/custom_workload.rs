@@ -3,15 +3,15 @@
 //! DUFP never reads application code — it only observes FLOPS/s, bandwidth
 //! and power. This example builds a custom phase-graph workload (a
 //! stencil-like solver: compute sweeps alternating with halo exchanges and
-//! a highly-memory checkpoint phase), runs it on one simulated socket and
-//! prints how each phase class fared.
+//! a highly-memory checkpoint phase), runs it under DUFP on one simulated
+//! socket through [`SocketLoop`] — the per-socket stack the experiment
+//! runner uses — and prints how each phase class fared.
 //!
 //! ```sh
 //! cargo run --release --example custom_workload
 //! ```
 
 use dufp::prelude::*;
-use dufp_control::{ControlConfig, Controller, Dufp, HwActuators};
 use dufp_model::perf::PhaseKind;
 use dufp_model::RooflineModel;
 use dufp_rapl::MsrRapl;
@@ -68,36 +68,30 @@ fn main() {
         );
     }
 
-    // --- 2. Drive the control loop by hand through the public traits. ---
+    // --- 2. Put DUFP on the socket and step the machine interval by
+    // interval: `advance` runs the simulator to the next 200 ms boundary
+    // (or the end of the run), then the socket loop samples, vets the
+    // interval and lets DUFP actuate uncore and cap. ---
     let machine = Arc::new(Machine::new(sim));
     machine.load_all(&workload);
 
     let cfg = ControlConfig::from_arch(&arch, Ratio::from_percent(10.0)).unwrap();
     let capper =
         Arc::new(MsrRapl::new(Arc::clone(&machine), 1, arch.cores_per_socket as usize).unwrap());
-    let mut actuators =
-        HwActuators::new(Arc::clone(&machine), capper, SocketId(0), 0, cfg.clone()).unwrap();
-    let mut controller = Dufp::new(cfg.clone());
-    let mut sampler = Sampler::new();
-
+    let dufp = Box::new(Dufp::new(cfg.clone()));
+    let tel = dufp_telemetry::Telemetry::disabled();
+    let mut socket = SocketLoop::new(&machine, capper, SocketId(0), &cfg, dufp, &tel).unwrap();
     let start = machine.sample(SocketId(0)).unwrap();
-    sampler.sample(machine.as_ref(), SocketId(0)).unwrap(); // prime
 
     let ticks_per_interval = cfg.interval.as_micros() / machine.config().tick.as_micros();
     let mut min_cap_seen = f64::INFINITY;
     let mut min_uncore_seen = f64::INFINITY;
     while !machine.done() {
-        for _ in 0..ticks_per_interval {
-            machine.tick();
-            if machine.done() {
-                break;
-            }
-        }
-        if let Some(metrics) = sampler.sample(machine.as_ref(), SocketId(0)).unwrap() {
-            controller.on_interval(&metrics, &mut actuators).unwrap();
-            min_cap_seen = min_cap_seen.min(dufp_control::Actuators::cap_long(&actuators).value());
-            min_uncore_seen =
-                min_uncore_seen.min(dufp_control::Actuators::uncore(&actuators).as_ghz());
+        machine.advance(ticks_per_interval);
+        if socket.interval().unwrap().is_some() {
+            let act = socket.actuators();
+            min_cap_seen = min_cap_seen.min(act.cap_long().value());
+            min_uncore_seen = min_uncore_seen.min(act.uncore().as_ghz());
         }
     }
     let end = machine.sample(SocketId(0)).unwrap();

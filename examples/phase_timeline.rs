@@ -3,14 +3,16 @@
 //! detection under deep caps (the paper's §V-A UA discussion).
 //!
 //! Prints a 200 ms-interval timeline: operational intensity, phase class,
-//! FLOPS/s, the cap and the uncore frequency DUFP chose.
+//! FLOPS/s, the cap and the uncore frequency DUFP chose. DUFP runs in a
+//! [`SocketLoop`], the runner's per-socket stack; each line shows the
+//! metrics the loop handed DUFP and the knobs it left behind.
 //!
 //! ```sh
 //! cargo run --release --example phase_timeline -- UA 0
 //! ```
 
 use dufp::prelude::*;
-use dufp_control::{ControlConfig, Controller, Dufp, HwActuators, PhaseClass};
+use dufp_control::PhaseClass;
 use dufp_rapl::MsrRapl;
 use std::sync::Arc;
 
@@ -32,22 +34,18 @@ fn main() {
     let cfg = ControlConfig::from_arch(&arch, Ratio::from_percent(pct)).unwrap();
     let capper =
         Arc::new(MsrRapl::new(Arc::clone(&machine), 1, arch.cores_per_socket as usize).unwrap());
-    let mut actuators =
-        HwActuators::new(Arc::clone(&machine), capper, SocketId(0), 0, cfg.clone()).unwrap();
-    let mut controller = Dufp::new(cfg.clone());
-    let mut sampler = Sampler::new();
-    sampler.sample(machine.as_ref(), SocketId(0)).unwrap();
+    let dufp = Box::new(Dufp::new(cfg.clone()));
+    let tel = dufp_telemetry::Telemetry::disabled();
+    let mut socket = SocketLoop::new(&machine, capper, SocketId(0), &cfg, dufp, &tel).unwrap();
 
     println!("{app} under DUFP @ {pct:.0}% — first 12 seconds of decisions\n");
     println!("   t(s)    oi      class    GFLOP/s    bw(GiB/s)   pkg(W)   cap(W)  uncore(GHz)");
 
     let ticks_per_interval = cfg.interval.as_micros() / machine.config().tick.as_micros();
     while !machine.done() && machine.now().as_seconds().value() < 12.0 {
-        for _ in 0..ticks_per_interval {
-            machine.tick();
-        }
-        if let Some(m) = sampler.sample(machine.as_ref(), SocketId(0)).unwrap() {
-            controller.on_interval(&m, &mut actuators).unwrap();
+        machine.advance(ticks_per_interval);
+        if let Some(m) = socket.interval().unwrap() {
+            let act = socket.actuators();
             let class = match PhaseClass::of(m.oi.value()) {
                 PhaseClass::Memory => "memory",
                 PhaseClass::Cpu => "cpu",
@@ -60,8 +58,8 @@ fn main() {
                 m.flops.as_gflops(),
                 m.bandwidth.as_gib(),
                 m.pkg_power.value(),
-                dufp_control::Actuators::cap_long(&actuators).value(),
-                dufp_control::Actuators::uncore(&actuators).as_ghz(),
+                act.cap_long().value(),
+                act.uncore().as_ghz(),
             );
         }
     }
