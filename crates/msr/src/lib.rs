@@ -19,6 +19,7 @@
 //!   chaos runs against the fake backends, and
 //! * [`linux`] — the real `/dev/cpu/N/msr` backend (Linux only).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod fault;

@@ -582,7 +582,7 @@ impl FleetCore {
                 self.nodes[slot].last_seen_ms = now_ms;
                 self.tel.counter("rate_limited_total").inc();
                 // One event per node per epoch, not one per dropped frame
-                // — a storm must not flood the telemetry ring.
+                // — a storm must not flood the telemetry buffer.
                 if self.nodes[slot].vet.just_hit_report_limit(&self.vet_cfg) {
                     let max = f64::from(self.vet_cfg.max_reports_per_epoch);
                     self.record(slot, now_ms, max + 1.0, max, Reason::RateLimited);
@@ -821,6 +821,12 @@ impl FleetCore {
             .iter()
             .map(|&i| self.nodes[i].floor.value())
             .collect();
+        // The policy sees one fleet-wide floor; a node that announced a
+        // higher one would clamp a lower grant back up to it and push the
+        // enforced total over the budget, so raise to each node's own.
+        for (c, f) in ceilings.iter_mut().zip(&floors) {
+            *c = c.max(*f);
+        }
         fit_into_budget(remaining, &floors, &mut ceilings);
 
         // Push grants; only changed ceilings produce frames.
@@ -1116,6 +1122,43 @@ mod tests {
             "{}",
             step.record.total_granted
         );
+    }
+
+    #[test]
+    fn every_grant_honours_its_own_nodes_floor() {
+        // Static split halves 180 W into 90 + 90, below the GPU node's
+        // 100 W floor; the grants must respect both floors and the budget.
+        let mut cfg = cfg(180.0);
+        cfg.policy = PolicyKind::StaticSplit;
+        let mut core = FleetCore::new(&cfg, Telemetry::disabled());
+        let cpu = core
+            .admit("cpu".into(), "EP".into(), Watts(65.0), Watts(125.0), 0)
+            .unwrap();
+        let gpu = core
+            .admit("gpu".into(), "EP".into(), Watts(100.0), Watts(300.0), 0)
+            .unwrap();
+        for epoch in 1..=3u64 {
+            for slot in [cpu, gpu] {
+                let at = epoch * 1000 - 500;
+                core.on_report(slot, epoch, Watts(90.0), Watts(89.0), true, at);
+            }
+            let step = core.epoch_once(epoch * 1000);
+            let grant = |name: &str| {
+                step.record
+                    .granted
+                    .iter()
+                    .find(|(n, _)| n == name)
+                    .map(|(_, w)| *w)
+                    .unwrap()
+            };
+            assert!(grant("cpu") >= 65.0 - 1e-9, "cpu granted {}", grant("cpu"));
+            assert!(grant("gpu") >= 100.0 - 1e-9, "gpu granted {}", grant("gpu"));
+            assert!(
+                step.record.total_granted <= 180.0 + 1e-6,
+                "{}",
+                step.record.total_granted
+            );
+        }
     }
 
     #[test]

@@ -15,6 +15,7 @@
 //! Energy counters are wrap-corrected: the 32-bit hardware accumulator
 //! wraps every ≈35 minutes at 125 W, well within one application run.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod capper;

@@ -22,6 +22,7 @@
 //!   energy-saved vs. SLO-violation scorecard that is byte-identical for
 //!   equal seeds.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod arrival;

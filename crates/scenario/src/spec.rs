@@ -528,6 +528,24 @@ impl ScenarioSpec {
                 }
             }
         }
+        // Capped nodes never run below their class floor, so a budget
+        // under the floors' sum would be overspent by construction.
+        let floors: f64 = self
+            .nodes
+            .iter()
+            .filter_map(|n| self.class_of(n))
+            .map(|m| m.arch().cap_floor.value())
+            .sum();
+        if self.budget_w < floors {
+            return fail(
+                "scenario.budget_w",
+                format!(
+                    "{} W cannot fund {} nodes at their cap floors ({floors} W)",
+                    self.budget_w,
+                    self.nodes.len()
+                ),
+            );
+        }
         Ok(())
     }
 
@@ -712,6 +730,17 @@ mod tests {
     #[test]
     fn mini_spec_validates() {
         ScenarioSpec::mini().validate().unwrap();
+    }
+
+    #[test]
+    fn a_budget_below_the_node_floors_is_rejected_naming_budget() {
+        // mini's floors: tiny 20 W + gpu-hbm 100 W.
+        let mut spec = ScenarioSpec::mini();
+        spec.budget_w = 119.0;
+        let err = detail(spec.validate().unwrap_err());
+        assert!(err.contains("scenario.budget_w"), "{err}");
+        spec.budget_w = 120.0;
+        spec.validate().unwrap();
     }
 
     #[test]

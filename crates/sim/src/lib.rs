@@ -23,6 +23,7 @@
 //! Determinism: all noise comes from a `ChaCha8` stream seeded from
 //! [`SimConfig::seed`]; equal seeds give bit-equal runs.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod config;

@@ -7,7 +7,9 @@
 //!
 //! * **Decision events** ([`DecisionEvent`]): every actuator change with a
 //!   typed [`Reason`] (slowdown violation, phase reset, overshoot, ...),
-//!   buffered in a lock-free bounded ring and exportable as JSON Lines.
+//!   held in a bounded buffer behind one mutex and exportable as JSON
+//!   Lines. One run records a few events per second per socket, from at
+//!   most two threads at once, so the lock is almost never contended.
 //! * **Metrics** ([`metrics`]): lock-free counters, gauges and
 //!   fixed-bucket histograms for per-tick simulator state and pipeline
 //!   stage timings.
@@ -35,13 +37,11 @@
 //! assert_eq!(report.decisions.len(), 1);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
-// `unsafe` is confined to the ring buffer; see ring.rs for the invariants.
-#![deny(unsafe_op_in_unsafe_fn)]
 
 pub mod event;
 pub mod metrics;
-pub mod ring;
 
 pub use event::{read_jsonl, write_jsonl, Actuator, DecisionEvent, Reason};
 pub use metrics::{
@@ -50,14 +50,26 @@ pub use metrics::{
 };
 
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 
-/// Default event-ring capacity when the caller does not choose one.
+/// Default cap on buffered decision events when the caller does not choose
+/// one. The buffer grows to it on demand; nothing is allocated up front.
 pub const DEFAULT_EVENT_CAPACITY: usize = 64 * 1024;
 
 struct Inner {
-    events: ring::RingBuffer<DecisionEvent>,
+    events: Mutex<Vec<DecisionEvent>>,
+    capacity: usize,
+    dropped: AtomicU64,
     metrics: Registry,
+}
+
+impl Inner {
+    /// The event buffer. A panic while it was locked leaves a valid `Vec`
+    /// behind, so a poisoned lock is taken over rather than propagated.
+    fn events(&self) -> MutexGuard<'_, Vec<DecisionEvent>> {
+        self.events.lock().unwrap_or_else(|e| e.into_inner())
+    }
 }
 
 /// Handle to the telemetry collector; cheap to clone and thread-safe.
@@ -70,13 +82,15 @@ pub struct Telemetry {
 }
 
 impl Telemetry {
-    /// An enabled collector whose event ring holds at least `capacity`
-    /// decision events (older events are never overwritten; overflow is
-    /// counted as dropped).
+    /// An enabled collector that holds at most `capacity` undrained
+    /// decision events. Older events are never overwritten: once the
+    /// buffer is full, new events are counted as dropped.
     pub fn new(capacity: usize) -> Self {
         Telemetry {
             inner: Some(Arc::new(Inner {
-                events: ring::RingBuffer::new(capacity),
+                events: Mutex::new(Vec::new()),
+                capacity,
+                dropped: AtomicU64::new(0),
                 metrics: Registry::default(),
             })),
         }
@@ -106,10 +120,16 @@ impl Telemetry {
         }
     }
 
-    /// Records one decision event (no-op when disabled).
+    /// Records one decision event (no-op when disabled). A full buffer
+    /// drops and counts the event; the caller never waits for a drain.
     pub fn record_decision(&self, event: DecisionEvent) {
         if let Some(inner) = &self.inner {
-            inner.events.push(event);
+            let mut events = inner.events();
+            if events.len() < inner.capacity {
+                events.push(event);
+            } else {
+                inner.dropped.fetch_add(1, Ordering::Relaxed);
+            }
         }
     }
 
@@ -142,14 +162,16 @@ impl Telemetry {
     /// first (empty when disabled).
     pub fn drain_events(&self) -> Vec<DecisionEvent> {
         match &self.inner {
-            Some(inner) => inner.events.drain(),
+            Some(inner) => std::mem::take(&mut *inner.events()),
             None => Vec::new(),
         }
     }
 
-    /// Decision events rejected because the ring was full.
+    /// Decision events rejected because the buffer was full.
     pub fn dropped_events(&self) -> u64 {
-        self.inner.as_ref().map_or(0, |i| i.events.dropped())
+        self.inner
+            .as_ref()
+            .map_or(0, |i| i.dropped.load(Ordering::Relaxed))
     }
 
     /// A snapshot of every registered metric (empty when disabled).
@@ -247,7 +269,7 @@ impl SocketTelemetry {
 pub struct TelemetryReport {
     /// All decision events, oldest first.
     pub decisions: Vec<DecisionEvent>,
-    /// Events lost to ring overflow.
+    /// Events lost to buffer overflow.
     pub dropped: u64,
     /// Metrics at drain time.
     pub metrics: MetricsSnapshot,
@@ -313,6 +335,22 @@ mod tests {
         assert_eq!(report.decisions.len(), 1);
         assert_eq!(report.decisions[0].socket, 0);
         assert_eq!(report.metrics.counters[0].value, 2);
+    }
+
+    #[test]
+    fn a_full_buffer_drops_and_counts_until_drained() {
+        let tel = Telemetry::new(3);
+        let event =
+            |tick| DecisionEvent::new(tick, Actuator::PowerCap, 125.0, 120.0, Reason::Probe);
+        for tick in 0..5 {
+            tel.record_decision(event(tick));
+        }
+        assert_eq!(tel.dropped_events(), 2, "capacity is exact, not rounded");
+        let ticks: Vec<u64> = tel.drain_events().iter().map(|e| e.tick).collect();
+        assert_eq!(ticks, [0, 1, 2], "oldest first; the overflow is dropped");
+        tel.record_decision(event(5));
+        assert_eq!(tel.drain_events().len(), 1, "a drain frees the buffer");
+        assert_eq!(tel.dropped_events(), 2);
     }
 
     #[test]

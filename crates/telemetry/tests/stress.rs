@@ -1,13 +1,16 @@
-//! Concurrency stress tests: the decision-event ring and the metrics
-//! registry hammered from a sweep-style worker pool.
+//! Concurrency stress tests: the decision-event buffer and the metrics
+//! registry hammered from a worker pool, and drained while producers run.
 //!
-//! The sweep engine shares one `Telemetry` handle across a work-stealing
-//! pool, so the sinks must be thread-safe without serializing the pool:
-//! no lost events, no duplicated events, exact per-job accounting, and —
-//! when the ring does overflow — retained + dropped must equal emitted.
+//! A `Telemetry` handle is `Clone + Sync`, and a networked agent already
+//! records from two threads at once, so the sinks must stay exact under
+//! far more contention than any run produces: no lost events, no
+//! duplicated events, exact per-job accounting, and — when the buffer
+//! does overflow — retained + dropped must equal emitted.
 
 use dufp_telemetry::{Actuator, DecisionEvent, Reason, Telemetry};
 use rayon::prelude::*;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Barrier;
 
 const JOBS: usize = 32;
 const EVENTS_PER_JOB: usize = 100;
@@ -30,7 +33,7 @@ fn event(job: usize, seq: usize) -> DecisionEvent {
 }
 
 /// Emits every job's events from a pool of `workers` threads and returns
-/// the drained ring.
+/// the drained buffer.
 fn hammer(tel: &Telemetry, workers: usize) -> Vec<DecisionEvent> {
     let pool = rayon::ThreadPoolBuilder::new()
         .num_threads(workers)
@@ -65,7 +68,7 @@ fn no_event_is_lost_or_duplicated_under_a_worker_pool() {
 
     // Exact per-job accounting: each job's subsequence comes back complete
     // and in emission order (each job emits from a single thread, and the
-    // ring preserves arrival order).
+    // buffer preserves arrival order).
     for job in 0..JOBS {
         let seqs: Vec<u64> = events
             .iter()
@@ -108,12 +111,50 @@ fn overflow_accounting_is_exact_even_when_racing() {
 
     assert!(
         events.len() <= capacity,
-        "ring retained {} events over its capacity {capacity}",
+        "buffer retained {} events over its capacity {capacity}",
         events.len()
     );
     assert_eq!(
         events.len() as u64 + tel.dropped_events(),
         total,
         "retained + dropped must equal emitted exactly"
+    );
+}
+
+#[test]
+fn concurrent_producers_and_consumer_agree_on_totals() {
+    // A tiny buffer drained by one thread while four others record into
+    // it: drops are allowed, but every event is drained, left behind or
+    // counted as dropped, exactly once. The barrier starts the drainer
+    // and the producers together.
+    const PRODUCERS: usize = 4;
+    const PER_PRODUCER: usize = 5000;
+    let tel = Telemetry::new(64);
+    let start = Barrier::new(PRODUCERS + 1);
+    let done = AtomicUsize::new(0);
+    let drained_during = std::thread::scope(|s| {
+        for p in 0..PRODUCERS {
+            let (tel, start, done) = (&tel, &start, &done);
+            s.spawn(move || {
+                start.wait();
+                for seq in 0..PER_PRODUCER {
+                    tel.record_decision(event(p, seq));
+                }
+                done.fetch_add(1, Ordering::Release);
+            });
+        }
+        start.wait();
+        let mut drained = 0;
+        while done.load(Ordering::Acquire) < PRODUCERS {
+            drained += tel.drain_events().len();
+            std::thread::yield_now();
+        }
+        drained
+    });
+    let drained_after = tel.drain_events().len();
+    assert_eq!(
+        (drained_during + drained_after) as u64 + tel.dropped_events(),
+        (PRODUCERS * PER_PRODUCER) as u64,
+        "emitted = drained during + drained after + dropped"
     );
 }

@@ -3,6 +3,8 @@
 //! facade) or the individual layer crates directly; this crate only
 //! re-exports them so `examples/` and `tests/` have one import root.
 
+#![forbid(unsafe_code)]
+
 pub use dufp as core;
 pub use dufp_cluster as cluster;
 pub use dufp_control as control;
