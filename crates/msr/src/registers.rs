@@ -127,11 +127,34 @@ impl PowerLimit {
 
 /// Finds the `(y, z)` pair whose `2^y · (1 + z/4) · tu` is closest to
 /// `window`.
+///
+/// A window decoded from the register is exactly `2^y · (1 + z/4)` time
+/// units, and the time unit `1/2^TU` divides it exactly, so every
+/// read-modify-write of a limit re-encodes such an exact point. Its pair
+/// is read straight from the target's bits: the unbiased exponent is `y`
+/// (in 0..32), the top two fraction bits are `z`, and the other 50
+/// fraction bits must be zero. That pair has error 0 and the 128 points
+/// are distinct, so no other pair ties it and the search below would
+/// return it too. Any other target (below one unit, at or above `2^32`
+/// units, or off the grid) takes the search.
 fn encode_time_window(window: Seconds, time_unit: Seconds) -> Result<(u8, u8)> {
     if !window.is_finite() || window.value() < 0.0 {
         return Err(Error::invalid("time window", format!("{window:?}")));
     }
     let target = window.value() / time_unit.value();
+    let bits = target.to_bits();
+    // The sign bit rides along in the exponent, so a negative target
+    // lands far outside 0..32 and falls through.
+    let y = (bits >> 52).wrapping_sub(1023);
+    if y < 32 && bits & ((1 << 50) - 1) == 0 {
+        return Ok((y as u8, ((bits >> 50) & 0x3) as u8));
+    }
+    Ok(nearest_time_window(target))
+}
+
+/// The `(y, z)` pair whose `2^y · (1 + z/4)` is closest to `target` time
+/// units; the first of equally close pairs wins.
+fn nearest_time_window(target: f64) -> (u8, u8) {
     let mut best = (0u8, 0u8);
     let mut best_err = f64::INFINITY;
     for y in 0u8..32 {
@@ -144,7 +167,7 @@ fn encode_time_window(window: Seconds, time_unit: Seconds) -> Result<(u8, u8)> {
             }
         }
     }
-    Ok(best)
+    best
 }
 
 /// Decoded `MSR_PKG_POWER_LIMIT`: both constraints plus the lock bit.
@@ -381,6 +404,58 @@ mod tests {
     fn window_encoding_handles_zero() {
         let (y, z) = encode_time_window(Seconds(0.0), Seconds(9.765625e-4)).unwrap();
         assert_eq!((y, z), (0, 0));
+    }
+
+    /// The exhaustive 128-pair search applied to every window: the oracle
+    /// the encoder must match.
+    fn searched_window(window: Seconds, time_unit: Seconds) -> (u8, u8) {
+        nearest_time_window(window.value() / time_unit.value())
+    }
+
+    /// Skylake-SP's 2^-10 s, one second, and 1/3 s, which divides no
+    /// window exactly.
+    const TIME_UNITS: [f64; 3] = [9.765625e-4, 1.0, 1.0 / 3.0];
+
+    #[test]
+    fn window_encoding_matches_the_search_at_and_beside_every_exact_point() {
+        for tu in TIME_UNITS.map(Seconds) {
+            for y in 0u8..32 {
+                for z in 0u8..4 {
+                    let exact = (1u64 << y) as f64 * (1.0 + f64::from(z) / 4.0) * tu.value();
+                    for w in [exact.next_down(), exact, exact.next_up()].map(Seconds) {
+                        let got = encode_time_window(w, tu).unwrap();
+                        assert_eq!(got, searched_window(w, tu), "{w:?} over {tu:?}");
+                    }
+                    if tu.value() != 1.0 / 3.0 {
+                        assert_eq!(encode_time_window(Seconds(exact), tu).unwrap(), (y, z));
+                    }
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(100_000))]
+
+        /// Any finite non-negative window, or one moved into the grid's
+        /// exponent range with only its top six fraction bits kept (grid
+        /// points, midpoints and the points between), encodes to the
+        /// search's pair.
+        #[test]
+        fn window_encoding_matches_the_search(
+            bits in 0u64..0x7FF0_0000_0000_0000,
+            on_grid: bool,
+            tu in prop::sample::select(TIME_UNITS.to_vec()),
+        ) {
+            let bits = if on_grid {
+                let exponent = 1023 - 10 + (bits >> 52) % 44;
+                (exponent << 52) | (bits & (0x3F << 46))
+            } else {
+                bits
+            };
+            let (w, tu) = (Seconds(f64::from_bits(bits)), Seconds(tu));
+            prop_assert_eq!(encode_time_window(w, tu).unwrap(), searched_window(w, tu));
+        }
     }
 
     #[test]

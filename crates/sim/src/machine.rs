@@ -14,7 +14,7 @@ use dufp_msr::{FaultInjector, FaultOp, FaultPlan, InjectorSnapshot, MsrIo};
 use dufp_types::{Error, Instant, Joules, Result, SocketId};
 use dufp_workloads::Workload;
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// A simulated multi-socket node.
@@ -46,6 +46,10 @@ pub struct Machine {
     /// Armed fault plan, if any; consulted on every MSR access and
     /// telemetry sample with the simulator tick as the clock.
     injector: Mutex<Option<Arc<FaultInjector>>>,
+    /// Whether `injector` holds a plan. Both arming paths set it while
+    /// holding the injector lock, so an unarmed machine's accesses pay one
+    /// atomic load instead of the lock.
+    armed: AtomicBool,
 }
 
 impl Machine {
@@ -59,6 +63,7 @@ impl Machine {
             sockets,
             now_us: AtomicU64::new(0),
             injector: Mutex::new(None),
+            armed: AtomicBool::new(false),
         }
     }
 
@@ -67,11 +72,13 @@ impl Machine {
     /// (`at=`, `window=`) are evaluated against the simulator tick, so a
     /// plan plus a seed reproduces the exact same chaos run.
     pub fn inject_faults(&self, plan: FaultPlan) {
-        *self.injector.lock() = if plan.is_empty() {
+        let mut injector = self.injector.lock();
+        *injector = if plan.is_empty() {
             None
         } else {
             Some(Arc::new(FaultInjector::new(plan)))
         };
+        self.armed.store(injector.is_some(), Ordering::Release);
     }
 
     /// Snapshot of the armed injector's mutable state (RNG position and
@@ -91,7 +98,9 @@ impl Machine {
         }
         let inj = FaultInjector::new(plan);
         inj.restore(snap)?;
-        *self.injector.lock() = Some(Arc::new(inj));
+        let mut injector = self.injector.lock();
+        *injector = Some(Arc::new(inj));
+        self.armed.store(true, Ordering::Release);
         Ok(())
     }
 
@@ -101,6 +110,9 @@ impl Machine {
     }
 
     fn check_fault(&self, op: FaultOp, cpu: usize, address: u32) -> Result<()> {
+        if !self.armed.load(Ordering::Acquire) {
+            return Ok(());
+        }
         let injector = self.injector.lock().clone();
         if let Some(inj) = injector {
             if inj.should_fail_at(op, cpu, address, Some(self.tick_index())) {
@@ -617,6 +629,24 @@ mod tests {
         assert!(m.sample(SocketId(0)).is_ok());
         m.inject_faults(FaultPlan::none());
         assert!(write_cap(&m).is_ok());
+    }
+
+    #[test]
+    fn arming_and_disarming_a_plan_takes_effect_on_the_next_access() {
+        let always = || FaultPlan::parse("write,always").unwrap();
+        let write = |m: &Machine| m.write(0, MSR_UNCORE_RATIO_LIMIT, 0x1212);
+        let m = Machine::new(SimConfig::deterministic(11));
+        assert!(write(&m).is_ok(), "nothing armed yet");
+        m.inject_faults(always());
+        assert!(write(&m).is_err(), "inject_faults arms");
+        m.inject_faults(FaultPlan::none());
+        assert!(write(&m).is_ok(), "an empty plan disarms");
+
+        m.inject_faults(always());
+        let snap = m.injector_snapshot().expect("armed injector");
+        let fresh = Machine::new(SimConfig::deterministic(11));
+        fresh.inject_faults_with_state(always(), &snap).unwrap();
+        assert!(write(&fresh).is_err(), "inject_faults_with_state arms");
     }
 
     #[test]

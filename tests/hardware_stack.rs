@@ -1,15 +1,16 @@
 //! Integration of the hardware-access layers: MSR codecs ↔ backends ↔ the
 //! RAPL zone API ↔ the simulator's register surface.
 
+use dufp_control::{Actuators, ControlConfig, HwActuators};
 use dufp_msr::registers::{
-    PkgPowerLimit, RaplPowerUnit, UncoreRatioLimit, MSR_PKG_POWER_LIMIT, MSR_RAPL_POWER_UNIT,
-    MSR_UNCORE_RATIO_LIMIT, SKYLAKE_SP_POWER_UNIT_RAW,
+    PkgPowerLimit, RaplPowerUnit, UncoreRatioLimit, IA32_PERF_CTL, MSR_PKG_POWER_LIMIT,
+    MSR_RAPL_POWER_UNIT, MSR_UNCORE_RATIO_LIMIT, SKYLAKE_SP_POWER_UNIT_RAW,
 };
 use dufp_msr::{FakeMsr, MsrIo};
 use dufp_rapl::{Constraint, MsrRapl, PowerCapper, SysfsRapl};
 use dufp_sim::{Machine, SimConfig};
-use dufp_types::{Joules, Seconds, SocketId, Watts};
-use std::sync::Arc;
+use dufp_types::{ArchSpec, Hertz, Joules, Ratio, Result, Seconds, SocketId, Watts};
+use std::sync::{Arc, Mutex};
 
 fn seeded_fake() -> FakeMsr {
     let m = FakeMsr::new(32);
@@ -122,4 +123,76 @@ fn dram_capping_is_rejected_like_the_paper_platform() {
         .write(0, dufp_msr::registers::MSR_DRAM_POWER_LIMIT, 0x1234)
         .unwrap_err();
     assert!(matches!(err, dufp_types::Error::Unsupported(_)));
+}
+
+/// One register access: `('R' | 'W', address)`.
+type Access = (char, u32);
+
+/// An [`MsrIo`] that logs every access before passing it on.
+struct Recording<M> {
+    inner: M,
+    log: Mutex<Vec<Access>>,
+}
+
+impl<M> Recording<M> {
+    /// The accesses since the last call.
+    fn take(&self) -> Vec<Access> {
+        std::mem::take(&mut self.log.lock().unwrap())
+    }
+}
+
+impl<M: MsrIo> MsrIo for Recording<M> {
+    fn read(&self, cpu: usize, address: u32) -> Result<u64> {
+        self.log.lock().unwrap().push(('R', address));
+        self.inner.read(cpu, address)
+    }
+    fn write(&self, cpu: usize, address: u32, value: u64) -> Result<()> {
+        self.log.lock().unwrap().push(('W', address));
+        self.inner.write(cpu, address, value)
+    }
+    fn cpu_count(&self) -> usize {
+        self.inner.cpu_count()
+    }
+}
+
+#[test]
+fn each_actuator_call_makes_a_fixed_sequence_of_register_accesses() {
+    // A probabilistic fault rule draws its RNG once per matching access,
+    // so dropping a read-back or merging the two PL writes would shift
+    // every later fault of a seeded chaos run. The sequences are pinned.
+    const UNCORE: u32 = MSR_UNCORE_RATIO_LIMIT;
+    let (r, w) = (('R', MSR_PKG_POWER_LIMIT), ('W', MSR_PKG_POWER_LIMIT));
+    let msr = Arc::new(Recording {
+        inner: seeded_fake(),
+        log: Mutex::default(),
+    });
+    let rapl = MsrRapl::new(Arc::clone(&msr), 2, 16).unwrap();
+    let cfg = ControlConfig::from_arch(&ArchSpec::yeti(), Ratio::from_percent(10.0)).unwrap();
+    let mut hw = HwActuators::new(Arc::clone(&msr), rapl, SocketId(1), 16, cfg).unwrap();
+    msr.take();
+
+    hw.set_uncore(Hertz::from_ghz(1.8)).unwrap();
+    assert_eq!(msr.take(), [('W', UNCORE)], "set_uncore");
+    hw.read_uncore().unwrap();
+    assert_eq!(msr.take(), [('R', UNCORE)], "read_uncore");
+    hw.reset_uncore().unwrap();
+    assert_eq!(msr.take(), [('W', UNCORE)], "reset_uncore");
+
+    hw.set_cap_both(Watts(100.0)).unwrap();
+    assert_eq!(msr.take(), [r, w, r, w, r, r], "set_cap_both");
+    hw.set_cap_long(Watts(110.0)).unwrap();
+    assert_eq!(msr.take(), [r, w, r], "set_cap_long");
+    hw.set_cap_short(Watts(120.0)).unwrap();
+    assert_eq!(msr.take(), [r, w, r], "set_cap_short");
+    hw.reset_cap().unwrap();
+    assert_eq!(msr.take(), [r, w, r, w, r, r], "reset_cap");
+
+    hw.set_core_freq_cap(Hertz::from_ghz(1.6)).unwrap();
+    assert_eq!(msr.take(), [('W', IA32_PERF_CTL)], "set_core_freq_cap");
+    hw.reset_core_freq_cap().unwrap();
+    assert_eq!(msr.take(), [('W', IA32_PERF_CTL)], "reset_core_freq_cap");
+    assert_eq!(
+        (hw.cap_long(), hw.cap_short()),
+        (Watts(125.0), Watts(150.0))
+    );
 }
