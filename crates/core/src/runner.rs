@@ -126,8 +126,8 @@ impl ControllerKind {
 /// Both engines produce bit-identical decision traces, energies and
 /// telemetry — the fast path memoizes the expensive model evaluations of a
 /// converged steady stretch and replays only the per-tick noise draws and
-/// accumulator updates, falling back to a full tick whenever any input it
-/// depends on changes. `Tick` is the permanent differential oracle: the
+/// accumulator updates, re-deriving the operating point whenever any input
+/// it depends on changes. `Tick` is the permanent differential oracle: the
 /// equivalence suite in `tests/engine_differential.rs` runs every policy,
 /// fault plan and crash/resume scenario under both and compares bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]

@@ -518,13 +518,13 @@ mod tests {
     type SteppingSignature = (Vec<(u64, Vec<[u64; 4]>)>, Vec<TracePoint>, String);
 
     /// Builds a YETI machine with `setup`, then steps it in 200-tick rounds
-    /// — per tick, or through `advance` when `fast` — writing a 90 W cap
-    /// on socket 0 at round 40, until every socket is done.
-    fn stepping_signature(fast: bool, setup: &dyn Fn(&Machine)) -> SteppingSignature {
-        let units = RaplPowerUnit::skylake_sp();
-        let cap = PkgPowerLimit::defaults(Watts(90.0), Seconds(1.0), Watts(100.0), Seconds(0.01))
-            .encode(&units)
-            .unwrap();
+    /// — per tick, or through `advance` when `fast` — calling `writes` with
+    /// the round number before each round, until every socket is done.
+    fn stepping_signature(
+        fast: bool,
+        setup: &dyn Fn(&Machine),
+        writes: &dyn Fn(&Machine, u32),
+    ) -> SteppingSignature {
         let m = Machine::new(SimConfig::yeti(5));
         let tel = dufp_telemetry::Telemetry::enabled();
         setup(&m);
@@ -532,9 +532,7 @@ mod tests {
             .unwrap();
         let mut rounds = Vec::new();
         for round in 0..600 {
-            if round == 40 {
-                m.write(0, MSR_PKG_POWER_LIMIT, cap).unwrap();
-            }
+            writes(&m, round);
             if fast {
                 m.advance(200);
             } else {
@@ -594,16 +592,68 @@ mod tests {
             }
             m.enable_trace(SocketId(1), 7).unwrap();
         };
+        // A 90 W cap on socket 0 at round 40.
+        let cap = PkgPowerLimit::defaults(Watts(90.0), Seconds(1.0), Watts(100.0), Seconds(0.01))
+            .encode(&RaplPowerUnit::skylake_sp())
+            .unwrap();
+        let cap_socket0 = |m: &Machine, round: u32| {
+            if round == 40 {
+                m.write(0, MSR_PKG_POWER_LIMIT, cap).unwrap();
+            }
+        };
         for setup in [&imbalanced as &dyn Fn(&Machine), &unloaded_and_traced] {
-            let (oracle, fast) = (
-                stepping_signature(false, setup),
-                stepping_signature(true, setup),
-            );
-            assert_eq!(oracle.0, fast.0, "counters diverged");
-            assert_eq!(oracle.1, fast.1, "traces diverged");
-            assert!(oracle.2.contains("sim.socket1.ticks"), "telemetry attached");
-            assert_eq!(oracle.2, fast.2, "telemetry diverged");
+            assert_same_signature(setup, &cap_socket0);
         }
+    }
+
+    /// Steps a machine per tick and through `advance`, asserting the two
+    /// leave the same counters, trace points and telemetry.
+    fn assert_same_signature(setup: &dyn Fn(&Machine), writes: &dyn Fn(&Machine, u32)) {
+        let (oracle, fast) = (
+            stepping_signature(false, setup, writes),
+            stepping_signature(true, setup, writes),
+        );
+        assert_eq!(oracle.0, fast.0, "counters diverged");
+        assert_eq!(oracle.1, fast.1, "traces diverged");
+        assert!(oracle.2.contains("sim.socket1.ticks"), "telemetry attached");
+        assert_eq!(oracle.2, fast.2, "telemetry diverged");
+    }
+
+    #[test]
+    fn advance_matches_per_tick_stepping_across_every_kind_of_write() {
+        let ctx = MaterializeCtx::from_arch(&SimConfig::yeti(5).arch);
+        let cg = apps::cg(&ctx).unwrap();
+        let loaded_and_traced = |m: &Machine| {
+            m.load_all(&cg);
+            m.enable_trace(SocketId(1), 7).unwrap();
+        };
+        // Writes to the loaded, traced socket 1 between batches: each
+        // register moved, then rewritten with the value it already holds
+        // or restored to its default.
+        let cpu = usize::from(SimConfig::yeti(5).arch.cores_per_socket);
+        let cap = PkgPowerLimit::defaults(Watts(80.0), Seconds(1.0), Watts(90.0), Seconds(0.01))
+            .encode(&RaplPowerUnit::skylake_sp())
+            .unwrap();
+        let narrowed = UncoreRatioLimit {
+            max_ratio: 20,
+            min_ratio: 14,
+        }
+        .encode();
+        let lowered = PerfCtl::capped_at(Hertz::from_ghz(2.2)).encode();
+        let default_limit = Machine::new(SimConfig::yeti(5))
+            .read(cpu, MSR_PKG_POWER_LIMIT)
+            .unwrap();
+        let writes = |m: &Machine, round: u32| {
+            let write = match round {
+                20 => (MSR_PKG_POWER_LIMIT, cap),
+                35 => (MSR_PKG_POWER_LIMIT, default_limit),
+                50 | 51 => (MSR_UNCORE_RATIO_LIMIT, narrowed),
+                70 | 71 => (IA32_PERF_CTL, lowered),
+                _ => return,
+            };
+            m.write(cpu, write.0, write.1).unwrap();
+        };
+        assert_same_signature(&loaded_and_traced, &writes);
     }
 
     #[test]

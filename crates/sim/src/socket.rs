@@ -67,6 +67,13 @@ pub struct Accumulators {
 /// while the memo validates, a tick reduces to the RNG draws, the noise
 /// multiplies and the accumulator additions — the exact f64 operations the
 /// full tick performs, in the same order, on the same cached bit patterns.
+///
+/// Validity depends on the socket's state, not on its write history, so a
+/// register write leaves the memo in place. A `0x610` write only moves the
+/// enforcer's `pl1`/`pl2`: no cached value depends on them, and the kernel
+/// reads `pl1` live. A `0x620` or `IA32_PERF_CTL` write matters only when
+/// it moves the effective uncore or the frequency ceiling, which the memo
+/// records and [`SocketSim::memo_valid`] compares.
 #[derive(Debug, Clone, Copy)]
 struct StepMemo {
     /// Workload phase index the memo was derived for.
@@ -77,13 +84,14 @@ struct StepMemo {
     mem_util_bits: u64,
     /// Tick duration in seconds.
     dt: Seconds,
-    /// Cap-enforcer EMA/settle coefficients for `dt`.
-    gains: CapGains,
-    /// Effective uncore frequency.
+    /// Effective uncore frequency the memo was built for.
     uncore: Hertz,
+    /// Frequency ceiling (`IA32_PERF_CTL` bounded by the ladder) the memo
+    /// was built for.
+    ceiling: Hertz,
     /// Bit pattern of `bandwidth.achievable(uncore, allowance)` at build
     /// time; the fast path recomputes it each tick (three multiplies) and
-    /// bails to a full tick the moment the bits move.
+    /// stops the batch the moment the bits move.
     bw_bits: u64,
     /// Cached `bandwidth.uncore_factor(uncore)` — a pure function of the
     /// memo's fixed uncore frequency, so its bits are exactly what
@@ -119,7 +127,17 @@ pub struct SocketSim {
     /// frequency the governor may pick; the architectural ladder still
     /// bounds it.
     perf_ctl: PerfCtl,
+    /// `uncore_raw`'s band snapped onto the uncore ladder, `(lo, hi)`:
+    /// derived on each `0x620` write rather than on each read.
+    uncore_band: (Hertz, Hertz),
+    /// `perf_ctl` snapped onto the core ladder and bounded by its top:
+    /// derived on each `IA32_PERF_CTL` write rather than on each read.
+    ceiling: Hertz,
     enforcer: CapEnforcer,
+    /// The enforcer's EMA/settle coefficients for one tick. They depend
+    /// only on the tick length and the enforcer's windows, which never
+    /// change after construction.
+    gains: CapGains,
     core_freq: Hertz,
     /// Bandwidth utilization of the previous tick (feeds power prediction).
     mem_util: f64,
@@ -137,8 +155,9 @@ pub struct SocketSim {
     /// Ground-truth workload phase transitions: `(time, new_phase_index)`.
     phase_log: Vec<(Instant, usize)>,
     gauges: Option<SocketGauges>,
-    /// Fast-path memo; `None` whenever the cached operating point may be
-    /// stale (after any register write or workload load).
+    /// Fast-path memo; `None` before the first fast-path step and after a
+    /// workload load. It survives register writes: whether it still holds
+    /// is [`SocketSim::memo_valid`]'s question, asked once per batch.
     memo: Option<StepMemo>,
 }
 
@@ -175,12 +194,18 @@ impl SocketSim {
         let run_power_factor = 1.0 + cfg.noise.run_sigma * sym(&mut rng);
         let core_freq = arch.core_freq_max;
         let perf_ctl = PerfCtl::capped_at(arch.core_freq_max);
+        let uncore_band = snap_band(&cfg, uncore_raw);
+        let ceiling = snap_ceiling(&cfg, perf_ctl);
+        let gains = enforcer.gains(cfg.tick.as_seconds());
         SocketSim {
             cfg,
             uncore_raw,
             limit_raw,
             perf_ctl,
+            uncore_band,
+            ceiling,
             enforcer,
+            gains,
             core_freq,
             mem_util: 0.0,
             workload: None,
@@ -255,7 +280,7 @@ impl SocketSim {
     /// Programs the uncore ratio register (what an `0x620` write does).
     pub fn write_uncore(&mut self, raw: UncoreRatioLimit) {
         self.uncore_raw = raw;
-        self.memo = None;
+        self.uncore_band = snap_band(&self.cfg, raw);
     }
 
     /// The power-limit register content.
@@ -279,7 +304,6 @@ impl SocketSim {
             self.cfg.arch.pl2_default
         };
         self.enforcer.set_limits(pl1, pl2);
-        self.memo = None;
     }
 
     /// Applied core frequency (what APERF/MPERF or Fig. 5's traces show).
@@ -295,16 +319,13 @@ impl SocketSim {
     /// Programs the P-state request (what an `IA32_PERF_CTL` write does).
     pub fn write_perf_ctl(&mut self, raw: PerfCtl) {
         self.perf_ctl = raw;
-        self.memo = None;
+        self.ceiling = snap_ceiling(&self.cfg, raw);
     }
 
     /// The effective frequency ceiling: the architectural maximum bounded
     /// by the `IA32_PERF_CTL` request.
     fn freq_ceiling(&self) -> Hertz {
-        self.cfg
-            .arch
-            .snap_core_freq(self.perf_ctl.freq())
-            .min(self.cfg.arch.core_freq_max)
+        self.ceiling
     }
 
     /// The uncore frequency the hardware is running.
@@ -314,9 +335,7 @@ impl SocketSim {
     /// is active (the conservative behaviour that "fails to adapt to the
     /// application needs" per the paper's §I), the minimum when idle.
     pub fn effective_uncore(&self) -> Hertz {
-        let (lo, hi) = self.uncore_raw.band();
-        let lo = self.cfg.arch.snap_uncore_freq(lo);
-        let hi = self.cfg.arch.snap_uncore_freq(hi);
+        let (lo, hi) = self.uncore_band;
         if self.done() {
             lo
         } else {
@@ -478,14 +497,26 @@ impl SocketSim {
         advanced
     }
 
-    /// One step of the fast path: a kernel batch of up to `max >= 1` ticks
-    /// while the memo validates, else one full `tick` that rebuilds it.
-    /// Returns the number of ticks advanced.
+    /// One step of the fast path: a kernel batch of up to `max >= 1` ticks.
+    /// When the memo does not validate, it is rebuilt from the current
+    /// state and the batch replays through the kernel all the same, so a
+    /// miss derives the operating point once. Should the kernel reject the
+    /// memo it was just given, one full `tick` runs instead. Returns the
+    /// number of ticks advanced.
     fn step_fast(&mut self, start: Instant, max: u64) -> u64 {
-        match self.tick_fast_batch(start, max) {
+        let memo = match self.memo {
+            Some(memo) if self.memo_valid(&memo) => memo,
+            _ => {
+                let memo = self.build_memo();
+                self.memo = Some(memo);
+                memo
+            }
+        };
+        match self.tick_fast_batch(memo, start, max) {
+            // A validated memo passes the kernel's first check, so only a
+            // fresh memo can land here.
             0 => {
                 self.tick(start);
-                self.memo = Some(self.build_memo());
                 1
             }
             ticks => ticks,
@@ -498,6 +529,8 @@ impl SocketSim {
         if memo.done != self.done()
             || memo.phase_idx != self.phase_idx
             || memo.mem_util_bits != self.mem_util.to_bits()
+            || memo.uncore.value().to_bits() != self.effective_uncore().value().to_bits()
+            || memo.ceiling.value().to_bits() != self.freq_ceiling().value().to_bits()
         {
             return false;
         }
@@ -522,10 +555,16 @@ impl SocketSim {
     /// expression, so the cached bits match what it would produce.
     fn build_memo(&self) -> StepMemo {
         let dt = self.cfg.tick.as_seconds();
-        let gains = self.enforcer.gains(dt);
         let done = self.done();
         let uncore = self.effective_uncore();
+        let freq_ceiling = self.freq_ceiling();
         let allowance = self.enforcer.allowance();
+        // `uncore_factor` (a `powf`) is a pure function of the uncore, so
+        // the previous memo's bits serve while the uncore has not moved.
+        let uf = match self.memo {
+            Some(m) if m.uncore.value().to_bits() == uncore.value().to_bits() => m.uf,
+            _ => self.cfg.bandwidth.uncore_factor(uncore),
+        };
         if done {
             let activity = SocketActivity::idle();
             let core_freq = self.cfg.arch.core_freq_min;
@@ -534,10 +573,10 @@ impl SocketSim {
                 done,
                 mem_util_bits: self.mem_util.to_bits(),
                 dt,
-                gains,
                 uncore,
+                ceiling: freq_ceiling,
                 bw_bits: 0,
-                uf: self.cfg.bandwidth.uncore_factor(uncore),
+                uf,
                 ladder: None,
                 core_freq,
                 progress_bw: 0.0,
@@ -551,7 +590,8 @@ impl SocketSim {
                     .value(),
             };
         }
-        let bw = self.cfg.bandwidth.achievable(uncore, allowance);
+        // `achievable(uncore, allowance)`, with the factor resolved above.
+        let bw = self.cfg.bandwidth.peak * uf * self.cfg.bandwidth.cap_factor(allowance);
         let w = self.workload.as_ref().expect("not done implies loaded");
         let phase = &w.phases[self.phase_idx];
         let activity = SocketActivity {
@@ -576,11 +616,7 @@ impl SocketSim {
             .cfg
             .governor
             .request(self.cfg.arch.core_freq_min, fmax, compute_share);
-        let ceiling = self
-            .cfg
-            .arch
-            .snap_core_freq(requested)
-            .min(self.freq_ceiling());
+        let ceiling = self.cfg.arch.snap_core_freq(requested).min(freq_ceiling);
         let ladder = self.cfg.power.ladder_search(
             self.cfg.arch.core_freq_min,
             self.cfg.arch.core_freq_max,
@@ -594,45 +630,50 @@ impl SocketSim {
             cores: self.cfg.arch.cores_per_socket,
         };
         let pr = roofline.progress(&phase.rates, core_freq, bw);
+        // The search already evaluated the package power at its rung; the
+        // ceiling only moves the point when it binds.
+        let pkg_power_base = if core_freq.value().to_bits() == ladder.freq.value().to_bits() {
+            ladder.power_at.value()
+        } else {
+            self.cfg
+                .power
+                .package_total(core_freq, uncore, &activity)
+                .value()
+        };
         StepMemo {
             phase_idx: self.phase_idx,
             done,
             mem_util_bits: self.mem_util.to_bits(),
             dt,
-            gains,
             uncore,
+            ceiling: freq_ceiling,
             bw_bits: bw.value().to_bits(),
-            uf: self.cfg.bandwidth.uncore_factor(uncore),
+            uf,
             ladder: Some(ladder),
             core_freq,
             progress_bw: pr.bandwidth.value(),
             flops_rate: pr.flops.value(),
             units_rate: pr.units_per_sec,
             new_mem_util: (pr.bandwidth.value() / self.cfg.bandwidth.peak.value()).clamp(0.0, 1.0),
-            pkg_power_base: self
-                .cfg
-                .power
-                .package_total(core_freq, uncore, &activity)
-                .value(),
+            pkg_power_base,
         }
     }
 
     /// The memo-replay kernel: runs up to `max` consecutive ticks against
-    /// the memo's cached bit patterns — `tick`'s RNG draws, noise
+    /// `memo`'s cached bit patterns — `tick`'s RNG draws, noise
     /// multiplies, accumulator additions, enforcer EMA update, gauge and
     /// trace emission, in the same order — with every batch-invariant
     /// load hoisted out of the loop and the no-crossing half of
-    /// `advance_phase` reduced to its observable effect. Returns the
-    /// number of ticks advanced: 0 when the memo does not validate, and
-    /// it stops early right after a workload phase boundary or done
-    /// transition, or right before the first tick where the memo stops
-    /// validating — the caller falls back to a full `tick`, which
-    /// rebuilds it.
-    fn tick_fast_batch(&mut self, start: Instant, max: u64) -> u64 {
-        let Some(memo) = self.memo else { return 0 };
-        if max == 0 || !self.memo_valid(&memo) {
-            return 0;
-        }
+    /// `advance_phase` reduced to its observable effect. `memo` must match
+    /// the socket's fingerprint (phase, `mem_util`, uncore, ceiling): it
+    /// either passed [`SocketSim::memo_valid`] or was just built. The loop
+    /// re-checks only the allowance-dependent residue before each tick.
+    /// Returns the number of ticks advanced: 0 when the residue fails
+    /// before the first tick, and it stops early right after a workload
+    /// phase boundary or done transition, or right before the first tick
+    /// where the residue fails — the caller then rebuilds the memo from
+    /// that state.
+    fn tick_fast_batch(&mut self, memo: StepMemo, start: Instant, max: u64) -> u64 {
         // While `mem_util` still converges (the opening ticks of a phase)
         // its store moves the memo's entry fingerprint, so the memo is
         // stale after one tick.
@@ -648,6 +689,7 @@ impl SocketSim {
         let aperf_inc = memo.core_freq.value() * dtv;
         let mperf_inc = self.cfg.arch.core_freq_base.value() * dtv;
         let peak = self.cfg.bandwidth.peak;
+        let gains = self.gains;
         let ladder = memo.ladder;
         let plain = self.gauges.is_none() && self.trace.is_none();
         // Work units left before the next phase boundary; an idle socket
@@ -673,6 +715,11 @@ impl SocketSim {
                 }
             }
             let now = Instant(start.0 + advanced * tick_us);
+            if advanced == 0 && self.phase_log.is_empty() && self.workload.is_some() {
+                // The first tick after a `load` seeds the phase log, as
+                // `advance_phase` does.
+                self.phase_log.push((now, 0));
+            }
             if walk_on {
                 self.walk = 0.98 * self.walk + noise.walk_sigma * sym(&mut self.rng);
             }
@@ -687,9 +734,8 @@ impl SocketSim {
             self.mem_util = memo.new_mem_util;
             let crossing = !memo.done && self.units_done + advanced_units >= cur_work;
             if crossing {
-                // Phase boundaries take the exact per-tick code. No other
-                // tick needs it to seed the phase log: a memo exists only
-                // after a full `tick` since the last `load`, which seeded it.
+                // Phase boundaries take the exact per-tick code; the log
+                // was seeded on the first tick, so no other tick needs it.
                 self.advance_phase(advanced_units, now);
             } else if !memo.done {
                 // The no-crossing body of `advance_phase`, verbatim.
@@ -704,7 +750,7 @@ impl SocketSim {
             self.acc.dram_energy += (dram_power * memo.dt).value();
             self.acc.aperf += aperf_inc;
             self.acc.mperf += mperf_inc;
-            self.enforcer.step_with_gains(pkg_power, &memo.gains);
+            self.enforcer.step_with_gains(pkg_power, &gains);
             if !plain {
                 if let Some(g) = &self.gauges {
                     g.pkg_power.set(pkg_power.value());
@@ -760,6 +806,20 @@ impl SocketSim {
             self.units_done = 0.0;
         }
     }
+}
+
+/// The uncore band of `raw` snapped onto the uncore ladder, `(lo, hi)`.
+fn snap_band(cfg: &SimConfig, raw: UncoreRatioLimit) -> (Hertz, Hertz) {
+    let (lo, hi) = raw.band();
+    (cfg.arch.snap_uncore_freq(lo), cfg.arch.snap_uncore_freq(hi))
+}
+
+/// The frequency ceiling `raw` requests: snapped onto the core ladder and
+/// bounded by its top.
+fn snap_ceiling(cfg: &SimConfig, raw: PerfCtl) -> Hertz {
+    cfg.arch
+        .snap_core_freq(raw.freq())
+        .min(cfg.arch.core_freq_max)
 }
 
 /// Highest DVFS ladder frequency whose predicted package power fits the
@@ -1146,6 +1206,171 @@ mod tests {
         assert_fast_path_equivalent(SimConfig::yeti_single_socket(17), &writes);
     }
 
+    /// A CG socket stepped on the fast path into a steady stretch, where
+    /// its memo validates.
+    fn steady_socket() -> SocketSim {
+        let c = SimConfig::yeti_single_socket(5);
+        let ctx = MaterializeCtx::from_arch(&c.arch);
+        let mut s = SocketSim::new(c, 0);
+        s.load(apps::cg(&ctx).unwrap());
+        s.advance(Instant::ZERO, 3_000, 3_000);
+        assert!(memo_holds(&s), "a steady stretch validates its memo");
+        s
+    }
+
+    fn memo_holds(s: &SocketSim) -> bool {
+        s.memo.is_some_and(|m| s.memo_valid(&m))
+    }
+
+    #[test]
+    fn a_cap_write_keeps_the_memo() {
+        let mut s = steady_socket();
+        let units = RaplPowerUnit::skylake_sp();
+        for w in [80.0, 125.0] {
+            let reg = PkgPowerLimit::defaults(Watts(w), Seconds(1.0), Watts(w), Seconds(0.01));
+            s.write_limit(reg.encode(&units).unwrap());
+            assert!(memo_holds(&s), "a {w} W cap write must not invalidate");
+        }
+    }
+
+    #[test]
+    fn a_write_that_keeps_the_effective_values_keeps_the_memo() {
+        let mut s = steady_socket();
+        // A busy socket runs the band's top, so rewriting the band or
+        // moving only its floor leaves the effective uncore unchanged.
+        s.write_uncore(s.uncore_raw());
+        assert!(memo_holds(&s), "same band rewritten");
+        let floor_up = UncoreRatioLimit {
+            min_ratio: s.uncore_raw().min_ratio + 2,
+            ..s.uncore_raw()
+        };
+        s.write_uncore(floor_up);
+        assert!(memo_holds(&s), "band floor raised");
+        // A request above the ladder snaps to the same all-core turbo.
+        s.write_perf_ctl(s.perf_ctl());
+        assert!(memo_holds(&s), "same ceiling rewritten");
+        s.write_perf_ctl(PerfCtl { target_ratio: 60 });
+        assert!(memo_holds(&s), "over-ladder request");
+    }
+
+    #[test]
+    fn a_write_that_moves_the_band_or_ceiling_invalidates_the_memo() {
+        let mut s = steady_socket();
+        s.write_uncore(UncoreRatioLimit::pinned(Hertz::from_ghz(1.6)));
+        assert!(!memo_holds(&s), "band narrowed to 1.6 GHz");
+
+        let mut s = steady_socket();
+        s.write_perf_ctl(PerfCtl::capped_at(Hertz::from_ghz(2.0)));
+        assert!(!memo_holds(&s), "ceiling lowered to 2.0 GHz");
+    }
+
+    #[test]
+    fn loading_a_workload_drops_the_memo() {
+        let mut s = steady_socket();
+        let ctx = MaterializeCtx::from_arch(&s.cfg.arch);
+        s.load(apps::ep(&ctx).unwrap());
+        assert!(s.memo.is_none());
+    }
+
+    /// Asserts every piece of state one tick touches is bit-identical.
+    fn assert_same_state(a: &SocketSim, b: &SocketSim, at: &str) {
+        let bits = |s: &SocketSim| {
+            let acc = s.acc;
+            [
+                acc.flops,
+                acc.bytes,
+                acc.pkg_energy,
+                acc.dram_energy,
+                acc.aperf,
+                acc.mperf,
+                s.core_freq.value(),
+                s.mem_util,
+                s.units_done,
+                s.walk,
+            ]
+            .map(f64::to_bits)
+        };
+        assert_eq!(bits(a), bits(b), "accumulator and state bits at {at}");
+        assert_eq!(
+            a.rng.clone().gen::<u64>(),
+            b.rng.clone().gen::<u64>(),
+            "RNG position at {at}"
+        );
+        assert_eq!(
+            format!("{:?}", a.enforcer),
+            format!("{:?}", b.enforcer),
+            "enforcer at {at}"
+        );
+        assert_eq!((a.phase_idx, a.ticks), (b.phase_idx, b.ticks), "at {at}");
+        assert_eq!(a.phase_log(), b.phase_log(), "phase log at {at}");
+        assert_eq!(
+            a.trace.as_ref().map(|t| &t.points),
+            b.trace.as_ref().map(|t| &t.points),
+            "trace at {at}"
+        );
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
+
+        /// A memo miss builds the memo once and replays the tick through
+        /// the kernel; that must equal the full `tick` it replaces, from
+        /// any state random ticks and register writes reach — including
+        /// the first tick after `load` (empty phase log), phase crossings
+        /// and a finished socket.
+        #[test]
+        fn a_memo_miss_derives_once_and_matches_tick(
+            seed in 0u64..1_000,
+            ops in proptest::collection::vec((0u8..6, 1u64..300, 0u8..=255), 1..20),
+        ) {
+            let c = SimConfig::yeti_single_socket(seed);
+            let ctx = MaterializeCtx::from_arch(&c.arch);
+            // CG at 1 % of its work: about half the drives cross every phase
+            // and finish.
+            let mut w = apps::cg(&ctx).unwrap();
+            for p in &mut w.phases {
+                p.work_units *= 0.01;
+            }
+            let units = RaplPowerUnit::skylake_sp();
+            let tick_us = c.tick.as_micros();
+            let (mut a, mut b) = (SocketSim::new(c.clone(), 0), SocketSim::new(c, 0));
+            for s in [&mut a, &mut b] {
+                s.load(w.clone());
+                s.enable_trace(3);
+            }
+            let mut now = 0u64;
+            for (i, &(kind, n, byte)) in ops.iter().enumerate() {
+                let at = format!("op {i} (tick {now})");
+                // One full tick against one memo build plus one kernel tick.
+                a.tick(Instant(now * tick_us));
+                let memo = b.build_memo();
+                assert_eq!(b.tick_fast_batch(memo, Instant(now * tick_us), 1), 1, "{at}");
+                now += 1;
+                assert_same_state(&a, &b, &at);
+                for s in [&mut a, &mut b] {
+                    match kind {
+                        0..=2 => {
+                            s.advance(Instant(now * tick_us), n, n);
+                        }
+                        3 => {
+                            let w = Watts(60.0 + f64::from(byte % 70));
+                            let reg = PkgPowerLimit::defaults(w, Seconds(1.0), w, Seconds(0.01));
+                            s.write_limit(reg.encode(&units).unwrap());
+                        }
+                        4 => s.write_uncore(UncoreRatioLimit {
+                            max_ratio: 12 + byte % 13,
+                            min_ratio: 12 + byte % 5,
+                        }),
+                        _ => s.write_perf_ctl(PerfCtl { target_ratio: 8 + byte % 24 }),
+                    }
+                }
+                if kind <= 2 {
+                    now += n;
+                }
+            }
+        }
+    }
+
     #[test]
     fn same_seed_same_run() {
         let c = SimConfig::yeti_single_socket(7);
@@ -1169,7 +1394,10 @@ mod tests {
                 uncore_raw: other.uncore_raw,
                 limit_raw: other.limit_raw,
                 perf_ctl: other.perf_ctl,
+                uncore_band: other.uncore_band,
+                ceiling: other.ceiling,
                 enforcer: other.enforcer.clone(),
+                gains: other.gains,
                 core_freq: other.core_freq,
                 mem_util: other.mem_util,
                 workload: other.workload.clone(),
