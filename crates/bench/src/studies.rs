@@ -14,12 +14,12 @@ use dufp::{
     ratios_vs_default, run_once, run_repeated, ControllerKind, ExperimentSpec, Ratios,
     RepeatedResult,
 };
-use dufp_cluster::{run_hetero, ClusterConfig, HeteroConfig, SharePolicy};
+use dufp_cluster::SharePolicy;
 use dufp_control::{PhaseEvent, PhaseTracker};
 use dufp_model::RooflineModel;
 use dufp_msr::registers::{PkgPowerLimit, RaplPowerUnit, MSR_PKG_POWER_LIMIT};
 use dufp_msr::MsrIo;
-use dufp_net::{run_cluster, PolicyKind};
+use dufp_net::{run_cluster, run_hetero, ClusterConfig, HeteroConfig, PolicyKind};
 use dufp_rapl::MsrRapl;
 use dufp_sim::Governor;
 use dufp_types::{Instant, Result, Seconds};

@@ -1,5 +1,7 @@
 //! Budget allocation policies.
 
+use crate::gpu::GpuSpec;
+use crate::node::DufpNode;
 use dufp_types::Watts;
 use serde::{Deserialize, Serialize};
 
@@ -152,6 +154,62 @@ impl AllocatorPolicy for DemandBased {
     }
 }
 
+/// How the CPU+GPU node's shared budget is split each epoch.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum SharePolicy {
+    /// Fixed split: CPU gets its PL1 share, the GPU the rest.
+    Static,
+    /// The CPU keeps its draw plus a margin; the GPU gets the rest.
+    Donate,
+}
+
+/// The CPU+GPU node's split (§VII): slot 0 is a [`DufpNode`], slot 1 the
+/// `gpu` board. Any other fleet gets an even split.
+#[derive(Debug, Clone, Copy)]
+pub struct CpuGpuShare {
+    /// Fixed or donating split.
+    pub share: SharePolicy,
+    /// The GPU board.
+    pub gpu: GpuSpec,
+}
+
+impl CpuGpuShare {
+    /// The fixed split of `budget`, where both nodes start: the GPU gets
+    /// what the CPU's PL1 leaves, the CPU the rest, each within its range.
+    pub fn static_split(&self, budget: Watts) -> [Watts; 2] {
+        let (floor, pl1) = (DufpNode::cap_floor(), DufpNode::pl1());
+        let gpu = (budget - pl1).clamp(self.gpu.min_limit, self.gpu.tdp);
+        [(budget - gpu).clamp(floor, pl1), gpu]
+    }
+}
+
+impl AllocatorPolicy for CpuGpuShare {
+    fn name(&self) -> &'static str {
+        "cpu-gpu-share"
+    }
+
+    fn allocate(&mut self, budget: Watts, nodes: &[NodeObservation]) -> Vec<Watts> {
+        let [cpu, _] = nodes else {
+            return StaticSplit.allocate(budget, nodes);
+        };
+        if self.share == SharePolicy::Static {
+            return self.static_split(budget).to_vec();
+        }
+        // The CPU keeps its draw plus 15 W (at most PL1 while its job
+        // runs), its ceiling decaying *gradually* toward that: snapping it
+        // to consumption would ratchet DUFP down, as every reset would land
+        // on the squeezed ceiling.
+        let mut demand = cpu.consumption + Watts(15.0);
+        if cpu.active {
+            demand = demand.min(DufpNode::pl1());
+        }
+        let cpu_share = demand.max(cpu.ceiling * 0.93);
+        let gpu = (budget - cpu_share).clamp(self.gpu.min_limit, self.gpu.tdp);
+        // Whatever the GPU cannot absorb flows back to the CPU.
+        vec![(budget - gpu).max(DufpNode::cap_floor()), gpu]
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -210,6 +268,39 @@ mod tests {
         let out = p.allocate(Watts(300.0), &nodes);
         let total: f64 = out.iter().map(|w| w.value()).sum();
         assert!(total <= 300.0 + 1e-6, "{total}");
+    }
+
+    #[test]
+    fn cpu_gpu_share_splits_the_whole_budget_within_each_range() {
+        let gpu = GpuSpec::v100();
+        let mut donate = CpuGpuShare {
+            share: SharePolicy::Donate,
+            gpu,
+        };
+        // Riding PL1, donating headroom, and drained.
+        for (ceiling, draw, active) in [
+            (125.0, 118.0, true),
+            (100.0, 60.0, true),
+            (90.0, 30.0, false),
+        ] {
+            let nodes = [obs(ceiling, draw, active), obs(205.0, 205.0, true)];
+            let out = donate.allocate(Watts(330.0), &nodes);
+            assert_eq!(out[0] + out[1], Watts(330.0), "{out:?}");
+            assert!(out[0] <= Watts(125.0) && out[1] >= Watts(100.0) && out[1] <= Watts(300.0));
+        }
+        let fixed = CpuGpuShare {
+            share: SharePolicy::Static,
+            gpu,
+        };
+        assert_eq!(
+            fixed.static_split(Watts(330.0)),
+            [Watts(125.0), Watts(205.0)]
+        );
+        // No node starts above its limit, or its first report is vetoed.
+        assert_eq!(
+            fixed.static_split(Watts(600.0)),
+            [Watts(125.0), Watts(300.0)]
+        );
     }
 
     #[test]

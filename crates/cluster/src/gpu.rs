@@ -58,8 +58,6 @@ pub struct GpuSim {
     remaining: f64,
     /// Total energy consumed so far.
     energy: f64,
-    /// Total busy time.
-    elapsed: f64,
 }
 
 impl GpuSim {
@@ -71,7 +69,6 @@ impl GpuSim {
             spec,
             remaining: work_units,
             energy: 0.0,
-            elapsed: 0.0,
         })
     }
 
@@ -84,11 +81,6 @@ impl GpuSim {
     /// The programmed power limit.
     pub fn power_limit(&self) -> Watts {
         self.limit
-    }
-
-    /// The board specification.
-    pub fn spec(&self) -> &GpuSpec {
-        &self.spec
     }
 
     /// Instantaneous throughput at the current limit (units/second).
@@ -117,18 +109,12 @@ impl GpuSim {
         self.energy += (p * dt).value();
         if !self.done() {
             self.remaining = (self.remaining - self.rate() * dt.value()).max(0.0);
-            self.elapsed += dt.value();
         }
     }
 
     /// True once the job has no work left.
     pub fn done(&self) -> bool {
         self.remaining <= 0.0
-    }
-
-    /// Busy time so far.
-    pub fn elapsed(&self) -> Seconds {
-        Seconds(self.elapsed)
     }
 
     /// Energy consumed so far (including idle tail).

@@ -10,32 +10,28 @@
 //! * [`budget`] — a per-node budget ceiling and a [`dufp_rapl::PowerCapper`]
 //!   wrapper that clamps everything a node-local controller does to it, so
 //!   DUFP needs no modification to run under an allocator,
-//! * [`allocator`] — allocation policies: static even split, and a
+//! * [`allocator`] — allocation policies: static even split, a
 //!   demand-based policy that moves watts from nodes with headroom to
-//!   nodes riding their ceiling,
+//!   nodes riding their ceiling, and the CPU+GPU node's share split,
 //! * [`node`] — the budgeted DUFP node: one simulated socket running a job
 //!   queue under DUFP behind a [`BudgetedCapper`], assembled once for the
 //!   in-process cluster, the heterogeneous node and the TCP agent,
-//! * [`cluster`] — a cluster experiment's configuration and outcome; the
-//!   run loop over its nodes is `dufp_net::run_cluster`, which drives the
-//!   allocator through the coordinator's own `FleetCore`,
-//! * [`gpu`] / [`hetero`] — the §VII future-work question: a power-capped
-//!   GPU model and a CPU+GPU shared-budget coordinator that donates the
-//!   watts DUFP frees on the CPU to the GPU.
+//! * [`gpu`] — the §VII future-work question's power-capped GPU model.
+//!
+//! The experiments that compose them run in `dufp_net` on its in-process
+//! fleet loop, under the coordinator's own `FleetCore`: the cluster
+//! (`run_cluster`) and the CPU+GPU node (`run_hetero`), where
+//! [`CpuGpuShare`] donates the watts DUFP frees on the CPU to the GPU.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod allocator;
 pub mod budget;
-pub mod cluster;
 pub mod gpu;
-pub mod hetero;
 pub mod node;
 
-pub use allocator::{AllocatorPolicy, DemandBased, StaticSplit};
+pub use allocator::{AllocatorPolicy, CpuGpuShare, DemandBased, SharePolicy, StaticSplit};
 pub use budget::{BudgetedCapper, NodeBudget};
-pub use cluster::{ClusterConfig, ClusterOutcome, NodeOutcome, NodeSpec};
 pub use gpu::{GpuSim, GpuSpec};
-pub use hetero::{run_hetero, HeteroConfig, HeteroOutcome, SharePolicy};
 pub use node::{DufpNode, NodeCapper};

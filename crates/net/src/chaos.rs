@@ -37,7 +37,7 @@
 //! face; CI fails the build on any conservation or floor violation.
 
 use crate::agent::{AgentCore, GrantVerdict};
-use crate::config::CoordinatorConfig;
+use crate::config::{fund_floors, CoordinatorConfig};
 use crate::core::{EpochStep, FleetCore, NodeState};
 use crate::fleet_journal::FleetEvent;
 use crate::netfault::{Dir, NetFaultInjector, NetFaultOp, NetFaultPlan};
@@ -112,19 +112,7 @@ impl ChaosConfig {
         // soak scores is violated by construction. The rest of the
         // budget/floor/node_max plausibility rides on the coordinator
         // config validation inside run().
-        let floors = self.floor.value() * self.agents as f64;
-        if self.budget.value().is_nan() || self.budget.value() < floors {
-            return Err(Error::invalid(
-                "budget",
-                format!(
-                    "{} W cannot fund {} agents at their {} W floors ({floors} W)",
-                    self.budget.value(),
-                    self.agents,
-                    self.floor.value()
-                ),
-            ));
-        }
-        Ok(())
+        fund_floors(self.budget, self.floor * self.agents as f64)
     }
 }
 

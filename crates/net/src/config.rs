@@ -1,6 +1,7 @@
 //! Coordinator and agent configuration, with the same typed field-naming
 //! validation [`dufp_control::ControlConfig::validate`] established.
 
+use dufp_cluster::allocator::{AllocatorPolicy, DemandBased, StaticSplit};
 use dufp_types::check::{fraction, positive};
 use dufp_types::{Error, Ratio, Result, Watts};
 use std::path::PathBuf;
@@ -24,6 +25,18 @@ impl PolicyKind {
         }
     }
 
+    /// The allocator this kind names, demand-based within `floor..=node_max`.
+    pub fn allocator(self, floor: Watts, node_max: Watts) -> Box<dyn AllocatorPolicy> {
+        match self {
+            PolicyKind::StaticSplit => Box::new(StaticSplit),
+            PolicyKind::DemandBased => Box::new(DemandBased {
+                floor,
+                node_max,
+                ..DemandBased::default()
+            }),
+        }
+    }
+
     /// Parses a policy name: its label or the short form (`static`,
     /// `demand`).
     pub fn parse(s: &str) -> Result<Self> {
@@ -36,6 +49,16 @@ impl PolicyKind {
             )),
         }
     }
+}
+
+/// Refuses a `budget` below `floors`, the node floors it must fund — the
+/// one budget check every fleet runs.
+pub(crate) fn fund_floors(budget: Watts, floors: Watts) -> Result<()> {
+    if budget >= floors {
+        return Ok(());
+    }
+    let why = format!("{budget} cannot fund the node floors' {floors}");
+    Err(Error::invalid("budget", why))
 }
 
 /// Coordinator-side configuration.
@@ -132,16 +155,7 @@ impl CoordinatorConfig {
                 ),
             ));
         }
-        if self.budget < self.floor {
-            return Err(Error::invalid(
-                "budget",
-                format!(
-                    "{} W cannot cover even one node's {} W floor",
-                    self.budget.value(),
-                    self.floor.value()
-                ),
-            ));
-        }
+        fund_floors(self.budget, self.floor)?;
         if self.epoch.is_zero() {
             return Err(Error::invalid("epoch", "zero allocator epoch"));
         }

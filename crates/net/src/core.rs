@@ -21,11 +21,11 @@
 //! * **Replay/veto/rate defense** — see [`crate::vet`]; every defense
 //!   emits a typed telemetry Reason and a counter.
 
-use crate::config::{CoordinatorConfig, PolicyKind};
+use crate::config::CoordinatorConfig;
 use crate::fleet_journal::{FleetEvent, FleetJournal};
 use crate::vet::{FrameVerdict, NodeVet, Trust, VetConfig};
 use crate::wire::{Frame, GrantKind};
-use dufp_cluster::allocator::{AllocatorPolicy, DemandBased, NodeObservation, StaticSplit};
+use dufp_cluster::allocator::{AllocatorPolicy, NodeObservation};
 use dufp_telemetry::{Actuator, DecisionEvent, Reason, Telemetry};
 use dufp_types::{Error, Result, Watts};
 use serde::{Deserialize, Serialize};
@@ -174,7 +174,6 @@ pub struct FleetCore {
     heartbeat_timeout_ms: u64,
     vet_cfg: VetConfig,
     policy: Box<dyn AllocatorPolicy>,
-    policy_name: &'static str,
     nodes: Vec<CoreNode>,
     blacklist: HashSet<String>,
     epoch: u64,
@@ -201,19 +200,20 @@ impl FleetCore {
     /// Builds a core from a validated coordinator configuration. The
     /// `listen` field is ignored — transport is the caller's business.
     pub fn new(cfg: &CoordinatorConfig, tel: Telemetry) -> Self {
-        let policy: Box<dyn AllocatorPolicy> = match cfg.policy {
-            PolicyKind::StaticSplit => Box::new(StaticSplit),
-            PolicyKind::DemandBased => Box::new(DemandBased {
-                floor: cfg.floor,
-                node_max: cfg.node_max,
-                ..DemandBased::default()
-            }),
-        };
+        let policy = cfg.policy.allocator(cfg.floor, cfg.node_max);
+        FleetCore::with_policy(cfg, policy, tel)
+    }
+
+    /// [`FleetCore::new`] running `policy` in place of `cfg.policy`.
+    pub fn with_policy(
+        cfg: &CoordinatorConfig,
+        policy: Box<dyn AllocatorPolicy>,
+        tel: Telemetry,
+    ) -> Self {
         FleetCore {
             budget: cfg.budget,
             heartbeat_timeout_ms: cfg.heartbeat_timeout.as_millis() as u64,
             vet_cfg: cfg.vet,
-            policy_name: cfg.policy.label(),
             policy,
             nodes: Vec::new(),
             blacklist: HashSet::new(),
@@ -406,7 +406,7 @@ impl FleetCore {
 
     /// The allocator policy's display name.
     pub fn policy_name(&self) -> &'static str {
-        self.policy_name
+        self.policy.name()
     }
 
     /// The global budget being served.
@@ -955,16 +955,30 @@ impl FleetCore {
     }
 
     fn record(&self, slot: usize, now_ms: u64, old: f64, new: f64, reason: Reason) {
-        self.tel.record_decision(DecisionEvent {
-            at_us: now_ms.saturating_mul(1000),
-            socket: slot as u16,
-            ..DecisionEvent::new(self.epoch, Actuator::Budget, old, new, reason)
-        });
+        let event = fleet_event(self.epoch, now_ms, slot, old, new, reason);
+        self.tel.record_decision(event);
     }
 
     /// Whether every node that ever joined has left (any non-Live state).
     pub fn drained(&self) -> bool {
         !self.nodes.is_empty() && self.nodes.iter().all(|n| n.state != NodeState::Live)
+    }
+}
+
+/// A node's budget-actuator decision at interval `tick`, stamped with
+/// the fleet's virtual clock.
+pub fn fleet_event(
+    tick: u64,
+    now_ms: u64,
+    node: usize,
+    old: f64,
+    new: f64,
+    why: Reason,
+) -> DecisionEvent {
+    DecisionEvent {
+        at_us: now_ms.saturating_mul(1000),
+        socket: node as u16,
+        ..DecisionEvent::new(tick, Actuator::Budget, old, new, why)
     }
 }
 
@@ -1000,6 +1014,7 @@ fn fit_into_budget(budget: f64, floors: &[f64], want: &mut [f64]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::PolicyKind;
     use std::time::Duration;
 
     fn cfg(budget: f64) -> CoordinatorConfig {

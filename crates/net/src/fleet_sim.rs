@@ -2,15 +2,17 @@
 //! real [`FleetCore`]; a [`FleetModel`] owns the nodes. Each interval the
 //! model advances the whole fleet; every `epoch_intervals` intervals each
 //! node reports to the core, the core runs its allocator epoch and the
-//! model applies the grants. The scenario engine and the DUFP cluster
-//! ([`crate::cluster`]) are its models. Chaos keeps its own loop: its
-//! admission, kills, partitions and frame fates *are* its transport.
+//! model applies the grants. It has three models: the scenario engine,
+//! the DUFP cluster ([`crate::cluster`]) and the CPU+GPU node
+//! ([`crate::hetero`]), which brings its own allocator. Chaos keeps its
+//! own loop: its admission, kills, partitions and frame fates *are* its
+//! transport.
 
-use crate::config::{CoordinatorConfig, PolicyKind};
-use crate::core::FleetCore;
+use crate::config::{fund_floors, CoordinatorConfig};
+use crate::core::{fleet_event, FleetCore};
 use crate::wire::{Frame, GrantKind};
-use dufp_cluster::allocator::NodeObservation;
-use dufp_telemetry::{Actuator, DecisionEvent, Reason, Telemetry};
+use dufp_cluster::allocator::{AllocatorPolicy, NodeObservation};
+use dufp_telemetry::{Reason, Telemetry};
 use dufp_types::{Error, Result, Watts};
 use std::time::Duration;
 
@@ -47,8 +49,6 @@ pub trait FleetModel {
 pub struct FleetPlan {
     /// Global fleet budget.
     pub budget: Watts,
-    /// Allocator policy; `None` runs the fleet with no coordinator.
-    pub policy: Option<PolicyKind>,
     /// Control-interval length.
     pub interval_ms: u64,
     /// Intervals per allocator epoch.
@@ -75,27 +75,30 @@ pub struct FleetSim<M> {
 }
 
 impl<M: FleetModel> FleetSim<M> {
-    /// Wraps `model`. With a policy, builds the coordinator (floor the
-    /// lowest node floor, `node_max` the highest node limit) and admits
-    /// every node at virtual time 0.
-    pub fn new(model: M, plan: FleetPlan, tel: Telemetry) -> Result<Self> {
+    /// Wraps `model`. With a policy ([`crate::PolicyKind::allocator`] builds
+    /// the coordinator's own), refuses a budget below the sum of the node
+    /// floors, then builds the coordinator and admits every node at time 0.
+    pub fn new(
+        model: M,
+        plan: FleetPlan,
+        policy: Option<Box<dyn AllocatorPolicy>>,
+        tel: Telemetry,
+    ) -> Result<Self> {
         if plan.epoch_intervals == 0 {
             return Err(Error::invalid("epoch_intervals", "must be >= 1"));
         }
         let mut core = None;
-        if let Some(policy) = plan.policy {
+        if let Some(policy) = policy {
             let hellos = model.hellos();
             let epoch = Duration::from_millis(plan.interval_ms * plan.epoch_intervals);
             let mut cfg = CoordinatorConfig::new("fleet-sim", plan.budget).with_epoch(epoch);
-            cfg.policy = policy;
-            cfg.floor = Watts(f64::INFINITY);
-            cfg.node_max = Watts(0.0);
-            for h in &hellos {
-                cfg.floor = cfg.floor.min(h.floor);
-                cfg.node_max = cfg.node_max.max(h.node_max);
-            }
+            cfg.floor = hellos
+                .iter()
+                .fold(Watts(f64::INFINITY), |f, h| f.min(h.floor));
+            cfg.node_max = hellos.iter().fold(Watts(0.0), |m, h| m.max(h.node_max));
             cfg.validate()?;
-            let fleet = core.insert(FleetCore::new(&cfg, Telemetry::disabled()));
+            fund_floors(plan.budget, hellos.iter().map(|h| h.floor).sum())?;
+            let fleet = core.insert(FleetCore::with_policy(&cfg, policy, Telemetry::disabled()));
             for (i, h) in hellos.into_iter().enumerate() {
                 let slot = fleet.admit(h.name, h.app, h.floor, h.node_max, 0)?;
                 debug_assert_eq!(slot, i, "slots are admission-ordered");
@@ -153,26 +156,10 @@ impl<M: FleetModel> FleetSim<M> {
     }
 }
 
-/// A node's budget-actuator decision at interval `tick`, stamped with
-/// the fleet's virtual clock.
-pub fn fleet_event(
-    tick: u64,
-    now_ms: u64,
-    node: usize,
-    old: f64,
-    new: f64,
-    why: Reason,
-) -> DecisionEvent {
-    DecisionEvent {
-        at_us: now_ms * 1000,
-        socket: node as u16,
-        ..DecisionEvent::new(tick, Actuator::Budget, old, new, why)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::PolicyKind;
 
     /// Nodes that draw exactly their ceiling for `len` intervals.
     struct Flat {
@@ -229,10 +216,9 @@ mod tests {
         }
     }
 
-    fn plan(policy: Option<PolicyKind>) -> FleetPlan {
+    fn plan() -> FleetPlan {
         FleetPlan {
             budget: Watts(300.0),
-            policy,
             interval_ms: 200,
             epoch_intervals: 5,
         }
@@ -240,8 +226,8 @@ mod tests {
 
     #[test]
     fn fleet_sim_runs_every_interval_in_order() {
-        let mut sim =
-            FleetSim::new(Flat::new(3, 65.0, 12), plan(None), Telemetry::disabled()).unwrap();
+        let flat = Flat::new(3, 65.0, 12);
+        let mut sim = FleetSim::new(flat, plan(), None, Telemetry::disabled()).unwrap();
         let stats = sim.run().unwrap();
         assert_eq!(
             stats,
@@ -259,8 +245,8 @@ mod tests {
     #[test]
     fn fleet_sim_grants_each_epoch_within_the_budget() {
         let tel = Telemetry::enabled();
-        let policy = Some(PolicyKind::StaticSplit);
-        let mut sim = FleetSim::new(Flat::new(3, 65.0, 12), plan(policy), tel.clone()).unwrap();
+        let policy = Some(PolicyKind::StaticSplit.allocator(Watts(65.0), Watts(125.0)));
+        let mut sim = FleetSim::new(Flat::new(3, 65.0, 12), plan(), policy, tel.clone()).unwrap();
         let stats = sim.run().unwrap();
         // Epochs close after intervals 4 and 9; the first raises every
         // node to the even split, the second finds nothing to change.
@@ -280,13 +266,27 @@ mod tests {
 
     #[test]
     fn fleet_sim_refuses_a_budget_below_one_floor_or_a_zero_epoch() {
-        let mut p = plan(Some(PolicyKind::DemandBased));
-        p.budget = Watts(10.0);
-        assert!(FleetSim::new(Flat::new(2, 65.0, 1), p, Telemetry::disabled()).is_err());
-        let mut p = plan(None);
+        let sim = |budget: f64, coordinated: bool| {
+            let p = FleetPlan {
+                budget: Watts(budget),
+                ..plan()
+            };
+            let demand = PolicyKind::DemandBased.allocator(Watts(65.0), Watts(125.0));
+            let policy = coordinated.then_some(demand);
+            FleetSim::new(Flat::new(2, 65.0, 1), p, policy, Telemetry::disabled())
+        };
+        assert!(sim(10.0, true).is_err());
+        // Each 65 W floor fits in 129 W; the two together do not.
+        assert!(matches!(
+            sim(129.0, true),
+            Err(Error::InvalidValue { what: "budget", .. })
+        ));
+        assert!(sim(130.0, true).is_ok(), "exactly the floors is fundable");
+        assert!(sim(10.0, false).is_ok(), "no coordinator, no budget to fit");
+        let mut p = plan();
         p.epoch_intervals = 0;
         assert!(matches!(
-            FleetSim::new(Flat::new(2, 65.0, 1), p, Telemetry::disabled()),
+            FleetSim::new(Flat::new(2, 65.0, 1), p, None, Telemetry::disabled()),
             Err(Error::InvalidValue {
                 what: "epoch_intervals",
                 ..

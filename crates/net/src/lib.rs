@@ -10,7 +10,8 @@
 //! [`FleetCore`] for the coordinator, [`AgentCore`] for the agent — which
 //! the TCP shells and the [`chaos`] fleet share. [`FleetSim`] is the
 //! in-process fleet loop over `FleetCore` without a transport: the DUFP
-//! cluster ([`run_cluster`]) and the scenario engine are its models.
+//! cluster ([`run_cluster`]), the CPU+GPU node ([`run_hetero`]) and the
+//! scenario engine are its models.
 //!
 //! Layering:
 //!
@@ -67,24 +68,27 @@ pub mod coordinator;
 pub mod core;
 pub mod fleet_journal;
 pub mod fleet_sim;
+pub mod hetero;
 pub mod netfault;
 pub mod vet;
 pub mod wire;
 
 pub use agent::{Agent, AgentCore, AgentOutcome, GrantVerdict};
 pub use chaos::{ChaosConfig, ChaosFleet, ScenarioScore, SCENARIOS};
-pub use cluster::run_cluster;
+pub use cluster::{run_cluster, ClusterConfig, ClusterOutcome, NodeOutcome, NodeSpec};
 pub use config::{AgentConfig, CoordinatorConfig, PolicyKind};
 pub use coordinator::{
     run_standby, Coordinator, FleetOutcome, NodeSummary, STANDBY_PROBE_FAILURES,
 };
 pub use core::{
-    CoreNodeView, CoreSnapshot, EpochRecord, EpochStep, FleetCore, NodeState, HANDOVER_HOLD_EPOCHS,
+    fleet_event, CoreNodeView, CoreSnapshot, EpochRecord, EpochStep, FleetCore, NodeState,
+    HANDOVER_HOLD_EPOCHS,
 };
 pub use fleet_journal::{
     journal_present, recover, FleetEvent, FleetJournal, Recovered, DEFAULT_FLEET_CHECKPOINT_EVERY,
 };
-pub use fleet_sim::{fleet_event, FleetModel, FleetPlan, FleetSim, FleetStats, NodeHello};
+pub use fleet_sim::{FleetModel, FleetPlan, FleetSim, FleetStats, NodeHello};
+pub use hetero::{run_hetero, HeteroConfig, HeteroOutcome};
 pub use netfault::{Dir, NetFaultInjector, NetFaultOp, NetFaultPlan, NetFaultRule};
 pub use vet::{FrameVerdict, NodeVet, Trust, VetConfig};
 pub use wire::{Frame, FrameType, GrantKind, VERSION};

@@ -19,7 +19,7 @@
 
 use crate::arrival::{intensity_band, LoadProfile};
 use crate::spec::ScenarioSpec;
-use dufp_cluster::allocator::NodeObservation;
+use dufp_cluster::allocator::{AllocatorPolicy, NodeObservation};
 use dufp_net::{fleet_event, FleetModel, FleetPlan, FleetSim, FleetStats, NodeHello, PolicyKind};
 use dufp_sim::SharedSocketSim;
 use dufp_telemetry::{DecisionEvent, Gauge, Reason, Telemetry};
@@ -176,9 +176,9 @@ pub struct RunResult {
 pub fn run_one(spec: &ScenarioSpec, seed: u64, policy: PolicyChoice) -> Result<RunResult> {
     spec.validate()?;
     let tel = Telemetry::enabled();
-    let plan = fleet_plan(spec, policy);
-    let fleet = ScenarioFleet::new(spec, seed, plan.policy.is_some(), &tel)?;
-    let mut sim = FleetSim::new(fleet, plan, tel.clone())?;
+    let fleet = ScenarioFleet::new(spec, seed, policy.kind().is_some(), &tel)?;
+    let allocator = policy.kind().map(|kind| fleet.allocator(kind));
+    let mut sim = FleetSim::new(fleet, fleet_plan(spec), allocator, tel.clone())?;
     let stats = sim.run()?;
     Ok(RunResult {
         row: sim.into_model().scorecard(seed, policy, stats),
@@ -186,11 +186,10 @@ pub fn run_one(spec: &ScenarioSpec, seed: u64, policy: PolicyChoice) -> Result<R
     })
 }
 
-/// The [`FleetSim`] plan of one `(spec, policy)` run.
-fn fleet_plan(spec: &ScenarioSpec, policy: PolicyChoice) -> FleetPlan {
+/// The [`FleetSim`] plan of one `spec` run.
+fn fleet_plan(spec: &ScenarioSpec) -> FleetPlan {
     FleetPlan {
         budget: Watts(spec.budget_w),
-        policy: policy.kind(),
         interval_ms: spec.interval_ms,
         epoch_intervals: u64::from(spec.epoch_intervals),
     }
@@ -287,6 +286,15 @@ impl<'a> ScenarioFleet<'a> {
             dt,
             conservation_ok: true,
         })
+    }
+
+    /// The allocator `kind` names over this fleet: no ceiling below the
+    /// lowest class floor or above the highest class PL1.
+    fn allocator(&self, kind: PolicyKind) -> Box<dyn AllocatorPolicy> {
+        let cfgs = || self.nodes.iter().map(|n| n.sim.cfg());
+        let floor = cfgs().fold(Watts(f64::INFINITY), |f, c| f.min(c.cap_floor));
+        let node_max = cfgs().fold(Watts(0.0), |m, c| m.max(c.pl1));
+        kind.allocator(floor, node_max)
     }
 
     /// The run's scorecard (baseline fields are filled by [`run_rows`]).
@@ -589,7 +597,8 @@ mod tests {
         let (spec, seed, policy) = (mini(), 42, PolicyChoice::DemandBased);
         let tel = Telemetry::enabled();
         let fleet = ScenarioFleet::new(&spec, seed, true, &tel).unwrap();
-        let mut sim = FleetSim::new(fleet, fleet_plan(&spec, policy), tel.clone()).unwrap();
+        let allocator = policy.kind().map(|kind| fleet.allocator(kind));
+        let mut sim = FleetSim::new(fleet, fleet_plan(&spec), allocator, tel.clone()).unwrap();
         let stats = sim.run().unwrap();
         let fleet = sim.into_model();
         // The last interval's intensity and the final backlogs.

@@ -126,8 +126,7 @@ fn dufpf_trace_shows_direct_frequency_descent() {
 
 #[test]
 fn cluster_composes_with_unmodified_dufp() {
-    use dufp_cluster::ClusterConfig;
-    use dufp_net::{run_cluster, PolicyKind};
+    use dufp_net::{run_cluster, ClusterConfig, PolicyKind};
     let out = run_cluster(&ClusterConfig::demo(21), PolicyKind::DemandBased).unwrap();
     // Every node finished, consumed sane power, and the final allocations
     // still sum within the budget.

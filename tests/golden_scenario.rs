@@ -28,8 +28,8 @@
 //!
 //! then review the regenerated files like any other diff.
 
-use dufp_cluster::{run_hetero, ClusterConfig, HeteroConfig, NodeSpec, SharePolicy};
-use dufp_net::{run_cluster, PolicyKind};
+use dufp_cluster::SharePolicy;
+use dufp_net::{run_cluster, run_hetero, ClusterConfig, HeteroConfig, NodeSpec, PolicyKind};
 use dufp_scenario::{run_one, run_rows, to_jsonl_bytes, PolicyChoice, ScenarioSpec};
 use dufp_sim::{SharedSocketCfg, SharedSocketSim, SharedStep};
 use dufp_telemetry::write_jsonl;
