@@ -9,8 +9,7 @@
 //! §III. `all_experiments` writes the table into `EXPERIMENTS.md`.
 
 use crate::report::markdown_table;
-use dufp_control::dufp::CapAction;
-use dufp_control::{ControlConfig, Controller, Dufp, HwActuators};
+use dufp_control::{Action, ControlConfig, Controller, Dufp, HwActuators};
 use dufp_counters::IntervalMetrics;
 use dufp_msr::registers::{
     PkgPowerLimit, RaplPowerUnit, UncoreRatioLimit, MSR_PKG_POWER_LIMIT, MSR_RAPL_POWER_UNIT,
@@ -113,7 +112,7 @@ fn metrics(t: u64, oi: f64, flops: f64, power: f64) -> IntervalMetrics {
 
 /// Drives a fresh DUFP into the requested state and returns the cap action
 /// of the decisive interval.
-fn probe(cfg: &ControlConfig, class: OiClass, case: DropCase) -> CapAction {
+fn probe(cfg: &ControlConfig, class: OiClass, case: DropCase) -> Action {
     let mut dufp = Dufp::new(cfg.clone());
     let mut act = rig(cfg);
     let base_flops = 1e11;
@@ -141,13 +140,13 @@ fn probe(cfg: &ControlConfig, class: OiClass, case: DropCase) -> CapAction {
     dufp.last_cap_action()
 }
 
-fn action_label(a: CapAction) -> &'static str {
+fn action_label(a: Action) -> &'static str {
     match a {
-        CapAction::None => "—",
-        CapAction::Decreased => "decrease cap (both constraints)",
-        CapAction::Increased => "increase cap",
-        CapAction::Reset => "reset cap",
-        CapAction::Hold => "hold",
+        Action::None => "—",
+        Action::Decreased => "decrease cap (both constraints)",
+        Action::Increased => "increase cap",
+        Action::Reset => "reset cap",
+        Action::Hold => "hold",
     }
 }
 
@@ -196,27 +195,27 @@ mod tests {
         let cfg = config();
         assert_eq!(
             probe(&cfg, OiClass::HighlyMemory, DropCase::Violating),
-            CapAction::Decreased,
+            Action::Decreased,
             "oi < 0.02: decrease regardless of FLOPS (§III)"
         );
         assert_eq!(
             probe(&cfg, OiClass::HighlyCompute, DropCase::Violating),
-            CapAction::Reset,
+            Action::Reset,
             "oi > 100: violation resets the cap outright (§III)"
         );
         assert_eq!(
             probe(&cfg, OiClass::Mixed, DropCase::Violating),
-            CapAction::Increased,
+            Action::Increased,
             "mixed: violation steps the cap back up (§III)"
         );
         assert_eq!(
             probe(&cfg, OiClass::Mixed, DropCase::AtBoundary),
-            CapAction::Hold,
+            Action::Hold,
             "equivalent to the slowdown: keep steady (§III)"
         );
         assert_eq!(
             probe(&cfg, OiClass::Memory, DropCase::Within),
-            CapAction::Decreased,
+            Action::Decreased,
             "within tolerance: keep decreasing (§III)"
         );
     }

@@ -159,18 +159,55 @@ impl ControlConfig {
         Ok(())
     }
 
-    /// The FLOPS/s floor implied by the tolerated slowdown for a per-phase
-    /// maximum of `max`.
-    #[inline]
-    pub fn performance_floor(&self, max: f64) -> f64 {
-        max * (1.0 - self.slowdown.value())
+    /// The tolerated slowdown the controllers act on: `slowdown`, or 0 %
+    /// when it is at or below `epsilon`. ε is the measurement error, so a
+    /// tolerance inside it is no tolerance at all; read literally, its hold
+    /// band `[s − ε, s]` would reach down to zero and a zero drop would
+    /// hold forever, so the controller would never step down.
+    pub(crate) fn tolerance(&self) -> f64 {
+        let s = self.slowdown.value();
+        if s > self.epsilon.value() {
+            s
+        } else {
+            0.0
+        }
     }
 
-    /// Half-width of the "equivalent" hold band around the floor.
-    #[inline]
-    pub fn band(&self, max: f64) -> f64 {
-        max * self.epsilon.value()
+    /// Sorts a relative performance drop against the tolerance `s` (DESIGN
+    /// §6 item 1): above `s` is a violation, `[s − ε, s]` is equivalent to
+    /// the slowdown within measurement error, anything less is within. At
+    /// 0 % the ε band itself is the violation threshold and nothing holds.
+    pub fn split(&self, drop: f64) -> Split {
+        let s = self.tolerance();
+        self.split_over(drop, if s > 0.0 { s } else { self.epsilon.value() })
     }
+
+    /// [`ControlConfig::split`] with the violation threshold at
+    /// `violated_above` instead of `s`; the hold band still starts at
+    /// `s − ε`. DNPC's degradation model violates above `s + ε`.
+    pub(crate) fn split_over(&self, drop: f64, violated_above: f64) -> Split {
+        let s = self.tolerance();
+        if drop > violated_above {
+            Split::Violated
+        } else if s > 0.0 && drop >= s - self.epsilon.value() {
+            Split::AtBoundary
+        } else {
+            Split::Within
+        }
+    }
+}
+
+/// Where a relative performance drop falls against the tolerated slowdown
+/// ([`ControlConfig::split`]). Ordered by severity, so the worse of two
+/// drops is the `max` of their splits.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Split {
+    /// Comfortably inside the tolerance: keep stepping down.
+    Within,
+    /// Equivalent to the tolerance within measurement error: hold.
+    AtBoundary,
+    /// Dropped by more than the tolerance: step back up.
+    Violated,
 }
 
 #[cfg(test)]
@@ -219,9 +256,30 @@ mod tests {
     }
 
     #[test]
-    fn performance_floor_scales() {
-        let c = ControlConfig::from_arch(&ArchSpec::yeti(), Ratio::from_percent(10.0)).unwrap();
-        assert!((c.performance_floor(100.0) - 90.0).abs() < 1e-9);
-        assert!((c.band(100.0) - 1.0).abs() < 1e-9);
+    fn split_edges() {
+        let at = |pct: f64| {
+            ControlConfig::from_arch(&ArchSpec::yeti(), Ratio::from_percent(pct)).unwrap()
+        };
+        // s = 0: ε is the violation threshold, nothing holds.
+        let c = at(0.0);
+        assert_eq!(c.split(0.0), Split::Within);
+        assert_eq!(c.split(0.01), Split::Within);
+        assert_eq!(c.split(0.0101), Split::Violated);
+        // s = ε reads as 0 %: a zero drop steps down instead of holding.
+        let c = at(1.0);
+        assert_eq!(c.tolerance(), 0.0);
+        assert_eq!(c.split(0.0), Split::Within);
+        assert_eq!(c.split(0.0101), Split::Violated);
+        assert_eq!(at(0.5).split(0.0), Split::Within);
+        // s = 10 %: the hold band is [s − ε, s], closed at both ends.
+        let c = at(10.0);
+        let (s, e) = (c.slowdown.value(), c.epsilon.value());
+        assert_eq!(c.split(s - e - 1e-6), Split::Within);
+        assert_eq!(c.split(s - e), Split::AtBoundary);
+        assert_eq!(c.split(s), Split::AtBoundary);
+        assert_eq!(c.split(s + 1e-6), Split::Violated);
+        // DNPC's model moves the violation edge to s + ε.
+        assert_eq!(c.split_over(s + e / 2.0, s + e), Split::AtBoundary);
+        assert_eq!(c.split_over(s + e + 1e-6, s + e), Split::Violated);
     }
 }

@@ -15,34 +15,21 @@
 //! "DUFP vs DNPC" section of `EXPERIMENTS.md` reproduces that comparison.
 
 use crate::actuators::Actuators;
-use crate::config::ControlConfig;
+use crate::config::{ControlConfig, Split};
+use crate::duf::{Action, Knob, Ladder};
 use crate::state::ControllerState;
 use crate::trace::TelState;
 use crate::Controller;
 use dufp_counters::IntervalMetrics;
 use dufp_telemetry::{Actuator, Reason, SocketTelemetry};
 use dufp_types::Result;
-use serde::{Deserialize, Serialize};
 
 /// The DNPC-style controller: cap only, frequency-linear degradation model.
 #[derive(Debug)]
 pub struct Dnpc {
     cfg: ControlConfig,
-    last_action: DnpcAction,
+    last_action: Action,
     tel: TelState,
-}
-
-/// What DNPC did this interval.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum DnpcAction {
-    /// No decision yet.
-    None,
-    /// Cap stepped down.
-    Decreased,
-    /// Cap stepped up (or reset at the default).
-    Increased,
-    /// Estimated degradation at the limit.
-    Hold,
 }
 
 impl Dnpc {
@@ -50,7 +37,7 @@ impl Dnpc {
     pub fn new(cfg: ControlConfig) -> Self {
         Dnpc {
             cfg,
-            last_action: DnpcAction::None,
+            last_action: Action::None,
             tel: TelState::default(),
         }
     }
@@ -61,8 +48,9 @@ impl Dnpc {
         self
     }
 
-    /// The most recent action.
-    pub fn last_action(&self) -> DnpcAction {
+    /// The most recent action; a reset at the default counts as
+    /// [`Action::Increased`].
+    pub fn last_action(&self) -> Action {
         self.last_action
     }
 
@@ -79,45 +67,31 @@ impl Controller for Dnpc {
 
     fn on_interval(&mut self, m: &IntervalMetrics, act: &mut dyn Actuators) -> Result<()> {
         let cap_before = act.cap_long();
-        let s = self.cfg.slowdown.value();
-        let e = self.cfg.epsilon.value();
         let est = self.estimated_degradation(m);
-
-        self.last_action = if est > s + e {
+        // DNPC's own model thresholds: raise past `s + ε`, hold down to
+        // `max(s − ε, 0)`. The tolerance reads through the shared rule, so
+        // one at or below ε is 0 % and has no hold band. DNPC has no probe
+        // memory: each interval steps through a fresh ladder.
+        let violated_above = self.cfg.tolerance() + self.cfg.epsilon.value();
+        self.last_action = match self.cfg.split_over(est, violated_above) {
             // Model says we are over budget: raise the cap.
-            let (default_long, _) = act.cap_defaults();
-            if act.cap_long() < default_long {
-                let next = act.cap_long() + self.cfg.cap_step;
-                if next >= default_long {
-                    act.reset_cap()?;
-                } else {
-                    act.set_cap_both(next)?;
-                }
-                DnpcAction::Increased
-            } else {
-                DnpcAction::Hold
-            }
-        } else if est >= (s - e).max(0.0) && s > 0.0 {
-            DnpcAction::Hold
-        } else {
+            Split::Violated => match Ladder::default().raise(Knob::Cap, &self.cfg, act)? {
+                Action::Hold => Action::Hold,
+                _ => Action::Increased,
+            },
+            Split::AtBoundary => Action::Hold,
             // Model says there is headroom: lower the cap.
-            let cur = act.cap_long();
-            if cur > self.cfg.cap_floor {
-                act.set_cap_both((cur - self.cfg.cap_step).max(self.cfg.cap_floor))?;
-                DnpcAction::Decreased
-            } else {
-                DnpcAction::Hold
-            }
+            Split::Within => Ladder::default().lower(Knob::Cap, &self.cfg, act)?,
         };
 
         if self.tel.is_enabled() {
             // Every DNPC move comes from the frequency-linear model; raises
             // are the model declaring the budget exceeded, drops are probes
             // into the headroom it predicts.
-            let why = match self.last_action {
-                DnpcAction::Increased => Reason::ModelEstimate,
-                DnpcAction::Decreased => Reason::Probe,
-                DnpcAction::None | DnpcAction::Hold => Reason::Probe,
+            let why = if self.last_action == Action::Increased {
+                Reason::ModelEstimate
+            } else {
+                Reason::Probe
             };
             self.tel.emit(
                 None,
@@ -182,7 +156,7 @@ mod tests {
         let mut d = Dnpc::new(c.clone());
         let mut a = MemActuators::new(c);
         d.on_interval(&m(2.8), &mut a).unwrap();
-        assert_eq!(d.last_action(), DnpcAction::Decreased);
+        assert_eq!(d.last_action(), Action::Decreased);
         assert_eq!(a.cap_long(), Watts(120.0));
     }
 
@@ -198,7 +172,7 @@ mod tests {
         d.on_interval(&m(2.8), &mut a).unwrap(); // 120 → 115
         assert_eq!(a.cap_long(), Watts(115.0));
         d.on_interval(&m(2.24), &mut a).unwrap(); // est 20 % > 11 %
-        assert_eq!(d.last_action(), DnpcAction::Increased);
+        assert_eq!(d.last_action(), Action::Increased);
         assert_eq!(a.cap_long(), Watts(120.0));
     }
 
@@ -217,13 +191,13 @@ mod tests {
         let mut a = MemActuators::new(c.clone());
         // est exactly 10 %: hold.
         d.on_interval(&m(2.52), &mut a).unwrap();
-        assert_eq!(d.last_action(), DnpcAction::Hold);
+        assert_eq!(d.last_action(), Action::Hold);
         // Decrease to the floor and stay there.
         for _ in 0..30 {
             d.on_interval(&m(2.8), &mut a).unwrap();
         }
         assert_eq!(a.cap_long(), c.cap_floor);
-        assert_eq!(d.last_action(), DnpcAction::Hold);
+        assert_eq!(d.last_action(), Action::Hold);
     }
 
     #[test]
@@ -237,6 +211,6 @@ mod tests {
         assert_eq!(a.cap_short(), Watts(150.0));
         // Already at default: hold.
         d.on_interval(&m(1.4), &mut a).unwrap();
-        assert_eq!(d.last_action(), DnpcAction::Hold);
+        assert_eq!(d.last_action(), Action::Hold);
     }
 }

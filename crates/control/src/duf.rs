@@ -1,52 +1,188 @@
 //! DUF — dynamic uncore frequency scaling (the paper's prior tool and the
-//! baseline of every figure).
+//! baseline of every figure) — and the step ladder every controller's
+//! knobs walk.
 //!
 //! Per monitoring interval (§II-C): on a phase change the uncore resets;
-//! otherwise, if FLOPS/s (or bandwidth — DUF guards bandwidth on *all*
-//! phases, unlike DUFP's cap logic, §III) dropped below the tolerated
-//! slowdown relative to the per-phase maximum, the uncore frequency is
-//! raised one step; if performance is comfortably within the tolerance the
-//! uncore keeps stepping down toward its minimum; inside the
-//! measurement-error band it holds.
+//! otherwise the FLOPS/s and bandwidth drops against the per-phase maxima
+//! (DUF guards bandwidth on *all* phases, unlike DUFP's cap logic, §III)
+//! go through [`ControlConfig::split`]: past the tolerated slowdown the
+//! uncore steps up one rung, inside the measurement-error band it holds,
+//! otherwise it keeps stepping down toward its minimum.
+//!
+//! DUFP "uses the same algorithm as DUF when it comes to uncore frequency"
+//! (§I), and its cap and DUFP-F's core frequency follow the same rule. All
+//! three step through a [`Ladder`]: one rung up on a violation, one rung
+//! down unless the probe memory (DESIGN §6 item 2) blocks it.
 
 use crate::actuators::Actuators;
-use crate::config::ControlConfig;
+use crate::config::{ControlConfig, Split};
 use crate::phase::{PhaseEvent, PhaseTracker};
 use crate::state::{ControllerState, UncoreLogicState};
 use crate::trace::TelState;
 use crate::Controller;
 use dufp_counters::IntervalMetrics;
 use dufp_telemetry::{Actuator, Reason, SocketTelemetry};
-use dufp_types::{Hertz, Result};
+use dufp_types::{Hertz, Result, Watts};
 use serde::{Deserialize, Serialize};
 
-/// What the uncore logic did this interval.
+/// What a controller did to one knob this interval.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum UncoreAction {
-    /// No decision yet (first interval) or nothing to do.
+pub enum Action {
+    /// No decision yet (first interval).
     None,
-    /// Stepped the uncore down.
+    /// Stepped the knob down.
     Decreased,
-    /// Stepped the uncore up.
+    /// Stepped the knob up.
     Increased,
-    /// Reset to the maximum (phase change).
+    /// Restored the knob's default.
     Reset,
-    /// Inside the measurement-error band.
+    /// Held steady.
     Hold,
 }
 
-/// The uncore decision engine, shared verbatim between DUF and DUFP
-/// ("DUFP uses the same algorithm as DUF when it comes to uncore
+/// A knob's step ladder: it raises the knob one rung on a violation and
+/// lowers it one rung otherwise, and holds its probe memory. After a
+/// violation forces the knob back up, it does not probe below that level
+/// again for [`ControlConfig::reprobe_intervals`] intervals, so it does not
+/// oscillate across the violation boundary every other interval.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+pub struct Ladder {
+    /// Level a violation raised the knob to, if any.
+    pub probe_floor: Option<f64>,
+    /// Intervals since the last violation (the re-probe clock).
+    pub since_violation: u32,
+}
+
+/// A knob a [`Ladder`] steps.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Knob {
+    /// The pinned uncore frequency.
+    Uncore,
+    /// DUFP-F's core-frequency request.
+    CoreFreq,
+    /// Both RAPL constraints.
+    Cap,
+}
+
+impl Knob {
+    /// `(bottom, top, step, tolerance)`: the knob's range, its rung, and
+    /// how far below the probe floor a level must be to count as below it.
+    fn rungs(self, cfg: &ControlConfig, act: &dyn Actuators) -> (f64, f64, f64, f64) {
+        match self {
+            Knob::Uncore => (
+                cfg.uncore_min.value(),
+                cfg.uncore_max.value(),
+                cfg.uncore_step.value(),
+                1.0,
+            ),
+            Knob::CoreFreq => (
+                cfg.core_freq_min.value(),
+                cfg.core_freq_max.value(),
+                cfg.core_freq_step.value(),
+                1.0,
+            ),
+            Knob::Cap => (
+                cfg.cap_floor.value(),
+                act.cap_defaults().0.value(),
+                cfg.cap_step.value(),
+                0.1,
+            ),
+        }
+    }
+
+    fn level(self, act: &dyn Actuators) -> f64 {
+        match self {
+            Knob::Uncore => act.uncore().value(),
+            Knob::CoreFreq => act.core_freq_cap().value(),
+            Knob::Cap => act.cap_long().value(),
+        }
+    }
+
+    fn set(self, act: &mut dyn Actuators, level: f64) -> Result<()> {
+        match self {
+            Knob::Uncore => act.set_uncore(Hertz(level)),
+            Knob::CoreFreq => act.set_core_freq_cap(Hertz(level)),
+            Knob::Cap => act.set_cap_both(Watts(level)),
+        }
+    }
+}
+
+impl Ladder {
+    /// Advances the re-probe clock by one interval.
+    pub(crate) fn tick(&mut self) {
+        self.since_violation = self.since_violation.saturating_add(1);
+    }
+
+    /// A violation: restarts the re-probe clock and steps `knob` one rung
+    /// up, remembering the new level as the probe floor. At its top the
+    /// knob holds, its clock restarted all the same (DUFP therefore raises
+    /// the cap only below its default). The cap resets instead once the
+    /// step reaches its default
+    /// ("if the value reached by the long term constraint is equal to its
+    /// default value, the power cap is reset", §III).
+    pub(crate) fn raise(
+        &mut self,
+        knob: Knob,
+        cfg: &ControlConfig,
+        act: &mut dyn Actuators,
+    ) -> Result<Action> {
+        self.since_violation = 0;
+        let (_, top, step, _) = knob.rungs(cfg, act);
+        let cur = knob.level(act);
+        if cur >= top {
+            return Ok(Action::Hold);
+        }
+        let up = cur + step;
+        let (action, level) = if knob == Knob::Cap && up >= top {
+            act.reset_cap()?;
+            (Action::Reset, top)
+        } else {
+            knob.set(act, up)?;
+            (Action::Increased, up)
+        };
+        self.probe_floor = Some(level);
+        Ok(action)
+    }
+
+    /// Steps `knob` one rung down, unless it is at its bottom or the probe
+    /// floor blocks it. Once the re-probe window has passed the floor is
+    /// forgotten and the knob feels for the boundary again. Only the cap
+    /// clamps to its bottom; the frequency ladders are step-aligned.
+    pub(crate) fn lower(
+        &mut self,
+        knob: Knob,
+        cfg: &ControlConfig,
+        act: &mut dyn Actuators,
+    ) -> Result<Action> {
+        let (bottom, _, step, tolerance) = knob.rungs(cfg, act);
+        let cur = knob.level(act);
+        if cur <= bottom {
+            return Ok(Action::Hold);
+        }
+        let mut down = cur - step;
+        if knob == Knob::Cap {
+            down = down.max(bottom);
+        }
+        if self.probe_floor.is_some_and(|fl| down < fl - tolerance) {
+            if self.since_violation < cfg.reprobe_intervals {
+                return Ok(Action::Hold);
+            }
+            self.probe_floor = None;
+        }
+        knob.set(act, down)?;
+        Ok(Action::Decreased)
+    }
+}
+
+/// The uncore decision engine, shared verbatim between DUF, DUFP and
+/// DUFP-F ("DUFP uses the same algorithm as DUF when it comes to uncore
 /// frequency", §I).
 #[derive(Debug, Clone)]
 pub struct UncoreLogic {
     cfg: ControlConfig,
     /// The action taken on the most recent interval.
-    pub last_action: UncoreAction,
-    /// Frequency a violation forced us back up to; probing below it is
-    /// blocked until [`ControlConfig::reprobe_intervals`] pass.
-    probe_floor: Option<f64>,
-    intervals_since_violation: u32,
+    pub last_action: Action,
+    ladder: Ladder,
 }
 
 impl UncoreLogic {
@@ -54,9 +190,8 @@ impl UncoreLogic {
     pub fn new(cfg: ControlConfig) -> Self {
         UncoreLogic {
             cfg,
-            last_action: UncoreAction::None,
-            probe_floor: None,
-            intervals_since_violation: 0,
+            last_action: Action::None,
+            ladder: Ladder::default(),
         }
     }
 
@@ -64,20 +199,19 @@ impl UncoreLogic {
     pub fn state(&self) -> UncoreLogicState {
         UncoreLogicState {
             last_action: self.last_action,
-            probe_floor: self.probe_floor,
-            intervals_since_violation: self.intervals_since_violation,
+            ladder: self.ladder,
         }
     }
 
     /// Restores a snapshot taken by [`UncoreLogic::state`].
     pub fn restore(&mut self, s: &UncoreLogicState) {
         self.last_action = s.last_action;
-        self.probe_floor = s.probe_floor;
-        self.intervals_since_violation = s.intervals_since_violation;
+        self.ladder = s.ladder;
     }
 
-    /// Decides and actuates for one interval. `event` must come from the
-    /// shared phase tracker *after* observing `m`.
+    /// Decides and actuates for one interval, returning the action and its
+    /// trace reason. `event` must come from the shared phase tracker
+    /// *after* observing `m`.
     ///
     /// `suppress_violation` tells the engine that another actuator (DUFP's
     /// power cap) moved last interval and is the likely cause of any
@@ -90,72 +224,44 @@ impl UncoreLogic {
         m: &IntervalMetrics,
         act: &mut dyn Actuators,
         suppress_violation: bool,
-    ) -> Result<UncoreAction> {
-        let action = match event {
-            PhaseEvent::First => UncoreAction::None,
+    ) -> Result<(Action, Reason)> {
+        let (action, why) = match event {
+            PhaseEvent::First => (Action::None, Reason::Probe),
             PhaseEvent::Changed => {
                 act.reset_uncore()?;
-                self.probe_floor = None;
-                self.intervals_since_violation = 0;
-                UncoreAction::Reset
+                self.ladder = Ladder::default();
+                (Action::Reset, Reason::PhaseReset)
             }
             PhaseEvent::Continued => {
-                // Relative performance drops vs. the per-phase maxima; DUF
-                // guards both FLOPS/s and bandwidth on every phase.
-                let drop_f = relative_drop(m.flops.value(), tracker.max_flops);
-                let drop_b = relative_drop(m.bandwidth.value(), tracker.max_bandwidth);
-                let s = self.cfg.slowdown.value();
-                let e = self.cfg.epsilon.value();
-
-                // Three-way split per §II-C / §III: dropped by more than
-                // the tolerated slowdown → raise; "equivalent to the
-                // slowdown" (within the measurement-error band below the
-                // boundary) → hold; otherwise keep stepping down. At 0 %
-                // tolerance the measurement-error band itself is the
-                // violation threshold.
-                let threshold = if s > 0.0 { s } else { e };
-                let violating = drop_f > threshold || drop_b > threshold;
-                let at_boundary = s > 0.0 && (drop_f >= s - e || drop_b >= s - e);
-
-                self.intervals_since_violation = self.intervals_since_violation.saturating_add(1);
-                if violating && suppress_violation {
+                // DUF guards both FLOPS/s and bandwidth on every phase; the
+                // worse of the two drops decides.
+                let flops = self
+                    .cfg
+                    .split(relative_drop(m.flops.value(), tracker.max_flops));
+                let bandwidth = self
+                    .cfg
+                    .split(relative_drop(m.bandwidth.value(), tracker.max_bandwidth));
+                let why = if flops == Split::Violated {
+                    Reason::SlowdownViolation
+                } else {
+                    Reason::BandwidthViolation
+                };
+                self.ladder.tick();
+                match flops.max(bandwidth) {
                     // The cap moved last interval: let the cap logic fix
                     // its own damage instead of burning uncore headroom.
-                    UncoreAction::Hold
-                } else if violating {
-                    let cur = act.uncore();
-                    self.intervals_since_violation = 0;
-                    if cur < self.cfg.uncore_max {
-                        let raised = Hertz(cur.value() + self.cfg.uncore_step.value());
-                        act.set_uncore(raised)?;
-                        self.probe_floor = Some(raised.value());
-                        UncoreAction::Increased
-                    } else {
-                        UncoreAction::Hold
-                    }
-                } else if at_boundary {
-                    UncoreAction::Hold
-                } else {
-                    let cur = act.uncore();
-                    let next = cur.value() - self.cfg.uncore_step.value();
-                    let blocked = self.probe_floor.is_some_and(|fl| next < fl - 1.0)
-                        && self.intervals_since_violation < self.cfg.reprobe_intervals;
-                    if cur > self.cfg.uncore_min && !blocked {
-                        if self.probe_floor.is_some_and(|fl| next < fl - 1.0) {
-                            // Re-probe window reached: forget the floor and
-                            // feel for the boundary again.
-                            self.probe_floor = None;
-                        }
-                        act.set_uncore(Hertz(next))?;
-                        UncoreAction::Decreased
-                    } else {
-                        UncoreAction::Hold
-                    }
+                    Split::Violated if suppress_violation => (Action::Hold, why),
+                    Split::Violated => (self.ladder.raise(Knob::Uncore, &self.cfg, act)?, why),
+                    Split::AtBoundary => (Action::Hold, Reason::Probe),
+                    Split::Within => (
+                        self.ladder.lower(Knob::Uncore, &self.cfg, act)?,
+                        Reason::Probe,
+                    ),
                 }
             }
         };
         self.last_action = action;
-        Ok(action)
+        Ok((action, why))
     }
 }
 
@@ -166,33 +272,6 @@ pub(crate) fn relative_drop(value: f64, max: f64) -> f64 {
         (1.0 - value / max).max(0.0)
     } else {
         0.0
-    }
-}
-
-/// Why the uncore logic moved (trace reason for an [`UncoreAction`]).
-///
-/// `Increased` means a violation: slowdown when the FLOPS/s drop crossed
-/// the threshold (the same comparison `decide` made), bandwidth otherwise.
-pub(crate) fn uncore_trace_reason(
-    action: UncoreAction,
-    m: &IntervalMetrics,
-    tracker: &PhaseTracker,
-    cfg: &ControlConfig,
-) -> Option<Reason> {
-    match action {
-        UncoreAction::Reset => Some(Reason::PhaseReset),
-        UncoreAction::Increased => {
-            let s = cfg.slowdown.value();
-            let threshold = if s > 0.0 { s } else { cfg.epsilon.value() };
-            let drop_f = relative_drop(m.flops.value(), tracker.max_flops);
-            Some(if drop_f > threshold {
-                Reason::SlowdownViolation
-            } else {
-                Reason::BandwidthViolation
-            })
-        }
-        UncoreAction::Decreased => Some(Reason::Probe),
-        UncoreAction::None | UncoreAction::Hold => None,
     }
 }
 
@@ -221,7 +300,7 @@ impl Duf {
     }
 
     /// The most recent uncore action (for tests and traces).
-    pub fn last_action(&self) -> UncoreAction {
+    pub fn last_action(&self) -> Action {
         self.logic.last_action
     }
 }
@@ -237,19 +316,15 @@ impl Controller for Duf {
         if event == PhaseEvent::Changed {
             self.tel.phase_seq += 1;
         }
-        let action = self.logic.decide(event, &self.tracker, m, act, false)?;
-        if self.tel.is_enabled() {
-            if let Some(reason) = uncore_trace_reason(action, m, &self.tracker, &self.logic.cfg) {
-                self.tel.emit(
-                    Some(&self.tracker),
-                    m,
-                    Actuator::Uncore,
-                    uncore_before.value(),
-                    act.uncore().value(),
-                    reason,
-                );
-            }
-        }
+        let (_, why) = self.logic.decide(event, &self.tracker, m, act, false)?;
+        self.tel.emit(
+            Some(&self.tracker),
+            m,
+            Actuator::Uncore,
+            uncore_before.value(),
+            act.uncore().value(),
+            why,
+        );
         self.tel.tick += 1;
         Ok(())
     }
@@ -315,7 +390,7 @@ mod tests {
             duf.on_interval(&m(1e11, 5e10), &mut act).unwrap();
         }
         assert_eq!(act.uncore(), c.uncore_min);
-        assert_eq!(duf.last_action(), UncoreAction::Hold);
+        assert_eq!(duf.last_action(), Action::Hold);
     }
 
     #[test]
@@ -328,7 +403,7 @@ mod tests {
         assert_eq!(act.uncore(), Hertz::from_ghz(2.3));
         // FLOPS drop 8 % — beyond the 5 % tolerance.
         duf.on_interval(&m(0.92e11, 4.6e10), &mut act).unwrap();
-        assert_eq!(duf.last_action(), UncoreAction::Increased);
+        assert_eq!(duf.last_action(), Action::Increased);
         assert_eq!(act.uncore(), Hertz::from_ghz(2.4));
     }
 
@@ -343,7 +418,7 @@ mod tests {
         let down = act.uncore();
         // FLOPS fine, bandwidth down 10 %.
         duf.on_interval(&m(1e10, 7.2e10), &mut act).unwrap();
-        assert_eq!(duf.last_action(), UncoreAction::Increased);
+        assert_eq!(duf.last_action(), Action::Increased);
         assert!(act.uncore() > down);
     }
 
@@ -355,7 +430,7 @@ mod tests {
         duf.on_interval(&m(1e11, 5e10), &mut act).unwrap();
         // Exactly at the 5 % floor: inside the ±1 % band → hold.
         duf.on_interval(&m(0.95e11, 4.75e10), &mut act).unwrap();
-        assert_eq!(duf.last_action(), UncoreAction::Hold);
+        assert_eq!(duf.last_action(), Action::Hold);
         assert_eq!(act.uncore(), c.uncore_max);
     }
 
@@ -370,7 +445,7 @@ mod tests {
         assert!(act.uncore() < c.uncore_max);
         // Flip to a CPU-intensive interval (oi ≥ 1).
         duf.on_interval(&m(2e11, 5e10), &mut act).unwrap();
-        assert_eq!(duf.last_action(), UncoreAction::Reset);
+        assert_eq!(duf.last_action(), Action::Reset);
         assert_eq!(act.uncore(), c.uncore_max);
     }
 
@@ -391,6 +466,34 @@ mod tests {
             assert!(act.uncore() <= c.uncore_max);
         }
         assert_eq!(act.uncore(), c.uncore_max);
+    }
+
+    #[test]
+    fn ladder_blocks_probing_below_a_violation_until_the_reprobe_window() {
+        let c = cfg(5.0);
+        let mut act = MemActuators::new(c.clone());
+        act.set_uncore(Hertz::from_ghz(2.0)).unwrap();
+        let low = act.uncore();
+        let mut ladder = Ladder::default();
+        assert_eq!(
+            ladder.raise(Knob::Uncore, &c, &mut act).unwrap(),
+            Action::Increased
+        );
+        assert_eq!(ladder.probe_floor, Some(act.uncore().value()));
+        for _ in 1..c.reprobe_intervals {
+            ladder.tick();
+            assert_eq!(
+                ladder.lower(Knob::Uncore, &c, &mut act).unwrap(),
+                Action::Hold
+            );
+        }
+        ladder.tick();
+        assert_eq!(
+            ladder.lower(Knob::Uncore, &c, &mut act).unwrap(),
+            Action::Decreased
+        );
+        assert_eq!(ladder.probe_floor, None, "the window passed: forget it");
+        assert_eq!(act.uncore(), low);
     }
 
     #[test]

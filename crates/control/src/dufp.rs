@@ -2,7 +2,9 @@
 //! (the paper's contribution, §III and Fig. 2).
 //!
 //! The uncore side is DUF verbatim ([`crate::duf::UncoreLogic`]); this
-//! module adds the cap state machine:
+//! module adds the cap state machine, which steps the cap through the same
+//! [`crate::duf::Ladder`] and reads drops through the same
+//! [`ControlConfig::split`]:
 //!
 //! * **Phase change** → reset the cap (both constraints to their
 //!   defaults); then coupling 2: read the uncore back and retry the reset
@@ -27,8 +29,8 @@
 //!   the real bottleneck).
 
 use crate::actuators::Actuators;
-use crate::config::ControlConfig;
-use crate::duf::{relative_drop, uncore_trace_reason, UncoreAction, UncoreLogic};
+use crate::config::{ControlConfig, Split};
+use crate::duf::{relative_drop, Action, Knob, Ladder, UncoreLogic};
 use crate::phase::{PhaseEvent, PhaseTracker};
 use crate::state::ControllerState;
 use crate::trace::TelState;
@@ -36,22 +38,6 @@ use crate::Controller;
 use dufp_counters::IntervalMetrics;
 use dufp_telemetry::{Actuator, Reason, SocketTelemetry};
 use dufp_types::Result;
-use serde::{Deserialize, Serialize};
-
-/// What the cap logic did this interval (trace/test visibility).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum CapAction {
-    /// No decision yet.
-    None,
-    /// Stepped both constraints down.
-    Decreased,
-    /// Stepped the cap up.
-    Increased,
-    /// Restored both constraints to defaults.
-    Reset,
-    /// Held steady.
-    Hold,
-}
 
 /// The DUFP controller.
 #[derive(Debug)]
@@ -59,13 +45,9 @@ pub struct Dufp {
     cfg: ControlConfig,
     tracker: PhaseTracker,
     uncore: UncoreLogic,
-    last_cap_action: CapAction,
+    last_cap_action: Action,
     prev_flops: Option<f64>,
-    prev_uncore_action: UncoreAction,
-    /// Cap level a violation forced us back up to; probing below it is
-    /// blocked until [`ControlConfig::reprobe_intervals`] pass.
-    cap_probe_floor: Option<f64>,
-    intervals_since_cap_violation: u32,
+    cap: Ladder,
     /// Cumulative FLOPs observed (for the §V-G cumulative guard).
     cumulative_flops: f64,
     /// Cumulative FLOPs a run at each phase's maximum would have retired.
@@ -80,11 +62,9 @@ impl Dufp {
             uncore: UncoreLogic::new(cfg.clone()),
             cfg,
             tracker: PhaseTracker::new(),
-            last_cap_action: CapAction::None,
+            last_cap_action: Action::None,
             prev_flops: None,
-            prev_uncore_action: UncoreAction::None,
-            cap_probe_floor: None,
-            intervals_since_cap_violation: 0,
+            cap: Ladder::default(),
             cumulative_flops: 0.0,
             cumulative_reference: 0.0,
             tel: TelState::default(),
@@ -108,12 +88,12 @@ impl Dufp {
     }
 
     /// The most recent cap action.
-    pub fn last_cap_action(&self) -> CapAction {
+    pub fn last_cap_action(&self) -> Action {
         self.last_cap_action
     }
 
     /// The most recent uncore action.
-    pub fn last_uncore_action(&self) -> UncoreAction {
+    pub fn last_uncore_action(&self) -> Action {
         self.uncore.last_action
     }
 
@@ -129,44 +109,106 @@ impl Dufp {
         Ok(())
     }
 
-    fn cap_decrease(&mut self, act: &mut dyn Actuators) -> Result<CapAction> {
-        let cur = act.cap_long();
-        if cur <= self.cfg.cap_floor {
-            return Ok(CapAction::Hold);
-        }
-        let next = (cur - self.cfg.cap_step).max(self.cfg.cap_floor);
-        let blocked = self
-            .cap_probe_floor
-            .is_some_and(|fl| next.value() < fl - 0.1)
-            && self.intervals_since_cap_violation < self.cfg.reprobe_intervals;
-        if blocked {
-            return Ok(CapAction::Hold);
-        }
-        if self
-            .cap_probe_floor
-            .is_some_and(|fl| next.value() < fl - 0.1)
+    /// The cap decision of a `Continued` interval. `uncore_before` is the
+    /// uncore action of the previous interval.
+    fn cap_decide(
+        &mut self,
+        m: &IntervalMetrics,
+        act: &mut dyn Actuators,
+        uncore_before: Action,
+    ) -> Result<(Action, Reason)> {
+        self.cap.tick();
+        let below_default = act.cap_long() < act.cap_defaults().0;
+        // §V-G: reserve part of the slowdown budget for hidden,
+        // counter-invisible slowdown (LAMMPS' aliased bursts): once the
+        // *cumulative* FLOPS deficit eats 75 % of the tolerance, stop
+        // capping deeper and step back up.
+        let guard_threshold = (self.cfg.tolerance() * 0.75).max(self.cfg.epsilon.value());
+        if self.cfg.cumulative_guard && self.cumulative_deficit() > guard_threshold && below_default
         {
-            // Re-probe window reached: feel for the boundary again.
-            self.cap_probe_floor = None;
+            let action = self.cap.raise(Knob::Cap, &self.cfg, act)?;
+            return Ok((action, Reason::CumulativeGuard));
         }
-        act.set_cap_both(next)?;
-        Ok(CapAction::Decreased)
-    }
 
-    fn cap_increase(&mut self, act: &mut dyn Actuators) -> Result<CapAction> {
-        let (default_long, _) = act.cap_defaults();
-        let next = act.cap_long() + self.cfg.cap_step;
-        self.intervals_since_cap_violation = 0;
-        self.cap_probe_floor = Some(next.value().min(default_long.value()));
-        if next >= default_long {
-            // "if the value reached by the long term constraint is equal to
-            // its default value, the power cap is reset" (§III).
+        // §IV-D: a just-written cap needs time to bite; if measured power
+        // still exceeds the programmed cap, reset it.
+        if self.cfg.overshoot_reset
+            && m.pkg_power > act.cap_long() + self.cfg.overshoot_margin
+            && below_default
+        {
             act.reset_cap()?;
-            Ok(CapAction::Reset)
-        } else {
-            act.set_cap_both(next)?;
-            Ok(CapAction::Increased)
+            return Ok((Action::Reset, Reason::Overshoot));
         }
+        if self.last_cap_action == Action::Reset
+            && m.pkg_power < act.cap_long()
+            && act.cap_short() > act.cap_long()
+        {
+            // Post-reset bookkeeping: power already under the cap → pull
+            // the short-term constraint down to the long-term value (§III,
+            // last paragraph). This is the interval's whole cap action.
+            act.set_cap_short(act.cap_long())?;
+            return Ok((Action::Hold, Reason::PostResetTrim));
+        }
+
+        let flops = self
+            .cfg
+            .split(relative_drop(m.flops.value(), self.tracker.max_flops));
+        // Coupling 1: the uncore went up last interval but FLOPS/s did not
+        // improve → the cap was the bottleneck. Applies "even if the
+        // FLOPS/s are still within the tolerated slowdown" (§III) — i.e.
+        // only there; outright violations go through the regular paths.
+        let e = self.cfg.epsilon.value();
+        let uncore_increase_failed = self.cfg.coupling1
+            && uncore_before == Action::Increased
+            && flops != Split::Violated
+            && self
+                .prev_flops
+                .is_some_and(|p| m.flops.value() <= p * (1.0 + e));
+        if uncore_increase_failed && below_default {
+            let action = self.cap.raise(Knob::Cap, &self.cfg, act)?;
+            return Ok((action, Reason::CrossCoupling));
+        }
+
+        let oi = self.tracker.last_oi;
+        if oi < self.cfg.oi_highly_memory {
+            // Highly memory-intensive: free to cap to the floor.
+            return Ok((self.cap.lower(Knob::Cap, &self.cfg, act)?, Reason::Probe));
+        }
+        // Highly compute-intensive phases guard bandwidth too, and a
+        // violation resets the cap outright instead of stepping it. Only
+        // the cap resets here — the uncore keeps its own state (decisions
+        // are taken separately, §III).
+        let compute = oi > self.cfg.oi_highly_compute;
+        let bandwidth_violated = compute
+            && self.cfg.split(relative_drop(
+                m.bandwidth.value(),
+                self.tracker.max_bandwidth,
+            )) == Split::Violated;
+        Ok(if flops == Split::Violated || bandwidth_violated {
+            let why = if flops == Split::Violated {
+                Reason::SlowdownViolation
+            } else {
+                Reason::BandwidthViolation
+            };
+            // Reverse attribution: if the *uncore* stepped down last
+            // interval (its periodic probe below the recorded boundary), a
+            // dip this interval is the uncore's doing — the uncore logic
+            // will raise it back itself; the cap must not react. At its
+            // default the cap has nothing to give back either.
+            let action = if uncore_before == Action::Decreased || !below_default {
+                Action::Hold
+            } else if compute {
+                act.reset_cap()?;
+                Action::Reset
+            } else {
+                self.cap.raise(Knob::Cap, &self.cfg, act)?
+            };
+            (action, why)
+        } else if flops == Split::AtBoundary {
+            (Action::Hold, Reason::Probe)
+        } else {
+            (self.cap.lower(Knob::Cap, &self.cfg, act)?, Reason::Probe)
+        })
     }
 }
 
@@ -197,145 +239,32 @@ impl Controller for Dufp {
             && m.core_freq.value() < self.cfg.core_freq_max.value() * 0.98;
         // Also suppress for one interval after the cap moved back up: the
         // interval straddling the raise still carries throttled FLOPS.
-        let cap_recovering = matches!(
-            self.last_cap_action,
-            CapAction::Reset | CapAction::Increased
-        );
-        self.uncore
-            .decide(event, &self.tracker, m, act, cap_binding || cap_recovering)?;
+        let cap_recovering = matches!(self.last_cap_action, Action::Reset | Action::Increased);
+        let (_, uncore_why) =
+            self.uncore
+                .decide(event, &self.tracker, m, act, cap_binding || cap_recovering)?;
 
-        // Each branch pairs its action with the trace reason for it; the
+        // Each decision pairs its action with the trace reason for it; the
         // reason only reaches the recorder when the cap actually moved.
-        let (cap_action, cap_reason) = 'cap: {
-            match event {
-                PhaseEvent::First => (CapAction::None, Reason::Probe),
-                PhaseEvent::Changed => {
-                    self.reset_both_coupling(act)?;
-                    self.cap_probe_floor = None;
-                    self.intervals_since_cap_violation = 0;
-                    (CapAction::Reset, Reason::PhaseReset)
-                }
-                PhaseEvent::Continued => {
-                    self.intervals_since_cap_violation =
-                        self.intervals_since_cap_violation.saturating_add(1);
-                    let s = self.cfg.slowdown.value();
-                    // §V-G: reserve part of the slowdown budget for hidden,
-                    // counter-invisible slowdown (LAMMPS' aliased bursts): once
-                    // the *cumulative* FLOPS deficit eats 75 % of the
-                    // tolerance, stop capping deeper and step back up.
-                    let guard_threshold = (s * 0.75).max(self.cfg.epsilon.value());
-                    if self.cfg.cumulative_guard
-                        && self.cumulative_deficit() > guard_threshold
-                        && act.cap_long() < act.cap_defaults().0
-                    {
-                        let action = self.cap_increase(act)?;
-                        break 'cap (action, Reason::CumulativeGuard);
-                    }
-                    let e = self.cfg.epsilon.value();
-                    let drop_f = relative_drop(m.flops.value(), self.tracker.max_flops);
-                    let drop_b = relative_drop(m.bandwidth.value(), self.tracker.max_bandwidth);
-                    let oi = self.tracker.last_oi;
-
-                    // §IV-D: a just-written cap needs time to bite; if measured
-                    // power still exceeds the programmed cap, reset it.
-                    if self.cfg.overshoot_reset
-                        && m.pkg_power > act.cap_long() + self.cfg.overshoot_margin
-                        && act.cap_long() < act.cap_defaults().0
-                    {
-                        act.reset_cap()?;
-                        (CapAction::Reset, Reason::Overshoot)
-                    } else if self.last_cap_action == CapAction::Reset
-                        && m.pkg_power < act.cap_long()
-                        && act.cap_short() > act.cap_long()
-                    {
-                        // Post-reset bookkeeping: power already under the cap →
-                        // pull the short-term constraint down to the long-term
-                        // value (§III, last paragraph). This is the interval's
-                        // whole cap action.
-                        act.set_cap_short(act.cap_long())?;
-                        (CapAction::Hold, Reason::PostResetTrim)
-                    } else {
-                        // Coupling 1: the uncore went up last interval but
-                        // FLOPS/s did not improve → the cap was the bottleneck.
-                        // Applies "even if the FLOPS/s are still within the
-                        // tolerated slowdown" (§III) — i.e. only there; outright
-                        // violations go through the regular paths below.
-                        let within = drop_f <= if s > 0.0 { s } else { e };
-                        let uncore_increase_failed = self.cfg.coupling1
-                            && uncore_action_before == UncoreAction::Increased
-                            && within
-                            && self
-                                .prev_flops
-                                .is_some_and(|p| m.flops.value() <= p * (1.0 + e));
-
-                        // Reverse attribution: if the *uncore* stepped down
-                        // last interval (its periodic probe below the recorded
-                        // boundary), a FLOPS/s dip this interval is the
-                        // uncore's doing — the uncore logic will raise it back
-                        // itself; the cap must not react.
-                        let uncore_probed = uncore_action_before == UncoreAction::Decreased;
-
-                        if uncore_increase_failed && act.cap_long() < act.cap_defaults().0 {
-                            (self.cap_increase(act)?, Reason::CrossCoupling)
-                        } else if oi > self.cfg.oi_highly_compute {
-                            // Highly compute-intensive: reset on any violation
-                            // of FLOPS/s or bandwidth, else keep decreasing.
-                            // Only the cap resets here — the uncore keeps its
-                            // own state (decisions are taken separately, §III).
-                            let threshold = if s > 0.0 { s } else { e };
-                            if drop_f > threshold || drop_b > threshold {
-                                let why = if drop_f > threshold {
-                                    Reason::SlowdownViolation
-                                } else {
-                                    Reason::BandwidthViolation
-                                };
-                                if uncore_probed {
-                                    (CapAction::Hold, why)
-                                } else if act.cap_long() < act.cap_defaults().0 {
-                                    act.reset_cap()?;
-                                    (CapAction::Reset, why)
-                                } else {
-                                    (CapAction::Hold, why)
-                                }
-                            } else if s > 0.0 && drop_f >= s - e {
-                                (CapAction::Hold, Reason::Probe)
-                            } else {
-                                (self.cap_decrease(act)?, Reason::Probe)
-                            }
-                        } else if oi < self.cfg.oi_highly_memory {
-                            // Highly memory-intensive: free to cap to the floor.
-                            (self.cap_decrease(act)?, Reason::Probe)
-                        } else if drop_f > if s > 0.0 { s } else { e } {
-                            if uncore_probed {
-                                (CapAction::Hold, Reason::SlowdownViolation)
-                            } else if act.cap_long() < act.cap_defaults().0 {
-                                (self.cap_increase(act)?, Reason::SlowdownViolation)
-                            } else {
-                                (CapAction::Hold, Reason::SlowdownViolation)
-                            }
-                        } else if s > 0.0 && drop_f >= s - e {
-                            (CapAction::Hold, Reason::Probe)
-                        } else {
-                            (self.cap_decrease(act)?, Reason::Probe)
-                        }
-                    }
-                }
+        let (cap_action, cap_reason) = match event {
+            PhaseEvent::First => (Action::None, Reason::Probe),
+            PhaseEvent::Changed => {
+                self.reset_both_coupling(act)?;
+                self.cap = Ladder::default();
+                (Action::Reset, Reason::PhaseReset)
             }
+            PhaseEvent::Continued => self.cap_decide(m, act, uncore_action_before)?,
         };
 
         if self.tel.is_enabled() {
-            if let Some(why) =
-                uncore_trace_reason(self.uncore.last_action, m, &self.tracker, &self.cfg)
-            {
-                self.tel.emit(
-                    Some(&self.tracker),
-                    m,
-                    Actuator::Uncore,
-                    uncore_before.value(),
-                    act.uncore().value(),
-                    why,
-                );
-            }
+            self.tel.emit(
+                Some(&self.tracker),
+                m,
+                Actuator::Uncore,
+                uncore_before.value(),
+                act.uncore().value(),
+                uncore_why,
+            );
             let long_now = act.cap_long();
             let short_now = act.cap_short();
             self.tel.emit(
@@ -362,7 +291,6 @@ impl Controller for Dufp {
         self.tel.tick += 1;
 
         self.last_cap_action = cap_action;
-        self.prev_uncore_action = uncore_action_before;
         self.prev_flops = Some(m.flops.value());
         Ok(())
     }
@@ -373,9 +301,7 @@ impl Controller for Dufp {
             uncore: self.uncore.state(),
             last_cap_action: self.last_cap_action,
             prev_flops: self.prev_flops,
-            prev_uncore_action: self.prev_uncore_action,
-            cap_probe_floor: self.cap_probe_floor,
-            intervals_since_cap_violation: self.intervals_since_cap_violation,
+            cap: self.cap,
             cumulative_flops: self.cumulative_flops,
             cumulative_reference: self.cumulative_reference,
             tel: self.tel.counters(),
@@ -389,9 +315,7 @@ impl Controller for Dufp {
                 uncore,
                 last_cap_action,
                 prev_flops,
-                prev_uncore_action,
-                cap_probe_floor,
-                intervals_since_cap_violation,
+                cap,
                 cumulative_flops,
                 cumulative_reference,
                 tel,
@@ -400,9 +324,7 @@ impl Controller for Dufp {
                 self.uncore.restore(uncore);
                 self.last_cap_action = *last_cap_action;
                 self.prev_flops = *prev_flops;
-                self.prev_uncore_action = *prev_uncore_action;
-                self.cap_probe_floor = *cap_probe_floor;
-                self.intervals_since_cap_violation = *intervals_since_cap_violation;
+                self.cap = *cap;
                 self.cumulative_flops = *cumulative_flops;
                 self.cumulative_reference = *cumulative_reference;
                 self.tel.restore_counters(tel);
@@ -460,7 +382,7 @@ mod tests {
         let mut a = MemActuators::new(c.clone());
         d.on_interval(&mixed(1e11, 110.0), &mut a).unwrap(); // prime
         d.on_interval(&mixed(1e11, 110.0), &mut a).unwrap();
-        assert_eq!(d.last_cap_action(), CapAction::Decreased);
+        assert_eq!(d.last_cap_action(), Action::Decreased);
         assert_eq!(a.cap_long(), Watts(120.0));
         assert_eq!(a.cap_short(), Watts(120.0), "decrease writes both");
         d.on_interval(&mixed(1e11, 110.0), &mut a).unwrap();
@@ -477,7 +399,7 @@ mod tests {
             assert!(a.cap_long() >= c.cap_floor);
         }
         assert_eq!(a.cap_long(), c.cap_floor);
-        assert_eq!(d.last_cap_action(), CapAction::Hold);
+        assert_eq!(d.last_cap_action(), Action::Hold);
     }
 
     #[test]
@@ -490,7 +412,7 @@ mod tests {
         d.on_interval(&hmem(9e10, 80.0), &mut a).unwrap();
         // 10 % flops drop at 0 % tolerance would normally trigger increase.
         d.on_interval(&hmem(8.1e10, 78.0), &mut a).unwrap();
-        assert_eq!(d.last_cap_action(), CapAction::Decreased);
+        assert_eq!(d.last_cap_action(), Action::Decreased);
     }
 
     #[test]
@@ -507,15 +429,15 @@ mod tests {
         // (it probed down last interval): the cap holds while the uncore
         // recovers.
         d.on_interval(&mixed(0.9e11, 100.0), &mut a).unwrap();
-        assert_eq!(d.last_cap_action(), CapAction::Hold);
+        assert_eq!(d.last_cap_action(), Action::Hold);
         // Still violating → now the cap reacts: increase 115 → 120.
         d.on_interval(&mixed(0.9e11, 100.0), &mut a).unwrap();
-        assert_eq!(d.last_cap_action(), CapAction::Increased);
+        assert_eq!(d.last_cap_action(), Action::Increased);
         assert_eq!(a.cap_long(), Watts(120.0));
         assert_eq!(a.cap_short(), Watts(120.0));
         // Another violation: 120 + 5 = 125 = default → full reset.
         d.on_interval(&mixed(0.9e11, 100.0), &mut a).unwrap();
-        assert_eq!(d.last_cap_action(), CapAction::Reset);
+        assert_eq!(d.last_cap_action(), Action::Reset);
         assert_eq!(a.cap_long(), Watts(125.0));
         assert_eq!(a.cap_short(), Watts(150.0), "reset restores PL2 default");
     }
@@ -534,9 +456,9 @@ mod tests {
         // attributed to the uncore's own probe; the second resets the cap
         // outright (no stepwise increase for oi > 100).
         d.on_interval(&hcpu(3.68e11, 100.0), &mut a).unwrap();
-        assert_eq!(d.last_cap_action(), CapAction::Hold);
+        assert_eq!(d.last_cap_action(), Action::Hold);
         d.on_interval(&hcpu(3.68e11, 100.0), &mut a).unwrap();
-        assert_eq!(d.last_cap_action(), CapAction::Reset);
+        assert_eq!(d.last_cap_action(), Action::Reset);
         assert_eq!(a.cap_long(), Watts(125.0));
     }
 
@@ -554,7 +476,7 @@ mod tests {
         bad.oi = OpIntensity(222.0);
         d.on_interval(&bad, &mut a).unwrap(); // attributed to uncore probe
         d.on_interval(&bad, &mut a).unwrap();
-        assert_eq!(d.last_cap_action(), CapAction::Reset);
+        assert_eq!(d.last_cap_action(), Action::Reset);
     }
 
     #[test]
@@ -569,7 +491,7 @@ mod tests {
         assert!(a.uncore() < c.uncore_max);
         // Class flip → both reset.
         d.on_interval(&m(3e11, 5e10, 120.0), &mut a).unwrap();
-        assert_eq!(d.last_cap_action(), CapAction::Reset);
+        assert_eq!(d.last_cap_action(), Action::Reset);
         assert_eq!(a.cap_long(), Watts(125.0));
         assert_eq!(a.uncore(), c.uncore_max);
     }
@@ -599,7 +521,7 @@ mod tests {
         assert_eq!(a.cap_long(), Watts(120.0));
         // Measured power 126 W > 120 + 3 margin → §IV-D reset.
         d.on_interval(&mixed(1e11, 126.0), &mut a).unwrap();
-        assert_eq!(d.last_cap_action(), CapAction::Reset);
+        assert_eq!(d.last_cap_action(), Action::Reset);
         assert_eq!(a.cap_long(), Watts(125.0));
     }
 
@@ -633,7 +555,7 @@ mod tests {
         // Bandwidth dips 12 % → uncore logic increases (violation), cap
         // logic sees flops fine (within slowdown)… uncore raised.
         d.on_interval(&m(1e10, 7.0e10, 105.0), &mut a).unwrap();
-        assert_eq!(d.last_uncore_action(), UncoreAction::Increased);
+        assert_eq!(d.last_uncore_action(), Action::Increased);
         // Next interval FLOPS did not improve → coupling 1 raises the cap.
         d.on_interval(&m(1e10, 7.0e10, 105.0), &mut a).unwrap();
         assert!(
@@ -643,7 +565,7 @@ mod tests {
         );
         assert!(matches!(
             d.last_cap_action(),
-            CapAction::Increased | CapAction::Reset
+            Action::Increased | Action::Reset
         ));
     }
 
@@ -696,7 +618,7 @@ mod tests {
         d.on_interval(&mixed(1e11, 110.0), &mut a).unwrap();
         // Exactly 5 % down: inside the ±1 % band → hold.
         d.on_interval(&mixed(0.95e11, 105.0), &mut a).unwrap();
-        assert_eq!(d.last_cap_action(), CapAction::Hold);
+        assert_eq!(d.last_cap_action(), Action::Hold);
         assert_eq!(a.cap_long(), Watts(125.0));
     }
 }

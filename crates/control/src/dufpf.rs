@@ -9,8 +9,9 @@
 //!
 //! * the **uncore** runs DUF's algorithm unchanged,
 //! * the **core frequency** is stepped down directly (100 MHz at a time)
-//!   while FLOPS/s stay within the tolerated slowdown, with the same
-//!   violation/boundary/probe-memory discipline as the other knobs,
+//!   while FLOPS/s stay within the tolerated slowdown, through the same
+//!   [`ControlConfig::split`] and [`crate::duf::Ladder`] as the other
+//!   knobs,
 //! * the **power cap** no longer drives DVFS at all: it *trails* the
 //!   measured power a couple of steps above it, so bursts are still
 //!   clipped but the enforcement loop never throttles behind the
@@ -21,31 +22,15 @@
 //! fewer transients, no bandwidth starvation from deep allowances.
 
 use crate::actuators::Actuators;
-use crate::config::ControlConfig;
-use crate::duf::{relative_drop, uncore_trace_reason, UncoreAction, UncoreLogic};
+use crate::config::{ControlConfig, Split};
+use crate::duf::{relative_drop, Action, Knob, Ladder, UncoreLogic};
 use crate::phase::{PhaseEvent, PhaseTracker};
 use crate::state::ControllerState;
 use crate::trace::TelState;
 use crate::Controller;
 use dufp_counters::IntervalMetrics;
 use dufp_telemetry::{Actuator, Reason, SocketTelemetry};
-use dufp_types::{Hertz, Result, Watts};
-use serde::{Deserialize, Serialize};
-
-/// What the frequency logic did this interval.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum FreqAction {
-    /// No decision yet.
-    None,
-    /// Stepped the P-state request down.
-    Decreased,
-    /// Stepped the P-state request up.
-    Increased,
-    /// Reset to the architectural maximum.
-    Reset,
-    /// Held steady.
-    Hold,
-}
+use dufp_types::{Result, Watts};
 
 /// The DUFP-F controller.
 #[derive(Debug)]
@@ -53,9 +38,8 @@ pub struct DufpF {
     cfg: ControlConfig,
     tracker: PhaseTracker,
     uncore: UncoreLogic,
-    last_freq_action: FreqAction,
-    probe_floor: Option<f64>,
-    intervals_since_violation: u32,
+    last_freq_action: Action,
+    freq: Ladder,
     tel: TelState,
 }
 
@@ -66,9 +50,8 @@ impl DufpF {
             uncore: UncoreLogic::new(cfg.clone()),
             cfg,
             tracker: PhaseTracker::new(),
-            last_freq_action: FreqAction::None,
-            probe_floor: None,
-            intervals_since_violation: 0,
+            last_freq_action: Action::None,
+            freq: Ladder::default(),
             tel: TelState::default(),
         }
     }
@@ -80,7 +63,7 @@ impl DufpF {
     }
 
     /// The most recent frequency action.
-    pub fn last_freq_action(&self) -> FreqAction {
+    pub fn last_freq_action(&self) -> Action {
         self.last_freq_action
     }
 
@@ -93,40 +76,20 @@ impl DufpF {
         Watts(quantized.clamp(self.cfg.cap_floor.value(), default_long.value()))
     }
 
-    fn freq_decide(&mut self, drop_f: f64, act: &mut dyn Actuators) -> Result<FreqAction> {
-        let s = self.cfg.slowdown.value();
-        let e = self.cfg.epsilon.value();
-        let threshold = if s > 0.0 { s } else { e };
-        let step = self.cfg.core_freq_step.value();
-
-        self.intervals_since_violation = self.intervals_since_violation.saturating_add(1);
-        Ok(if drop_f > threshold {
-            self.intervals_since_violation = 0;
-            let cur = act.core_freq_cap();
-            if cur < self.cfg.core_freq_max {
-                let raised = Hertz(cur.value() + step);
-                act.set_core_freq_cap(raised)?;
-                self.probe_floor = Some(raised.value());
-                FreqAction::Increased
-            } else {
-                FreqAction::Hold
-            }
-        } else if s > 0.0 && drop_f >= s - e {
-            FreqAction::Hold
-        } else {
-            let cur = act.core_freq_cap();
-            let next = cur.value() - step;
-            let blocked = self.probe_floor.is_some_and(|fl| next < fl - 1.0)
-                && self.intervals_since_violation < self.cfg.reprobe_intervals;
-            if cur > self.cfg.core_freq_min && !blocked {
-                if self.probe_floor.is_some_and(|fl| next < fl - 1.0) {
-                    self.probe_floor = None;
-                }
-                act.set_core_freq_cap(Hertz(next))?;
-                FreqAction::Decreased
-            } else {
-                FreqAction::Hold
-            }
+    /// The frequency decision of a `Continued` interval: the same split
+    /// and ladder as the uncore, on the FLOPS/s drop alone.
+    fn freq_decide(&mut self, drop_f: f64, act: &mut dyn Actuators) -> Result<(Action, Reason)> {
+        self.freq.tick();
+        Ok(match self.cfg.split(drop_f) {
+            Split::Violated => (
+                self.freq.raise(Knob::CoreFreq, &self.cfg, act)?,
+                Reason::SlowdownViolation,
+            ),
+            Split::AtBoundary => (Action::Hold, Reason::Probe),
+            Split::Within => (
+                self.freq.lower(Knob::CoreFreq, &self.cfg, act)?,
+                Reason::Probe,
+            ),
         })
     }
 }
@@ -149,24 +112,24 @@ impl Controller for DufpF {
         // maximum, FLOPS dips are (potentially) our own doing — the uncore
         // must not respond to them.
         let freq_throttling = act.core_freq_cap() < self.cfg.core_freq_max;
-        self.uncore
+        let (_, uncore_why) = self
+            .uncore
             .decide(event, &self.tracker, m, act, freq_throttling)?;
 
-        let freq_action = match event {
-            PhaseEvent::First => FreqAction::None,
+        let (freq_action, freq_why) = match event {
+            PhaseEvent::First => (Action::None, Reason::Probe),
             PhaseEvent::Changed => {
                 act.reset_core_freq_cap()?;
                 act.reset_cap()?;
-                self.probe_floor = None;
-                self.intervals_since_violation = 0;
-                FreqAction::Reset
+                self.freq = Ladder::default();
+                (Action::Reset, Reason::PhaseReset)
             }
             PhaseEvent::Continued => {
                 // The uncore raising this interval means the dip was the
                 // uncore's probe — leave the frequency alone for one round.
                 let drop_f = relative_drop(m.flops.value(), self.tracker.max_flops);
-                let action = if self.uncore.last_action == UncoreAction::Increased {
-                    FreqAction::Hold
+                let decision = if self.uncore.last_action == Action::Increased {
+                    (Action::Hold, Reason::Probe)
                 } else {
                     self.freq_decide(drop_f, act)?
                 };
@@ -178,41 +141,27 @@ impl Controller for DufpF {
                 {
                     act.set_cap_both(want)?;
                 }
-                action
+                decision
             }
         };
 
         if self.tel.is_enabled() {
-            if let Some(why) =
-                uncore_trace_reason(self.uncore.last_action, m, &self.tracker, &self.cfg)
-            {
-                self.tel.emit(
-                    Some(&self.tracker),
-                    m,
-                    Actuator::Uncore,
-                    uncore_before.value(),
-                    act.uncore().value(),
-                    why,
-                );
-            }
-            // `freq_decide` raises only on a FLOPS/s violation, so an
-            // Increased action is always a slowdown event.
-            let freq_reason = match freq_action {
-                FreqAction::Reset => Some(Reason::PhaseReset),
-                FreqAction::Increased => Some(Reason::SlowdownViolation),
-                FreqAction::Decreased => Some(Reason::Probe),
-                FreqAction::None | FreqAction::Hold => None,
-            };
-            if let Some(why) = freq_reason {
-                self.tel.emit(
-                    Some(&self.tracker),
-                    m,
-                    Actuator::CoreFreq,
-                    freq_before.value(),
-                    act.core_freq_cap().value(),
-                    why,
-                );
-            }
+            self.tel.emit(
+                Some(&self.tracker),
+                m,
+                Actuator::Uncore,
+                uncore_before.value(),
+                act.uncore().value(),
+                uncore_why,
+            );
+            self.tel.emit(
+                Some(&self.tracker),
+                m,
+                Actuator::CoreFreq,
+                freq_before.value(),
+                act.core_freq_cap().value(),
+                freq_why,
+            );
             let cap_reason = if event == PhaseEvent::Changed {
                 Reason::PhaseReset
             } else {
@@ -238,8 +187,7 @@ impl Controller for DufpF {
             tracker: self.tracker.clone(),
             uncore: self.uncore.state(),
             last_freq_action: self.last_freq_action,
-            probe_floor: self.probe_floor,
-            intervals_since_violation: self.intervals_since_violation,
+            freq: self.freq,
             tel: self.tel.counters(),
         }
     }
@@ -250,15 +198,13 @@ impl Controller for DufpF {
                 tracker,
                 uncore,
                 last_freq_action,
-                probe_floor,
-                intervals_since_violation,
+                freq,
                 tel,
             } => {
                 self.tracker = tracker.clone();
                 self.uncore.restore(uncore);
                 self.last_freq_action = *last_freq_action;
-                self.probe_floor = *probe_floor;
-                self.intervals_since_violation = *intervals_since_violation;
+                self.freq = *freq;
                 self.tel.restore_counters(tel);
                 Ok(())
             }
@@ -271,7 +217,9 @@ impl Controller for DufpF {
 mod tests {
     use super::*;
     use crate::actuators::test_support::MemActuators;
-    use dufp_types::{ArchSpec, BytesPerSec, FlopsPerSec, Instant, OpIntensity, Ratio, Seconds};
+    use dufp_types::{
+        ArchSpec, BytesPerSec, FlopsPerSec, Hertz, Instant, OpIntensity, Ratio, Seconds,
+    };
 
     fn cfg(pct: f64) -> ControlConfig {
         ControlConfig::from_arch(&ArchSpec::yeti(), Ratio::from_percent(pct)).unwrap()
@@ -303,7 +251,7 @@ mod tests {
             "freq cap should descend: {:?}",
             a.core_freq_cap()
         );
-        assert_eq!(d.last_freq_action(), FreqAction::Decreased);
+        assert_eq!(d.last_freq_action(), Action::Decreased);
     }
 
     #[test]
@@ -322,7 +270,7 @@ mod tests {
         // The uncore responds first (it was not suppressed before the freq
         // started moving? it was — freq_cap < max ⇒ uncore held), so the
         // frequency logic must have acted.
-        assert_eq!(d.last_freq_action(), FreqAction::Increased);
+        assert_eq!(d.last_freq_action(), Action::Increased);
         assert!(a.core_freq_cap() > low);
         // Further decreases are blocked by the probe floor.
         let at = a.core_freq_cap();
@@ -369,7 +317,7 @@ mod tests {
         assert!(a.cap_long() < Watts(125.0));
         // Class flip.
         d.on_interval(&m(3e11, 5e10, 120.0, 2.8), &mut a).unwrap();
-        assert_eq!(d.last_freq_action(), FreqAction::Reset);
+        assert_eq!(d.last_freq_action(), Action::Reset);
         assert_eq!(a.core_freq_cap(), c.core_freq_max);
         assert_eq!(a.cap_long(), Watts(125.0));
         assert_eq!(a.uncore_now, c.uncore_max);

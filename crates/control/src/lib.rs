@@ -5,14 +5,21 @@
 //! [`dufp_counters::IntervalMetrics`] and decides how to move two
 //! actuators: the pinned uncore frequency and the RAPL package power cap.
 //!
-//! * [`config`] — tolerated slowdown, interval, step sizes, floors.
+//! * [`config`] — tolerated slowdown, interval, step sizes, floors, and
+//!   [`ControlConfig::split`], the one rule that sorts a performance drop
+//!   into violated, at the boundary or within the tolerance.
 //! * [`phase`] — the shared phase tracker: classifies intervals as
 //!   memory-/CPU-intensive by operational intensity, detects phase changes
 //!   (intensity class flips or FLOPS/s doubling), tracks the per-phase
 //!   FLOPS/s and bandwidth maxima every decision compares against.
 //! * [`actuators`] — the actuator abstraction plus the hardware
 //!   implementation over [`dufp_msr::MsrIo`] + [`dufp_rapl::PowerCapper`].
-//! * [`duf`] — the prior tool: uncore frequency only (the paper's baseline).
+//! * [`duf`] — the prior tool: uncore frequency only (the paper's
+//!   baseline), and the [`Ladder`] every knob steps through: one rung up
+//!   on a violation, one rung down unless the probe memory blocks it. The
+//!   uncore, DUFP's cap and DUFP-F's core frequency each keep one; DNPC,
+//!   which has no probe memory, steps its cap through a fresh one. Every
+//!   controller reports what it did to a knob as one [`Action`].
 //! * [`dufp`] — the paper's contribution: DUF's uncore algorithm plus
 //!   dynamic power capping with the Fig. 2 decision rules, the two
 //!   uncore/cap couplings, the asymmetric long/short-term constraint
@@ -50,9 +57,9 @@ mod trace;
 
 pub use actuators::{Actuators, HwActuators};
 pub use baseline::{NoOp, StaticCap};
-pub use config::ControlConfig;
+pub use config::{ControlConfig, Split};
 pub use dnpc::Dnpc;
-pub use duf::Duf;
+pub use duf::{Action, Duf, Ladder};
 pub use dufp::Dufp;
 pub use dufpf::DufpF;
 pub use phase::{PhaseClass, PhaseEvent, PhaseTracker};
@@ -81,3 +88,6 @@ pub trait Controller: Send {
     /// mismatched snapshot fails with a typed error.
     fn restore(&mut self, state: &ControllerState) -> Result<()>;
 }
+
+#[cfg(test)]
+mod decision_table;

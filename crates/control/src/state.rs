@@ -12,14 +12,11 @@
 //! wrong controller kind fails with a typed error instead of silently
 //! reinterpreting fields.
 
-use crate::dnpc::DnpcAction;
-use crate::duf::UncoreAction;
-use crate::dufp::CapAction;
-use crate::dufpf::FreqAction;
+use crate::duf::{Action, Ladder};
 use crate::phase::PhaseTracker;
 use serde::{Deserialize, Serialize};
 
-/// The per-controller telemetry counters ([`crate::trace::TelState`]'s
+/// The per-controller telemetry counters (`TelState`'s
 /// durable part — the recorder handle itself is reattached on resume).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TelCounters {
@@ -33,11 +30,9 @@ pub struct TelCounters {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct UncoreLogicState {
     /// The action taken on the most recent interval.
-    pub last_action: UncoreAction,
-    /// Probe floor a violation established, if any.
-    pub probe_floor: Option<f64>,
-    /// Intervals since the last violation (re-probe clock).
-    pub intervals_since_violation: u32,
+    pub last_action: Action,
+    /// The uncore's probe memory.
+    pub ladder: Ladder,
 }
 
 /// A controller's full decision state, one variant per controller kind.
@@ -68,15 +63,11 @@ pub enum ControllerState {
         /// Uncore decision engine.
         uncore: UncoreLogicState,
         /// Most recent cap action.
-        last_cap_action: CapAction,
+        last_cap_action: Action,
         /// FLOPS/s of the previous interval (coupling 1).
         prev_flops: Option<f64>,
-        /// Uncore action two intervals back (coupling 1).
-        prev_uncore_action: UncoreAction,
-        /// Cap probe floor, if a violation established one.
-        cap_probe_floor: Option<f64>,
-        /// Intervals since the last cap violation.
-        intervals_since_cap_violation: u32,
+        /// The cap's probe memory.
+        cap: Ladder,
         /// Cumulative FLOPs observed (§V-G guard).
         cumulative_flops: f64,
         /// Cumulative FLOPs of the per-phase-maximum reference run.
@@ -91,18 +82,16 @@ pub enum ControllerState {
         /// Uncore decision engine.
         uncore: UncoreLogicState,
         /// Most recent frequency action.
-        last_freq_action: FreqAction,
-        /// Frequency probe floor, if any.
-        probe_floor: Option<f64>,
-        /// Intervals since the last frequency violation.
-        intervals_since_violation: u32,
+        last_freq_action: Action,
+        /// The core frequency's probe memory.
+        freq: Ladder,
         /// Telemetry counters.
         tel: TelCounters,
     },
     /// [`crate::Dnpc`]: the frequency-linear baseline.
     Dnpc {
         /// Most recent action.
-        last_action: DnpcAction,
+        last_action: Action,
         /// Telemetry counters.
         tel: TelCounters,
     },

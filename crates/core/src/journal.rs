@@ -562,6 +562,46 @@ mod tests {
         assert_eq!(records_of(dir_a.path()), records_of(dir_b.path()));
     }
 
+    /// DUFP's controller state as a checkpoint written before the
+    /// controllers shared one probe-memory type (`dufp::Ladder`) stored it:
+    /// per-knob `probe_floor`/`intervals_since_*` fields.
+    const OLD_LAYOUT_CONTROLLERS: &str = r#"{"Dufp":{"tracker":{"class":"Cpu","max_flops":169936892694.09424,"max_bandwidth":1132912617.96062,"last_oi":150.00000000000568},"uncore":{"last_action":"Hold","probe_floor":null,"intervals_since_violation":24},"last_cap_action":"Decreased","prev_flops":166247068879.12476,"prev_uncore_action":"Hold","cap_probe_floor":null,"intervals_since_cap_violation":24,"cumulative_flops":807966984174.5371,"cumulative_reference":844071195751.3679,"tel":{"tick":25,"phase_seq":0}}}"#;
+
+    #[test]
+    fn checkpoint_with_an_undecodable_controller_state_falls_back_to_full_replay() {
+        let reference = ep_spec(None);
+        let dir_a = TestDir::new("ref-layout");
+        let ra = run_journaled(&reference, 10, &JournalOptions::new(dir_a.path())).unwrap();
+
+        let crashed = ep_spec(Some(&with_crash(None, 7001)));
+        let dir_b = TestDir::new("crash-layout");
+        run_journaled(&crashed, 10, &JournalOptions::new(dir_b.path())).unwrap_err();
+        // Swap the checkpoint's controller state for the older layout.
+        let (seq, path) = list_checkpoints(dir_b.path()).unwrap().pop().unwrap();
+        assert_eq!(
+            seq, 25,
+            "the crash at tick 7001 follows the checkpoint at 25"
+        );
+        let payload = String::from_utf8(dufp_journal::load_checkpoint(&path).unwrap()).unwrap();
+        let open = "\"controllers\":[";
+        let start = payload.find(open).unwrap() + open.len();
+        let end = payload.find("],\"samplers\"").unwrap();
+        let old = format!(
+            "{}{OLD_LAYOUT_CONTROLLERS}{}",
+            &payload[..start],
+            &payload[end..]
+        );
+        assert!(
+            CheckpointState::decode(old.as_bytes()).is_err(),
+            "this build must not read the old controller layout"
+        );
+        dufp_journal::write_checkpoint(dir_b.path(), seq, old.as_bytes()).unwrap();
+
+        let rb = resume(dir_b.path()).unwrap();
+        assert_same_result(&ra, &rb);
+        assert_eq!(records_of(dir_a.path()), records_of(dir_b.path()));
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(4))]
         #[test]

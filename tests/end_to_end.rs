@@ -204,3 +204,27 @@ fn static_cap_bounds_power_on_memory_app() {
     assert!(capped.exec_time.value() < d.exec_time.value() * 3.0);
     assert!(capped.exec_time.value() > d.exec_time.value() * 1.05);
 }
+
+#[test]
+fn tolerances_up_to_epsilon_act_as_zero() {
+    // ε = 1 % is the measurement error: a tolerance inside it is 0 %. Read
+    // literally, its hold band [s − ε, s] reaches zero, a zero drop holds
+    // forever and the controller never leaves the default configuration.
+    for (name, kind) in [
+        (
+            "DUF",
+            (|slowdown| ControllerKind::Duf { slowdown }) as fn(Ratio) -> _,
+        ),
+        ("DUFP", |slowdown| ControllerKind::Dufp { slowdown }),
+        ("DUFP-F", |slowdown| ControllerKind::DufpF { slowdown }),
+        ("DNPC", |slowdown| ControllerKind::Dnpc { slowdown }),
+    ] {
+        let run = |pct: f64| run_once(&spec("EP", kind(Ratio::from_percent(pct))), 1).unwrap();
+        let zero = run(0.0);
+        for pct in [0.5, 1.0] {
+            let r = run(pct);
+            assert_eq!(r.exec_time, zero.exec_time, "{name} at {pct} %");
+            assert_eq!(r.pkg_energy, zero.pkg_energy, "{name} at {pct} %");
+        }
+    }
+}
