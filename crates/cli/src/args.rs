@@ -280,7 +280,10 @@ impl RunSpec {
                 "--trace-out" => spec.trace_out = Some(args.value(flag)?.into()),
                 "--fault-plan" => spec.fault_plan = Some(args.value(flag)?.into()),
                 "--journal-dir" => spec.journal_dir = Some(args.value(flag)?.into()),
-                "--fsync" => spec.fsync = Some(parse_fsync(args.value(flag)?)?),
+                "--fsync" => {
+                    let policy = FsyncPolicy::parse(args.value(flag)?);
+                    spec.fsync = Some(policy.map_err(|e| e.to_string())?);
+                }
                 "--engine" => spec.engine = parse_engine(args.value(flag)?)?,
                 other => return Err(unknown_flag(other)),
             }
@@ -293,23 +296,6 @@ impl RunSpec {
             return Err("--fsync only applies to journaled runs; add --journal-dir".into());
         }
         Ok(spec)
-    }
-}
-
-fn parse_fsync(v: &str) -> Result<FsyncPolicy, String> {
-    match v {
-        "always" => Ok(FsyncPolicy::Always),
-        "never" => Ok(FsyncPolicy::Never),
-        other => {
-            let n = other
-                .strip_prefix("every:")
-                .ok_or_else(|| format!("bad fsync policy {other} (always|never|every:N)"))?;
-            let n: u32 = n.parse().map_err(|_| format!("bad fsync interval {n}"))?;
-            if n == 0 {
-                return Err("fsync every:0 makes no sense; use never".into());
-            }
-            Ok(FsyncPolicy::EveryN(n))
-        }
     }
 }
 

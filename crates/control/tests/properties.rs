@@ -299,12 +299,12 @@ fn mid_run_msr_fault_surfaces_as_a_clean_error() {
     controller
         .on_interval(&metrics(0, 1e11, 5e10, 100.0, 2.8), &mut act)
         .unwrap();
-    msr.inject(dufp_msr::io::Fault::WriteOf(MSR_PKG_POWER_LIMIT));
+    msr.inject_plan(dufp_msr::FaultPlan::parse("write,reg=cap").unwrap());
     let err = controller
         .on_interval(&metrics(1, 1e11, 5e10, 100.0, 2.8), &mut act)
         .unwrap_err();
     assert!(err.to_string().contains("0x610"), "{err}");
-    msr.inject(dufp_msr::io::Fault::None);
+    msr.clear_faults();
     controller
         .on_interval(&metrics(2, 1e11, 5e10, 100.0, 2.8), &mut act)
         .unwrap();

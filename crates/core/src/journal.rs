@@ -35,11 +35,11 @@ use dufp_types::{Error, Hertz, Result, Watts};
 use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
 
-/// Default checkpoint cadence, in completed control intervals. At the
-/// paper's 200 ms monitoring interval this is one checkpoint every five
-/// simulated seconds — frequent enough that resume replays little, rare
-/// enough that checkpoint serialization stays off the hot path.
-pub const DEFAULT_CHECKPOINT_EVERY: u64 = 25;
+/// Checkpoint cadence, in completed control intervals. At the paper's
+/// 200 ms monitoring interval this is one checkpoint every five simulated
+/// seconds — frequent enough that resume replays little, rare enough that
+/// checkpoint serialization stays off the hot path.
+pub const CHECKPOINT_EVERY: u64 = 25;
 
 /// Name of the experiment-description file inside a journal directory.
 pub const META_FILE: &str = "meta.json";
@@ -50,19 +50,17 @@ pub struct JournalOptions {
     /// Directory receiving `meta.json`, journal segments and checkpoints.
     /// Created if absent; must not already contain journal segments.
     pub dir: PathBuf,
-    /// Durability/throughput trade-off for journal appends.
+    /// Durability/throughput trade-off for journal appends; a resume
+    /// keeps it.
     pub fsync: FsyncPolicy,
-    /// Checkpoint cadence in completed control intervals (0 is rejected).
-    pub checkpoint_every: u64,
 }
 
 impl JournalOptions {
-    /// Options with the default fsync policy and checkpoint cadence.
+    /// Options with the default fsync policy.
     pub fn new(dir: impl Into<PathBuf>) -> Self {
         JournalOptions {
             dir: dir.into(),
-            fsync: FsyncPolicy::EveryN(8),
-            checkpoint_every: DEFAULT_CHECKPOINT_EVERY,
+            fsync: FsyncPolicy::default(),
         }
     }
 }
@@ -75,6 +73,10 @@ pub struct RunMeta {
     pub spec: ExperimentSpec,
     /// The seed of this run (journaling covers single runs only).
     pub seed: u64,
+    /// The run's fsync policy, which a resume keeps (`every:8` in a meta
+    /// written before the field existed).
+    #[serde(default)]
+    pub fsync: FsyncPolicy,
 }
 
 /// One socket's raw register state at the end of a control interval.
@@ -248,17 +250,15 @@ fn load_meta(dir: &Path) -> Result<RunMeta> {
 
 /// Executes one journaled run: every completed control interval is
 /// appended to the write-ahead journal in `opts.dir` and the full control
-/// state is checkpointed every `opts.checkpoint_every` intervals. If the
+/// state is checkpointed every [`CHECKPOINT_EVERY`] intervals. If the
 /// process dies mid-run — injected crash, SIGKILL, power loss — the
 /// directory holds everything [`resume`] needs.
 pub fn run_journaled(spec: &ExperimentSpec, seed: u64, opts: &JournalOptions) -> Result<RunResult> {
-    if opts.checkpoint_every == 0 {
-        return Err(Error::invalid("checkpoint_every", "must be positive"));
-    }
     std::fs::create_dir_all(&opts.dir)?;
     let meta = RunMeta {
         spec: spec.clone(),
         seed,
+        fsync: opts.fsync,
     };
     let payload = serde_json::to_vec_pretty(&meta)
         .map_err(|e| Error::invalid("journal metadata", e.to_string()))?;
@@ -272,7 +272,6 @@ pub fn run_journaled(spec: &ExperimentSpec, seed: u64, opts: &JournalOptions) ->
         Some(JournalSession {
             dir: opts.dir.clone(),
             fsync: opts.fsync,
-            checkpoint_every: opts.checkpoint_every,
             writer: Some(writer),
             resume: None,
         }),
@@ -284,17 +283,9 @@ pub fn run_journaled(spec: &ExperimentSpec, seed: u64, opts: &JournalOptions) ->
 /// The journal tail is replayed deterministically on top of the last
 /// usable checkpoint; corrupt or too-new checkpoints fall back to older
 /// ones and, in the worst case, to a full replay from the start — the
-/// run is recovered in every case that leaves `meta.json` readable.
+/// run is recovered in every case that leaves `meta.json` readable. The
+/// continued run keeps the fsync policy `meta.json` records.
 pub fn resume(dir: &Path) -> Result<RunResult> {
-    resume_with(dir, FsyncPolicy::EveryN(8), DEFAULT_CHECKPOINT_EVERY)
-}
-
-/// [`resume`] with explicit fsync policy and checkpoint cadence for the
-/// continued live portion.
-pub fn resume_with(dir: &Path, fsync: FsyncPolicy, checkpoint_every: u64) -> Result<RunResult> {
-    if checkpoint_every == 0 {
-        return Err(Error::invalid("checkpoint_every", "must be positive"));
-    }
     let summary = summarize(dir)?;
     if summary.complete {
         return Err(Error::Precondition(format!(
@@ -338,8 +329,7 @@ pub fn resume_with(dir: &Path, fsync: FsyncPolicy, checkpoint_every: u64) -> Res
         summary.meta.seed,
         Some(JournalSession {
             dir: dir.to_path_buf(),
-            fsync,
-            checkpoint_every,
+            fsync: summary.meta.fsync,
             writer: None,
             resume: Some(ResumePoint {
                 intervals,
@@ -511,6 +501,49 @@ mod tests {
     }
 
     #[test]
+    fn resume_keeps_the_fsync_policy_meta_records() {
+        let always = |dir: &Path| JournalOptions {
+            fsync: FsyncPolicy::Always,
+            ..JournalOptions::new(dir)
+        };
+        let dir_a = TestDir::new("ref-always");
+        let ra = run_journaled(&ep_spec(None), 11, &always(dir_a.path())).unwrap();
+
+        let crashed = ep_spec(Some(&with_crash(None, 7001)));
+        let dir_b = TestDir::new("crash-always");
+        run_journaled(&crashed, 11, &always(dir_b.path())).unwrap_err();
+        let meta = std::fs::read_to_string(dir_b.path().join(META_FILE)).unwrap();
+        assert!(meta.contains(r#""fsync": "always""#), "{meta}");
+        assert_eq!(
+            summarize(dir_b.path()).unwrap().meta.fsync,
+            FsyncPolicy::Always
+        );
+        let rb = resume(dir_b.path()).unwrap();
+        assert_same_result(&ra, &rb);
+        assert_eq!(records_of(dir_a.path()), records_of(dir_b.path()));
+
+        // A meta written before the field existed reads as `every:8` and
+        // still resumes.
+        let dir_c = TestDir::new("crash-old-meta");
+        run_journaled(&crashed, 11, &always(dir_c.path())).unwrap_err();
+        let path = dir_c.path().join(META_FILE);
+        let mut meta: serde::Value =
+            serde_json::from_slice(&std::fs::read(&path).unwrap()).unwrap();
+        let serde::Value::Object(fields) = &mut meta else {
+            panic!("meta.json is an object")
+        };
+        fields.retain(|(key, _)| key != "fsync");
+        std::fs::write(&path, serde_json::to_vec(&meta).unwrap()).unwrap();
+        assert_eq!(
+            summarize(dir_c.path()).unwrap().meta.fsync,
+            FsyncPolicy::EveryN(8)
+        );
+        let rc = resume(dir_c.path()).unwrap();
+        assert_same_result(&ra, &rc);
+        assert_eq!(records_of(dir_a.path()), records_of(dir_c.path()));
+    }
+
+    #[test]
     fn crash_equivalence_holds_under_an_active_fault_plan() {
         check_crash_equivalence(
             Some("seed=42;write,p=0.01;write,reg=cap,cpu=0-15,window=200+5000"),
@@ -634,6 +667,7 @@ mod tests {
                 engine: Default::default(),
             },
             seed: 1,
+            fsync: FsyncPolicy::Never,
         };
         write_file_atomic(dir.path(), META_FILE, &serde_json::to_vec(&meta).unwrap()).unwrap();
         let mut w = JournalWriter::create(dir.path(), FsyncPolicy::Never).unwrap();

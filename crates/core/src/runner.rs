@@ -6,7 +6,7 @@
 //! frequency and power cap. Execution time, package power, DRAM power and
 //! total energy are reported for the whole node.
 
-use crate::journal::{CheckpointState, JournalRecord, SocketRegs};
+use crate::journal::{CheckpointState, JournalRecord, SocketRegs, CHECKPOINT_EVERY};
 use crate::socket_loop::{SocketLoop, STAGE_BOUNDS};
 use crate::stats::{summarize_runs, RepeatedResult};
 use dufp_control::{ControlConfig, Controller, Duf, Dufp, NoOp, StaticCap};
@@ -256,8 +256,6 @@ pub(crate) struct JournalSession {
     pub dir: PathBuf,
     /// Fsync policy for the live portion of the run.
     pub fsync: FsyncPolicy,
-    /// Checkpoint cadence in completed control intervals.
-    pub checkpoint_every: u64,
     /// Pre-created writer (fresh runs); `None` until replay finishes on
     /// resumes, because resume must truncate the tail before reopening.
     pub writer: Option<JournalWriter>,
@@ -278,7 +276,6 @@ pub(crate) struct ResumePoint {
 struct ActiveJournal {
     writer: JournalWriter,
     dir: PathBuf,
-    checkpoint_every: u64,
 }
 
 /// Snapshot of everything the journal registers cannot rebuild, taken at
@@ -496,7 +493,6 @@ pub(crate) fn run_driver(
         active = Some(ActiveJournal {
             writer,
             dir: session.dir,
-            checkpoint_every: session.checkpoint_every,
         });
     }
 
@@ -602,7 +598,7 @@ pub(crate) fn run_driver(
                 unreachable!("record constructed as Interval above");
             };
             regs_buf = regs;
-            if completed.is_multiple_of(j.checkpoint_every) {
+            if completed.is_multiple_of(CHECKPOINT_EVERY) {
                 // The journal prefix a checkpoint refers to must be
                 // durable before the checkpoint claims it exists.
                 j.writer.sync()?;
@@ -615,7 +611,7 @@ pub(crate) fn run_driver(
                 );
                 write_checkpoint(&j.dir, completed, &cp.encode()?)?;
                 journal_checkpoints.inc();
-                let (old, new) = ((completed - j.checkpoint_every) as f64, completed as f64);
+                let (old, new) = ((completed - CHECKPOINT_EVERY) as f64, completed as f64);
                 tel.record_decision(DecisionEvent {
                     at_us: machine.now().0,
                     ..DecisionEvent::new(tick_now, Actuator::Journal, old, new, Reason::Checkpoint)

@@ -7,8 +7,6 @@
 //!   counters (FLOPs retired, bytes moved, package/DRAM energy) per socket.
 //!   The simulator implements it; a real-hardware implementation would wrap
 //!   PAPI or perf events.
-//! * [`events`] — PAPI-style named events and event sets, for tools that
-//!   want the classic `PAPI_DP_OPS` interface.
 //! * [`sampler`] — the periodic sampler: converts consecutive raw
 //!   snapshots into the *interval metrics* (FLOPS/s, bandwidth,
 //!   operational intensity, power) that drive every DUF/DUFP decision.
@@ -16,10 +14,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod events;
 pub mod sampler;
 pub mod telemetry;
 
-pub use events::{Event, EventSet};
 pub use sampler::{IntervalMetrics, Sampler, OI_SATURATED};
 pub use telemetry::{CounterSnapshot, Telemetry};

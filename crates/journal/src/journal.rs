@@ -16,6 +16,7 @@
 
 use crate::crc::crc32;
 use dufp_types::{Error, Result};
+use serde::{DeError, Deserialize, Serialize, Value};
 use std::fs::{self, File, OpenOptions};
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
@@ -31,7 +32,9 @@ const FRAME_BYTES: u64 = 8;
 /// of locality at most.
 pub const DEFAULT_SEGMENT_BYTES: u64 = 1 << 20;
 
-/// When appended records are flushed to stable storage.
+/// When appended records are flushed to stable storage. The CLI flag and
+/// the serialized form share one grammar: `always`, `never` or `every:N`
+/// ([`FsyncPolicy::parse`], [`FsyncPolicy::label`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FsyncPolicy {
     /// `fdatasync` after every record — maximum durability, one syscall
@@ -42,6 +45,55 @@ pub enum FsyncPolicy {
     /// Never fsync implicitly; the OS flushes when it pleases. Crash
     /// durability is best-effort but checkpoints still sync explicitly.
     Never,
+}
+
+impl Default for FsyncPolicy {
+    /// `every:8`.
+    fn default() -> Self {
+        FsyncPolicy::EveryN(8)
+    }
+}
+
+impl FsyncPolicy {
+    /// Parses `always`, `never` or `every:N` (N ≥ 1).
+    pub fn parse(v: &str) -> Result<Self> {
+        let bad = |detail: String| Error::invalid("fsync", detail);
+        match v {
+            "always" => Ok(FsyncPolicy::Always),
+            "never" => Ok(FsyncPolicy::Never),
+            other => {
+                let n = other
+                    .strip_prefix("every:")
+                    .ok_or_else(|| bad(format!("bad policy {other} (always|never|every:N)")))?;
+                match n.parse::<u32>() {
+                    Ok(0) => Err(bad("every:0 makes no sense; use never".into())),
+                    Ok(n) => Ok(FsyncPolicy::EveryN(n)),
+                    Err(_) => Err(bad(format!("bad interval {n}"))),
+                }
+            }
+        }
+    }
+
+    /// The policy in [`FsyncPolicy::parse`]'s grammar.
+    pub fn label(&self) -> String {
+        match self {
+            FsyncPolicy::Always => "always".into(),
+            FsyncPolicy::EveryN(n) => format!("every:{n}"),
+            FsyncPolicy::Never => "never".into(),
+        }
+    }
+}
+
+impl Serialize for FsyncPolicy {
+    fn to_value(&self) -> Value {
+        Value::Str(self.label())
+    }
+}
+
+impl Deserialize for FsyncPolicy {
+    fn from_value(v: &Value) -> std::result::Result<Self, DeError> {
+        FsyncPolicy::parse(&String::from_value(v)?).map_err(DeError::custom)
+    }
 }
 
 fn segment_name(index: u64) -> String {
@@ -290,6 +342,21 @@ pub fn truncate_records(dir: &Path, keep: u64) -> Result<u64> {
 mod tests {
     use super::*;
     use crate::testdir::TestDir;
+
+    #[test]
+    fn fsync_labels_parse_back() {
+        for p in [
+            FsyncPolicy::Always,
+            FsyncPolicy::EveryN(4),
+            FsyncPolicy::Never,
+        ] {
+            assert_eq!(FsyncPolicy::parse(&p.label()).unwrap(), p);
+        }
+        assert_eq!(FsyncPolicy::default().label(), "every:8");
+        for bad in ["every:0", "every:x", "every:", "sometimes", ""] {
+            assert!(FsyncPolicy::parse(bad).is_err(), "{bad}");
+        }
+    }
 
     fn payloads(n: usize) -> Vec<Vec<u8>> {
         (0..n)

@@ -1,9 +1,9 @@
 //! Declarative fault plans for chaos testing the actuation path.
 //!
-//! [`crate::io::Fault`] arms exactly one failure mode at a time; real
-//! deployments see richer patterns: a flaky `/dev/cpu/N/msr` that fails 1 %
-//! of writes, a core that goes offline for two seconds mid-run, an energy
-//! counter that stops advancing. A [`FaultPlan`] describes such a scenario
+//! Real deployments see more than one failure mode at a time: a flaky
+//! `/dev/cpu/N/msr` that fails 1 % of writes, a core that goes offline
+//! for two seconds mid-run, an energy counter that stops advancing. A
+//! [`FaultPlan`] describes such a scenario
 //! as a list of [`FaultRule`]s, each scoping *what* fails (access kind,
 //! register, CPU range) and *when* (always, with a seeded probability, at
 //! the Nth access, or over a window). Plans are fully deterministic given

@@ -38,31 +38,16 @@ impl<T: MsrIo + ?Sized> MsrIo for Arc<T> {
     }
 }
 
-/// Failure-injection switch for [`FakeMsr`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Fault {
-    /// All accesses succeed.
-    None,
-    /// Reads of a specific register fail.
-    ReadOf(u32),
-    /// Writes of a specific register fail.
-    WriteOf(u32),
-    /// Every access on a specific CPU fails (e.g. offlined core).
-    Cpu(usize),
-}
-
 /// An in-memory MSR file, for unit tests and as the storage behind the
 /// simulator's MSR surface.
 ///
 /// Registers read as zero until first written, except those pre-seeded via
-/// [`FakeMsr::seed`]. Supports failure injection so the error paths of the
-/// layers above can be exercised.
+/// [`FakeMsr::seed`]. Supports failure injection ([`FakeMsr::inject_plan`])
+/// so the error paths of the layers above can be exercised.
 pub struct FakeMsr {
     cpus: usize,
     regs: Mutex<HashMap<(usize, u32), u64>>,
-    fault: Mutex<Fault>,
     injector: Mutex<Option<Arc<FaultInjector>>>,
-    writes: Mutex<Vec<(usize, u32, u64)>>,
 }
 
 impl FakeMsr {
@@ -71,9 +56,7 @@ impl FakeMsr {
         FakeMsr {
             cpus,
             regs: Mutex::new(HashMap::new()),
-            fault: Mutex::new(Fault::None),
             injector: Mutex::new(None),
-            writes: Mutex::new(Vec::new()),
         }
     }
 
@@ -90,15 +73,10 @@ impl FakeMsr {
         self.regs.lock().insert((cpu, address), value);
     }
 
-    /// Arms a failure mode (replaces any previous one).
-    pub fn inject(&self, fault: Fault) {
-        *self.fault.lock() = fault;
-    }
-
-    /// Arms a [`FaultPlan`] (replaces any previous plan). The plan is
-    /// evaluated on every access, in addition to the legacy [`Fault`]
-    /// switch; with no backend clock, `at=`/`window=` schedules count each
-    /// rule's structurally matching accesses.
+    /// Arms a [`FaultPlan`] (replaces any previous plan), evaluated on
+    /// every access: `write,reg=cap` fails every cap write, `any,cpu=1`
+    /// every access on CPU 1. With no backend clock, `at=`/`window=`
+    /// schedules count each rule's structurally matching accesses.
     pub fn inject_plan(&self, plan: FaultPlan) {
         *self.injector.lock() = if plan.is_empty() {
             None
@@ -107,59 +85,32 @@ impl FakeMsr {
         };
     }
 
-    /// Disarms both the legacy [`Fault`] switch and any [`FaultPlan`].
+    /// Disarms any [`FaultPlan`].
     pub fn clear_faults(&self) {
-        *self.fault.lock() = Fault::None;
         *self.injector.lock() = None;
     }
 
-    /// All writes observed so far, in order: `(cpu, address, value)`.
-    pub fn write_log(&self) -> Vec<(usize, u32, u64)> {
-        self.writes.lock().clone()
-    }
-
-    /// Clears the write log.
-    pub fn clear_write_log(&self) {
-        self.writes.lock().clear();
-    }
-
-    fn check(&self, cpu: usize, address: u32, is_write: bool) -> Result<()> {
+    fn check(&self, cpu: usize, address: u32, op: FaultOp) -> Result<()> {
         if cpu >= self.cpus {
             return Err(Error::NoSuchComponent(format!("cpu{cpu}")));
         }
         let injector = self.injector.lock().clone();
-        if let Some(injector) = injector {
-            let op = if is_write {
-                FaultOp::Write
-            } else {
-                FaultOp::Read
-            };
-            injector.check_msr(op, cpu, address)?;
-        }
-        match *self.fault.lock() {
-            Fault::None => Ok(()),
-            Fault::ReadOf(a) if !is_write && a == address => {
-                Err(Error::msr(address, "injected read fault"))
-            }
-            Fault::WriteOf(a) if is_write && a == address => {
-                Err(Error::msr(address, "injected write fault"))
-            }
-            Fault::Cpu(c) if c == cpu => Err(Error::msr(address, "injected cpu fault")),
-            _ => Ok(()),
+        match injector {
+            Some(injector) => injector.check_msr(op, cpu, address),
+            None => Ok(()),
         }
     }
 }
 
 impl MsrIo for FakeMsr {
     fn read(&self, cpu: usize, address: u32) -> Result<u64> {
-        self.check(cpu, address, false)?;
+        self.check(cpu, address, FaultOp::Read)?;
         Ok(*self.regs.lock().get(&(cpu, address)).unwrap_or(&0))
     }
 
     fn write(&self, cpu: usize, address: u32, value: u64) -> Result<()> {
-        self.check(cpu, address, true)?;
+        self.check(cpu, address, FaultOp::Write)?;
         self.regs.lock().insert((cpu, address), value);
-        self.writes.lock().push((cpu, address, value));
         Ok(())
     }
 
@@ -204,26 +155,35 @@ mod tests {
         assert!(m.write(1, 0x620, 0).is_err());
     }
 
+    fn plan(text: &str) -> crate::FaultPlan {
+        crate::FaultPlan::parse(text).expect("plan parses")
+    }
+
     #[test]
     fn injected_faults_fire_selectively() {
         let m = FakeMsr::new(2);
-        m.inject(Fault::WriteOf(MSR_PKG_POWER_LIMIT));
+        m.inject_plan(plan("write,reg=cap"));
         assert!(m.write(0, MSR_PKG_POWER_LIMIT, 1).is_err());
         assert!(m.write(0, 0x620, 1).is_ok(), "other registers unaffected");
         assert!(m.read(0, MSR_PKG_POWER_LIMIT).is_ok(), "reads unaffected");
 
-        m.inject(Fault::Cpu(1));
+        m.inject_plan(plan("read,reg=0x620"));
+        assert!(m.read(0, 0x620).is_err());
+        assert!(m.write(0, 0x620, 1).is_ok(), "writes unaffected");
+
+        m.inject_plan(plan("any,cpu=1"));
         assert!(m.read(1, 0x620).is_err());
+        assert!(m.write(1, 0x620, 1).is_err());
         assert!(m.read(0, 0x620).is_ok());
 
-        m.inject(Fault::None);
+        m.clear_faults();
         assert!(m.write(0, MSR_PKG_POWER_LIMIT, 1).is_ok());
     }
 
     #[test]
-    fn fault_plans_layer_over_the_legacy_switch() {
+    fn windowed_fault_plans_fail_only_inside_the_window() {
         let m = FakeMsr::new(2);
-        m.inject_plan(crate::FaultPlan::parse("write,reg=cap,window=1+2").expect("plan parses"));
+        m.inject_plan(plan("write,reg=cap,window=1+2"));
         assert!(m.write(0, MSR_PKG_POWER_LIMIT, 1).is_ok(), "before window");
         assert!(m.write(0, MSR_PKG_POWER_LIMIT, 2).is_err());
         assert!(m.write(0, MSR_PKG_POWER_LIMIT, 3).is_err());
@@ -237,16 +197,6 @@ mod tests {
         m.clear_faults();
         m.inject_plan(crate::FaultPlan::none());
         assert!(m.write(0, MSR_PKG_POWER_LIMIT, 5).is_ok());
-    }
-
-    #[test]
-    fn write_log_records_order() {
-        let m = FakeMsr::new(1);
-        m.write(0, 0x620, 1).unwrap();
-        m.write(0, 0x610, 2).unwrap();
-        assert_eq!(m.write_log(), vec![(0, 0x620, 1), (0, 0x610, 2)]);
-        m.clear_write_log();
-        assert!(m.write_log().is_empty());
     }
 
     #[test]

@@ -26,8 +26,9 @@
 //!   shipped [`AgentCore`], and the check reads the ceiling the core
 //!   enforces after its fallback.
 //! * **Failover** (DESIGN.md §15) — when the plan kills the *primary
-//!   coordinator* (`coord-kill`), a warm standby replays the primary's
-//!   event log, must rebuild its state byte-identically, promotes to a
+//!   coordinator* (`coord-kill`), a warm standby replays the events the
+//!   primary's core journaled (into an in-memory [`FleetJournal`]), must
+//!   rebuild its state byte-identically, promotes to a
 //!   higher term and re-grants within three epochs; agents fence every
 //!   lingering stale-term grant, and a resurrected stale primary ends the
 //!   run fenced, never obeyed.
@@ -39,7 +40,7 @@
 use crate::agent::{AgentCore, GrantVerdict};
 use crate::config::{fund_floors, CoordinatorConfig};
 use crate::core::{EpochStep, FleetCore, NodeState};
-use crate::fleet_journal::FleetEvent;
+use crate::fleet_journal::FleetJournal;
 use crate::netfault::{Dir, NetFaultInjector, NetFaultOp, NetFaultPlan};
 use crate::vet::Trust;
 use crate::wire::Frame;
@@ -415,10 +416,6 @@ pub struct ChaosFleet {
     net: NetFaultInjector,
     msr: FaultInjector,
     agents: Vec<SimAgent>,
-    /// The primary's input log — the in-memory stand-in for the on-disk
-    /// `dufp-journal` stream the TCP plane writes (same events, same
-    /// order). The standby replays it at promotion.
-    event_log: Vec<FleetEvent>,
     /// The primary's core snapshot frozen at the instant of its kill;
     /// the replay must rebuild it byte-identically.
     dead_primary_snapshot: Option<Vec<u8>>,
@@ -471,9 +468,11 @@ impl ChaosFleet {
         if net.has_coord_kill() {
             // A killable primary self-fences when its virtual clock pauses
             // past 2× the heartbeat timeout — the same arming the TCP
-            // coordinator gets when a standby or successor is configured.
+            // coordinator gets when a standby or successor is configured —
+            // and journals its inputs for the standby to replay.
             let pause_ms = 2 * coord_cfg.heartbeat_timeout.as_millis() as u64;
             coords[0].core.enable_pause_fencing(pause_ms);
+            coords[0].core.attach_journal(FleetJournal::in_memory());
             coords.push(coord(false));
         }
         Ok(ChaosFleet {
@@ -481,7 +480,6 @@ impl ChaosFleet {
             net,
             msr: FaultInjector::new(msr_plan),
             agents,
-            event_log: Vec::new(),
             dead_primary_snapshot: None,
             kill_epoch: None,
             takeover_epoch: None,
@@ -577,11 +575,6 @@ impl ChaosFleet {
             if !self.coords[c].alive {
                 continue;
             }
-            if c == 0 && self.kill_epoch.is_none() {
-                self.event_log.push(FleetEvent::Epoch {
-                    now_ms: epoch * 1000,
-                });
-            }
             let step = self.coords[c].core.epoch_once(epoch * 1000);
             steps.push((c, step));
         }
@@ -607,15 +600,16 @@ impl ChaosFleet {
         }
     }
 
-    /// Warm-standby takeover: replay the primary's journaled inputs into
-    /// a fresh core (checkpoint+replay in the TCP plane), verify the
-    /// rebuild is byte-identical to the primary's state at the instant of
-    /// death, then bump the term and start granting. The successor's
-    /// hold-down window keeps every replayed-but-unattached node's watts
-    /// reserved, so Σ granted ≤ budget holds *across* the handover.
+    /// Warm-standby takeover: replay the inputs the primary's core
+    /// journaled into a fresh core (checkpoint+replay in the TCP plane),
+    /// verify the rebuild is byte-identical to the primary's state at the
+    /// instant of death, then bump the term and start granting. The
+    /// successor's hold-down window keeps every replayed-but-unattached
+    /// node's watts reserved, so Σ granted ≤ budget holds *across* the
+    /// handover.
     fn promote_standby(&mut self) {
         let mut core = FleetCore::new(&self.coord_cfg, Telemetry::enabled());
-        for ev in &self.event_log {
+        for ev in self.coords[0].core.journaled_events().unwrap_or_default() {
             ev.apply(&mut core);
         }
         self.replay_matched = match (&self.dead_primary_snapshot, core.snapshot_bytes()) {
@@ -871,10 +865,8 @@ impl ChaosFleet {
         transmit(wire, queue, (i, Dir::Down, cut), (epoch, 1), (), frame);
     }
 
-    /// Feeds one delivered up-frame into coordinator `c`'s core. The
-    /// primary's inputs are mirrored into the in-memory event journal
-    /// until it dies; replaying those events re-drives the same core
-    /// entry points, so even vetoed frames replay identically.
+    /// Feeds one delivered up-frame into coordinator `c`'s core, through
+    /// the entry points the TCP coordinator's connection handler calls.
     fn ingest(&mut self, i: usize, c: usize, bytes: &[u8], now_ms: u64) {
         let frame = match Frame::decode(bytes) {
             Ok(f) => f,
@@ -883,7 +875,6 @@ impl ChaosFleet {
                 return;
             }
         };
-        let logging = c == 0 && self.kill_epoch.is_none();
         match frame {
             Frame::Hello {
                 node,
@@ -897,15 +888,6 @@ impl ChaosFleet {
                 }
                 // The announced term fences a superseded core on contact.
                 let _ = self.coords[c].core.observe_term(term);
-                if logging {
-                    self.event_log.push(FleetEvent::Admit {
-                        name: node.clone(),
-                        app: app.clone(),
-                        floor_w: floor.value(),
-                        node_max_w: node_max.value(),
-                        now_ms,
-                    });
-                }
                 match self.coords[c]
                     .core
                     .admit(node, app, floor, node_max, now_ms)
@@ -943,15 +925,8 @@ impl ChaosFleet {
                     return; // link moved on; frame orphaned
                 }
                 if let Some(slot) = self.agents[i].slot {
-                    let report = FleetEvent::Report {
-                        slot,
-                        seq,
-                        ceiling_w: ceiling.value(),
-                        consumption_w: consumption.value(),
-                        active,
-                        now_ms,
-                    };
-                    self.feed(c, logging, report);
+                    let core = &mut self.coords[c].core;
+                    core.on_report(slot, seq, ceiling, consumption, active, now_ms);
                 }
             }
             Frame::Heartbeat { seq, term } => {
@@ -962,7 +937,7 @@ impl ChaosFleet {
                     return;
                 }
                 if let Some(slot) = self.agents[i].slot {
-                    self.feed(c, logging, FleetEvent::Heartbeat { slot, seq, now_ms });
+                    self.coords[c].core.on_heartbeat(slot, seq, now_ms);
                 }
             }
             Frame::Goodbye => {
@@ -970,22 +945,13 @@ impl ChaosFleet {
                     return;
                 }
                 if let Some(slot) = self.agents[i].slot.take() {
-                    self.feed(c, logging, FleetEvent::Goodbye { slot });
+                    self.coords[c].core.on_goodbye(slot);
                 }
                 self.agents[i].coord = None;
             }
             Frame::BudgetGrant { .. } | Frame::Handover { .. } => {
                 self.tallies.wire_errors += 1; // wrong-direction frame
             }
-        }
-    }
-
-    /// Applies `ev` to coordinator `c`'s core, journaling it first while
-    /// `logging` the primary's inputs.
-    fn feed(&mut self, c: usize, logging: bool, ev: FleetEvent) {
-        ev.apply(&mut self.coords[c].core);
-        if logging {
-            self.event_log.push(ev);
         }
     }
 

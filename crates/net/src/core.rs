@@ -307,6 +307,12 @@ impl FleetCore {
         self.journal = Some(journal);
     }
 
+    /// The events an attached in-memory journal
+    /// ([`FleetJournal::in_memory`]) kept, in order; `None` without one.
+    pub fn journaled_events(&self) -> Option<&[FleetEvent]> {
+        self.journal.as_ref()?.events()
+    }
+
     /// Enables pause self-fencing (see the `pause_fence_ms` field). Call
     /// when a standby or successor is configured: a coordinator stalled
     /// past `threshold_ms` must assume it was superseded.
@@ -542,9 +548,7 @@ impl FleetCore {
             now_ms,
         });
         let term = self.term;
-        let Some(n) = self.nodes.get_mut(slot) else {
-            return FrameVerdict::Vetoed;
-        };
+        let n = &mut self.nodes[slot];
         n.attached_term = term;
         let granted = n.granted;
         let node_max = n.node_max;
@@ -609,9 +613,7 @@ impl FleetCore {
         }
         self.journal_event(&FleetEvent::Heartbeat { slot, seq, now_ms });
         let term = self.term;
-        let Some(n) = self.nodes.get_mut(slot) else {
-            return FrameVerdict::Vetoed;
-        };
+        let n = &mut self.nodes[slot];
         n.attached_term = term;
         let verdict = n.vet.check_heartbeat(&self.vet_cfg, seq);
         match verdict {
@@ -637,11 +639,7 @@ impl FleetCore {
     pub fn on_goodbye(&mut self, slot: usize) {
         if self.slot_is_live(slot) {
             self.journal_event(&FleetEvent::Goodbye { slot });
-        }
-        if let Some(n) = self.nodes.get_mut(slot) {
-            if n.state == NodeState::Live {
-                n.state = NodeState::Departed;
-            }
+            self.nodes[slot].state = NodeState::Departed;
         }
     }
 

@@ -9,7 +9,8 @@
 //! crash-safe segmented log the experiment runner uses
 //! ([`dufp_journal::JournalWriter`]), with periodic [`CoreSnapshot`]
 //! checkpoints so recovery replays a bounded tail instead of the whole
-//! history.
+//! history. An in-memory sink ([`FleetJournal::in_memory`]) keeps the same
+//! events for the in-process chaos standby ([`crate::chaos`]) to replay.
 //!
 //! Recovery ([`recover`]) rebuilds a byte-identical core: load the newest
 //! checkpoint at or below the journal head, then re-apply the tail events
@@ -193,10 +194,18 @@ impl FleetEvent {
 /// Owned by the acting primary's [`FleetCore`]
 /// (see [`FleetCore::attach_journal`]).
 pub struct FleetJournal {
-    writer: JournalWriter,
-    dir: PathBuf,
+    sink: Sink,
     checkpoint_every: u64,
     since_checkpoint: u64,
+}
+
+/// Where a [`FleetJournal`] puts its events: crash-safe segments and
+/// checkpoints in a directory, or a vector that is never checkpointed
+/// (the in-process chaos standby replays it, as a TCP standby replays the
+/// directory).
+enum Sink {
+    Disk(JournalWriter, PathBuf),
+    Memory(Vec<FleetEvent>),
 }
 
 impl FleetJournal {
@@ -204,25 +213,29 @@ impl FleetJournal {
     /// Refuses a directory that already holds segments — recover and
     /// [`FleetJournal::resume`] instead.
     pub fn create(dir: &Path) -> Result<Self> {
-        let writer = JournalWriter::create(dir, FsyncPolicy::EveryN(8))?;
-        Ok(FleetJournal {
-            writer,
-            dir: dir.to_path_buf(),
-            checkpoint_every: DEFAULT_FLEET_CHECKPOINT_EVERY,
-            since_checkpoint: 0,
-        })
+        let writer = JournalWriter::create(dir, FsyncPolicy::default())?;
+        Ok(Self::new(Sink::Disk(writer, dir.to_path_buf())))
     }
 
     /// Continues appending to an existing journal after recovery.
     /// `existing_records` is the intact record count [`recover`] reported.
     pub fn resume(dir: &Path, existing_records: u64) -> Result<Self> {
-        let writer = JournalWriter::open(dir, FsyncPolicy::EveryN(8), existing_records)?;
-        Ok(FleetJournal {
-            writer,
-            dir: dir.to_path_buf(),
+        let writer = JournalWriter::open(dir, FsyncPolicy::default(), existing_records)?;
+        Ok(Self::new(Sink::Disk(writer, dir.to_path_buf())))
+    }
+
+    /// A journal that keeps its events in memory (see
+    /// [`FleetJournal::events`]) and never checkpoints.
+    pub fn in_memory() -> Self {
+        Self::new(Sink::Memory(Vec::new()))
+    }
+
+    fn new(sink: Sink) -> Self {
+        FleetJournal {
+            sink,
             checkpoint_every: DEFAULT_FLEET_CHECKPOINT_EVERY,
             since_checkpoint: 0,
-        })
+        }
     }
 
     /// Overrides the checkpoint cadence (events between snapshots).
@@ -231,29 +244,37 @@ impl FleetJournal {
         self
     }
 
-    /// Records written so far (including recovered history).
-    pub fn head(&self) -> u64 {
-        self.writer.records_written()
+    /// The events an in-memory journal kept, in order; `None` on disk.
+    pub fn events(&self) -> Option<&[FleetEvent]> {
+        match &self.sink {
+            Sink::Disk(..) => None,
+            Sink::Memory(events) => Some(events),
+        }
     }
 
     /// Appends one event.
     pub fn record(&mut self, ev: &FleetEvent) -> Result<()> {
-        self.writer.append(&ev.encode()?)?;
+        match &mut self.sink {
+            Sink::Disk(writer, _) => writer.append(&ev.encode()?)?,
+            Sink::Memory(events) => events.push(ev.clone()),
+        }
         self.since_checkpoint += 1;
         Ok(())
     }
 
-    /// Whether the cadence calls for a checkpoint now.
+    /// Whether the cadence calls for a checkpoint now (never in memory).
     pub fn due_for_checkpoint(&self) -> bool {
-        self.since_checkpoint >= self.checkpoint_every
+        matches!(self.sink, Sink::Disk(..)) && self.since_checkpoint >= self.checkpoint_every
     }
 
     /// Durably writes a checkpoint of the caller's current core snapshot,
     /// sealed at the current journal head. Syncs the log first so the
     /// checkpoint never claims records the disk does not have.
     pub fn checkpoint(&mut self, snapshot_bytes: &[u8]) -> Result<()> {
-        self.writer.sync()?;
-        write_checkpoint(&self.dir, self.head(), snapshot_bytes)?;
+        if let Sink::Disk(writer, dir) = &mut self.sink {
+            writer.sync()?;
+            write_checkpoint(dir, writer.records_written(), snapshot_bytes)?;
+        }
         self.since_checkpoint = 0;
         Ok(())
     }
@@ -282,9 +303,10 @@ pub struct Recovered {
 }
 
 /// Rebuilds a [`FleetCore`] from the journal in `dir`: newest checkpoint
-/// at or below the head, plus the event tail. `cfg` must match the
-/// configuration the journaling coordinator ran with — the snapshot
-/// carries fleet state, not policy tunables.
+/// at or below the head, plus the event tail (or every event, when that
+/// checkpoint does not decode). `cfg` must match the configuration the
+/// journaling coordinator ran with — the snapshot carries fleet state,
+/// not policy tunables.
 pub fn recover(dir: &Path, cfg: &CoordinatorConfig, tel: Telemetry) -> Result<Recovered> {
     let outcome = read_records(dir)?;
     let head = outcome.records.len() as u64;
@@ -293,10 +315,14 @@ pub fn recover(dir: &Path, cfg: &CoordinatorConfig, tel: Telemetry) -> Result<Re
         truncate_records(dir, head)?;
     }
     let mut last_now_ms = 0u64;
-    let (start, mut core) = match latest_checkpoint_before(dir, head)? {
-        Some((seq, bytes)) => {
-            let snap: CoreSnapshot = serde_json::from_slice(&bytes)
-                .map_err(|e| Error::Corruption(format!("fleet checkpoint decode failed: {e}")))?;
+    // A checkpoint that does not decode (an older `CoreSnapshot` layout)
+    // degrades to a full replay: the segments keep every event.
+    let checkpoint = latest_checkpoint_before(dir, head)?.and_then(|(seq, bytes)| {
+        let snap: CoreSnapshot = serde_json::from_slice(&bytes).ok()?;
+        Some((seq, snap))
+    });
+    let (start, mut core) = match checkpoint {
+        Some((seq, snap)) => {
             last_now_ms = snap.last_epoch_ms.unwrap_or(0);
             (seq, FleetCore::from_snapshot(cfg, snap, tel))
         }
@@ -323,7 +349,7 @@ pub fn recover(dir: &Path, cfg: &CoordinatorConfig, tel: Telemetry) -> Result<Re
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dufp_journal::TestDir;
+    use dufp_journal::{list_checkpoints, TestDir};
     use std::time::Duration;
 
     fn cfg() -> CoordinatorConfig {
@@ -416,6 +442,84 @@ mod tests {
         // And the sealed journal accepts further appends.
         let mut j = FleetJournal::resume(dir.path(), rec.journal_head).unwrap();
         j.record(&FleetEvent::Epoch { now_ms: 5000 }).unwrap();
+    }
+
+    #[test]
+    fn an_undecodable_checkpoint_falls_back_to_full_replay() {
+        let dir = TestDir::new("fleet-bad-checkpoint");
+        let core = journaled_run(dir.path(), 9);
+        let (_, newest) = list_checkpoints(dir.path()).unwrap().pop().unwrap();
+        // Valid JSON, but not a `CoreSnapshot` (e.g. an older layout).
+        std::fs::write(&newest, br#"{"epoch":"nine","nodes":null}"#).unwrap();
+        let rec = recover(dir.path(), &cfg(), Telemetry::enabled()).unwrap();
+        assert_eq!(
+            core.snapshot_bytes().unwrap(),
+            rec.core.snapshot_bytes().unwrap()
+        );
+        assert_eq!(rec.events_replayed, rec.journal_head, "full replay");
+        assert_eq!(rec.last_now_ms, 9000);
+    }
+
+    /// Drives `core` through every journaling path: accepted and refused
+    /// admissions, reports and heartbeats to live and departed slots, a
+    /// goodbye, epochs, and finally a higher term that fences the core.
+    fn drive_every_input(core: &mut FleetCore) {
+        let a = core
+            .admit("a".into(), "EP".into(), Watts(65.0), Watts(125.0), 0)
+            .unwrap();
+        let b = core
+            .admit("b".into(), "CG".into(), Watts(65.0), Watts(125.0), 0)
+            .unwrap();
+        assert!(core
+            .admit("c".into(), "EP".into(), Watts(f64::NAN), Watts(125.0), 0)
+            .is_err());
+        for e in 1..=3u64 {
+            core.on_report(a, e, Watts(90.0), Watts(85.0), true, e * 1000 - 500);
+            core.on_report(b, e, Watts(80.0), Watts(70.0), true, e * 1000 - 500);
+            core.on_heartbeat(a, e, e * 1000 - 400);
+            core.epoch_once(e * 1000);
+        }
+        core.on_goodbye(b);
+        core.on_goodbye(b);
+        core.on_report(b, 4, Watts(80.0), Watts(70.0), true, 3500);
+        core.on_heartbeat(b, 4, 3600);
+        core.on_report(a, 4, Watts(90.0), Watts(85.0), true, 3500);
+        core.on_report(9, 1, Watts(90.0), Watts(85.0), true, 3500);
+        core.epoch_once(4000);
+        assert!(core.observe_term(1).is_ok());
+        assert!(core.observe_term(5).is_err());
+        core.on_report(a, 5, Watts(90.0), Watts(85.0), true, 4500);
+        assert!(core
+            .admit("d".into(), "EP".into(), Watts(65.0), Watts(125.0), 4600)
+            .is_err());
+        core.epoch_once(5000);
+    }
+
+    #[test]
+    fn the_memory_sink_keeps_exactly_what_the_disk_sink_writes() {
+        let dir = TestDir::new("fleet-sinks");
+        let mut disk = FleetCore::new(&cfg(), Telemetry::enabled());
+        disk.attach_journal(FleetJournal::create(dir.path()).unwrap());
+        let mut memory = FleetCore::new(&cfg(), Telemetry::enabled());
+        memory.attach_journal(FleetJournal::in_memory());
+        drive_every_input(&mut disk);
+        drive_every_input(&mut memory);
+        assert_eq!(disk.journaled_events(), None);
+        drop(disk);
+
+        let kept = memory.journaled_events().unwrap();
+        let written: Vec<FleetEvent> = read_records(dir.path())
+            .unwrap()
+            .records
+            .iter()
+            .map(|r| FleetEvent::decode(r).unwrap())
+            .collect();
+        assert_eq!(kept, written.as_slice());
+        // Two admits, 3 × (2 reports + heartbeat + epoch), one goodbye,
+        // one report, one epoch, the fence; nothing after it.
+        assert_eq!(kept.len(), 2 + 3 * 4 + 3 + 1);
+        assert_eq!(kept.last(), Some(&FleetEvent::Fence { term: 5 }));
+        assert!(list_checkpoints(dir.path()).unwrap().is_empty());
     }
 
     #[test]

@@ -307,7 +307,7 @@ mod tests {
     #[test]
     fn msr_fault_propagates() {
         let m = fake();
-        m.inject(dufp_msr::io::Fault::WriteOf(MSR_PKG_POWER_LIMIT));
+        m.inject_plan(dufp_msr::FaultPlan::parse("write,reg=cap").unwrap());
         let r = MsrRapl::new(m, 2, 16).unwrap();
         assert!(r.set_both(SocketId(0), Watts(100.0)).is_err());
     }

@@ -107,10 +107,10 @@ fn energy_counter_flows_from_simulation_to_rapl_joules() {
 fn msr_fault_surfaces_through_the_full_stack() {
     let fake = Arc::new(seeded_fake());
     let rapl = MsrRapl::new(Arc::clone(&fake), 2, 16).unwrap();
-    fake.inject(dufp_msr::io::Fault::WriteOf(MSR_PKG_POWER_LIMIT));
+    fake.inject_plan(dufp_msr::FaultPlan::parse("write,reg=cap").unwrap());
     let err = rapl.set_both(SocketId(1), Watts(80.0)).unwrap_err();
     assert!(err.to_string().contains("0x610"), "{err}");
-    fake.inject(dufp_msr::io::Fault::None);
+    fake.clear_faults();
     assert!(rapl.set_both(SocketId(1), Watts(80.0)).is_ok());
 }
 
