@@ -204,12 +204,11 @@ pub fn run_app(spec: &RunSpec) -> Result<String, String> {
 pub fn resume(cmd: &ResumeCmd) -> Result<String, String> {
     let dir = std::path::Path::new(&cmd.dir);
     let summary = dufp::summarize(dir).map_err(|e| format!("journal {}: {e}", cmd.dir))?;
-    let replayed = summary.intervals.len();
-    let r = dufp::resume(dir).map_err(|e| format!("journal {}: {e}", cmd.dir))?;
+    let (replayed, meta) = (summary.intervals.len(), summary.meta.clone());
+    let r = (summary.resume()).map_err(|e| format!("journal {}: {e}", cmd.dir))?;
     if cmd.json {
         return serde_json::to_string_pretty(&r).map_err(|e| e.to_string());
     }
-    let meta = &summary.meta;
     let mut out = String::new();
     writeln!(
         out,
@@ -1293,6 +1292,37 @@ mod tests {
         assert!(err.contains("already contains segments"), "{err}");
 
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn inspecting_a_torn_journal_changes_no_byte() {
+        let dir = dufp_journal::TestDir::new("cli-torn");
+        let mut s = spec("EP", 1);
+        s.journal_dir = Some(dir.path().to_str().unwrap().to_string());
+        s.fault_plan = Some("crash,at=7001".into());
+        assert!(run_app(&s).unwrap_err().contains("crash at tick"));
+        let (_, seg) = dufp_journal::segment_paths(dir.path())
+            .unwrap()
+            .pop()
+            .unwrap();
+        let mut torn = std::fs::read(&seg).unwrap();
+        torn.extend_from_slice(b"torn");
+        std::fs::write(&seg, torn).unwrap();
+        let files = || {
+            let mut all: Vec<_> = (std::fs::read_dir(dir.path()).unwrap())
+                .map(|e| e.unwrap().path())
+                .map(|p| (p.clone(), std::fs::read(p).unwrap()))
+                .collect();
+            all.sort();
+            all
+        };
+        let before = files();
+        let cmd = JournalCmd {
+            dir: dir.path().to_str().unwrap().into(),
+        };
+        let inspect = journal(&cmd).unwrap();
+        assert!(inspect.contains("torn tail dropped"), "{inspect}");
+        assert!(files() == before, "inspection must not seal the tail");
     }
 
     #[test]

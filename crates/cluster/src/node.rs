@@ -43,7 +43,8 @@ pub struct DufpNode {
 impl DufpNode {
     /// A node seeded with `seed` running `queue` back to back under DUFP
     /// at `slowdown`, starting at `ceiling`; DUFP and the guard record to
-    /// `tel` as socket 0.
+    /// `tel` as socket 0. A `ceiling` below [`DufpNode::cap_floor`] (or
+    /// not finite) is refused before anything is built.
     pub fn new(
         seed: u64,
         queue: &[String],
@@ -51,6 +52,11 @@ impl DufpNode {
         ceiling: Watts,
         tel: &Telemetry,
     ) -> Result<Self> {
+        let floor = Self::cap_floor();
+        if !ceiling.value().is_finite() || ceiling < floor {
+            let why = format!("{ceiling} cannot be enforced: the cap floor is {floor}");
+            return Err(Error::invalid("ceiling", why));
+        }
         let sim = SimConfig::yeti_single_socket(seed);
         let arch = sim.arch.clone();
         let ctx = MaterializeCtx::from_arch(&arch);
@@ -257,6 +263,14 @@ mod tests {
             })
         ));
         assert!(DufpNode::new(1, &queue(&["nope"]), slowdown, Watts(90.0), &tel).is_err());
+        // 25 W per node is what a 100 W budget splits four ways.
+        assert!(matches!(
+            DufpNode::new(1, &queue(&["EP"]), slowdown, Watts(25.0), &tel),
+            Err(Error::InvalidValue {
+                what: "ceiling",
+                ..
+            })
+        ));
     }
 
     #[test]

@@ -231,12 +231,6 @@ impl<A: Actuators> ResilientActuators<A> {
         self
     }
 
-    /// Overrides the default [`RetryPolicy`].
-    pub fn with_policy(mut self, policy: RetryPolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-
     /// The current rung of the degradation ladder.
     pub fn degradation(&self) -> DegradationLevel {
         if self.knobs[Knob::Uncore as usize].disabled {
@@ -753,10 +747,8 @@ mod tests {
         let tel = Telemetry::new(64);
         let flaky = Flaky::new();
         flaky.push_cap_errors(3, || Error::Unsupported("no RAPL"));
-        let mut r = wrap(flaky.clone(), &tel).with_policy(RetryPolicy {
-            degrade_after: 3,
-            ..RetryPolicy::default()
-        });
+        assert_eq!(RetryPolicy::default().degrade_after, 3);
+        let mut r = wrap(flaky.clone(), &tel);
 
         for _ in 0..3 {
             r.set_cap_both(Watts(90.0)).unwrap();

@@ -19,17 +19,17 @@
 //! the journaled seed, replays the simulator tick-for-tick while applying
 //! each journaled interval's final registers (the simulator is
 //! deterministic, so this reproduces the exact pre-crash trajectory up to
-//! the checkpoint), restores the checkpointed soft state, truncates the
-//! journal to the checkpoint and continues live. A resumed run's journal
-//! is bit-identical to the journal an uninterrupted run would have
-//! written — the property the crash-equivalence proptests pin down.
+//! the checkpoint), restores the checkpointed soft state, cuts the
+//! journal back to the checkpoint and continues live. The checkpoint is
+//! chosen by [`dufp_journal::recover`], the one rule the fleet journal
+//! shares. A resumed run's journal is bit-identical to the journal an
+//! uninterrupted run would have written — the property the
+//! crash-equivalence proptests pin down.
 
 use crate::runner::{run_driver, ExperimentSpec, JournalSession, ResumePoint, RunResult};
 use dufp_control::{ControllerState, ResilienceState};
 use dufp_counters::CounterSnapshot;
-use dufp_journal::{
-    latest_checkpoint_before, read_records, write_file_atomic, FsyncPolicy, JournalWriter,
-};
+use dufp_journal::{recover, write_file_atomic, FsyncPolicy, JournalWriter, Recovery};
 use dufp_msr::InjectorSnapshot;
 use dufp_types::{Error, Hertz, Result, Watts};
 use serde::{Deserialize, Serialize};
@@ -195,16 +195,19 @@ pub struct JournalSummary {
     pub complete: bool,
     /// Whether the reader had to drop a torn/corrupt tail.
     pub truncated: bool,
+    /// The raw records and the checkpoint a resume starts from.
+    recovery: Recovery<CheckpointState>,
 }
 
-/// Reads and validates a journal directory without running anything
-/// (used by `resume` and by the `dufp journal` inspection command).
+/// Reads and validates a journal directory without running or changing
+/// anything (used by `resume` and by the `dufp journal` inspection
+/// command).
 pub fn summarize(dir: &Path) -> Result<JournalSummary> {
     let meta = load_meta(dir)?;
-    let outcome = read_records(dir)?;
+    let recovery = recover(dir, CheckpointState::decode)?;
     let mut intervals = Vec::new();
     let mut complete = false;
-    for (pos, payload) in outcome.records.iter().enumerate() {
+    for (pos, payload) in recovery.records.iter().enumerate() {
         if complete {
             return Err(Error::Corruption(format!(
                 "journal record {pos} follows a Complete record"
@@ -235,7 +238,8 @@ pub fn summarize(dir: &Path) -> Result<JournalSummary> {
         meta,
         intervals,
         complete,
-        truncated: outcome.truncated,
+        truncated: recovery.truncated,
+        recovery,
     })
 }
 
@@ -266,77 +270,59 @@ pub fn run_journaled(spec: &ExperimentSpec, seed: u64, opts: &JournalOptions) ->
     // Creating the writer up front also rejects a dirty directory (one
     // that already holds segments) before any simulation work happens.
     let writer = JournalWriter::create(&opts.dir, opts.fsync)?;
-    run_driver(
-        spec,
-        seed,
-        Some(JournalSession {
-            dir: opts.dir.clone(),
-            fsync: opts.fsync,
-            writer: Some(writer),
-            resume: None,
-        }),
-    )
+    run_driver(spec, seed, Some(JournalSession::Fresh(writer)))
 }
 
-/// Resumes a crashed journaled run and drives it to completion.
-///
-/// The journal tail is replayed deterministically on top of the last
-/// usable checkpoint; corrupt or too-new checkpoints fall back to older
-/// ones and, in the worst case, to a full replay from the start — the
-/// run is recovered in every case that leaves `meta.json` readable. The
-/// continued run keeps the fsync policy `meta.json` records.
+/// Resumes the crashed journaled run in `dir` and drives it to
+/// completion: [`JournalSummary::resume`] over [`summarize`].
 pub fn resume(dir: &Path) -> Result<RunResult> {
-    let summary = summarize(dir)?;
-    if summary.complete {
-        return Err(Error::Precondition(format!(
-            "journal at {} records a completed run ({} intervals); nothing to resume",
-            dir.display(),
-            summary.intervals.len()
-        )));
-    }
-    let head = summary.intervals.len() as u64;
-    // A checkpoint is usable only up to the journal head (`seq <= head`):
-    // anything newer describes state the journal cannot corroborate. An
-    // unusable or undecodable checkpoint degrades to a longer replay,
-    // never to a refusal.
-    let checkpoint = match latest_checkpoint_before(dir, head) {
-        Ok(Some((_, payload))) => match CheckpointState::decode(&payload) {
-            Ok(cp) => {
-                if cp.seed != summary.meta.seed {
-                    return Err(Error::Corruption(format!(
-                        "checkpoint seed {} does not match journal seed {}",
-                        cp.seed, summary.meta.seed
-                    )));
-                }
-                Some(cp)
+    summarize(dir)?.resume()
+}
+
+impl JournalSummary {
+    /// Resumes this crashed run and drives it to completion.
+    ///
+    /// The journal tail is replayed deterministically on top of the
+    /// checkpoint [`dufp_journal::recover`] picked; an undecodable or
+    /// too-new checkpoint falls back to the older one and, in the worst
+    /// case, to a full replay from the start — the run is recovered in
+    /// every case that leaves `meta.json` readable and the checkpoint's
+    /// seed matching. The continued run keeps the fsync policy
+    /// `meta.json` records.
+    pub fn resume(self) -> Result<RunResult> {
+        if self.complete {
+            return Err(Error::Precondition(format!(
+                "journal at {} records a completed run ({} intervals); nothing to resume",
+                self.recovery.dir().display(),
+                self.intervals.len()
+            )));
+        }
+        if let Some((_, cp)) = &self.recovery.checkpoint {
+            if cp.seed != self.meta.seed {
+                return Err(Error::Corruption(format!(
+                    "checkpoint seed {} does not match journal seed {}",
+                    cp.seed, self.meta.seed
+                )));
             }
-            Err(_) => None,
-        },
-        Ok(None) => None,
-        Err(Error::Corruption(_)) => None,
-        Err(e) => return Err(e),
-    };
-    let intervals = summary
-        .intervals
-        .into_iter()
-        .map(|rec| match rec {
-            JournalRecord::Interval { sockets, .. } => sockets,
-            JournalRecord::Complete { .. } => unreachable!("filtered by summarize"),
-        })
-        .collect();
-    run_driver(
-        &summary.meta.spec,
-        summary.meta.seed,
-        Some(JournalSession {
-            dir: dir.to_path_buf(),
-            fsync: summary.meta.fsync,
-            writer: None,
-            resume: Some(ResumePoint {
+        }
+        let intervals = self
+            .intervals
+            .into_iter()
+            .map(|rec| match rec {
+                JournalRecord::Interval { sockets, .. } => sockets,
+                JournalRecord::Complete { .. } => unreachable!("filtered by summarize"),
+            })
+            .collect();
+        run_driver(
+            &self.meta.spec,
+            self.meta.seed,
+            Some(JournalSession::Resume(ResumePoint {
                 intervals,
-                checkpoint,
-            }),
-        }),
-    )
+                journal: self.recovery,
+                fsync: self.meta.fsync,
+            })),
+        )
+    }
 }
 
 #[cfg(test)]
@@ -344,7 +330,7 @@ mod tests {
     use super::*;
     use crate::runner::run_once;
     use crate::ControllerKind;
-    use dufp_journal::{list_checkpoints, truncate_records, TestDir};
+    use dufp_journal::{list_checkpoints, read_records, truncate_records, TestDir};
     use dufp_msr::FaultPlan;
     use dufp_sim::SimConfig;
     use dufp_types::Ratio;
@@ -629,6 +615,32 @@ mod tests {
             "this build must not read the old controller layout"
         );
         dufp_journal::write_checkpoint(dir_b.path(), seq, old.as_bytes()).unwrap();
+
+        let rb = resume(dir_b.path()).unwrap();
+        assert_same_result(&ra, &rb);
+        assert_eq!(records_of(dir_a.path()), records_of(dir_b.path()));
+    }
+
+    #[test]
+    fn an_undecodable_newest_checkpoint_resumes_from_the_older_one() {
+        let reference = ep_spec(None);
+        let dir_a = TestDir::new("ref-older");
+        let ra = run_journaled(&reference, 12, &JournalOptions::new(dir_a.path())).unwrap();
+
+        // Tick 11001 is 55 intervals in: checkpoints at 25 and 50.
+        let crashed = ep_spec(Some(&with_crash(None, 11001)));
+        let dir_b = TestDir::new("crash-older");
+        run_journaled(&crashed, 12, &JournalOptions::new(dir_b.path())).unwrap_err();
+        let seqs: Vec<u64> = list_checkpoints(dir_b.path())
+            .unwrap()
+            .iter()
+            .map(|c| c.0)
+            .collect();
+        assert_eq!(seqs, vec![25, 50]);
+        let (_, newest) = list_checkpoints(dir_b.path()).unwrap().pop().unwrap();
+        std::fs::write(&newest, br#"{"interval":"fifty"}"#).unwrap();
+        let chosen = summarize(dir_b.path()).unwrap().recovery.checkpoint;
+        assert_eq!(chosen.map(|(seq, cp)| (seq, cp.interval)), Some((25, 25)));
 
         let rb = resume(dir_b.path()).unwrap();
         assert_same_result(&ra, &rb);

@@ -11,7 +11,7 @@ use crate::socket_loop::{SocketLoop, STAGE_BOUNDS};
 use crate::stats::{summarize_runs, RepeatedResult};
 use dufp_control::{ControlConfig, Controller, Duf, Dufp, NoOp, StaticCap};
 use dufp_counters::{CounterSnapshot, Telemetry};
-use dufp_journal::{truncate_records, write_checkpoint, FsyncPolicy, JournalWriter};
+use dufp_journal::{FsyncPolicy, JournalWriter, Recovery};
 use dufp_msr::registers::{PerfCtl, UncoreRatioLimit};
 use dufp_msr::{FaultPlan, InjectorSnapshot};
 use dufp_rapl::{MsrRapl, PowerCapper};
@@ -23,7 +23,6 @@ use dufp_types::{shutdown, Duration, Error, Joules, Ratio, Result, Seconds, Sock
 use dufp_workloads::MaterializeCtx;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
-use std::path::PathBuf;
 use std::sync::Arc;
 
 /// Which controller to run on each socket.
@@ -251,31 +250,23 @@ fn sample_end(machine: &Machine, socket: SocketId) -> Result<CounterSnapshot> {
 }
 
 /// A journaled-run request handed to the driver by [`crate::journal`].
-pub(crate) struct JournalSession {
-    /// Journal directory (segments + checkpoints + `meta.json`).
-    pub dir: PathBuf,
-    /// Fsync policy for the live portion of the run.
-    pub fsync: FsyncPolicy,
-    /// Pre-created writer (fresh runs); `None` until replay finishes on
-    /// resumes, because resume must truncate the tail before reopening.
-    pub writer: Option<JournalWriter>,
-    /// Present when resuming a crashed run.
-    pub resume: Option<ResumePoint>,
+pub(crate) enum JournalSession {
+    /// A fresh run appending to a just-created journal.
+    Fresh(JournalWriter),
+    /// A crashed run to replay and continue.
+    Resume(ResumePoint),
 }
 
 /// The validated journal contents a resume starts from.
 pub(crate) struct ResumePoint {
     /// Final per-socket registers of every journaled interval, in order.
     pub intervals: Vec<Vec<SocketRegs>>,
-    /// The checkpoint to restore, when a usable one exists. `None` means
-    /// a full deterministic replay from the start.
-    pub checkpoint: Option<CheckpointState>,
-}
-
-/// A journal being written by the live portion of a run.
-struct ActiveJournal {
-    writer: JournalWriter,
-    dir: PathBuf,
+    /// The records and the checkpoint to restore (`None`: a full
+    /// deterministic replay from the start); reopened for the live run
+    /// once replay reaches the checkpoint.
+    pub journal: Recovery<CheckpointState>,
+    /// Fsync policy for the live portion of the run.
+    pub fsync: FsyncPolicy,
 }
 
 /// Snapshot of everything the journal registers cannot rebuild, taken at
@@ -432,24 +423,23 @@ pub(crate) fn run_driver(
     // tick batches plus each interval's final registers, which by the
     // simulator's determinism reproduces the crashed run bit-for-bit up
     // to the checkpoint — then restores the checkpointed soft state and
-    // truncates the journal tail (it is regenerated identically by the
-    // continued live run). The injector stays unarmed throughout replay:
-    // its consumed randomness is accounted for by the checkpointed
-    // snapshot, not by re-drawing.
+    // cuts the journal back to the checkpoint (the tail is regenerated
+    // identically by the continued live run). The injector stays unarmed
+    // throughout replay: its consumed randomness is accounted for by the
+    // checkpointed snapshot, not by re-drawing.
     let mut completed: u64 = 0;
     let mut crash_enabled = true;
     let mut restored_injector: Option<InjectorSnapshot> = None;
-    let mut active: Option<ActiveJournal> = None;
-    if let Some(mut session) = journal {
-        if let Some(resume) = session.resume.take() {
+    let mut writer = match journal {
+        None => None,
+        Some(JournalSession::Fresh(writer)) => Some(writer),
+        Some(JournalSession::Resume(mut resume)) => {
             crash_enabled = false;
             let head = resume.intervals.len() as u64;
-            let replay_to = resume.checkpoint.as_ref().map(|c| c.interval).unwrap_or(0);
-            if replay_to > head {
-                return Err(Error::Corruption(format!(
-                    "checkpoint at interval {replay_to} is newer than the journal head {head}"
-                )));
-            }
+            let (replay_to, checkpoint) = match resume.journal.checkpoint.take() {
+                Some((seq, cp)) => (seq, Some(cp)),
+                None => (0, None),
+            };
             for regs in resume.intervals.iter().take(replay_to as usize) {
                 step(ticks_per_interval);
                 if machine.done() {
@@ -472,12 +462,10 @@ pub(crate) fn run_driver(
                     })?;
                 }
             }
-            if let Some(cp) = resume.checkpoint {
+            if let Some(cp) = checkpoint {
                 restore_checkpoint(&cp, &mut sockets)?;
                 restored_injector = cp.injector;
             }
-            let kept = truncate_records(&session.dir, replay_to)?;
-            session.writer = Some(JournalWriter::open(&session.dir, session.fsync, kept)?);
             completed = replay_to;
             let tick = tick_index();
             let (old, new) = (replay_to as f64, head as f64);
@@ -485,16 +473,9 @@ pub(crate) fn run_driver(
                 at_us: machine.now().0,
                 ..DecisionEvent::new(tick, Actuator::Journal, old, new, Reason::Resumed)
             });
+            Some(resume.journal.reopen(resume.fsync, replay_to)?)
         }
-        let writer = session
-            .writer
-            .take()
-            .ok_or_else(|| Error::Precondition("journal session carries no writer".to_owned()))?;
-        active = Some(ActiveJournal {
-            writer,
-            dir: session.dir,
-        });
-    }
+    };
 
     // Arm the fault plan only now: initialization (and any resume replay)
     // is done, so scheduled rules count from the first control interval
@@ -576,7 +557,7 @@ pub(crate) fn run_driver(
         }
         let tick_now = tick_index();
         completed += 1;
-        if let Some(j) = active.as_mut() {
+        if let Some(w) = writer.as_mut() {
             // Journal the interval's *final* register state — the complete
             // actuation surface, whatever mix of controller moves, retries
             // and degradations produced it.
@@ -593,15 +574,12 @@ pub(crate) fn run_driver(
                 tick: tick_now,
                 sockets: std::mem::take(&mut regs_buf),
             };
-            j.writer.append(&record.encode()?)?;
+            w.append(&record.encode()?)?;
             let JournalRecord::Interval { sockets: regs, .. } = record else {
                 unreachable!("record constructed as Interval above");
             };
             regs_buf = regs;
             if completed.is_multiple_of(CHECKPOINT_EVERY) {
-                // The journal prefix a checkpoint refers to must be
-                // durable before the checkpoint claims it exists.
-                j.writer.sync()?;
                 let cp = checkpoint_state(
                     completed,
                     tick_now,
@@ -609,7 +587,7 @@ pub(crate) fn run_driver(
                     &sockets,
                     machine.injector_snapshot(),
                 );
-                write_checkpoint(&j.dir, completed, &cp.encode()?)?;
+                w.checkpoint(&cp.encode()?)?;
                 journal_checkpoints.inc();
                 let (old, new) = ((completed - CHECKPOINT_EVERY) as f64, completed as f64);
                 tel.record_decision(DecisionEvent {
@@ -620,13 +598,13 @@ pub(crate) fn run_driver(
         }
     }
 
-    if let Some(j) = active.as_mut() {
+    if let Some(w) = writer.as_mut() {
         let record = JournalRecord::Complete {
             intervals: completed,
             tick: tick_index(),
         };
-        j.writer.append(&record.encode()?)?;
-        j.writer.sync()?;
+        w.append(&record.encode()?)?;
+        w.sync()?;
     }
 
     let exec_time = machine.now().duration_since(started).as_seconds();

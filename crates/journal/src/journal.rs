@@ -14,6 +14,7 @@
 //! everything after (including later segments) is discarded. That is the
 //! right semantics for a write-ahead log: a crash can only tear the tail.
 
+use crate::checkpoint::write_checkpoint;
 use crate::crc::crc32;
 use dufp_types::{Error, Result};
 use serde::{DeError, Deserialize, Serialize, Value};
@@ -159,11 +160,11 @@ impl JournalWriter {
         })
     }
 
-    /// Opens an existing journal for appending. The caller must have
-    /// already recovered/truncated the tail (see [`truncate_records`]):
-    /// this appends to the highest segment as-is. `existing_records` seeds
-    /// the record counter for [`JournalWriter::records_written`].
-    pub fn open(dir: &Path, policy: FsyncPolicy, existing_records: u64) -> Result<Self> {
+    /// Opens an intact journal for appending to its highest segment as it
+    /// is; `existing_records` seeds [`JournalWriter::records_written`].
+    /// Resuming callers reach it through [`crate::Recovery::reopen`],
+    /// which seals a torn tail first.
+    pub(crate) fn open(dir: &Path, policy: FsyncPolicy, existing_records: u64) -> Result<Self> {
         let segs = segment_paths(dir)?;
         let (seg_index, seg_bytes, file) = match segs.last() {
             None => (0, SEGMENT_MAGIC.len() as u64, Self::start_segment(dir, 0)?),
@@ -242,6 +243,30 @@ impl JournalWriter {
         self.unsynced = 0;
         Ok(())
     }
+
+    /// Seals `payload` as the checkpoint at
+    /// [`JournalWriter::records_written`] ([`write_checkpoint`]), syncing
+    /// the log first so the checkpoint never claims records the disk
+    /// lacks.
+    pub fn checkpoint(&mut self, payload: &[u8]) -> Result<()> {
+        self.sync()?;
+        write_checkpoint(&self.dir, self.records, payload).map(drop)
+    }
+
+    /// Replaces the journal in `dir` with exactly `records` and returns a
+    /// writer appending after them under `policy`.
+    pub(crate) fn rewrite(dir: &Path, records: &[Vec<u8>], policy: FsyncPolicy) -> Result<Self> {
+        for (_, path) in segment_paths(dir)? {
+            fs::remove_file(path)?;
+        }
+        let mut w = Self::create(dir, FsyncPolicy::Never)?;
+        for record in records {
+            w.append(record)?;
+        }
+        w.sync()?;
+        w.policy = policy;
+        Ok(w)
+    }
 }
 
 /// Result of a corruption-tolerant journal read.
@@ -317,25 +342,13 @@ pub fn read_records(dir: &Path) -> Result<ReadOutcome> {
     })
 }
 
-/// Rewrites the journal so that exactly the first `keep` intact records
-/// remain, discarding any corrupt tail along the way. Returns the number
-/// of records actually kept (less than `keep` if the journal was shorter).
-///
-/// Used on resume: everything after the checkpointed interval is dropped
-/// and regenerated live, which keeps crashed-and-resumed journals
-/// bit-identical to uninterrupted ones.
+/// Cuts the journal in `dir` to its first `keep` intact records and
+/// returns how many remain (fewer than `keep` if it was shorter).
 pub fn truncate_records(dir: &Path, keep: u64) -> Result<u64> {
-    let mut outcome = read_records(dir)?;
-    outcome.records.truncate(keep as usize);
-    for (_, path) in segment_paths(dir)? {
-        fs::remove_file(path)?;
-    }
-    let mut w = JournalWriter::create(dir, FsyncPolicy::Never)?;
-    for record in &outcome.records {
-        w.append(record)?;
-    }
-    w.sync()?;
-    Ok(outcome.records.len() as u64)
+    let records = read_records(dir)?.records;
+    let kept = keep.min(records.len() as u64);
+    JournalWriter::rewrite(dir, &records[..kept as usize], FsyncPolicy::Never)?;
+    Ok(kept)
 }
 
 #[cfg(test)]

@@ -16,7 +16,7 @@
 
 use dufp_types::{splitmix, Error, Result};
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize, Value};
 
 /// The kind of hardware access a rule can match.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -327,12 +327,34 @@ struct InjectorState {
 /// Serializable runtime state of a [`FaultInjector`] — the rng position
 /// and per-rule match counters. Checkpointed so a resumed run's injected
 /// faults continue exactly where the crashed run's left off.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct InjectorSnapshot {
     /// SplitMix64 state.
     pub rng: u64,
     /// Per-rule match counters, in plan rule order.
     pub hits: Vec<u64>,
+}
+
+// The rng state is a uniform u64, and serde writes one above `i64::MAX`
+// as a lossy float it cannot read back, so it travels as the i64 with
+// the same bits: unchanged below 2^63, negative above.
+impl Serialize for InjectorSnapshot {
+    fn to_value(&self) -> Value {
+        Value::Object(vec![
+            ("rng".into(), Value::Int(self.rng as i64)),
+            ("hits".into(), self.hits.to_value()),
+        ])
+    }
+}
+
+impl Deserialize for InjectorSnapshot {
+    fn from_value(v: &Value) -> std::result::Result<Self, DeError> {
+        let field = |k| (v.get(k)).ok_or_else(|| DeError::custom(format!("missing field {k}")));
+        Ok(InjectorSnapshot {
+            rng: i64::from_value(field("rng")?)? as u64,
+            hits: Vec::from_value(field("hits")?)?,
+        })
+    }
 }
 
 /// A compiled, thread-safe [`FaultPlan`] that backends consult per access.
@@ -625,6 +647,29 @@ mod tests {
             .map(|_| resumed.should_fail(FaultOp::Write, 3, 0x610))
             .collect();
         assert_eq!(tail, resumed_tail);
+    }
+
+    #[test]
+    fn snapshots_round_trip_every_rng_state() {
+        for rng in [0, 12345, i64::MAX as u64, 1 << 63, u64::MAX] {
+            let snap = InjectorSnapshot {
+                rng,
+                hits: vec![3, 0],
+            };
+            let bytes = serde_json::to_vec(&snap).unwrap();
+            assert_eq!(
+                serde_json::from_slice::<InjectorSnapshot>(&bytes).unwrap(),
+                snap
+            );
+        }
+        let small = InjectorSnapshot {
+            rng: 12345,
+            hits: vec![3],
+        };
+        assert_eq!(
+            serde_json::to_string(&small).unwrap(),
+            r#"{"rng":12345,"hits":[3]}"#
+        );
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! ([`crate::hetero`]) is the same model with a GPU slot after its one
 //! `DufpNode`.
 
-use crate::config::PolicyKind;
+use crate::config::{fund_floors, PolicyKind};
 use crate::fleet_sim::{FleetModel, FleetPlan, FleetSim, NodeHello};
 use dufp_cluster::allocator::{AllocatorPolicy, NodeObservation};
 use dufp_cluster::node::INTERVAL;
@@ -48,12 +48,11 @@ pub struct ClusterConfig {
 
 impl ClusterConfig {
     /// Rejects configurations no cluster can run — empty node lists or
-    /// queues, zero/negative/NaN budgets, slowdowns outside [0, 1),
-    /// zero-length epochs — with a typed [`Error::InvalidValue`] naming
-    /// the offending field, the same contract
-    /// [`dufp_control::ControlConfig::validate`] gives control settings. A
-    /// budget below the nodes' cap floors is refused by the fleet loop, as
-    /// every fleet's is.
+    /// queues, zero/negative/NaN budgets or ones below the nodes' cap
+    /// floors, slowdowns outside [0, 1), zero-length epochs — with a typed
+    /// [`Error::InvalidValue`] naming the offending field, the same
+    /// contract [`dufp_control::ControlConfig::validate`] gives control
+    /// settings. [`run_cluster`] checks this before it builds any node.
     pub fn validate(&self) -> Result<()> {
         if self.nodes.is_empty() {
             return Err(Error::invalid("nodes", "cluster needs at least one node"));
@@ -67,6 +66,7 @@ impl ClusterConfig {
             }
         }
         positive("budget", self.budget.value())?;
+        fund_floors(self.budget, DufpNode::cap_floor() * self.nodes.len() as f64)?;
         fraction("slowdown", self.slowdown.value())?;
         if self.epoch.as_micros() == 0 {
             return Err(Error::invalid("epoch", "zero allocator epoch"));
@@ -365,6 +365,15 @@ mod tests {
         cfg.budget = Watts(100.0);
         cfg.nodes.clear();
         assert!(run_cluster(&cfg, PolicyKind::StaticSplit).is_err());
+        // The budget is refused before any node (or its workload) is built.
+        let mut cfg = ClusterConfig::demo(1);
+        cfg.budget = Watts(100.0);
+        cfg.nodes[2] = NodeSpec::single("no-such-app");
+        let err = run_cluster(&cfg, PolicyKind::StaticSplit).unwrap_err();
+        assert!(
+            matches!(err, Error::InvalidValue { what: "budget", .. }),
+            "{err:?}"
+        );
     }
 
     #[test]
@@ -381,6 +390,11 @@ mod tests {
         let mut cfg = ClusterConfig::demo(1);
         cfg.budget = Watts(260.0);
         assert!(cfg.validate().is_ok(), "exactly the floors is fundable");
+        cfg.budget = Watts(259.0);
+        assert!(matches!(
+            cfg.validate().unwrap_err(),
+            Error::InvalidValue { what: "budget", .. }
+        ));
         let mut cfg = ClusterConfig::demo(1);
         cfg.slowdown = Ratio(1.5);
         assert!(matches!(

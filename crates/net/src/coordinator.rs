@@ -162,7 +162,7 @@ impl Coordinator {
             Some(dir) if journal_present(dir) => {
                 let rec = recover(dir, &cfg, tel.clone())?;
                 let mut core = rec.core;
-                core.attach_journal(FleetJournal::resume(dir, rec.journal_head)?);
+                core.attach_journal(rec.journal);
                 core.promote(); // new incarnation: fence everything older
                 base_ms = rec.last_now_ms + 1;
                 recovered_events = rec.events_replayed;

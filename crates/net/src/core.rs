@@ -931,25 +931,14 @@ impl FleetCore {
 
     /// Writes a checkpoint when the journal's cadence calls for one.
     fn maybe_checkpoint(&mut self) {
-        if !self
-            .journal
-            .as_ref()
-            .is_some_and(FleetJournal::due_for_checkpoint)
-        {
+        let Some(mut j) = self.journal.take_if(|j| j.due_for_checkpoint()) else {
             return;
-        }
-        let bytes = match self.snapshot_bytes() {
-            Ok(b) => b,
-            Err(_) => {
-                self.tel.counter("journal_errors_total").inc();
-                return;
-            }
         };
-        if let Some(j) = self.journal.as_mut() {
-            if j.checkpoint(&bytes).is_err() {
-                self.tel.counter("journal_errors_total").inc();
-            }
+        let sealed = self.snapshot_bytes().and_then(|b| j.checkpoint(&b));
+        if sealed.is_err() {
+            self.tel.counter("journal_errors_total").inc();
         }
+        self.journal = Some(j);
     }
 
     fn record(&self, slot: usize, now_ms: u64, old: f64, new: f64, reason: Reason) {

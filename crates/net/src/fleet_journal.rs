@@ -12,12 +12,13 @@
 //! history. An in-memory sink ([`FleetJournal::in_memory`]) keeps the same
 //! events for the in-process chaos standby ([`crate::chaos`]) to replay.
 //!
-//! Recovery ([`recover`]) rebuilds a byte-identical core: load the newest
-//! checkpoint at or below the journal head, then re-apply the tail events
-//! in order. Because *inputs* are journaled (not decisions), every vetting
-//! verdict, trust-ladder transition and allocation replays exactly — a
-//! quarantined node cannot launder its strikes through a coordinator
-//! failover. A takeover coordinator must then bump the coordination term
+//! Recovery ([`recover`]) rebuilds a byte-identical core: start from the
+//! checkpoint [`dufp_journal::recover`] picks (the rule `dufp resume`
+//! shares), then re-apply the tail events in order. Because *inputs* are
+//! journaled (not decisions), every vetting verdict, trust-ladder
+//! transition and allocation replays exactly — a quarantined node cannot
+//! launder its strikes through a coordinator failover. A takeover
+//! coordinator must then bump the coordination term
 //! ([`crate::FleetCore::promote`]) before granting; the bump itself is
 //! journaled ([`FleetEvent::TermBump`]) so the *next* heir replays it too.
 //!
@@ -28,14 +29,11 @@
 
 use crate::config::CoordinatorConfig;
 use crate::core::{CoreSnapshot, FleetCore};
-use dufp_journal::{
-    latest_checkpoint_before, read_records, segment_paths, truncate_records, write_checkpoint,
-    FsyncPolicy, JournalWriter,
-};
+use dufp_journal::{segment_paths, FsyncPolicy, JournalWriter};
 use dufp_telemetry::Telemetry;
 use dufp_types::{Error, Result, Watts};
 use serde::{Deserialize, Serialize};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 /// Checkpoint cadence: a [`CoreSnapshot`] is written every this many
 /// journal events. Small enough that takeover replays are short, large
@@ -204,24 +202,17 @@ pub struct FleetJournal {
 /// (the in-process chaos standby replays it, as a TCP standby replays the
 /// directory).
 enum Sink {
-    Disk(JournalWriter, PathBuf),
+    Disk(JournalWriter),
     Memory(Vec<FleetEvent>),
 }
 
 impl FleetJournal {
     /// Creates a fresh journal in `dir` (which may not exist yet).
-    /// Refuses a directory that already holds segments — recover and
-    /// [`FleetJournal::resume`] instead.
+    /// Refuses a directory that already holds segments — [`recover`] it
+    /// and continue with [`Recovered::journal`] instead.
     pub fn create(dir: &Path) -> Result<Self> {
         let writer = JournalWriter::create(dir, FsyncPolicy::default())?;
-        Ok(Self::new(Sink::Disk(writer, dir.to_path_buf())))
-    }
-
-    /// Continues appending to an existing journal after recovery.
-    /// `existing_records` is the intact record count [`recover`] reported.
-    pub fn resume(dir: &Path, existing_records: u64) -> Result<Self> {
-        let writer = JournalWriter::open(dir, FsyncPolicy::default(), existing_records)?;
-        Ok(Self::new(Sink::Disk(writer, dir.to_path_buf())))
+        Ok(Self::new(Sink::Disk(writer)))
     }
 
     /// A journal that keeps its events in memory (see
@@ -255,7 +246,7 @@ impl FleetJournal {
     /// Appends one event.
     pub fn record(&mut self, ev: &FleetEvent) -> Result<()> {
         match &mut self.sink {
-            Sink::Disk(writer, _) => writer.append(&ev.encode()?)?,
+            Sink::Disk(writer) => writer.append(&ev.encode()?)?,
             Sink::Memory(events) => events.push(ev.clone()),
         }
         self.since_checkpoint += 1;
@@ -268,12 +259,10 @@ impl FleetJournal {
     }
 
     /// Durably writes a checkpoint of the caller's current core snapshot,
-    /// sealed at the current journal head. Syncs the log first so the
-    /// checkpoint never claims records the disk does not have.
+    /// sealed at the current journal head ([`JournalWriter::checkpoint`]).
     pub fn checkpoint(&mut self, snapshot_bytes: &[u8]) -> Result<()> {
-        if let Sink::Disk(writer, dir) = &mut self.sink {
-            writer.sync()?;
-            write_checkpoint(dir, writer.records_written(), snapshot_bytes)?;
+        if let Sink::Disk(writer) = &mut self.sink {
+            writer.checkpoint(snapshot_bytes)?;
         }
         self.since_checkpoint = 0;
         Ok(())
@@ -291,7 +280,10 @@ pub struct Recovered {
     /// The rebuilt core — byte-identical to the primary that wrote the
     /// journal, *before* any term bump. No journal attached yet.
     pub core: FleetCore,
-    /// Intact journal records on disk (pass to [`FleetJournal::resume`]).
+    /// The journal, torn tail sealed, appending after the head: attach it
+    /// to `core` to continue as primary.
+    pub journal: FleetJournal,
+    /// Intact journal records on disk.
     pub journal_head: u64,
     /// Events re-applied after the checkpoint (replay tail length).
     pub events_replayed: u64,
@@ -302,54 +294,42 @@ pub struct Recovered {
     pub torn_tail_dropped: bool,
 }
 
-/// Rebuilds a [`FleetCore`] from the journal in `dir`: newest checkpoint
-/// at or below the head, plus the event tail (or every event, when that
-/// checkpoint does not decode). `cfg` must match the configuration the
-/// journaling coordinator ran with — the snapshot carries fleet state,
-/// not policy tunables.
+/// Rebuilds a [`FleetCore`] from the journal in `dir`: the checkpoint
+/// [`dufp_journal::recover`] picks, or a fresh core when none is usable,
+/// plus the event tail. `cfg` must match the configuration the journaling
+/// coordinator ran with — the snapshot carries fleet state, not policy
+/// tunables.
 pub fn recover(dir: &Path, cfg: &CoordinatorConfig, tel: Telemetry) -> Result<Recovered> {
-    let outcome = read_records(dir)?;
-    let head = outcome.records.len() as u64;
-    if outcome.truncated {
-        // Seal the torn tail so resumed appends start at a clean boundary.
-        truncate_records(dir, head)?;
-    }
-    let mut last_now_ms = 0u64;
-    // A checkpoint that does not decode (an older `CoreSnapshot` layout)
-    // degrades to a full replay: the segments keep every event.
-    let checkpoint = latest_checkpoint_before(dir, head)?.and_then(|(seq, bytes)| {
-        let snap: CoreSnapshot = serde_json::from_slice(&bytes).ok()?;
-        Some((seq, snap))
-    });
-    let (start, mut core) = match checkpoint {
+    let mut found = dufp_journal::recover(dir, serde_json::from_slice::<CoreSnapshot>)?;
+    let head = found.records.len() as u64;
+    let (start, mut core, mut last_now_ms) = match found.checkpoint.take() {
         Some((seq, snap)) => {
-            last_now_ms = snap.last_epoch_ms.unwrap_or(0);
-            (seq, FleetCore::from_snapshot(cfg, snap, tel))
+            let ms = snap.last_epoch_ms.unwrap_or(0);
+            (seq, FleetCore::from_snapshot(cfg, snap, tel), ms)
         }
-        None => (0, FleetCore::new(cfg, tel)),
+        None => (0, FleetCore::new(cfg, tel), 0),
     };
-    let mut events_replayed = 0u64;
-    for rec in &outcome.records[start as usize..] {
+    for rec in &found.records[start as usize..] {
         let ev = FleetEvent::decode(rec)?;
         if let Some(ms) = ev.now_ms() {
             last_now_ms = last_now_ms.max(ms);
         }
         ev.apply(&mut core);
-        events_replayed += 1;
     }
     Ok(Recovered {
         core,
+        journal: FleetJournal::new(Sink::Disk(found.reopen(FsyncPolicy::default(), head)?)),
         journal_head: head,
-        events_replayed,
+        events_replayed: head - start,
         last_now_ms,
-        torn_tail_dropped: outcome.truncated,
+        torn_tail_dropped: found.truncated,
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dufp_journal::{list_checkpoints, TestDir};
+    use dufp_journal::{list_checkpoints, read_records, truncate_records, TestDir};
     use std::time::Duration;
 
     fn cfg() -> CoordinatorConfig {
@@ -407,7 +387,7 @@ mod tests {
 
         let rec = recover(dir.path(), &cfg(), Telemetry::enabled()).unwrap();
         let mut heir = rec.core;
-        heir.attach_journal(FleetJournal::resume(dir.path(), rec.journal_head).unwrap());
+        heir.attach_journal(rec.journal);
         heir.promote();
         assert_eq!(heir.term(), 2);
         heir.epoch_once(7000);
@@ -440,17 +420,29 @@ mod tests {
         // All intact records survived, so state still matches.
         assert_eq!(before, rec.core.snapshot_bytes().unwrap());
         // And the sealed journal accepts further appends.
-        let mut j = FleetJournal::resume(dir.path(), rec.journal_head).unwrap();
+        let mut j = rec.journal;
         j.record(&FleetEvent::Epoch { now_ms: 5000 }).unwrap();
+        drop(j);
+        let after = read_records(dir.path()).unwrap();
+        assert!(!after.truncated);
+        assert_eq!(after.records.len() as u64, rec.journal_head + 1);
+    }
+
+    /// Overwrites checkpoints with valid JSON that is not a `CoreSnapshot`
+    /// (e.g. an older layout): the newest `n` of them.
+    fn spoil_newest_checkpoints(dir: &Path, n: usize) {
+        let all = list_checkpoints(dir).unwrap();
+        assert_eq!(all.len(), 2, "the journal keeps two checkpoints");
+        for (_, path) in all.iter().rev().take(n) {
+            std::fs::write(path, br#"{"epoch":"nine","nodes":null}"#).unwrap();
+        }
     }
 
     #[test]
     fn an_undecodable_checkpoint_falls_back_to_full_replay() {
         let dir = TestDir::new("fleet-bad-checkpoint");
         let core = journaled_run(dir.path(), 9);
-        let (_, newest) = list_checkpoints(dir.path()).unwrap().pop().unwrap();
-        // Valid JSON, but not a `CoreSnapshot` (e.g. an older layout).
-        std::fs::write(&newest, br#"{"epoch":"nine","nodes":null}"#).unwrap();
+        spoil_newest_checkpoints(dir.path(), 2);
         let rec = recover(dir.path(), &cfg(), Telemetry::enabled()).unwrap();
         assert_eq!(
             core.snapshot_bytes().unwrap(),
@@ -458,6 +450,42 @@ mod tests {
         );
         assert_eq!(rec.events_replayed, rec.journal_head, "full replay");
         assert_eq!(rec.last_now_ms, 9000);
+    }
+
+    #[test]
+    fn an_undecodable_newest_checkpoint_falls_back_to_the_older_one() {
+        let dir = TestDir::new("fleet-older-checkpoint");
+        let core = journaled_run(dir.path(), 9);
+        let (older, _) = list_checkpoints(dir.path()).unwrap()[0];
+        spoil_newest_checkpoints(dir.path(), 1);
+        let rec = recover(dir.path(), &cfg(), Telemetry::enabled()).unwrap();
+        assert_eq!(
+            core.snapshot_bytes().unwrap(),
+            rec.core.snapshot_bytes().unwrap()
+        );
+        assert!(older > 0);
+        assert_eq!(rec.events_replayed, rec.journal_head - older);
+        assert_eq!(rec.last_now_ms, 9000);
+    }
+
+    #[test]
+    fn every_checkpoint_beyond_the_head_falls_back_to_full_replay() {
+        let dir = TestDir::new("fleet-outrun");
+        drop(journaled_run(dir.path(), 9));
+        let records = read_records(dir.path()).unwrap().records;
+        let (older, _) = list_checkpoints(dir.path()).unwrap()[0];
+        assert!(older > 20, "both checkpoints lie beyond record 20");
+        truncate_records(dir.path(), 20).unwrap();
+        let rec = recover(dir.path(), &cfg(), Telemetry::enabled()).unwrap();
+        let mut fresh = FleetCore::new(&cfg(), Telemetry::enabled());
+        for r in &records[..20] {
+            FleetEvent::decode(r).unwrap().apply(&mut fresh);
+        }
+        assert_eq!(
+            fresh.snapshot_bytes().unwrap(),
+            rec.core.snapshot_bytes().unwrap()
+        );
+        assert_eq!((rec.journal_head, rec.events_replayed), (20, 20));
     }
 
     /// Drives `core` through every journaling path: accepted and refused

@@ -2,6 +2,7 @@
 //! their shared budget re-split every epoch by a [`CpuGpuShare`].
 
 use crate::cluster::{run_fleet, GpuNode};
+use crate::config::fund_floors;
 use dufp_cluster::{CpuGpuShare, DufpNode, GpuSim, GpuSpec, SharePolicy};
 use dufp_telemetry::Telemetry;
 use dufp_types::check::{finite, fraction, positive};
@@ -43,11 +44,12 @@ impl HeteroConfig {
         }
     }
 
-    /// Rejects a non-finite budget, a non-positive GPU job, a zero epoch or
-    /// a slowdown outside [0, 1) as [`Error::InvalidValue`] naming the
-    /// field. [`crate::FleetSim`] refuses a budget below the nodes' floors.
+    /// Rejects a non-finite budget or one below the CPU's cap floor plus
+    /// the GPU's minimum limit, a non-positive GPU job, a zero epoch or a
+    /// slowdown outside [0, 1) as [`Error::InvalidValue`] naming the field.
     pub fn validate(&self) -> Result<()> {
         finite("budget", self.budget.value())?;
+        fund_floors(self.budget, DufpNode::cap_floor() + self.gpu.min_limit)?;
         positive("gpu_work", self.gpu_work)?;
         if self.epoch.as_micros() == 0 {
             return Err(Error::invalid("epoch", "zero coordinator epoch"));

@@ -267,22 +267,7 @@ impl Frame {
                 HEADER_LEN + 4
             )));
         }
-        if buf[0..4] != MAGIC {
-            return Err(Error::Corruption("bad frame magic".into()));
-        }
-        let version = u16::from_le_bytes([buf[4], buf[5]]);
-        if version != VERSION {
-            return Err(Error::Unsupported(
-                "peer speaks a different dufp-net protocol version",
-            ));
-        }
-        let len = u32::from_le_bytes([buf[8], buf[9], buf[10], buf[11]]);
-        if len > MAX_PAYLOAD {
-            return Err(Error::FrameTooLarge {
-                len: u64::from(len),
-                max: MAX_PAYLOAD,
-            });
-        }
+        let len = check_header(&buf[..HEADER_LEN])?;
         let want = HEADER_LEN + len as usize + 4;
         if buf.len() != want {
             return Err(Error::Corruption(format!(
@@ -369,22 +354,7 @@ impl Frame {
                 }
             })?,
         }
-        if header[0..4] != MAGIC {
-            return Err(Error::Corruption("bad frame magic".into()));
-        }
-        let version = u16::from_le_bytes([header[4], header[5]]);
-        if version != VERSION {
-            return Err(Error::Unsupported(
-                "peer speaks a different dufp-net protocol version",
-            ));
-        }
-        let len = u32::from_le_bytes([header[8], header[9], header[10], header[11]]);
-        if len > MAX_PAYLOAD {
-            return Err(Error::FrameTooLarge {
-                len: u64::from(len),
-                max: MAX_PAYLOAD,
-            });
-        }
+        let len = check_header(&header)?;
         // When the type byte is recognisable, enforce its (much tighter)
         // per-type bound *before* allocating the payload buffer; unknown
         // types stay bounded by MAX_PAYLOAD and fail typed in decode.
@@ -408,6 +378,28 @@ impl Frame {
         buf.extend_from_slice(&rest);
         Frame::decode(&buf).map(Some)
     }
+}
+
+/// Validates a frame header's magic, version and global length bound,
+/// returning the payload length it announces.
+fn check_header(header: &[u8]) -> Result<u32> {
+    if header[0..4] != MAGIC {
+        return Err(Error::Corruption("bad frame magic".into()));
+    }
+    let version = u16::from_le_bytes([header[4], header[5]]);
+    if version != VERSION {
+        return Err(Error::Unsupported(
+            "peer speaks a different dufp-net protocol version",
+        ));
+    }
+    let len = u32::from_le_bytes([header[8], header[9], header[10], header[11]]);
+    if len > MAX_PAYLOAD {
+        return Err(Error::FrameTooLarge {
+            len: u64::from(len),
+            max: MAX_PAYLOAD,
+        });
+    }
+    Ok(len)
 }
 
 fn put_str(p: &mut Vec<u8>, s: &str) {
