@@ -32,5 +32,7 @@ pub mod vf;
 pub use bandwidth::BandwidthModel;
 pub use cap::{CapEnforcer, CapEnforcerParams, CapGains};
 pub use perf::{PhaseKind, PhaseRates, RooflineModel};
-pub use power::{DramPowerModel, LadderPoint, PowerBreakdown, PowerModel, SocketActivity};
+pub use power::{
+    DramPowerModel, DvfsLadder, LadderPoint, PowerBreakdown, PowerModel, SocketActivity,
+};
 pub use vf::VfCurve;

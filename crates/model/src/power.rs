@@ -162,6 +162,11 @@ impl PowerModel {
     /// predicted package power fits `allowance`. Falls back to `min` when
     /// nothing fits (hardware cannot gate below the lowest P-state; the
     /// residual overshoot is starved away elsewhere).
+    ///
+    /// This is the reference walk: from the top rung down, with a full
+    /// [`PowerModel::package_total`] at every rung. The simulator's
+    /// per-tick oracle calls it; the fast paths call
+    /// [`PowerModel::ladder_search`], which must agree with it bit for bit.
     pub fn max_frequency_within(
         &self,
         min: Hertz,
@@ -171,48 +176,154 @@ impl PowerModel {
         activity: &SocketActivity,
         allowance: Watts,
     ) -> Hertz {
-        self.ladder_search(min, max, step, uncore_freq, activity, allowance)
-            .freq
-    }
-
-    /// The same descending ladder walk as [`PowerModel::max_frequency_within`]
-    /// (which delegates here — there is exactly one search implementation),
-    /// but returning the predicted powers that bracket the chosen rung so a
-    /// caller can memoize the result: see [`LadderPoint::stable_for`].
-    pub fn ladder_search(
-        &self,
-        min: Hertz,
-        max: Hertz,
-        step: Hertz,
-        uncore_freq: Hertz,
-        activity: &SocketActivity,
-        allowance: Watts,
-    ) -> LadderPoint {
         let steps = ((max.value() - min.value()) / step.value())
             .round()
             .max(0.0) as i64;
         for i in (0..=steps).rev() {
             let f = Hertz(min.value() + i as f64 * step.value());
-            let power_at = self.package_total(f, uncore_freq, activity);
-            if power_at <= allowance {
-                let power_above = (i < steps).then(|| {
-                    let above = Hertz(min.value() + (i + 1) as f64 * step.value());
-                    self.package_total(above, uncore_freq, activity)
-                });
-                return LadderPoint {
-                    freq: f,
-                    fits: true,
-                    power_at,
-                    power_above,
-                };
+            if self.package_total(f, uncore_freq, activity) <= allowance {
+                return f;
             }
         }
+        min
+    }
+
+    /// The same inversion as [`PowerModel::max_frequency_within`], searched
+    /// from rung `start` (clamped to the ladder; `usize::MAX` is the top)
+    /// and returning the predicted powers that bracket the chosen rung so
+    /// a caller can memoize the result: see [`LadderPoint::stable_for`].
+    ///
+    /// Package power never decreases as the core frequency rises (for the
+    /// coefficients `SimConfig::validate` accepts), so the rungs that fit
+    /// are a prefix of the ladder and any start finds its end: walk up
+    /// while the next rung fits, or down until one does. A caller that
+    /// passes the rung it chose last pays one or two evaluations when the
+    /// rung holds or moves by one. Each evaluation is `package_total` with
+    /// the terms that do not depend on the core frequency computed once per
+    /// search, in the same association order, so every returned field
+    /// equals the top-down walk's bit for bit.
+    pub fn ladder_search(
+        &self,
+        ladder: DvfsLadder,
+        uncore_freq: Hertz,
+        activity: &SocketActivity,
+        allowance: Watts,
+        start: usize,
+    ) -> LadderPoint {
+        let power = RungPower::new(self, uncore_freq, activity);
+        let fits = |p: Watts| p <= allowance;
+        let top = ladder.top();
+        let mut i = start.min(top);
+        let mut power_at = power.at(ladder.rung(i));
+        if fits(power_at) {
+            while i < top {
+                let above = power.at(ladder.rung(i + 1));
+                if !fits(above) {
+                    return ladder.point(i, power_at, Some(above));
+                }
+                i += 1;
+                power_at = above;
+            }
+            return ladder.point(top, power_at, None);
+        }
+        while i > 0 {
+            let above = power_at;
+            i -= 1;
+            power_at = power.at(ladder.rung(i));
+            if fits(power_at) {
+                return ladder.point(i, power_at, Some(above));
+            }
+        }
+        // Nothing fits: the fallback to `min`, which is rung 0.
         LadderPoint {
-            freq: min,
+            freq: ladder.min,
+            rung: 0,
             fits: false,
-            power_at: self.package_total(min, uncore_freq, activity),
+            power_at,
             power_above: None,
         }
+    }
+}
+
+/// A DVFS ladder: `min..=max` in `step`s, rung 0 at `min`. The step is
+/// finite and positive (`SimConfig::validate` rejects anything else).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct DvfsLadder {
+    /// Lowest rung.
+    pub min: Hertz,
+    /// Highest frequency; the top rung is the one nearest to it.
+    pub max: Hertz,
+    /// Distance between rungs.
+    pub step: Hertz,
+}
+
+impl DvfsLadder {
+    /// Index of the top rung.
+    pub fn top(&self) -> usize {
+        ((self.max.value() - self.min.value()) / self.step.value())
+            .round()
+            .max(0.0) as usize
+    }
+
+    /// Frequency of rung `i`.
+    pub fn rung(&self, i: usize) -> Hertz {
+        Hertz(self.min.value() + i as f64 * self.step.value())
+    }
+
+    /// A rung that fits, with the power one rung above it.
+    fn point(&self, i: usize, power_at: Watts, power_above: Option<Watts>) -> LadderPoint {
+        LadderPoint {
+            freq: self.rung(i),
+            rung: i,
+            fits: true,
+            power_at,
+            power_above,
+        }
+    }
+}
+
+/// [`PowerModel::package_total`] as a function of the core frequency
+/// alone: every term that does not depend on it is computed once, in
+/// `package_power`'s association order, so [`RungPower::at`] returns the
+/// same bits.
+struct RungPower<'a> {
+    core_vf: &'a VfCurve,
+    base: Watts,
+    /// `cores · core_leak_per_volt`.
+    leak_per_volt: f64,
+    /// `active · core_cdyn`.
+    cdyn: f64,
+    eff_act: f64,
+    uncore_leak: Watts,
+    uncore_dyn: Watts,
+}
+
+impl<'a> RungPower<'a> {
+    fn new(model: &'a PowerModel, uncore_freq: Hertz, activity: &SocketActivity) -> Self {
+        let eff_act = model.core_activity_floor
+            + (1.0 - model.core_activity_floor) * activity.core_util.clamp(0.0, 1.0);
+        let unc_act = model.uncore_activity_floor
+            + (1.0 - model.uncore_activity_floor) * activity.mem_util.clamp(0.0, 1.0);
+        let v_unc = model.uncore_vf.voltage(uncore_freq);
+        let active = f64::from(activity.active_cores.min(model.cores));
+        RungPower {
+            core_vf: &model.core_vf,
+            base: model.base,
+            leak_per_volt: f64::from(model.cores) * model.core_leak_per_volt,
+            cdyn: active * model.core_cdyn,
+            eff_act,
+            uncore_leak: Watts(model.uncore_leak_per_volt * v_unc),
+            uncore_dyn: Watts(model.uncore_cdyn * uncore_freq.as_ghz() * v_unc * v_unc * unc_act),
+        }
+    }
+
+    fn at(&self, core_freq: Hertz) -> Watts {
+        let v = self.core_vf.voltage(core_freq);
+        self.base
+            + Watts(self.leak_per_volt * v)
+            + Watts(self.cdyn * core_freq.as_ghz() * v * v * self.eff_act)
+            + self.uncore_leak
+            + self.uncore_dyn
     }
 }
 
@@ -222,6 +333,9 @@ impl PowerModel {
 pub struct LadderPoint {
     /// The chosen frequency (the fallback `min` when nothing fits).
     pub freq: Hertz,
+    /// `freq`'s index on the ladder (0 on the fallback): the start for the
+    /// next search.
+    pub rung: usize,
     /// Whether `freq`'s predicted power fit the allowance (`false` marks
     /// the nothing-fits fallback to `min`).
     pub fits: bool,
@@ -426,8 +540,9 @@ mod tests {
                 Hertz::from_mhz(100.0),
                 Hertz::from_ghz(2.0),
             );
-            let point = m.ladder_search(args.0, args.1, args.2, args.3, &act, Watts(a1));
-            // The delegation is exact.
+            let ladder = DvfsLadder { min: args.0, max: args.1, step: args.2 };
+            let point = m.ladder_search(ladder, args.3, &act, Watts(a1), usize::MAX);
+            // The search agrees with the reference walk.
             prop_assert_eq!(
                 point.freq,
                 m.max_frequency_within(args.0, args.1, args.2, args.3, &act, Watts(a1))
@@ -440,6 +555,134 @@ mod tests {
                     m.max_frequency_within(args.0, args.1, args.2, args.3, &act, Watts(a2)),
                     point.freq
                 );
+            }
+        }
+    }
+
+    /// Every field of `p` as bits, so NaN and signed zeros compare exactly.
+    fn point_bits(p: &LadderPoint) -> (u64, usize, bool, u64, Option<u64>) {
+        (
+            p.freq.value().to_bits(),
+            p.rung,
+            p.fits,
+            p.power_at.value().to_bits(),
+            p.power_above.map(|w| w.value().to_bits()),
+        )
+    }
+
+    /// The point the reference walk implies: its frequency, with every
+    /// power recomputed by a full `package_total`.
+    fn reference_point(
+        m: &PowerModel,
+        ladder: DvfsLadder,
+        uncore: Hertz,
+        act: &SocketActivity,
+        allowance: Watts,
+    ) -> LadderPoint {
+        let f = m.max_frequency_within(ladder.min, ladder.max, ladder.step, uncore, act, allowance);
+        let power_at = m.package_total(f, uncore, act);
+        if power_at <= allowance {
+            let top = ladder.top();
+            let rung = (0..=top)
+                .find(|&i| ladder.rung(i).value().to_bits() == f.value().to_bits())
+                .expect("the walk returns a rung");
+            let power_above =
+                (rung < top).then(|| m.package_total(ladder.rung(rung + 1), uncore, act));
+            return LadderPoint {
+                freq: f,
+                rung,
+                fits: true,
+                power_at,
+                power_above,
+            };
+        }
+        LadderPoint {
+            freq: f,
+            rung: 0,
+            fits: false,
+            power_at,
+            power_above: None,
+        }
+    }
+
+    fn vf_curve() -> impl Strategy<Value = VfCurve> {
+        // A flat curve and rails that bind over much of the ladder are
+        // drawn as often as a plain affine one.
+        (
+            -0.5f64..1.5,
+            prop_oneof![Just(0.0), 0.0f64..0.5],
+            0.0f64..1.2,
+            prop_oneof![Just(0.0), 0.0f64..0.05, 0.0f64..0.8],
+        )
+            .prop_map(|(v0, slope_per_ghz, vmin, span)| VfCurve {
+                v0,
+                slope_per_ghz,
+                vmin,
+                vmax: vmin + span,
+            })
+    }
+
+    fn power_model() -> impl Strategy<Value = PowerModel> {
+        (
+            (vf_curve(), vf_curve(), 0.0f64..60.0, 1u16..64),
+            (0.0f64..5.0, 0.0f64..3.0, 0.0f64..1.5),
+            (0.0f64..10.0, 0.0f64..20.0, 0.0f64..1.0),
+        )
+            .prop_map(
+                |((core_vf, uncore_vf, base, cores), core, uncore)| PowerModel {
+                    core_vf,
+                    uncore_vf,
+                    base: Watts(base),
+                    core_leak_per_volt: core.0,
+                    core_cdyn: core.1,
+                    core_activity_floor: core.2,
+                    uncore_leak_per_volt: uncore.0,
+                    uncore_cdyn: uncore.1,
+                    uncore_activity_floor: uncore.2,
+                    cores,
+                },
+            )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The fast search, from every start rung, returns exactly the
+        /// reference walk's point, for allowances at and one ulp either
+        /// side of a rung's power, and for NaN and ±∞.
+        #[test]
+        fn ladder_search_from_any_start_equals_the_reference_walk(
+            m in power_model(),
+            shape in (0.4f64..1.5, prop_oneof![Just(25.0), Just(100.0), 10.0f64..300.0], 0usize..24),
+            uncore_ghz in 0.8f64..3.0,
+            utils in (-0.5f64..1.5, -0.5f64..1.5),
+            active_cores in prop_oneof![Just(0u16), 0u16..80],
+            pick in (0usize..32, 0u8..7, 0.0f64..400.0),
+        ) {
+            let ((min_ghz, step_mhz, rungs), (core_util, mem_util)) = (shape, utils);
+            let (k, mode, other) = pick;
+            let ladder = DvfsLadder {
+                min: Hertz::from_ghz(min_ghz),
+                max: Hertz::from_ghz(min_ghz + rungs as f64 * step_mhz / 1000.0),
+                step: Hertz::from_mhz(step_mhz),
+            };
+            let uncore = Hertz::from_ghz(uncore_ghz);
+            let act = SocketActivity { core_util, mem_util, active_cores };
+            let top = ladder.top();
+            let at_rung = m.package_total(ladder.rung(k % (top + 1)), uncore, &act).value();
+            let allowance = Watts(match mode {
+                0 => at_rung,
+                1 => at_rung.next_up(),
+                2 => at_rung.next_down(),
+                3 => f64::NAN,
+                4 => f64::INFINITY,
+                5 => f64::NEG_INFINITY,
+                _ => other,
+            });
+            let want = point_bits(&reference_point(&m, ladder, uncore, &act, allowance));
+            for start in (0..=top + 1).chain([usize::MAX]) {
+                let got = m.ladder_search(ladder, uncore, &act, allowance, start);
+                prop_assert_eq!(point_bits(&got), want, "start rung {}", start);
             }
         }
     }

@@ -103,7 +103,8 @@ impl SimConfig {
 
     /// Rejects machine descriptions the simulator cannot run — a zero
     /// tick period, zero sockets/cores, NaN or negative noise, inverted
-    /// frequency ladders, a cap floor above PL1 — with a typed
+    /// frequency ladders, a cap floor above PL1, a power model whose
+    /// package power could fall as the core frequency rises — with a typed
     /// [`Error::InvalidValue`] naming the offending field. Called on every
     /// run and by anything deserializing a `--machine` file.
     pub fn validate(&self) -> Result<()> {
@@ -134,6 +135,7 @@ impl SimConfig {
         for (name, v) in [
             ("core_freq_min", self.arch.core_freq_min.value()),
             ("core_freq_max", self.arch.core_freq_max.value()),
+            ("core_freq_step", self.arch.core_freq_step.value()),
             ("uncore_freq_min", self.arch.uncore_freq_min.value()),
             ("uncore_freq_max", self.arch.uncore_freq_max.value()),
             ("pl1_default", self.arch.pl1_default.value()),
@@ -177,6 +179,59 @@ impl SimConfig {
                     self.arch.pl1_default.value()
                 ),
             ));
+        }
+        self.validate_power()
+    }
+
+    /// The power model's share of [`SimConfig::validate`]. Both V/f curves
+    /// need finite fields and `vmin <= vmax` (`f64::clamp` panics
+    /// otherwise). The core terms must keep package power non-decreasing
+    /// in core frequency, which the cap→frequency inversion and its
+    /// stability bounds rest on: a non-negative slope and rails, leakage,
+    /// dynamic coefficient and activity floor.
+    fn validate_power(&self) -> Result<()> {
+        let (core, uncore) = (&self.power.core_vf, &self.power.uncore_vf);
+        for (name, v) in [
+            ("power.core_vf.v0", core.v0),
+            ("power.core_vf.slope_per_ghz", core.slope_per_ghz),
+            ("power.core_vf.vmin", core.vmin),
+            ("power.core_vf.vmax", core.vmax),
+            ("power.uncore_vf.v0", uncore.v0),
+            ("power.uncore_vf.slope_per_ghz", uncore.slope_per_ghz),
+            ("power.uncore_vf.vmin", uncore.vmin),
+            ("power.uncore_vf.vmax", uncore.vmax),
+        ] {
+            if !v.is_finite() {
+                return Err(Error::invalid(name, format!("{v} must be finite")));
+            }
+        }
+        for (name, curve) in [
+            ("power.core_vf.vmin", core),
+            ("power.uncore_vf.vmin", uncore),
+        ] {
+            if curve.vmin > curve.vmax {
+                return Err(Error::invalid(
+                    name,
+                    format!("{} V above vmax {} V", curve.vmin, curve.vmax),
+                ));
+            }
+        }
+        for (name, v) in [
+            ("power.core_vf.slope_per_ghz", core.slope_per_ghz),
+            ("power.core_vf.vmin", core.vmin),
+            ("power.core_leak_per_volt", self.power.core_leak_per_volt),
+            ("power.core_cdyn", self.power.core_cdyn),
+            ("power.core_activity_floor", self.power.core_activity_floor),
+        ] {
+            if !v.is_finite() || v < 0.0 {
+                return Err(Error::invalid(
+                    name,
+                    format!(
+                        "{v} must be finite and non-negative \
+                         (package power must not fall as the core frequency rises)"
+                    ),
+                ));
+            }
         }
         Ok(())
     }
@@ -223,6 +278,7 @@ mod tests {
         check(&|c| c.noise.run_sigma = -0.1, "run_sigma");
         check(&|c| c.arch.pl1_default = Watts(f64::NAN), "pl1_default");
         check(&|c| c.arch.cap_floor = Watts(-5.0), "cap_floor");
+        check(&|c| c.arch.core_freq_step = Hertz::ZERO, "core_freq_step");
         check(&|c| c.arch.cap_floor = Watts(500.0), "cap_floor");
         check(
             &|c| c.arch.uncore_freq_min = Hertz::from_ghz(3.0),
@@ -231,6 +287,46 @@ mod tests {
         check(
             &|c| c.arch.core_freq_max = Hertz::from_ghz(0.5),
             "core_freq_min",
+        );
+        // Power models the simulator cannot honour: an inverted rail pair
+        // (a `clamp` panic), non-finite curve fields, and core terms that
+        // would make package power fall as the core frequency rises.
+        check(
+            &|c| {
+                c.power.core_vf.vmin = 1.2;
+                c.power.core_vf.vmax = 0.6;
+            },
+            "power.core_vf.vmin",
+        );
+        check(&|c| c.power.uncore_vf.vmax = 0.5, "power.uncore_vf.vmin");
+        check(&|c| c.power.core_vf.v0 = f64::NAN, "power.core_vf.v0");
+        check(
+            &|c| c.power.uncore_vf.slope_per_ghz = f64::INFINITY,
+            "power.uncore_vf.slope_per_ghz",
+        );
+        check(
+            &|c| c.power.uncore_vf.vmax = f64::NAN,
+            "power.uncore_vf.vmax",
+        );
+        check(
+            &|c| {
+                c.power.core_vf.v0 = 1.6;
+                c.power.core_vf.slope_per_ghz = -0.3;
+                c.power.core_vf.vmin = 0.0;
+                c.power.core_vf.vmax = 5.0;
+            },
+            "power.core_vf.slope_per_ghz",
+        );
+        check(&|c| c.power.core_vf.vmin = -0.1, "power.core_vf.vmin");
+        check(
+            &|c| c.power.core_leak_per_volt = -1.0,
+            "power.core_leak_per_volt",
+        );
+        check(&|c| c.power.core_cdyn = -0.5, "power.core_cdyn");
+        check(&|c| c.power.core_cdyn = f64::NAN, "power.core_cdyn");
+        check(
+            &|c| c.power.core_activity_floor = -0.2,
+            "power.core_activity_floor",
         );
     }
 }

@@ -23,8 +23,8 @@
 //! noise lives in the arrival models one layer up.
 
 use dufp_model::{
-    BandwidthModel, CapEnforcer, CapEnforcerParams, CapGains, DramPowerModel, PowerModel,
-    RooflineModel, SocketActivity,
+    BandwidthModel, CapEnforcer, CapEnforcerParams, CapGains, DramPowerModel, DvfsLadder,
+    PowerModel, RooflineModel, SocketActivity,
 };
 use dufp_types::{ArchSpec, BytesPerSec, Error, Hertz, Result, Seconds, Watts};
 use dufp_workloads::Workload;
@@ -209,6 +209,9 @@ pub struct SharedSocketSim {
     /// constant never change), so `step_with_gains` is bit-identical to
     /// `step(dt, p)` without its division and `exp` per step.
     gains: Option<(u64, CapGains)>,
+    /// The ladder rung the last step chose, where the next step's search
+    /// starts. Any start gives the same answer, so this only saves work.
+    rung: usize,
     scratch: StepScratch,
 }
 
@@ -264,6 +267,7 @@ impl SharedSocketSim {
             mem_pressure: 0.5,
             uf,
             gains: None,
+            rung: usize::MAX,
             scratch: StepScratch::default(),
         })
     }
@@ -402,14 +406,19 @@ impl SharedSocketSim {
             active_cores: shares.iter().sum(),
         };
         let allowance = self.enforcer.allowance();
-        let f = self.cfg.power.max_frequency_within(
-            self.cfg.core_freq_min,
-            self.cfg.core_freq_max,
-            self.cfg.core_freq_step,
+        let point = self.cfg.power.ladder_search(
+            DvfsLadder {
+                min: self.cfg.core_freq_min,
+                max: self.cfg.core_freq_max,
+                step: self.cfg.core_freq_step,
+            },
             self.uncore,
             &est_activity,
             allowance,
+            self.rung,
         );
+        self.rung = point.rung;
+        let f = point.freq;
         // `achievable(uncore, allowance)` with the cached uncore factor.
         let bw_total =
             self.cfg.bandwidth.peak * self.uf.1 * self.cfg.bandwidth.cap_factor(allowance);
@@ -675,6 +684,48 @@ mod tests {
         assert_eq!(s.ceiling(), Watts(65.0));
         s.set_ceiling(Watts(500.0));
         assert_eq!(s.ceiling(), Watts(125.0));
+    }
+
+    /// Every field of a step as bits.
+    fn step_bits(st: &SharedStep) -> Vec<u64> {
+        let mut bits = vec![
+            st.core_freq.value().to_bits(),
+            st.uncore_freq.value().to_bits(),
+            st.pkg_power.value().to_bits(),
+            st.pkg_energy_j.to_bits(),
+            st.dram_energy_j.to_bits(),
+            st.achieved_bw.value().to_bits(),
+        ];
+        bits.extend(st.tenant_energy_j.iter().map(|e| e.to_bits()));
+        bits
+    }
+
+    #[test]
+    fn the_remembered_rung_never_changes_a_step() {
+        // One socket searches from the rung it chose last step, its twin
+        // from the top every step. Ceiling jumps (floor → PL1 → floor) and
+        // load bursts move the chosen rung both ways, by one rung and by
+        // many.
+        let (mut warm, mut cold) = (two_tenant_socket(), two_tenant_socket());
+        let mut rungs = std::collections::BTreeSet::new();
+        for i in 0..3_000u32 {
+            for s in [&mut warm, &mut cold] {
+                match i % 600 {
+                    0 => s.set_ceiling(Watts(65.0)),
+                    200 => s.set_ceiling(Watts(125.0)),
+                    400 => s.set_ceiling(Watts(65.0)),
+                    _ => {}
+                }
+                let burst = if i % 150 < 30 { 2.5 } else { 0.3 };
+                s.set_intensity(0, burst);
+                s.set_intensity(1, 0.6);
+            }
+            cold.rung = usize::MAX;
+            let (a, b) = (warm.step(Seconds(0.01)), cold.step(Seconds(0.01)));
+            assert_eq!(step_bits(&a), step_bits(&b), "step {i}");
+            rungs.insert(warm.rung);
+        }
+        assert!(rungs.len() > 3, "the drive visits several rungs: {rungs:?}");
     }
 
     #[test]

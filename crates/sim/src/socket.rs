@@ -2,7 +2,9 @@
 
 use crate::config::SimConfig;
 use crate::trace::{Trace, TracePoint};
-use dufp_model::{CapEnforcer, CapGains, LadderPoint, PowerModel, RooflineModel, SocketActivity};
+use dufp_model::{
+    CapEnforcer, CapGains, DvfsLadder, LadderPoint, PowerModel, RooflineModel, SocketActivity,
+};
 use dufp_msr::registers::{PerfCtl, PkgPowerLimit, RaplPowerUnit, UncoreRatioLimit};
 use dufp_telemetry::{Counter, Gauge, Telemetry};
 use dufp_types::{Hertz, Instant, Seconds, Watts};
@@ -60,13 +62,15 @@ pub struct Accumulators {
 ///
 /// A full [`SocketSim::tick`] spends almost all of its time re-deriving
 /// values that are constant across a steady stretch: the DVFS ladder
-/// search (~19 power-model evaluations), achievable bandwidth, roofline
-/// progress rates and the package power base. This memo caches those
-/// outputs *bitwise* along with the entry-state fingerprint and allowance
-/// interval over which `tick` is guaranteed to recompute them identically;
-/// while the memo validates, a tick reduces to the RNG draws, the noise
-/// multiplies and the accumulator additions — the exact f64 operations the
-/// full tick performs, in the same order, on the same cached bit patterns.
+/// search (up to 20 power-model evaluations, about 4–6 on average from
+/// the top rung, about 2 from the rung of the memo a rebuild replaces),
+/// achievable bandwidth, roofline progress rates and the package power
+/// base. This memo caches those outputs *bitwise* along with the
+/// entry-state fingerprint and allowance interval over which `tick` is
+/// guaranteed to recompute them identically; while the memo validates, a
+/// tick reduces to the RNG draws, the noise multiplies and the
+/// accumulator additions — the exact f64 operations the full tick
+/// performs, in the same order, on the same cached bit patterns.
 ///
 /// Validity depends on the socket's state, not on its write history, so a
 /// register write leaves the memo in place. A `0x610` write only moves the
@@ -617,13 +621,22 @@ impl SocketSim {
             .governor
             .request(self.cfg.arch.core_freq_min, fmax, compute_share);
         let ceiling = self.cfg.arch.snap_core_freq(requested).min(freq_ceiling);
+        // The search starts from the rung of the memo this one replaces:
+        // a miss rarely moves the rung far.
+        let start = self
+            .memo
+            .and_then(|m| m.ladder)
+            .map_or(usize::MAX, |l| l.rung);
         let ladder = self.cfg.power.ladder_search(
-            self.cfg.arch.core_freq_min,
-            self.cfg.arch.core_freq_max,
-            self.cfg.arch.core_freq_step,
+            DvfsLadder {
+                min: self.cfg.arch.core_freq_min,
+                max: self.cfg.arch.core_freq_max,
+                step: self.cfg.arch.core_freq_step,
+            },
             uncore,
             &activity,
             allowance,
+            start,
         );
         let core_freq = ladder.freq.min(ceiling);
         let roofline = RooflineModel {
@@ -1321,7 +1334,7 @@ mod tests {
         #[test]
         fn a_memo_miss_derives_once_and_matches_tick(
             seed in 0u64..1_000,
-            ops in proptest::collection::vec((0u8..6, 1u64..300, 0u8..=255), 1..20),
+            ops in proptest::collection::vec((0u8..8, 1u64..300, 0u8..=255), 1..20),
         ) {
             let c = SimConfig::yeti_single_socket(seed);
             let ctx = MaterializeCtx::from_arch(&c.arch);
@@ -1344,6 +1357,10 @@ mod tests {
                 // One full tick against one memo build plus one kernel tick.
                 a.tick(Instant(now * tick_us));
                 let memo = b.build_memo();
+                // The build searched from the rung of the memo it replaces;
+                // one with no memo to replace searches from the top.
+                let cold = SocketSim::clone_for_test(&b).build_memo();
+                assert_eq!(format!("{memo:?}"), format!("{cold:?}"), "{at}");
                 assert_eq!(b.tick_fast_batch(memo, Instant(now * tick_us), 1), 1, "{at}");
                 now += 1;
                 assert_same_state(&a, &b, &at);
@@ -1352,8 +1369,14 @@ mod tests {
                         0..=2 => {
                             s.advance(Instant(now * tick_us), n, n);
                         }
-                        3 => {
-                            let w = Watts(60.0 + f64::from(byte % 70));
+                        3 | 6 | 7 => {
+                            // Kinds 6 and 7 jump the cap to the floor or
+                            // past PL1, moving the rung far down or up.
+                            let w = Watts(match kind {
+                                6 => 65.0,
+                                7 => 150.0,
+                                _ => 60.0 + f64::from(byte % 70),
+                            });
                             let reg = PkgPowerLimit::defaults(w, Seconds(1.0), w, Seconds(0.01));
                             s.write_limit(reg.encode(&units).unwrap());
                         }
