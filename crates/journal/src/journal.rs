@@ -131,6 +131,9 @@ pub struct JournalWriter {
     policy: FsyncPolicy,
     unsynced: u32,
     records: u64,
+    /// Reused buffer holding one framed record, so each append is a
+    /// single `write(2)`.
+    frame: Vec<u8>,
 }
 
 impl JournalWriter {
@@ -157,6 +160,7 @@ impl JournalWriter {
             policy,
             unsynced: 0,
             records: 0,
+            frame: Vec::new(),
         })
     }
 
@@ -183,6 +187,7 @@ impl JournalWriter {
             policy,
             unsynced: 0,
             records: existing_records,
+            frame: Vec::new(),
         })
     }
 
@@ -219,9 +224,11 @@ impl JournalWriter {
         }
         let len = u32::try_from(payload.len())
             .map_err(|_| Error::invalid("journal record", "payload exceeds u32::MAX bytes"))?;
-        self.file.write_all(&len.to_le_bytes())?;
-        self.file.write_all(&crc32(payload).to_le_bytes())?;
-        self.file.write_all(payload)?;
+        self.frame.clear();
+        self.frame.extend_from_slice(&len.to_le_bytes());
+        self.frame.extend_from_slice(&crc32(payload).to_le_bytes());
+        self.frame.extend_from_slice(payload);
+        self.file.write_all(&self.frame)?;
         self.seg_bytes += record_len;
         self.records += 1;
         self.unsynced += 1;

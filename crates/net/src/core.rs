@@ -1018,6 +1018,30 @@ mod tests {
     }
 
     #[test]
+    fn a_1024_agent_snapshot_round_trips_byte_identical() {
+        // About 400 KB of JSON: the checkpoint a standby decodes before it
+        // can take over a fleet this size.
+        let budget = 1024.0 * 100.0;
+        let mut core = core(budget);
+        for i in 0..1024u32 {
+            let slot = admit(&mut core, &format!("node-{i:04}"));
+            let ceiling = if i % 7 == 0 {
+                f64::NAN
+            } else {
+                60.0 + f64::from(i % 50) * 1.3
+            };
+            let consumption = Watts(55.0 + f64::from(i) * 0.01);
+            core.on_report(slot, 1, Watts(ceiling), consumption, i % 3 != 0, 500);
+        }
+        core.epoch_once(1000);
+        let bytes = core.snapshot_bytes().unwrap();
+        assert!(bytes.len() > 350_000, "{} bytes", bytes.len());
+        let snap: CoreSnapshot = serde_json::from_slice(&bytes).unwrap();
+        let back = FleetCore::from_snapshot(&cfg(budget), snap, Telemetry::enabled());
+        assert!(back.snapshot_bytes().unwrap() == bytes);
+    }
+
+    #[test]
     fn nan_demand_cannot_poison_the_allocator() {
         // Regression: before vetting, a NaN consumption propagated into
         // DemandBased's arithmetic and produced NaN ceilings fleet-wide.

@@ -104,7 +104,8 @@ impl SimConfig {
     /// Rejects machine descriptions the simulator cannot run — a zero
     /// tick period, zero sockets/cores, NaN or negative noise, inverted
     /// frequency ladders, a cap floor above PL1, a power model whose
-    /// package power could fall as the core frequency rises — with a typed
+    /// package power could fall as the core frequency rises or whose
+    /// package or DRAM power could go negative — with a typed
     /// [`Error::InvalidValue`] naming the offending field. Called on every
     /// run and by anything deserializing a `--machine` file.
     pub fn validate(&self) -> Result<()> {
@@ -188,7 +189,10 @@ impl SimConfig {
     /// otherwise). The core terms must keep package power non-decreasing
     /// in core frequency, which the cap→frequency inversion and its
     /// stability bounds rest on: a non-negative slope and rails, leakage,
-    /// dynamic coefficient and activity floor.
+    /// dynamic coefficient and activity floor. The frequency-independent
+    /// terms (package base, uncore leakage, dynamic coefficient and
+    /// activity floor, the DRAM model) must be finite and non-negative so
+    /// no reported power goes below zero.
     fn validate_power(&self) -> Result<()> {
         let (core, uncore) = (&self.power.core_vf, &self.power.uncore_vf);
         for (name, v) in [
@@ -213,6 +217,27 @@ impl SimConfig {
                 return Err(Error::invalid(
                     name,
                     format!("{} V above vmax {} V", curve.vmin, curve.vmax),
+                ));
+            }
+        }
+        for (name, v) in [
+            ("power.base", self.power.base.value()),
+            (
+                "power.uncore_leak_per_volt",
+                self.power.uncore_leak_per_volt,
+            ),
+            ("power.uncore_cdyn", self.power.uncore_cdyn),
+            (
+                "power.uncore_activity_floor",
+                self.power.uncore_activity_floor,
+            ),
+            ("dram.background", self.dram.background.value()),
+            ("dram.energy_per_byte", self.dram.energy_per_byte),
+        ] {
+            if !v.is_finite() || v < 0.0 {
+                return Err(Error::invalid(
+                    name,
+                    format!("{v} must be finite and non-negative"),
                 ));
             }
         }
@@ -327,6 +352,71 @@ mod tests {
         check(
             &|c| c.power.core_activity_floor = -0.2,
             "power.core_activity_floor",
+        );
+    }
+
+    /// Asserts `validate` rejects the mutated YETI config as
+    /// `invalid value for <field>`.
+    fn rejects(mutate: impl Fn(&mut SimConfig), field: &str) {
+        let mut c = SimConfig::yeti(0);
+        mutate(&mut c);
+        let err = c.validate().unwrap_err().to_string();
+        assert!(
+            err.starts_with(&format!("invalid value for {field}:")),
+            "expected {field} in: {err}"
+        );
+    }
+
+    #[test]
+    fn negative_or_non_finite_power_base_is_rejected() {
+        use dufp_types::Watts;
+        rejects(|c| c.power.base = Watts(-200.0), "power.base");
+        rejects(|c| c.power.base = Watts(f64::NAN), "power.base");
+    }
+
+    #[test]
+    fn negative_or_non_finite_uncore_leakage_is_rejected() {
+        rejects(
+            |c| c.power.uncore_leak_per_volt = -1.0,
+            "power.uncore_leak_per_volt",
+        );
+        rejects(
+            |c| c.power.uncore_leak_per_volt = f64::INFINITY,
+            "power.uncore_leak_per_volt",
+        );
+    }
+
+    #[test]
+    fn negative_or_non_finite_uncore_cdyn_is_rejected() {
+        rejects(|c| c.power.uncore_cdyn = -50.0, "power.uncore_cdyn");
+        rejects(|c| c.power.uncore_cdyn = f64::NAN, "power.uncore_cdyn");
+    }
+
+    #[test]
+    fn negative_or_non_finite_uncore_activity_floor_is_rejected() {
+        rejects(
+            |c| c.power.uncore_activity_floor = -0.1,
+            "power.uncore_activity_floor",
+        );
+        rejects(
+            |c| c.power.uncore_activity_floor = f64::NEG_INFINITY,
+            "power.uncore_activity_floor",
+        );
+    }
+
+    #[test]
+    fn negative_or_non_finite_dram_background_is_rejected() {
+        use dufp_types::Watts;
+        rejects(|c| c.dram.background = Watts(-15.0), "dram.background");
+        rejects(|c| c.dram.background = Watts(f64::NAN), "dram.background");
+    }
+
+    #[test]
+    fn negative_or_non_finite_dram_energy_per_byte_is_rejected() {
+        rejects(|c| c.dram.energy_per_byte = -1e-10, "dram.energy_per_byte");
+        rejects(
+            |c| c.dram.energy_per_byte = f64::INFINITY,
+            "dram.energy_per_byte",
         );
     }
 }
