@@ -44,6 +44,17 @@ struct Measured {
     failed_gates: Vec<String>,
 }
 
+impl Measured {
+    /// Takes `report`'s fields as its compact JSON parsed back, which
+    /// reads every number and string exactly as written.
+    fn new(report: &impl Serialize, failed_gates: Vec<String>) -> BenchResult<Self> {
+        Ok(Measured {
+            report: serde_json::from_str(&serde_json::to_string(report)?)?,
+            failed_gates,
+        })
+    }
+}
+
 impl Bench {
     /// Every bench.
     pub const ALL: [Bench; 5] = [
@@ -78,10 +89,10 @@ impl Bench {
             Bench::ControlPlane => control_plane::run()?,
         };
         let mut fields = vec![
-            ("bench".to_string(), self.name().to_value()),
-            ("git_rev".to_string(), git_rev.to_value()),
-            ("available_cores".to_string(), cores.to_value()),
-            ("degenerate".to_string(), degenerate(cores).to_value()),
+            ("bench".to_string(), Value::Str(self.name().into())),
+            ("git_rev".to_string(), Value::Str(git_rev)),
+            ("available_cores".to_string(), Value::Int(cores as i64)),
+            ("degenerate".to_string(), Value::Bool(degenerate(cores))),
         ];
         if let Value::Object(report) = measured.report {
             fields.extend(report);

@@ -70,8 +70,5 @@ pub(super) fn run() -> BenchResult<Measured> {
             bench_scenario(&cfg, "frame-chaos")?,
         ],
     };
-    Ok(Measured {
-        report: report.to_value(),
-        failed_gates: Vec::new(),
-    })
+    Measured::new(&report, Vec::new())
 }

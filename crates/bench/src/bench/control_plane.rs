@@ -152,8 +152,5 @@ pub(super) fn run() -> BenchResult<Measured> {
         fleet_epochs_per_sec: fleets,
         allocator_decision_latency: latency,
     };
-    Ok(Measured {
-        report: report.to_value(),
-        failed_gates: Vec::new(),
-    })
+    Measured::new(&report, Vec::new())
 }

@@ -145,8 +145,5 @@ pub(super) fn run() -> BenchResult<Measured> {
         ],
         replay: bench_replay()?,
     };
-    Ok(Measured {
-        report: report.to_value(),
-        failed_gates: Vec::new(),
-    })
+    Measured::new(&report, Vec::new())
 }

@@ -99,8 +99,5 @@ pub(super) fn run(cores: usize) -> BenchResult<Measured> {
             report.speedup_all_vs_serial
         ),
     )];
-    Ok(Measured {
-        report: report.to_value(),
-        failed_gates: failed(cores, gates),
-    })
+    Measured::new(&report, failed(cores, gates))
 }

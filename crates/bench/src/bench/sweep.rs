@@ -132,8 +132,5 @@ pub(super) fn run(cores: usize) -> BenchResult<Measured> {
             ),
         ),
     ];
-    Ok(Measured {
-        report: report.to_value(),
-        failed_gates: failed(cores, gates),
-    })
+    Measured::new(&report, failed(cores, gates))
 }

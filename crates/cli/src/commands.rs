@@ -46,30 +46,28 @@ fn experiment(spec: &RunSpec) -> Result<ExperimentSpec, String> {
         trace: None,
         interval_ms: None,
         telemetry: false,
-        fault_plan: spec.fault_plan.as_deref().map(load_msr_plan).transpose()?,
+        fault_plan: spec
+            .fault_plan
+            .as_deref()
+            .map(|arg| load_plan(arg, "fault plan", FaultPlan::parse))
+            .transpose()?,
         engine: spec.engine,
     })
 }
 
-/// Loads an MSR fault plan from a JSON file (when `arg` ends in `.json`)
-/// or an inline DSL string like `seed=42;write,reg=cap,p=0.01`.
-fn load_msr_plan(arg: &str) -> Result<FaultPlan, String> {
+/// Loads a fault plan from a JSON file (when `arg` ends in `.json`) or
+/// from an inline DSL string that `parse` reads, like
+/// `seed=42;write,reg=cap,p=0.01`. Errors start with `what`.
+fn load_plan<P: serde::Deserialize, E: std::fmt::Display>(
+    arg: &str,
+    what: &str,
+    parse: impl FnOnce(&str) -> Result<P, E>,
+) -> Result<P, String> {
     if arg.ends_with(".json") {
-        let text = std::fs::read_to_string(arg).map_err(|e| format!("fault plan {arg}: {e}"))?;
-        serde_json::from_str(&text).map_err(|e| format!("fault plan {arg}: {e}"))
+        let text = std::fs::read_to_string(arg).map_err(|e| format!("{what} {arg}: {e}"))?;
+        serde_json::from_str(&text).map_err(|e| format!("{what} {arg}: {e}"))
     } else {
-        FaultPlan::parse(arg).map_err(|e| format!("fault plan: {e}"))
-    }
-}
-
-/// Loads a network fault plan from a JSON file or an inline DSL string.
-fn load_net_plan(arg: &str) -> Result<dufp_net::NetFaultPlan, String> {
-    if arg.ends_with(".json") {
-        let text =
-            std::fs::read_to_string(arg).map_err(|e| format!("net fault plan {arg}: {e}"))?;
-        serde_json::from_str(&text).map_err(|e| format!("net fault plan {arg}: {e}"))
-    } else {
-        dufp_net::NetFaultPlan::parse(arg).map_err(|e| format!("net fault plan: {e}"))
+        parse(arg).map_err(|e| format!("{what}: {e}"))
     }
 }
 
@@ -838,10 +836,10 @@ pub fn agent(cmd: &AgentCmd) -> Result<String, String> {
 pub fn chaos(cmd: &ChaosCmd) -> Result<String, String> {
     let mut cfg = cmd.config.clone();
     if let Some(arg) = &cmd.net_fault_plan {
-        cfg.extra_net = load_net_plan(arg)?;
+        cfg.extra_net = load_plan(arg, "net fault plan", dufp_net::NetFaultPlan::parse)?;
     }
     if let Some(arg) = &cmd.fault_plan {
-        cfg.msr_plan = load_msr_plan(arg)?;
+        cfg.msr_plan = load_plan(arg, "fault plan", FaultPlan::parse)?;
     }
 
     let cards = match &cmd.scenario {

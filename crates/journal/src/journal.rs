@@ -86,8 +86,8 @@ impl FsyncPolicy {
 }
 
 impl Serialize for FsyncPolicy {
-    fn to_value(&self) -> Value {
-        Value::Str(self.label())
+    fn write_json(&self, out: &mut String) {
+        serde::json::write_str(out, &self.label());
     }
 }
 

@@ -339,11 +339,12 @@ pub struct InjectorSnapshot {
 // as a lossy float it cannot read back, so it travels as the i64 with
 // the same bits: unchanged below 2^63, negative above.
 impl Serialize for InjectorSnapshot {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("rng".into(), Value::Int(self.rng as i64)),
-            ("hits".into(), self.hits.to_value()),
-        ])
+    fn write_json(&self, out: &mut String) {
+        out.push_str("{\"rng\":");
+        (self.rng as i64).write_json(out);
+        out.push_str(",\"hits\":");
+        self.hits.write_json(out);
+        out.push('}');
     }
 }
 

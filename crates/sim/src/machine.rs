@@ -195,7 +195,7 @@ impl Machine {
     }
 
     /// Advances up to `max_ticks` ticks through the sockets' memoized fast
-    /// path ([`SocketSim::tick_fast`]), stopping early — *after* the
+    /// path (`SocketSim::step_fast`), stopping early — *after* the
     /// completing tick, matching the tick-engine's `tick(); done()` order —
     /// once every socket has finished, and never before the first tick.
     /// Returns the number of ticks actually advanced.

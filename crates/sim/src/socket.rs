@@ -58,7 +58,8 @@ pub struct Accumulators {
     pub mperf: f64,
 }
 
-/// The memoized operating point of [`SocketSim::tick_fast`]'s fast path.
+/// The memoized operating point of the fast path (`SocketSim::step_fast`,
+/// which [`crate::Machine::advance`] drives).
 ///
 /// A full [`SocketSim::tick`] spends almost all of its time re-deriving
 /// values that are constant across a steady stretch: the DVFS ladder
@@ -475,18 +476,6 @@ impl SocketSim {
         self.ticks += 1;
     }
 
-    /// Advances the socket by one tick, exactly like [`SocketSim::tick`]
-    /// but through the memo-replay kernel whenever the cached operating
-    /// point is *provably* what `tick` would recompute — same phase, same
-    /// entry `mem_util` bits, bandwidth bits unmoved, and the allowance
-    /// still inside the ladder rung's stability interval. Every observable
-    /// (accumulators, RNG stream, enforcer state, gauges, trace points,
-    /// phase log) is bit-identical to per-tick stepping; `tick` stays the
-    /// untouched differential oracle.
-    pub fn tick_fast(&mut self, now: Instant) {
-        self.step_fast(now, 1);
-    }
-
     /// Advances up to `max` ticks from `start` through the fast path,
     /// stopping after the tick on which the socket is done, but never
     /// before `min.min(max)` ticks: a finished socket idles up to there.
@@ -507,6 +496,10 @@ impl SocketSim {
     /// miss derives the operating point once. Should the kernel reject the
     /// memo it was just given, one full `tick` runs instead. Returns the
     /// number of ticks advanced.
+    ///
+    /// Every observable (accumulators, RNG stream, enforcer state, gauges,
+    /// trace points, phase log) is bit-identical to per-tick stepping;
+    /// `tick` stays the untouched differential oracle.
     fn step_fast(&mut self, start: Instant, max: u64) -> u64 {
         let memo = match self.memo {
             Some(memo) if self.memo_valid(&memo) => memo,
@@ -1160,7 +1153,7 @@ mod tests {
             }
             let now = Instant(i * tick_us);
             slow.tick(now);
-            fast.tick_fast(now);
+            fast.step_fast(now, 1);
             let a = slow.accumulators();
             let b = fast.accumulators();
             assert_eq!(a.pkg_energy.to_bits(), b.pkg_energy.to_bits(), "tick {i}");

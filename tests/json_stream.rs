@@ -1,42 +1,52 @@
-//! The streaming JSON encoder against the value-tree renderer, on the
-//! workspace's own serialized types.
+//! The JSON encoder on the workspace's own serialized types.
 //!
-//! `serde_json::to_string` streams through `Serialize::write_json`; the
-//! value tree (`Serialize::to_value`, rendered by `serde::json`) is the
-//! reference it must match byte for byte. Goldens, checkpoints, journal
-//! records and CLI output all depend on the two agreeing.
+//! `serde_json::to_string` streams through `Serialize::write_json`, the
+//! one encoder, and pretty output is that compact text re-indented.
+//! Goldens, checkpoints, journal records and CLI output all depend on its
+//! bytes, so these tests pin them: encoded text reads back (as the type
+//! and as a value tree) and re-encodes to itself, literal pins hold the
+//! hand-written impls and edge values, and the files under
+//! `tests/golden/pretty/` hold the pretty form.
 
-use dufp::SweepRow;
+use dufp::{RunMeta, RunResult, SweepRow};
 use dufp_journal::FsyncPolicy;
 use dufp_msr::InjectorSnapshot;
 use dufp_net::{CoordinatorConfig, FleetCore, FleetEvent};
 use dufp_scenario::ScorecardRow;
+use dufp_sim::SimConfig;
 use dufp_telemetry::{DecisionEvent, Telemetry};
 use dufp_types::Watts;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 use std::path::Path;
 
-/// Asserts that streaming `x` writes the bytes its value tree renders to,
-/// and returns them.
-fn streams_like_its_tree<T: Serialize>(x: &T) -> String {
-    let mut tree = String::new();
-    serde::json::write_value(&mut tree, &x.to_value(), None, 0);
-    let streamed = serde_json::to_string(x).unwrap();
-    assert_eq!(streamed, tree);
-    streamed
-}
-
-/// Every line of a golden JSONL file decodes as `T` and re-encodes, on
-/// both paths, to the same line.
-fn golden_lines_round_trip<T: Serialize + Deserialize>(name: &str) -> usize {
+fn golden(name: &str) -> String {
     let path = Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("tests/golden")
         .join(name);
-    let text = std::fs::read_to_string(&path).unwrap();
+    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
+}
+
+/// Asserts that the compact text of `x`, read back as a value tree,
+/// re-encodes to the same bytes, and returns the text.
+fn streams_like_its_tree<T: Serialize>(x: &T) -> String {
+    let text = serde_json::to_string(x).unwrap();
+    let tree: Value = serde_json::from_str(&text).unwrap();
+    assert_eq!(serde_json::to_string(&tree).unwrap(), text);
+    text
+}
+
+/// Asserts that `text` decodes as `T` and re-encodes to itself.
+fn decodes_and_reencodes<T: Serialize + Deserialize>(text: &str) {
+    let back: T = serde_json::from_str(text).unwrap();
+    assert_eq!(streams_like_its_tree(&back), text);
+}
+
+/// Every line of a golden JSONL file decodes as `T` and re-encodes to the
+/// same line.
+fn golden_lines_round_trip<T: Serialize + Deserialize>(name: &str) -> usize {
     let mut lines = 0;
-    for line in text.lines().filter(|l| !l.trim().is_empty()) {
-        let row: T = serde_json::from_str(line).unwrap();
-        assert_eq!(streams_like_its_tree(&row), line, "{name}");
+    for line in golden(name).lines().filter(|l| !l.trim().is_empty()) {
+        decodes_and_reencodes::<T>(line);
         lines += 1;
     }
     lines
@@ -72,6 +82,7 @@ fn sweep_rows_stream_like_their_trees() {
     let text = streams_like_its_tree(&row);
     assert!(text.contains(r#""seed":18446744073709552000.0"#), "{text}");
     assert!(text.contains(r#""avg_dram_power_w":"nan""#), "{text}");
+    assert!(text.contains(r#""pkg_energy_j":-0.0"#), "{text}");
 }
 
 #[test]
@@ -93,13 +104,13 @@ fn injector_snapshots_keep_the_high_rng_bit() {
 
 #[test]
 fn fsync_policies_stream_like_their_trees() {
-    for policy in [
-        FsyncPolicy::Always,
-        FsyncPolicy::EveryN(8),
-        FsyncPolicy::Never,
+    for (policy, text) in [
+        (FsyncPolicy::Always, r#""always""#),
+        (FsyncPolicy::EveryN(8), r#""every:8""#),
+        (FsyncPolicy::Never, r#""never""#),
     ] {
-        let text = streams_like_its_tree(&policy);
-        assert_eq!(text, format!("\"{}\"", policy.label()));
+        assert_eq!(streams_like_its_tree(&policy), text);
+        assert_eq!(serde_json::from_str::<FsyncPolicy>(text).unwrap(), policy);
     }
 }
 
@@ -134,7 +145,18 @@ fn every_fleet_event_streams_like_its_tree() {
     for event in &events {
         let text = streams_like_its_tree(event);
         assert_eq!(event.encode().unwrap(), text.as_bytes());
+        if !matches!(event, FleetEvent::Report { .. }) {
+            decodes_and_reencodes::<FleetEvent>(&text);
+        }
     }
+    assert_eq!(
+        streams_like_its_tree(&events[0]),
+        r#"{"Admit":{"name":"n\"0\\","app":"EP,CG","floor_w":65.0,"node_max_w":125.5,"now_ms":0}}"#
+    );
+    assert_eq!(
+        streams_like_its_tree(&events[1]),
+        r#"{"Report":{"slot":2,"seq":18446744073709552000.0,"ceiling_w":"nan","consumption_w":"-inf","active":true,"now_ms":1500}}"#
+    );
     assert_eq!(
         streams_like_its_tree(&events[3]),
         r#"{"Goodbye":{"slot":1}}"#
@@ -149,7 +171,13 @@ fn core_snapshots_stream_like_their_trees() {
         .admit("a".into(), "EP".into(), Watts(65.0), Watts(125.0), 0)
         .unwrap();
     let b = core
-        .admit("b".into(), "CG".into(), Watts(65.0), Watts(125.0), 0)
+        .admit(
+            "a\"{,}:[x]".into(),
+            "CG".into(),
+            Watts(65.0),
+            Watts(125.0),
+            0,
+        )
         .unwrap();
     for e in 1..=6 {
         core.on_report(a, e, Watts(90.0), Watts(85.0), true, e * 1000 - 500);
@@ -161,4 +189,37 @@ fn core_snapshots_stream_like_their_trees() {
     let snap = core.snapshot();
     let text = streams_like_its_tree(&snap);
     assert_eq!(core.snapshot_bytes().unwrap(), text.as_bytes());
+    assert!(
+        text.contains(r#"{"name":"a\"{,}:[x]","app":"CG""#),
+        "{text}"
+    );
+    decodes_and_reencodes::<dufp_net::CoreSnapshot>(&text);
+}
+
+/// `dufp machine-template`, a `dufp run EP --controller dufp --slowdown 10
+/// --json --seed 1` result and the `meta.json` of a journaled CG run with a
+/// three-rule fault plan (nested enums, `Option`s, the fsync label), as the
+/// value-tree renderer wrote them before the stream became the only
+/// encoder: each decodes and re-encodes pretty to the same bytes, and the
+/// template is the default platform's.
+#[test]
+fn pretty_goldens_are_the_compact_stream_reindented() {
+    fn reencodes<T: Serialize + Deserialize>(name: &str) -> String {
+        let text = golden(name);
+        let value: T = serde_json::from_str(&text).unwrap();
+        assert_eq!(
+            serde_json::to_string_pretty(&value).unwrap(),
+            text,
+            "{name}"
+        );
+        text
+    }
+    let template = reencodes::<SimConfig>("pretty/machine_template.json");
+    assert_eq!(
+        serde_json::to_string_pretty(&SimConfig::yeti(42)).unwrap(),
+        template
+    );
+    reencodes::<RunResult>("pretty/run_ep_dufp_10.json");
+    reencodes::<RunMeta>("pretty/meta_faulted.json");
+    reencodes::<Value>("pretty/meta_faulted.json");
 }
