@@ -197,8 +197,8 @@ fn positional(args: &mut Args, sub: &str, what: &str) -> Result<String, String> 
 }
 
 /// A parsed `run`, `timeline` or `plan` invocation; each accepts only
-/// its own row of [`RUN_FAMILY`] and leaves the other fields at their
-/// defaults.
+/// its own flags (its row of the private `RUN_FAMILY` table) and leaves
+/// the other fields at their defaults.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunSpec {
     /// Application name (BT, CG, ..., HPL, LAMMPS).

@@ -139,8 +139,8 @@ pub struct JournalWriter {
 impl JournalWriter {
     /// Creates a fresh journal in `dir` (created if missing). Fails with a
     /// precondition error if segments already exist — resuming callers
-    /// must go through [`JournalWriter::open`] so an existing tail is
-    /// never silently clobbered.
+    /// must go through [`Recovery::reopen`](crate::Recovery::reopen) so an
+    /// existing tail is never silently clobbered.
     pub fn create(dir: &Path, policy: FsyncPolicy) -> Result<Self> {
         fs::create_dir_all(dir)?;
         if !segment_paths(dir)?.is_empty() {

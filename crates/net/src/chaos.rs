@@ -49,6 +49,7 @@ use dufp_msr::registers::MSR_PKG_POWER_LIMIT;
 use dufp_telemetry::Telemetry;
 use dufp_types::{splitmix, Error, Result, Watts};
 use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
 use std::time::Duration;
 
 /// How a chaos soak is shaped. Defaults match the CI matrix: 8 agents,
@@ -416,6 +417,8 @@ pub struct ChaosFleet {
     net: NetFaultInjector,
     msr: FaultInjector,
     agents: Vec<SimAgent>,
+    /// Agent name → index, for reading the names in epoch records.
+    agent_index: HashMap<String, usize>,
     /// The primary's core snapshot frozen at the instant of its kill;
     /// the replay must rebuild it byte-identically.
     dead_primary_snapshot: Option<Vec<u8>>,
@@ -457,7 +460,8 @@ impl ChaosFleet {
         coord_cfg.validate()?;
         let mut msr_plan = cfg.msr_plan.clone();
         msr_plan.seed = msr_plan.seed.wrapping_add(cfg.seed);
-        let agents = (0..cfg.agents).map(|i| SimAgent::new(i, &cfg)).collect();
+        let agents: Vec<SimAgent> = (0..cfg.agents).map(|i| SimAgent::new(i, &cfg)).collect();
+        let agent_index = agents.iter().map(|a| (a.name.clone(), a.idx)).collect();
         let net = NetFaultInjector::new(plan);
         let coord = |alive| CoordSim {
             core: FleetCore::new(&coord_cfg, Telemetry::enabled()),
@@ -480,6 +484,7 @@ impl ChaosFleet {
             net,
             msr: FaultInjector::new(msr_plan),
             agents,
+            agent_index,
             dead_primary_snapshot: None,
             kill_epoch: None,
             takeover_epoch: None,
@@ -556,7 +561,7 @@ impl ChaosFleet {
         let ingest_ms = epoch * 1000 - 500;
         for i in 0..self.agents.len() {
             let due = drain_due(&mut self.agents[i].up, epoch);
-            for (dest, bytes) in due {
+            for (_, dest, bytes) in due {
                 if self.coords[dest].alive {
                     self.ingest(i, dest, &bytes, ingest_ms);
                 } else {
@@ -673,7 +678,7 @@ impl ChaosFleet {
         // Apply deliverable grants through the agent core, unless the MSR
         // fault plan says this epoch's cap write fails.
         let due = drain_due(&mut self.agents[i].down, epoch);
-        for ((), bytes) in due {
+        for (_, (), bytes) in due {
             let frame = match Frame::decode(&bytes) {
                 Ok(f) => f,
                 Err(_) => {
@@ -968,10 +973,10 @@ impl ChaosFleet {
             if record.quarantined.contains(name) {
                 continue;
             }
-            let Some(agent) = self.agents.iter().find(|a| &a.name == name) else {
+            let Some(&i) = self.agent_index.get(name) else {
                 continue;
             };
-            if self.net.is_ever_byzantine(agent.idx) {
+            if self.net.is_ever_byzantine(i) {
                 continue;
             }
             if *watts < self.cfg.floor.value() - 1e-6 {
@@ -981,26 +986,28 @@ impl ChaosFleet {
 
         // Reclaim latency: a killed agent's name showing up in this
         // epoch's reclaims resolves its pending kill clock.
-        for i in 0..self.agents.len() {
-            let name = self.agents[i].name.clone();
-            if let Some(killed_at) = self.agents[i].killed_at {
-                if record.reclaimed.contains(&name) {
-                    let delay = epoch.saturating_sub(killed_at);
-                    self.max_reclaim = Some(self.max_reclaim.unwrap_or(0).max(delay));
-                    self.agents[i].killed_at = None;
-                }
+        for name in &record.reclaimed {
+            let Some(&i) = self.agent_index.get(name) else {
+                continue;
+            };
+            if let Some(killed_at) = self.agents[i].killed_at.take() {
+                let delay = epoch.saturating_sub(killed_at);
+                self.max_reclaim = Some(self.max_reclaim.unwrap_or(0).max(delay));
             }
+        }
 
-            // Quarantine latency, measured from the first effective lie.
-            if self.first_quarantined[i].is_none()
-                && (record.quarantined.contains(&name) || record.evicted.contains(&name))
-            {
-                self.first_quarantined[i] = Some(epoch);
-                if let Some(lie) = self.agents[i].first_lie {
-                    let delay = epoch.saturating_sub(lie) + 1;
-                    self.max_quarantine_delay =
-                        Some(self.max_quarantine_delay.unwrap_or(0).max(delay));
-                }
+        // Quarantine latency, measured from the first effective lie.
+        for name in record.quarantined.iter().chain(&record.evicted) {
+            let Some(&i) = self.agent_index.get(name) else {
+                continue;
+            };
+            if self.first_quarantined[i].is_some() {
+                continue;
+            }
+            self.first_quarantined[i] = Some(epoch);
+            if let Some(lie) = self.agents[i].first_lie {
+                let delay = epoch.saturating_sub(lie) + 1;
+                self.max_quarantine_delay = Some(self.max_quarantine_delay.unwrap_or(0).max(delay));
             }
         }
     }
@@ -1130,28 +1137,26 @@ fn transmit<D: Copy>(
         tallies.frames_corrupted += 1;
     }
     let deliver = epoch.saturating_add(lag).saturating_add(fate.delay_epochs);
-    for _ in 0..=fate.duplicates {
+    for _ in 0..fate.duplicates {
         queue.push((deliver, dest, bytes.clone()));
     }
+    queue.push((deliver, dest, bytes));
     if fate.reorder && queue.len() >= 2 {
         let n = queue.len();
         queue.swap(n - 1, n - 2);
     }
 }
 
-/// Pops every queued frame due at `epoch`, preserving queue order.
-fn drain_due<D>(queue: &mut Vec<Queued<D>>, epoch: u64) -> Vec<(D, Vec<u8>)> {
-    let mut due = Vec::new();
-    let mut keep = Vec::with_capacity(queue.len());
-    for (deliver, dest, bytes) in queue.drain(..) {
-        if deliver <= epoch {
-            due.push((dest, bytes));
-        } else {
-            keep.push((deliver, dest, bytes));
-        }
+/// Pops every queued frame due at `epoch`, preserving queue order; a
+/// queue with nothing due is left as it is, without allocating.
+fn drain_due<D>(queue: &mut Vec<Queued<D>>, epoch: u64) -> Vec<Queued<D>> {
+    let due = |q: &Queued<D>| q.0 <= epoch;
+    if !queue.iter().any(due) {
+        return Vec::new();
     }
-    *queue = keep;
-    due
+    let (now, later) = std::mem::take(queue).into_iter().partition(due);
+    *queue = later;
+    now
 }
 
 /// Deterministic single-bit corruption; the frame CRC must catch it.

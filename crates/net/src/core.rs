@@ -26,10 +26,11 @@ use crate::fleet_journal::{FleetEvent, FleetJournal};
 use crate::vet::{FrameVerdict, NodeVet, Trust, VetConfig};
 use crate::wire::{Frame, GrantKind};
 use dufp_cluster::allocator::{AllocatorPolicy, NodeObservation};
-use dufp_telemetry::{Actuator, DecisionEvent, Reason, Telemetry};
+use dufp_telemetry::{Actuator, Counter, DecisionEvent, Reason, Telemetry};
 use dufp_types::{Error, Result, Watts};
 use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
+use std::sync::{Arc, OnceLock};
 
 /// Epochs a freshly promoted coordinator keeps replayed-but-unattached
 /// nodes *pinned*: their last granted watts stay reserved (off the top of
@@ -168,6 +169,52 @@ pub struct CoreSnapshot {
     nodes: Vec<NodeSnap>,
 }
 
+/// The counters a [`FleetCore`] bumps. Each is resolved from the
+/// telemetry registry once, on its first bump, so the per-frame cost is
+/// one atomic add and a snapshot still lists only counters that counted.
+#[derive(Debug, Clone, Copy)]
+enum Count {
+    Reports,
+    Heartbeats,
+    GrantsIssued,
+    DuplicateFrames,
+    ReplaysRejected,
+    RateLimited,
+    DemandVetoes,
+    BudgetReclaims,
+    Evictions,
+    Quarantines,
+    AdmissionRejects,
+    TermFences,
+    Takeovers,
+    JournalErrors,
+}
+
+impl Count {
+    /// How many counters there are (`JournalErrors` is the last).
+    const N: usize = Count::JournalErrors as usize + 1;
+
+    /// The counter's telemetry name.
+    fn name(self) -> &'static str {
+        match self {
+            Count::Reports => "reports_total",
+            Count::Heartbeats => "heartbeats_total",
+            Count::GrantsIssued => "grants_issued_total",
+            Count::DuplicateFrames => "duplicate_frames_total",
+            Count::ReplaysRejected => "replays_rejected_total",
+            Count::RateLimited => "rate_limited_total",
+            Count::DemandVetoes => "demand_vetoes_total",
+            Count::BudgetReclaims => "budget_reclaims_total",
+            Count::Evictions => "evictions_total",
+            Count::Quarantines => "quarantines_total",
+            Count::AdmissionRejects => "admission_rejects_total",
+            Count::TermFences => "term_fences_total",
+            Count::Takeovers => "takeovers_total",
+            Count::JournalErrors => "journal_errors_total",
+        }
+    }
+}
+
 /// The transport-independent coordinator brain. See the module docs.
 pub struct FleetCore {
     budget: Watts,
@@ -178,6 +225,8 @@ pub struct FleetCore {
     blacklist: HashSet<String>,
     epoch: u64,
     tel: Telemetry,
+    /// `tel`'s counters, indexed by [`Count`], resolved on first use.
+    counters: [OnceLock<Arc<Counter>>; Count::N],
     /// Monotonic coordination term; grants carry it and agents apply
     /// grants in `(term, epoch)` lexicographic order.
     term: u64,
@@ -219,6 +268,7 @@ impl FleetCore {
             blacklist: HashSet::new(),
             epoch: 0,
             tel,
+            counters: [const { OnceLock::new() }; Count::N],
             term: 1,
             fenced_by: None,
             hold_until_epoch: 0,
@@ -355,7 +405,7 @@ impl FleetCore {
         }
         self.journal_event(&FleetEvent::Fence { term });
         self.fenced_by = Some(term);
-        self.tel.counter("term_fences_total").inc();
+        self.count(Count::TermFences);
         self.record(
             0,
             self.last_epoch_ms.unwrap_or(0),
@@ -383,7 +433,7 @@ impl FleetCore {
         self.fenced_by = None; // clear before journaling: a fenced core's journal is closed
         self.hold_until_epoch = self.epoch + HANDOVER_HOLD_EPOCHS;
         self.journal_event(&FleetEvent::TermBump { term });
-        self.tel.counter("takeovers_total").inc();
+        self.count(Count::Takeovers);
         self.record(
             0,
             self.last_epoch_ms.unwrap_or(0),
@@ -406,7 +456,7 @@ impl FleetCore {
         if j.record(ev).is_err() {
             // A full disk must not kill the fleet; the failure is counted
             // and the core keeps serving (recovery fidelity degrades).
-            self.tel.counter("journal_errors_total").inc();
+            self.count(Count::JournalErrors);
         }
     }
 
@@ -462,7 +512,7 @@ impl FleetCore {
         now_ms: u64,
     ) -> Result<usize> {
         if let Some(theirs) = self.fenced_by {
-            self.tel.counter("admission_rejects_total").inc();
+            self.count(Count::AdmissionRejects);
             return Err(Error::Fenced {
                 ours: self.term,
                 theirs,
@@ -473,7 +523,7 @@ impl FleetCore {
             || !node_max.value().is_finite()
             || floor > node_max
         {
-            self.tel.counter("admission_rejects_total").inc();
+            self.count(Count::AdmissionRejects);
             return Err(Error::invalid(
                 "hello",
                 format!(
@@ -484,7 +534,7 @@ impl FleetCore {
             ));
         }
         if self.blacklist.contains(&name) {
-            self.tel.counter("admission_rejects_total").inc();
+            self.count(Count::AdmissionRejects);
             return Err(Error::Precondition(format!(
                 "node {name} was evicted; readmission refused"
             )));
@@ -559,17 +609,17 @@ impl FleetCore {
             FrameVerdict::Accepted => {
                 n.last_seen_ms = now_ms;
                 n.report = Some((ceiling, consumption, active));
-                self.tel.counter("reports_total").inc();
+                self.count(Count::Reports);
             }
             FrameVerdict::Duplicate => {
                 // A lossy path duplicated the frame; the node is alive.
                 n.last_seen_ms = now_ms;
-                self.tel.counter("duplicate_frames_total").inc();
+                self.count(Count::DuplicateFrames);
             }
             FrameVerdict::Replay => {
                 n.last_seen_ms = now_ms;
                 let last = n.vet.last_report_seq();
-                self.tel.counter("replays_rejected_total").inc();
+                self.count(Count::ReplaysRejected);
                 self.record(
                     slot,
                     now_ms,
@@ -584,7 +634,7 @@ impl FleetCore {
                 // alive, so the heartbeat clock resets even though the
                 // frame's content is dropped unprocessed.
                 self.nodes[slot].last_seen_ms = now_ms;
-                self.tel.counter("rate_limited_total").inc();
+                self.count(Count::RateLimited);
                 // One event per node per epoch, not one per dropped frame
                 // — a storm must not flood the telemetry buffer.
                 if self.nodes[slot].vet.just_hit_report_limit(&self.vet_cfg) {
@@ -594,7 +644,7 @@ impl FleetCore {
             }
             FrameVerdict::Vetoed => {
                 n.last_seen_ms = now_ms;
-                self.tel.counter("demand_vetoes_total").inc();
+                self.count(Count::DemandVetoes);
                 let shown = if consumption.value().is_finite() {
                     consumption.value()
                 } else {
@@ -621,15 +671,15 @@ impl FleetCore {
                 // As in `on_report`: the storm is dropped, but the node
                 // has proven it is alive.
                 n.last_seen_ms = now_ms;
-                self.tel.counter("rate_limited_total").inc();
+                self.count(Count::RateLimited);
             }
             FrameVerdict::Replay => {
                 n.last_seen_ms = now_ms;
-                self.tel.counter("replays_rejected_total").inc();
+                self.count(Count::ReplaysRejected);
             }
             _ => {
                 n.last_seen_ms = now_ms;
-                self.tel.counter("heartbeats_total").inc();
+                self.count(Count::Heartbeats);
             }
         }
         verdict
@@ -710,9 +760,9 @@ impl FleetCore {
                     evicted_now.push(name);
                     self.nodes[i].state = NodeState::Evicted;
                     disconnects.push(i);
-                    self.tel.counter("evictions_total").inc();
+                    self.count(Count::Evictions);
                 } else if new == Trust::Quarantined {
-                    self.tel.counter("quarantines_total").inc();
+                    self.count(Count::Quarantines);
                 }
             }
         }
@@ -739,7 +789,7 @@ impl FleetCore {
                 self.nodes[i].granted = Watts::ZERO;
                 reclaimed.push(name);
                 reclaimed_watts += had;
-                self.tel.counter("budget_reclaims_total").inc();
+                self.count(Count::BudgetReclaims);
                 self.record(i, now_ms, had, 0.0, Reason::BudgetReclaim);
             }
         }
@@ -866,7 +916,7 @@ impl FleetCore {
                 };
                 let (o, c) = (old.value(), ceiling.value());
                 n.granted = ceiling;
-                self.tel.counter("grants_issued_total").inc();
+                self.count(Count::GrantsIssued);
                 self.record(i, now_ms, o, c, reason);
             }
             let n = &self.nodes[i];
@@ -936,9 +986,15 @@ impl FleetCore {
         };
         let sealed = self.snapshot_bytes().and_then(|b| j.checkpoint(&b));
         if sealed.is_err() {
-            self.tel.counter("journal_errors_total").inc();
+            self.count(Count::JournalErrors);
         }
         self.journal = Some(j);
+    }
+
+    fn count(&self, c: Count) {
+        self.counters[c as usize]
+            .get_or_init(|| self.tel.counter(c.name()))
+            .inc();
     }
 
     fn record(&self, slot: usize, now_ms: u64, old: f64, new: f64, reason: Reason) {

@@ -191,23 +191,37 @@ impl Frame {
         }
     }
 
-    /// Encodes the frame into a self-contained byte vector.
+    /// Encodes the frame into a self-contained byte vector: the header,
+    /// the payload written in place behind it, the length patched in and
+    /// the CRC appended — one exactly sized allocation per frame.
     pub fn encode(&self) -> Vec<u8> {
-        let payload = self.encode_payload();
-        let mut buf = Vec::with_capacity(HEADER_LEN + payload.len() + 4);
+        let mut buf = Vec::with_capacity(HEADER_LEN + self.payload_len() + 4);
         buf.extend_from_slice(&MAGIC);
         buf.extend_from_slice(&VERSION.to_le_bytes());
         buf.push(self.frame_type() as u8);
         buf.push(0); // reserved
-        buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        buf.extend_from_slice(&payload);
+        buf.extend_from_slice(&[0; 4]); // payload length, patched below
+        self.put_payload(&mut buf);
+        let len = (buf.len() - HEADER_LEN) as u32;
+        buf[8..HEADER_LEN].copy_from_slice(&len.to_le_bytes());
         let crc = crc32(&buf[4..]);
         buf.extend_from_slice(&crc.to_le_bytes());
         buf
     }
 
-    fn encode_payload(&self) -> Vec<u8> {
-        let mut p = Vec::new();
+    /// The payload's encoded size: the per-type bound for fixed-size
+    /// frames, the (clamped) string lengths plus fixed fields otherwise.
+    fn payload_len(&self) -> usize {
+        let str_len = |s: &str| 2 + s.len().min(u16::MAX as usize);
+        match self {
+            Frame::Hello { node, app, .. } => str_len(node) + 16 + str_len(app) + 8,
+            Frame::Handover { successor, .. } => str_len(successor) + 8,
+            fixed => fixed.frame_type().max_payload() as usize,
+        }
+    }
+
+    /// Appends the frame-specific payload fields to `p`.
+    fn put_payload(&self, p: &mut Vec<u8>) {
         match self {
             Frame::Hello {
                 node,
@@ -216,10 +230,10 @@ impl Frame {
                 app,
                 term,
             } => {
-                put_str(&mut p, node);
+                put_str(p, node);
                 p.extend_from_slice(&floor.value().to_le_bytes());
                 p.extend_from_slice(&node_max.value().to_le_bytes());
-                put_str(&mut p, app);
+                put_str(p, app);
                 p.extend_from_slice(&term.to_le_bytes());
             }
             Frame::DemandReport {
@@ -250,11 +264,10 @@ impl Frame {
             }
             Frame::Goodbye => {}
             Frame::Handover { successor, term } => {
-                put_str(&mut p, successor);
+                put_str(p, successor);
                 p.extend_from_slice(&term.to_le_bytes());
             }
         }
-        p
     }
 
     /// Decodes a frame from a complete byte buffer (header + payload +
@@ -366,16 +379,15 @@ impl Frame {
                 });
             }
         }
-        let mut rest = vec![0u8; len as usize + 4];
-        r.read_exact(&mut rest).map_err(|e| {
+        let mut buf = vec![0u8; HEADER_LEN + len as usize + 4];
+        buf[..HEADER_LEN].copy_from_slice(&header);
+        r.read_exact(&mut buf[HEADER_LEN..]).map_err(|e| {
             if e.kind() == std::io::ErrorKind::UnexpectedEof {
                 Error::Corruption("frame truncated inside the payload".into())
             } else {
                 Error::Io(e)
             }
         })?;
-        let mut buf = header.to_vec();
-        buf.extend_from_slice(&rest);
         Frame::decode(&buf).map(Some)
     }
 }
@@ -475,6 +487,7 @@ impl<'a> Cursor<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn samples() -> Vec<Frame> {
         vec![
@@ -506,10 +519,179 @@ mod tests {
         ]
     }
 
+    /// `samples()` as wire bytes, one frame per `FrameType` in
+    /// discriminant order. Built independently of this codec (Python's
+    /// `struct` + `zlib.crc32`), so any change to a byte of the format —
+    /// field order, widths, the CRC — fails here first.
+    const GOLDEN_HEX: [&str; 6] = [
+        "44554650020001002700000006006e6f64652d3300000000004050400000000000405f4005004347\
+         2b45500200000000000000e4c6148c",
+        "44554650020002001900000011000000000000000000000000405a400000000000a058400144c0ab20",
+        "44554650020003001900000004000000000000000000000000205c40000300000000000000386dbfce",
+        "44554650020004001000000029230000000000000300000000000000ad18ee1b",
+        "445546500200050000000000a749ca77",
+        "4455465002000600180000000e003132372e302e302e313a3731303204000000000000002cbe7a9d",
+    ];
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// Any `f64` bit pattern, NaN payloads and infinities included: the
+    /// codec moves bits, it does not judge them (vetting does).
+    fn watts() -> impl Strategy<Value = Watts> {
+        any::<u64>().prop_map(|bits| Watts(f64::from_bits(bits)))
+    }
+
+    /// Short strings mixing one- to four-byte UTF-8 characters.
+    fn text() -> impl Strategy<Value = String> {
+        let chars = vec![
+            'a',
+            'Z',
+            '0',
+            '-',
+            ':',
+            '.',
+            '\u{e9}',
+            '\u{65e5}',
+            '\u{1f980}',
+        ];
+        prop::collection::vec(prop::sample::select(chars), 0..40)
+            .prop_map(|cs| cs.into_iter().collect())
+    }
+
+    /// The largest payload a Hello may carry leaves this many bytes for
+    /// its two strings (two u16 lengths, two f64s and the term take 28).
+    const HELLO_TEXT_MAX: usize = MAX_PAYLOAD as usize - 28;
+    /// A Handover's successor address bound.
+    const SUCCESSOR_MAX: usize = 1024;
+
+    fn hello(node: String, app: String, term: u64) -> Frame {
+        Frame::Hello {
+            node,
+            floor: Watts(65.0),
+            node_max: Watts(125.0),
+            app,
+            term,
+        }
+    }
+
+    fn any_frame() -> impl Strategy<Value = Frame> {
+        prop_oneof![
+            2 => (text(), watts(), watts(), text(), any::<u64>()).prop_map(
+                |(node, floor, node_max, app, term)| Frame::Hello {
+                    node,
+                    floor,
+                    node_max,
+                    app,
+                    term,
+                }
+            ),
+            // Both strings together exactly fill the Hello payload bound.
+            (0..=HELLO_TEXT_MAX, any::<u64>()).prop_map(|(n, term)| {
+                hello("n".repeat(n), "a".repeat(HELLO_TEXT_MAX - n), term)
+            }),
+            2 => (any::<u64>(), watts(), watts(), any::<bool>()).prop_map(
+                |(seq, ceiling, consumption, active)| Frame::DemandReport {
+                    seq,
+                    ceiling,
+                    consumption,
+                    active,
+                }
+            ),
+            2 => (any::<u64>(), watts(), any::<bool>(), any::<u64>()).prop_map(
+                |(epoch, ceiling, shrink, term)| Frame::BudgetGrant {
+                    epoch,
+                    ceiling,
+                    kind: if shrink { GrantKind::Shrink } else { GrantKind::Raise },
+                    term,
+                }
+            ),
+            2 => (any::<u64>(), any::<u64>()).prop_map(|(seq, term)| Frame::Heartbeat { seq, term }),
+            Just(Frame::Goodbye),
+            (text(), any::<u64>())
+                .prop_map(|(successor, term)| Frame::Handover { successor, term }),
+            (0..=SUCCESSOR_MAX, any::<u64>()).prop_map(|(n, term)| Frame::Handover {
+                successor: "h".repeat(n),
+                term,
+            }),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+        #[test]
+        fn encode_decode_encode_is_byte_stable(f in any_frame()) {
+            let bytes = f.encode();
+            let len = u32::from_le_bytes([bytes[8], bytes[9], bytes[10], bytes[11]]);
+            prop_assert_eq!(len as usize, bytes.len() - HEADER_LEN - 4);
+            prop_assert!(len <= f.frame_type().max_payload());
+            let back = match Frame::decode(&bytes) {
+                Ok(back) => back,
+                Err(e) => return Err(format!("{e}")),
+            };
+            prop_assert_eq!(back.frame_type(), f.frame_type());
+            prop_assert_eq!(back.encode(), bytes);
+        }
+    }
+
+    #[test]
+    fn strings_one_byte_past_their_bound_are_refused() {
+        let bytes = hello("n".repeat(HELLO_TEXT_MAX + 1), String::new(), 1).encode();
+        let err = Frame::decode(&bytes).unwrap_err();
+        assert!(matches!(err, Error::FrameTooLarge { .. }), "{err:?}");
+        let bytes = Frame::Handover {
+            successor: "h".repeat(SUCCESSOR_MAX + 1),
+            term: 1,
+        }
+        .encode();
+        let err = Frame::decode(&bytes).unwrap_err();
+        assert!(matches!(err, Error::FrameTooLarge { .. }), "{err:?}");
+    }
+
+    #[test]
+    fn a_stream_ending_in_a_torn_frame_yields_every_whole_frame_then_corruption() {
+        let mut whole = Vec::new();
+        for f in samples() {
+            f.write_to(&mut whole).unwrap();
+        }
+        let tail = samples()[0].encode();
+        for cut in 0..tail.len() {
+            let mut stream = whole.clone();
+            stream.extend_from_slice(&tail[..cut]);
+            let mut r = std::io::Cursor::new(stream);
+            for want in samples() {
+                assert_eq!(
+                    Frame::read_from(&mut r).unwrap().unwrap(),
+                    want,
+                    "cut {cut}"
+                );
+            }
+            match Frame::read_from(&mut r) {
+                Ok(None) => assert_eq!(cut, 0, "only an empty tail is a clean EOF"),
+                Ok(Some(f)) => panic!("cut {cut}: torn tail decoded as {f:?}"),
+                Err(e) => {
+                    assert!(cut > 0, "empty tail must be a clean EOF: {e}");
+                    let inside = if cut < HEADER_LEN {
+                        "header"
+                    } else {
+                        "payload"
+                    };
+                    assert!(
+                        matches!(&e, Error::Corruption(m) if m.contains(inside)),
+                        "cut {cut}: {e:?}"
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn every_frame_round_trips() {
-        for f in samples() {
+        for (i, (f, golden)) in samples().into_iter().zip(GOLDEN_HEX).enumerate() {
+            assert_eq!(f.frame_type() as usize, i + 1, "samples() order");
             let bytes = f.encode();
+            assert_eq!(hex(&bytes), golden, "{f:?}");
             assert_eq!(Frame::decode(&bytes).unwrap(), f, "{f:?}");
         }
     }

@@ -166,6 +166,19 @@ fn cas_f64(bits: &AtomicU64, f: impl Fn(f64) -> f64) {
     }
 }
 
+/// The instrument registered under `name` in `map`, built by `make` on
+/// first use. A hit looks the name up by `&str` and allocates nothing;
+/// only a registration copies the name.
+fn lookup<T>(map: &Mutex<HashMap<String, Arc<T>>>, name: &str, make: impl FnOnce() -> T) -> Arc<T> {
+    let mut map = map.lock().unwrap_or_else(|e| e.into_inner());
+    if let Some(found) = map.get(name) {
+        return Arc::clone(found);
+    }
+    let made = Arc::new(make());
+    map.insert(name.to_string(), Arc::clone(&made));
+    made
+}
+
 /// Lazily-populated registry of named instruments.
 #[derive(Default)]
 pub struct Registry {
@@ -177,30 +190,18 @@ pub struct Registry {
 impl Registry {
     /// The counter registered under `name`, creating it on first use.
     pub fn counter(&self, name: &str) -> Arc<Counter> {
-        let mut map = self.counters.lock().unwrap_or_else(|e| e.into_inner());
-        Arc::clone(
-            map.entry(name.to_string())
-                .or_insert_with(|| Arc::new(Counter::default())),
-        )
+        lookup(&self.counters, name, Counter::default)
     }
 
     /// The gauge registered under `name`, creating it on first use.
     pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        let mut map = self.gauges.lock().unwrap_or_else(|e| e.into_inner());
-        Arc::clone(
-            map.entry(name.to_string())
-                .or_insert_with(|| Arc::new(Gauge::new())),
-        )
+        lookup(&self.gauges, name, Gauge::new)
     }
 
     /// The histogram registered under `name`, creating it with `bounds` on
     /// first use (later calls keep the original bounds).
     pub fn histogram(&self, name: &str, bounds: &[f64]) -> Arc<Histogram> {
-        let mut map = self.histograms.lock().unwrap_or_else(|e| e.into_inner());
-        Arc::clone(
-            map.entry(name.to_string())
-                .or_insert_with(|| Arc::new(Histogram::new(bounds))),
-        )
+        lookup(&self.histograms, name, || Histogram::new(bounds))
     }
 
     /// A serializable snapshot of every instrument, sorted by name.

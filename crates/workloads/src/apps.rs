@@ -141,7 +141,7 @@ pub fn lammps(ctx: &MaterializeCtx) -> Result<Workload> {
 }
 
 /// STREAM-like triad kernel: pure bandwidth, the workload the
-/// control-theory capping study the paper cites ([8], Cerf et al.) models
+/// control-theory capping study the paper cites (\[8\], Cerf et al.) models
 /// exactly. Useful as the extreme memory-bound reference point.
 pub fn stream(ctx: &MaterializeCtx) -> Result<Workload> {
     Workload::from_specs("STREAM", &[mem("triad", 30.0, 0.06, 1.8, 0.45, 0.0)], ctx)

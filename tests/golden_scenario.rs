@@ -1,5 +1,6 @@
 //! Golden regression for the in-process fleet runs: the datacenter
-//! scenario engine, the DUFP cluster and the CPU+GPU node.
+//! scenario engine, the DUFP cluster, the CPU+GPU node and the chaos
+//! fleet.
 //!
 //! `tests/golden/scenario_mini.toml` is a checked-in diurnal co-tenant
 //! scenario; the goldens pin byte-exact artifacts of running it at a
@@ -15,7 +16,12 @@
 //!   share policies,
 //! * `shared_step.jsonl` — a CRC-32 of every co-tenant socket step's
 //!   output bits, plus each tenant's account, leg by leg through a
-//!   busy → drain → ceiling write → burst → drain schedule.
+//!   busy → drain → ceiling write → burst → drain schedule,
+//! * `chaos_seed42.jsonl` — the full chaos scenario matrix at the default
+//!   shape (8 agents, 40 epochs, 700 W), exactly as `dufp chaos --seed 42
+//!   --out` writes it,
+//! * `chaos_seed7_64agents.jsonl` — the same matrix at fleet scale: seed
+//!   7, 64 agents, 60 epochs, 5600 W.
 //!
 //! Any change to arrival-model sampling, co-tenant or node physics,
 //! DUFP, allocator behavior or serialization shows up here as a byte
@@ -29,6 +35,7 @@
 //! then review the regenerated files like any other diff.
 
 use dufp_cluster::SharePolicy;
+use dufp_net::chaos::{run_matrix, ChaosConfig};
 use dufp_net::{run_cluster, run_hetero, ClusterConfig, HeteroConfig, NodeSpec, PolicyKind};
 use dufp_scenario::{run_one, run_rows, to_jsonl_bytes, PolicyChoice, ScenarioSpec};
 use dufp_sim::{SharedSocketCfg, SharedSocketSim, SharedStep};
@@ -116,6 +123,37 @@ fn jsonl(lines: Vec<String>) -> Vec<u8> {
         .map(|l| l + "\n")
         .collect::<String>()
         .into_bytes()
+}
+
+/// The chaos matrix under `cfg` as the scorecard JSON Lines `dufp chaos
+/// --out` writes.
+fn chaos_scorecard(cfg: &ChaosConfig) -> Vec<u8> {
+    let cards = run_matrix(cfg).expect("chaos matrix");
+    jsonl(
+        cards
+            .iter()
+            .map(|c| serde_json::to_string(c).expect("serialize"))
+            .collect(),
+    )
+}
+
+#[test]
+fn chaos_scorecard_at_the_default_shape_matches_golden() {
+    check_golden(
+        "chaos_seed42.jsonl",
+        &chaos_scorecard(&ChaosConfig::new(42)),
+    );
+}
+
+#[test]
+fn chaos_scorecard_at_fleet_scale_matches_golden() {
+    let cfg = ChaosConfig {
+        agents: 64,
+        epochs: 60,
+        budget: Watts(5600.0),
+        ..ChaosConfig::new(7)
+    };
+    check_golden("chaos_seed7_64agents.jsonl", &chaos_scorecard(&cfg));
 }
 
 /// The cluster configurations the golden pins: two demo seeds, a 400 W
