@@ -468,6 +468,14 @@ mod tests {
     }
 
     #[test]
+    fn a_run_seeded_above_i64_max_resumes_bit_identically() {
+        // `meta.json` holds the seed as the exact digits of `u64::MAX`.
+        let (dir_a, _) = check_crash_equivalence(None, 7001, u64::MAX);
+        let meta = std::fs::read_to_string(dir_a.path().join(META_FILE)).unwrap();
+        assert!(meta.contains(r#""seed": 18446744073709551615"#), "{meta}");
+    }
+
+    #[test]
     fn crash_before_any_checkpoint_replays_from_scratch() {
         // Tick 1000 is 5 intervals in — no checkpoint exists yet.
         let reference = ep_spec(None);

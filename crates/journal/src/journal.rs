@@ -17,7 +17,7 @@
 use crate::checkpoint::write_checkpoint;
 use crate::crc::crc32;
 use dufp_types::{Error, Result};
-use serde::{DeError, Deserialize, Serialize, Value};
+use serde::{DeError, Deserialize, Reader, Serialize};
 use std::fs::{self, File, OpenOptions};
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
@@ -92,8 +92,8 @@ impl Serialize for FsyncPolicy {
 }
 
 impl Deserialize for FsyncPolicy {
-    fn from_value(v: &Value) -> std::result::Result<Self, DeError> {
-        FsyncPolicy::parse(&String::from_value(v)?).map_err(DeError::custom)
+    fn read_json(r: &mut Reader<'_>) -> std::result::Result<Self, DeError> {
+        FsyncPolicy::parse(&String::read_json(r)?).map_err(DeError::custom)
     }
 }
 

@@ -16,7 +16,7 @@
 
 use dufp_types::{splitmix, Error, Result};
 use parking_lot::Mutex;
-use serde::{DeError, Deserialize, Serialize, Value};
+use serde::{DeError, Deserialize, Reader, Serialize};
 
 /// The kind of hardware access a rule can match.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -335,9 +335,9 @@ pub struct InjectorSnapshot {
     pub hits: Vec<u64>,
 }
 
-// The rng state is a uniform u64, and serde writes one above `i64::MAX`
-// as a lossy float it cannot read back, so it travels as the i64 with
-// the same bits: unchanged below 2^63, negative above.
+// The rng state is a uniform u64. It travels as the i64 with the same
+// bits, unchanged below 2^63 and negative above: the form every existing
+// checkpoint holds.
 impl Serialize for InjectorSnapshot {
     fn write_json(&self, out: &mut String) {
         out.push_str("{\"rng\":");
@@ -349,11 +349,21 @@ impl Serialize for InjectorSnapshot {
 }
 
 impl Deserialize for InjectorSnapshot {
-    fn from_value(v: &Value) -> std::result::Result<Self, DeError> {
-        let field = |k| (v.get(k)).ok_or_else(|| DeError::custom(format!("missing field {k}")));
+    fn read_json(r: &mut Reader<'_>) -> std::result::Result<Self, DeError> {
+        let (mut rng, mut hits) = (None, None);
+        // A value that is not an object has no `rng` either.
+        r.object("missing field rng", |r, key| {
+            match key {
+                "rng" if rng.is_none() => rng = Some(i64::read_json(r)?),
+                "hits" if hits.is_none() => hits = Some(Vec::read_json(r)?),
+                _ => r.skip()?,
+            }
+            Ok(())
+        })?;
+        let missing = |k| DeError::custom(format!("missing field {k}"));
         Ok(InjectorSnapshot {
-            rng: i64::from_value(field("rng")?)? as u64,
-            hits: Vec::from_value(field("hits")?)?,
+            rng: rng.ok_or_else(|| missing("rng"))? as u64,
+            hits: hits.ok_or_else(|| missing("hits"))?,
         })
     }
 }

@@ -463,8 +463,9 @@ impl ChaosFleet {
         let agents: Vec<SimAgent> = (0..cfg.agents).map(|i| SimAgent::new(i, &cfg)).collect();
         let agent_index = agents.iter().map(|a| (a.name.clone(), a.idx)).collect();
         let net = NetFaultInjector::new(plan);
+        // Nothing reads the harness cores' telemetry, so they record none.
         let coord = |alive| CoordSim {
-            core: FleetCore::new(&coord_cfg, Telemetry::enabled()),
+            core: FleetCore::new(&coord_cfg, Telemetry::disabled()),
             slot_owner: Vec::new(),
             alive,
         };
@@ -613,7 +614,7 @@ impl ChaosFleet {
     /// node's watts reserved, so Σ granted ≤ budget holds *across* the
     /// handover.
     fn promote_standby(&mut self) {
-        let mut core = FleetCore::new(&self.coord_cfg, Telemetry::enabled());
+        let mut core = FleetCore::new(&self.coord_cfg, Telemetry::disabled());
         for ev in self.coords[0].core.journaled_events().unwrap_or_default() {
             ev.apply(&mut core);
         }

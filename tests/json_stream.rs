@@ -1,12 +1,14 @@
-//! The JSON encoder on the workspace's own serialized types.
+//! The JSON codec on the workspace's own serialized types.
 //!
 //! `serde_json::to_string` streams through `Serialize::write_json`, the
-//! one encoder, and pretty output is that compact text re-indented.
-//! Goldens, checkpoints, journal records and CLI output all depend on its
-//! bytes, so these tests pin them: encoded text reads back (as the type
-//! and as a value tree) and re-encodes to itself, literal pins hold the
-//! hand-written impls and edge values, and the files under
-//! `tests/golden/pretty/` hold the pretty form.
+//! one encoder, and pretty output is that compact text re-indented;
+//! `serde_json::from_str` reads through `Deserialize::read_json`, the one
+//! decoder. Goldens, checkpoints, journal records and CLI output all
+//! depend on their bytes, so these tests pin them: encoded text reads back
+//! (as the type and as a value tree) and re-encodes to itself, literal
+//! pins hold the hand-written impls and edge values, the files under
+//! `tests/golden/pretty/` hold the pretty form, and one test pins the
+//! rules a decoded document follows.
 
 use dufp::{RunMeta, RunResult, SweepRow};
 use dufp_journal::FsyncPolicy;
@@ -80,7 +82,7 @@ fn sweep_rows_stream_like_their_trees() {
         dram_energy_j: 1e-7,
     };
     let text = streams_like_its_tree(&row);
-    assert!(text.contains(r#""seed":18446744073709552000.0"#), "{text}");
+    assert!(text.contains(r#""seed":18446744073709551615"#), "{text}");
     assert!(text.contains(r#""avg_dram_power_w":"nan""#), "{text}");
     assert!(text.contains(r#""pkg_energy_j":-0.0"#), "{text}");
 }
@@ -145,9 +147,7 @@ fn every_fleet_event_streams_like_its_tree() {
     for event in &events {
         let text = streams_like_its_tree(event);
         assert_eq!(event.encode().unwrap(), text.as_bytes());
-        if !matches!(event, FleetEvent::Report { .. }) {
-            decodes_and_reencodes::<FleetEvent>(&text);
-        }
+        decodes_and_reencodes::<FleetEvent>(&text);
     }
     assert_eq!(
         streams_like_its_tree(&events[0]),
@@ -155,7 +155,7 @@ fn every_fleet_event_streams_like_its_tree() {
     );
     assert_eq!(
         streams_like_its_tree(&events[1]),
-        r#"{"Report":{"slot":2,"seq":18446744073709552000.0,"ceiling_w":"nan","consumption_w":"-inf","active":true,"now_ms":1500}}"#
+        r#"{"Report":{"slot":2,"seq":18446744073709551615,"ceiling_w":"nan","consumption_w":"-inf","active":true,"now_ms":1500}}"#
     );
     assert_eq!(
         streams_like_its_tree(&events[3]),
@@ -222,4 +222,147 @@ fn pretty_goldens_are_the_compact_stream_reindented() {
     reencodes::<RunResult>("pretty/run_ep_dufp_10.json");
     reencodes::<RunMeta>("pretty/meta_faulted.json");
     reencodes::<Value>("pretty/meta_faulted.json");
+}
+
+#[derive(Serialize, Deserialize, Debug, PartialEq)]
+struct Policy {
+    id: u8,
+    name: String,
+    note: Option<String>,
+    #[serde(default)]
+    count: u32,
+    #[serde(default = "seven")]
+    seven: u64,
+    inner: Option<Inner>,
+}
+
+#[derive(Serialize, Deserialize, Debug, PartialEq)]
+struct Inner {
+    xs: Vec<u8>,
+}
+
+#[derive(Serialize, Deserialize, Debug, PartialEq)]
+enum Tagged {
+    Plain,
+    Boxed(u8),
+    Pair { a: u8 },
+}
+
+fn seven() -> u64 {
+    7
+}
+
+fn policy(id: u8, name: &str) -> Policy {
+    Policy {
+        id,
+        name: name.into(),
+        note: None,
+        count: 0,
+        seven: 7,
+        inner: None,
+    }
+}
+
+fn decode_err<T: Deserialize + std::fmt::Debug>(text: &str) -> String {
+    serde_json::from_str::<T>(text).unwrap_err().to_string()
+}
+
+/// The rules a decoded document follows, whatever reads it: any key
+/// order; unknown keys skipped but still checked for syntax; the first of
+/// duplicate keys wins; absent `Option`s and defaulted fields fill in; a
+/// float with no fraction is an integer; enums take a string tag or a
+/// single-key object; errors name the path to the offending value.
+#[test]
+fn decode_policy_is_pinned() {
+    let read = |text: &str| serde_json::from_str::<Policy>(text).unwrap();
+    assert_eq!(read(r#"{"name":"n","id":3}"#), policy(3, "n"));
+    assert_eq!(
+        read(
+            r#"{"x":{"y":[1,{"z":"\"}{]"}],"w":"é\\"},"id":1,"arr":[[],{},-2.5e3,null,true],"name":"a"}"#
+        ),
+        policy(1, "a")
+    );
+    for bad in [
+        r#"{"id":1,"name":"a","x":[1,}"#,
+        r#"{"id":1,"name":"a","x":tru}"#,
+        r#"{"id":1,"x":{"k" 1},"name":"a"}"#,
+        r#"{"id":1,"x":"\q","name":"a"}"#,
+    ] {
+        assert!(serde_json::from_str::<Policy>(bad).is_err(), "{bad}");
+    }
+    assert_eq!(
+        read(r#"{"id":1,"name":"first","name":"second","id":"x"}"#),
+        policy(1, "first")
+    );
+    assert_eq!(
+        read(r#"{"id":2,"name":"b","note":"hi","count":4,"seven":8,"inner":{"xs":[1]}}"#),
+        Policy {
+            note: Some("hi".into()),
+            count: 4,
+            seven: 8,
+            inner: Some(Inner { xs: vec![1] }),
+            ..policy(2, "b")
+        }
+    );
+    assert_eq!(read(r#"{"id":2,"name":"b","note":null}"#), policy(2, "b"));
+    assert_eq!(
+        decode_err::<Policy>(r#"{"name":"a"}"#),
+        "missing field `id` in Policy"
+    );
+    assert_eq!(read(r#"{"id":3.0,"name":"a"}"#), policy(3, "a"));
+    assert_eq!(
+        decode_err::<Policy>(r#"{"id":1.5,"name":"a"}"#),
+        "id: expected integer, got number"
+    );
+    assert_eq!(
+        decode_err::<Policy>(r#"{"id":256,"name":"a"}"#),
+        "id: 256 out of range for u8"
+    );
+    assert_eq!(
+        decode_err::<Policy>(r#"{"id":"1","name":"a"}"#),
+        "id: expected integer, got string"
+    );
+    assert_eq!(
+        decode_err::<Policy>(r#"{"id":1,"name":"a","inner":{"xs":[1,"no"]}}"#),
+        "inner: xs: [1]: expected integer, got string"
+    );
+    assert_eq!(
+        decode_err::<Policy>(r#"[1,"a"]"#),
+        "Policy: expected object"
+    );
+    let tagged = |text: &str| serde_json::from_str::<Tagged>(text).unwrap();
+    assert_eq!(tagged(r#""Plain""#), Tagged::Plain);
+    assert_eq!(tagged(r#"{"Boxed":4}"#), Tagged::Boxed(4));
+    assert_eq!(tagged(r#"{"Pair":{"a":5}}"#), Tagged::Pair { a: 5 });
+    for two_keys in [r#"{"Boxed":1,"Pair":{"a":1}}"#, "{}", "3"] {
+        assert_eq!(
+            decode_err::<Tagged>(two_keys),
+            "Tagged: expected variant tag (string or single-key object)",
+            "{two_keys}"
+        );
+    }
+    assert_eq!(
+        decode_err::<Tagged>(r#""Other""#),
+        "unknown variant `Other` of Tagged"
+    );
+    assert_eq!(
+        decode_err::<Tagged>(r#"{"Pair":{"a":-1}}"#),
+        "a: -1 out of range for u8"
+    );
+    assert_eq!(
+        decode_err::<Tagged>(r#"{"Boxed":"x"}"#),
+        "Boxed: expected integer, got string"
+    );
+    assert_eq!(
+        decode_err::<Vec<Tagged>>(r#"["Plain",{"Pair":{}}]"#),
+        "[1]: missing field `a` in Tagged::Pair"
+    );
+    assert_eq!(
+        serde_json::from_str::<Vec<f64>>(r#"[1,2.5,"nan","inf","-inf"]"#).unwrap()[1..4]
+            .iter()
+            .map(|x| x.to_string())
+            .collect::<Vec<_>>(),
+        ["2.5", "NaN", "inf"]
+    );
+    assert!(decode_err::<Policy>(r#"{"id":1,"name":"a"} x"#).contains("trailing characters"));
 }
