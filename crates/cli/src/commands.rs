@@ -578,7 +578,8 @@ pub fn sweep(cmd: &SweepCmd) -> Result<String, String> {
             .unwrap_or(1)
     });
     let out = dufp::run_sweep(&grid, jobs).map_err(|e| e.to_string())?;
-    let bytes = dufp::sweep::to_jsonl_bytes(&out.rows).map_err(|e| e.to_string())?;
+    let mut bytes = Vec::new();
+    write_jsonl(&mut bytes, &out.rows).map_err(|e| e.to_string())?;
     std::fs::write(&cmd.out, &bytes).map_err(|e| format!("write {}: {e}", cmd.out))?;
 
     if cmd.json {
@@ -848,14 +849,9 @@ pub fn chaos(cmd: &ChaosCmd) -> Result<String, String> {
     };
 
     // The scorecard is JSONL: one line per scenario, ranked best-first.
-    // Serialization lives here (not in dufp-net) so the wire crate keeps
-    // serde_json as a dev-only dependency.
-    let mut jsonl = String::new();
-    for card in &cards {
-        let line = serde_json::to_string(card).map_err(|e| e.to_string())?;
-        jsonl.push_str(&line);
-        jsonl.push('\n');
-    }
+    let mut jsonl = Vec::new();
+    write_jsonl(&mut jsonl, &cards).map_err(|e| e.to_string())?;
+    let jsonl = String::from_utf8(jsonl).map_err(|e| e.to_string())?;
     let mut out_note = String::new();
     if let Some(path) = &cmd.out {
         std::fs::write(path, &jsonl).map_err(|e| format!("scorecard {path}: {e}"))?;
@@ -938,7 +934,8 @@ pub fn scenario(cmd: &ScenarioCmd) -> Result<String, String> {
 
     let rows =
         dufp_scenario::run_rows(&spec, cmd.seed, &cmd.policies, jobs).map_err(|e| e.to_string())?;
-    let jsonl = dufp_scenario::to_jsonl_bytes(&rows).map_err(|e| e.to_string())?;
+    let mut jsonl = Vec::new();
+    write_jsonl(&mut jsonl, &rows).map_err(|e| e.to_string())?;
     let jsonl = String::from_utf8(jsonl).map_err(|e| e.to_string())?;
 
     let mut notes = String::new();

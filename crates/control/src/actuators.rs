@@ -5,6 +5,7 @@ use dufp_msr::registers::{PerfCtl, UncoreRatioLimit, IA32_PERF_CTL, MSR_UNCORE_R
 use dufp_msr::MsrIo;
 use dufp_rapl::{Constraint, PowerCapper};
 use dufp_types::{Hertz, Result, SocketId, Watts};
+use serde::{Deserialize, Serialize};
 
 /// The two knobs a controller can move on its socket.
 ///
@@ -60,6 +61,23 @@ pub trait Actuators {
     fn core_freq_cap(&self) -> Hertz;
 }
 
+/// The register views [`HwActuators`] caches between writes: what its
+/// getters return, and what a fresh instance cannot re-derive from the
+/// registers alone, so checkpoints carry it.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub struct ActuatorCache {
+    /// Whether the controller considers the uncore band pinned.
+    pub pinned: bool,
+    /// The cached uncore frequency (pin target, or band maximum).
+    pub uncore: Hertz,
+    /// The cached long-term power limit.
+    pub cap_long: Watts,
+    /// The cached short-term power limit.
+    pub cap_short: Watts,
+    /// The last requested core-frequency ceiling.
+    pub freq_cap: Hertz,
+}
+
 /// Hardware actuators for one socket: uncore via the MSR, cap via a
 /// [`PowerCapper`].
 pub struct HwActuators<M, C> {
@@ -68,12 +86,8 @@ pub struct HwActuators<M, C> {
     socket: SocketId,
     lead_cpu: usize,
     cfg: ControlConfig,
-    cached_uncore: Hertz,
-    pinned: bool,
-    cached_long: Watts,
-    cached_short: Watts,
+    cache: ActuatorCache,
     defaults: (Watts, Watts),
-    cached_freq_cap: Hertz,
 }
 
 impl<M: MsrIo, C: PowerCapper> HwActuators<M, C> {
@@ -87,23 +101,24 @@ impl<M: MsrIo, C: PowerCapper> HwActuators<M, C> {
         cfg: ControlConfig,
     ) -> Result<Self> {
         let defaults = capper.defaults(socket)?;
-        let cached_long = capper.limit(socket, Constraint::LongTerm)?;
-        let cached_short = capper.limit(socket, Constraint::ShortTerm)?;
+        let cap_long = capper.limit(socket, Constraint::LongTerm)?;
+        let cap_short = capper.limit(socket, Constraint::ShortTerm)?;
         let raw = UncoreRatioLimit::decode(msr.read(lead_cpu, MSR_UNCORE_RATIO_LIMIT)?);
-        let (_, hi) = raw.band();
-        let cached_freq_cap = cfg.core_freq_max;
+        let cache = ActuatorCache {
+            pinned: false,
+            uncore: raw.band().1,
+            cap_long,
+            cap_short,
+            freq_cap: cfg.core_freq_max,
+        };
         Ok(HwActuators {
+            defaults,
             msr,
             capper,
             socket,
             lead_cpu,
             cfg,
-            cached_uncore: hi,
-            pinned: false,
-            cached_long,
-            cached_short,
-            defaults,
-            cached_freq_cap,
+            cache,
         })
     }
 
@@ -112,37 +127,19 @@ impl<M: MsrIo, C: PowerCapper> HwActuators<M, C> {
         self.socket
     }
 
-    /// Whether the uncore band is currently pinned (vs. hardware UFS).
-    pub fn uncore_pinned(&self) -> bool {
-        self.pinned
-    }
-
-    /// The core-frequency ceiling this instance last requested (for
-    /// checkpoints; see [`HwActuators::restore_cached`]).
-    pub fn cached_freq_cap(&self) -> Hertz {
-        self.cached_freq_cap
+    /// The cached register views (for checkpoints).
+    pub fn cache(&self) -> ActuatorCache {
+        self.cache
     }
 
     /// Restores the cached register views from a checkpoint. A fresh
     /// construction reads the *default* register state, not the state the
     /// checkpointed run had driven the hardware to, so every cached value
-    /// a controller's getters can observe — uncore frequency and pin
-    /// flag, both cap constraints, the core-frequency ceiling — must come
-    /// from the checkpoint. Platform defaults need no restore: they are
-    /// invariant across the run.
-    pub fn restore_cached(
-        &mut self,
-        pinned: bool,
-        uncore: Hertz,
-        long: Watts,
-        short: Watts,
-        freq_cap: Hertz,
-    ) {
-        self.pinned = pinned;
-        self.cached_uncore = uncore;
-        self.cached_long = long;
-        self.cached_short = short;
-        self.cached_freq_cap = freq_cap;
+    /// a controller's getters can observe must come from the checkpoint.
+    /// Platform defaults need no restore: they are invariant across the
+    /// run.
+    pub fn set_cache(&mut self, cache: ActuatorCache) {
+        self.cache = cache;
     }
 }
 
@@ -157,8 +154,8 @@ impl<M: MsrIo, C: PowerCapper> Actuators for HwActuators<M, C> {
             MSR_UNCORE_RATIO_LIMIT,
             UncoreRatioLimit::pinned(f).encode(),
         )?;
-        self.cached_uncore = f;
-        self.pinned = true;
+        self.cache.uncore = f;
+        self.cache.pinned = true;
         Ok(())
     }
 
@@ -169,19 +166,19 @@ impl<M: MsrIo, C: PowerCapper> Actuators for HwActuators<M, C> {
         };
         self.msr
             .write(self.lead_cpu, MSR_UNCORE_RATIO_LIMIT, raw.encode())?;
-        self.cached_uncore = self.cfg.uncore_max;
-        self.pinned = false;
+        self.cache.uncore = self.cfg.uncore_max;
+        self.cache.pinned = false;
         Ok(())
     }
 
     fn uncore(&self) -> Hertz {
-        self.cached_uncore
+        self.cache.uncore
     }
 
     fn read_uncore(&mut self) -> Result<Hertz> {
         let raw = UncoreRatioLimit::decode(self.msr.read(self.lead_cpu, MSR_UNCORE_RATIO_LIMIT)?);
         let (_, hi) = raw.band();
-        self.cached_uncore = hi;
+        self.cache.uncore = hi;
         Ok(hi)
     }
 
@@ -189,22 +186,22 @@ impl<M: MsrIo, C: PowerCapper> Actuators for HwActuators<M, C> {
         let w = w.max(self.cfg.cap_floor);
         self.capper.set_both(self.socket, w)?;
         // Read back: a backend may clamp (e.g. a cluster budget ceiling).
-        self.cached_long = self.capper.limit(self.socket, Constraint::LongTerm)?;
-        self.cached_short = self.capper.limit(self.socket, Constraint::ShortTerm)?;
+        self.cache.cap_long = self.capper.limit(self.socket, Constraint::LongTerm)?;
+        self.cache.cap_short = self.capper.limit(self.socket, Constraint::ShortTerm)?;
         Ok(())
     }
 
     fn set_cap_long(&mut self, w: Watts) -> Result<()> {
         self.capper
             .set_limit(self.socket, Constraint::LongTerm, w)?;
-        self.cached_long = self.capper.limit(self.socket, Constraint::LongTerm)?;
+        self.cache.cap_long = self.capper.limit(self.socket, Constraint::LongTerm)?;
         Ok(())
     }
 
     fn set_cap_short(&mut self, w: Watts) -> Result<()> {
         self.capper
             .set_limit(self.socket, Constraint::ShortTerm, w)?;
-        self.cached_short = self.capper.limit(self.socket, Constraint::ShortTerm)?;
+        self.cache.cap_short = self.capper.limit(self.socket, Constraint::ShortTerm)?;
         Ok(())
     }
 
@@ -213,17 +210,17 @@ impl<M: MsrIo, C: PowerCapper> Actuators for HwActuators<M, C> {
         // on the reset path so "reset" always means the *current* defaults.
         self.defaults = self.capper.defaults(self.socket)?;
         self.capper.reset(self.socket)?;
-        self.cached_long = self.capper.limit(self.socket, Constraint::LongTerm)?;
-        self.cached_short = self.capper.limit(self.socket, Constraint::ShortTerm)?;
+        self.cache.cap_long = self.capper.limit(self.socket, Constraint::LongTerm)?;
+        self.cache.cap_short = self.capper.limit(self.socket, Constraint::ShortTerm)?;
         Ok(())
     }
 
     fn cap_long(&self) -> Watts {
-        self.cached_long
+        self.cache.cap_long
     }
 
     fn cap_short(&self) -> Watts {
-        self.cached_short
+        self.cache.cap_short
     }
 
     fn cap_defaults(&self) -> (Watts, Watts) {
@@ -237,7 +234,7 @@ impl<M: MsrIo, C: PowerCapper> Actuators for HwActuators<M, C> {
         ));
         self.msr
             .write(self.lead_cpu, IA32_PERF_CTL, PerfCtl::capped_at(f).encode())?;
-        self.cached_freq_cap = f;
+        self.cache.freq_cap = f;
         Ok(())
     }
 
@@ -246,7 +243,7 @@ impl<M: MsrIo, C: PowerCapper> Actuators for HwActuators<M, C> {
     }
 
     fn core_freq_cap(&self) -> Hertz {
-        self.cached_freq_cap
+        self.cache.freq_cap
     }
 }
 

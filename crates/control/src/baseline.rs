@@ -1,7 +1,7 @@
 //! Baseline controllers: the default configuration and static power caps.
 
 use crate::actuators::Actuators;
-use crate::state::ControllerState;
+use crate::state::{ControllerState, StaticCapState};
 use crate::Controller;
 use dufp_counters::IntervalMetrics;
 use dufp_types::{Result, Seconds, Watts};
@@ -41,8 +41,7 @@ pub struct StaticCap {
     cap: Watts,
     /// `(start, end)` — apply the cap only within this window; reset after.
     window: Option<(Seconds, Seconds)>,
-    applied: bool,
-    reset_done: bool,
+    state: StaticCapState,
 }
 
 impl StaticCap {
@@ -51,8 +50,7 @@ impl StaticCap {
         StaticCap {
             cap,
             window: None,
-            applied: false,
-            reset_done: false,
+            state: StaticCapState::default(),
         }
     }
 
@@ -62,8 +60,7 @@ impl StaticCap {
         StaticCap {
             cap,
             window: Some((start, end)),
-            applied: false,
-            reset_done: false,
+            state: StaticCapState::default(),
         }
     }
 }
@@ -74,22 +71,23 @@ impl Controller for StaticCap {
     }
 
     fn on_interval(&mut self, m: &IntervalMetrics, act: &mut dyn Actuators) -> Result<()> {
+        let s = &mut self.state;
         match self.window {
             None => {
-                if !self.applied {
+                if !s.applied {
                     act.set_cap_both(self.cap)?;
-                    self.applied = true;
+                    s.applied = true;
                 }
             }
             Some((start, end)) => {
                 let t = m.at.as_seconds();
-                if !self.applied && t >= start && t < end {
+                if !s.applied && t >= start && t < end {
                     act.set_cap_both(self.cap)?;
-                    self.applied = true;
+                    s.applied = true;
                 }
-                if self.applied && !self.reset_done && t >= end {
+                if s.applied && !s.reset_done && t >= end {
                     act.reset_cap()?;
-                    self.reset_done = true;
+                    s.reset_done = true;
                 }
             }
         }
@@ -97,24 +95,15 @@ impl Controller for StaticCap {
     }
 
     fn state(&self) -> ControllerState {
-        ControllerState::StaticCap {
-            applied: self.applied,
-            reset_done: self.reset_done,
-        }
+        ControllerState::StaticCap(self.state)
     }
 
     fn restore(&mut self, state: &ControllerState) -> Result<()> {
         match state {
-            ControllerState::StaticCap {
-                applied,
-                reset_done,
-            } => {
-                self.applied = *applied;
-                self.reset_done = *reset_done;
-                Ok(())
-            }
-            other => Err(other.mismatch("static-cap")),
+            ControllerState::StaticCap(s) => self.state = *s,
+            other => return Err(other.mismatch("static-cap")),
         }
+        Ok(())
     }
 }
 
@@ -179,5 +168,38 @@ mod tests {
         s.on_interval(&at(3.2), &mut a).unwrap();
         assert_eq!(a.cap_long(), Watts(125.0), "after window");
         assert_eq!(a.cap_short(), Watts(150.0));
+    }
+
+    #[test]
+    fn every_controller_restores_its_own_state_and_refuses_another_kind() {
+        let c = cfg();
+        let mut a = MemActuators::new(c.clone());
+        let mut controllers: Vec<Box<dyn Controller>> = vec![
+            Box::new(NoOp),
+            Box::new(StaticCap::whole_run(Watts(110.0))),
+            Box::new(crate::Duf::new(c.clone())),
+            Box::new(crate::Dufp::new(c.clone())),
+            Box::new(crate::DufpF::new(c.clone())),
+            Box::new(crate::Dnpc::new(c.clone())),
+        ];
+        for ctl in &mut controllers {
+            for t in 1..6 {
+                ctl.on_interval(&at(0.2 * f64::from(t)), &mut a).unwrap();
+            }
+        }
+        let states: Vec<ControllerState> = controllers.iter().map(|c| c.state()).collect();
+        for (i, ctl) in controllers.iter_mut().enumerate() {
+            for (j, state) in states.iter().enumerate() {
+                let restored = ctl.restore(state);
+                if i == j {
+                    restored.unwrap();
+                    assert_eq!(&ctl.state(), state);
+                } else {
+                    let err = restored.unwrap_err().to_string();
+                    let want = format!("cannot restore a {} snapshot into", state.kind());
+                    assert!(err.contains(&want), "{err}");
+                }
+            }
+        }
     }
 }

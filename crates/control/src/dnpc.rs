@@ -17,8 +17,8 @@
 use crate::actuators::Actuators;
 use crate::config::{ControlConfig, Split};
 use crate::duf::{Action, Knob, Ladder};
-use crate::state::ControllerState;
-use crate::trace::TelState;
+use crate::state::{ControllerState, DnpcState};
+use crate::trace::Trace;
 use crate::Controller;
 use dufp_counters::IntervalMetrics;
 use dufp_telemetry::{Actuator, Reason, SocketTelemetry};
@@ -28,8 +28,8 @@ use dufp_types::Result;
 #[derive(Debug)]
 pub struct Dnpc {
     cfg: ControlConfig,
-    last_action: Action,
-    tel: TelState,
+    state: DnpcState,
+    tel: SocketTelemetry,
 }
 
 impl Dnpc {
@@ -37,21 +37,21 @@ impl Dnpc {
     pub fn new(cfg: ControlConfig) -> Self {
         Dnpc {
             cfg,
-            last_action: Action::None,
-            tel: TelState::default(),
+            state: DnpcState::default(),
+            tel: SocketTelemetry::default(),
         }
     }
 
     /// Attaches a decision-trace recorder (builder style).
     pub fn with_telemetry(mut self, tel: SocketTelemetry) -> Self {
-        self.tel.tel = tel;
+        self.tel = tel;
         self
     }
 
     /// The most recent action; a reset at the default counts as
     /// [`Action::Increased`].
     pub fn last_action(&self) -> Action {
-        self.last_action
+        self.state.last_action
     }
 
     /// DNPC's frequency-linear degradation estimate for an interval.
@@ -73,7 +73,8 @@ impl Controller for Dnpc {
         // one at or below ε is 0 % and has no hold band. DNPC has no probe
         // memory: each interval steps through a fresh ladder.
         let violated_above = self.cfg.tolerance() + self.cfg.epsilon.value();
-        self.last_action = match self.cfg.split_over(est, violated_above) {
+        let s = &mut self.state;
+        s.last_action = match self.cfg.split_over(est, violated_above) {
             // Model says we are over budget: raise the cap.
             Split::Violated => match Ladder::default().raise(Knob::Cap, &self.cfg, act)? {
                 Action::Hold => Action::Hold,
@@ -88,40 +89,38 @@ impl Controller for Dnpc {
             // Every DNPC move comes from the frequency-linear model; raises
             // are the model declaring the budget exceeded, drops are probes
             // into the headroom it predicts.
-            let why = if self.last_action == Action::Increased {
+            let why = if s.last_action == Action::Increased {
                 Reason::ModelEstimate
             } else {
                 Reason::Probe
             };
-            self.tel.emit(
-                None,
+            let trace = Trace {
+                tel: &self.tel,
+                counters: s.tel,
+                tracker: None,
                 m,
+            };
+            trace.emit(
                 Actuator::PowerCap,
                 cap_before.value(),
                 act.cap_long().value(),
                 why,
             );
         }
-        self.tel.tick += 1;
+        s.tel.tick += 1;
         Ok(())
     }
 
     fn state(&self) -> ControllerState {
-        ControllerState::Dnpc {
-            last_action: self.last_action,
-            tel: self.tel.counters(),
-        }
+        ControllerState::Dnpc(self.state)
     }
 
     fn restore(&mut self, state: &ControllerState) -> Result<()> {
         match state {
-            ControllerState::Dnpc { last_action, tel } => {
-                self.last_action = *last_action;
-                self.tel.restore_counters(tel);
-                Ok(())
-            }
-            other => Err(other.mismatch("DNPC")),
+            ControllerState::Dnpc(s) => self.state = *s,
+            other => return Err(other.mismatch("DNPC")),
         }
+        Ok(())
     }
 }
 

@@ -17,8 +17,8 @@
 use crate::actuators::Actuators;
 use crate::config::{ControlConfig, Split};
 use crate::phase::{PhaseEvent, PhaseTracker};
-use crate::state::{ControllerState, UncoreLogicState};
-use crate::trace::TelState;
+use crate::state::{ControllerState, DufState};
+use crate::trace::Trace;
 use crate::Controller;
 use dufp_counters::IntervalMetrics;
 use dufp_telemetry::{Actuator, Reason, SocketTelemetry};
@@ -26,9 +26,10 @@ use dufp_types::{Hertz, Result, Watts};
 use serde::{Deserialize, Serialize};
 
 /// What a controller did to one knob this interval.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Action {
     /// No decision yet (first interval).
+    #[default]
     None,
     /// Stepped the knob down.
     Decreased,
@@ -176,42 +177,19 @@ impl Ladder {
 
 /// The uncore decision engine, shared verbatim between DUF, DUFP and
 /// DUFP-F ("DUFP uses the same algorithm as DUF when it comes to uncore
-/// frequency", §I).
-#[derive(Debug, Clone)]
+/// frequency", §I). Its fields are its whole decision state.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct UncoreLogic {
-    cfg: ControlConfig,
     /// The action taken on the most recent interval.
     pub last_action: Action,
-    ladder: Ladder,
+    /// The uncore's probe memory.
+    pub ladder: Ladder,
 }
 
 impl UncoreLogic {
-    /// New engine for `cfg`.
-    pub fn new(cfg: ControlConfig) -> Self {
-        UncoreLogic {
-            cfg,
-            last_action: Action::None,
-            ladder: Ladder::default(),
-        }
-    }
-
-    /// Snapshot of the engine's decision state (for checkpoints).
-    pub fn state(&self) -> UncoreLogicState {
-        UncoreLogicState {
-            last_action: self.last_action,
-            ladder: self.ladder,
-        }
-    }
-
-    /// Restores a snapshot taken by [`UncoreLogic::state`].
-    pub fn restore(&mut self, s: &UncoreLogicState) {
-        self.last_action = s.last_action;
-        self.ladder = s.ladder;
-    }
-
-    /// Decides and actuates for one interval, returning the action and its
-    /// trace reason. `event` must come from the shared phase tracker
-    /// *after* observing `m`.
+    /// Decides and actuates for one interval under `cfg`, returning the
+    /// action and its trace reason. `event` must come from the shared
+    /// phase tracker *after* observing `m`.
     ///
     /// `suppress_violation` tells the engine that another actuator (DUFP's
     /// power cap) moved last interval and is the likely cause of any
@@ -219,6 +197,7 @@ impl UncoreLogic {
     /// always passes `false`.
     pub fn decide(
         &mut self,
+        cfg: &ControlConfig,
         event: PhaseEvent,
         tracker: &PhaseTracker,
         m: &IntervalMetrics,
@@ -235,12 +214,9 @@ impl UncoreLogic {
             PhaseEvent::Continued => {
                 // DUF guards both FLOPS/s and bandwidth on every phase; the
                 // worse of the two drops decides.
-                let flops = self
-                    .cfg
-                    .split(relative_drop(m.flops.value(), tracker.max_flops));
-                let bandwidth = self
-                    .cfg
-                    .split(relative_drop(m.bandwidth.value(), tracker.max_bandwidth));
+                let flops = cfg.split(relative_drop(m.flops.value(), tracker.max_flops));
+                let bandwidth =
+                    cfg.split(relative_drop(m.bandwidth.value(), tracker.max_bandwidth));
                 let why = if flops == Split::Violated {
                     Reason::SlowdownViolation
                 } else {
@@ -251,12 +227,9 @@ impl UncoreLogic {
                     // The cap moved last interval: let the cap logic fix
                     // its own damage instead of burning uncore headroom.
                     Split::Violated if suppress_violation => (Action::Hold, why),
-                    Split::Violated => (self.ladder.raise(Knob::Uncore, &self.cfg, act)?, why),
+                    Split::Violated => (self.ladder.raise(Knob::Uncore, cfg, act)?, why),
                     Split::AtBoundary => (Action::Hold, Reason::Probe),
-                    Split::Within => (
-                        self.ladder.lower(Knob::Uncore, &self.cfg, act)?,
-                        Reason::Probe,
-                    ),
+                    Split::Within => (self.ladder.lower(Knob::Uncore, cfg, act)?, Reason::Probe),
                 }
             }
         };
@@ -278,30 +251,30 @@ pub(crate) fn relative_drop(value: f64, max: f64) -> f64 {
 /// The DUF controller: phase tracking + uncore logic, nothing else.
 #[derive(Debug)]
 pub struct Duf {
-    tracker: PhaseTracker,
-    logic: UncoreLogic,
-    tel: TelState,
+    cfg: ControlConfig,
+    state: DufState,
+    tel: SocketTelemetry,
 }
 
 impl Duf {
     /// New DUF instance.
     pub fn new(cfg: ControlConfig) -> Self {
         Duf {
-            tracker: PhaseTracker::new(),
-            logic: UncoreLogic::new(cfg),
-            tel: TelState::default(),
+            cfg,
+            state: DufState::default(),
+            tel: SocketTelemetry::default(),
         }
     }
 
     /// Attaches a decision-trace recorder (builder style).
     pub fn with_telemetry(mut self, tel: SocketTelemetry) -> Self {
-        self.tel.tel = tel;
+        self.tel = tel;
         self
     }
 
     /// The most recent uncore action (for tests and traces).
     pub fn last_action(&self) -> Action {
-        self.logic.last_action
+        self.state.uncore.last_action
     }
 }
 
@@ -312,45 +285,40 @@ impl Controller for Duf {
 
     fn on_interval(&mut self, m: &IntervalMetrics, act: &mut dyn Actuators) -> Result<()> {
         let uncore_before = act.uncore();
-        let event = self.tracker.observe(m);
+        let s = &mut self.state;
+        let event = s.tracker.observe(m);
         if event == PhaseEvent::Changed {
-            self.tel.phase_seq += 1;
+            s.tel.phase_seq += 1;
         }
-        let (_, why) = self.logic.decide(event, &self.tracker, m, act, false)?;
-        self.tel.emit(
-            Some(&self.tracker),
+        let (_, why) = s
+            .uncore
+            .decide(&self.cfg, event, &s.tracker, m, act, false)?;
+        let trace = Trace {
+            tel: &self.tel,
+            counters: s.tel,
+            tracker: Some(&s.tracker),
             m,
+        };
+        trace.emit(
             Actuator::Uncore,
             uncore_before.value(),
             act.uncore().value(),
             why,
         );
-        self.tel.tick += 1;
+        s.tel.tick += 1;
         Ok(())
     }
 
     fn state(&self) -> ControllerState {
-        ControllerState::Duf {
-            tracker: self.tracker.clone(),
-            uncore: self.logic.state(),
-            tel: self.tel.counters(),
-        }
+        ControllerState::Duf(self.state.clone())
     }
 
     fn restore(&mut self, state: &ControllerState) -> Result<()> {
         match state {
-            ControllerState::Duf {
-                tracker,
-                uncore,
-                tel,
-            } => {
-                self.tracker = tracker.clone();
-                self.logic.restore(uncore);
-                self.tel.restore_counters(tel);
-                Ok(())
-            }
-            other => Err(other.mismatch("DUF")),
+            ControllerState::Duf(s) => self.state = s.clone(),
+            other => return Err(other.mismatch("DUF")),
         }
+        Ok(())
     }
 }
 

@@ -30,10 +30,10 @@
 
 use crate::actuators::Actuators;
 use crate::config::{ControlConfig, Split};
-use crate::duf::{relative_drop, Action, Knob, Ladder, UncoreLogic};
-use crate::phase::{PhaseEvent, PhaseTracker};
-use crate::state::ControllerState;
-use crate::trace::TelState;
+use crate::duf::{relative_drop, Action, Knob, Ladder};
+use crate::phase::PhaseEvent;
+use crate::state::{ControllerState, DufpState};
+use crate::trace::Trace;
 use crate::Controller;
 use dufp_counters::IntervalMetrics;
 use dufp_telemetry::{Actuator, Reason, SocketTelemetry};
@@ -43,45 +43,32 @@ use dufp_types::Result;
 #[derive(Debug)]
 pub struct Dufp {
     cfg: ControlConfig,
-    tracker: PhaseTracker,
-    uncore: UncoreLogic,
-    last_cap_action: Action,
-    prev_flops: Option<f64>,
-    cap: Ladder,
-    /// Cumulative FLOPs observed (for the §V-G cumulative guard).
-    cumulative_flops: f64,
-    /// Cumulative FLOPs a run at each phase's maximum would have retired.
-    cumulative_reference: f64,
-    tel: TelState,
+    state: DufpState,
+    tel: SocketTelemetry,
 }
 
 impl Dufp {
     /// New DUFP instance.
     pub fn new(cfg: ControlConfig) -> Self {
         Dufp {
-            uncore: UncoreLogic::new(cfg.clone()),
             cfg,
-            tracker: PhaseTracker::new(),
-            last_cap_action: Action::None,
-            prev_flops: None,
-            cap: Ladder::default(),
-            cumulative_flops: 0.0,
-            cumulative_reference: 0.0,
-            tel: TelState::default(),
+            state: DufpState::default(),
+            tel: SocketTelemetry::default(),
         }
     }
 
     /// Attaches a decision-trace recorder (builder style).
     pub fn with_telemetry(mut self, tel: SocketTelemetry) -> Self {
-        self.tel.tel = tel;
+        self.tel = tel;
         self
     }
 
     /// The cumulative progress deficit, `1 − observed / reference`, used by
     /// the §V-G guard. Zero until enough reference accumulates.
     pub fn cumulative_deficit(&self) -> f64 {
-        if self.cumulative_reference > 0.0 {
-            (1.0 - self.cumulative_flops / self.cumulative_reference).max(0.0)
+        let s = &self.state;
+        if s.cumulative_reference > 0.0 {
+            (1.0 - s.cumulative_flops / s.cumulative_reference).max(0.0)
         } else {
             0.0
         }
@@ -89,12 +76,12 @@ impl Dufp {
 
     /// The most recent cap action.
     pub fn last_cap_action(&self) -> Action {
-        self.last_cap_action
+        self.state.last_cap_action
     }
 
     /// The most recent uncore action.
     pub fn last_uncore_action(&self) -> Action {
-        self.uncore.last_action
+        self.state.uncore.last_action
     }
 
     /// Resets the cap and re-checks the uncore (coupling 2).
@@ -117,29 +104,30 @@ impl Dufp {
         act: &mut dyn Actuators,
         uncore_before: Action,
     ) -> Result<(Action, Reason)> {
-        self.cap.tick();
+        let deficit = self.cumulative_deficit();
+        let (cfg, s) = (&self.cfg, &mut self.state);
+        s.cap.tick();
         let below_default = act.cap_long() < act.cap_defaults().0;
         // §V-G: reserve part of the slowdown budget for hidden,
         // counter-invisible slowdown (LAMMPS' aliased bursts): once the
         // *cumulative* FLOPS deficit eats 75 % of the tolerance, stop
         // capping deeper and step back up.
-        let guard_threshold = (self.cfg.tolerance() * 0.75).max(self.cfg.epsilon.value());
-        if self.cfg.cumulative_guard && self.cumulative_deficit() > guard_threshold && below_default
-        {
-            let action = self.cap.raise(Knob::Cap, &self.cfg, act)?;
+        let guard_threshold = (cfg.tolerance() * 0.75).max(cfg.epsilon.value());
+        if cfg.cumulative_guard && deficit > guard_threshold && below_default {
+            let action = s.cap.raise(Knob::Cap, cfg, act)?;
             return Ok((action, Reason::CumulativeGuard));
         }
 
         // §IV-D: a just-written cap needs time to bite; if measured power
         // still exceeds the programmed cap, reset it.
-        if self.cfg.overshoot_reset
-            && m.pkg_power > act.cap_long() + self.cfg.overshoot_margin
+        if cfg.overshoot_reset
+            && m.pkg_power > act.cap_long() + cfg.overshoot_margin
             && below_default
         {
             act.reset_cap()?;
             return Ok((Action::Reset, Reason::Overshoot));
         }
-        if self.last_cap_action == Action::Reset
+        if s.last_cap_action == Action::Reset
             && m.pkg_power < act.cap_long()
             && act.cap_short() > act.cap_long()
         {
@@ -150,40 +138,35 @@ impl Dufp {
             return Ok((Action::Hold, Reason::PostResetTrim));
         }
 
-        let flops = self
-            .cfg
-            .split(relative_drop(m.flops.value(), self.tracker.max_flops));
+        let flops = cfg.split(relative_drop(m.flops.value(), s.tracker.max_flops));
         // Coupling 1: the uncore went up last interval but FLOPS/s did not
         // improve → the cap was the bottleneck. Applies "even if the
         // FLOPS/s are still within the tolerated slowdown" (§III) — i.e.
         // only there; outright violations go through the regular paths.
-        let e = self.cfg.epsilon.value();
-        let uncore_increase_failed = self.cfg.coupling1
+        let e = cfg.epsilon.value();
+        let uncore_increase_failed = cfg.coupling1
             && uncore_before == Action::Increased
             && flops != Split::Violated
-            && self
-                .prev_flops
+            && s.prev_flops
                 .is_some_and(|p| m.flops.value() <= p * (1.0 + e));
         if uncore_increase_failed && below_default {
-            let action = self.cap.raise(Knob::Cap, &self.cfg, act)?;
+            let action = s.cap.raise(Knob::Cap, cfg, act)?;
             return Ok((action, Reason::CrossCoupling));
         }
 
-        let oi = self.tracker.last_oi;
-        if oi < self.cfg.oi_highly_memory {
+        let oi = s.tracker.last_oi;
+        if oi < cfg.oi_highly_memory {
             // Highly memory-intensive: free to cap to the floor.
-            return Ok((self.cap.lower(Knob::Cap, &self.cfg, act)?, Reason::Probe));
+            return Ok((s.cap.lower(Knob::Cap, cfg, act)?, Reason::Probe));
         }
         // Highly compute-intensive phases guard bandwidth too, and a
         // violation resets the cap outright instead of stepping it. Only
         // the cap resets here — the uncore keeps its own state (decisions
         // are taken separately, §III).
-        let compute = oi > self.cfg.oi_highly_compute;
+        let compute = oi > cfg.oi_highly_compute;
         let bandwidth_violated = compute
-            && self.cfg.split(relative_drop(
-                m.bandwidth.value(),
-                self.tracker.max_bandwidth,
-            )) == Split::Violated;
+            && cfg.split(relative_drop(m.bandwidth.value(), s.tracker.max_bandwidth))
+                == Split::Violated;
         Ok(if flops == Split::Violated || bandwidth_violated {
             let why = if flops == Split::Violated {
                 Reason::SlowdownViolation
@@ -201,13 +184,13 @@ impl Dufp {
                 act.reset_cap()?;
                 Action::Reset
             } else {
-                self.cap.raise(Knob::Cap, &self.cfg, act)?
+                s.cap.raise(Knob::Cap, cfg, act)?
             };
             (action, why)
         } else if flops == Split::AtBoundary {
             (Action::Hold, Reason::Probe)
         } else {
-            (self.cap.lower(Knob::Cap, &self.cfg, act)?, Reason::Probe)
+            (s.cap.lower(Knob::Cap, cfg, act)?, Reason::Probe)
         })
     }
 }
@@ -221,14 +204,15 @@ impl Controller for Dufp {
         let uncore_before = act.uncore();
         let cap_long_before = act.cap_long();
         let cap_short_before = act.cap_short();
-        let event = self.tracker.observe(m);
+        let (cfg, s) = (&self.cfg, &mut self.state);
+        let event = s.tracker.observe(m);
         if event == PhaseEvent::Changed {
-            self.tel.phase_seq += 1;
+            s.tel.phase_seq += 1;
         }
         // §V-G cumulative guard bookkeeping (cheap even when disabled).
-        self.cumulative_flops += m.flops.value() * m.interval.value();
-        self.cumulative_reference += self.tracker.max_flops * m.interval.value();
-        let uncore_action_before = self.uncore.last_action;
+        s.cumulative_flops += m.flops.value() * m.interval.value();
+        s.cumulative_reference += s.tracker.max_flops * m.interval.value();
+        let uncore_action_before = s.uncore.last_action;
         // Attribution: when the observed core frequency sits below the
         // all-core maximum, RAPL is actively throttling to honor the cap —
         // a FLOPS/s dip is then on the cap, not the uncore, and the uncore
@@ -236,13 +220,12 @@ impl Controller for Dufp {
         // power a few watts *below* the cap while throttling, so comparing
         // power against the cap would miss it.)
         let cap_binding = act.cap_long() < act.cap_defaults().0
-            && m.core_freq.value() < self.cfg.core_freq_max.value() * 0.98;
+            && m.core_freq.value() < cfg.core_freq_max.value() * 0.98;
         // Also suppress for one interval after the cap moved back up: the
         // interval straddling the raise still carries throttled FLOPS.
-        let cap_recovering = matches!(self.last_cap_action, Action::Reset | Action::Increased);
-        let (_, uncore_why) =
-            self.uncore
-                .decide(event, &self.tracker, m, act, cap_binding || cap_recovering)?;
+        let cap_recovering = matches!(s.last_cap_action, Action::Reset | Action::Increased);
+        let suppress = cap_binding || cap_recovering;
+        let (_, uncore_why) = s.uncore.decide(cfg, event, &s.tracker, m, act, suppress)?;
 
         // Each decision pairs its action with the trace reason for it; the
         // reason only reaches the recorder when the cap actually moved.
@@ -250,16 +233,21 @@ impl Controller for Dufp {
             PhaseEvent::First => (Action::None, Reason::Probe),
             PhaseEvent::Changed => {
                 self.reset_both_coupling(act)?;
-                self.cap = Ladder::default();
+                self.state.cap = Ladder::default();
                 (Action::Reset, Reason::PhaseReset)
             }
             PhaseEvent::Continued => self.cap_decide(m, act, uncore_action_before)?,
         };
 
+        let s = &mut self.state;
         if self.tel.is_enabled() {
-            self.tel.emit(
-                Some(&self.tracker),
+            let trace = Trace {
+                tel: &self.tel,
+                counters: s.tel,
+                tracker: Some(&s.tracker),
                 m,
+            };
+            trace.emit(
                 Actuator::Uncore,
                 uncore_before.value(),
                 act.uncore().value(),
@@ -267,9 +255,7 @@ impl Controller for Dufp {
             );
             let long_now = act.cap_long();
             let short_now = act.cap_short();
-            self.tel.emit(
-                Some(&self.tracker),
-                m,
+            trace.emit(
                 Actuator::PowerCap,
                 cap_long_before.value(),
                 long_now.value(),
@@ -278,9 +264,7 @@ impl Controller for Dufp {
             // The short constraint gets its own event only when it moved
             // alone (the post-reset trim); joint writes are one decision.
             if long_now.value() == cap_long_before.value() {
-                self.tel.emit(
-                    Some(&self.tracker),
-                    m,
+                trace.emit(
                     Actuator::PowerCapShort,
                     cap_short_before.value(),
                     short_now.value(),
@@ -288,50 +272,23 @@ impl Controller for Dufp {
                 );
             }
         }
-        self.tel.tick += 1;
+        s.tel.tick += 1;
 
-        self.last_cap_action = cap_action;
-        self.prev_flops = Some(m.flops.value());
+        s.last_cap_action = cap_action;
+        s.prev_flops = Some(m.flops.value());
         Ok(())
     }
 
     fn state(&self) -> ControllerState {
-        ControllerState::Dufp {
-            tracker: self.tracker.clone(),
-            uncore: self.uncore.state(),
-            last_cap_action: self.last_cap_action,
-            prev_flops: self.prev_flops,
-            cap: self.cap,
-            cumulative_flops: self.cumulative_flops,
-            cumulative_reference: self.cumulative_reference,
-            tel: self.tel.counters(),
-        }
+        ControllerState::Dufp(self.state.clone())
     }
 
     fn restore(&mut self, state: &ControllerState) -> Result<()> {
         match state {
-            ControllerState::Dufp {
-                tracker,
-                uncore,
-                last_cap_action,
-                prev_flops,
-                cap,
-                cumulative_flops,
-                cumulative_reference,
-                tel,
-            } => {
-                self.tracker = tracker.clone();
-                self.uncore.restore(uncore);
-                self.last_cap_action = *last_cap_action;
-                self.prev_flops = *prev_flops;
-                self.cap = *cap;
-                self.cumulative_flops = *cumulative_flops;
-                self.cumulative_reference = *cumulative_reference;
-                self.tel.restore_counters(tel);
-                Ok(())
-            }
-            other => Err(other.mismatch("DUFP")),
+            ControllerState::Dufp(s) => self.state = s.clone(),
+            other => return Err(other.mismatch("DUFP")),
         }
+        Ok(())
     }
 }
 

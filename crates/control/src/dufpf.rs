@@ -23,10 +23,10 @@
 
 use crate::actuators::Actuators;
 use crate::config::{ControlConfig, Split};
-use crate::duf::{relative_drop, Action, Knob, Ladder, UncoreLogic};
-use crate::phase::{PhaseEvent, PhaseTracker};
-use crate::state::ControllerState;
-use crate::trace::TelState;
+use crate::duf::{relative_drop, Action, Knob, Ladder};
+use crate::phase::PhaseEvent;
+use crate::state::{ControllerState, DufpFState};
+use crate::trace::Trace;
 use crate::Controller;
 use dufp_counters::IntervalMetrics;
 use dufp_telemetry::{Actuator, Reason, SocketTelemetry};
@@ -36,35 +36,29 @@ use dufp_types::{Result, Watts};
 #[derive(Debug)]
 pub struct DufpF {
     cfg: ControlConfig,
-    tracker: PhaseTracker,
-    uncore: UncoreLogic,
-    last_freq_action: Action,
-    freq: Ladder,
-    tel: TelState,
+    state: DufpFState,
+    tel: SocketTelemetry,
 }
 
 impl DufpF {
     /// New DUFP-F instance.
     pub fn new(cfg: ControlConfig) -> Self {
         DufpF {
-            uncore: UncoreLogic::new(cfg.clone()),
             cfg,
-            tracker: PhaseTracker::new(),
-            last_freq_action: Action::None,
-            freq: Ladder::default(),
-            tel: TelState::default(),
+            state: DufpFState::default(),
+            tel: SocketTelemetry::default(),
         }
     }
 
     /// Attaches a decision-trace recorder (builder style).
     pub fn with_telemetry(mut self, tel: SocketTelemetry) -> Self {
-        self.tel.tel = tel;
+        self.tel = tel;
         self
     }
 
     /// The most recent frequency action.
     pub fn last_freq_action(&self) -> Action {
-        self.last_freq_action
+        self.state.last_freq_action
     }
 
     /// The trailing power cap for a measured power level: two cap steps of
@@ -79,17 +73,15 @@ impl DufpF {
     /// The frequency decision of a `Continued` interval: the same split
     /// and ladder as the uncore, on the FLOPS/s drop alone.
     fn freq_decide(&mut self, drop_f: f64, act: &mut dyn Actuators) -> Result<(Action, Reason)> {
-        self.freq.tick();
-        Ok(match self.cfg.split(drop_f) {
+        let (cfg, freq) = (&self.cfg, &mut self.state.freq);
+        freq.tick();
+        Ok(match cfg.split(drop_f) {
             Split::Violated => (
-                self.freq.raise(Knob::CoreFreq, &self.cfg, act)?,
+                freq.raise(Knob::CoreFreq, cfg, act)?,
                 Reason::SlowdownViolation,
             ),
             Split::AtBoundary => (Action::Hold, Reason::Probe),
-            Split::Within => (
-                self.freq.lower(Knob::CoreFreq, &self.cfg, act)?,
-                Reason::Probe,
-            ),
+            Split::Within => (freq.lower(Knob::CoreFreq, cfg, act)?, Reason::Probe),
         })
     }
 }
@@ -103,32 +95,33 @@ impl Controller for DufpF {
         let uncore_before = act.uncore();
         let cap_before = act.cap_long();
         let freq_before = act.core_freq_cap();
-        let event = self.tracker.observe(m);
+        let s = &mut self.state;
+        let event = s.tracker.observe(m);
         if event == PhaseEvent::Changed {
-            self.tel.phase_seq += 1;
+            s.tel.phase_seq += 1;
         }
 
         // Attribution mirror of DUFP: while we hold the frequency below the
         // maximum, FLOPS dips are (potentially) our own doing — the uncore
         // must not respond to them.
         let freq_throttling = act.core_freq_cap() < self.cfg.core_freq_max;
-        let (_, uncore_why) = self
-            .uncore
-            .decide(event, &self.tracker, m, act, freq_throttling)?;
+        let (_, uncore_why) =
+            s.uncore
+                .decide(&self.cfg, event, &s.tracker, m, act, freq_throttling)?;
 
         let (freq_action, freq_why) = match event {
             PhaseEvent::First => (Action::None, Reason::Probe),
             PhaseEvent::Changed => {
                 act.reset_core_freq_cap()?;
                 act.reset_cap()?;
-                self.freq = Ladder::default();
+                s.freq = Ladder::default();
                 (Action::Reset, Reason::PhaseReset)
             }
             PhaseEvent::Continued => {
                 // The uncore raising this interval means the dip was the
                 // uncore's probe — leave the frequency alone for one round.
-                let drop_f = relative_drop(m.flops.value(), self.tracker.max_flops);
-                let decision = if self.uncore.last_action == Action::Increased {
+                let drop_f = relative_drop(m.flops.value(), s.tracker.max_flops);
+                let decision = if s.uncore.last_action == Action::Increased {
                     (Action::Hold, Reason::Probe)
                 } else {
                     self.freq_decide(drop_f, act)?
@@ -145,18 +138,21 @@ impl Controller for DufpF {
             }
         };
 
+        let s = &mut self.state;
         if self.tel.is_enabled() {
-            self.tel.emit(
-                Some(&self.tracker),
+            let trace = Trace {
+                tel: &self.tel,
+                counters: s.tel,
+                tracker: Some(&s.tracker),
                 m,
+            };
+            trace.emit(
                 Actuator::Uncore,
                 uncore_before.value(),
                 act.uncore().value(),
                 uncore_why,
             );
-            self.tel.emit(
-                Some(&self.tracker),
-                m,
+            trace.emit(
                 Actuator::CoreFreq,
                 freq_before.value(),
                 act.core_freq_cap().value(),
@@ -167,49 +163,29 @@ impl Controller for DufpF {
             } else {
                 Reason::TrailingCap
             };
-            self.tel.emit(
-                Some(&self.tracker),
-                m,
+            trace.emit(
                 Actuator::PowerCap,
                 cap_before.value(),
                 act.cap_long().value(),
                 cap_reason,
             );
         }
-        self.tel.tick += 1;
+        s.tel.tick += 1;
 
-        self.last_freq_action = freq_action;
+        s.last_freq_action = freq_action;
         Ok(())
     }
 
     fn state(&self) -> ControllerState {
-        ControllerState::DufpF {
-            tracker: self.tracker.clone(),
-            uncore: self.uncore.state(),
-            last_freq_action: self.last_freq_action,
-            freq: self.freq,
-            tel: self.tel.counters(),
-        }
+        ControllerState::DufpF(self.state.clone())
     }
 
     fn restore(&mut self, state: &ControllerState) -> Result<()> {
         match state {
-            ControllerState::DufpF {
-                tracker,
-                uncore,
-                last_freq_action,
-                freq,
-                tel,
-            } => {
-                self.tracker = tracker.clone();
-                self.uncore.restore(uncore);
-                self.last_freq_action = *last_freq_action;
-                self.freq = *freq;
-                self.tel.restore_counters(tel);
-                Ok(())
-            }
-            other => Err(other.mismatch("DUFP-F")),
+            ControllerState::DufpF(s) => self.state = s.clone(),
+            other => return Err(other.mismatch("DUFP-F")),
         }
+        Ok(())
     }
 }
 

@@ -55,11 +55,11 @@ pub mod resilient;
 pub mod state;
 mod trace;
 
-pub use actuators::{Actuators, HwActuators};
+pub use actuators::{ActuatorCache, Actuators, HwActuators};
 pub use baseline::{NoOp, StaticCap};
 pub use config::{ControlConfig, Split};
 pub use dnpc::Dnpc;
-pub use duf::{Action, Duf, Ladder};
+pub use duf::{Action, Duf, Ladder, UncoreLogic};
 pub use dufp::Dufp;
 pub use dufpf::DufpF;
 pub use phase::{PhaseClass, PhaseEvent, PhaseTracker};
@@ -67,7 +67,9 @@ pub use resilient::{
     classify, DegradationLevel, ErrorClass, KnobSnapshot, ResilienceState, ResilientActuators,
     RetryPolicy, SafeStateGuard,
 };
-pub use state::{ControllerState, TelCounters, UncoreLogicState};
+pub use state::{
+    ControllerState, DnpcState, DufState, DufpFState, DufpState, StaticCapState, TelCounters,
+};
 
 use dufp_counters::IntervalMetrics;
 use dufp_types::Result;

@@ -157,34 +157,30 @@ enum Knob {
     CoreFreq = 2,
 }
 
-#[derive(Debug, Clone, Copy, Default)]
-struct KnobState {
-    /// Consecutive absorbed failures; reset by any success.
-    streak: u32,
-    /// Once true, setters on this knob become silent no-ops.
-    disabled: bool,
-}
-
-/// Checkpointable view of one knob's ladder position.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+/// One knob's position on the degradation ladder.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct KnobSnapshot {
-    /// Consecutive absorbed failures at checkpoint time.
+    /// Consecutive absorbed failures; reset by any success.
     pub streak: u32,
-    /// Whether the knob had been abandoned.
+    /// Once true, setters on this knob become silent no-ops.
     pub disabled: bool,
 }
 
-/// Checkpointable state of the resilience layer: the op counter (used as
-/// the tick stand-in for events) plus each knob's ladder position, in
-/// uncore / cap / core-frequency order. Restoring it on resume keeps the
-/// degradation ladder exactly where the crashed run left it.
+/// The resilience layer's state, live and checkpointed: the op counter
+/// (used as the tick stand-in for events) plus each knob's ladder
+/// position, in uncore / cap / core-frequency order. Restoring it on
+/// resume keeps the degradation ladder exactly where the crashed run left
+/// it.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ResilienceState {
-    /// Actuation ops performed before the checkpoint.
+    /// Actuation ops performed so far.
     pub ops: u64,
     /// Per-knob ladder state (uncore, cap, core-freq).
     pub knobs: Vec<KnobSnapshot>,
 }
+
+/// The knobs a [`ResilienceState`] tracks.
+const KNOBS: usize = 3;
 
 /// Retrying, degrading wrapper around any [`Actuators`] implementation.
 ///
@@ -199,9 +195,8 @@ pub struct ResilientActuators<A> {
     cap_floor: Watts,
     retries_total: Arc<Counter>,
     degradations_total: Arc<Counter>,
-    /// Actuation ops seen so far; stands in for the tick in events.
-    ops: u64,
-    knobs: [KnobState; 3],
+    /// Always `KNOBS` knobs long.
+    state: ResilienceState,
 }
 
 impl<A: Actuators> ResilientActuators<A> {
@@ -216,8 +211,10 @@ impl<A: Actuators> ResilientActuators<A> {
             cap_floor,
             retries_total: Arc::new(Counter::default()),
             degradations_total: Arc::new(Counter::default()),
-            ops: 0,
-            knobs: [KnobState::default(); 3],
+            state: ResilienceState {
+                ops: 0,
+                knobs: vec![KnobSnapshot::default(); KNOBS],
+            },
         }
     }
 
@@ -233,9 +230,9 @@ impl<A: Actuators> ResilientActuators<A> {
 
     /// The current rung of the degradation ladder.
     pub fn degradation(&self) -> DegradationLevel {
-        if self.knobs[Knob::Uncore as usize].disabled {
+        if self.state.knobs[Knob::Uncore as usize].disabled {
             DegradationLevel::Passive
-        } else if self.knobs[Knob::Cap as usize].disabled {
+        } else if self.state.knobs[Knob::Cap as usize].disabled {
             DegradationLevel::UncoreOnly
         } else {
             DegradationLevel::Full
@@ -252,29 +249,16 @@ impl<A: Actuators> ResilientActuators<A> {
         self.degradations_total.get()
     }
 
-    /// Captures the checkpointable resilience state.
+    /// The checkpointable resilience state.
     pub fn state(&self) -> ResilienceState {
-        ResilienceState {
-            ops: self.ops,
-            knobs: self
-                .knobs
-                .iter()
-                .map(|k| KnobSnapshot {
-                    streak: k.streak,
-                    disabled: k.disabled,
-                })
-                .collect(),
-        }
+        self.state.clone()
     }
 
     /// Restores a previously captured resilience state (extra entries are
-    /// ignored, missing ones leave the knob at its default).
+    /// ignored, missing ones put the knob at its default).
     pub fn restore_state(&mut self, s: &ResilienceState) {
-        self.ops = s.ops;
-        for (dst, src) in self.knobs.iter_mut().zip(s.knobs.iter()) {
-            dst.streak = src.streak;
-            dst.disabled = src.disabled;
-        }
+        self.state = s.clone();
+        self.state.knobs.resize(KNOBS, KnobSnapshot::default());
     }
 
     /// Consumes the wrapper, returning the inner actuators.
@@ -298,7 +282,7 @@ impl<A: Actuators> ResilientActuators<A> {
         }
         self.tel.telemetry().record_decision(DecisionEvent {
             socket: self.tel.socket(),
-            ..DecisionEvent::new(self.ops, actuator, old, new, reason)
+            ..DecisionEvent::new(self.state.ops, actuator, old, new, reason)
         });
     }
 
@@ -312,12 +296,12 @@ impl<A: Actuators> ResilientActuators<A> {
         target: f64,
         mut op: impl FnMut(&mut A) -> Result<T>,
     ) -> Result<Option<T>> {
-        self.ops += 1;
+        self.state.ops += 1;
         let mut attempt = 0u32;
         loop {
             match op(&mut self.inner) {
                 Ok(v) => {
-                    self.knobs[knob as usize].streak = 0;
+                    self.state.knobs[knob as usize].streak = 0;
                     return Ok(Some(v));
                 }
                 Err(e) => match classify(&e) {
@@ -339,13 +323,13 @@ impl<A: Actuators> ResilientActuators<A> {
     }
 
     fn note_failure(&mut self, knob: Knob) {
-        let state = &mut self.knobs[knob as usize];
+        let state = &mut self.state.knobs[knob as usize];
         state.streak += 1;
         if state.disabled || state.streak < self.policy.degrade_after {
             return;
         }
         let before = self.degradation();
-        self.knobs[knob as usize].disabled = true;
+        self.state.knobs[knob as usize].disabled = true;
         let after = self.degradation();
         self.degradations_total.inc();
         let actuator = match knob {
@@ -371,7 +355,7 @@ impl<A: Actuators> ResilientActuators<A> {
 
 impl<A: Actuators> Actuators for ResilientActuators<A> {
     fn set_uncore(&mut self, f: Hertz) -> Result<()> {
-        if self.knobs[Knob::Uncore as usize].disabled {
+        if self.state.knobs[Knob::Uncore as usize].disabled {
             return Ok(());
         }
         self.guarded(Knob::Uncore, TelActuator::Uncore, f.value(), |a| {
@@ -390,7 +374,7 @@ impl<A: Actuators> Actuators for ResilientActuators<A> {
     }
 
     fn read_uncore(&mut self) -> Result<Hertz> {
-        if self.knobs[Knob::Uncore as usize].disabled {
+        if self.state.knobs[Knob::Uncore as usize].disabled {
             return Ok(self.inner.uncore());
         }
         match self.guarded(Knob::Uncore, TelActuator::Uncore, 0.0, |a| a.read_uncore())? {
@@ -402,7 +386,7 @@ impl<A: Actuators> Actuators for ResilientActuators<A> {
     }
 
     fn set_cap_both(&mut self, w: Watts) -> Result<()> {
-        if self.knobs[Knob::Cap as usize].disabled {
+        if self.state.knobs[Knob::Cap as usize].disabled {
             return Ok(());
         }
         let w = w.max(self.cap_floor);
@@ -413,7 +397,7 @@ impl<A: Actuators> Actuators for ResilientActuators<A> {
     }
 
     fn set_cap_long(&mut self, w: Watts) -> Result<()> {
-        if self.knobs[Knob::Cap as usize].disabled {
+        if self.state.knobs[Knob::Cap as usize].disabled {
             return Ok(());
         }
         let w = w.max(self.cap_floor);
@@ -424,7 +408,7 @@ impl<A: Actuators> Actuators for ResilientActuators<A> {
     }
 
     fn set_cap_short(&mut self, w: Watts) -> Result<()> {
-        if self.knobs[Knob::Cap as usize].disabled {
+        if self.state.knobs[Knob::Cap as usize].disabled {
             return Ok(());
         }
         let w = w.max(self.cap_floor);
@@ -452,7 +436,7 @@ impl<A: Actuators> Actuators for ResilientActuators<A> {
     }
 
     fn set_core_freq_cap(&mut self, f: Hertz) -> Result<()> {
-        if self.knobs[Knob::CoreFreq as usize].disabled {
+        if self.state.knobs[Knob::CoreFreq as usize].disabled {
             return Ok(());
         }
         self.guarded(Knob::CoreFreq, TelActuator::CoreFreq, f.value(), |a| {
@@ -951,5 +935,28 @@ mod tests {
         for seed in 0..32u64 {
             assert!(p.backoff_jittered(30, seed) <= p.max_backoff);
         }
+    }
+
+    #[test]
+    fn restore_state_tolerates_other_knob_counts() {
+        let tel = Telemetry::new(8);
+        let mut r = wrap(Flaky::new(), &tel);
+        let knob = |streak, disabled| KnobSnapshot { streak, disabled };
+        // Too few knobs: the missing ones are at their default.
+        r.restore_state(&ResilienceState {
+            ops: 7,
+            knobs: vec![knob(1, false), knob(3, true)],
+        });
+        let s = r.state();
+        assert_eq!(s.ops, 7);
+        assert_eq!(s.knobs, vec![knob(1, false), knob(3, true), knob(0, false)]);
+        assert_eq!(r.degradation(), DegradationLevel::UncoreOnly);
+        // Too many: the extra ones are ignored.
+        r.restore_state(&ResilienceState {
+            ops: 9,
+            knobs: vec![knob(0, false); 5],
+        });
+        assert_eq!(r.state().knobs.len(), 3);
+        assert_eq!(r.degradation(), DegradationLevel::Full);
     }
 }

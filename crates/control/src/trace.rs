@@ -1,67 +1,42 @@
 //! Shared decision-trace plumbing for the controllers.
 //!
-//! Every controller owns a [`TelState`]: the socket-bound telemetry handle
-//! plus the tick and phase-sequence counters its events carry. All methods
-//! are no-ops on a disabled handle, so controllers built without
-//! `with_telemetry` pay one branch per interval and allocate nothing.
+//! Every controller owns a socket-bound recorder and keeps the tick and
+//! phase-sequence counters its events carry in its checkpointed state
+//! ([`TelCounters`]). Recording is a no-op on a disabled handle, so
+//! controllers built without `with_telemetry` pay one branch per interval
+//! and allocate nothing.
 
 use crate::phase::PhaseTracker;
 use crate::state::TelCounters;
 use dufp_counters::IntervalMetrics;
 use dufp_telemetry::{Actuator, DecisionCtx, Reason, SocketTelemetry};
 
-/// Telemetry state embedded in each controller.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct TelState {
-    /// The socket-bound recorder (disabled by default).
-    pub tel: SocketTelemetry,
-    /// Monitoring intervals seen so far (event timestamp).
-    pub tick: u64,
-    /// Phase changes seen so far (monotonic per-socket sequence).
-    pub phase_seq: u64,
+/// What one interval's decision events are stamped with.
+pub(crate) struct Trace<'a> {
+    /// The socket-bound recorder.
+    pub tel: &'a SocketTelemetry,
+    /// The controller's counters.
+    pub counters: TelCounters,
+    /// The phase tracker, when the controller has one: it supplies the
+    /// OI class and the FLOPS ratio against the per-phase maximum.
+    pub tracker: Option<&'a PhaseTracker>,
+    /// The interval's metrics.
+    pub m: &'a IntervalMetrics,
 }
 
-impl TelState {
-    /// Whether events are being recorded at all.
-    pub fn is_enabled(&self) -> bool {
-        self.tel.is_enabled()
-    }
-
-    /// The durable counters (for [`crate::ControllerState`] snapshots).
-    pub fn counters(&self) -> TelCounters {
-        TelCounters {
-            tick: self.tick,
-            phase_seq: self.phase_seq,
-        }
-    }
-
-    /// Restores checkpointed counters; the recorder handle is unchanged.
-    pub fn restore_counters(&mut self, c: &TelCounters) {
-        self.tick = c.tick;
-        self.phase_seq = c.phase_seq;
-    }
-
+impl Trace<'_> {
     /// Records that `actuator` moved `old` → `new` because of `reason`.
-    /// `tracker` (when the controller has one) supplies the OI class and
-    /// the FLOPS ratio against the per-phase maximum.
-    pub fn emit(
-        &self,
-        tracker: Option<&PhaseTracker>,
-        m: &IntervalMetrics,
-        actuator: Actuator,
-        old: f64,
-        new: f64,
-        reason: Reason,
-    ) {
+    pub fn emit(&self, actuator: Actuator, old: f64, new: f64, reason: Reason) {
         if !self.tel.is_enabled() || old == new {
             return;
         }
+        let tracker = self.tracker;
         let ctx = DecisionCtx {
-            tick: self.tick,
-            phase: self.phase_seq,
+            tick: self.counters.tick,
+            phase: self.counters.phase_seq,
             oi_class: tracker.and_then(|t| t.class()).map(|c| format!("{c:?}")),
             flops_ratio: tracker
-                .and_then(|t| (t.max_flops > 0.0).then(|| m.flops.value() / t.max_flops)),
+                .and_then(|t| (t.max_flops > 0.0).then(|| self.m.flops.value() / t.max_flops)),
         };
         self.tel.decision(ctx, actuator, old, new, reason);
     }

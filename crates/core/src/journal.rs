@@ -27,11 +27,11 @@
 //! crash-equivalence proptests pin down.
 
 use crate::runner::{run_driver, ExperimentSpec, JournalSession, ResumePoint, RunResult};
-use dufp_control::{ControllerState, ResilienceState};
+use dufp_control::{ActuatorCache, ControllerState, ResilienceState};
 use dufp_counters::CounterSnapshot;
 use dufp_journal::{recover, write_file_atomic, FsyncPolicy, JournalWriter, Recovery};
 use dufp_msr::InjectorSnapshot;
-use dufp_types::{Error, Hertz, Result, Watts};
+use dufp_types::{Error, Result};
 use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
 
@@ -129,27 +129,12 @@ impl JournalRecord {
     }
 }
 
-/// Per-socket actuator cache that a fresh [`dufp_control::HwActuators`]
-/// cannot re-derive from the hardware registers alone: the cached views a
-/// controller's getters observe between writes.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ActuatorCache {
-    /// Whether the controller considers the uncore band pinned.
-    pub pinned: bool,
-    /// The cached uncore frequency (pin target, or band maximum).
-    pub uncore: Hertz,
-    /// The cached long-term power limit.
-    pub cap_long: Watts,
-    /// The cached short-term power limit.
-    pub cap_short: Watts,
-    /// The last requested core-frequency ceiling.
-    pub freq_cap: Hertz,
-}
-
 /// Everything the registers cannot rebuild, snapshotted at a journal
 /// position: restoring this state after replaying `interval` journal
 /// records puts the whole control stack back exactly where the crashed
-/// run was.
+/// run was. Each per-socket entry is a component's own state struct,
+/// cloned: the controller's, the sampler's baseline, the resilience
+/// layer's [`ResilienceState`] and the actuators' [`ActuatorCache`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CheckpointState {
     /// Number of completed control intervals (the journal position this
@@ -333,16 +318,24 @@ mod tests {
     use dufp_journal::{list_checkpoints, read_records, truncate_records, TestDir};
     use dufp_msr::FaultPlan;
     use dufp_sim::SimConfig;
-    use dufp_types::Ratio;
+    use dufp_types::{Ratio, Watts};
     use proptest::prelude::*;
 
+    fn dufp() -> ControllerKind {
+        ControllerKind::Dufp {
+            slowdown: Ratio::from_percent(10.0),
+        }
+    }
+
     fn ep_spec(plan: Option<&str>) -> ExperimentSpec {
+        spec(dufp(), plan)
+    }
+
+    fn spec(controller: ControllerKind, plan: Option<&str>) -> ExperimentSpec {
         ExperimentSpec {
             sim: SimConfig::yeti_single_socket(0),
             app: "EP".into(),
-            controller: ControllerKind::Dufp {
-                slowdown: Ratio::from_percent(10.0),
-            },
+            controller,
             trace: None,
             interval_ms: None,
             telemetry: false,
@@ -387,16 +380,17 @@ mod tests {
     /// asserts the decision journals and whole-run results are
     /// bit-identical. Returns the reference dir for extra assertions.
     fn check_crash_equivalence(
+        controller: ControllerKind,
         base_plan: Option<&str>,
         crash_at: u64,
         seed: u64,
     ) -> (TestDir, TestDir) {
-        let reference = ep_spec(base_plan);
+        let reference = spec(controller, base_plan);
         let dir_a = TestDir::new("ref");
         let ra = run_journaled(&reference, seed, &JournalOptions::new(dir_a.path()))
             .expect("reference run completes");
 
-        let crashed = ep_spec(Some(&with_crash(base_plan, crash_at)));
+        let crashed = spec(controller, Some(&with_crash(base_plan, crash_at)));
         let dir_b = TestDir::new("crash");
         let err = run_journaled(&crashed, seed, &JournalOptions::new(dir_b.path()))
             .expect_err("crash rule must abort the run");
@@ -463,14 +457,14 @@ mod tests {
     #[test]
     fn crash_after_a_checkpoint_resumes_bit_identically() {
         // Crash at tick 7001: 35 completed intervals, checkpoint at 25.
-        let (_, dir_b) = check_crash_equivalence(None, 7001, 5);
+        let (_, dir_b) = check_crash_equivalence(dufp(), None, 7001, 5);
         drop(dir_b);
     }
 
     #[test]
     fn a_run_seeded_above_i64_max_resumes_bit_identically() {
         // `meta.json` holds the seed as the exact digits of `u64::MAX`.
-        let (dir_a, _) = check_crash_equivalence(None, 7001, u64::MAX);
+        let (dir_a, _) = check_crash_equivalence(dufp(), None, 7001, u64::MAX);
         let meta = std::fs::read_to_string(dir_a.path().join(META_FILE)).unwrap();
         assert!(meta.contains(r#""seed": 18446744073709551615"#), "{meta}");
     }
@@ -540,10 +534,29 @@ mod tests {
     #[test]
     fn crash_equivalence_holds_under_an_active_fault_plan() {
         check_crash_equivalence(
+            dufp(),
             Some("seed=42;write,p=0.01;write,reg=cap,cpu=0-15,window=200+5000"),
             9003,
             4,
         );
+    }
+
+    #[test]
+    fn crash_equivalence_holds_for_every_controller_kind() {
+        // Each kind checkpoints its own state; a crash at tick 9000 (45
+        // intervals, checkpoint at 25) under write noise must resume to
+        // the uninterrupted run for every one of them.
+        let slowdown = Ratio::from_percent(10.0);
+        for kind in [
+            ControllerKind::Default,
+            ControllerKind::Duf { slowdown },
+            ControllerKind::Dufp { slowdown },
+            ControllerKind::DufpF { slowdown },
+            ControllerKind::Dnpc { slowdown },
+            ControllerKind::StaticCap { cap: Watts(100.0) },
+        ] {
+            check_crash_equivalence(kind, Some("seed=42;write,p=0.01"), 9000, 7);
+        }
     }
 
     #[test]
@@ -668,7 +681,7 @@ mod tests {
                 Some("seed=9;sample,p=0.005"),
             ]),
         ) {
-            check_crash_equivalence(plan, crash_at, seed);
+            check_crash_equivalence(dufp(), plan, crash_at, seed);
         }
     }
 

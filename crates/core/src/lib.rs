@@ -69,9 +69,7 @@ pub use runner::{
 };
 pub use socket_loop::SocketLoop;
 pub use stats::{summarize_runs, trimmed, RepeatedResult, Summary};
-pub use sweep::{
-    parse_grid, policy_kind, run_sweep, to_jsonl_bytes, SweepGrid, SweepJob, SweepOutput, SweepRow,
-};
+pub use sweep::{parse_grid, policy_kind, run_sweep, SweepGrid, SweepJob, SweepOutput, SweepRow};
 pub use watchdog::{Watchdog, WatchdogTrip};
 
 /// One-stop imports for examples and tools.

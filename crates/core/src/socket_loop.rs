@@ -8,7 +8,7 @@
 //! study and the examples all drive their sockets through it; stepping
 //! the machine between intervals stays with the caller.
 
-use crate::journal::{ActuatorCache, CheckpointState};
+use crate::journal::CheckpointState;
 use crate::watchdog::Watchdog;
 use dufp_control::{
     classify, Actuators, ControlConfig, Controller, ErrorClass, HwActuators, NoOp,
@@ -169,14 +169,7 @@ impl<C: PowerCapper> SocketLoop<C> {
         cp.controllers.push(self.controller.state());
         cp.samplers.push(self.sampler.snapshot());
         cp.resilience.push(self.actuators.state());
-        let hw = self.actuators.inner();
-        cp.actuators.push(ActuatorCache {
-            pinned: hw.uncore_pinned(),
-            uncore: hw.uncore(),
-            cap_long: hw.cap_long(),
-            cap_short: hw.cap_short(),
-            freq_cap: hw.core_freq_cap(),
-        });
+        cp.actuators.push(self.actuators.inner().cache());
     }
 
     /// Restores socket `i`'s share of `cp` onto this freshly built loop.
@@ -185,14 +178,7 @@ impl<C: PowerCapper> SocketLoop<C> {
         self.controller.restore(&cp.controllers[i])?;
         self.sampler.restore(cp.samplers[i]);
         self.actuators.restore_state(&cp.resilience[i]);
-        let a = cp.actuators[i];
-        self.actuators.inner_mut().restore_cached(
-            a.pinned,
-            a.uncore,
-            a.cap_long,
-            a.cap_short,
-            a.freq_cap,
-        );
+        self.actuators.inner_mut().set_cache(cp.actuators[i]);
         Ok(())
     }
 }

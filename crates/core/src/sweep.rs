@@ -297,44 +297,35 @@ impl SweepOutput {
 
 /// Runs every job of `grid` on a pool of `jobs` workers and returns the
 /// rows in grid order. `jobs = 1` is the serial reference; any `jobs`
-/// produces byte-identical [`write_jsonl`] output (see the module-level
-/// determinism contract).
+/// produces byte-identical [`dufp_telemetry::write_jsonl`] output (see
+/// the module-level determinism contract).
 pub fn run_sweep(grid: &SweepGrid, jobs: usize) -> Result<SweepOutput> {
     if jobs == 0 {
         return Err(Error::invalid("jobs", "need at least one worker"));
     }
     let expanded = grid.expand()?;
     let total = expanded.len();
-    let pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(jobs)
-        .build()
-        .map_err(|e| Error::Precondition(format!("thread pool: {e}")))?;
     let observed: Mutex<HashSet<std::thread::ThreadId>> = Mutex::new(HashSet::new());
     let started = std::time::Instant::now();
-    let rows: Vec<SweepRow> = pool.install(|| {
-        expanded
-            .into_par_iter()
-            .map(|job| {
-                observed
-                    .lock()
-                    .expect("thread-id set poisoned")
-                    .insert(std::thread::current().id());
-                let r = run_once(&job.spec, job.seed)?;
-                Ok(SweepRow {
-                    index: job.index,
-                    app: job.app,
-                    label: job.spec.controller.label(),
-                    policy: job.policy,
-                    slowdown_pct: job.slowdown_pct,
-                    seed: job.seed,
-                    exec_time_s: r.exec_time.value(),
-                    avg_pkg_power_w: r.avg_pkg_power.value(),
-                    avg_dram_power_w: r.avg_dram_power.value(),
-                    pkg_energy_j: r.pkg_energy.value(),
-                    dram_energy_j: r.dram_energy.value(),
-                })
-            })
-            .collect::<Result<Vec<_>>>()
+    let rows = on_pool(jobs, expanded, |job| {
+        observed
+            .lock()
+            .expect("thread-id set poisoned")
+            .insert(std::thread::current().id());
+        let r = run_once(&job.spec, job.seed)?;
+        Ok(SweepRow {
+            index: job.index,
+            app: job.app,
+            label: job.spec.controller.label(),
+            policy: job.policy,
+            slowdown_pct: job.slowdown_pct,
+            seed: job.seed,
+            exec_time_s: r.exec_time.value(),
+            avg_pkg_power_w: r.avg_pkg_power.value(),
+            avg_dram_power_w: r.avg_dram_power.value(),
+            pkg_energy_j: r.pkg_energy.value(),
+            dram_energy_j: r.dram_energy.value(),
+        })
     })?;
     let elapsed_s = started.elapsed().as_secs_f64();
     // The merge-order guard: whatever the scheduling, output is grid order.
@@ -356,34 +347,24 @@ pub fn run_sweep(grid: &SweepGrid, jobs: usize) -> Result<SweepOutput> {
     })
 }
 
-/// Writes `rows` as JSON Lines. This is the byte-stable serialization the
-/// serial-equivalence contract is stated over.
-pub fn write_jsonl<W: std::io::Write>(w: &mut W, rows: &[SweepRow]) -> Result<()> {
-    // One reusable line buffer for the whole sweep instead of a String
-    // allocation per row.
-    let mut line = String::new();
-    for row in rows {
-        line.clear();
-        line.push_str(
-            &serde_json::to_string(row)
-                .map_err(|e| Error::Precondition(format!("serialize row: {e}")))?,
-        );
-        line.push('\n');
-        w.write_all(line.as_bytes()).map_err(Error::Io)?;
-    }
-    Ok(())
-}
-
-/// [`write_jsonl`] into a fresh byte buffer.
-pub fn to_jsonl_bytes(rows: &[SweepRow]) -> Result<Vec<u8>> {
-    let mut buf = Vec::new();
-    write_jsonl(&mut buf, rows)?;
-    Ok(buf)
+/// Runs `work` over `items` on a pool of `width` workers, returning the
+/// outputs in input order, or the first error in input order.
+fn on_pool<T: Send, U: Send>(
+    width: usize,
+    items: Vec<T>,
+    work: impl Fn(T) -> Result<U> + Sync,
+) -> Result<Vec<U>> {
+    let pool = rayon::ThreadPoolBuilder::new()
+        .num_threads(width)
+        .build()
+        .map_err(|e| Error::Precondition(format!("thread pool: {e}")))?;
+    pool.install(|| items.into_par_iter().map(work).collect())
 }
 
 /// Parses a grid file written in the supported TOML subset
 /// ([`dufp_types::toml`]): flat `key = value` lines, no sections. Unknown
-/// keys and malformed lines are rejected with the line number and key.
+/// keys, malformed lines and invalid values are rejected with the line
+/// number and key (an invalid value the file left unset has no line).
 pub fn parse_grid(text: &str) -> Result<SweepGrid> {
     let mut grid = SweepGrid {
         apps: Vec::new(),
@@ -416,13 +397,20 @@ pub fn parse_grid(text: &str) -> Result<SweepGrid> {
         }
         Ok(())
     })?;
-    grid.validate()?;
+    grid.validate().map_err(|e| match e {
+        Error::InvalidValue { what, detail } => match toml::line_of(text, what) {
+            Some(n) => Error::invalid("grid", format!("line {n}: {what}: {detail}")),
+            None => Error::InvalidValue { what, detail },
+        },
+        e => e,
+    })?;
     Ok(grid)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dufp_telemetry::write_jsonl;
 
     fn tiny_grid() -> SweepGrid {
         SweepGrid {
@@ -552,6 +540,28 @@ mod tests {
     }
 
     #[test]
+    fn invalid_values_name_the_line_that_set_them() {
+        let base = "apps = [\"EP\"]\npolicies = [\"dufp\"]\nslowdowns_pct = [5]\nseeds = [1]\n";
+        let err = parse_grid(&format!("{base}sockets = 0\n")).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "invalid value for grid: line 5: sockets: need at least one socket"
+        );
+        let err = parse_grid(&base.replace("[5]", "[5, 100]")).unwrap_err();
+        assert!(
+            err.to_string()
+                .contains("line 3: slowdowns_pct: 100 outside"),
+            "{err}"
+        );
+        // A value the file never set has no line to name.
+        let err = parse_grid("apps = [\"EP\"]\n").unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "invalid value for policies: at least one policy"
+        );
+    }
+
+    #[test]
     fn comments_are_stripped_outside_strings_only() {
         let g = parse_grid(
             "apps = [\"EP\"]\npolicies = [\"dufp\"]\nslowdowns_pct = [5]\nseeds = [1]\nfault_plan = \"seed=1;write,p=0.5\" # a plan\n",
@@ -585,24 +595,26 @@ mod tests {
 
     #[test]
     fn jobs_spread_across_observed_worker_threads() {
-        // The engine-level version of the shim's thread-id-set test: with
-        // --jobs 2 the pool must actually run jobs on >= 2 OS threads,
-        // even on a single-core host. Each EP job runs long enough
-        // (hundreds of ms in debug) that the second worker always claims
-        // at least one of the 4 jobs.
-        let out = run_sweep(&tiny_grid(), 2).unwrap();
-        assert!(
-            out.workers_observed >= 2,
-            "jobs ran on {} thread(s), want >= 2",
-            out.workers_observed
+        // What the sweep decides is the pool its jobs run on: --jobs 2
+        // must run every job under a 2-wide pool, read inside the job.
+        // That such a pool spreads work over 2 OS threads, even on one
+        // core, is the rayon shim's own rendezvous test; how many threads
+        // a run happens to use depends on job length and scheduling.
+        let widths = on_pool(2, vec![(); 4], |()| Ok(rayon::current_num_threads())).unwrap();
+        assert_eq!(
+            widths,
+            vec![2; 4],
+            "jobs ran under a pool of the wrong width"
         );
+        assert_eq!(run_sweep(&tiny_grid(), 2).unwrap().workers_requested, 2);
     }
 
     #[test]
     fn jsonl_bytes_are_identical_for_serial_and_parallel_runs() {
         let g = tiny_grid();
-        let serial = to_jsonl_bytes(&run_sweep(&g, 1).unwrap().rows).unwrap();
-        let parallel = to_jsonl_bytes(&run_sweep(&g, 4).unwrap().rows).unwrap();
+        let (mut serial, mut parallel) = (Vec::new(), Vec::new());
+        write_jsonl(&mut serial, &run_sweep(&g, 1).unwrap().rows).unwrap();
+        write_jsonl(&mut parallel, &run_sweep(&g, 4).unwrap().rows).unwrap();
         assert!(!serial.is_empty());
         assert_eq!(serial, parallel);
     }

@@ -314,24 +314,15 @@ impl FaultWhen {
     }
 }
 
-/// Per-rule match counters plus the probabilistic draw state.
-#[derive(Debug)]
-struct InjectorState {
-    /// SplitMix64 state for `Probability` rules.
-    rng: u64,
-    /// How many structurally matching accesses each rule has seen; stands
-    /// in for the clock on backends without one.
-    hits: Vec<u64>,
-}
-
-/// Serializable runtime state of a [`FaultInjector`] — the rng position
-/// and per-rule match counters. Checkpointed so a resumed run's injected
+/// The runtime state of a [`FaultInjector`] — the rng position and
+/// per-rule match counters. Checkpointed so a resumed run's injected
 /// faults continue exactly where the crashed run's left off.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct InjectorSnapshot {
-    /// SplitMix64 state.
+    /// SplitMix64 state for `Probability` rules.
     pub rng: u64,
-    /// Per-rule match counters, in plan rule order.
+    /// How many structurally matching accesses each rule has seen, in plan
+    /// rule order; stands in for the clock on backends without one.
     pub hits: Vec<u64>,
 }
 
@@ -372,7 +363,7 @@ impl Deserialize for InjectorSnapshot {
 #[derive(Debug)]
 pub struct FaultInjector {
     rules: Vec<FaultRule>,
-    state: Mutex<InjectorState>,
+    state: Mutex<InjectorSnapshot>,
 }
 
 impl FaultInjector {
@@ -381,7 +372,7 @@ impl FaultInjector {
         let hits = vec![0; plan.rules.len()];
         FaultInjector {
             rules: plan.rules,
-            state: Mutex::new(InjectorState {
+            state: Mutex::new(InjectorSnapshot {
                 // Offset so seed 0 still produces a scrambled stream.
                 rng: plan.seed ^ splitmix::GAMMA,
                 hits,
@@ -391,17 +382,12 @@ impl FaultInjector {
 
     /// Captures the current runtime state (for checkpoints).
     pub fn snapshot(&self) -> InjectorSnapshot {
-        let state = self.state.lock();
-        InjectorSnapshot {
-            rng: state.rng,
-            hits: state.hits.clone(),
-        }
+        self.state.lock().clone()
     }
 
     /// Restores a checkpointed runtime state. The snapshot must come from
     /// an injector compiled from the same plan (same rule count).
     pub fn restore(&self, snap: &InjectorSnapshot) -> Result<()> {
-        let mut state = self.state.lock();
         if snap.hits.len() != self.rules.len() {
             return Err(Error::invalid(
                 "injector snapshot",
@@ -412,8 +398,7 @@ impl FaultInjector {
                 ),
             ));
         }
-        state.rng = snap.rng;
-        state.hits = snap.hits.clone();
+        *self.state.lock() = snap.clone();
         Ok(())
     }
 

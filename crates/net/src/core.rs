@@ -29,7 +29,6 @@ use dufp_cluster::allocator::{AllocatorPolicy, NodeObservation};
 use dufp_telemetry::{Actuator, Counter, DecisionEvent, Reason, Telemetry};
 use dufp_types::{Error, Result, Watts};
 use serde::{Deserialize, Serialize};
-use std::collections::HashSet;
 use std::sync::{Arc, OnceLock};
 
 /// Epochs a freshly promoted coordinator keeps replayed-but-unattached
@@ -80,12 +79,14 @@ pub struct EpochRecord {
     pub evicted: Vec<String>,
 }
 
-/// One node in the core registry.
+/// One node in the core registry (private fields; the snapshot holding
+/// it is an opaque recovery artifact, not an API).
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 struct CoreNode {
     name: String,
     app: String,
-    floor: Watts,
-    node_max: Watts,
+    floor_w: Watts,
+    node_max_w: Watts,
     state: NodeState,
     last_seen_ms: u64,
     /// Latest accepted demand report: (ceiling the agent enforces,
@@ -93,7 +94,7 @@ struct CoreNode {
     report: Option<(Watts, Watts, bool)>,
     /// Last ceiling granted by the allocator (ZERO before the first
     /// grant — the agent self-enforces its safe cap until then).
-    granted: Watts,
+    granted_w: Watts,
     /// Whether the reclaim for a non-Live node already ran.
     reclaimed: bool,
     vet: NodeVet,
@@ -131,28 +132,11 @@ pub struct CoreNodeView {
     pub granted: Watts,
 }
 
-/// Serialized form of one registry slot (private fields; the snapshot is
-/// an opaque recovery artifact, not an API).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-struct NodeSnap {
-    name: String,
-    app: String,
-    floor_w: f64,
-    node_max_w: f64,
-    state: NodeState,
-    last_seen_ms: u64,
-    report: Option<(f64, f64, bool)>,
-    granted_w: f64,
-    reclaimed: bool,
-    vet: NodeVet,
-    attached_term: u64,
-}
-
-/// A complete, deterministic serialization of the core's mutable state —
-/// the checkpoint payload for the fleet journal. Two cores that ingested
-/// the same input events produce byte-identical snapshots (the blacklist
-/// is emitted sorted), which is how the crash-equivalence tests prove a
-/// replayed standby matches its dead primary.
+/// The core's mutable state, which [`FleetCore`] holds as one field and
+/// the fleet journal checkpoints as is. Two cores that ingested the same
+/// input events encode byte-identical snapshots (the blacklist is kept
+/// sorted), which is how the crash-equivalence tests prove a replayed
+/// standby matches its dead primary.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CoreSnapshot {
     /// Epochs run so far.
@@ -165,8 +149,10 @@ pub struct CoreSnapshot {
     pub hold_until_epoch: u64,
     /// Virtual-clock time of the most recent epoch tick.
     pub last_epoch_ms: Option<u64>,
+    /// Evicted names, refused readmission for the rest of the run; sorted.
     blacklist: Vec<String>,
-    nodes: Vec<NodeSnap>,
+    /// The registry; a node's slot is its index.
+    nodes: Vec<CoreNode>,
 }
 
 /// The counters a [`FleetCore`] bumps. Each is resolved from the
@@ -221,22 +207,15 @@ pub struct FleetCore {
     heartbeat_timeout_ms: u64,
     vet_cfg: VetConfig,
     policy: Box<dyn AllocatorPolicy>,
-    nodes: Vec<CoreNode>,
-    blacklist: HashSet<String>,
-    epoch: u64,
+    /// Everything a checkpoint holds. Its `term` is monotonic: grants
+    /// carry it and agents apply grants in `(term, epoch)` lexicographic
+    /// order. Its `fenced_by` is `Some(t)` once a higher term `t` was
+    /// observed (or presumed, via pause detection): this core stops
+    /// granting permanently.
+    state: CoreSnapshot,
     tel: Telemetry,
     /// `tel`'s counters, indexed by [`Count`], resolved on first use.
     counters: [OnceLock<Arc<Counter>>; Count::N],
-    /// Monotonic coordination term; grants carry it and agents apply
-    /// grants in `(term, epoch)` lexicographic order.
-    term: u64,
-    /// `Some(t)` once a higher term `t` was observed (or presumed, via
-    /// pause detection): this core stops granting permanently.
-    fenced_by: Option<u64>,
-    /// Last epoch (inclusive) of the post-takeover hold-down window.
-    hold_until_epoch: u64,
-    /// Virtual-clock time of the most recent epoch tick.
-    last_epoch_ms: Option<u64>,
     /// When set, an epoch arriving more than this many ms after the
     /// previous one self-fences the core: it was paused long enough for a
     /// standby to have taken over (enable only when one is configured).
@@ -264,15 +243,17 @@ impl FleetCore {
             heartbeat_timeout_ms: cfg.heartbeat_timeout.as_millis() as u64,
             vet_cfg: cfg.vet,
             policy,
-            nodes: Vec::new(),
-            blacklist: HashSet::new(),
-            epoch: 0,
+            state: CoreSnapshot {
+                epoch: 0,
+                term: 1,
+                fenced_by: None,
+                hold_until_epoch: 0,
+                last_epoch_ms: None,
+                blacklist: Vec::new(),
+                nodes: Vec::new(),
+            },
             tel,
             counters: [const { OnceLock::new() }; Count::N],
-            term: 1,
-            fenced_by: None,
-            hold_until_epoch: 0,
-            last_epoch_ms: None,
             pause_fence_ms: None,
             journal: None,
         }
@@ -283,68 +264,19 @@ impl FleetCore {
     /// match the configuration the snapshotting coordinator ran with.
     pub fn from_snapshot(cfg: &CoordinatorConfig, snap: CoreSnapshot, tel: Telemetry) -> Self {
         let mut core = FleetCore::new(cfg, tel);
-        core.epoch = snap.epoch;
-        core.term = snap.term;
-        core.fenced_by = snap.fenced_by;
-        core.hold_until_epoch = snap.hold_until_epoch;
-        core.last_epoch_ms = snap.last_epoch_ms;
-        core.blacklist = snap.blacklist.into_iter().collect();
-        core.nodes = snap
-            .nodes
-            .into_iter()
-            .map(|s| CoreNode {
-                name: s.name,
-                app: s.app,
-                floor: Watts(s.floor_w),
-                node_max: Watts(s.node_max_w),
-                state: s.state,
-                last_seen_ms: s.last_seen_ms,
-                report: s.report.map(|(c, k, a)| (Watts(c), Watts(k), a)),
-                granted: Watts(s.granted_w),
-                reclaimed: s.reclaimed,
-                vet: s.vet,
-                attached_term: s.attached_term,
-            })
-            .collect();
+        core.state = snap;
         core
     }
 
-    /// A deterministic serialization of the mutable state (see
-    /// [`CoreSnapshot`]).
+    /// A copy of the mutable state (see [`CoreSnapshot`]).
     pub fn snapshot(&self) -> CoreSnapshot {
-        let mut blacklist: Vec<String> = self.blacklist.iter().cloned().collect();
-        blacklist.sort();
-        CoreSnapshot {
-            epoch: self.epoch,
-            term: self.term,
-            fenced_by: self.fenced_by,
-            hold_until_epoch: self.hold_until_epoch,
-            last_epoch_ms: self.last_epoch_ms,
-            blacklist,
-            nodes: self
-                .nodes
-                .iter()
-                .map(|n| NodeSnap {
-                    name: n.name.clone(),
-                    app: n.app.clone(),
-                    floor_w: n.floor.value(),
-                    node_max_w: n.node_max.value(),
-                    state: n.state,
-                    last_seen_ms: n.last_seen_ms,
-                    report: n.report.map(|(c, k, a)| (c.value(), k.value(), a)),
-                    granted_w: n.granted.value(),
-                    reclaimed: n.reclaimed,
-                    vet: n.vet.clone(),
-                    attached_term: n.attached_term,
-                })
-                .collect(),
-        }
+        self.state.clone()
     }
 
-    /// [`FleetCore::snapshot`] as canonical bytes — the checkpoint payload
-    /// and the crash-equivalence comparison key.
+    /// The mutable state as canonical bytes — the checkpoint payload and
+    /// the crash-equivalence comparison key.
     pub fn snapshot_bytes(&self) -> Result<Vec<u8>> {
-        serde_json::to_vec(&self.snapshot())
+        serde_json::to_vec(&self.state)
             .map_err(|e| Error::Corruption(format!("core snapshot encode failed: {e}")))
     }
 
@@ -372,25 +304,25 @@ impl FleetCore {
 
     /// The current coordination term.
     pub fn term(&self) -> u64 {
-        self.term
+        self.state.term
     }
 
     /// Whether this core has permanently stopped granting because a
     /// higher term was observed (or presumed via pause detection).
     pub fn fenced(&self) -> bool {
-        self.fenced_by.is_some()
+        self.state.fenced_by.is_some()
     }
 
     /// Notes a term a peer announced (Hello/Heartbeat). A term above ours
     /// proves a successor took over: the core fences itself and the call
     /// — like every call while fenced — returns [`Error::Fenced`].
     pub fn observe_term(&mut self, peer_term: u64) -> Result<()> {
-        if peer_term > self.term {
+        if peer_term > self.state.term {
             self.force_fence(peer_term);
         }
-        match self.fenced_by {
+        match self.state.fenced_by {
             Some(theirs) => Err(Error::Fenced {
-                ours: self.term,
+                ours: self.state.term,
                 theirs,
             }),
             None => Ok(()),
@@ -400,16 +332,16 @@ impl FleetCore {
     /// Fences the core by `term` (idempotent; keeps the highest fencing
     /// term seen). Public so journal replay can reproduce it.
     pub fn force_fence(&mut self, term: u64) {
-        if self.fenced_by.is_some_and(|t| term <= t) {
+        if self.state.fenced_by.is_some_and(|t| term <= t) {
             return;
         }
         self.journal_event(&FleetEvent::Fence { term });
-        self.fenced_by = Some(term);
+        self.state.fenced_by = Some(term);
         self.count(Count::TermFences);
         self.record(
             0,
-            self.last_epoch_ms.unwrap_or(0),
-            self.term as f64,
+            self.state.last_epoch_ms.unwrap_or(0),
+            self.state.term as f64,
             term as f64,
             Reason::TermFenced,
         );
@@ -421,22 +353,27 @@ impl FleetCore {
     /// nodes stay pinned. Must be called after journal replay and before
     /// the first grant.
     pub fn promote(&mut self) {
-        let next = self.fenced_by.unwrap_or(self.term).max(self.term) + 1;
+        let next = self
+            .state
+            .fenced_by
+            .unwrap_or(self.state.term)
+            .max(self.state.term)
+            + 1;
         self.promote_to(next);
     }
 
     /// Takes over at an explicit term. Public so journal replay can
     /// reproduce a recorded [`FleetEvent::TermBump`] exactly.
     pub fn promote_to(&mut self, term: u64) {
-        let old = self.term;
-        self.term = term;
-        self.fenced_by = None; // clear before journaling: a fenced core's journal is closed
-        self.hold_until_epoch = self.epoch + HANDOVER_HOLD_EPOCHS;
+        let old = self.state.term;
+        self.state.term = term;
+        self.state.fenced_by = None; // clear before journaling: a fenced core's journal is closed
+        self.state.hold_until_epoch = self.state.epoch + HANDOVER_HOLD_EPOCHS;
         self.journal_event(&FleetEvent::TermBump { term });
         self.count(Count::Takeovers);
         self.record(
             0,
-            self.last_epoch_ms.unwrap_or(0),
+            self.state.last_epoch_ms.unwrap_or(0),
             old as f64,
             term as f64,
             Reason::TookOver,
@@ -447,7 +384,7 @@ impl FleetCore {
         // A fenced core's journal stream ends at its Fence record (written
         // by `force_fence` before the flag flips): the successor owns the
         // log now, and a superseded primary must not interleave with it.
-        if self.fenced_by.is_some() {
+        if self.state.fenced_by.is_some() {
             return;
         }
         let Some(j) = self.journal.as_mut() else {
@@ -472,31 +409,32 @@ impl FleetCore {
 
     /// Epochs run so far.
     pub fn epoch(&self) -> u64 {
-        self.epoch
+        self.state.epoch
     }
 
     /// Nodes ever admitted (any state).
     pub fn node_count(&self) -> usize {
-        self.nodes.len()
+        self.state.nodes.len()
     }
 
     /// Snapshot of every node for outcome summaries.
     pub fn views(&self) -> Vec<CoreNodeView> {
-        self.nodes
+        self.state
+            .nodes
             .iter()
             .map(|n| CoreNodeView {
                 name: n.name.clone(),
                 app: n.app.clone(),
                 state: n.state,
                 trust: n.vet.trust(),
-                granted: n.granted,
+                granted: n.granted_w,
             })
             .collect()
     }
 
     /// The trust rung of a slot (slots are stable for a run's lifetime).
     pub fn trust(&self, slot: usize) -> Option<Trust> {
-        self.nodes.get(slot).map(|n| n.vet.trust())
+        self.state.nodes.get(slot).map(|n| n.vet.trust())
     }
 
     /// Admits a node from its Hello, returning its slot. Refuses the
@@ -511,10 +449,10 @@ impl FleetCore {
         node_max: Watts,
         now_ms: u64,
     ) -> Result<usize> {
-        if let Some(theirs) = self.fenced_by {
+        if let Some(theirs) = self.state.fenced_by {
             self.count(Count::AdmissionRejects);
             return Err(Error::Fenced {
-                ours: self.term,
+                ours: self.state.term,
                 theirs,
             });
         }
@@ -533,7 +471,7 @@ impl FleetCore {
                 ),
             ));
         }
-        if self.blacklist.contains(&name) {
+        if self.state.blacklist.binary_search(&name).is_ok() {
             self.count(Count::AdmissionRejects);
             return Err(Error::Precondition(format!(
                 "node {name} was evicted; readmission refused"
@@ -549,26 +487,26 @@ impl FleetCore {
         // A re-admitted name releases its stale-term predecessor: the
         // agent has provably moved to the current term, so the pinned
         // watts the old slot held can return to the pool next epoch.
-        let term = self.term;
-        for n in &mut self.nodes {
+        let term = self.state.term;
+        for n in &mut self.state.nodes {
             if n.state == NodeState::Live && n.attached_term < term && n.name == name {
                 n.state = NodeState::Departed;
             }
         }
-        self.nodes.push(CoreNode {
+        self.state.nodes.push(CoreNode {
             name,
             app,
-            floor,
-            node_max,
+            floor_w: floor,
+            node_max_w: node_max,
             state: NodeState::Live,
             last_seen_ms: now_ms,
             report: None,
-            granted: Watts::ZERO,
+            granted_w: Watts::ZERO,
             reclaimed: false,
             vet: NodeVet::new(),
             attached_term: term,
         });
-        Ok(self.nodes.len() - 1)
+        Ok(self.state.nodes.len() - 1)
     }
 
     /// Ingests a demand report. Returns what the vetting layer decided;
@@ -597,11 +535,11 @@ impl FleetCore {
             active,
             now_ms,
         });
-        let term = self.term;
-        let n = &mut self.nodes[slot];
+        let term = self.state.term;
+        let n = &mut self.state.nodes[slot];
         n.attached_term = term;
-        let granted = n.granted;
-        let node_max = n.node_max;
+        let granted = n.granted_w;
+        let node_max = n.node_max_w;
         let verdict =
             n.vet
                 .check_report(&self.vet_cfg, seq, ceiling, consumption, node_max, granted);
@@ -633,11 +571,14 @@ impl FleetCore {
                 // liveness detector: a storming node is still visibly
                 // alive, so the heartbeat clock resets even though the
                 // frame's content is dropped unprocessed.
-                self.nodes[slot].last_seen_ms = now_ms;
+                self.state.nodes[slot].last_seen_ms = now_ms;
                 self.count(Count::RateLimited);
                 // One event per node per epoch, not one per dropped frame
                 // — a storm must not flood the telemetry buffer.
-                if self.nodes[slot].vet.just_hit_report_limit(&self.vet_cfg) {
+                if self.state.nodes[slot]
+                    .vet
+                    .just_hit_report_limit(&self.vet_cfg)
+                {
                     let max = f64::from(self.vet_cfg.max_reports_per_epoch);
                     self.record(slot, now_ms, max + 1.0, max, Reason::RateLimited);
                 }
@@ -662,8 +603,8 @@ impl FleetCore {
             return FrameVerdict::Vetoed;
         }
         self.journal_event(&FleetEvent::Heartbeat { slot, seq, now_ms });
-        let term = self.term;
-        let n = &mut self.nodes[slot];
+        let term = self.state.term;
+        let n = &mut self.state.nodes[slot];
         n.attached_term = term;
         let verdict = n.vet.check_heartbeat(&self.vet_cfg, seq);
         match verdict {
@@ -689,12 +630,13 @@ impl FleetCore {
     pub fn on_goodbye(&mut self, slot: usize) {
         if self.slot_is_live(slot) {
             self.journal_event(&FleetEvent::Goodbye { slot });
-            self.nodes[slot].state = NodeState::Departed;
+            self.state.nodes[slot].state = NodeState::Departed;
         }
     }
 
     fn slot_is_live(&self, slot: usize) -> bool {
-        self.nodes
+        self.state
+            .nodes
             .get(slot)
             .is_some_and(|n| n.state == NodeState::Live)
     }
@@ -709,16 +651,16 @@ impl FleetCore {
         // coordinator that stalled past the threshold must assume its
         // standby promoted itself in the gap, and a fenced epoch must not
         // reallocate anything.
-        if let (Some(threshold), Some(prev)) = (self.pause_fence_ms, self.last_epoch_ms) {
-            if self.fenced_by.is_none() && now_ms.saturating_sub(prev) > threshold {
-                let presumed = self.term + 1;
+        if let (Some(threshold), Some(prev)) = (self.pause_fence_ms, self.state.last_epoch_ms) {
+            if self.state.fenced_by.is_none() && now_ms.saturating_sub(prev) > threshold {
+                let presumed = self.state.term + 1;
                 self.force_fence(presumed);
             }
         }
         self.journal_event(&FleetEvent::Epoch { now_ms });
-        self.last_epoch_ms = Some(now_ms);
-        self.epoch += 1;
-        if self.fenced_by.is_some() {
+        self.state.last_epoch_ms = Some(now_ms);
+        self.state.epoch += 1;
+        if self.state.fenced_by.is_some() {
             let step = self.frozen_epoch(now_ms);
             self.maybe_checkpoint();
             return step;
@@ -730,18 +672,18 @@ impl FleetCore {
         // agents have not re-attached under the new term keep their watts
         // reserved and are exempt from failure detection until the window
         // closes. See [`HANDOVER_HOLD_EPOCHS`].
-        let hold_active = self.epoch <= self.hold_until_epoch;
+        let hold_active = self.state.epoch <= self.state.hold_until_epoch;
         let is_pinned = |n: &CoreNode, term: u64| {
             hold_active && n.state == NodeState::Live && n.attached_term < term
         };
 
         // Trust ladder transitions from the epoch's strike flags.
-        for i in 0..self.nodes.len() {
-            if self.nodes[i].state != NodeState::Live {
+        for i in 0..self.state.nodes.len() {
+            if self.state.nodes[i].state != NodeState::Live {
                 continue;
             }
             let vet_cfg = self.vet_cfg;
-            if let Some((old, new)) = self.nodes[i].vet.finalize_epoch(&vet_cfg) {
+            if let Some((old, new)) = self.state.nodes[i].vet.finalize_epoch(&vet_cfg) {
                 let reason = if new == Trust::Evicted {
                     Reason::Evicted
                 } else {
@@ -755,10 +697,12 @@ impl FleetCore {
                     reason,
                 );
                 if new == Trust::Evicted {
-                    let name = self.nodes[i].name.clone();
-                    self.blacklist.insert(name.clone());
+                    let name = self.state.nodes[i].name.clone();
+                    if let Err(at) = self.state.blacklist.binary_search(&name) {
+                        self.state.blacklist.insert(at, name.clone());
+                    }
                     evicted_now.push(name);
-                    self.nodes[i].state = NodeState::Evicted;
+                    self.state.nodes[i].state = NodeState::Evicted;
                     disconnects.push(i);
                     self.count(Count::Evictions);
                 } else if new == Trust::Quarantined {
@@ -770,23 +714,23 @@ impl FleetCore {
         // Failure detection + reclaim.
         let mut reclaimed = Vec::new();
         let mut reclaimed_watts = 0.0;
-        for i in 0..self.nodes.len() {
+        for i in 0..self.state.nodes.len() {
             let stale = {
-                let n = &self.nodes[i];
+                let n = &self.state.nodes[i];
                 n.state == NodeState::Live
-                    && !is_pinned(n, self.term)
+                    && !is_pinned(n, self.state.term)
                     && now_ms.saturating_sub(n.last_seen_ms) > self.heartbeat_timeout_ms
             };
             if stale {
-                self.nodes[i].state = NodeState::Dead;
+                self.state.nodes[i].state = NodeState::Dead;
                 disconnects.push(i);
             }
-            let n = &self.nodes[i];
+            let n = &self.state.nodes[i];
             if n.state != NodeState::Live && !n.reclaimed {
-                let had = n.granted.value();
+                let had = n.granted_w.value();
                 let name = n.name.clone();
-                self.nodes[i].reclaimed = true;
-                self.nodes[i].granted = Watts::ZERO;
+                self.state.nodes[i].reclaimed = true;
+                self.state.nodes[i].granted_w = Watts::ZERO;
                 reclaimed.push(name);
                 reclaimed_watts += had;
                 self.count(Count::BudgetReclaims);
@@ -800,11 +744,11 @@ impl FleetCore {
         let mut policy_slots = Vec::new();
         let mut quarantined_slots = Vec::new();
         let mut pinned_slots = Vec::new();
-        for (i, n) in self.nodes.iter().enumerate() {
+        for (i, n) in self.state.nodes.iter().enumerate() {
             if n.state != NodeState::Live {
                 continue;
             }
-            if is_pinned(n, self.term) {
+            if is_pinned(n, self.state.term) {
                 pinned_slots.push(i);
             } else if n.vet.trust() >= Trust::Quarantined {
                 quarantined_slots.push(i);
@@ -814,7 +758,7 @@ impl FleetCore {
         }
         let quarantined_names: Vec<String> = quarantined_slots
             .iter()
-            .map(|&i| self.nodes[i].name.clone())
+            .map(|&i| self.state.nodes[i].name.clone())
             .collect();
 
         // Quarantined floors and hold-down-pinned grants come off the top
@@ -822,11 +766,11 @@ impl FleetCore {
         // conservation is absolute).
         let mut quar_ceilings: Vec<f64> = quarantined_slots
             .iter()
-            .map(|&i| self.nodes[i].floor.value())
+            .map(|&i| self.state.nodes[i].floor_w.value())
             .collect();
         let mut pinned_ceilings: Vec<f64> = pinned_slots
             .iter()
-            .map(|&i| self.nodes[i].granted.value())
+            .map(|&i| self.state.nodes[i].granted_w.value())
             .collect();
         let reserved: f64 = quar_ceilings.iter().chain(pinned_ceilings.iter()).sum();
         if reserved > self.budget.value() && reserved > 0.0 {
@@ -844,7 +788,7 @@ impl FleetCore {
         let observations: Vec<NodeObservation> = policy_slots
             .iter()
             .map(|&i| {
-                let n = &self.nodes[i];
+                let n = &self.state.nodes[i];
                 match n.report {
                     Some((ceiling, consumption, active)) => NodeObservation {
                         ceiling,
@@ -852,7 +796,7 @@ impl FleetCore {
                         active,
                     },
                     None => NodeObservation {
-                        ceiling: n.granted.max(n.floor),
+                        ceiling: n.granted_w.max(n.floor_w),
                         consumption: Watts::ZERO,
                         active: true,
                     },
@@ -867,7 +811,7 @@ impl FleetCore {
             .collect();
         let floors: Vec<f64> = policy_slots
             .iter()
-            .map(|&i| self.nodes[i].floor.value())
+            .map(|&i| self.state.nodes[i].floor_w.value())
             .collect();
         // The policy sees one fleet-wide floor; a node that announced a
         // higher one would clamp a lower grant back up to it and push the
@@ -890,11 +834,11 @@ impl FleetCore {
         let mut per_slot: Vec<(usize, f64)> = all_slots.collect();
         per_slot.sort_by_key(|&(slot, _)| slot); // stable, transport-friendly order
         for (i, ceiling) in per_slot {
-            let n = &mut self.nodes[i];
+            let n = &mut self.state.nodes[i];
             // Watts above the node's announced silicon limit are unusable
             // there; keep them in the pool instead of granting them.
-            let ceiling = Watts(ceiling).min(n.node_max);
-            let old = n.granted;
+            let ceiling = Watts(ceiling).min(n.node_max_w);
+            let old = n.granted_w;
             let kind = if ceiling >= old {
                 GrantKind::Raise
             } else {
@@ -904,10 +848,10 @@ impl FleetCore {
                 grants.push((
                     i,
                     Frame::BudgetGrant {
-                        epoch: self.epoch,
+                        epoch: self.state.epoch,
                         ceiling,
                         kind,
-                        term: self.term,
+                        term: self.state.term,
                     },
                 ));
                 let reason = match kind {
@@ -915,23 +859,24 @@ impl FleetCore {
                     GrantKind::Shrink => Reason::BudgetShrink,
                 };
                 let (o, c) = (old.value(), ceiling.value());
-                n.granted = ceiling;
+                n.granted_w = ceiling;
                 self.count(Count::GrantsIssued);
                 self.record(i, now_ms, o, c, reason);
             }
-            let n = &self.nodes[i];
-            granted.push((n.name.clone(), n.granted.value()));
-            total_granted += n.granted.value();
+            let n = &self.state.nodes[i];
+            granted.push((n.name.clone(), n.granted_w.value()));
+            total_granted += n.granted_w.value();
         }
 
         let live = self
+            .state
             .nodes
             .iter()
             .filter(|n| n.state == NodeState::Live)
             .count();
         let step = EpochStep {
             record: EpochRecord {
-                epoch: self.epoch,
+                epoch: self.state.epoch,
                 at_ms: now_ms,
                 granted,
                 total_granted,
@@ -955,16 +900,16 @@ impl FleetCore {
         let mut granted = Vec::new();
         let mut total_granted = 0.0;
         let mut live = 0;
-        for n in &self.nodes {
+        for n in &self.state.nodes {
             if n.state == NodeState::Live {
                 live += 1;
-                granted.push((n.name.clone(), n.granted.value()));
-                total_granted += n.granted.value();
+                granted.push((n.name.clone(), n.granted_w.value()));
+                total_granted += n.granted_w.value();
             }
         }
         EpochStep {
             record: EpochRecord {
-                epoch: self.epoch,
+                epoch: self.state.epoch,
                 at_ms: now_ms,
                 granted,
                 total_granted,
@@ -998,13 +943,13 @@ impl FleetCore {
     }
 
     fn record(&self, slot: usize, now_ms: u64, old: f64, new: f64, reason: Reason) {
-        let event = fleet_event(self.epoch, now_ms, slot, old, new, reason);
+        let event = fleet_event(self.state.epoch, now_ms, slot, old, new, reason);
         self.tel.record_decision(event);
     }
 
     /// Whether every node that ever joined has left (any non-Live state).
     pub fn drained(&self) -> bool {
-        !self.nodes.is_empty() && self.nodes.iter().all(|n| n.state != NodeState::Live)
+        !self.state.nodes.is_empty() && self.state.nodes.iter().all(|n| n.state != NodeState::Live)
     }
 }
 

@@ -496,23 +496,16 @@ pub fn run_rows(
     Ok(rows)
 }
 
-/// Serializes rows as JSON Lines — the byte-identity unit the CLI, the
-/// golden test and CI's double-run `cmp` all compare.
-pub fn to_jsonl_bytes(rows: &[ScorecardRow]) -> Result<Vec<u8>> {
-    let mut out = Vec::new();
-    for row in rows {
-        let line =
-            serde_json::to_string(row).map_err(|e| Error::invalid("scorecard", e.to_string()))?;
-        out.extend_from_slice(line.as_bytes());
-        out.push(b'\n');
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use dufp_telemetry::Actuator;
+
+    fn jsonl(rows: &[ScorecardRow]) -> Vec<u8> {
+        let mut out = Vec::new();
+        dufp_telemetry::write_jsonl(&mut out, rows).unwrap();
+        out
+    }
 
     fn mini() -> ScenarioSpec {
         ScenarioSpec::mini()
@@ -569,16 +562,16 @@ mod tests {
     #[test]
     fn rows_are_byte_identical_across_jobs() {
         let policies = PolicyChoice::ALL;
-        let a = to_jsonl_bytes(&run_rows(&mini(), 3, &policies, 1).unwrap()).unwrap();
-        let b = to_jsonl_bytes(&run_rows(&mini(), 3, &policies, 4).unwrap()).unwrap();
+        let a = jsonl(&run_rows(&mini(), 3, &policies, 1).unwrap());
+        let b = jsonl(&run_rows(&mini(), 3, &policies, 4).unwrap());
         assert_eq!(a, b);
     }
 
     #[test]
     fn different_seeds_differ() {
         let p = [PolicyChoice::DemandBased];
-        let a = to_jsonl_bytes(&run_rows(&mini(), 1, &p, 1).unwrap()).unwrap();
-        let b = to_jsonl_bytes(&run_rows(&mini(), 2, &p, 1).unwrap()).unwrap();
+        let a = jsonl(&run_rows(&mini(), 1, &p, 1).unwrap());
+        let b = jsonl(&run_rows(&mini(), 2, &p, 1).unwrap());
         assert_ne!(a, b, "bursty arrivals must make seeds observable");
     }
 

@@ -31,7 +31,6 @@ pub mod spec;
 
 pub use arrival::{intensity_band, ArrivalKind, ArrivalSpec, LoadProfile, MAX_INTENSITY};
 pub use engine::{
-    run_one, run_rows, to_jsonl_bytes, NodeScore, PolicyChoice, RunResult, ScorecardRow,
-    TenantScore,
+    run_one, run_rows, NodeScore, PolicyChoice, RunResult, ScorecardRow, TenantScore,
 };
 pub use spec::{MachineClass, MachineKind, NodeSpec, ScenarioSpec, EXAMPLE_TOML};

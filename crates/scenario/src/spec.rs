@@ -278,7 +278,20 @@ impl ScenarioSpec {
     /// Parses and validates a spec from its TOML text.
     pub fn from_toml(text: &str) -> Result<Self> {
         let spec = parse_spec(text)?;
-        spec.validate()?;
+        // A value the file set is numbered like a syntax error.
+        spec.validate().map_err(|e| match e {
+            Error::InvalidValue { what, detail } => {
+                let line = detail
+                    .split_once(": ")
+                    .and_then(|(path, _)| toml::line_of(text, path));
+                let detail = match line {
+                    Some(n) => format!("line {n}: {detail}"),
+                    None => detail,
+                };
+                Error::InvalidValue { what, detail }
+            }
+            e => e,
+        })?;
         Ok(spec)
     }
 
@@ -765,6 +778,22 @@ mod tests {
             let d = detail(ScenarioSpec::from_toml(&text).unwrap_err());
             assert!(d.contains(&format!("line 3: {key}")), "{d}");
         }
+    }
+
+    #[test]
+    fn semantic_errors_name_the_line_that_set_the_value() {
+        let text = EXAMPLE_TOML.replace("bursts_per_hour = 240", "bursts_per_hour = -3.0");
+        let line = 1 + text.lines().position(|l| l.contains("-3.0")).unwrap();
+        let d = detail(ScenarioSpec::from_toml(&text).unwrap_err());
+        assert!(
+            d.starts_with(&format!("line {line}: arrival.bursts_per_hour: ")),
+            "{d}"
+        );
+        // A node key, under its `[node.<id>]` header.
+        let text = EXAMPLE_TOML.replacen("weights = [", "weights = [0.0, ", 1);
+        let line = 1 + text.lines().position(|l| l.contains("[0.0, ")).unwrap();
+        let d = detail(ScenarioSpec::from_toml(&text).unwrap_err());
+        assert!(d.starts_with(&format!("line {line}: node.")), "{d}");
     }
 
     #[test]

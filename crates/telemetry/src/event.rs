@@ -238,30 +238,34 @@ impl DecisionEvent {
     }
 }
 
-/// Writes events as JSON Lines (one compact object per line).
-pub fn write_jsonl<W: Write>(mut w: W, events: &[DecisionEvent]) -> io::Result<()> {
-    for event in events {
-        let line = serde_json::to_string(event)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-        writeln!(w, "{line}")?;
+/// Writes `items` as JSON Lines: each one's compact JSON followed by
+/// `\n`. Every JSON Lines output — decision traces, sweep rows, scenario
+/// and chaos scorecards — is these bytes.
+pub fn write_jsonl<W: Write, T: Serialize>(mut w: W, items: &[T]) -> io::Result<()> {
+    let mut line = String::new();
+    for item in items {
+        line.clear();
+        item.write_json(&mut line);
+        line.push('\n');
+        w.write_all(line.as_bytes())?;
     }
     Ok(())
 }
 
-/// Reads events back from JSON Lines, skipping blank lines.
-pub fn read_jsonl<R: BufRead>(r: R) -> io::Result<Vec<DecisionEvent>> {
-    let mut events = Vec::new();
+/// Reads items back from JSON Lines, skipping blank lines; a bad line
+/// fails with its line number.
+pub fn read_jsonl<T: Deserialize, R: BufRead>(r: R) -> io::Result<Vec<T>> {
+    let mut items = Vec::new();
     for (idx, line) in r.lines().enumerate() {
         let line = line?;
         if line.trim().is_empty() {
             continue;
         }
-        let event: DecisionEvent = serde_json::from_str(&line).map_err(|e| {
+        items.push(serde_json::from_str(&line).map_err(|e| {
             io::Error::new(io::ErrorKind::InvalidData, format!("line {}: {e}", idx + 1))
-        })?;
-        events.push(event);
+        })?);
     }
-    Ok(events)
+    Ok(items)
 }
 
 #[cfg(test)]
@@ -299,7 +303,7 @@ mod tests {
         write_jsonl(&mut buf, &events).unwrap();
         let text = String::from_utf8(buf.clone()).unwrap();
         assert_eq!(text.lines().count(), 2);
-        let back = read_jsonl(io::Cursor::new(buf)).unwrap();
+        let back: Vec<DecisionEvent> = read_jsonl(io::Cursor::new(buf)).unwrap();
         assert_eq!(back, events);
     }
 
@@ -307,10 +311,11 @@ mod tests {
     fn read_skips_blank_lines_and_reports_bad_ones() {
         let good = serde_json::to_string(&sample()).unwrap();
         let text = format!("{good}\n\n{good}\n");
-        let back = read_jsonl(io::Cursor::new(text.into_bytes())).unwrap();
+        let back: Vec<DecisionEvent> = read_jsonl(io::Cursor::new(text.into_bytes())).unwrap();
         assert_eq!(back.len(), 2);
 
-        let err = read_jsonl(io::Cursor::new(b"not json\n".to_vec())).unwrap_err();
+        let err =
+            read_jsonl::<DecisionEvent, _>(io::Cursor::new(b"not json\n".to_vec())).unwrap_err();
         assert!(err.to_string().contains("line 1"));
     }
 

@@ -4,7 +4,8 @@
 //! double-quoted strings), blank lines, `[section]` headers and
 //! `key = value` lines whose values are double-quoted strings, numbers or
 //! single-line arrays of either. [`read`] walks the lines and numbers
-//! every error; each file format keeps only its own key table.
+//! every syntax error, and [`line_of`] finds the line a semantic error is
+//! about; each file format keeps only its own key table.
 
 use crate::{Error, Result};
 
@@ -54,6 +55,32 @@ pub fn read<'a>(
         on_line(Line::Pair { key, value }).map_err(|why| at(key, why))?;
     }
     Ok(())
+}
+
+/// The 1-based line that last sets `path` — a top-level `key`, or
+/// `section.key` for a key under a `[section]` header — if the text sets
+/// it at all.
+pub fn line_of(text: &str, path: &str) -> Option<usize> {
+    let mut section = "";
+    let mut found = None;
+    for (idx, raw) in text.lines().enumerate() {
+        let line = strip_comment(raw).trim();
+        if let Some(name) = line.strip_prefix('[').and_then(|s| s.strip_suffix(']')) {
+            section = name.trim();
+            continue;
+        }
+        let Some((key, _)) = line.split_once('=') else {
+            continue;
+        };
+        let key_path = match section {
+            "" => Some(path),
+            _ => path.strip_prefix(section).and_then(|p| p.strip_prefix('.')),
+        };
+        if key_path == Some(key.trim()) {
+            found = Some(idx + 1);
+        }
+    }
+    found
 }
 
 /// Cuts `line` at the first `#` that is not inside a double-quoted string.

@@ -37,7 +37,7 @@
 use dufp_cluster::SharePolicy;
 use dufp_net::chaos::{run_matrix, ChaosConfig};
 use dufp_net::{run_cluster, run_hetero, ClusterConfig, HeteroConfig, NodeSpec, PolicyKind};
-use dufp_scenario::{run_one, run_rows, to_jsonl_bytes, PolicyChoice, ScenarioSpec};
+use dufp_scenario::{run_one, run_rows, PolicyChoice, ScenarioSpec};
 use dufp_sim::{SharedSocketCfg, SharedSocketSim, SharedStep};
 use dufp_telemetry::write_jsonl;
 use dufp_types::{ArchSpec, Duration, Ratio, Seconds, Watts};
@@ -112,7 +112,8 @@ fn scorecard_rows_match_golden() {
         PolicyChoice::DemandBased,
     ];
     let rows = run_rows(&spec, GOLDEN_SEED, &policies, 2).expect("golden rows");
-    let bytes = to_jsonl_bytes(&rows).expect("serialize scorecard");
+    let mut bytes = Vec::new();
+    write_jsonl(&mut bytes, &rows).expect("serialize scorecard");
     check_golden("scenario_mini_scorecard.jsonl", &bytes);
 }
 

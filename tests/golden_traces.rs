@@ -18,7 +18,7 @@
 use dufp::{run_once, ControllerKind, Engine, ExperimentSpec};
 use dufp_msr::FaultPlan;
 use dufp_sim::SimConfig;
-use dufp_telemetry::{read_jsonl, write_jsonl, Actuator, Reason};
+use dufp_telemetry::{read_jsonl, write_jsonl, Actuator, DecisionEvent, Reason};
 use dufp_types::Ratio;
 use std::path::{Path, PathBuf};
 
@@ -164,7 +164,8 @@ fn decision_traces_match_goldens() {
 fn goldens_parse_and_show_each_controllers_signature() {
     for (policy, slowdown, _plan, path) in all_cases() {
         let text = std::fs::read(&path).expect("golden present");
-        let events = read_jsonl(text.as_slice()).expect("golden parses as decision events");
+        let events: Vec<DecisionEvent> =
+            read_jsonl(text.as_slice()).expect("golden parses as decision events");
         assert!(!events.is_empty(), "{policy}@{slowdown}% golden is empty");
         // The end-of-run safe-state restore touches every knob regardless
         // of controller; only live decisions define a policy's signature.

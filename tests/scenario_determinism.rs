@@ -7,8 +7,15 @@
 //! drive the engine with random seeds and budgets to make sure the
 //! contract is not an artifact of one lucky seed.
 
-use dufp_scenario::{run_one, run_rows, to_jsonl_bytes, PolicyChoice, ScenarioSpec};
+use dufp_scenario::{run_one, run_rows, PolicyChoice, ScenarioSpec};
 use proptest::prelude::*;
+
+/// `rows` as the JSON Lines bytes every output writes.
+fn jsonl<T: serde::Serialize>(rows: &[T]) -> Vec<u8> {
+    let mut out = Vec::new();
+    dufp_telemetry::write_jsonl(&mut out, rows).unwrap();
+    out
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
@@ -19,10 +26,10 @@ proptest! {
     #[test]
     fn scorecard_bytes_are_a_pure_function_of_the_seed(seed in 0u64..1_000_000) {
         let spec = ScenarioSpec::mini();
-        let first = to_jsonl_bytes(&run_rows(&spec, seed, &PolicyChoice::ALL, 1).unwrap()).unwrap();
-        let rerun = to_jsonl_bytes(&run_rows(&spec, seed, &PolicyChoice::ALL, 1).unwrap()).unwrap();
+        let first = jsonl(&run_rows(&spec, seed, &PolicyChoice::ALL, 1).unwrap());
+        let rerun = jsonl(&run_rows(&spec, seed, &PolicyChoice::ALL, 1).unwrap());
         prop_assert_eq!(&first, &rerun, "serial rerun drifted");
-        let wide = to_jsonl_bytes(&run_rows(&spec, seed, &PolicyChoice::ALL, 4).unwrap()).unwrap();
+        let wide = jsonl(&run_rows(&spec, seed, &PolicyChoice::ALL, 4).unwrap());
         prop_assert_eq!(&first, &wide, "worker count leaked into the scorecard");
     }
 
@@ -81,7 +88,7 @@ proptest! {
 #[test]
 fn seeds_change_the_scorecard() {
     let spec = ScenarioSpec::mini();
-    let a = to_jsonl_bytes(&run_rows(&spec, 7, &PolicyChoice::ALL, 1).unwrap()).unwrap();
-    let b = to_jsonl_bytes(&run_rows(&spec, 8, &PolicyChoice::ALL, 1).unwrap()).unwrap();
+    let a = jsonl(&run_rows(&spec, 7, &PolicyChoice::ALL, 1).unwrap());
+    let b = jsonl(&run_rows(&spec, 8, &PolicyChoice::ALL, 1).unwrap());
     assert_ne!(a, b, "seed is not reaching the arrival model");
 }

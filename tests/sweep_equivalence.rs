@@ -6,8 +6,15 @@
 //! grid, seed set, worker count and fault plan. These tests state that
 //! contract over randomized grids.
 
-use dufp::{run_sweep, to_jsonl_bytes, SweepGrid};
+use dufp::{run_sweep, SweepGrid};
 use proptest::prelude::*;
+
+/// `rows` as the JSON Lines bytes every output writes.
+fn jsonl<T: serde::Serialize>(rows: &[T]) -> Vec<u8> {
+    let mut out = Vec::new();
+    dufp_telemetry::write_jsonl(&mut out, rows).unwrap();
+    out
+}
 
 /// Deterministically builds a small but varied grid from scalar knobs.
 fn grid(seed: u64, npolicies: usize, slow_idx: usize, nseeds: usize, faults: bool) -> SweepGrid {
@@ -50,8 +57,8 @@ proptest! {
         // Same rows, same order — not just the same multiset.
         prop_assert_eq!(&serial.rows, &parallel.rows);
         // And the serialized artifact is byte-identical.
-        let a = to_jsonl_bytes(&serial.rows).expect("serialize serial");
-        let b = to_jsonl_bytes(&parallel.rows).expect("serialize parallel");
+        let a = jsonl(&serial.rows);
+        let b = jsonl(&parallel.rows);
         prop_assert_eq!(a, b);
     }
 }
@@ -62,8 +69,8 @@ proptest! {
 #[test]
 fn repeated_runs_reproduce_the_same_artifact() {
     let g = grid(7, 3, 2, 2, true);
-    let first = to_jsonl_bytes(&run_sweep(&g, 3).expect("run").rows).expect("bytes");
-    let second = to_jsonl_bytes(&run_sweep(&g, 2).expect("run").rows).expect("bytes");
+    let first = jsonl(&run_sweep(&g, 3).expect("run").rows);
+    let second = jsonl(&run_sweep(&g, 2).expect("run").rows);
     assert!(!first.is_empty());
     assert_eq!(first, second);
 }
