@@ -7,11 +7,11 @@ use crate::args::{
 use crate::plot::{chart, Series};
 use dufp::{
     run_journaled, run_once, run_repeated, ControllerKind, ExperimentSpec, JournalOptions,
-    TraceSpec,
+    RunResult, TraceSpec,
 };
 use dufp_journal::list_checkpoints;
 use dufp_msr::FaultPlan;
-use dufp_telemetry::{read_jsonl, write_jsonl, Actuator, DecisionEvent, Reason};
+use dufp_telemetry::{read_jsonl, write_jsonl, Actuator, DecisionEvent, Reason, TelemetryReport};
 use dufp_types::ArchSpec;
 use dufp_types::SocketId;
 use dufp_workloads::{apps, MaterializeCtx};
@@ -102,7 +102,6 @@ pub fn run_app(spec: &RunSpec) -> Result<String, String> {
         }
         .map_err(|e| e.to_string())?;
         let mut trace_note = String::new();
-        let mut resilience_note = String::new();
         // The trace goes to the file; keep stdout (human or JSON)
         // unchanged apart from a one-line pointer.
         let report = if spec.trace_out.is_some() || (faulted && !spec.json) {
@@ -119,52 +118,13 @@ pub fn run_app(spec: &RunSpec) -> Result<String, String> {
                 report.dropped
             );
         }
-        if faulted {
-            if let Some(report) = &report {
-                let count = |name: &str| {
-                    report
-                        .metrics
-                        .counters
-                        .iter()
-                        .find(|c| c.name == name)
-                        .map(|c| c.value)
-                        .unwrap_or(0)
-                };
-                resilience_note = format!(
-                    "  resilience     : {} actuation retries, {} degradations, {} watchdog resets, {} sample failures\n",
-                    count("actuation_retries_total"),
-                    count("degradations_total"),
-                    count("watchdog_resets_total"),
-                    count("sample_failures_total"),
-                );
-            }
-        }
         if spec.json {
             return serde_json::to_string_pretty(&r).map_err(|e| e.to_string());
         }
         let mut out = String::new();
         writeln!(out, "{} under {}", spec.app, spec.controller.label()).unwrap();
-        writeln!(out, "  execution time : {:>10.2} s", r.exec_time.value()).unwrap();
-        writeln!(
-            out,
-            "  package power  : {:>10.2} W",
-            r.avg_pkg_power.value()
-        )
-        .unwrap();
-        writeln!(
-            out,
-            "  DRAM power     : {:>10.2} W",
-            r.avg_dram_power.value()
-        )
-        .unwrap();
-        writeln!(
-            out,
-            "  total energy   : {:>10.1} J",
-            r.total_energy().value()
-        )
-        .unwrap();
+        write_result(&mut out, &r, report.as_ref().filter(|_| faulted));
         out.push_str(&trace_note);
-        out.push_str(&resilience_note);
         if let Some(dir) = &spec.journal_dir {
             writeln!(out, "  journal        : sealed in {dir}").unwrap();
         }
@@ -198,6 +158,47 @@ pub fn run_app(spec: &RunSpec) -> Result<String, String> {
     }
 }
 
+/// The result lines `run` and `resume` both print: execution time,
+/// package and DRAM power, total energy and, for a run under a fault plan,
+/// the resilience counters of its telemetry `faults` report.
+fn write_result(out: &mut String, r: &RunResult, faults: Option<&TelemetryReport>) {
+    writeln!(out, "  execution time : {:>10.2} s", r.exec_time.value()).unwrap();
+    writeln!(
+        out,
+        "  package power  : {:>10.2} W",
+        r.avg_pkg_power.value()
+    )
+    .unwrap();
+    writeln!(
+        out,
+        "  DRAM power     : {:>10.2} W",
+        r.avg_dram_power.value()
+    )
+    .unwrap();
+    writeln!(
+        out,
+        "  total energy   : {:>10.1} J",
+        r.total_energy().value()
+    )
+    .unwrap();
+    if let Some(report) = faults {
+        let count = |name: &str| {
+            (report.metrics.counters.iter())
+                .find(|c| c.name == name)
+                .map_or(0, |c| c.value)
+        };
+        writeln!(
+            out,
+            "  resilience     : {} actuation retries, {} degradations, {} watchdog resets, {} sample failures",
+            count("actuation_retries_total"),
+            count("degradations_total"),
+            count("watchdog_resets_total"),
+            count("sample_failures_total"),
+        )
+        .unwrap();
+    }
+}
+
 /// `dufp resume <DIR>` — finish a crashed journaled run.
 pub fn resume(cmd: &ResumeCmd) -> Result<String, String> {
     let dir = std::path::Path::new(&cmd.dir);
@@ -216,19 +217,8 @@ pub fn resume(cmd: &ResumeCmd) -> Result<String, String> {
         replayed,
     )
     .unwrap();
-    writeln!(out, "  execution time : {:>10.2} s", r.exec_time.value()).unwrap();
-    writeln!(
-        out,
-        "  package power  : {:>10.2} W",
-        r.avg_pkg_power.value()
-    )
-    .unwrap();
-    writeln!(
-        out,
-        "  total energy   : {:>10.1} J",
-        r.total_energy().value()
-    )
-    .unwrap();
+    let faulted = meta.spec.fault_plan.is_some();
+    write_result(&mut out, &r, r.telemetry.as_ref().filter(|_| faulted));
     writeln!(out, "  journal        : sealed in {}", cmd.dir).unwrap();
     Ok(out)
 }
@@ -1318,6 +1308,39 @@ mod tests {
         let inspect = journal(&cmd).unwrap();
         assert!(inspect.contains("torn tail dropped"), "{inspect}");
         assert!(files() == before, "inspection must not seal the tail");
+    }
+
+    #[test]
+    fn resume_prints_the_result_lines_of_the_uninterrupted_run() {
+        let result_lines = |out: &str| -> Vec<String> {
+            (out.lines())
+                .filter(|l| l.starts_with("  ") && !l.contains("journal"))
+                .map(String::from)
+                .collect()
+        };
+        let run_in = |dir: &dufp_journal::TestDir, plan: &str| {
+            let mut s = spec("EP", 1);
+            s.journal_dir = Some(dir.path().to_str().unwrap().to_string());
+            s.fault_plan = Some(plan.into());
+            run_app(&s)
+        };
+        // Both runs carry a crash-only plan; the reference's never fires.
+        let reference = dufp_journal::TestDir::new("cli-resume-ref");
+        let want = run_in(&reference, "crash,at=1000000000").unwrap();
+        let crashed = dufp_journal::TestDir::new("cli-resume-crash");
+        assert!(run_in(&crashed, "crash,at=7001")
+            .unwrap_err()
+            .contains("crash at tick"));
+        let got = resume(&ResumeCmd {
+            dir: crashed.path().to_str().unwrap().into(),
+            json: false,
+        })
+        .unwrap();
+        assert!(
+            got.contains("DRAM power") && got.contains("resilience"),
+            "{got}"
+        );
+        assert_eq!(result_lines(&got), result_lines(&want));
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! [`recover`] can fall back to the older one when the newest outruns a
 //! torn journal or no longer decodes.
 
-use crate::journal::{read_records, FsyncPolicy, JournalWriter, ReadOutcome};
+use crate::journal::{read_records, sync_dir, FsyncPolicy, JournalWriter, ReadOutcome};
 use dufp_types::Result;
 use std::fs::{self, File, OpenOptions};
 use std::io::{Read, Write};
@@ -58,10 +58,8 @@ pub fn write_file_atomic(dir: &Path, name: &str, payload: &[u8]) -> Result<PathB
         f.sync_data()?;
     }
     fs::rename(&tmp, &target)?;
-    // Make the rename itself durable where the platform allows it.
-    if let Ok(d) = File::open(dir) {
-        let _ = d.sync_all();
-    }
+    // Make the rename itself durable.
+    sync_dir(dir);
     Ok(target)
 }
 

@@ -43,8 +43,11 @@ pub enum FsyncPolicy {
     Always,
     /// `fdatasync` every N records (and on rotation / explicit sync).
     EveryN(u32),
-    /// Never fsync implicitly; the OS flushes when it pleases. Crash
-    /// durability is best-effort but checkpoints still sync explicitly.
+    /// Never fsync implicitly; the OS flushes when it pleases. Explicit
+    /// syncs stay the caller's job: [`JournalWriter::sync`] when it needs
+    /// the records durable (the fleet journal's group commit syncs once
+    /// per allocator epoch), and [`JournalWriter::checkpoint`] syncs the
+    /// log before it seals.
     Never,
 }
 
@@ -197,18 +200,28 @@ impl JournalWriter {
         self
     }
 
+    /// Creates segment `index` and syncs `dir`, best-effort, so that the
+    /// new name survives a machine crash along with the records synced
+    /// into it (POSIX leaves a new file name non-durable until its
+    /// directory is synced).
     fn start_segment(dir: &Path, index: u64) -> Result<File> {
         let mut file = OpenOptions::new()
             .create_new(true)
             .append(true)
             .open(dir.join(segment_name(index)))?;
         file.write_all(SEGMENT_MAGIC)?;
+        sync_dir(dir);
         Ok(file)
     }
 
     /// Records appended so far (including any `existing_records` seed).
     pub fn records_written(&self) -> u64 {
         self.records
+    }
+
+    /// Records appended since the last sync.
+    pub fn unsynced(&self) -> u32 {
+        self.unsynced
     }
 
     /// Appends one record, rotating and fsyncing per policy.
@@ -273,6 +286,14 @@ impl JournalWriter {
         w.sync()?;
         w.policy = policy;
         Ok(w)
+    }
+}
+
+/// Syncs directory `dir` so that the names created in it are durable,
+/// where the platform allows it; a failure is ignored.
+pub(crate) fn sync_dir(dir: &Path) {
+    if let Ok(d) = File::open(dir) {
+        let _ = d.sync_all();
     }
 }
 

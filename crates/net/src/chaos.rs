@@ -615,7 +615,8 @@ impl ChaosFleet {
     /// handover.
     fn promote_standby(&mut self) {
         let mut core = FleetCore::new(&self.coord_cfg, Telemetry::disabled());
-        for ev in self.coords[0].core.journaled_events().unwrap_or_default() {
+        let journal = self.coords[0].core.journal();
+        for ev in journal.and_then(FleetJournal::events).unwrap_or_default() {
             ev.apply(&mut core);
         }
         self.replay_matched = match (&self.dead_primary_snapshot, core.snapshot_bytes()) {

@@ -21,7 +21,9 @@
 //! # High availability (DESIGN.md §15)
 //!
 //! With [`CoordinatorConfig::journal_dir`] set, every core input event is
-//! journaled before it is applied, and [`Coordinator::bind`] on a
+//! journaled before it is applied and is on disk before any grant or
+//! farewell computed from it is sent (one `fdatasync` per epoch, by the
+//! core; the connection handlers never sync), and [`Coordinator::bind`] on a
 //! directory with history *recovers*: checkpoint+replay rebuilds the
 //! fleet byte-identically, the coordination term is bumped past the dead
 //! incarnation's, and stale slots stay pinned (their watts reserved)
@@ -353,6 +355,9 @@ impl Coordinator {
         }
         {
             let mut st = self.shared.state.lock();
+            // A farewell is an output like a grant: every input journaled
+            // before it must be on disk first.
+            st.core.commit_journal();
             let views = st.core.views();
             for (view, stream) in views.iter().zip(st.streams.iter_mut()) {
                 if let Some(s) = stream.as_mut() {

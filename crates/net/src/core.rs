@@ -173,6 +173,7 @@ enum Count {
     AdmissionRejects,
     TermFences,
     Takeovers,
+    JournalCommits,
     JournalErrors,
 }
 
@@ -196,6 +197,7 @@ impl Count {
             Count::AdmissionRejects => "admission_rejects_total",
             Count::TermFences => "term_fences_total",
             Count::Takeovers => "takeovers_total",
+            Count::JournalCommits => "journal_commits_total",
             Count::JournalErrors => "journal_errors_total",
         }
     }
@@ -289,10 +291,10 @@ impl FleetCore {
         self.journal = Some(journal);
     }
 
-    /// The events an attached in-memory journal
-    /// ([`FleetJournal::in_memory`]) kept, in order; `None` without one.
-    pub fn journaled_events(&self) -> Option<&[FleetEvent]> {
-        self.journal.as_ref()?.events()
+    /// The attached journal, if any: the chaos standby replays its
+    /// [`FleetJournal::events`].
+    pub fn journal(&self) -> Option<&FleetJournal> {
+        self.journal.as_ref()
     }
 
     /// Enables pause self-fencing (see the `pause_fence_ms` field). Call
@@ -662,7 +664,7 @@ impl FleetCore {
         self.state.epoch += 1;
         if self.state.fenced_by.is_some() {
             let step = self.frozen_epoch(now_ms);
-            self.maybe_checkpoint();
+            self.close_journal_epoch();
             return step;
         }
         let mut disconnects = Vec::new();
@@ -889,7 +891,7 @@ impl FleetCore {
             grants,
             disconnects,
         };
-        self.maybe_checkpoint();
+        self.close_journal_epoch();
         step
     }
 
@@ -924,16 +926,39 @@ impl FleetCore {
         }
     }
 
-    /// Writes a checkpoint when the journal's cadence calls for one.
-    fn maybe_checkpoint(&mut self) {
-        let Some(mut j) = self.journal.take_if(|j| j.due_for_checkpoint()) else {
+    /// Closes the epoch on the journal before its grants leave: a
+    /// checkpoint when the cadence calls for one, whose log sync is the
+    /// epoch's commit, else a plain commit. Either way the epoch makes
+    /// one log sync, not two.
+    fn close_journal_epoch(&mut self) {
+        let Some(mut j) = self.journal.take() else {
             return;
         };
-        let sealed = self.snapshot_bytes().and_then(|b| j.checkpoint(&b));
-        if sealed.is_err() {
-            self.count(Count::JournalErrors);
-        }
+        let committed = if j.due_for_checkpoint() {
+            (self.snapshot_bytes().and_then(|b| j.checkpoint(&b))).map(|()| true)
+        } else {
+            j.commit()
+        };
         self.journal = Some(j);
+        self.count_commit(committed);
+    }
+
+    /// Makes every journaled input durable (`fdatasync` when the log
+    /// holds unsynced records; a no-op without a disk journal). The
+    /// transport calls it before any frame that is not an epoch's grant
+    /// leaves, such as a farewell; `epoch_once` commits on its own.
+    pub fn commit_journal(&mut self) {
+        if let Some(committed) = self.journal.as_mut().map(FleetJournal::commit) {
+            self.count_commit(committed);
+        }
+    }
+
+    fn count_commit(&self, committed: Result<bool>) {
+        match committed {
+            Ok(true) => self.count(Count::JournalCommits),
+            Ok(false) => {}
+            Err(_) => self.count(Count::JournalErrors),
+        }
     }
 
     fn count(&self, c: Count) {

@@ -9,8 +9,11 @@
 //! crash-safe segmented log the experiment runner uses
 //! ([`dufp_journal::JournalWriter`]), with periodic [`CoreSnapshot`]
 //! checkpoints so recovery replays a bounded tail instead of the whole
-//! history. An in-memory sink ([`FleetJournal::in_memory`]) keeps the same
-//! events for the in-process chaos standby ([`crate::chaos`]) to replay.
+//! history. The log is a group commit: each event is written as it
+//! arrives, and [`FleetJournal::commit`] makes them durable once per
+//! allocator epoch, before the epoch's grants leave (DESIGN.md §15). An
+//! in-memory sink ([`FleetJournal::in_memory`]) keeps the same events for
+//! the in-process chaos standby ([`crate::chaos`]) to replay.
 //!
 //! Recovery ([`recover`]) rebuilds a byte-identical core: start from the
 //! checkpoint [`dufp_journal::recover`] picks (the rule `dufp resume`
@@ -35,9 +38,12 @@ use dufp_types::{Error, Result, Watts};
 use serde::{Deserialize, Serialize};
 use std::path::Path;
 
-/// Checkpoint cadence: a [`CoreSnapshot`] is written every this many
-/// journal events. Small enough that takeover replays are short, large
-/// enough that checkpoint writes stay off the per-frame hot path.
+/// Checkpoint cadence: a [`CoreSnapshot`] is written at the first epoch
+/// close after this many journal events. Checkpoints are only taken at
+/// epoch close, so there is at most one per epoch, and one every epoch
+/// once a fleet journals this many events per epoch (64 agents and up).
+/// Small enough that takeover replays are short, large enough that
+/// small fleets do not encode a snapshot every epoch.
 pub const DEFAULT_FLEET_CHECKPOINT_EVERY: u64 = 64;
 
 /// One journaled coordinator input. The variants mirror the mutating
@@ -209,9 +215,10 @@ enum Sink {
 impl FleetJournal {
     /// Creates a fresh journal in `dir` (which may not exist yet).
     /// Refuses a directory that already holds segments — [`recover`] it
-    /// and continue with [`Recovered::journal`] instead.
+    /// and continue with [`Recovered::journal`] instead. Appends make no
+    /// implicit sync: [`FleetJournal::commit`] does.
     pub fn create(dir: &Path) -> Result<Self> {
-        let writer = JournalWriter::create(dir, FsyncPolicy::default())?;
+        let writer = JournalWriter::create(dir, FsyncPolicy::Never)?;
         Ok(Self::new(Sink::Disk(writer)))
     }
 
@@ -243,7 +250,7 @@ impl FleetJournal {
         }
     }
 
-    /// Appends one event.
+    /// Appends one event: one `write(2)` on disk, no sync.
     pub fn record(&mut self, ev: &FleetEvent) -> Result<()> {
         match &mut self.sink {
             Sink::Disk(writer) => writer.append(&ev.encode()?)?,
@@ -258,8 +265,27 @@ impl FleetJournal {
         matches!(self.sink, Sink::Disk(..)) && self.since_checkpoint >= self.checkpoint_every
     }
 
+    /// Records appended since the last sync (0 in memory).
+    pub fn unsynced(&self) -> u32 {
+        match &self.sink {
+            Sink::Disk(writer) => writer.unsynced(),
+            Sink::Memory(..) => 0,
+        }
+    }
+
+    /// Makes every record appended so far durable: `fdatasync`s the log
+    /// when it holds unsynced records. Returns whether it synced; a no-op
+    /// in memory and when nothing is unsynced.
+    pub fn commit(&mut self) -> Result<bool> {
+        match &mut self.sink {
+            Sink::Disk(writer) if writer.unsynced() > 0 => writer.sync().map(|()| true),
+            _ => Ok(false),
+        }
+    }
+
     /// Durably writes a checkpoint of the caller's current core snapshot,
     /// sealed at the current journal head ([`JournalWriter::checkpoint`]).
+    /// The log sync it starts with commits every record so far.
     pub fn checkpoint(&mut self, snapshot_bytes: &[u8]) -> Result<()> {
         if let Sink::Disk(writer) = &mut self.sink {
             writer.checkpoint(snapshot_bytes)?;
@@ -318,7 +344,7 @@ pub fn recover(dir: &Path, cfg: &CoordinatorConfig, tel: Telemetry) -> Result<Re
     }
     Ok(Recovered {
         core,
-        journal: FleetJournal::new(Sink::Disk(found.reopen(FsyncPolicy::default(), head)?)),
+        journal: FleetJournal::new(Sink::Disk(found.reopen(FsyncPolicy::Never, head)?)),
         journal_head: head,
         events_replayed: head - start,
         last_now_ms,
@@ -532,10 +558,10 @@ mod tests {
         memory.attach_journal(FleetJournal::in_memory());
         drive_every_input(&mut disk);
         drive_every_input(&mut memory);
-        assert_eq!(disk.journaled_events(), None);
+        assert_eq!(disk.journal().and_then(FleetJournal::events), None);
         drop(disk);
 
-        let kept = memory.journaled_events().unwrap();
+        let kept = memory.journal().and_then(FleetJournal::events).unwrap();
         let written: Vec<FleetEvent> = read_records(dir.path())
             .unwrap()
             .records
@@ -548,6 +574,159 @@ mod tests {
         assert_eq!(kept.len(), 2 + 3 * 4 + 3 + 1);
         assert_eq!(kept.last(), Some(&FleetEvent::Fence { term: 5 }));
         assert!(list_checkpoints(dir.path()).unwrap().is_empty());
+    }
+
+    /// A coordinator configuration with room for `agents` floors.
+    fn fleet_cfg(agents: usize) -> CoordinatorConfig {
+        CoordinatorConfig::new("virtual", Watts(100.0 * agents as f64))
+            .with_epoch(Duration::from_millis(1000))
+    }
+
+    /// Admits `agents` nodes, then runs `epochs` epochs in which every
+    /// node reports and the first one heartbeats (`agents` + 2 events per
+    /// epoch); `at_close` sees the core after each `epoch_once`.
+    fn run_fleet(
+        core: &mut FleetCore,
+        agents: usize,
+        epochs: u64,
+        mut at_close: impl FnMut(&FleetCore, u64),
+    ) {
+        for i in 0..agents {
+            core.admit(
+                format!("n{i:03}"),
+                "EP".into(),
+                Watts(65.0),
+                Watts(125.0),
+                0,
+            )
+            .unwrap();
+        }
+        for e in 1..=epochs {
+            for slot in 0..agents {
+                core.on_report(slot, e, Watts(90.0), Watts(85.0), true, e * 1000 - 500);
+            }
+            core.on_heartbeat(0, e, e * 1000 - 400);
+            core.epoch_once(e * 1000);
+            at_close(core, e);
+        }
+    }
+
+    fn unsynced(core: &FleetCore) -> u32 {
+        core.journal().unwrap().unsynced()
+    }
+
+    /// The value of counter `name`; `None` when it never counted.
+    fn counter(tel: &Telemetry, name: &str) -> Option<u64> {
+        let snap = tel.metrics_snapshot();
+        snap.counters
+            .iter()
+            .find(|c| c.name == name)
+            .map(|c| c.value)
+    }
+
+    fn copy_dir(from: &Path, to: &Path) {
+        for entry in std::fs::read_dir(from).unwrap() {
+            let path = entry.unwrap().path();
+            std::fs::copy(&path, to.join(path.file_name().unwrap())).unwrap();
+        }
+    }
+
+    #[test]
+    fn group_commit_leaves_nothing_unsynced_and_every_epoch_close_recovers() {
+        // 2 agents: checkpoints every 16th epoch; 256: one every epoch.
+        for (agents, epochs) in [(2, 20), (256, 3)] {
+            let cfg = fleet_cfg(agents);
+            let dir = TestDir::new("fleet-group-commit");
+            let mut core = FleetCore::new(&cfg, Telemetry::disabled());
+            core.attach_journal(FleetJournal::create(dir.path()).unwrap());
+            let mut closes = Vec::new();
+            run_fleet(&mut core, agents, epochs, |core, e| {
+                assert_eq!(unsynced(core), 0, "{agents} agents, epoch {e}");
+                let head = read_records(dir.path()).unwrap().records.len() as u64;
+                closes.push((head, core.snapshot_bytes().unwrap()));
+            });
+            // The journal cut at each epoch close rebuilds that epoch.
+            for (head, snapshot) in closes {
+                let cut = TestDir::new("fleet-group-commit-cut");
+                copy_dir(dir.path(), cut.path());
+                truncate_records(cut.path(), head).unwrap();
+                let rec = recover(cut.path(), &cfg, Telemetry::disabled()).unwrap();
+                assert_eq!(rec.journal_head, head);
+                let rebuilt = rec.core.snapshot_bytes().unwrap();
+                assert!(rebuilt == snapshot, "{agents} agents, head {head}");
+            }
+        }
+    }
+
+    #[test]
+    fn group_commit_syncs_a_fence_at_the_next_epoch_close() {
+        let dir = TestDir::new("fleet-group-commit-fence");
+        let mut core = FleetCore::new(&fleet_cfg(2), Telemetry::disabled());
+        core.attach_journal(FleetJournal::create(dir.path()).unwrap());
+        run_fleet(&mut core, 2, 2, |_, _| {});
+        assert!(core.observe_term(5).is_err());
+        assert_eq!(unsynced(&core), 1, "the Fence record");
+        core.epoch_once(3000);
+        assert_eq!(unsynced(&core), 0);
+        let last = read_records(dir.path()).unwrap().records.pop().unwrap();
+        assert_eq!(
+            FleetEvent::decode(&last).unwrap(),
+            FleetEvent::Fence { term: 5 }
+        );
+    }
+
+    #[test]
+    fn group_commit_counts_one_sync_per_epoch_on_disk_and_none_in_memory() {
+        let tel = Telemetry::enabled();
+        let dir = TestDir::new("fleet-group-commit-count");
+        let mut disk = FleetCore::new(&fleet_cfg(2), tel.clone());
+        disk.attach_journal(FleetJournal::create(dir.path()).unwrap());
+        run_fleet(&mut disk, 2, 20, |_, _| {});
+        // Epoch 16 checkpointed: its log sync was that epoch's commit.
+        assert_eq!(list_checkpoints(dir.path()).unwrap().len(), 1);
+        assert_eq!(counter(&tel, "journal_commits_total"), Some(20));
+        // Nothing unsynced: no sync, no count.
+        disk.commit_journal();
+        assert_eq!(counter(&tel, "journal_commits_total"), Some(20));
+        // A farewell's commit syncs the inputs since the last epoch.
+        disk.on_report(0, 21, Watts(90.0), Watts(85.0), true, 20_500);
+        disk.commit_journal();
+        assert_eq!(counter(&tel, "journal_commits_total"), Some(21));
+        assert_eq!(unsynced(&disk), 0);
+        assert_eq!(counter(&tel, "journal_errors_total"), None);
+
+        let tel = Telemetry::enabled();
+        let mut memory = FleetCore::new(&fleet_cfg(2), tel.clone());
+        memory.attach_journal(FleetJournal::in_memory());
+        run_fleet(&mut memory, 2, 20, |_, _| {});
+        memory.commit_journal();
+        assert_eq!(unsynced(&memory), 0);
+        assert_eq!(counter(&tel, "journal_commits_total"), None);
+    }
+
+    #[test]
+    fn checkpoints_are_taken_at_epoch_close_at_most_once_per_epoch() {
+        // (agents, epochs, [(epoch, checkpoint seq)]): 2 agents journal 4
+        // events an epoch, so the first close past 64 events is every
+        // 16th; 100 agents pass 64 every epoch.
+        let cases = [
+            (2, 50, vec![(16, 66), (32, 130), (48, 194)]),
+            (100, 5, (1..=5).map(|e| (e, 100 + 102 * e)).collect()),
+        ];
+        for (agents, epochs, want) in cases {
+            let dir = TestDir::new("fleet-cadence");
+            let mut core = FleetCore::new(&fleet_cfg(agents), Telemetry::disabled());
+            core.attach_journal(FleetJournal::create(dir.path()).unwrap());
+            let mut taken = Vec::new();
+            run_fleet(&mut core, agents, epochs, |_, e| {
+                if let Some((seq, _)) = list_checkpoints(dir.path()).unwrap().pop() {
+                    if taken.last().map(|&(_, last)| last) != Some(seq) {
+                        taken.push((e, seq));
+                    }
+                }
+            });
+            assert_eq!(taken, want, "{agents} agents");
+        }
     }
 
     #[test]
