@@ -34,7 +34,8 @@
 //!   run fenced, never obeyed.
 //!
 //! The result is one [`ScenarioScore`] per scenario; [`run_matrix`] runs
-//! the built-in [`SCENARIOS`] and ranks them. `dufp chaos` is the CLI
+//! the built-in [`SCENARIOS`] across the shared rayon pool, one
+//! single-threaded fleet each, and ranks them. `dufp chaos` is the CLI
 //! face; CI fails the build on any conservation or floor violation.
 
 use crate::agent::{AgentCore, GrantVerdict};
@@ -48,6 +49,7 @@ use dufp_msr::fault::{FaultInjector, FaultOp, FaultPlan};
 use dufp_msr::registers::MSR_PKG_POWER_LIMIT;
 use dufp_telemetry::Telemetry;
 use dufp_types::{splitmix, Error, Result, Watts};
+use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::time::Duration;
@@ -1096,19 +1098,30 @@ pub fn run_scenario(cfg: &ChaosConfig, name: &str) -> Result<ScenarioScore> {
     Ok(ChaosFleet::new(cfg.clone(), sc)?.run())
 }
 
-/// Runs the full built-in matrix under `cfg` and ranks the scorecard:
-/// best score first, name as the tiebreak.
+/// Runs the full built-in matrix under `cfg` and ranks the scorecard.
+///
+/// The scenarios are independent, so they fan out across the shared
+/// rayon pool (all available cores; inline on one core or inside another
+/// pool's worker). Each still runs single-threaded on its own
+/// [`ChaosFleet`], and the pool returns the cards in input order, so the
+/// ranked scorecard does not depend on the pool's width.
 pub fn run_matrix(cfg: &ChaosConfig) -> Result<Vec<ScenarioScore>> {
-    let mut cards = Vec::with_capacity(SCENARIOS.len());
-    for sc in SCENARIOS {
-        cards.push(ChaosFleet::new(cfg.clone(), sc)?.run());
-    }
+    cfg.validate()?;
+    let mut cards = SCENARIOS
+        .par_iter()
+        .map(|sc| Ok(ChaosFleet::new(cfg.clone(), sc)?.run()))
+        .collect::<Result<Vec<_>>>()?;
+    rank(&mut cards);
+    Ok(cards)
+}
+
+/// Orders a scorecard best score first, name as the tiebreak.
+fn rank(cards: &mut [ScenarioScore]) {
     cards.sort_by(|a, b| {
         b.score
             .total_cmp(&a.score)
             .then_with(|| a.scenario.cmp(&b.scenario))
     });
-    Ok(cards)
 }
 
 /// One frame through the chaos transport, either direction: a cut link
@@ -1211,6 +1224,32 @@ mod tests {
         assert_eq!(a, b);
         let c = run_matrix(&ChaosConfig::new(8)).unwrap();
         assert_ne!(a, c, "different seed should change some tallies");
+    }
+
+    #[test]
+    fn the_chaos_matrix_does_not_depend_on_the_pool_width() {
+        let fleet = ChaosConfig {
+            agents: 64,
+            epochs: 60,
+            budget: Watts(5600.0),
+            ..ChaosConfig::new(7)
+        };
+        let one = rayon::ThreadPoolBuilder::new()
+            .num_threads(1)
+            .build()
+            .unwrap();
+        for cfg in [ChaosConfig::new(42), fleet] {
+            let serial = one.install(|| run_matrix(&cfg)).unwrap();
+            let pooled = run_matrix(&cfg).unwrap();
+            let mut single: Vec<_> = SCENARIOS
+                .iter()
+                .map(|sc| run_scenario(&cfg, sc.name).unwrap())
+                .collect();
+            rank(&mut single);
+            assert_eq!(serial.len(), SCENARIOS.len());
+            assert_eq!(pooled, serial, "{} agents", cfg.agents);
+            assert_eq!(single, serial, "{} agents", cfg.agents);
+        }
     }
 
     #[test]
