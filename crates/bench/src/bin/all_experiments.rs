@@ -250,15 +250,7 @@ fn regenerate(args: &ExperimentsArgs) -> std::result::Result<(), Box<dyn std::er
         v.ratios.dram_power_savings_pct
     });
 
-    // ---- Fig 5 ----
-    writeln!(md, "\n## Fig 5 — CPU frequency, CG @ 10 %\n").unwrap();
-    writeln!(
-        md,
-        "| controller | avg core freq (GHz) | paper |\n|---|---|---|\n\
-         | DUF | {:.2} | ≈2.8 |\n| DUFP | {:.2} | ≈2.5 |",
-        duf_trace.avg_core_ghz, dufp_trace.avg_core_ghz
-    )
-    .unwrap();
+    md.push_str(&trace_section(&duf_trace, &dufp_trace));
 
     // ---- measurement stability (paper §V: error bars < 2 % mostly) ----
     let mut spreads: Vec<f64> = Vec::new();
@@ -289,8 +281,6 @@ fn regenerate(args: &ExperimentsArgs) -> std::result::Result<(), Box<dyn std::er
          {who} (paper: 3.17 % on LAMMPS @ 20 %)."
     )
     .unwrap();
-
-    md.push_str(&trace_section(&duf_trace, &dufp_trace));
 
     // ---- extension studies ----
     eprintln!("all_experiments: extension studies...");

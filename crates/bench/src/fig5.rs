@@ -82,19 +82,14 @@ pub fn trace_csv(t: &FreqTrace) -> String {
 }
 
 /// The traces' `EXPERIMENTS.md` section: each controller's average core
-/// frequency and package power.
+/// frequency against the paper's, and its package power.
 pub fn trace_section(duf: &FreqTrace, dufp: &FreqTrace) -> String {
     section(
-        "Fig 5 — CPU frequency, CG @ 10% tolerated slowdown",
+        "Fig 5 — CPU frequency, CG @ 10 %",
         &format!(
-            "{}: average core frequency {:.2} GHz (paper: ≈2.8 GHz), package {:.1} W\n\
-             {}: average core frequency {:.2} GHz (paper: ≈2.5 GHz), package {:.1} W\n",
-            duf.label,
-            duf.avg_core_ghz,
-            duf.avg_pkg_power,
-            dufp.label,
-            dufp.avg_core_ghz,
-            dufp.avg_pkg_power
+            "| controller | avg core freq (GHz) | paper | package (W) |\n|---|---|---|---|\n\
+             | DUF | {:.2} | ≈2.8 | {:.1} |\n| DUFP | {:.2} | ≈2.5 | {:.1} |\n",
+            duf.avg_core_ghz, duf.avg_pkg_power, dufp.avg_core_ghz, dufp.avg_pkg_power
         ),
         "Power capping enables core-frequency reduction that uncore scaling \
          alone cannot reach — the source of DUFP's extra package savings (§V-E).",

@@ -59,7 +59,7 @@ pub fn write_file_atomic(dir: &Path, name: &str, payload: &[u8]) -> Result<PathB
     }
     fs::rename(&tmp, &target)?;
     // Make the rename itself durable.
-    sync_dir(dir);
+    sync_dir(dir)?;
     Ok(target)
 }
 

@@ -200,17 +200,15 @@ impl JournalWriter {
         self
     }
 
-    /// Creates segment `index` and syncs `dir`, best-effort, so that the
-    /// new name survives a machine crash along with the records synced
-    /// into it (POSIX leaves a new file name non-durable until its
-    /// directory is synced).
+    /// Creates segment `index` and syncs `dir`, so that the new name
+    /// survives a machine crash along with the records synced into it.
     fn start_segment(dir: &Path, index: u64) -> Result<File> {
         let mut file = OpenOptions::new()
             .create_new(true)
             .append(true)
             .open(dir.join(segment_name(index)))?;
         file.write_all(SEGMENT_MAGIC)?;
-        sync_dir(dir);
+        sync_dir(dir)?;
         Ok(file)
     }
 
@@ -289,12 +287,12 @@ impl JournalWriter {
     }
 }
 
-/// Syncs directory `dir` so that the names created in it are durable,
-/// where the platform allows it; a failure is ignored.
-pub(crate) fn sync_dir(dir: &Path) {
-    if let Ok(d) = File::open(dir) {
-        let _ = d.sync_all();
-    }
+/// Syncs directory `dir` so that the names created or renamed in it are
+/// durable: POSIX leaves a new name non-durable until its directory is
+/// synced.
+pub(crate) fn sync_dir(dir: &Path) -> Result<()> {
+    File::open(dir)?.sync_all()?;
+    Ok(())
 }
 
 /// Result of a corruption-tolerant journal read.
@@ -397,6 +395,13 @@ mod tests {
         for bad in ["every:0", "every:x", "every:", "sometimes", ""] {
             assert!(FsyncPolicy::parse(bad).is_err(), "{bad}");
         }
+    }
+
+    #[test]
+    fn syncing_a_missing_directory_is_an_error() {
+        let t = TestDir::new("journal-sync-dir");
+        assert!(sync_dir(t.path()).is_ok());
+        assert!(sync_dir(&t.path().join("missing")).is_err());
     }
 
     fn payloads(n: usize) -> Vec<Vec<u8>> {

@@ -3,8 +3,9 @@
 //! demand to the coordinator and enforcing the ceilings it grants.
 //!
 //! Its protocol decisions live in [`AgentCore`], a transport-free state
-//! machine the chaos fleet ([`crate::chaos`]) drives too, so the soak and
-//! the adversarial proptests check the code the agent ships.
+//! machine: every coordinator frame goes through [`AgentCore::on_frame`],
+//! here and in the chaos fleet ([`crate::chaos`]), so the soak and the
+//! adversarial proptests check the code the agent ships.
 //!
 //! The agent is built to survive the coordinator, not the other way
 //! around. It connects with bounded retry/backoff; if the coordinator is
@@ -74,20 +75,43 @@ pub struct AgentOutcome {
     pub telemetry: TelemetryReport,
 }
 
-/// What [`AgentCore::on_grant`] decided about one `BudgetGrant`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GrantVerdict {
-    /// Newer than every commit: actuate, then [`AgentCore::commit`].
-    Apply,
-    /// A superseded coordinator's grant, below `seen`, the highest term
-    /// seen: obeying it would let a split brain double-spend the budget.
+/// What [`AgentCore::on_frame`] made of one coordinator-to-agent frame. A
+/// transport reacts to this and never looks at the frame itself.
+#[derive(Debug, Clone, PartialEq)]
+pub enum AgentInbound {
+    /// A `BudgetGrant` newer than every commit, so it went to the
+    /// actuator; uncommitted, a later copy can still apply.
+    Apply {
+        /// The grant's coordination term.
+        term: u64,
+        /// The grant's allocator epoch.
+        epoch: u64,
+        /// The granted ceiling.
+        ceiling: Watts,
+        /// Whether the grant raised or shrank the node's share.
+        kind: GrantKind,
+        /// The actuator reported the ceiling in force.
+        committed: bool,
+    },
+    /// A `BudgetGrant` below `seen`, the highest term seen: obeying a
+    /// superseded coordinator would let a split brain double-spend.
     Fenced {
+        /// The grant's coordination term.
+        term: u64,
+        /// The grant's allocator epoch.
+        epoch: u64,
         /// The highest term seen.
         seen: u64,
     },
-    /// Not newer than the last committed `(term, epoch)`: a delayed,
-    /// duplicated or replayed grant.
+    /// A `BudgetGrant` not newer than the last committed `(term, epoch)`:
+    /// a delayed, duplicated or replayed grant.
     Stale,
+    /// A `Handover` whose term the core adopted: re-home to `successor`.
+    Handover(String),
+    /// A `Goodbye`: the coordinator detached on purpose.
+    Goodbye,
+    /// A `Hello`, `DemandReport` or `Heartbeat`: the peer is confused.
+    WrongDirection,
 }
 
 /// The transport-free agent state machine (DESIGN.md §12, §15): term
@@ -131,36 +155,52 @@ impl AgentCore {
         }
     }
 
-    /// Judges a `BudgetGrant`: fencing first (adopting a fresh `term`),
-    /// then ordering against the last *commit*, so a grant whose
-    /// actuation failed can be applied from a later copy.
-    #[must_use]
-    pub fn on_grant(&mut self, term: u64, epoch: u64) -> GrantVerdict {
-        if term < self.max_term {
-            self.stale_term_grants += 1;
-            return GrantVerdict::Fenced {
-                seen: self.max_term,
-            };
+    /// Handles one frame from the coordinator: the one dispatch both
+    /// transports share. A grant is fenced by term (adopting a fresh one),
+    /// then ordered against the last *commit*; a newer one goes to
+    /// `actuate` and commits only if `actuate` reports its ceiling in
+    /// force. A `Handover` adopts its term.
+    pub fn on_frame(&mut self, frame: Frame, actuate: impl FnOnce(Watts) -> bool) -> AgentInbound {
+        match frame {
+            Frame::BudgetGrant {
+                epoch,
+                ceiling,
+                kind,
+                term,
+            } => {
+                if term < self.max_term {
+                    self.stale_term_grants += 1;
+                    let seen = self.max_term;
+                    return AgentInbound::Fenced { term, epoch, seen };
+                }
+                self.max_term = term;
+                if (term, epoch) <= self.last_grant {
+                    return AgentInbound::Stale;
+                }
+                let committed = actuate(ceiling);
+                if committed {
+                    self.last_grant = (term, epoch);
+                    self.granted = Some(ceiling);
+                    self.ceiling = ceiling;
+                    self.grants_applied += 1;
+                }
+                AgentInbound::Apply {
+                    term,
+                    epoch,
+                    ceiling,
+                    kind,
+                    committed,
+                }
+            }
+            Frame::Handover { successor, term } => {
+                self.max_term = self.max_term.max(term);
+                AgentInbound::Handover(successor)
+            }
+            Frame::Goodbye => AgentInbound::Goodbye,
+            Frame::Hello { .. } | Frame::DemandReport { .. } | Frame::Heartbeat { .. } => {
+                AgentInbound::WrongDirection
+            }
         }
-        self.max_term = term;
-        if (term, epoch) <= self.last_grant {
-            return GrantVerdict::Stale;
-        }
-        GrantVerdict::Apply
-    }
-
-    /// Records an [`GrantVerdict::Apply`] grant once `ceiling` actuated.
-    pub fn commit(&mut self, term: u64, epoch: u64, ceiling: Watts) {
-        self.last_grant = (term, epoch);
-        self.granted = Some(ceiling);
-        self.ceiling = ceiling;
-        self.grants_applied += 1;
-    }
-
-    /// Adopts a `Handover`'s `term`, so nothing older is obeyed while the
-    /// agent re-homes.
-    pub fn on_handover(&mut self, term: u64) {
-        self.max_term = self.max_term.max(term);
     }
 
     /// Notes whether the link is up at tick `now`. Once it has been down
@@ -623,65 +663,56 @@ fn attach(
     Ok(writer)
 }
 
-/// Applies coordinator frames until the connection dies or says Goodbye.
+/// Applies coordinator frames through [`AgentCore::on_frame`] until the
+/// connection dies or says Goodbye.
 fn reader_loop(mut stream: TcpStream, link: Arc<Link>) {
-    loop {
-        match Frame::read_from(&mut stream) {
-            Ok(Some(Frame::BudgetGrant {
+    // EOF or a wire error ends the loop: the coordinator is gone.
+    while let Ok(Some(frame)) = Frame::read_from(&mut stream) {
+        let mut old = Watts::ZERO;
+        let inbound = link.core.lock().on_frame(frame, |ceiling| {
+            old = link.capper.budget().ceiling();
+            if link.capper.set_ceiling(SocketId(0), ceiling).is_err() {
+                link.tel.counter("enforce_failures_total").inc();
+            }
+            // `set_ceiling` moves the budget ceiling before it enforces
+            // it, so the grant is in force even when the write failed.
+            true
+        });
+        let (epoch, old, new, reason) = match inbound {
+            AgentInbound::Apply {
                 epoch,
                 ceiling,
                 kind,
-                term,
-            })) => {
-                let mut core = link.core.lock();
-                let (old, new, reason) = match core.on_grant(term, epoch) {
-                    GrantVerdict::Fenced { seen } => {
-                        link.tel.counter("stale_term_grants_fenced_total").inc();
-                        (term as f64, seen as f64, Reason::TermFenced)
-                    }
-                    GrantVerdict::Stale => {
-                        link.tel.counter("stale_grants_ignored_total").inc();
-                        continue;
-                    }
-                    GrantVerdict::Apply => {
-                        let old = link.capper.budget().ceiling();
-                        if link.capper.set_ceiling(SocketId(0), ceiling).is_err() {
-                            link.tel.counter("enforce_failures_total").inc();
-                        }
-                        core.commit(term, epoch, ceiling);
-                        let reason = match kind {
-                            GrantKind::Raise => Reason::BudgetGrant,
-                            GrantKind::Shrink => Reason::BudgetShrink,
-                        };
-                        (old.value(), ceiling.value(), reason)
-                    }
-                };
-                drop(core);
-                let decision = DecisionEvent::new(epoch, Actuator::Budget, old, new, reason);
-                link.tel.record_decision(decision);
+                ..
+            } => (epoch, old.value(), ceiling.value(), kind.reason()),
+            AgentInbound::Fenced { term, epoch, seen } => {
+                link.tel.counter("stale_term_grants_fenced_total").inc();
+                (epoch, term as f64, seen as f64, Reason::TermFenced)
             }
-            Ok(Some(Frame::Handover { successor, term })) => {
+            AgentInbound::Stale => {
+                link.tel.counter("stale_grants_ignored_total").inc();
+                continue;
+            }
+            AgentInbound::Handover(successor) => {
                 // The coordinator is leaving on purpose and named its
-                // heir: adopt the heir's term now so nothing older is
-                // obeyed, and let the control loop re-home immediately —
-                // no disconnect grace, no safe-cap dip.
-                link.core.lock().on_handover(term);
+                // heir, whose term the core adopted: let the control loop
+                // re-home immediately — no disconnect grace, no safe-cap
+                // dip.
                 *link.end.lock() = Some(LinkEnd::Handover(successor));
                 link.tel.counter("handovers_received_total").inc();
-                break;
+                return;
             }
-            Ok(Some(Frame::Goodbye)) => {
+            AgentInbound::Goodbye => {
                 *link.end.lock() = Some(LinkEnd::Goodbye);
-                break;
+                return;
             }
-            // EOF, a wire error, or agent-to-coordinator frames arriving
-            // here (a confused peer): treat like loss.
-            _ => {
-                link.lost();
-                break;
-            }
-        }
+            // A confused peer: treat like loss.
+            AgentInbound::WrongDirection => break,
+        };
+        let decision = DecisionEvent::new(epoch, Actuator::Budget, old, new, reason);
+        link.tel.record_decision(decision);
     }
+    link.lost();
 }
 
 #[cfg(test)]
@@ -696,39 +727,85 @@ mod tests {
 
     const SAFE: Watts = Watts(90.0);
 
+    /// Hands `core` a `(term, epoch)` grant of `ceiling` through an
+    /// actuator that reports `actuated`.
+    fn grant(
+        core: &mut AgentCore,
+        term: u64,
+        epoch: u64,
+        ceiling: f64,
+        actuated: bool,
+    ) -> AgentInbound {
+        let frame = Frame::BudgetGrant {
+            epoch,
+            ceiling: Watts(ceiling),
+            kind: GrantKind::Raise,
+            term,
+        };
+        core.on_frame(frame, |_| actuated)
+    }
+
+    /// Whether `inbound` is an applicable grant, and if so whether it
+    /// committed.
+    fn committed(inbound: AgentInbound) -> Option<bool> {
+        match inbound {
+            AgentInbound::Apply { committed, .. } => Some(committed),
+            _ => None,
+        }
+    }
+
+    /// The highest term a fenced grant was refused under.
+    fn fenced_by(inbound: AgentInbound) -> Option<u64> {
+        match inbound {
+            AgentInbound::Fenced { seen, .. } => Some(seen),
+            _ => None,
+        }
+    }
+
     /// A core that has committed `(term, epoch)` at `ceiling`.
     fn granted(term: u64, epoch: u64, ceiling: f64) -> AgentCore {
         let mut core = AgentCore::new(SAFE, 0);
-        assert_eq!(core.on_grant(term, epoch), GrantVerdict::Apply);
-        core.commit(term, epoch, Watts(ceiling));
+        assert_eq!(
+            committed(grant(&mut core, term, epoch, ceiling, true)),
+            Some(true)
+        );
         core
     }
 
     #[test]
     fn agent_core_fences_grants_below_the_highest_term_seen() {
         let mut core = granted(2, 5, 110.0);
-        assert_eq!(core.on_grant(1, 99), GrantVerdict::Fenced { seen: 2 });
+        assert_eq!(fenced_by(grant(&mut core, 1, 99, 120.0, true)), Some(2));
         assert_eq!(core.stale_term_grants(), 1);
         assert_eq!(core.ceiling(), Watts(110.0));
-        // A newer term is adopted even before it commits anything.
-        assert_eq!(core.on_grant(3, 1), GrantVerdict::Apply);
+        // A newer term is adopted even when its grant does not commit.
+        assert_eq!(committed(grant(&mut core, 3, 1, 120.0, false)), Some(false));
         assert_eq!(core.max_term(), 3);
-        assert_eq!(core.on_grant(2, 6), GrantVerdict::Fenced { seen: 3 });
+        assert_eq!(fenced_by(grant(&mut core, 2, 6, 120.0, true)), Some(3));
+        assert_eq!(core.ceiling(), Watts(110.0));
     }
 
     #[test]
     fn agent_core_orders_grants_by_term_then_epoch() {
         let mut core = granted(1, 5, 110.0);
-        assert_eq!(core.on_grant(1, 5), GrantVerdict::Stale, "duplicate");
-        assert_eq!(core.on_grant(1, 4), GrantVerdict::Stale, "delayed");
-        assert_eq!(core.on_grant(1, 6), GrantVerdict::Apply);
+        assert_eq!(
+            grant(&mut core, 1, 5, 120.0, true),
+            AgentInbound::Stale,
+            "duplicate"
+        );
+        assert_eq!(
+            grant(&mut core, 1, 4, 120.0, true),
+            AgentInbound::Stale,
+            "delayed"
+        );
+        assert_eq!(core.ceiling(), Watts(110.0));
+        assert_eq!(committed(grant(&mut core, 1, 6, 100.0, true)), Some(true));
         // A new term wins even with a smaller epoch counter.
-        assert_eq!(core.on_grant(2, 1), GrantVerdict::Apply);
-        core.commit(2, 1, Watts(70.0));
-        assert_eq!(core.on_grant(2, 1), GrantVerdict::Stale);
+        assert_eq!(committed(grant(&mut core, 2, 1, 70.0, true)), Some(true));
+        assert_eq!(grant(&mut core, 2, 1, 120.0, true), AgentInbound::Stale);
         assert_eq!(core.ceiling(), Watts(70.0));
         assert_eq!(core.granted(), Some(Watts(70.0)));
-        assert_eq!(core.grants_applied(), 2);
+        assert_eq!(core.grants_applied(), 3);
     }
 
     #[test]
@@ -736,22 +813,105 @@ mod tests {
         let mut core = granted(1, 5, 110.0);
         // The actuation for (1, 6) failed: no commit, so the ceiling stays
         // and a redelivered copy is still applicable.
-        assert_eq!(core.on_grant(1, 6), GrantVerdict::Apply);
-        assert_eq!(core.ceiling(), Watts(110.0));
-        assert_eq!(core.grants_applied(), 1);
-        assert_eq!(core.on_grant(1, 6), GrantVerdict::Apply);
+        assert_eq!(committed(grant(&mut core, 1, 6, 120.0, false)), Some(false));
+        assert_eq!((core.ceiling(), core.grants_applied()), (Watts(110.0), 1));
+        assert_eq!(committed(grant(&mut core, 1, 6, 120.0, true)), Some(true));
+        assert_eq!((core.ceiling(), core.grants_applied()), (Watts(120.0), 2));
+        assert_eq!(grant(&mut core, 1, 6, 120.0, true), AgentInbound::Stale);
+    }
+
+    #[test]
+    fn agent_core_never_actuates_a_fenced_or_stale_grant() {
+        let mut core = granted(2, 5, 110.0);
+        for (term, epoch) in [(1, 9), (2, 5), (2, 4)] {
+            let frame = Frame::BudgetGrant {
+                epoch,
+                ceiling: Watts(120.0),
+                kind: GrantKind::Shrink,
+                term,
+            };
+            core.on_frame(frame, |_| panic!("({term}, {epoch}) reached the actuator"));
+        }
+    }
+
+    #[test]
+    fn agent_core_reports_every_grant_field() {
+        let mut core = granted(2, 5, 110.0);
+        let frame = Frame::BudgetGrant {
+            epoch: 6,
+            ceiling: Watts(80.0),
+            kind: GrantKind::Shrink,
+            term: 2,
+        };
+        let mut actuated = None;
+        let inbound = core.on_frame(frame, |c| {
+            actuated = Some(c);
+            true
+        });
+        assert_eq!(actuated, Some(Watts(80.0)));
+        let apply = AgentInbound::Apply {
+            term: 2,
+            epoch: 6,
+            ceiling: Watts(80.0),
+            kind: GrantKind::Shrink,
+            committed: true,
+        };
+        assert_eq!(inbound, apply);
+        let fenced = AgentInbound::Fenced {
+            term: 1,
+            epoch: 9,
+            seen: 2,
+        };
+        assert_eq!(grant(&mut core, 1, 9, 120.0, true), fenced);
     }
 
     #[test]
     fn agent_core_adopts_a_handover_term() {
         let mut core = granted(1, 5, 110.0);
-        core.on_handover(2);
+        let handover = |term| Frame::Handover {
+            successor: "s:2".into(),
+            term,
+        };
+        let never = |_| panic!("a handover actuates nothing");
+        assert_eq!(
+            core.on_frame(handover(2), never),
+            AgentInbound::Handover("s:2".into())
+        );
         assert_eq!(core.max_term(), 2);
-        assert_eq!(core.on_grant(1, 6), GrantVerdict::Fenced { seen: 2 });
-        core.on_handover(1);
+        assert_eq!(fenced_by(grant(&mut core, 1, 6, 120.0, true)), Some(2));
+        core.on_frame(handover(1), never);
         assert_eq!(core.max_term(), 2, "a handover never lowers the term");
         // The granted ceiling survives the handover itself.
         assert_eq!(core.ceiling(), Watts(110.0));
+    }
+
+    #[test]
+    fn agent_core_passes_goodbye_and_flags_up_direction_frames() {
+        let mut core = granted(1, 5, 110.0);
+        let never = |_| panic!("only a grant actuates");
+        assert_eq!(core.on_frame(Frame::Goodbye, never), AgentInbound::Goodbye);
+        let up = [
+            Frame::Hello {
+                node: "n0".into(),
+                floor: Watts(65.0),
+                node_max: Watts(125.0),
+                app: "EP".into(),
+                term: 9,
+            },
+            Frame::DemandReport {
+                seq: 1,
+                ceiling: Watts(120.0),
+                consumption: Watts(100.0),
+                active: true,
+            },
+            Frame::Heartbeat { seq: 1, term: 9 },
+        ];
+        for frame in up {
+            assert_eq!(core.on_frame(frame, never), AgentInbound::WrongDirection);
+        }
+        // None of them touched the grant state or the term.
+        assert_eq!((core.max_term(), core.ceiling()), (1, Watts(110.0)));
+        assert_eq!(core.grants_applied(), 1);
     }
 
     #[test]
@@ -761,8 +921,7 @@ mod tests {
         assert_eq!((tcp.ceiling(), tcp.granted()), (SAFE, None));
 
         let mut chaos = AgentCore::new(SAFE, 2);
-        assert_eq!(chaos.on_grant(1, 1), GrantVerdict::Apply);
-        chaos.commit(1, 1, Watts(110.0));
+        assert_eq!(committed(grant(&mut chaos, 1, 1, 110.0, true)), Some(true));
         assert_eq!(chaos.on_link(false, 10), None, "the clock starts at 10");
         assert_eq!(chaos.on_link(false, 11), None, "inside the grace");
         assert_eq!(chaos.ceiling(), Watts(110.0));

@@ -1,16 +1,18 @@
 //! The deterministic adversarial fleet soak: seeded chaos scenarios over
 //! an in-process fleet, scored into a resilience scorecard.
 //!
-//! A [`ChaosFleet`] drives the same [`FleetCore`] brain the TCP
-//! coordinator runs, but over a virtual, epoch-granular transport: every
-//! frame an agent or the coordinator sends is an encoded byte buffer in a
-//! per-peer queue, and a seeded [`NetFaultInjector`] decides each frame's
-//! fate (drop, delay, duplicate, corrupt, reorder) plus link partitions,
-//! agent kills and byzantine behaviors. There is no wall clock, no
-//! thread, no socket: epoch `e` *is* `now_ms = e × 1000`, the loop is
-//! single-threaded, and every random draw comes from SplitMix64 streams
-//! keyed on the run seed — so one seed replays the entire soak, scorecard
-//! included, byte-identically.
+//! A [`ChaosFleet`] runs the same [`FleetCore`] brain and [`AgentCore`]
+//! agents as the TCP shells, over a virtual, epoch-granular transport:
+//! every frame an agent or the coordinator sends is an encoded byte
+//! buffer in a per-peer queue, and a seeded [`NetFaultInjector`] decides
+//! each frame's fate (drop, delay, duplicate, corrupt, reorder) plus link
+//! partitions, agent kills and byzantine behaviors. A delivered frame goes
+//! to [`FleetCore::ingest`] or [`AgentCore::on_frame`], the dispatch the
+//! TCP shells call; the harness keeps only its reaction to the outcome.
+//! There is no wall clock, no thread, no socket: epoch `e` *is* `now_ms =
+//! e × 1000`, the loop is single-threaded, and every random draw comes
+//! from SplitMix64 streams keyed on the run seed — so one seed replays the
+//! entire soak, scorecard included, byte-identically.
 //!
 //! Each scenario run checks the fleet's hard invariants every epoch:
 //!
@@ -22,9 +24,8 @@
 //! * **Reclaim latency** — a killed agent's watts return to the pool
 //!   within two epochs.
 //! * **Safe-cap fallback** — an agent partitioned or disconnected past a
-//!   grace period enforces at most its safe local cap. Agents run the
-//!   shipped [`AgentCore`], and the check reads the ceiling the core
-//!   enforces after its fallback.
+//!   grace period enforces at most its safe local cap, read from the
+//!   ceiling its core enforces after the fallback.
 //! * **Failover** (DESIGN.md §15) — when the plan kills the *primary
 //!   coordinator* (`coord-kill`), a warm standby replays the events the
 //!   primary's core journaled (into an in-memory [`FleetJournal`]), must
@@ -38,9 +39,9 @@
 //! single-threaded fleet each, and ranks them. `dufp chaos` is the CLI
 //! face; CI fails the build on any conservation or floor violation.
 
-use crate::agent::{AgentCore, GrantVerdict};
+use crate::agent::{AgentCore, AgentInbound};
 use crate::config::{fund_floors, CoordinatorConfig};
-use crate::core::{EpochStep, FleetCore, NodeState};
+use crate::core::{EpochStep, FleetCore, Inbound, NodeState};
 use crate::fleet_journal::FleetJournal;
 use crate::netfault::{Dir, NetFaultInjector, NetFaultOp, NetFaultPlan};
 use crate::vet::Trust;
@@ -371,10 +372,15 @@ impl SimAgent {
         if self.killed_at.is_none() {
             self.killed_at = Some(epoch);
         }
-        self.coord = None;
-        self.slot = None;
+        self.unlink();
         self.up.clear();
         self.down.clear();
+    }
+
+    /// The coordinator link closes; the agent re-dials from scratch.
+    fn unlink(&mut self) {
+        self.coord = None;
+        self.slot = None;
     }
 
     /// A fresh process: a fresh core. It forgets the terms it has seen —
@@ -525,8 +531,7 @@ impl ChaosFleet {
             self.dead_primary_snapshot = self.coords[0].core.snapshot_bytes().ok();
             for a in &mut self.agents {
                 if a.coord == Some(0) {
-                    a.coord = None;
-                    a.slot = None;
+                    a.unlink();
                 }
             }
             // Down-queues are NOT flushed: grants already in flight from
@@ -590,8 +595,7 @@ impl ChaosFleet {
             // Coordinator-side disconnects close the agent's link.
             for &slot in &step.disconnects {
                 if let Some(owner) = self.linked_owner(*c, slot) {
-                    self.agents[owner].slot = None;
-                    self.agents[owner].coord = None;
+                    self.agents[owner].unlink();
                 }
             }
 
@@ -664,8 +668,7 @@ impl ChaosFleet {
             let a = &mut self.agents[i];
             if let Some(c) = a.coord {
                 if !self.coords[c].alive || self.coords[c].core.fenced() {
-                    a.coord = None;
-                    a.slot = None;
+                    a.unlink();
                 }
             }
             if !partitioned
@@ -679,40 +682,25 @@ impl ChaosFleet {
             !partitioned && a.slot.is_some()
         };
 
-        // Apply deliverable grants through the agent core, unless the MSR
-        // fault plan says this epoch's cap write fails.
+        // Hand deliverable frames to the agent core; the MSR fault plan
+        // decides whether this epoch's cap write puts a grant in force.
         let due = drain_due(&mut self.agents[i].down, epoch);
         for (_, (), bytes) in due {
-            let frame = match Frame::decode(&bytes) {
-                Ok(f) => f,
-                Err(_) => {
-                    self.tallies.wire_errors += 1;
-                    continue;
-                }
+            let Ok(frame) = Frame::decode(&bytes) else {
+                self.tallies.wire_errors += 1;
+                continue;
             };
-            match frame {
-                Frame::BudgetGrant {
-                    epoch: grant_epoch,
-                    ceiling,
+            let msr = &self.msr;
+            let a = &mut self.agents[i];
+            let inbound = a.core.on_frame(frame, |_| {
+                !msr.should_fail_at(FaultOp::Write, i, MSR_PKG_POWER_LIMIT, Some(epoch))
+            });
+            match inbound {
+                AgentInbound::Apply {
                     term,
+                    committed: true,
                     ..
                 } => {
-                    let a = &mut self.agents[i];
-                    match a.core.on_grant(term, grant_epoch) {
-                        GrantVerdict::Fenced { .. } => {
-                            self.tallies.stale_grants_fenced += 1;
-                            continue;
-                        }
-                        GrantVerdict::Stale => continue,
-                        GrantVerdict::Apply => {}
-                    }
-                    if self
-                        .msr
-                        .should_fail_at(FaultOp::Write, i, MSR_PKG_POWER_LIMIT, Some(epoch))
-                    {
-                        continue; // actuation failed; grant not committed
-                    }
-                    a.core.commit(term, grant_epoch, ceiling);
                     if term > 1 && self.takeover_epoch.is_none() {
                         self.takeover_epoch = Some(epoch);
                     }
@@ -721,11 +709,11 @@ impl ChaosFleet {
                         self.max_heal = Some(self.max_heal.unwrap_or(0).max(delay));
                     }
                 }
-                Frame::Goodbye => {
-                    self.agents[i].slot = None;
-                    self.agents[i].coord = None;
-                }
-                _ => self.tallies.wire_errors += 1,
+                AgentInbound::Fenced { .. } => self.tallies.stale_grants_fenced += 1,
+                // The actuation failed, so nothing committed; or stale.
+                AgentInbound::Apply { .. } | AgentInbound::Stale => {}
+                AgentInbound::Goodbye | AgentInbound::Handover(_) => a.unlink(),
+                AgentInbound::WrongDirection => self.tallies.wire_errors += 1,
             }
         }
 
@@ -874,93 +862,42 @@ impl ChaosFleet {
         transmit(wire, queue, (i, Dir::Down, cut), (epoch, 1), (), frame);
     }
 
-    /// Feeds one delivered up-frame into coordinator `c`'s core, through
-    /// the entry points the TCP coordinator's connection handler calls.
+    /// Feeds one delivered up-frame into coordinator `c`'s core through
+    /// [`FleetCore::ingest`], the dispatch the TCP connection handler
+    /// runs, and links or unlinks the agent by the outcome.
     fn ingest(&mut self, i: usize, c: usize, bytes: &[u8], now_ms: u64) {
-        let frame = match Frame::decode(bytes) {
-            Ok(f) => f,
-            Err(_) => {
-                self.tallies.wire_errors += 1;
-                return;
-            }
+        let Ok(frame) = Frame::decode(bytes) else {
+            self.tallies.wire_errors += 1;
+            return;
         };
-        match frame {
-            Frame::Hello {
-                node,
-                floor,
-                node_max,
-                app,
-                term,
-            } => {
-                if self.agents[i].slot.is_some() && self.agents[i].coord == Some(c) {
-                    return; // duplicate Hello on a live link; ignore
+        let a = &mut self.agents[i];
+        // A frame from an agent whose link moved on has no slot here.
+        let link = if a.coord == Some(c) { a.slot } else { None };
+        match self.coords[c].core.ingest(link, frame, now_ms) {
+            Inbound::Admitted(slot) => {
+                a.slot = Some(slot);
+                a.coord = Some(c);
+                let owners = &mut self.coords[c].slot_owner;
+                if owners.len() <= slot {
+                    owners.resize(slot + 1, usize::MAX);
                 }
-                // The announced term fences a superseded core on contact.
-                let _ = self.coords[c].core.observe_term(term);
-                match self.coords[c]
-                    .core
-                    .admit(node, app, floor, node_max, now_ms)
-                {
-                    Ok(slot) => {
-                        self.agents[i].slot = Some(slot);
-                        self.agents[i].coord = Some(c);
-                        let owners = &mut self.coords[c].slot_owner;
-                        if owners.len() <= slot {
-                            owners.resize(slot + 1, usize::MAX);
-                        }
-                        owners[slot] = i;
-                    }
-                    Err(Error::Fenced { .. }) => {
-                        // Soft refusal: this coordinator is superseded.
-                        // The agent re-dials and finds the live successor
-                        // next epoch — it is not blacklisted.
-                        self.agents[i].coord = None;
-                    }
-                    Err(_) => {
-                        // Blacklisted (evicted) or implausible: the
-                        // connection is refused, permanently.
-                        self.agents[i].rejected = true;
-                        self.agents[i].coord = None;
-                    }
-                }
+                owners[slot] = i;
             }
-            Frame::DemandReport {
-                seq,
-                ceiling,
-                consumption,
-                active,
-            } => {
-                if self.agents[i].coord != Some(c) {
-                    return; // link moved on; frame orphaned
-                }
-                if let Some(slot) = self.agents[i].slot {
-                    let core = &mut self.coords[c].core;
-                    core.on_report(slot, seq, ceiling, consumption, active, now_ms);
-                }
+            Inbound::Refused(Error::Fenced { .. }) => {
+                // Soft refusal: this coordinator is superseded. The agent
+                // re-dials and finds the live successor next epoch — it is
+                // not blacklisted.
+                a.coord = None;
             }
-            Frame::Heartbeat { seq, term } => {
-                if self.coords[c].core.observe_term(term).is_err() {
-                    return; // this coordinator is fenced; frame refused
-                }
-                if self.agents[i].coord != Some(c) {
-                    return;
-                }
-                if let Some(slot) = self.agents[i].slot {
-                    self.coords[c].core.on_heartbeat(slot, seq, now_ms);
-                }
+            Inbound::Refused(_) => {
+                // Blacklisted (evicted) or implausible: the connection is
+                // refused, permanently.
+                a.rejected = true;
+                a.coord = None;
             }
-            Frame::Goodbye => {
-                if self.agents[i].coord != Some(c) {
-                    return;
-                }
-                if let Some(slot) = self.agents[i].slot.take() {
-                    self.coords[c].core.on_goodbye(slot);
-                }
-                self.agents[i].coord = None;
-            }
-            Frame::BudgetGrant { .. } | Frame::Handover { .. } => {
-                self.tallies.wire_errors += 1; // wrong-direction frame
-            }
+            Inbound::Departed => a.unlink(),
+            Inbound::WrongDirection => self.tallies.wire_errors += 1,
+            _ => {}
         }
     }
 

@@ -1,9 +1,9 @@
 //! The TCP fleet coordinator: sockets, threads and wall-clock epochs
 //! around the transport-independent [`FleetCore`] brain.
 //!
-//! One thread accepts connections; one handler thread per agent reads its
-//! frames (Hello, then DemandReport/Heartbeat/Goodbye) into the core's
-//! registry, where every frame passes demand vetting (see [`crate::vet`]).
+//! One thread accepts connections; one handler thread per agent hands its
+//! frames to [`FleetCore::ingest`], which admits the Hello and vets (see
+//! [`crate::vet`]) every later frame, and reacts only to the outcome.
 //! The allocator epoch — [`Coordinator::epoch_once`] — runs on the
 //! caller's thread: the core declares nodes dead when their last report or
 //! heartbeat is older than the heartbeat timeout, reclaims their watts,
@@ -13,10 +13,11 @@
 //! and benchmarks call `epoch_once` directly for deterministic stepping.
 //!
 //! A malformed frame (bad magic, flipped CRC, unknown type, version
-//! mismatch, oversized payload) never panics the coordinator: the
-//! offending connection is dropped, a `wire_errors_total` counter ticks,
-//! and the node — if it ever completed a Hello — dies by heartbeat
-//! timeout like any other.
+//! mismatch, oversized payload) or one the core ignores (a first frame
+//! other than a Hello, a second Hello, a wrong-direction frame) never
+//! panics the coordinator: the offending connection is dropped, a
+//! `wire_errors_total` counter ticks, and the node — if it ever completed
+//! a Hello — dies by heartbeat timeout like any other.
 //!
 //! # High availability (DESIGN.md §15)
 //!
@@ -34,8 +35,8 @@
 //! instead of waiting out the disconnect grace.
 
 use crate::config::CoordinatorConfig;
-use crate::core::FleetCore;
 pub use crate::core::{EpochRecord, NodeState};
+use crate::core::{FleetCore, Inbound};
 use crate::fleet_journal::{journal_present, recover, FleetJournal};
 use crate::wire::Frame;
 use dufp_telemetry::{Actuator, DecisionEvent, Reason, Telemetry, TelemetryReport};
@@ -499,96 +500,52 @@ fn accept_loop(
 
 /// Reads one agent's frames into the core's registry. Never panics:
 /// protocol errors drop the connection and tick `wire_errors_total`;
-/// implausible Hellos and vetted frames are the core's business.
+/// which frame goes where, and what counts as abuse, is
+/// [`FleetCore::ingest`]'s business.
 fn handle_connection(stream: TcpStream, shared: Arc<Shared>) {
     if stream.set_nodelay(true).is_err() {
         return;
     }
-    let mut reader = match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
+    let Ok(mut reader) = stream.try_clone() else {
+        return;
     };
-    // First frame must be a Hello that survives admission.
-    let slot = match Frame::read_from(&mut reader) {
-        Ok(Some(Frame::Hello {
-            node,
-            floor,
-            node_max,
-            app,
-            term,
-        })) => {
-            let now_ms = shared.now_ms();
-            let mut st = shared.state.lock();
-            // An agent announcing a higher term proves a successor took
-            // over; observing it fences this core, and `admit` below then
-            // refuses with Error::Fenced.
-            let _ = st.core.observe_term(term);
-            match st.core.admit(node, app, floor, node_max, now_ms) {
-                Ok(slot) => {
-                    // A re-admission after failover may reuse a released
-                    // slot; keep streams parallel to the core's table.
-                    if st.streams.len() <= slot {
-                        st.streams.resize_with(slot + 1, || None);
-                    }
-                    st.streams[slot] = Some(stream);
-                    debug_assert_eq!(st.streams.len(), st.core.node_count());
-                    slot
-                }
-                Err(_) => {
-                    // admit() already ticked admission_rejects_total.
-                    drop(st);
-                    let _ = reader.shutdown(Shutdown::Both);
-                    return;
-                }
-            }
-        }
-        Ok(None) => {
-            // Clean EOF before any frame: a standby liveness probe (or a
-            // port scan). Not a protocol error.
-            let _ = stream.shutdown(Shutdown::Both);
-            return;
-        }
-        Ok(_) | Err(_) => {
-            shared.tel.counter("wire_errors_total").inc();
-            let _ = stream.shutdown(Shutdown::Both);
-            return;
-        }
-    };
+    // The write half, moved into the registry on admission.
+    let mut stream = Some(stream);
+    let mut link = None;
     loop {
-        match Frame::read_from(&mut reader) {
-            Ok(Some(Frame::DemandReport {
-                seq,
-                ceiling,
-                consumption,
-                active,
-            })) => {
-                let now_ms = shared.now_ms();
-                shared
-                    .state
-                    .lock()
-                    .core
-                    .on_report(slot, seq, ceiling, consumption, active, now_ms);
-            }
-            Ok(Some(Frame::Heartbeat { seq, term })) => {
-                let now_ms = shared.now_ms();
-                let mut st = shared.state.lock();
-                if st.core.observe_term(term).is_ok() {
-                    st.core.on_heartbeat(slot, seq, now_ms);
-                }
-            }
-            Ok(Some(Frame::Goodbye)) => {
-                shared.state.lock().core.on_goodbye(slot);
-                break;
-            }
-            Ok(Some(Frame::Hello { .. }))
-            | Ok(Some(Frame::BudgetGrant { .. }))
-            | Ok(Some(Frame::Handover { .. })) => {
-                // Out-of-order or wrong-direction frame: protocol abuse.
+        let frame = match Frame::read_from(&mut reader) {
+            Ok(Some(frame)) => frame,
+            // Clean EOF: before any frame, a standby liveness probe (or a
+            // port scan), not a protocol error; after admission, death by
+            // heartbeat timeout.
+            Ok(None) => break,
+            Err(_) => {
                 shared.tel.counter("wire_errors_total").inc();
                 break;
             }
-            Ok(None) => break, // clean EOF; death by heartbeat timeout
-            Err(_) => {
+        };
+        let now_ms = shared.now_ms();
+        let mut st = shared.state.lock();
+        match st.core.ingest(link, frame, now_ms) {
+            Inbound::Admitted(slot) => {
+                // A re-admission after failover may reuse a released
+                // slot; keep streams parallel to the core's table.
+                if st.streams.len() <= slot {
+                    st.streams.resize_with(slot + 1, || None);
+                }
+                st.streams[slot] = stream.take();
+                debug_assert_eq!(st.streams.len(), st.core.node_count());
+                link = Some(slot);
+            }
+            Inbound::Applied => {}
+            // A fenced core ignores a linked agent's heartbeats; the link
+            // stays until the fenced run tears it down.
+            Inbound::Fenced if link.is_some() => {}
+            // Admission refused (the core counted it) or a clean Goodbye.
+            Inbound::Refused(_) | Inbound::Departed => break,
+            // A first frame other than a Hello, a second Hello, or a
+            // wrong-direction frame: protocol abuse.
+            _ => {
                 shared.tel.counter("wire_errors_total").inc();
                 break;
             }

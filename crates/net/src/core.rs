@@ -5,7 +5,8 @@
 //! reclamation, the allocator epoch and the conservation guard. It runs
 //! on a caller-supplied virtual clock (`now_ms`), so the same hardened
 //! logic drives both the wall-clock TCP [`crate::Coordinator`] and the
-//! deterministic in-process chaos fleet ([`crate::chaos`]) — a byzantine
+//! deterministic in-process chaos fleet ([`crate::chaos`]), which both hand
+//! it every agent frame through [`FleetCore::ingest`] — a byzantine
 //! defense proven under the chaos harness is, by construction, the one
 //! the real wire runs.
 //!
@@ -115,6 +116,29 @@ pub struct EpochStep {
     /// Slots whose connections should be torn down (died or evicted this
     /// epoch).
     pub disconnects: Vec<usize>,
+}
+
+/// What [`FleetCore::ingest`] made of one agent-to-coordinator frame. A
+/// transport reacts to this and never looks at the frame itself.
+#[derive(Debug)]
+pub enum Inbound {
+    /// A `Hello` admitted its sender at this slot: link it.
+    Admitted(usize),
+    /// A `Hello` refused admission: [`Error::Fenced`] from a superseded
+    /// core, or an implausible or blacklisted node.
+    Refused(Error),
+    /// A `DemandReport` or `Heartbeat` went to the sender's slot, for vetting.
+    Applied,
+    /// A `Goodbye` departed the sender's slot: unlink it.
+    Departed,
+    /// Ignored: a `Hello` on a link that already holds a slot.
+    AlreadyLinked,
+    /// Ignored: a `DemandReport`, `Heartbeat` or `Goodbye` with no slot.
+    NotLinked,
+    /// Ignored: a `Heartbeat` to a fenced core, after its term was seen.
+    Fenced,
+    /// Ignored: a `BudgetGrant` or `Handover`, which flow the other way.
+    WrongDirection,
 }
 
 /// Snapshot of one node for outcome summaries.
@@ -318,7 +342,7 @@ impl FleetCore {
     /// Notes a term a peer announced (Hello/Heartbeat). A term above ours
     /// proves a successor took over: the core fences itself and the call
     /// — like every call while fenced — returns [`Error::Fenced`].
-    pub fn observe_term(&mut self, peer_term: u64) -> Result<()> {
+    pub(crate) fn observe_term(&mut self, peer_term: u64) -> Result<()> {
         if peer_term > self.state.term {
             self.force_fence(peer_term);
         }
@@ -636,6 +660,60 @@ impl FleetCore {
         }
     }
 
+    /// Ingests one frame from an agent: the one dispatch both transports
+    /// share. `link` is the slot the sender's connection holds, if any. A
+    /// `Hello` on a live link is ignored first; any other `Hello`, and
+    /// every `Heartbeat`, announces its term before anything else, so a
+    /// higher one fences this core.
+    pub fn ingest(&mut self, link: Option<usize>, frame: Frame, now_ms: u64) -> Inbound {
+        match (frame, link) {
+            (Frame::Hello { .. }, Some(_)) => Inbound::AlreadyLinked,
+            (
+                Frame::Hello {
+                    node,
+                    floor,
+                    node_max,
+                    app,
+                    term,
+                },
+                None,
+            ) => {
+                // A fenced core refuses the admission below with Error::Fenced.
+                let _ = self.observe_term(term);
+                match self.admit(node, app, floor, node_max, now_ms) {
+                    Ok(slot) => Inbound::Admitted(slot),
+                    Err(e) => Inbound::Refused(e),
+                }
+            }
+            (Frame::Heartbeat { seq, term }, link) => match (self.observe_term(term), link) {
+                (Err(_), _) => Inbound::Fenced,
+                (Ok(()), Some(slot)) => {
+                    self.on_heartbeat(slot, seq, now_ms);
+                    Inbound::Applied
+                }
+                (Ok(()), None) => Inbound::NotLinked,
+            },
+            (
+                Frame::DemandReport {
+                    seq,
+                    ceiling,
+                    consumption,
+                    active,
+                },
+                Some(slot),
+            ) => {
+                self.on_report(slot, seq, ceiling, consumption, active, now_ms);
+                Inbound::Applied
+            }
+            (Frame::Goodbye, Some(slot)) => {
+                self.on_goodbye(slot);
+                Inbound::Departed
+            }
+            (Frame::DemandReport { .. } | Frame::Goodbye, None) => Inbound::NotLinked,
+            (Frame::BudgetGrant { .. } | Frame::Handover { .. }, _) => Inbound::WrongDirection,
+        }
+    }
+
     fn slot_is_live(&self, slot: usize) -> bool {
         self.state
             .nodes
@@ -856,14 +934,10 @@ impl FleetCore {
                         term: self.state.term,
                     },
                 ));
-                let reason = match kind {
-                    GrantKind::Raise => Reason::BudgetGrant,
-                    GrantKind::Shrink => Reason::BudgetShrink,
-                };
                 let (o, c) = (old.value(), ceiling.value());
                 n.granted_w = ceiling;
                 self.count(Count::GrantsIssued);
-                self.record(i, now_ms, o, c, reason);
+                self.record(i, now_ms, o, c, kind.reason());
             }
             let n = &self.state.nodes[i];
             granted.push((n.name.clone(), n.granted_w.value()));
@@ -1394,5 +1468,113 @@ mod tests {
         );
         assert_eq!(restored.epoch(), x.epoch());
         assert_eq!(restored.term(), x.term());
+    }
+
+    /// Every frame kind an agent link can carry, for the dispatch table.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Kind {
+        Hello,
+        Heartbeat,
+        Report,
+        Goodbye,
+        Grant,
+        Handover,
+    }
+
+    impl Kind {
+        /// A frame of this kind announcing `term` where it has one.
+        fn frame(self, term: u64) -> Frame {
+            match self {
+                Kind::Hello => Frame::Hello {
+                    node: "new".into(),
+                    floor: Watts(65.0),
+                    node_max: Watts(125.0),
+                    app: "EP".into(),
+                    term,
+                },
+                Kind::Heartbeat => Frame::Heartbeat { seq: 1, term },
+                Kind::Report => Frame::DemandReport {
+                    seq: 1,
+                    ceiling: Watts(90.0),
+                    consumption: Watts(85.0),
+                    active: true,
+                },
+                Kind::Goodbye => Frame::Goodbye,
+                Kind::Grant => Frame::BudgetGrant {
+                    epoch: 1,
+                    ceiling: Watts(90.0),
+                    kind: GrantKind::Raise,
+                    term,
+                },
+                Kind::Handover => Frame::Handover {
+                    successor: "s:2".into(),
+                    term,
+                },
+            }
+        }
+    }
+
+    /// `ingest` over every cell: link none or live × each frame kind ×
+    /// core fenced or not × announced term below, equal to or above the
+    /// core's term 2.
+    #[test]
+    fn core_ingest_dispatch_table_covers_every_cell() {
+        use Kind::*;
+        for linked in [false, true] {
+            for fenced in [false, true] {
+                for term in [1, 2, 3] {
+                    for kind in [Hello, Heartbeat, Report, Goodbye, Grant, Handover] {
+                        let mut core = core(300.0);
+                        let a = admit(&mut core, "a");
+                        core.promote_to(2);
+                        if fenced {
+                            core.force_fence(4);
+                        }
+                        let link = linked.then_some(a);
+                        let got = core.ingest(link, kind.frame(term), 500);
+
+                        // Only an unlinked Hello and a Heartbeat announce
+                        // their term; a higher one fences the core.
+                        let observes = kind == Heartbeat || (kind == Hello && !linked);
+                        let fenced_after = fenced || (observes && term > 2);
+                        let want = match (kind, linked) {
+                            (Hello, true) => "ignored: already linked",
+                            (Hello, false) if fenced_after => "refused: fenced",
+                            (Hello, false) => "admitted 1",
+                            (Heartbeat, _) if fenced_after => "ignored: fenced",
+                            (Heartbeat | Report, true) => "applied",
+                            (Goodbye, true) => "departed",
+                            (Heartbeat | Report | Goodbye, false) => "ignored: not linked",
+                            (Grant | Handover, _) => "ignored: wrong direction",
+                        };
+                        let got = match got {
+                            Inbound::Admitted(slot) => format!("admitted {slot}"),
+                            Inbound::Refused(Error::Fenced { .. }) => "refused: fenced".into(),
+                            Inbound::Refused(e) => format!("refused: {e}"),
+                            Inbound::Applied => "applied".into(),
+                            Inbound::Departed => "departed".into(),
+                            Inbound::AlreadyLinked => "ignored: already linked".into(),
+                            Inbound::NotLinked => "ignored: not linked".into(),
+                            Inbound::Fenced => "ignored: fenced".into(),
+                            Inbound::WrongDirection => "ignored: wrong direction".into(),
+                        };
+                        let cell = format!("{kind:?} linked={linked} fenced={fenced} term={term}");
+                        assert_eq!(got, want, "{cell}");
+                        assert_eq!(core.fenced(), fenced_after, "{cell}");
+
+                        // The outcome is what reached the registry: a new
+                        // slot, a vetted frame on `a` (a fenced core
+                        // refuses reports), or `a` departed.
+                        let admitted = want == "admitted 1";
+                        assert_eq!(core.node_count(), 1 + admitted as usize, "{cell}");
+                        let seen = want == "applied" && !fenced_after;
+                        let a_node = &core.state.nodes[a];
+                        assert_eq!(a_node.last_seen_ms, if seen { 500 } else { 0 }, "{cell}");
+                        let departed = want == "departed";
+                        assert_eq!(a_node.state == NodeState::Departed, departed, "{cell}");
+                    }
+                }
+            }
+        }
     }
 }

@@ -8,7 +8,9 @@
 //! [`dufp_cluster::budget::BudgetedCapper`] enforces the granted ceiling.
 //! Both sides keep their decisions in transport-free state machines —
 //! [`FleetCore`] for the coordinator, [`AgentCore`] for the agent — which
-//! the TCP shells and the [`chaos`] fleet share. [`FleetSim`] is the
+//! the TCP shells and the [`chaos`] fleet share, frame dispatch included:
+//! each hands every frame to [`FleetCore::ingest`] or
+//! [`AgentCore::on_frame`] and reacts only to the outcome. [`FleetSim`] is the
 //! in-process fleet loop over `FleetCore` without a transport: the DUFP
 //! cluster ([`run_cluster`]), the CPU+GPU node ([`run_hetero`]) and the
 //! scenario engine are its models.
@@ -73,7 +75,7 @@ pub mod netfault;
 pub mod vet;
 pub mod wire;
 
-pub use agent::{Agent, AgentCore, AgentOutcome, GrantVerdict};
+pub use agent::{Agent, AgentCore, AgentInbound, AgentOutcome};
 pub use chaos::{ChaosConfig, ChaosFleet, ScenarioScore, SCENARIOS};
 pub use cluster::{run_cluster, ClusterConfig, ClusterOutcome, NodeOutcome, NodeSpec};
 pub use config::{AgentConfig, CoordinatorConfig, PolicyKind};
@@ -81,7 +83,7 @@ pub use coordinator::{
     run_standby, Coordinator, FleetOutcome, NodeSummary, STANDBY_PROBE_FAILURES,
 };
 pub use core::{
-    fleet_event, CoreNodeView, CoreSnapshot, EpochRecord, EpochStep, FleetCore, NodeState,
+    fleet_event, CoreNodeView, CoreSnapshot, EpochRecord, EpochStep, FleetCore, Inbound, NodeState,
     HANDOVER_HOLD_EPOCHS,
 };
 pub use fleet_journal::{

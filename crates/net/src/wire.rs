@@ -21,6 +21,7 @@
 //! typed [`Error`] the peer can log and survive.
 
 use dufp_journal::crc32;
+use dufp_telemetry::Reason;
 use dufp_types::{Error, Result, Watts};
 use std::io::{Read, Write};
 
@@ -111,6 +112,14 @@ impl GrantKind {
             0 => Ok(GrantKind::Raise),
             1 => Ok(GrantKind::Shrink),
             other => Err(Error::Corruption(format!("unknown grant kind {other}"))),
+        }
+    }
+
+    /// The telemetry reason this kind is the wire form of.
+    pub fn reason(self) -> Reason {
+        match self {
+            GrantKind::Raise => Reason::BudgetGrant,
+            GrantKind::Shrink => Reason::BudgetShrink,
         }
     }
 }

@@ -14,7 +14,9 @@
 
 use dufp_control::RetryPolicy;
 use dufp_net::chaos::{run_matrix, run_scenario, ChaosConfig, ChaosFleet};
-use dufp_net::{AgentCore, CoordinatorConfig, FleetCore, GrantVerdict, NetFaultPlan};
+use dufp_net::{
+    AgentCore, AgentInbound, CoordinatorConfig, FleetCore, Frame, GrantKind, NetFaultPlan,
+};
 use dufp_telemetry::Telemetry;
 use dufp_types::Watts;
 use proptest::prelude::*;
@@ -168,22 +170,37 @@ proptest! {
             match *input {
                 AgentInput::Grant { term, epoch, ceiling: c, actuated } => {
                     let seen = core.max_term();
-                    let verdict = core.on_grant(term, epoch);
+                    let frame = Frame::BudgetGrant {
+                        epoch,
+                        ceiling: Watts(c),
+                        kind: GrantKind::Raise,
+                        term,
+                    };
+                    let inbound = core.on_frame(frame, |_| actuated);
                     if term < seen {
-                        prop_assert_eq!(verdict, GrantVerdict::Fenced { seen });
+                        prop_assert_eq!(inbound, AgentInbound::Fenced { term, epoch, seen });
                     } else if (term, epoch) <= best {
-                        prop_assert_eq!(verdict, GrantVerdict::Stale);
+                        prop_assert_eq!(inbound, AgentInbound::Stale);
                     } else {
-                        prop_assert_eq!(verdict, GrantVerdict::Apply);
-                    }
-                    if verdict == GrantVerdict::Apply && actuated {
-                        prop_assert!(term >= seen, "committed below term {}", seen);
-                        core.commit(term, epoch, Watts(c));
-                        best = (term, epoch);
-                        ceiling = Watts(c);
+                        let apply = AgentInbound::Apply {
+                            term,
+                            epoch,
+                            ceiling: Watts(c),
+                            kind: GrantKind::Raise,
+                            committed: actuated,
+                        };
+                        prop_assert_eq!(inbound, apply);
+                        if actuated {
+                            best = (term, epoch);
+                            ceiling = Watts(c);
+                        }
                     }
                 }
-                AgentInput::Handover(term) => core.on_handover(term),
+                AgentInput::Handover(term) => {
+                    let frame = Frame::Handover { successor: "s:2".into(), term };
+                    let inbound = core.on_frame(frame, |_| unreachable!("nothing to actuate"));
+                    prop_assert_eq!(inbound, AgentInbound::Handover("s:2".into()));
+                }
                 AgentInput::Link(link) => up = link,
             }
             down_since = if up { None } else { down_since.or(Some(now)) };

@@ -13,7 +13,7 @@
 
 use dufp_net::{Agent, AgentConfig, AgentOutcome, Coordinator, CoordinatorConfig, Frame};
 use dufp_types::Watts;
-use std::io::Write as _;
+use std::io::{Read as _, Write as _};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -228,4 +228,75 @@ fn garbage_on_the_wire_never_kills_the_coordinator() {
         .map(|c| c.value)
         .unwrap_or(0);
     assert!(wire_errors >= 1, "corrupt frame should be counted");
+}
+
+/// Blocks until the coordinator closes `conn`: a read sees EOF (or a
+/// reset) before the timeout.
+fn dropped_by_coordinator(conn: &mut TcpStream) -> bool {
+    conn.set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut buf = [0u8; 64];
+    match conn.read(&mut buf) {
+        Ok(n) => n == 0,
+        Err(e) => e.kind() == std::io::ErrorKind::ConnectionReset,
+    }
+}
+
+/// Opens a connection whose first frames are `frames`.
+fn open_with(addr: &str, frames: &[Frame]) -> TcpStream {
+    let mut conn = TcpStream::connect(addr).unwrap();
+    for frame in frames {
+        frame.write_to(&mut conn).unwrap();
+    }
+    conn.flush().unwrap();
+    conn
+}
+
+#[test]
+fn a_connection_must_open_with_one_hello() {
+    let coord = coordinator(300);
+    let addr = coord.local_addr().unwrap().to_string();
+    let hello = |term| Frame::Hello {
+        node: "n0".into(),
+        floor: Watts(65.0),
+        node_max: Watts(125.0),
+        app: "EP".into(),
+        term,
+    };
+    let report = Frame::DemandReport {
+        seq: 1,
+        ceiling: Watts(90.0),
+        consumption: Watts(80.0),
+        active: true,
+    };
+
+    // Openers other than a Hello are dropped and admit nothing.
+    for opener in [Frame::Heartbeat { seq: 1, term: 0 }, report] {
+        let mut conn = open_with(&addr, &[opener]);
+        assert!(dropped_by_coordinator(&mut conn));
+    }
+    assert_eq!(coord.node_count(), 0);
+
+    // A second Hello on a live link is dropped too; the first one stands.
+    let mut conn = open_with(&addr, &[hello(0), hello(0)]);
+    assert!(dropped_by_coordinator(&mut conn));
+    assert_eq!(coord.node_count(), 1);
+    assert!(!coord.fenced());
+
+    // A first-frame Heartbeat announcing a higher term fences the core,
+    // as a Hello announcing it does, and is dropped like any opener.
+    let mut conn = open_with(&addr, &[Frame::Heartbeat { seq: 1, term: 5 }]);
+    assert!(dropped_by_coordinator(&mut conn));
+    assert!(coord.fenced());
+    assert_eq!(coord.node_count(), 1);
+
+    let outcome = coord.finish();
+    let wire_errors = outcome
+        .telemetry
+        .metrics
+        .counters
+        .iter()
+        .find(|c| c.name == "wire_errors_total")
+        .map(|c| c.value);
+    assert_eq!(wire_errors, Some(4), "one per dropped connection");
 }
