@@ -469,8 +469,7 @@ pub fn trace(cmd: &TraceCmd) -> Result<String, String> {
 /// `dufp record <APP> --out FILE.json` — capture a workload spec.
 pub fn record(spec: &RecordSpec) -> Result<String, String> {
     let sim = dufp_sim::SimConfig::yeti_single_socket(spec.seed);
-    let file = dufp::record_workload(&sim, &spec.app, &dufp_workloads::SegmentConfig::default())
-        .map_err(|e| e.to_string())?;
+    let file = dufp::record_workload(&sim, &spec.app).map_err(|e| e.to_string())?;
     file.save(&spec.out).map_err(|e| e.to_string())?;
     let ctx = dufp_workloads::MaterializeCtx::from_arch(&sim.arch);
     let w = file.materialize(&ctx).map_err(|e| e.to_string())?;

@@ -1,8 +1,26 @@
-//! Controller configuration.
+//! Controller configuration, and the constants of the paper's algorithm.
 
-use dufp_types::check::{finite, fraction, positive};
+use dufp_types::check::{fraction, positive};
 use dufp_types::{ArchSpec, Duration, Error, Hertz, Ratio, Result, Watts};
 use serde::{Deserialize, Serialize};
+
+/// Measurement-error band ε: FLOPS/s within `EPSILON` of the slowdown
+/// boundary are "equivalent" and the actuators hold steady (§III).
+pub(crate) const EPSILON: f64 = 0.01;
+
+/// §IV-D: reset the cap when measured power exceeds the programmed cap
+/// by more than this margin (a freshly applied cap needs time to bite).
+pub(crate) const OVERSHOOT_MARGIN: Watts = Watts(3.0);
+
+/// Operational-intensity threshold below which a phase counts as
+/// *highly* memory-intensive (§III).
+pub(crate) const OI_HIGHLY_MEMORY: f64 = 0.02;
+
+/// Operational-intensity threshold above which a phase counts as
+/// *highly* compute-intensive (§III).
+pub(crate) const OI_HIGHLY_COMPUTE: f64 = 100.0;
+
+const _: () = assert!(0.0 < OI_HIGHLY_MEMORY && OI_HIGHLY_MEMORY < OI_HIGHLY_COMPUTE);
 
 /// Everything a DUF/DUFP instance needs to know about limits and steps.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -12,9 +30,6 @@ pub struct ControlConfig {
     pub slowdown: Ratio,
     /// Monitoring interval (200 ms in the paper, §IV-D).
     pub interval: Duration,
-    /// Measurement-error band: FLOPS/s within `epsilon` of the slowdown
-    /// boundary are "equivalent" and the actuators hold steady (§III).
-    pub epsilon: Ratio,
     /// Maximum (all-core turbo) core frequency; observing an average core
     /// frequency below it means RAPL is actively throttling.
     pub core_freq_max: Hertz,
@@ -32,15 +47,6 @@ pub struct ControlConfig {
     pub cap_step: Watts,
     /// Lowest cap DUFP applies (65 W, §IV-A).
     pub cap_floor: Watts,
-    /// §IV-D: reset the cap when measured power exceeds the programmed cap
-    /// by more than this margin (a freshly applied cap needs time to bite).
-    pub overshoot_margin: Watts,
-    /// Operational-intensity threshold below which a phase counts as
-    /// *highly* memory-intensive (0.02).
-    pub oi_highly_memory: f64,
-    /// Operational-intensity threshold above which a phase counts as
-    /// *highly* compute-intensive (100).
-    pub oi_highly_compute: f64,
     /// After a slowdown violation forced an actuator back up, wait this
     /// many intervals before probing below that level again. Prevents the
     /// controller from oscillating across the violation boundary every
@@ -55,7 +61,7 @@ pub struct ControlConfig {
     /// for ablation studies.
     pub coupling2: bool,
     /// Enable the §IV-D rule: reset the cap when measured power exceeds the
-    /// programmed cap beyond [`ControlConfig::overshoot_margin`]. Disable
+    /// programmed cap beyond `OVERSHOOT_MARGIN`. Disable
     /// only for ablation studies.
     pub overshoot_reset: bool,
     /// §V-G improvement (off by default — the paper's tool does not have
@@ -79,7 +85,6 @@ impl ControlConfig {
         ControlConfig {
             slowdown,
             interval: Duration::from_millis(200),
-            epsilon: Ratio(0.01),
             core_freq_max: arch.core_freq_max,
             core_freq_min: arch.core_freq_min,
             core_freq_step: arch.core_freq_step,
@@ -88,9 +93,6 @@ impl ControlConfig {
             uncore_step: arch.uncore_freq_step,
             cap_step: arch.cap_step,
             cap_floor: arch.cap_floor,
-            overshoot_margin: Watts(3.0),
-            oi_highly_memory: 0.02,
-            oi_highly_compute: 100.0,
             reprobe_intervals: 25,
             coupling1: true,
             coupling2: true,
@@ -102,11 +104,10 @@ impl ControlConfig {
     /// Rejects configurations no controller can act on — NaN/negative
     /// magnitudes, inverted ladders, a zero monitoring interval — with a
     /// typed [`Error::InvalidValue`] naming the offending field. Called by
-    /// [`ControlConfig::from_arch`] and by anything deserializing a config
-    /// from user input.
+    /// [`ControlConfig::from_arch`], which builds every controller
+    /// configuration from an architecture and a user-chosen slowdown.
     pub fn validate(&self) -> Result<()> {
         fraction("slowdown", self.slowdown.value())?;
-        fraction("epsilon", self.epsilon.value())?;
         if self.interval.as_micros() == 0 {
             return Err(Error::invalid("interval", "zero monitoring interval"));
         }
@@ -138,35 +139,17 @@ impl ControlConfig {
         }
         positive("cap_step", self.cap_step.value())?;
         positive("cap_floor", self.cap_floor.value())?;
-        finite("overshoot_margin", self.overshoot_margin.value())?;
-        if self.overshoot_margin.value() < 0.0 {
-            return Err(Error::invalid(
-                "overshoot_margin",
-                format!("{} W is negative", self.overshoot_margin.value()),
-            ));
-        }
-        positive("oi_highly_memory", self.oi_highly_memory)?;
-        positive("oi_highly_compute", self.oi_highly_compute)?;
-        if self.oi_highly_memory >= self.oi_highly_compute {
-            return Err(Error::invalid(
-                "oi_highly_memory",
-                format!(
-                    "{} not below oi_highly_compute {}",
-                    self.oi_highly_memory, self.oi_highly_compute
-                ),
-            ));
-        }
         Ok(())
     }
 
     /// The tolerated slowdown the controllers act on: `slowdown`, or 0 %
-    /// when it is at or below `epsilon`. ε is the measurement error, so a
+    /// when it is at or below `EPSILON`. ε is the measurement error, so a
     /// tolerance inside it is no tolerance at all; read literally, its hold
     /// band `[s − ε, s]` would reach down to zero and a zero drop would
     /// hold forever, so the controller would never step down.
     pub(crate) fn tolerance(&self) -> f64 {
         let s = self.slowdown.value();
-        if s > self.epsilon.value() {
+        if s > EPSILON {
             s
         } else {
             0.0
@@ -179,7 +162,7 @@ impl ControlConfig {
     /// 0 % the ε band itself is the violation threshold and nothing holds.
     pub fn split(&self, drop: f64) -> Split {
         let s = self.tolerance();
-        self.split_over(drop, if s > 0.0 { s } else { self.epsilon.value() })
+        self.split_over(drop, if s > 0.0 { s } else { EPSILON })
     }
 
     /// [`ControlConfig::split`] with the violation threshold at
@@ -189,7 +172,7 @@ impl ControlConfig {
         let s = self.tolerance();
         if drop > violated_above {
             Split::Violated
-        } else if s > 0.0 && drop >= s - self.epsilon.value() {
+        } else if s > 0.0 && drop >= s - EPSILON {
             Split::AtBoundary
         } else {
             Split::Within
@@ -221,8 +204,10 @@ mod tests {
         assert_eq!(c.cap_step, Watts(5.0));
         assert_eq!(c.cap_floor, Watts(65.0));
         assert_eq!(c.uncore_step, Hertz::from_mhz(100.0));
-        assert_eq!(c.oi_highly_memory, 0.02);
-        assert_eq!(c.oi_highly_compute, 100.0);
+        assert_eq!(EPSILON, 0.01);
+        assert_eq!(OVERSHOOT_MARGIN, Watts(3.0));
+        assert_eq!(OI_HIGHLY_MEMORY, 0.02);
+        assert_eq!(OI_HIGHLY_COMPUTE, 100.0);
     }
 
     #[test]
@@ -243,16 +228,12 @@ mod tests {
         };
         check(&|c| c.slowdown = Ratio(f64::NAN), "slowdown");
         check(&|c| c.slowdown = Ratio(1.5), "slowdown");
-        check(&|c| c.epsilon = Ratio(-0.01), "epsilon");
         check(&|c| c.interval = Duration::ZERO, "interval");
         check(&|c| c.core_freq_step = Hertz(0.0), "core_freq_step");
         check(&|c| c.uncore_min = Hertz::from_ghz(3.0), "uncore_min");
         check(&|c| c.uncore_max = Hertz(f64::INFINITY), "uncore_max");
         check(&|c| c.cap_step = Watts(-5.0), "cap_step");
         check(&|c| c.cap_floor = Watts(0.0), "cap_floor");
-        check(&|c| c.overshoot_margin = Watts(-1.0), "overshoot_margin");
-        check(&|c| c.oi_highly_memory = 200.0, "oi_highly_memory");
-        check(&|c| c.oi_highly_compute = f64::NAN, "oi_highly_compute");
     }
 
     #[test]
@@ -273,7 +254,7 @@ mod tests {
         assert_eq!(at(0.5).split(0.0), Split::Within);
         // s = 10 %: the hold band is [s − ε, s], closed at both ends.
         let c = at(10.0);
-        let (s, e) = (c.slowdown.value(), c.epsilon.value());
+        let (s, e) = (c.slowdown.value(), EPSILON);
         assert_eq!(c.split(s - e - 1e-6), Split::Within);
         assert_eq!(c.split(s - e), Split::AtBoundary);
         assert_eq!(c.split(s), Split::AtBoundary);

@@ -18,6 +18,7 @@
 //! ```
 
 use crate::actuators::test_support::MemActuators;
+use crate::config::EPSILON;
 use crate::{Actuators, ControlConfig, Controller, Dnpc, Duf, Dufp, DufpF};
 use dufp_counters::IntervalMetrics;
 use dufp_telemetry::Telemetry;
@@ -235,7 +236,7 @@ fn run_case(idx: usize, case: &Case, out: &mut String) {
         act.uncore_readback_override = Some(Hertz::from_ghz(1.8));
     }
     let mut rng = Rng(0xD0F_5EED + idx as u64);
-    let (s, e) = (cfg.slowdown.value(), cfg.epsilon.value());
+    let (s, e) = (cfg.slowdown.value(), EPSILON);
     let all = drops(s, e);
     let drain: Vec<f64> = [0.003, s - e - 0.002, s - e + 0.002, s - 0.002]
         .iter()

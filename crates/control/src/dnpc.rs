@@ -15,7 +15,7 @@
 //! "DUFP vs DNPC" section of `EXPERIMENTS.md` reproduces that comparison.
 
 use crate::actuators::Actuators;
-use crate::config::{ControlConfig, Split};
+use crate::config::{ControlConfig, Split, EPSILON};
 use crate::duf::{Action, Knob, Ladder};
 use crate::state::{ControllerState, DnpcState};
 use crate::trace::Trace;
@@ -72,7 +72,7 @@ impl Controller for Dnpc {
         // `max(s − ε, 0)`. The tolerance reads through the shared rule, so
         // one at or below ε is 0 % and has no hold band. DNPC has no probe
         // memory: each interval steps through a fresh ladder.
-        let violated_above = self.cfg.tolerance() + self.cfg.epsilon.value();
+        let violated_above = self.cfg.tolerance() + EPSILON;
         let s = &mut self.state;
         s.last_action = match self.cfg.split_over(est, violated_above) {
             // Model says we are over budget: raise the cap.

@@ -29,7 +29,9 @@
 //!   the real bottleneck).
 
 use crate::actuators::Actuators;
-use crate::config::{ControlConfig, Split};
+use crate::config::{
+    ControlConfig, Split, EPSILON, OI_HIGHLY_COMPUTE, OI_HIGHLY_MEMORY, OVERSHOOT_MARGIN,
+};
 use crate::duf::{relative_drop, Action, Knob, Ladder};
 use crate::phase::PhaseEvent;
 use crate::state::{ControllerState, DufpState};
@@ -112,7 +114,7 @@ impl Dufp {
         // counter-invisible slowdown (LAMMPS' aliased bursts): once the
         // *cumulative* FLOPS deficit eats 75 % of the tolerance, stop
         // capping deeper and step back up.
-        let guard_threshold = (cfg.tolerance() * 0.75).max(cfg.epsilon.value());
+        let guard_threshold = (cfg.tolerance() * 0.75).max(EPSILON);
         if cfg.cumulative_guard && deficit > guard_threshold && below_default {
             let action = s.cap.raise(Knob::Cap, cfg, act)?;
             return Ok((action, Reason::CumulativeGuard));
@@ -120,10 +122,7 @@ impl Dufp {
 
         // §IV-D: a just-written cap needs time to bite; if measured power
         // still exceeds the programmed cap, reset it.
-        if cfg.overshoot_reset
-            && m.pkg_power > act.cap_long() + cfg.overshoot_margin
-            && below_default
-        {
+        if cfg.overshoot_reset && m.pkg_power > act.cap_long() + OVERSHOOT_MARGIN && below_default {
             act.reset_cap()?;
             return Ok((Action::Reset, Reason::Overshoot));
         }
@@ -143,7 +142,7 @@ impl Dufp {
         // improve → the cap was the bottleneck. Applies "even if the
         // FLOPS/s are still within the tolerated slowdown" (§III) — i.e.
         // only there; outright violations go through the regular paths.
-        let e = cfg.epsilon.value();
+        let e = EPSILON;
         let uncore_increase_failed = cfg.coupling1
             && uncore_before == Action::Increased
             && flops != Split::Violated
@@ -155,7 +154,7 @@ impl Dufp {
         }
 
         let oi = s.tracker.last_oi;
-        if oi < cfg.oi_highly_memory {
+        if oi < OI_HIGHLY_MEMORY {
             // Highly memory-intensive: free to cap to the floor.
             return Ok((s.cap.lower(Knob::Cap, cfg, act)?, Reason::Probe));
         }
@@ -163,7 +162,7 @@ impl Dufp {
         // violation resets the cap outright instead of stepping it. Only
         // the cap resets here — the uncore keeps its own state (decisions
         // are taken separately, §III).
-        let compute = oi > cfg.oi_highly_compute;
+        let compute = oi > OI_HIGHLY_COMPUTE;
         let bandwidth_violated = compute
             && cfg.split(relative_drop(m.bandwidth.value(), s.tracker.max_bandwidth))
                 == Split::Violated;

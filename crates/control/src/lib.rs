@@ -5,9 +5,11 @@
 //! [`dufp_counters::IntervalMetrics`] and decides how to move two
 //! actuators: the pinned uncore frequency and the RAPL package power cap.
 //!
-//! * [`config`] — tolerated slowdown, interval, step sizes, floors, and
-//!   [`ControlConfig::split`], the one rule that sorts a performance drop
-//!   into violated, at the boundary or within the tolerance.
+//! * [`config`] — tolerated slowdown, interval, step sizes, floors, the
+//!   paper's constants (ε, the operational-intensity cut-offs, the
+//!   overshoot margin), and [`ControlConfig::split`], the one rule that
+//!   sorts a performance drop into violated, at the boundary or within
+//!   the tolerance.
 //! * [`phase`] — the shared phase tracker: classifies intervals as
 //!   memory-/CPU-intensive by operational intensity, detects phase changes
 //!   (intensity class flips or FLOPS/s doubling), tracks the per-phase

@@ -7,11 +7,11 @@
 //! controllers and the hardware:
 //!
 //! * [`ResilientActuators`] wraps any [`Actuators`] implementation and
-//!   (1) retries *transient* failures, up to [`RetryPolicy::max_retries`]
-//!   times,
+//!   (1) retries *transient* failures, up to `MAX_RETRIES` times,
 //!   (2) absorbs *persistent* failures by walking the per-socket
 //!   degradation ladder — DUFP → DUF-only (cap knob disabled) → passive
-//!   (uncore knob disabled too) — while keeping the run alive, and
+//!   (uncore knob disabled too), a knob going after `DEGRADE_AFTER`
+//!   failed actuations in a row — while keeping the run alive, and
 //!   (3) propagates *fatal* errors (caller bugs) unchanged. Every retry
 //!   and every ladder transition is emitted as a typed
 //!   [`DecisionEvent`] and counted (`actuation_retries_total`,
@@ -67,13 +67,19 @@ pub fn classify(e: &Error) -> ErrorClass {
     }
 }
 
-/// Retry and degradation thresholds for [`ResilientActuators`].
+/// Retries of a transiently failing actuation before the failure counts
+/// as persistent.
+const MAX_RETRIES: u32 = 3;
+
+/// Consecutive failed actuations on a knob before it is disabled.
+const DEGRADE_AFTER: u32 = 3;
+
+/// Retry count and backoff for a node agent's coordinator connection
+/// (initial connect and reconnects).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
-    /// Retries per actuation before the failure counts as persistent.
+    /// Attempts per candidate coordinator before the agent gives up.
     pub max_retries: u32,
-    /// Consecutive failed actuations on a knob before it is disabled.
-    pub degrade_after: u32,
     /// Backoff before the first retry; doubles per retry.
     pub base_backoff: Duration,
     /// Backoff ceiling.
@@ -84,7 +90,6 @@ impl Default for RetryPolicy {
     fn default() -> Self {
         RetryPolicy {
             max_retries: 3,
-            degrade_after: 3,
             base_backoff: Duration::from_millis(1),
             max_backoff: Duration::from_millis(50),
         }
@@ -190,7 +195,6 @@ const KNOBS: usize = 3;
 /// safe-state path must always reach for the hardware.
 pub struct ResilientActuators<A> {
     inner: A,
-    policy: RetryPolicy,
     tel: SocketTelemetry,
     cap_floor: Watts,
     retries_total: Arc<Counter>,
@@ -206,7 +210,6 @@ impl<A: Actuators> ResilientActuators<A> {
     pub fn new(inner: A, cap_floor: Watts) -> Self {
         ResilientActuators {
             inner,
-            policy: RetryPolicy::default(),
             tel: SocketTelemetry::default(),
             cap_floor,
             retries_total: Arc::new(Counter::default()),
@@ -306,7 +309,7 @@ impl<A: Actuators> ResilientActuators<A> {
                 }
                 Err(e) => match classify(&e) {
                     ErrorClass::Fatal => return Err(e),
-                    ErrorClass::Transient if attempt < self.policy.max_retries => {
+                    ErrorClass::Transient if attempt < MAX_RETRIES => {
                         attempt += 1;
                         self.retries_total.inc();
                         self.emit(actuator, f64::from(attempt), target, Reason::ActuationRetry);
@@ -325,7 +328,7 @@ impl<A: Actuators> ResilientActuators<A> {
     fn note_failure(&mut self, knob: Knob) {
         let state = &mut self.state.knobs[knob as usize];
         state.streak += 1;
-        if state.disabled || state.streak < self.policy.degrade_after {
+        if state.disabled || state.streak < DEGRADE_AFTER {
             return;
         }
         let before = self.degradation();
@@ -696,16 +699,15 @@ mod tests {
     fn exhausted_retries_then_degrade_to_uncore_only() {
         let tel = Telemetry::new(256);
         let flaky = Flaky::new();
-        let policy = RetryPolicy::default();
-        // Each actuation burns 1 + max_retries attempts; degrade_after
+        // Each actuation burns 1 + MAX_RETRIES attempts; DEGRADE_AFTER
         // failed actuations in a row disables the knob.
-        let per_actuation = 1 + policy.max_retries as usize;
-        flaky.push_cap_errors(per_actuation * policy.degrade_after as usize, || {
+        let per_actuation = 1 + MAX_RETRIES as usize;
+        flaky.push_cap_errors(per_actuation * DEGRADE_AFTER as usize, || {
             Error::msr(0x610, "EIO")
         });
         let mut r = wrap(flaky.clone(), &tel);
 
-        for _ in 0..policy.degrade_after {
+        for _ in 0..DEGRADE_AFTER {
             r.set_cap_both(Watts(90.0)).unwrap();
         }
         assert_eq!(r.degradation(), DegradationLevel::UncoreOnly);
@@ -730,11 +732,10 @@ mod tests {
     fn persistent_errors_degrade_without_retries() {
         let tel = Telemetry::new(64);
         let flaky = Flaky::new();
-        flaky.push_cap_errors(3, || Error::Unsupported("no RAPL"));
-        assert_eq!(RetryPolicy::default().degrade_after, 3);
+        flaky.push_cap_errors(DEGRADE_AFTER as usize, || Error::Unsupported("no RAPL"));
         let mut r = wrap(flaky.clone(), &tel);
 
-        for _ in 0..3 {
+        for _ in 0..DEGRADE_AFTER {
             r.set_cap_both(Watts(90.0)).unwrap();
         }
         assert_eq!(r.degradation(), DegradationLevel::UncoreOnly);
@@ -745,7 +746,7 @@ mod tests {
     fn uncore_failure_reaches_passive() {
         let tel = Telemetry::new(64);
         let flaky = Flaky::new();
-        let per = 1 + RetryPolicy::default().max_retries as usize;
+        let per = 1 + MAX_RETRIES as usize;
         flaky.push_uncore_errors(per * 3, || Error::msr(0x620, "EIO"));
         let mut r = wrap(flaky.clone(), &tel);
         for _ in 0..3 {
@@ -779,7 +780,7 @@ mod tests {
         let flaky = Flaky::new();
         let mut r = wrap(flaky.clone(), &tel);
         r.set_uncore(Hertz::from_ghz(1.6)).unwrap();
-        let per = 1 + RetryPolicy::default().max_retries as usize;
+        let per = 1 + MAX_RETRIES as usize;
         flaky.push_uncore_errors(per, || Error::msr(0x620, "EIO"));
         assert_eq!(r.read_uncore().unwrap(), Hertz::from_ghz(1.6));
     }
@@ -788,7 +789,7 @@ mod tests {
     fn success_resets_the_failure_streak() {
         let tel = Telemetry::new(64);
         let flaky = Flaky::new();
-        let per = 1 + RetryPolicy::default().max_retries as usize;
+        let per = 1 + MAX_RETRIES as usize;
         let mut r = wrap(flaky.clone(), &tel);
         // Two failed actuations, then a success, then two more failures:
         // never three in a row, so no degradation.
@@ -868,7 +869,7 @@ mod tests {
     fn resets_bypass_disabled_knobs() {
         let tel = Telemetry::new(64);
         let flaky = Flaky::new();
-        let per = 1 + RetryPolicy::default().max_retries as usize;
+        let per = 1 + MAX_RETRIES as usize;
         flaky.push_cap_errors(per * 3, || Error::msr(0x610, "EIO"));
         let mut r = wrap(flaky.clone(), &tel);
         for _ in 0..3 {

@@ -10,7 +10,7 @@
 use dufp_counters::Sampler;
 use dufp_sim::{Machine, SimConfig};
 use dufp_types::{Duration, Result, Seconds, SocketId};
-use dufp_workloads::capture::{segment_with_power, CounterSample, SegmentConfig};
+use dufp_workloads::capture::{segment_with_power, CounterSample};
 use dufp_workloads::{apps, MaterializeCtx, Workload, WorkloadFile};
 
 /// Runs `app` (a model name or a `.json` spec path) once on `sim` in the
@@ -71,10 +71,10 @@ fn record_trace_with_deadline(
 }
 
 /// Records `app` and segments the trace into a saveable workload file.
-pub fn record_workload(sim: &SimConfig, app: &str, cfg: &SegmentConfig) -> Result<WorkloadFile> {
+pub fn record_workload(sim: &SimConfig, app: &str) -> Result<WorkloadFile> {
     let trace = record_trace(sim, app)?;
     let ctx = MaterializeCtx::from_arch(&sim.arch);
-    let phases = segment_with_power(&trace, &ctx, cfg, &sim.power, sim.arch.uncore_freq_max)?;
+    let phases = segment_with_power(&trace, &ctx, &sim.power, sim.arch.uncore_freq_max)?;
     Ok(WorkloadFile {
         name: format!("{app}-captured"),
         phases,
@@ -95,7 +95,7 @@ mod tests {
         // a highly-memory region, and similar DUFP behaviour.
         let sim = SimConfig::deterministic(3);
         let ctx = MaterializeCtx::from_arch(&sim.arch);
-        let file = record_workload(&sim, "CG", &SegmentConfig::default()).unwrap();
+        let file = record_workload(&sim, "CG").unwrap();
 
         let original = apps::by_name("CG", &ctx).unwrap();
         let rebuilt = file.materialize(&ctx).unwrap();
@@ -133,7 +133,7 @@ mod tests {
         let orig = run_once(&spec("CG".into()), 3).unwrap();
         let capt = run_once(&spec(path.to_str().unwrap().into()), 3).unwrap();
         // Memory-phase compute headroom is not observable from one trace
-        // (see SegmentConfig::memory_headroom), so the captured model's
+        // (see `dufp_workloads::capture::MEMORY_HEADROOM`), so the captured model's
         // cap response differs somewhat; a 15 % band covers the heuristic.
         let power_gap = (orig.avg_pkg_power.value() - capt.avg_pkg_power.value()).abs()
             / orig.avg_pkg_power.value();
@@ -168,7 +168,7 @@ mod tests {
     #[test]
     fn recording_ep_yields_one_compute_phase() {
         let sim = SimConfig::deterministic(5);
-        let file = record_workload(&sim, "EP", &SegmentConfig::default()).unwrap();
+        let file = record_workload(&sim, "EP").unwrap();
         assert_eq!(file.phases.len(), 1, "{:#?}", file.phases);
         assert!(file.phases[0].oi > 100.0);
     }

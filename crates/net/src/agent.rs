@@ -4,8 +4,10 @@
 //!
 //! Its protocol decisions live in [`AgentCore`], a transport-free state
 //! machine: every coordinator frame goes through [`AgentCore::on_frame`],
-//! here and in the chaos fleet ([`crate::chaos`]), so the soak and the
-//! adversarial proptests check the code the agent ships.
+//! and every frame the agent sends is built by [`AgentCore::hello`],
+//! [`AgentCore::report`] or [`AgentCore::heartbeat`], here and in the
+//! chaos fleet ([`crate::chaos`]), so the soak and the adversarial
+//! proptests check the code the agent ships.
 //!
 //! The agent is built to survive the coordinator, not the other way
 //! around. It connects with bounded retry/backoff; if the coordinator is
@@ -23,6 +25,7 @@
 //! coordinator's heartbeat timeout exists to detect.
 
 use crate::config::AgentConfig;
+use crate::fleet_sim::NodeHello;
 use crate::wire::{Frame, GrantKind};
 use dufp_cluster::node::{DufpNode, NodeCapper, INTERVAL};
 use dufp_telemetry::{Actuator, DecisionEvent, Reason, Telemetry, TelemetryReport};
@@ -117,9 +120,10 @@ pub enum AgentInbound {
 /// The transport-free agent state machine (DESIGN.md §12, §15): term
 /// fencing, lexicographic `(term, epoch)` grant ordering — so a delayed
 /// or replayed grant, even from a fenced ex-primary whose epoch counter
-/// ran ahead, never rolls the ceiling back — report and heartbeat
-/// sequencing, and the safe-cap fallback `min(ceiling, safe_cap)` once
-/// the link has been down for `grace` ticks of the caller's clock.
+/// ran ahead, never rolls the ceiling back — the frames the agent sends
+/// (`Hello`, sequenced reports and heartbeats, each stamped as the
+/// protocol needs), and the safe-cap fallback `min(ceiling, safe_cap)`
+/// once the link has been down for `grace` ticks of the caller's clock.
 /// Actuation stays outside: a verdict before it, a commit after it.
 #[derive(Debug, Clone)]
 pub struct AgentCore {
@@ -224,20 +228,40 @@ impl AgentCore {
         Some(old)
     }
 
-    /// The sequence number for the next demand report.
-    pub fn next_report_seq(&mut self) -> u64 {
+    /// The `Hello` announcing `me`, stamped with the highest term seen so
+    /// a resurrected stale primary is fenced on contact.
+    pub fn hello(&self, me: &NodeHello) -> Frame {
+        Frame::Hello {
+            node: me.name.clone(),
+            floor: me.floor,
+            node_max: me.node_max,
+            app: me.app.clone(),
+            term: self.max_term,
+        }
+    }
+
+    /// The next demand report, sequenced after the last one.
+    pub fn report(&mut self, ceiling: Watts, consumption: Watts, active: bool) -> Frame {
         self.report_seq += 1;
-        self.report_seq
+        Frame::DemandReport {
+            seq: self.report_seq,
+            ceiling,
+            consumption,
+            active,
+        }
     }
 
-    /// The sequence number for the next heartbeat.
-    pub fn next_heartbeat_seq(&mut self) -> u64 {
+    /// The next heartbeat, sequenced apart from the reports and stamped
+    /// with the highest term seen.
+    pub fn heartbeat(&mut self) -> Frame {
         self.heartbeat_seq += 1;
-        self.heartbeat_seq
+        Frame::Heartbeat {
+            seq: self.heartbeat_seq,
+            term: self.max_term,
+        }
     }
 
-    /// The highest term seen, announced by `Hello` and `Heartbeat` so a
-    /// resurrected stale primary is fenced on contact.
+    /// The highest term seen.
     pub fn max_term(&self) -> u64 {
         self.max_term
     }
@@ -456,13 +480,13 @@ impl Agent {
         // Hello is rebuilt per attach so it carries the highest term seen —
         // re-announcing a successor's term to whatever answers fences a
         // resurrected stale primary on contact.
-        let make_hello = |link: &Link| Frame::Hello {
-            node: cfg.node.clone(),
-            floor: DufpNode::cap_floor(),
-            node_max: cfg.node_max,
+        let me = NodeHello {
+            name: cfg.node.clone(),
             app: cfg.queue.join("+"),
-            term: link.core.lock().max_term(),
+            floor: DufpNode::cap_floor(),
+            node_max: DufpNode::pl1(),
         };
+        let make_hello = |link: &Link| link.core.lock().hello(&me);
         let mut readers: Vec<std::thread::JoinHandle<()>> = Vec::new();
         let mut degradations: u64 = 0;
         let mut handovers: u64 = 0;
@@ -480,7 +504,6 @@ impl Agent {
         }
 
         // -- Control loop: one node interval, then the coordinator link.
-        let report_period = cfg.report_intervals as f64 * INTERVAL.as_seconds().value();
         let mut reports_sent: u64 = 0;
         let mut crashed = false;
 
@@ -504,19 +527,14 @@ impl Agent {
             node.step()?;
             let intervals = node.intervals();
 
-            // Demand report (doubles as the heartbeat).
-            if intervals.is_multiple_of(cfg.report_intervals as u64) {
-                if let Some(s) = stream.as_mut() {
-                    let frame = Frame::DemandReport {
-                        seq: link.core.lock().next_report_seq(),
-                        ceiling: node.ceiling(),
-                        consumption: node.consumption(report_period)?,
-                        active: node.finished_at().is_none(),
-                    };
-                    match frame.write_to(s).and_then(|()| Ok(s.flush()?)) {
-                        Ok(()) => reports_sent += 1,
-                        Err(_) => link.lost(),
-                    }
+            // One demand report per interval (doubles as the heartbeat).
+            if let Some(s) = stream.as_mut() {
+                let consumption = node.consumption(INTERVAL.as_seconds().value())?;
+                let active = node.finished_at().is_none();
+                let frame = link.core.lock().report(node.ceiling(), consumption, active);
+                match frame.write_to(s).and_then(|()| Ok(s.flush()?)) {
+                    Ok(()) => reports_sent += 1,
+                    Err(_) => link.lost(),
                 }
             }
 
@@ -588,12 +606,7 @@ impl Agent {
         // watts are redistributed immediately instead of by timeout.
         if !crashed {
             if let Some(mut s) = stream.take() {
-                let bye = Frame::DemandReport {
-                    seq: link.core.lock().next_report_seq(),
-                    ceiling: node.ceiling(),
-                    consumption: Watts::ZERO,
-                    active: false,
-                };
+                let bye = link.core.lock().report(node.ceiling(), Watts::ZERO, false);
                 let _ = bye.write_to(&mut s);
                 let _ = Frame::Goodbye.write_to(&mut s);
                 let _ = s.flush();
@@ -943,9 +956,56 @@ mod tests {
     #[test]
     fn agent_core_sequences_reports_and_heartbeats_separately() {
         let mut core = AgentCore::new(SAFE, 0);
-        assert_eq!(core.next_report_seq(), 1);
-        assert_eq!(core.next_report_seq(), 2);
-        assert_eq!(core.next_heartbeat_seq(), 1);
+        let report = |seq| Frame::DemandReport {
+            seq,
+            ceiling: Watts(90.0),
+            consumption: Watts(80.0),
+            active: true,
+        };
+        assert_eq!(core.report(Watts(90.0), Watts(80.0), true), report(1));
+        assert_eq!(core.report(Watts(90.0), Watts(80.0), true), report(2));
+        assert_eq!(core.heartbeat(), Frame::Heartbeat { seq: 1, term: 0 });
+        let bye = Frame::DemandReport {
+            seq: 3,
+            ceiling: Watts(70.0),
+            consumption: Watts::ZERO,
+            active: false,
+        };
+        assert_eq!(core.report(Watts(70.0), Watts::ZERO, false), bye);
+        assert_eq!(core.heartbeat(), Frame::Heartbeat { seq: 2, term: 0 });
+    }
+
+    #[test]
+    fn agent_core_stamps_hello_and_heartbeat_with_the_adopted_term() {
+        let me = NodeHello {
+            name: "n0".into(),
+            app: "EP".into(),
+            floor: Watts(65.0),
+            node_max: Watts(125.0),
+        };
+        let hello = |term| Frame::Hello {
+            node: "n0".into(),
+            floor: Watts(65.0),
+            node_max: Watts(125.0),
+            app: "EP".into(),
+            term,
+        };
+        let mut core = AgentCore::new(SAFE, 0);
+        assert_eq!(core.hello(&me), hello(0));
+        let handover = Frame::Handover {
+            successor: "s:2".into(),
+            term: 2,
+        };
+        core.on_frame(handover, |_| panic!("a handover actuates nothing"));
+        assert_eq!(core.hello(&me), hello(2));
+        assert_eq!(core.heartbeat(), Frame::Heartbeat { seq: 1, term: 2 });
+        // A newer-term grant is adopted even when its actuation fails.
+        assert_eq!(committed(grant(&mut core, 3, 1, 110.0, false)), Some(false));
+        assert_eq!(core.hello(&me), hello(3));
+        assert_eq!(core.heartbeat(), Frame::Heartbeat { seq: 2, term: 3 });
+        // A fenced grant from an older term moves nothing.
+        assert_eq!(fenced_by(grant(&mut core, 1, 9, 120.0, true)), Some(3));
+        assert_eq!(core.hello(&me), hello(3));
     }
 
     #[test]

@@ -43,6 +43,7 @@ use crate::agent::{AgentCore, AgentInbound};
 use crate::config::{fund_floors, CoordinatorConfig};
 use crate::core::{EpochStep, FleetCore, Inbound, NodeState};
 use crate::fleet_journal::FleetJournal;
+use crate::fleet_sim::NodeHello;
 use crate::netfault::{Dir, NetFaultInjector, NetFaultOp, NetFaultPlan};
 use crate::vet::Trust;
 use crate::wire::Frame;
@@ -55,9 +56,16 @@ use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::time::Duration;
 
+/// Every chaos node's floor.
+const FLOOR: Watts = Watts(65.0);
+/// Every chaos node's silicon limit.
+const NODE_MAX: Watts = Watts(125.0);
+/// The safe local cap a chaos agent enforces while disconnected.
+const SAFE_CAP: Watts = Watts(90.0);
+
 /// How a chaos soak is shaped. Defaults match the CI matrix: 8 agents,
-/// 40 virtual epochs, a 700 W budget over 65 W floors and 125 W silicon
-/// limits, 90 W safe local caps.
+/// 40 virtual epochs and a 700 W budget; every node has this module's
+/// 65 W `FLOOR`, 125 W `NODE_MAX` and 90 W `SAFE_CAP`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ChaosConfig {
     /// Master seed: keys every random stream in the soak.
@@ -68,12 +76,6 @@ pub struct ChaosConfig {
     pub epochs: u64,
     /// Global fleet budget.
     pub budget: Watts,
-    /// Per-node floor.
-    pub floor: Watts,
-    /// Per-node silicon limit.
-    pub node_max: Watts,
-    /// Safe local cap an agent enforces while disconnected.
-    pub safe_cap: Watts,
     /// Extra network-fault rules merged into every scenario's plan
     /// (`--net-fault-plan`).
     pub extra_net: NetFaultPlan,
@@ -91,9 +93,6 @@ impl ChaosConfig {
             agents: 8,
             epochs: 40,
             budget: Watts(700.0),
-            floor: Watts(65.0),
-            node_max: Watts(125.0),
-            safe_cap: Watts(90.0),
             extra_net: NetFaultPlan::none(),
             msr_plan: FaultPlan::none(),
         }
@@ -115,9 +114,9 @@ impl ChaosConfig {
         }
         // Every honest floor must be fundable, or the floor invariant the
         // soak scores is violated by construction. The rest of the
-        // budget/floor/node_max plausibility rides on the coordinator
-        // config validation inside run().
-        fund_floors(self.budget, self.floor * self.agents as f64)
+        // budget plausibility rides on the coordinator config validation
+        // inside run().
+        fund_floors(self.budget, FLOOR * self.agents as f64)
     }
 }
 
@@ -318,7 +317,9 @@ const DISCONNECT_GRACE_EPOCHS: u64 = 2;
 /// the harness's demand model, link and metric clocks.
 struct SimAgent {
     idx: usize,
-    name: String,
+    /// What the agent announces: its name, and the fleet's floor and
+    /// silicon limit.
+    hello: NodeHello,
     rng: u64,
     /// Wandering honest demand in watts.
     demand: f64,
@@ -346,14 +347,19 @@ impl SimAgent {
         let mut rng = cfg
             .seed
             .wrapping_add((idx as u64 + 1).wrapping_mul(splitmix::GAMMA));
-        let span = cfg.node_max.value() - cfg.floor.value();
-        let demand = cfg.floor.value() + splitmix::unit_f64(&mut rng) * span;
+        let span = NODE_MAX.value() - FLOOR.value();
+        let demand = FLOOR.value() + splitmix::unit_f64(&mut rng) * span;
         SimAgent {
             idx,
-            name: format!("n{idx}"),
+            hello: NodeHello {
+                name: format!("n{idx}"),
+                app: "chaos".to_string(),
+                floor: FLOOR,
+                node_max: NODE_MAX,
+            },
             rng,
             demand,
-            core: AgentCore::new(cfg.safe_cap, DISCONNECT_GRACE_EPOCHS),
+            core: AgentCore::new(SAFE_CAP, DISCONNECT_GRACE_EPOCHS),
             alive: true,
             coord: None,
             slot: None,
@@ -386,9 +392,9 @@ impl SimAgent {
     /// A fresh process: a fresh core. It forgets the terms it has seen —
     /// the stale-primary defense for fresh agents is the primary's own
     /// pause self-fencing, not agent memory.
-    fn restart(&mut self, safe_cap: Watts) {
+    fn restart(&mut self) {
         self.alive = true;
-        self.core = AgentCore::new(safe_cap, DISCONNECT_GRACE_EPOCHS);
+        self.core = AgentCore::new(SAFE_CAP, DISCONNECT_GRACE_EPOCHS);
     }
 }
 
@@ -463,13 +469,16 @@ impl ChaosFleet {
         plan.rules.extend(cfg.extra_net.rules.iter().copied());
         let mut coord_cfg =
             CoordinatorConfig::new("chaos:virtual", cfg.budget).with_epoch(Duration::from_secs(1));
-        coord_cfg.floor = cfg.floor;
-        coord_cfg.node_max = cfg.node_max;
+        coord_cfg.floor = FLOOR;
+        coord_cfg.node_max = NODE_MAX;
         coord_cfg.validate()?;
         let mut msr_plan = cfg.msr_plan.clone();
         msr_plan.seed = msr_plan.seed.wrapping_add(cfg.seed);
         let agents: Vec<SimAgent> = (0..cfg.agents).map(|i| SimAgent::new(i, &cfg)).collect();
-        let agent_index = agents.iter().map(|a| (a.name.clone(), a.idx)).collect();
+        let agent_index = agents
+            .iter()
+            .map(|a| (a.hello.name.clone(), a.idx))
+            .collect();
         let net = NetFaultInjector::new(plan);
         // Nothing reads the harness cores' telemetry, so they record none.
         let coord = |alive| CoordSim {
@@ -553,7 +562,7 @@ impl ChaosFleet {
             if killed && self.agents[i].alive {
                 self.agents[i].die(epoch);
             } else if !killed && !self.agents[i].alive {
-                self.agents[i].restart(self.cfg.safe_cap);
+                self.agents[i].restart();
             }
         }
 
@@ -720,8 +729,7 @@ impl ChaosFleet {
         // Safe-cap fallback after the grace period without a link, scored
         // on the ceiling the core then enforces.
         let core = &mut self.agents[i].core;
-        if core.on_link(linked, epoch).is_some()
-            && core.ceiling().value() > self.cfg.safe_cap.value() + 1e-9
+        if core.on_link(linked, epoch).is_some() && core.ceiling().value() > SAFE_CAP.value() + 1e-9
         {
             self.tallies.safe_cap_violations += 1;
         }
@@ -729,7 +737,7 @@ impl ChaosFleet {
         // Demand model: seeded wander, or floor↔max thrash.
         {
             let a = &mut self.agents[i];
-            let (lo, hi) = (self.cfg.floor.value(), self.cfg.node_max.value());
+            let (lo, hi) = (FLOOR.value(), NODE_MAX.value());
             a.demand = if self.thrash {
                 if epoch.is_multiple_of(2) {
                     lo
@@ -753,14 +761,9 @@ impl ChaosFleet {
             return; // no coordinator listening: connection refused
         };
         if self.agents[i].slot.is_none() && !up_cut {
-            self.agents[i].coord = Some(dest);
-            let hello = Frame::Hello {
-                node: self.agents[i].name.clone(),
-                floor: self.cfg.floor,
-                node_max: self.cfg.node_max,
-                app: "chaos".to_string(),
-                term: self.agents[i].core.max_term(),
-            };
+            let a = &mut self.agents[i];
+            a.coord = Some(dest);
+            let hello = a.core.hello(&a.hello);
             self.send_up(i, &hello, epoch, up_cut, dest);
         }
 
@@ -768,25 +771,37 @@ impl ChaosFleet {
         let flapping = byz.contains(&NetFaultOp::ByzFlap);
         let silent_flap = flapping && epoch.is_multiple_of(2);
         if !silent_flap {
-            let seq = self.agents[i].core.next_report_seq();
-            let honest_ceiling = self.agents[i].core.ceiling().value();
-            let honest_consumption = self.agents[i].demand.min(honest_ceiling);
-            let granted = self.agents[i].core.granted().map(Watts::value);
+            let a = &mut self.agents[i];
+            let honest_ceiling = a.core.ceiling();
+            let honest_consumption = Watts(a.demand.min(honest_ceiling.value()));
+            let granted = a.core.granted();
+            // The core builds the honest report; a byzantine agent then
+            // rewrites its watts.
+            let mut report = a.core.report(honest_ceiling, honest_consumption, true);
+            let Frame::DemandReport {
+                seq,
+                ceiling: c,
+                consumption: k,
+                ..
+            } = &mut report
+            else {
+                unreachable!("AgentCore::report builds a DemandReport");
+            };
+            let seq = *seq;
             let mut lied = false;
-            let ten_x = self.cfg.node_max.value() * 10.0;
-            let (mut c, mut k) = (honest_ceiling, honest_consumption);
+            let ten_x = NODE_MAX * 10.0;
             for op in &byz {
                 match op {
                     NetFaultOp::ByzInflate => {
-                        (c, k) = (ten_x, ten_x);
+                        (*c, *k) = (ten_x, ten_x);
                         lied = true;
                     }
                     NetFaultOp::ByzNan => {
-                        k = f64::NAN;
+                        *k = Watts(f64::NAN);
                         lied = true;
                     }
                     NetFaultOp::ByzNegative => {
-                        k = -42.0;
+                        *k = Watts(-42.0);
                         lied = true;
                     }
                     NetFaultOp::ByzOverdraw => {
@@ -795,8 +810,8 @@ impl ChaosFleet {
                         // plausibility envelope so only the overdraw rule
                         // can catch it.
                         if let Some(g) = granted {
-                            c = g;
-                            k = (2.0 * g).min(self.cfg.node_max.value() * 1.2);
+                            *c = g;
+                            *k = Watts((2.0 * g.value()).min(NODE_MAX.value() * 1.2));
                             lied = true;
                         }
                     }
@@ -804,14 +819,8 @@ impl ChaosFleet {
                 }
             }
             if lied {
-                self.agents[i].first_lie.get_or_insert(epoch);
+                a.first_lie.get_or_insert(epoch);
             }
-            let report = Frame::DemandReport {
-                seq,
-                ceiling: Watts(c),
-                consumption: Watts(k),
-                active: true,
-            };
             self.send_up(i, &report, epoch, up_cut, dest);
 
             // Replayed stale frames, beyond what reordering could excuse.
@@ -822,8 +831,8 @@ impl ChaosFleet {
                 for _ in 0..n {
                     let stale = Frame::DemandReport {
                         seq: stale_seq,
-                        ceiling: Watts(honest_ceiling),
-                        consumption: Watts(honest_consumption),
+                        ceiling: honest_ceiling,
+                        consumption: honest_consumption,
                         active: true,
                     };
                     self.send_up(i, &stale, epoch, up_cut, dest);
@@ -835,11 +844,7 @@ impl ChaosFleet {
         let heartbeats = if flapping && !silent_flap { 40 } else { 1 };
         if !silent_flap {
             for _ in 0..heartbeats {
-                let core = &mut self.agents[i].core;
-                let hb = Frame::Heartbeat {
-                    seq: core.next_heartbeat_seq(),
-                    term: core.max_term(),
-                };
+                let hb = self.agents[i].core.heartbeat();
                 self.send_up(i, &hb, epoch, up_cut, dest);
             }
         }
@@ -920,7 +925,7 @@ impl ChaosFleet {
             if self.net.is_ever_byzantine(i) {
                 continue;
             }
-            if *watts < self.cfg.floor.value() - 1e-6 {
+            if *watts < FLOOR.value() - 1e-6 {
                 self.tallies.floor_violations += 1;
             }
         }

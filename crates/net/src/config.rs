@@ -2,6 +2,7 @@
 //! validation [`dufp_control::ControlConfig::validate`] established.
 
 use dufp_cluster::allocator::{AllocatorPolicy, DemandBased, StaticSplit};
+use dufp_cluster::node::DufpNode;
 use dufp_types::check::{fraction, positive};
 use dufp_types::{Error, Ratio, Result, Watts};
 use std::path::PathBuf;
@@ -84,8 +85,6 @@ pub struct CoordinatorConfig {
     pub floor: Watts,
     /// Per-node silicon limit for the demand-based policy.
     pub node_max: Watts,
-    /// Demand-vetting and quarantine-ladder tunables (see [`crate::vet`]).
-    pub vet: crate::vet::VetConfig,
     /// Journal directory for durable coordinator state (DESIGN.md §15).
     /// When set, every core input event is appended to a
     /// [`crate::fleet_journal::FleetJournal`] before it is applied, and a
@@ -121,7 +120,6 @@ impl CoordinatorConfig {
             max_epochs: None,
             floor: Watts(65.0),
             node_max: Watts(125.0),
-            vet: crate::vet::VetConfig::default(),
             journal_dir: None,
             standby_of: None,
             successor: None,
@@ -178,7 +176,6 @@ impl CoordinatorConfig {
         if self.successor.as_deref() == Some("") {
             return Err(Error::invalid("successor", "empty successor address"));
         }
-        self.vet.validate()?;
         Ok(())
     }
 }
@@ -201,13 +198,9 @@ pub struct AgentConfig {
     /// RNG seed for the simulated node.
     pub seed: u64,
     /// The ceiling the node enforces while unconnected or degraded — the
-    /// safe local static cap. Also the floor reported in Hello.
+    /// safe local static cap. The Hello announces the node's own limits,
+    /// [`DufpNode::cap_floor`] and [`DufpNode::pl1`].
     pub safe_cap: Watts,
-    /// The node's silicon PL1, reported in Hello.
-    pub node_max: Watts,
-    /// Send a demand report (and heartbeat) every this many control
-    /// intervals.
-    pub report_intervals: u32,
     /// Wall-clock pause per 200 ms control interval. The simulator runs
     /// much faster than real time; pacing keeps a demo fleet observable
     /// and spreads reports across coordinator epochs. `0` = flat out.
@@ -235,8 +228,6 @@ impl AgentConfig {
             slowdown: Ratio::from_percent(10.0),
             seed: 42,
             safe_cap: Watts(90.0),
-            node_max: Watts(125.0),
-            report_intervals: 1,
             pace: Duration::ZERO,
             max_intervals: None,
             retry: dufp_control::RetryPolicy::default(),
@@ -244,7 +235,7 @@ impl AgentConfig {
     }
 
     /// Rejects configurations no agent can run — empty queues,
-    /// zero/negative/NaN caps, a safe cap above the silicon limit — with a
+    /// zero/negative/NaN caps, a safe cap above the node's PL1 — with a
     /// typed [`Error::InvalidValue`] naming the offending field.
     pub fn validate(&self) -> Result<()> {
         if self.connect.is_empty() {
@@ -261,19 +252,16 @@ impl AgentConfig {
         }
         fraction("slowdown", self.slowdown.value())?;
         positive("safe_cap", self.safe_cap.value())?;
-        positive("node_max", self.node_max.value())?;
-        if self.safe_cap > self.node_max {
+        let node_max = DufpNode::pl1();
+        if self.safe_cap > node_max {
             return Err(Error::invalid(
                 "safe_cap",
                 format!(
                     "{} W above node_max {} W",
                     self.safe_cap.value(),
-                    self.node_max.value()
+                    node_max.value()
                 ),
             ));
-        }
-        if self.report_intervals == 0 {
-            return Err(Error::invalid("report_intervals", "zero report cadence"));
         }
         if self.max_intervals == Some(0) {
             return Err(Error::invalid("max_intervals", "zero intervals"));
@@ -403,12 +391,9 @@ mod tests {
     }
 
     #[test]
-    fn agent_rejects_empty_queue_and_cadence() {
+    fn agent_rejects_an_empty_queue() {
         let mut cfg = AgentConfig::new("127.0.0.1:7070", "n0", "EP");
         cfg.queue.clear();
-        assert!(cfg.validate().is_err());
-        let mut cfg = AgentConfig::new("127.0.0.1:7070", "n0", "EP");
-        cfg.report_intervals = 0;
         assert!(cfg.validate().is_err());
     }
 }

@@ -24,7 +24,7 @@
 
 use crate::config::CoordinatorConfig;
 use crate::fleet_journal::{FleetEvent, FleetJournal};
-use crate::vet::{FrameVerdict, NodeVet, Trust, VetConfig};
+use crate::vet::{FrameVerdict, NodeVet, Trust, MAX_REPORTS_PER_EPOCH};
 use crate::wire::{Frame, GrantKind};
 use dufp_cluster::allocator::{AllocatorPolicy, NodeObservation};
 use dufp_telemetry::{Actuator, Counter, DecisionEvent, Reason, Telemetry};
@@ -135,7 +135,8 @@ pub enum Inbound {
     AlreadyLinked,
     /// Ignored: a `DemandReport`, `Heartbeat` or `Goodbye` with no slot.
     NotLinked,
-    /// Ignored: a `Heartbeat` to a fenced core, after its term was seen.
+    /// Ignored: a `Heartbeat` to a fenced core, after its term was seen,
+    /// or a linked `Goodbye` to a fenced core, whose registry is frozen.
     Fenced,
     /// Ignored: a `BudgetGrant` or `Handover`, which flow the other way.
     WrongDirection,
@@ -231,7 +232,6 @@ impl Count {
 pub struct FleetCore {
     budget: Watts,
     heartbeat_timeout_ms: u64,
-    vet_cfg: VetConfig,
     policy: Box<dyn AllocatorPolicy>,
     /// Everything a checkpoint holds. Its `term` is monotonic: grants
     /// carry it and agents apply grants in `(term, epoch)` lexicographic
@@ -267,7 +267,6 @@ impl FleetCore {
         FleetCore {
             budget: cfg.budget,
             heartbeat_timeout_ms: cfg.heartbeat_timeout.as_millis() as u64,
-            vet_cfg: cfg.vet,
             policy,
             state: CoreSnapshot {
                 epoch: 0,
@@ -286,7 +285,7 @@ impl FleetCore {
     }
 
     /// Rebuilds a core from a recovery snapshot. `cfg` supplies the
-    /// non-serialized parts (policy, budget, vetting tunables) and must
+    /// non-serialized parts (policy, budget, heartbeat timeout) and must
     /// match the configuration the snapshotting coordinator ran with.
     pub fn from_snapshot(cfg: &CoordinatorConfig, snap: CoreSnapshot, tel: Telemetry) -> Self {
         let mut core = FleetCore::new(cfg, tel);
@@ -566,9 +565,9 @@ impl FleetCore {
         n.attached_term = term;
         let granted = n.granted_w;
         let node_max = n.node_max_w;
-        let verdict =
-            n.vet
-                .check_report(&self.vet_cfg, seq, ceiling, consumption, node_max, granted);
+        let verdict = n
+            .vet
+            .check_report(seq, ceiling, consumption, node_max, granted);
         match verdict {
             FrameVerdict::Accepted => {
                 n.last_seen_ms = now_ms;
@@ -601,11 +600,8 @@ impl FleetCore {
                 self.count(Count::RateLimited);
                 // One event per node per epoch, not one per dropped frame
                 // — a storm must not flood the telemetry buffer.
-                if self.state.nodes[slot]
-                    .vet
-                    .just_hit_report_limit(&self.vet_cfg)
-                {
-                    let max = f64::from(self.vet_cfg.max_reports_per_epoch);
+                if self.state.nodes[slot].vet.just_hit_report_limit() {
+                    let max = f64::from(MAX_REPORTS_PER_EPOCH);
                     self.record(slot, now_ms, max + 1.0, max, Reason::RateLimited);
                 }
             }
@@ -632,7 +628,7 @@ impl FleetCore {
         let term = self.state.term;
         let n = &mut self.state.nodes[slot];
         n.attached_term = term;
-        let verdict = n.vet.check_heartbeat(&self.vet_cfg, seq);
+        let verdict = n.vet.check_heartbeat(seq);
         match verdict {
             FrameVerdict::RateLimited => {
                 // As in `on_report`: the storm is dropped, but the node
@@ -652,9 +648,11 @@ impl FleetCore {
         verdict
     }
 
-    /// Marks a node cleanly departed.
+    /// Marks a node cleanly departed. A fenced core ignores it, as it
+    /// refuses reports: its registry is frozen for the successor, and its
+    /// journal is closed.
     pub fn on_goodbye(&mut self, slot: usize) {
-        if self.slot_is_live(slot) {
+        if !self.fenced() && self.slot_is_live(slot) {
             self.journal_event(&FleetEvent::Goodbye { slot });
             self.state.nodes[slot].state = NodeState::Departed;
         }
@@ -705,6 +703,7 @@ impl FleetCore {
                 self.on_report(slot, seq, ceiling, consumption, active, now_ms);
                 Inbound::Applied
             }
+            (Frame::Goodbye, Some(_)) if self.fenced() => Inbound::Fenced,
             (Frame::Goodbye, Some(slot)) => {
                 self.on_goodbye(slot);
                 Inbound::Departed
@@ -762,8 +761,7 @@ impl FleetCore {
             if self.state.nodes[i].state != NodeState::Live {
                 continue;
             }
-            let vet_cfg = self.vet_cfg;
-            if let Some((old, new)) = self.state.nodes[i].vet.finalize_epoch(&vet_cfg) {
+            if let Some((old, new)) = self.state.nodes[i].vet.finalize_epoch() {
                 let reason = if new == Trust::Evicted {
                     Reason::Evicted
                 } else {
@@ -1531,6 +1529,9 @@ mod tests {
                             core.force_fence(4);
                         }
                         let link = linked.then_some(a);
+                        let snapshot =
+                            |c: &FleetCore| String::from_utf8(c.snapshot_bytes().unwrap());
+                        let before = snapshot(&core).unwrap();
                         let got = core.ingest(link, kind.frame(term), 500);
 
                         // Only an unlinked Hello and a Heartbeat announce
@@ -1543,6 +1544,7 @@ mod tests {
                             (Hello, false) => "admitted 1",
                             (Heartbeat, _) if fenced_after => "ignored: fenced",
                             (Heartbeat | Report, true) => "applied",
+                            (Goodbye, true) if fenced => "ignored: fenced",
                             (Goodbye, true) => "departed",
                             (Heartbeat | Report | Goodbye, false) => "ignored: not linked",
                             (Grant | Handover, _) => "ignored: wrong direction",
@@ -1564,7 +1566,8 @@ mod tests {
 
                         // The outcome is what reached the registry: a new
                         // slot, a vetted frame on `a` (a fenced core
-                        // refuses reports), or `a` departed.
+                        // refuses reports), or `a` departed (a fenced core
+                        // ignores a Goodbye).
                         let admitted = want == "admitted 1";
                         assert_eq!(core.node_count(), 1 + admitted as usize, "{cell}");
                         let seen = want == "applied" && !fenced_after;
@@ -1572,6 +1575,11 @@ mod tests {
                         assert_eq!(a_node.last_seen_ms, if seen { 500 } else { 0 }, "{cell}");
                         let departed = want == "departed";
                         assert_eq!(a_node.state == NodeState::Departed, departed, "{cell}");
+                        // A fenced core's registry is frozen: nothing it
+                        // ingests changes a byte of its state.
+                        if fenced {
+                            assert_eq!(snapshot(&core).unwrap(), before, "{cell}");
+                        }
                     }
                 }
             }

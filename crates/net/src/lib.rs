@@ -92,5 +92,5 @@ pub use fleet_journal::{
 pub use fleet_sim::{FleetModel, FleetPlan, FleetSim, FleetStats, NodeHello};
 pub use hetero::{run_hetero, HeteroConfig, HeteroOutcome};
 pub use netfault::{Dir, NetFaultInjector, NetFaultOp, NetFaultPlan, NetFaultRule};
-pub use vet::{FrameVerdict, NodeVet, Trust, VetConfig};
+pub use vet::{FrameVerdict, NodeVet, Trust};
 pub use wire::{Frame, FrameType, GrantKind, VERSION};

@@ -8,114 +8,66 @@
 //! [`crate::core::FleetCore`]:
 //!
 //! * **Plausibility envelope** — watt values must be finite, non-negative
-//!   and within `node_max × (1 + envelope_margin)` of the silicon limit
+//!   and within `node_max × (1 +` `ENVELOPE_MARGIN``)` of the silicon limit
 //!   the node itself announced at Hello. Anything else is vetoed before
 //!   it reaches the allocator.
 //! * **Sequence monotonicity** — report and heartbeat sequence numbers
 //!   must strictly increase. An exact duplicate (`seq == last`) is
 //!   dropped silently, because a lossy network legitimately duplicates
 //!   frames; a *regression* (`seq < last`) counts as a replay, and more
-//!   than [`VetConfig::replay_tolerance`] replays in one epoch — beyond
+//!   than `REPLAY_TOLERANCE` replays in one epoch — beyond
 //!   what mild reordering produces — is a strike.
-//! * **Rate limiting** — frames beyond the per-epoch budget are dropped
+//! * **Rate limiting** — frames beyond the per-epoch budget
+//!   (`MAX_REPORTS_PER_EPOCH`, `MAX_HEARTBEATS_PER_EPOCH`) are dropped
 //!   without processing. Soft: being chatty is not a strike, it is just
 //!   ignored, so a flapping-but-honest node cannot strike itself into
 //!   quarantine.
 //! * **Overdraw detection** — consuming more than both the granted
 //!   ceiling *and* the ceiling the node claims to enforce (by
-//!   [`VetConfig::overdraw_margin`]) means the node is ignoring grants.
+//!   `OVERDRAW_MARGIN`) means the node is ignoring grants.
 //!
 //! Strikes are epoch-granular: each category (veto, replay, overdraw)
 //! can contribute at most one strike per epoch, and a clean epoch decays
 //! one strike, so a single transient anomaly never escalates. The ladder
 //! derived from the strike count is [`Trust`]: `Trusted → Suspect →
 //! Quarantined` (capped at its floor) `→ Evicted` (watts reclaimed, name
-//! blacklisted for the rest of the run). Defaults put a persistently
-//! byzantine node in quarantine within two epochs.
+//! blacklisted for the rest of the run), climbed at `SUSPECT_AFTER`,
+//! `QUARANTINE_AFTER` and `EVICT_AFTER` strikes, which put a
+//! persistently byzantine node in quarantine within two epochs.
+//!
+//! Every threshold is a constant of this module: one ladder runs in every
+//! fleet, so there is nothing to configure or validate, and the ladder's
+//! order is checked when the crate compiles.
 
-use dufp_types::{Error, Result, Watts};
+use dufp_types::Watts;
 use serde::{Deserialize, Serialize};
 
-/// Tunables for vetting and the quarantine ladder.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct VetConfig {
-    /// Watt values may exceed the node's announced `node_max` by this
-    /// fraction before they are implausible (measurement noise allowance).
-    pub envelope_margin: f64,
-    /// Demand reports accepted per node per epoch; the rest are dropped.
-    pub max_reports_per_epoch: u32,
-    /// Heartbeats accepted per node per epoch; the rest are dropped.
-    pub max_heartbeats_per_epoch: u32,
-    /// Sequence regressions tolerated per epoch before they count as a
-    /// replay strike (mild reordering is normal on a lossy path).
-    pub replay_tolerance: u32,
-    /// Consumption may exceed the granted/claimed ceiling by this
-    /// fraction before it counts as overdraw.
-    pub overdraw_margin: f64,
-    /// Strikes at which a node becomes [`Trust::Suspect`].
-    pub suspect_after: u32,
-    /// Strikes at which a node is [`Trust::Quarantined`] (capped at its
-    /// floor; its reports no longer influence allocation).
-    pub quarantine_after: u32,
-    /// Strikes at which a node is [`Trust::Evicted`] (disconnected, watts
-    /// reclaimed, name blacklisted).
-    pub evict_after: u32,
-}
+/// Watt values may exceed the node's announced `node_max` by this
+/// fraction before they are implausible (measurement noise allowance).
+const ENVELOPE_MARGIN: f64 = 0.25;
+/// Demand reports accepted per node per epoch; the rest are dropped.
+pub(crate) const MAX_REPORTS_PER_EPOCH: u32 = 16;
+/// Heartbeats accepted per node per epoch; the rest are dropped.
+const MAX_HEARTBEATS_PER_EPOCH: u32 = 32;
+/// Sequence regressions tolerated per epoch before they count as a
+/// replay strike (mild reordering is normal on a lossy path).
+const REPLAY_TOLERANCE: u32 = 2;
+/// Consumption may exceed the granted/claimed ceiling by this fraction
+/// before it counts as overdraw.
+const OVERDRAW_MARGIN: f64 = 0.15;
+/// Strikes at which a node becomes [`Trust::Suspect`].
+const SUSPECT_AFTER: u32 = 1;
+/// Strikes at which a node is [`Trust::Quarantined`] (capped at its
+/// floor; its reports no longer influence allocation).
+const QUARANTINE_AFTER: u32 = 2;
+/// Strikes at which a node is [`Trust::Evicted`] (disconnected, watts
+/// reclaimed, name blacklisted).
+const EVICT_AFTER: u32 = 6;
 
-impl Default for VetConfig {
-    fn default() -> Self {
-        VetConfig {
-            envelope_margin: 0.25,
-            max_reports_per_epoch: 16,
-            max_heartbeats_per_epoch: 32,
-            replay_tolerance: 2,
-            overdraw_margin: 0.15,
-            suspect_after: 1,
-            quarantine_after: 2,
-            evict_after: 6,
-        }
-    }
-}
-
-impl VetConfig {
-    /// Rejects ladders that cannot work — non-finite margins, zero rate
-    /// budgets, thresholds out of order — naming the offending field.
-    pub fn validate(&self) -> Result<()> {
-        for (name, v) in [
-            ("envelope_margin", self.envelope_margin),
-            ("overdraw_margin", self.overdraw_margin),
-        ] {
-            if !v.is_finite() || v < 0.0 {
-                return Err(Error::invalid(name, format!("{v} must be finite and >= 0")));
-            }
-        }
-        if self.max_reports_per_epoch == 0 {
-            return Err(Error::invalid("max_reports_per_epoch", "zero rate budget"));
-        }
-        if self.max_heartbeats_per_epoch == 0 {
-            return Err(Error::invalid(
-                "max_heartbeats_per_epoch",
-                "zero rate budget",
-            ));
-        }
-        if self.suspect_after == 0 {
-            return Err(Error::invalid(
-                "suspect_after",
-                "zero would make every node a suspect",
-            ));
-        }
-        if self.suspect_after > self.quarantine_after || self.quarantine_after > self.evict_after {
-            return Err(Error::invalid(
-                "quarantine ladder",
-                format!(
-                    "thresholds must be ordered: suspect {} <= quarantine {} <= evict {}",
-                    self.suspect_after, self.quarantine_after, self.evict_after
-                ),
-            ));
-        }
-        Ok(())
-    }
-}
+// The ladder only climbs: a node is a suspect before it is quarantined,
+// and quarantined before it is evicted.
+const _: () = assert!(0 < SUSPECT_AFTER && SUSPECT_AFTER <= QUARANTINE_AFTER);
+const _: () = assert!(QUARANTINE_AFTER <= EVICT_AFTER);
 
 /// How much the coordinator trusts a node. Ordinals are stable and appear
 /// in [`dufp_telemetry::Reason::Quarantined`] / `Evicted` events.
@@ -214,15 +166,14 @@ impl NodeVet {
 
     /// Whether this epoch's rate limit was crossed for the first time by
     /// the frame just checked (so callers can emit exactly one event).
-    pub fn just_hit_report_limit(&self, cfg: &VetConfig) -> bool {
-        self.reports_this_epoch == cfg.max_reports_per_epoch + 1
+    pub fn just_hit_report_limit(&self) -> bool {
+        self.reports_this_epoch == MAX_REPORTS_PER_EPOCH + 1
     }
 
     /// Vets one demand report. `granted` is the ceiling the coordinator
     /// last pushed to this node ([`Watts::ZERO`] before the first grant).
     pub fn check_report(
         &mut self,
-        cfg: &VetConfig,
         seq: u64,
         ceiling: Watts,
         consumption: Watts,
@@ -230,7 +181,7 @@ impl NodeVet {
         granted: Watts,
     ) -> FrameVerdict {
         self.reports_this_epoch = self.reports_this_epoch.saturating_add(1);
-        if self.reports_this_epoch > cfg.max_reports_per_epoch {
+        if self.reports_this_epoch > MAX_REPORTS_PER_EPOCH {
             return FrameVerdict::RateLimited;
         }
         if let Some(last) = self.last_report_seq {
@@ -239,7 +190,7 @@ impl NodeVet {
             }
             if seq < last {
                 self.replays_this_epoch = self.replays_this_epoch.saturating_add(1);
-                if self.replays_this_epoch > cfg.replay_tolerance {
+                if self.replays_this_epoch > REPLAY_TOLERANCE {
                     self.replay_flag = true;
                 }
                 return FrameVerdict::Replay;
@@ -248,7 +199,7 @@ impl NodeVet {
         self.last_report_seq = Some(seq);
 
         let (c, k) = (ceiling.value(), consumption.value());
-        let envelope = node_max.value() * (1.0 + cfg.envelope_margin);
+        let envelope = node_max.value() * (1.0 + ENVELOPE_MARGIN);
         if !c.is_finite() || !k.is_finite() || c < 0.0 || k < 0.0 || c > envelope || k > envelope {
             self.veto_flag = true;
             return FrameVerdict::Vetoed;
@@ -257,7 +208,7 @@ impl NodeVet {
         // granted and the one it claims to enforce. Requiring both keeps
         // an honest node with an in-flight shrink grant (consuming up to
         // its old, truthfully reported ceiling) off the ladder.
-        let m = 1.0 + cfg.overdraw_margin;
+        let m = 1.0 + OVERDRAW_MARGIN;
         if granted.value() > 0.0 && k > granted.value() * m && k > c * m {
             self.overdraw_flag = true;
         }
@@ -265,9 +216,9 @@ impl NodeVet {
     }
 
     /// Vets one heartbeat.
-    pub fn check_heartbeat(&mut self, cfg: &VetConfig, seq: u64) -> FrameVerdict {
+    pub fn check_heartbeat(&mut self, seq: u64) -> FrameVerdict {
         self.heartbeats_this_epoch = self.heartbeats_this_epoch.saturating_add(1);
-        if self.heartbeats_this_epoch > cfg.max_heartbeats_per_epoch {
+        if self.heartbeats_this_epoch > MAX_HEARTBEATS_PER_EPOCH {
             return FrameVerdict::RateLimited;
         }
         if let Some(last) = self.last_heartbeat_seq {
@@ -276,7 +227,7 @@ impl NodeVet {
             }
             if seq < last {
                 self.replays_this_epoch = self.replays_this_epoch.saturating_add(1);
-                if self.replays_this_epoch > cfg.replay_tolerance {
+                if self.replays_this_epoch > REPLAY_TOLERANCE {
                     self.replay_flag = true;
                 }
                 return FrameVerdict::Replay;
@@ -291,7 +242,7 @@ impl NodeVet {
     /// counters and recomputes the trust rung. Returns `Some((old, new))`
     /// when the rung changed. Eviction is terminal: once there, the rung
     /// never moves again.
-    pub fn finalize_epoch(&mut self, cfg: &VetConfig) -> Option<(Trust, Trust)> {
+    pub fn finalize_epoch(&mut self) -> Option<(Trust, Trust)> {
         let struck =
             u32::from(self.veto_flag) + u32::from(self.replay_flag) + u32::from(self.overdraw_flag);
         if struck > 0 {
@@ -310,11 +261,11 @@ impl NodeVet {
         if old == Trust::Evicted {
             return None;
         }
-        let new = if self.strikes >= cfg.evict_after {
+        let new = if self.strikes >= EVICT_AFTER {
             Trust::Evicted
-        } else if self.strikes >= cfg.quarantine_after {
+        } else if self.strikes >= QUARANTINE_AFTER {
             Trust::Quarantined
-        } else if self.strikes >= cfg.suspect_after {
+        } else if self.strikes >= SUSPECT_AFTER {
             Trust::Suspect
         } else {
             Trust::Trusted
@@ -328,25 +279,7 @@ impl NodeVet {
 mod tests {
     use super::*;
 
-    fn cfg() -> VetConfig {
-        VetConfig::default()
-    }
-
     const NODE_MAX: Watts = Watts(125.0);
-
-    #[test]
-    fn defaults_validate_and_bad_ladders_do_not() {
-        cfg().validate().unwrap();
-        let mut bad = cfg();
-        bad.quarantine_after = 9; // above evict_after
-        assert!(bad.validate().is_err());
-        let mut bad = cfg();
-        bad.envelope_margin = f64::NAN;
-        assert!(bad.validate().is_err());
-        let mut bad = cfg();
-        bad.max_reports_per_epoch = 0;
-        assert!(bad.validate().is_err());
-    }
 
     #[test]
     fn nan_negative_and_absurd_watts_are_vetoed() {
@@ -359,7 +292,7 @@ mod tests {
             (90.0, 1250.0), // 10× the silicon limit
         ] {
             let mut v = NodeVet::new();
-            let verdict = v.check_report(&cfg(), 1, Watts(c), Watts(k), NODE_MAX, Watts(100.0));
+            let verdict = v.check_report(1, Watts(c), Watts(k), NODE_MAX, Watts(100.0));
             assert_eq!(verdict, FrameVerdict::Vetoed, "c={c} k={k}");
         }
     }
@@ -367,28 +300,11 @@ mod tests {
     #[test]
     fn persistent_byzantine_reports_quarantine_within_two_epochs() {
         let mut v = NodeVet::new();
-        v.check_report(
-            &cfg(),
-            1,
-            Watts(f64::NAN),
-            Watts(90.0),
-            NODE_MAX,
-            Watts::ZERO,
-        );
+        v.check_report(1, Watts(f64::NAN), Watts(90.0), NODE_MAX, Watts::ZERO);
+        assert_eq!(v.finalize_epoch(), Some((Trust::Trusted, Trust::Suspect)));
+        v.check_report(2, Watts(f64::NAN), Watts(90.0), NODE_MAX, Watts::ZERO);
         assert_eq!(
-            v.finalize_epoch(&cfg()),
-            Some((Trust::Trusted, Trust::Suspect))
-        );
-        v.check_report(
-            &cfg(),
-            2,
-            Watts(f64::NAN),
-            Watts(90.0),
-            NODE_MAX,
-            Watts::ZERO,
-        );
-        assert_eq!(
-            v.finalize_epoch(&cfg()),
+            v.finalize_epoch(),
             Some((Trust::Suspect, Trust::Quarantined))
         );
     }
@@ -396,48 +312,45 @@ mod tests {
     #[test]
     fn clean_epochs_decay_strikes_back_to_trusted() {
         let mut v = NodeVet::new();
-        v.check_report(&cfg(), 1, Watts(-1.0), Watts(90.0), NODE_MAX, Watts::ZERO);
-        v.finalize_epoch(&cfg());
+        v.check_report(1, Watts(-1.0), Watts(90.0), NODE_MAX, Watts::ZERO);
+        v.finalize_epoch();
         assert_eq!(v.trust(), Trust::Suspect);
-        v.check_report(&cfg(), 2, Watts(90.0), Watts(80.0), NODE_MAX, Watts(90.0));
-        assert_eq!(
-            v.finalize_epoch(&cfg()),
-            Some((Trust::Suspect, Trust::Trusted))
-        );
+        v.check_report(2, Watts(90.0), Watts(80.0), NODE_MAX, Watts(90.0));
+        assert_eq!(v.finalize_epoch(), Some((Trust::Suspect, Trust::Trusted)));
     }
 
     #[test]
     fn duplicates_drop_silently_and_mild_reordering_never_strikes() {
         let mut v = NodeVet::new();
         let ok = |v: &mut NodeVet, seq| {
-            v.check_report(&cfg(), seq, Watts(90.0), Watts(80.0), NODE_MAX, Watts(90.0))
+            v.check_report(seq, Watts(90.0), Watts(80.0), NODE_MAX, Watts(90.0))
         };
         assert_eq!(ok(&mut v, 5), FrameVerdict::Accepted);
         assert_eq!(ok(&mut v, 5), FrameVerdict::Duplicate, "network dup");
         assert_eq!(ok(&mut v, 4), FrameVerdict::Replay, "one reorder");
         assert_eq!(ok(&mut v, 3), FrameVerdict::Replay, "two reorders");
-        assert!(v.finalize_epoch(&cfg()).is_none(), "within tolerance");
+        assert!(v.finalize_epoch().is_none(), "within tolerance");
         assert_eq!(v.trust(), Trust::Trusted);
     }
 
     #[test]
     fn a_replay_storm_walks_the_ladder_to_eviction() {
         let mut v = NodeVet::new();
-        v.check_report(&cfg(), 100, Watts(90.0), Watts(80.0), NODE_MAX, Watts(90.0));
+        v.check_report(100, Watts(90.0), Watts(80.0), NODE_MAX, Watts(90.0));
         let mut evicted_at = None;
         for epoch in 1..=10u32 {
             for seq in 0..8 {
-                v.check_report(&cfg(), seq, Watts(90.0), Watts(80.0), NODE_MAX, Watts(90.0));
+                v.check_report(seq, Watts(90.0), Watts(80.0), NODE_MAX, Watts(90.0));
             }
-            if let Some((_, Trust::Evicted)) = v.finalize_epoch(&cfg()) {
+            if let Some((_, Trust::Evicted)) = v.finalize_epoch() {
                 evicted_at = Some(epoch);
                 break;
             }
         }
         let at = evicted_at.expect("storming replays must evict");
-        assert_eq!(at, cfg().evict_after, "one strike per epoch");
+        assert_eq!(at, EVICT_AFTER, "one strike per epoch");
         // Terminal: nothing moves the rung again.
-        assert!(v.finalize_epoch(&cfg()).is_none());
+        assert!(v.finalize_epoch().is_none());
         assert_eq!(v.trust(), Trust::Evicted);
     }
 
@@ -445,15 +358,14 @@ mod tests {
     fn rate_limit_drops_without_striking() {
         let mut v = NodeVet::new();
         let mut limited = 0;
-        for seq in 1..=cfg().max_reports_per_epoch as u64 + 10 {
-            let verdict =
-                v.check_report(&cfg(), seq, Watts(90.0), Watts(80.0), NODE_MAX, Watts(90.0));
+        for seq in 1..=MAX_REPORTS_PER_EPOCH as u64 + 10 {
+            let verdict = v.check_report(seq, Watts(90.0), Watts(80.0), NODE_MAX, Watts(90.0));
             if verdict == FrameVerdict::RateLimited {
                 limited += 1;
             }
         }
         assert_eq!(limited, 10);
-        assert!(v.finalize_epoch(&cfg()).is_none(), "chatty is not a strike");
+        assert!(v.finalize_epoch().is_none(), "chatty is not a strike");
         assert_eq!(v.trust(), Trust::Trusted);
     }
 
@@ -462,27 +374,24 @@ mod tests {
         // Honest node with an in-flight shrink: consumes near its OLD
         // ceiling (which it truthfully reports) — no strike.
         let mut v = NodeVet::new();
-        v.check_report(&cfg(), 1, Watts(110.0), Watts(108.0), NODE_MAX, Watts(80.0));
-        assert!(v.finalize_epoch(&cfg()).is_none());
+        v.check_report(1, Watts(110.0), Watts(108.0), NODE_MAX, Watts(80.0));
+        assert!(v.finalize_epoch().is_none());
 
         // Grant-ignorer claiming compliance while consuming double — strike.
         let mut v = NodeVet::new();
-        v.check_report(&cfg(), 1, Watts(80.0), Watts(160.0), NODE_MAX, Watts(80.0));
-        assert_eq!(
-            v.finalize_epoch(&cfg()),
-            Some((Trust::Trusted, Trust::Suspect))
-        );
+        v.check_report(1, Watts(80.0), Watts(160.0), NODE_MAX, Watts(80.0));
+        assert_eq!(v.finalize_epoch(), Some((Trust::Trusted, Trust::Suspect)));
     }
 
     #[test]
     fn heartbeat_sequences_are_vetted_too() {
         let mut v = NodeVet::new();
-        assert_eq!(v.check_heartbeat(&cfg(), 7), FrameVerdict::Accepted);
-        assert_eq!(v.check_heartbeat(&cfg(), 7), FrameVerdict::Duplicate);
-        assert_eq!(v.check_heartbeat(&cfg(), 3), FrameVerdict::Replay);
+        assert_eq!(v.check_heartbeat(7), FrameVerdict::Accepted);
+        assert_eq!(v.check_heartbeat(7), FrameVerdict::Duplicate);
+        assert_eq!(v.check_heartbeat(3), FrameVerdict::Replay);
         let mut limited = false;
-        for seq in 8..8 + cfg().max_heartbeats_per_epoch as u64 + 1 {
-            limited |= v.check_heartbeat(&cfg(), seq) == FrameVerdict::RateLimited;
+        for seq in 8..8 + MAX_HEARTBEATS_PER_EPOCH as u64 + 1 {
+            limited |= v.check_heartbeat(seq) == FrameVerdict::RateLimited;
         }
         assert!(limited);
     }

@@ -8,12 +8,12 @@
 //!
 //! Segmentation walks the series and cuts a new phase whenever the
 //! operational intensity moves by more than a factor
-//! ([`SegmentConfig::oi_break_factor`]) or FLOPS/s depart from the running
-//! segment mean by more than [`SegmentConfig::flops_break_factor`] — the
-//! same signals DUFP's own phase detector keys on, so a captured model
-//! exercises the controller the way the original did. Segments shorter
-//! than [`SegmentConfig::min_samples`] are merged into their neighbours
-//! (sampling jitter, not phases).
+//! (`OI_BREAK_FACTOR`) or FLOPS/s depart from the running segment mean by
+//! more than `FLOPS_BREAK_FACTOR` — the same signals DUFP's own phase
+//! detector keys on, so a captured model exercises the controller the way
+//! the original did. Segments shorter than `MIN_SAMPLES` are merged into
+//! their neighbours (sampling jitter, not phases). These and
+//! `MEMORY_HEADROOM` are constants: every capture segments one way.
 
 use crate::spec::{Boundness, MaterializeCtx, PhaseSpec};
 use dufp_model::{PowerModel, SocketActivity};
@@ -35,44 +35,27 @@ pub struct CounterSample {
     pub power: Watts,
 }
 
-/// Segmentation tuning.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct SegmentConfig {
-    /// Cut when `oi` moves by more than this factor vs the segment mean.
-    pub oi_break_factor: f64,
-    /// Cut when FLOPS/s move by more than this factor vs the segment mean.
-    pub flops_break_factor: f64,
-    /// Merge segments shorter than this many samples into a neighbour.
-    pub min_samples: usize,
-    /// Headroom assigned to captured memory-bound phases. A single
-    /// default-configuration trace cannot observe how close the cores run
-    /// to the memory demand (that needs a second probe run at reduced
-    /// frequency), so captured models use this constant; 1.12 matches the
-    /// thin margins typical of bandwidth-bound HPC codes.
-    pub memory_headroom: f64,
-}
+/// Cut when `oi` moves by more than this factor vs the segment mean.
+const OI_BREAK_FACTOR: f64 = 2.5;
+/// Cut when FLOPS/s move by more than this factor vs the segment mean.
+const FLOPS_BREAK_FACTOR: f64 = 1.8;
+/// Merge segments shorter than this many samples into a neighbour.
+const MIN_SAMPLES: usize = 2;
+/// Headroom assigned to captured memory-bound phases. A single
+/// default-configuration trace cannot observe how close the cores run to
+/// the memory demand (that needs a second probe run at reduced
+/// frequency), so captured models use this constant; 1.12 matches the
+/// thin margins typical of bandwidth-bound HPC codes.
+const MEMORY_HEADROOM: f64 = 1.12;
 
-impl Default for SegmentConfig {
-    fn default() -> Self {
-        SegmentConfig {
-            oi_break_factor: 2.5,
-            flops_break_factor: 1.8,
-            min_samples: 2,
-            memory_headroom: 1.12,
-        }
-    }
-}
+const _: () = assert!(OI_BREAK_FACTOR > 1.0 && FLOPS_BREAK_FACTOR > 1.0);
 
 /// Segments a counter trace into phase specs for the machine described by
 /// `ctx`, estimating core activity from FLOPS share only (use
 /// [`segment_with_power`] when a calibrated power model is available —
 /// it recovers activity much more faithfully for memory-bound phases).
-pub fn segment(
-    samples: &[CounterSample],
-    ctx: &MaterializeCtx,
-    cfg: &SegmentConfig,
-) -> Result<Vec<PhaseSpec>> {
-    segment_impl(samples, ctx, cfg, None)
+pub fn segment(samples: &[CounterSample], ctx: &MaterializeCtx) -> Result<Vec<PhaseSpec>> {
+    segment_impl(samples, ctx, None)
 }
 
 /// Segments a counter trace, recovering per-phase core activity by
@@ -81,24 +64,19 @@ pub fn segment(
 pub fn segment_with_power(
     samples: &[CounterSample],
     ctx: &MaterializeCtx,
-    cfg: &SegmentConfig,
     power_model: &PowerModel,
     uncore_max: Hertz,
 ) -> Result<Vec<PhaseSpec>> {
-    segment_impl(samples, ctx, cfg, Some((power_model, uncore_max)))
+    segment_impl(samples, ctx, Some((power_model, uncore_max)))
 }
 
 fn segment_impl(
     samples: &[CounterSample],
     ctx: &MaterializeCtx,
-    cfg: &SegmentConfig,
     power: Option<(&PowerModel, Hertz)>,
 ) -> Result<Vec<PhaseSpec>> {
     if samples.is_empty() {
         return Err(Error::Precondition("no samples to segment".into()));
-    }
-    if cfg.oi_break_factor <= 1.0 || cfg.flops_break_factor <= 1.0 {
-        return Err(Error::invalid("break factor", "must be > 1"));
     }
 
     // 1. Cut into raw segments.
@@ -108,8 +86,8 @@ fn segment_impl(
         let (mean_flops, mean_bw) = means(seg);
         let mean_oi = oi(mean_flops, mean_bw);
         let s_oi = oi(s.flops.value(), s.bandwidth.value());
-        let oi_jump = ratio(s_oi, mean_oi) > cfg.oi_break_factor;
-        let flops_jump = ratio(s.flops.value(), mean_flops) > cfg.flops_break_factor;
+        let oi_jump = ratio(s_oi, mean_oi) > OI_BREAK_FACTOR;
+        let flops_jump = ratio(s.flops.value(), mean_flops) > FLOPS_BREAK_FACTOR;
         if oi_jump || flops_jump {
             segments.push(vec![*s]);
         } else {
@@ -120,7 +98,7 @@ fn segment_impl(
     // 2. Merge runt segments into their (preceding) neighbour.
     let mut merged: Vec<Vec<CounterSample>> = Vec::with_capacity(segments.len());
     for seg in segments {
-        let runt = seg.len() < cfg.min_samples;
+        let runt = seg.len() < MIN_SAMPLES;
         match merged.last_mut() {
             Some(prev) if runt => prev.extend(seg),
             _ => merged.push(seg),
@@ -139,7 +117,7 @@ fn segment_impl(
             let bw_share = (mean_bw / peak_bw).clamp(0.0, 0.999);
             let boundness = if bw_share > 0.85 {
                 Boundness::MemoryBound {
-                    headroom: cfg.memory_headroom,
+                    headroom: MEMORY_HEADROOM,
                 }
             } else {
                 Boundness::ComputeBound {
@@ -252,14 +230,7 @@ mod tests {
             };
             8
         ];
-        let specs = segment_with_power(
-            &trace,
-            &c,
-            &SegmentConfig::default(),
-            &model,
-            Hertz::from_ghz(2.4),
-        )
-        .unwrap();
+        let specs = segment_with_power(&trace, &c, &model, Hertz::from_ghz(2.4)).unwrap();
         assert_eq!(specs.len(), 1);
         assert!(
             (specs[0].core_util - 0.72).abs() < 0.03,
@@ -272,7 +243,7 @@ mod tests {
     fn two_plateaus_become_two_phases() {
         let mut trace = vec![sample(30.0, 100.0); 10]; // memory-ish
         trace.extend(vec![sample(400.0, 40.0); 10]); // compute-ish
-        let specs = segment(&trace, &ctx(), &SegmentConfig::default()).unwrap();
+        let specs = segment(&trace, &ctx()).unwrap();
         assert_eq!(specs.len(), 2, "{specs:#?}");
         assert!(specs[0].oi < 1.0);
         assert!(specs[1].oi > 1.0);
@@ -288,7 +259,7 @@ mod tests {
             let wiggle = 1.0 + 0.05 * ((i % 3) as f64 - 1.0);
             trace.push(sample(30.0 * wiggle, 100.0 * wiggle));
         }
-        let specs = segment(&trace, &ctx(), &SegmentConfig::default()).unwrap();
+        let specs = segment(&trace, &ctx()).unwrap();
         assert_eq!(specs.len(), 1, "{specs:#?}");
     }
 
@@ -297,7 +268,7 @@ mod tests {
         let mut trace = vec![sample(30.0, 100.0); 10];
         trace.push(sample(400.0, 40.0)); // one-sample spike
         trace.extend(vec![sample(30.0, 100.0); 10]);
-        let specs = segment(&trace, &ctx(), &SegmentConfig::default()).unwrap();
+        let specs = segment(&trace, &ctx()).unwrap();
         assert!(
             specs.len() <= 2,
             "spike must not become a phase: {specs:#?}"
@@ -310,7 +281,7 @@ mod tests {
     fn captured_specs_materialize() {
         let mut trace = vec![sample(25.0, 95.0); 15];
         trace.extend(vec![sample(500.0, 30.0); 15]);
-        let specs = segment(&trace, &ctx(), &SegmentConfig::default()).unwrap();
+        let specs = segment(&trace, &ctx()).unwrap();
         let w = crate::spec::Workload::from_specs("captured", &specs, &ctx()).unwrap();
         let d = w.nominal_duration(&ctx()).value();
         assert!((d - 6.0).abs() < 0.5, "captured duration {d}");
@@ -318,12 +289,7 @@ mod tests {
 
     #[test]
     fn bad_inputs_rejected() {
-        assert!(segment(&[], &ctx(), &SegmentConfig::default()).is_err());
-        let bad = SegmentConfig {
-            oi_break_factor: 0.9,
-            ..SegmentConfig::default()
-        };
-        assert!(segment(&[sample(1.0, 1.0)], &ctx(), &bad).is_err());
+        assert!(segment(&[], &ctx()).is_err());
     }
 
     #[test]
@@ -337,7 +303,7 @@ mod tests {
             };
             8
         ];
-        let specs = segment(&trace, &ctx(), &SegmentConfig::default()).unwrap();
+        let specs = segment(&trace, &ctx()).unwrap();
         assert_eq!(specs.len(), 1);
         assert!(matches!(specs[0].boundness, Boundness::ComputeBound { .. }));
     }

@@ -34,6 +34,6 @@ pub mod spec;
 pub mod synthetic;
 
 pub use cache::shared_by_name;
-pub use capture::{segment, CounterSample, SegmentConfig};
+pub use capture::{segment, CounterSample};
 pub use file::{load_workload, WorkloadFile};
 pub use spec::{Boundness, MaterializeCtx, Phase, PhaseSpec, Workload};

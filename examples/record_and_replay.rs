@@ -16,7 +16,6 @@
 
 use dufp::prelude::*;
 use dufp::{ratios_vs_default, run_repeated, ControllerKind, ExperimentSpec};
-use dufp_workloads::SegmentConfig;
 
 fn main() {
     let app = std::env::args().nth(1).unwrap_or_else(|| "FT".to_string());
@@ -24,7 +23,7 @@ fn main() {
 
     // 1+2. Record and segment.
     println!("recording {app} once in the default configuration...");
-    let file = dufp::record_workload(&sim, &app, &SegmentConfig::default()).unwrap();
+    let file = dufp::record_workload(&sim, &app).unwrap();
     let dir = std::env::temp_dir();
     let path = dir.join(format!("{app}-captured.json"));
     file.save(&path).unwrap();
