@@ -81,8 +81,8 @@ impl Default for DemandBased {
         DemandBased {
             riding_margin: Watts(6.0),
             donate_fraction: 0.5,
-            floor: Watts(65.0),
-            node_max: Watts(125.0),
+            floor: DufpNode::cap_floor(),
+            node_max: DufpNode::pl1(),
         }
     }
 }

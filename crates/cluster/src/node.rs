@@ -14,7 +14,7 @@ use dufp_sim::{Machine, SimConfig};
 use dufp_telemetry::Telemetry;
 use dufp_types::{ArchSpec, Duration, Error, Ratio, Result, Seconds, SocketId, Watts};
 use dufp_workloads::{apps, MaterializeCtx, Workload};
-use std::sync::Arc;
+use std::sync::{Arc, LazyLock};
 
 /// The node's monitoring (and DUFP decision) interval.
 pub const INTERVAL: Duration = Duration::from_millis(200);
@@ -38,6 +38,13 @@ pub struct DufpNode {
     power_sum: f64,
     power_samples: u64,
     period_start_energy: f64,
+}
+
+/// The node's platform, built once: `ArchSpec::yeti()` allocates, and
+/// fleets read the node's bounds on their set-up paths.
+fn yeti() -> &'static ArchSpec {
+    static YETI: LazyLock<ArchSpec> = LazyLock::new(ArchSpec::yeti);
+    &YETI
 }
 
 impl DufpNode {
@@ -97,12 +104,12 @@ impl DufpNode {
 
     /// The socket's cap floor: the lowest ceiling a node can enforce.
     pub fn cap_floor() -> Watts {
-        ArchSpec::yeti().cap_floor
+        yeti().cap_floor
     }
 
     /// The socket's default PL1: watts above it buy nothing.
     pub fn pl1() -> Watts {
-        ArchSpec::yeti().pl1_default
+        yeti().pl1_default
     }
 
     /// One [`INTERVAL`]: advance the machine a whole interval, start the

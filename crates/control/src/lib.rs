@@ -67,7 +67,7 @@ pub use dufpf::DufpF;
 pub use phase::{PhaseClass, PhaseEvent, PhaseTracker};
 pub use resilient::{
     classify, DegradationLevel, ErrorClass, KnobSnapshot, ResilienceState, ResilientActuators,
-    RetryPolicy, SafeStateGuard,
+    SafeStateGuard,
 };
 pub use state::{
     ControllerState, DnpcState, DufState, DufpFState, DufpState, StaticCapState, TelCounters,

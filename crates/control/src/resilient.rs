@@ -27,10 +27,9 @@
 
 use crate::actuators::Actuators;
 use dufp_telemetry::{Actuator as TelActuator, Counter, DecisionEvent, Reason, SocketTelemetry};
-use dufp_types::{splitmix, Error, Hertz, Result, Watts};
+use dufp_types::{Error, Hertz, Result, Watts};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// How the resilience layer treats a failed actuation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -73,60 +72,6 @@ const MAX_RETRIES: u32 = 3;
 
 /// Consecutive failed actuations on a knob before it is disabled.
 const DEGRADE_AFTER: u32 = 3;
-
-/// Retry count and backoff for a node agent's coordinator connection
-/// (initial connect and reconnects).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Attempts per candidate coordinator before the agent gives up.
-    pub max_retries: u32,
-    /// Backoff before the first retry; doubles per retry.
-    pub base_backoff: Duration,
-    /// Backoff ceiling.
-    pub max_backoff: Duration,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_retries: 3,
-            base_backoff: Duration::from_millis(1),
-            max_backoff: Duration::from_millis(50),
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// Backoff before retry number `attempt` (1-based): exponential from
-    /// [`RetryPolicy::base_backoff`], capped at [`RetryPolicy::max_backoff`].
-    pub fn backoff(&self, attempt: u32) -> Duration {
-        let factor = 1u32 << attempt.saturating_sub(1).min(16);
-        self.base_backoff
-            .saturating_mul(factor)
-            .min(self.max_backoff)
-    }
-
-    /// Like [`RetryPolicy::backoff`], but with deterministic jitter: the
-    /// delay is drawn uniformly from `[backoff(attempt)/2, backoff(attempt)]`
-    /// by a SplitMix64 stream keyed on `(seed, attempt)`. Two agents with
-    /// different seeds desynchronise their reconnect storms against a
-    /// recovering coordinator, while any given `(seed, attempt)` pair always
-    /// yields the same delay — replayable chaos runs depend on that.
-    pub fn backoff_jittered(&self, attempt: u32, seed: u64) -> Duration {
-        let full = self.backoff(attempt);
-        let half = full / 2;
-        let span = full.saturating_sub(half);
-        if span.is_zero() {
-            return full;
-        }
-        // One SplitMix64 step from a (seed, attempt) state — the same
-        // generator the fault-injection DSL uses, so one seed governs the
-        // whole adversarial run.
-        let mut state = seed.wrapping_add(u64::from(attempt).wrapping_mul(splitmix::GAMMA));
-        let frac = splitmix::unit_f64(&mut state);
-        (half + span.mul_f64(frac)).min(self.max_backoff)
-    }
-}
 
 /// How much authority a socket's controller still has.
 ///
@@ -880,62 +825,6 @@ mod tests {
         flaky.mem.lock().long = Watts(70.0);
         r.reset_cap().unwrap();
         assert_eq!(flaky.cap_long(), Watts(125.0));
-    }
-
-    #[test]
-    fn backoff_is_exponential_and_capped() {
-        let p = RetryPolicy::default();
-        assert_eq!(p.backoff(1), Duration::from_millis(1));
-        assert_eq!(p.backoff(2), Duration::from_millis(2));
-        assert_eq!(p.backoff(3), Duration::from_millis(4));
-        assert_eq!(p.backoff(30), p.max_backoff);
-    }
-
-    #[test]
-    fn jittered_backoff_stays_within_half_to_full_band() {
-        let p = RetryPolicy {
-            base_backoff: Duration::from_millis(8),
-            max_backoff: Duration::from_secs(2),
-            ..RetryPolicy::default()
-        };
-        for seed in 0..64u64 {
-            for attempt in 1..=8u32 {
-                let full = p.backoff(attempt);
-                let d = p.backoff_jittered(attempt, seed);
-                assert!(d >= full / 2, "attempt {attempt} seed {seed}: {d:?} < half");
-                assert!(d <= full, "attempt {attempt} seed {seed}: {d:?} > full");
-            }
-        }
-    }
-
-    #[test]
-    fn jittered_backoff_is_deterministic_per_seed_and_varies_across_seeds() {
-        let p = RetryPolicy::default();
-        for attempt in 1..=6u32 {
-            assert_eq!(
-                p.backoff_jittered(attempt, 42),
-                p.backoff_jittered(attempt, 42),
-                "same (seed, attempt) must replay identically"
-            );
-        }
-        // Across many seeds at a wide band, at least two distinct delays
-        // must appear — otherwise there is no jitter at all.
-        let p = RetryPolicy {
-            base_backoff: Duration::from_millis(100),
-            max_backoff: Duration::from_secs(5),
-            ..RetryPolicy::default()
-        };
-        let delays: std::collections::HashSet<Duration> =
-            (0..16u64).map(|s| p.backoff_jittered(4, s)).collect();
-        assert!(delays.len() > 1, "jitter collapsed to a single value");
-    }
-
-    #[test]
-    fn jittered_backoff_never_exceeds_ceiling() {
-        let p = RetryPolicy::default();
-        for seed in 0..32u64 {
-            assert!(p.backoff_jittered(30, seed) <= p.max_backoff);
-        }
     }
 
     #[test]

@@ -5,9 +5,10 @@
 //! Its protocol decisions live in [`AgentCore`], a transport-free state
 //! machine: every coordinator frame goes through [`AgentCore::on_frame`],
 //! and every frame the agent sends is built by [`AgentCore::hello`],
-//! [`AgentCore::report`] or [`AgentCore::heartbeat`], here and in the
-//! chaos fleet ([`crate::chaos`]), so the soak and the adversarial
-//! proptests check the code the agent ships.
+//! [`AgentCore::report`], [`AgentCore::heartbeat`] or
+//! [`AgentCore::farewell`], here and in the chaos fleet
+//! ([`crate::chaos`]), so the soak and the adversarial proptests check
+//! the code the agent ships.
 //!
 //! The agent is built to survive the coordinator, not the other way
 //! around. It connects with bounded retry/backoff; if the coordinator is
@@ -24,7 +25,7 @@
 //! the control loop stops mid-interval, which is exactly what the
 //! coordinator's heartbeat timeout exists to detect.
 
-use crate::config::AgentConfig;
+use crate::config::{AgentConfig, RetryPolicy};
 use crate::fleet_sim::NodeHello;
 use crate::wire::{Frame, GrantKind};
 use dufp_cluster::node::{DufpNode, NodeCapper, INTERVAL};
@@ -261,6 +262,13 @@ impl AgentCore {
         }
     }
 
+    /// The agent's farewell: a final inactive report at `ceiling`, then
+    /// `Goodbye`, so the coordinator reclaims the node's watts at once
+    /// instead of by heartbeat timeout.
+    pub fn farewell(&mut self, ceiling: Watts) -> [Frame; 2] {
+        [self.report(ceiling, Watts::ZERO, false), Frame::Goodbye]
+    }
+
     /// The highest term seen.
     pub fn max_term(&self) -> u64 {
         self.max_term
@@ -377,15 +385,15 @@ impl ReconnectPlan {
 
     /// Per-outage attempt budget: the policy's retry count applies to
     /// *each* candidate coordinator, not the rotation as a whole.
-    fn budget(&self, retry: &dufp_control::RetryPolicy) -> u32 {
+    fn budget(&self, retry: &RetryPolicy) -> u32 {
         retry.max_retries.saturating_mul(self.targets.len() as u32)
     }
 
-    fn due(&self, retry: &dufp_control::RetryPolicy) -> bool {
+    fn due(&self, retry: &RetryPolicy) -> bool {
         self.chasing && self.attempt < self.budget(retry) && Instant::now() >= self.next_at
     }
 
-    fn exhausted(&self, retry: &dufp_control::RetryPolicy) -> bool {
+    fn exhausted(&self, retry: &RetryPolicy) -> bool {
         self.chasing && self.attempt >= self.budget(retry)
     }
 
@@ -396,13 +404,13 @@ impl ReconnectPlan {
     }
 
     /// A connection (or attach) attempt failed: climb the ladder.
-    fn on_failure(&mut self, retry: &dufp_control::RetryPolicy, seed: u64) {
+    fn on_failure(&mut self, retry: &RetryPolicy, seed: u64) {
         self.attempt += 1;
         self.next_at = Instant::now() + retry.backoff_jittered(self.attempt, seed);
     }
 
     /// The link died: restart the ladder after one base backoff.
-    fn on_loss(&mut self, retry: &dufp_control::RetryPolicy, seed: u64) {
+    fn on_loss(&mut self, retry: &RetryPolicy, seed: u64) {
         self.attempt = 0;
         self.chasing = true;
         self.next_at = Instant::now() + retry.backoff_jittered(1, seed);
@@ -606,9 +614,9 @@ impl Agent {
         // watts are redistributed immediately instead of by timeout.
         if !crashed {
             if let Some(mut s) = stream.take() {
-                let bye = link.core.lock().report(node.ceiling(), Watts::ZERO, false);
-                let _ = bye.write_to(&mut s);
-                let _ = Frame::Goodbye.write_to(&mut s);
+                for frame in link.core.lock().farewell(node.ceiling()) {
+                    let _ = frame.write_to(&mut s);
+                }
                 let _ = s.flush();
                 let _ = s.shutdown(Shutdown::Both);
             }
@@ -731,6 +739,7 @@ fn reader_loop(mut stream: TcpStream, link: Arc<Link>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::DEFAULT_SAFE_CAP;
 
     fn plan_over(addrs: &[&str]) -> ReconnectPlan {
         let mut cfg = AgentConfig::new(addrs[0], "n0", "EP");
@@ -971,8 +980,41 @@ mod tests {
             consumption: Watts::ZERO,
             active: false,
         };
-        assert_eq!(core.report(Watts(70.0), Watts::ZERO, false), bye);
+        assert_eq!(core.farewell(Watts(70.0)), [bye, Frame::Goodbye]);
         assert_eq!(core.heartbeat(), Frame::Heartbeat { seq: 2, term: 0 });
+    }
+
+    #[test]
+    fn the_hello_announces_the_coordinators_default_bounds_and_a_farewell_ends_the_run() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut cfg = AgentConfig::new(listener.local_addr().unwrap().to_string(), "n0", "EP");
+        cfg.max_intervals = Some(1);
+        let agent = Agent::new(cfg)
+            .unwrap()
+            .with_telemetry(Telemetry::disabled());
+        let run = std::thread::spawn(move || agent.run());
+        let (mut conn, _) = listener.accept().unwrap();
+        let mut frames = Vec::new();
+        while let Ok(Some(frame)) = Frame::read_from(&mut conn) {
+            frames.push(frame);
+        }
+        run.join().unwrap().unwrap();
+        let coord = crate::CoordinatorConfig::new("127.0.0.1:0", Watts(400.0));
+        match &frames[0] {
+            Frame::Hello {
+                floor, node_max, ..
+            } => assert_eq!((*floor, *node_max), (coord.floor, coord.node_max)),
+            other => panic!("expected a Hello first, got {other:?}"),
+        }
+        // One interval's report, then the core's farewell.
+        assert_eq!(frames.len(), 4, "{frames:?}");
+        let last = Frame::DemandReport {
+            seq: 2,
+            ceiling: DEFAULT_SAFE_CAP,
+            consumption: Watts::ZERO,
+            active: false,
+        };
+        assert_eq!(frames[2..], [last, Frame::Goodbye]);
     }
 
     #[test]
@@ -1010,7 +1052,7 @@ mod tests {
 
     #[test]
     fn reconnect_attempts_rotate_round_robin_over_standbys() {
-        let retry = dufp_control::RetryPolicy::default();
+        let retry = RetryPolicy::default();
         let mut plan = plan_over(&["p:1", "s:2", "s:3"]);
         let mut dialed = Vec::new();
         while !plan.exhausted(&retry) {
@@ -1024,7 +1066,7 @@ mod tests {
 
     #[test]
     fn backoff_ladder_resets_once_a_session_is_established() {
-        let retry = dufp_control::RetryPolicy::default();
+        let retry = RetryPolicy::default();
         let mut plan = plan_over(&["p:1"]);
         // An outage that exhausts the ladder...
         for _ in 0..retry.max_retries {
@@ -1042,7 +1084,7 @@ mod tests {
 
     #[test]
     fn handover_successor_is_dialed_first_and_goodbye_halts() {
-        let retry = dufp_control::RetryPolicy::default();
+        let retry = RetryPolicy::default();
         let mut plan = plan_over(&["p:1", "s:2"]);
         plan.on_failure(&retry, 7);
         plan.prefer("s:2".into());

@@ -40,13 +40,14 @@
 //! face; CI fails the build on any conservation or floor violation.
 
 use crate::agent::{AgentCore, AgentInbound};
-use crate::config::{fund_floors, CoordinatorConfig};
-use crate::core::{EpochStep, FleetCore, Inbound, NodeState};
+use crate::config::{fund_floors, CoordinatorConfig, DEFAULT_SAFE_CAP};
+use crate::core::{EpochStep, FleetCore, Inbound, NodeState, HANDOVER_HOLD_EPOCHS};
 use crate::fleet_journal::FleetJournal;
 use crate::fleet_sim::NodeHello;
 use crate::netfault::{Dir, NetFaultInjector, NetFaultOp, NetFaultPlan};
 use crate::vet::Trust;
 use crate::wire::Frame;
+use dufp_cluster::node::DufpNode;
 use dufp_msr::fault::{FaultInjector, FaultOp, FaultPlan};
 use dufp_msr::registers::MSR_PKG_POWER_LIMIT;
 use dufp_telemetry::Telemetry;
@@ -54,18 +55,12 @@ use dufp_types::{splitmix, Error, Result, Watts};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-use std::time::Duration;
-
-/// Every chaos node's floor.
-const FLOOR: Watts = Watts(65.0);
-/// Every chaos node's silicon limit.
-const NODE_MAX: Watts = Watts(125.0);
-/// The safe local cap a chaos agent enforces while disconnected.
-const SAFE_CAP: Watts = Watts(90.0);
 
 /// How a chaos soak is shaped. Defaults match the CI matrix: 8 agents,
-/// 40 virtual epochs and a 700 W budget; every node has this module's
-/// 65 W `FLOOR`, 125 W `NODE_MAX` and 90 W `SAFE_CAP`.
+/// 40 virtual epochs and a 700 W budget; every node announces a
+/// [`DufpNode`]'s floor and silicon limit, and falls back to
+/// [`DEFAULT_SAFE_CAP`] when its link stays down past
+/// [`HANDOVER_HOLD_EPOCHS`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct ChaosConfig {
     /// Master seed: keys every random stream in the soak.
@@ -116,7 +111,7 @@ impl ChaosConfig {
         // soak scores is violated by construction. The rest of the
         // budget plausibility rides on the coordinator config validation
         // inside run().
-        fund_floors(self.budget, FLOOR * self.agents as f64)
+        fund_floors(self.budget, DufpNode::cap_floor() * self.agents as f64)
     }
 }
 
@@ -203,8 +198,9 @@ pub fn scenario(name: &str) -> Option<&'static Scenario> {
     SCENARIOS.iter().find(|s| s.name == name)
 }
 
-/// One scenario's resilience scorecard line (serialized as JSONL).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// One scenario's resilience scorecard line (serialized as JSONL). The
+/// soak fills it as it runs and derives the verdicts at the end.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct ScenarioScore {
     /// Scenario name.
     pub scenario: String,
@@ -308,11 +304,6 @@ impl ScenarioScore {
 /// rerouted; down-frames have one destination, `()`.
 type Queued<D> = (u64, D, Vec<u8>);
 
-/// Epochs an agent tolerates without a live coordinator link before it
-/// falls back to the safe local cap: the partition stands in for a TCP
-/// timeout.
-const DISCONNECT_GRACE_EPOCHS: u64 = 2;
-
 /// One simulated agent in the chaos fleet: the shipped [`AgentCore`] plus
 /// the harness's demand model, link and metric clocks.
 struct SimAgent {
@@ -343,23 +334,23 @@ struct SimAgent {
 }
 
 impl SimAgent {
-    fn new(idx: usize, cfg: &ChaosConfig) -> Self {
-        let mut rng = cfg
-            .seed
-            .wrapping_add((idx as u64 + 1).wrapping_mul(splitmix::GAMMA));
-        let span = NODE_MAX.value() - FLOOR.value();
-        let demand = FLOOR.value() + splitmix::unit_f64(&mut rng) * span;
+    /// Agent `idx` of a fleet seeded with `seed`, announcing `floor` and
+    /// `node_max`.
+    fn new(idx: usize, seed: u64, floor: Watts, node_max: Watts) -> Self {
+        let mut rng = seed.wrapping_add((idx as u64 + 1).wrapping_mul(splitmix::GAMMA));
+        let span = node_max.value() - floor.value();
+        let demand = floor.value() + splitmix::unit_f64(&mut rng) * span;
         SimAgent {
             idx,
             hello: NodeHello {
                 name: format!("n{idx}"),
                 app: "chaos".to_string(),
-                floor: FLOOR,
-                node_max: NODE_MAX,
+                floor,
+                node_max,
             },
             rng,
             demand,
-            core: AgentCore::new(SAFE_CAP, DISCONNECT_GRACE_EPOCHS),
+            core: AgentCore::new(DEFAULT_SAFE_CAP, HANDOVER_HOLD_EPOCHS),
             alive: true,
             coord: None,
             slot: None,
@@ -391,23 +382,13 @@ impl SimAgent {
 
     /// A fresh process: a fresh core. It forgets the terms it has seen —
     /// the stale-primary defense for fresh agents is the primary's own
-    /// pause self-fencing, not agent memory.
+    /// pause self-fencing, not agent memory. Its grace, like the
+    /// successor's hold-down, is [`HANDOVER_HOLD_EPOCHS`]: the partition
+    /// stands in for a TCP timeout.
     fn restart(&mut self) {
         self.alive = true;
-        self.core = AgentCore::new(SAFE_CAP, DISCONNECT_GRACE_EPOCHS);
+        self.core = AgentCore::new(DEFAULT_SAFE_CAP, HANDOVER_HOLD_EPOCHS);
     }
-}
-
-/// Aggregated chaos-transport tallies.
-#[derive(Debug, Default)]
-struct Tallies {
-    frames_dropped: u64,
-    frames_corrupted: u64,
-    wire_errors: u64,
-    conservation_violations: u64,
-    floor_violations: u64,
-    safe_cap_violations: u64,
-    stale_grants_fenced: u64,
 }
 
 /// One coordinator in the chaos fleet: the primary (index 0) or the warm
@@ -425,7 +406,6 @@ struct CoordSim {
 pub struct ChaosFleet {
     cfg: ChaosConfig,
     coord_cfg: CoordinatorConfig,
-    scenario_name: String,
     thrash: bool,
     coords: Vec<CoordSim>,
     net: NetFaultInjector,
@@ -439,13 +419,10 @@ pub struct ChaosFleet {
     kill_epoch: Option<u64>,
     /// First epoch an agent applied a successor-term grant.
     takeover_epoch: Option<u64>,
-    replay_matched: Option<bool>,
     promoted: bool,
-    tallies: Tallies,
     first_quarantined: Vec<Option<u64>>,
-    max_reclaim: Option<u64>,
-    max_heal: Option<u64>,
-    max_quarantine_delay: Option<u64>,
+    /// The scorecard, filled as the run goes.
+    card: ScenarioScore,
 }
 
 impl ChaosFleet {
@@ -467,14 +444,15 @@ impl ChaosFleet {
         cfg.validate()?;
         plan.seed = cfg.seed;
         plan.rules.extend(cfg.extra_net.rules.iter().copied());
-        let mut coord_cfg =
-            CoordinatorConfig::new("chaos:virtual", cfg.budget).with_epoch(Duration::from_secs(1));
-        coord_cfg.floor = FLOOR;
-        coord_cfg.node_max = NODE_MAX;
+        // One-second epochs and every node's shape are the defaults.
+        let coord_cfg = CoordinatorConfig::new("chaos:virtual", cfg.budget);
         coord_cfg.validate()?;
         let mut msr_plan = cfg.msr_plan.clone();
         msr_plan.seed = msr_plan.seed.wrapping_add(cfg.seed);
-        let agents: Vec<SimAgent> = (0..cfg.agents).map(|i| SimAgent::new(i, &cfg)).collect();
+        let (floor, node_max) = (coord_cfg.floor, coord_cfg.node_max);
+        let agents: Vec<SimAgent> = (0..cfg.agents)
+            .map(|i| SimAgent::new(i, cfg.seed, floor, node_max))
+            .collect();
         let agent_index = agents
             .iter()
             .map(|a| (a.hello.name.clone(), a.idx))
@@ -489,11 +467,10 @@ impl ChaosFleet {
         let mut coords = vec![coord(true)];
         if net.has_coord_kill() {
             // A killable primary self-fences when its virtual clock pauses
-            // past 2× the heartbeat timeout — the same arming the TCP
-            // coordinator gets when a standby or successor is configured —
-            // and journals its inputs for the standby to replay.
-            let pause_ms = 2 * coord_cfg.heartbeat_timeout.as_millis() as u64;
-            coords[0].core.enable_pause_fencing(pause_ms);
+            // too long — the same arming the TCP coordinator gets when a
+            // standby or successor is configured — and journals its inputs
+            // for the standby to replay.
+            coords[0].core.enable_pause_fencing();
             coords[0].core.attach_journal(FleetJournal::in_memory());
             coords.push(coord(false));
         }
@@ -506,14 +483,16 @@ impl ChaosFleet {
             dead_primary_snapshot: None,
             kill_epoch: None,
             takeover_epoch: None,
-            replay_matched: None,
             promoted: false,
-            tallies: Tallies::default(),
             first_quarantined: vec![None; cfg.agents],
-            max_reclaim: None,
-            max_heal: None,
-            max_quarantine_delay: None,
-            scenario_name: name.into(),
+            card: ScenarioScore {
+                scenario: name.into(),
+                seed: cfg.seed,
+                agents: cfg.agents,
+                epochs: cfg.epochs,
+                budget_w: cfg.budget.value(),
+                ..ScenarioScore::default()
+            },
             thrash,
             cfg,
             coord_cfg,
@@ -583,7 +562,7 @@ impl ChaosFleet {
                     self.ingest(i, dest, &bytes, ingest_ms);
                 } else {
                     // In flight to a dead coordinator: lost with the host.
-                    self.tallies.frames_dropped += 1;
+                    self.card.frames_dropped += 1;
                 }
             }
         }
@@ -634,7 +613,7 @@ impl ChaosFleet {
         for ev in journal.and_then(FleetJournal::events).unwrap_or_default() {
             ev.apply(&mut core);
         }
-        self.replay_matched = match (&self.dead_primary_snapshot, core.snapshot_bytes()) {
+        self.card.replay_matched = match (&self.dead_primary_snapshot, core.snapshot_bytes()) {
             (Some(dead), Ok(rebuilt)) => Some(*dead == rebuilt),
             _ => Some(false),
         };
@@ -696,7 +675,7 @@ impl ChaosFleet {
         let due = drain_due(&mut self.agents[i].down, epoch);
         for (_, (), bytes) in due {
             let Ok(frame) = Frame::decode(&bytes) else {
-                self.tallies.wire_errors += 1;
+                self.card.wire_errors += 1;
                 continue;
             };
             let msr = &self.msr;
@@ -715,29 +694,29 @@ impl ChaosFleet {
                     }
                     if let Some(healed) = a.heal_started.take() {
                         let delay = epoch.saturating_sub(healed);
-                        self.max_heal = Some(self.max_heal.unwrap_or(0).max(delay));
+                        raise(&mut self.card.max_time_to_heal, delay);
                     }
                 }
-                AgentInbound::Fenced { .. } => self.tallies.stale_grants_fenced += 1,
+                AgentInbound::Fenced { .. } => self.card.stale_grants_fenced += 1,
                 // The actuation failed, so nothing committed; or stale.
                 AgentInbound::Apply { .. } | AgentInbound::Stale => {}
                 AgentInbound::Goodbye | AgentInbound::Handover(_) => a.unlink(),
-                AgentInbound::WrongDirection => self.tallies.wire_errors += 1,
+                AgentInbound::WrongDirection => self.card.wire_errors += 1,
             }
         }
 
         // Safe-cap fallback after the grace period without a link, scored
         // on the ceiling the core then enforces.
         let core = &mut self.agents[i].core;
-        if core.on_link(linked, epoch).is_some() && core.ceiling().value() > SAFE_CAP.value() + 1e-9
-        {
-            self.tallies.safe_cap_violations += 1;
+        let safe = DEFAULT_SAFE_CAP.value() + 1e-9;
+        if core.on_link(linked, epoch).is_some() && core.ceiling().value() > safe {
+            self.card.safe_cap_violations += 1;
         }
 
         // Demand model: seeded wander, or floor↔max thrash.
         {
             let a = &mut self.agents[i];
-            let (lo, hi) = (FLOOR.value(), NODE_MAX.value());
+            let (lo, hi) = (a.hello.floor.value(), a.hello.node_max.value());
             a.demand = if self.thrash {
                 if epoch.is_multiple_of(2) {
                     lo
@@ -775,6 +754,7 @@ impl ChaosFleet {
             let honest_ceiling = a.core.ceiling();
             let honest_consumption = Watts(a.demand.min(honest_ceiling.value()));
             let granted = a.core.granted();
+            let node_max = a.hello.node_max;
             // The core builds the honest report; a byzantine agent then
             // rewrites its watts.
             let mut report = a.core.report(honest_ceiling, honest_consumption, true);
@@ -789,7 +769,7 @@ impl ChaosFleet {
             };
             let seq = *seq;
             let mut lied = false;
-            let ten_x = NODE_MAX * 10.0;
+            let ten_x = node_max * 10.0;
             for op in &byz {
                 match op {
                     NetFaultOp::ByzInflate => {
@@ -811,7 +791,7 @@ impl ChaosFleet {
                         // can catch it.
                         if let Some(g) = granted {
                             *c = g;
-                            *k = Watts((2.0 * g.value()).min(NODE_MAX.value() * 1.2));
+                            *k = Watts((2.0 * g.value()).min(node_max.value() * 1.2));
                             lied = true;
                         }
                     }
@@ -853,16 +833,16 @@ impl ChaosFleet {
     /// Queues one up-frame through the chaos transport, addressed to
     /// coordinator `dest`.
     fn send_up(&mut self, i: usize, frame: &Frame, epoch: u64, up_cut: bool, dest: usize) {
-        let (wire, queue) = ((&self.net, &mut self.tallies), &mut self.agents[i].up);
+        let (wire, queue) = ((&self.net, &mut self.card), &mut self.agents[i].up);
         transmit(wire, queue, (i, Dir::Up, up_cut), (epoch, 0), dest, frame);
     }
 
-    /// Queues one down-frame (grant/Goodbye) through the chaos transport.
-    /// A grant sent during epoch e is applicable from e+1: the TCP plane's
-    /// agents also see grants one reporting beat later.
+    /// Queues one down-frame (grant or farewell) through the chaos
+    /// transport. A grant sent during epoch e is applicable from e+1: the
+    /// TCP plane's agents also see grants one reporting beat later.
     fn send_down(&mut self, i: usize, frame: &Frame, epoch: u64) {
         let cut = self.net.partitioned(i, Dir::Down, epoch);
-        let wire = (&self.net, &mut self.tallies);
+        let wire = (&self.net, &mut self.card);
         let queue = &mut self.agents[i].down;
         transmit(wire, queue, (i, Dir::Down, cut), (epoch, 1), (), frame);
     }
@@ -872,7 +852,7 @@ impl ChaosFleet {
     /// runs, and links or unlinks the agent by the outcome.
     fn ingest(&mut self, i: usize, c: usize, bytes: &[u8], now_ms: u64) {
         let Ok(frame) = Frame::decode(bytes) else {
-            self.tallies.wire_errors += 1;
+            self.card.wire_errors += 1;
             return;
         };
         let a = &mut self.agents[i];
@@ -901,7 +881,7 @@ impl ChaosFleet {
                 a.coord = None;
             }
             Inbound::Departed => a.unlink(),
-            Inbound::WrongDirection => self.tallies.wire_errors += 1,
+            Inbound::WrongDirection => self.card.wire_errors += 1,
             _ => {}
         }
     }
@@ -910,7 +890,7 @@ impl ChaosFleet {
     fn check_epoch(&mut self, record: &crate::core::EpochRecord, epoch: u64) {
         // Conservation: absolute, every epoch.
         if record.total_granted > self.cfg.budget.value() + 1e-6 {
-            self.tallies.conservation_violations += 1;
+            self.card.conservation_violations += 1;
         }
 
         // Honest floors: every live, non-quarantined honest agent that
@@ -925,8 +905,8 @@ impl ChaosFleet {
             if self.net.is_ever_byzantine(i) {
                 continue;
             }
-            if *watts < FLOOR.value() - 1e-6 {
-                self.tallies.floor_violations += 1;
+            if *watts < self.agents[i].hello.floor.value() - 1e-6 {
+                self.card.floor_violations += 1;
             }
         }
 
@@ -938,7 +918,7 @@ impl ChaosFleet {
             };
             if let Some(killed_at) = self.agents[i].killed_at.take() {
                 let delay = epoch.saturating_sub(killed_at);
-                self.max_reclaim = Some(self.max_reclaim.unwrap_or(0).max(delay));
+                raise(&mut self.card.max_time_to_reclaim, delay);
             }
         }
 
@@ -953,25 +933,22 @@ impl ChaosFleet {
             self.first_quarantined[i] = Some(epoch);
             if let Some(lie) = self.agents[i].first_lie {
                 let delay = epoch.saturating_sub(lie) + 1;
-                self.max_quarantine_delay = Some(self.max_quarantine_delay.unwrap_or(0).max(delay));
+                raise(&mut self.card.max_quarantine_delay, delay);
             }
         }
     }
 
-    /// Final scorecard for the completed soak.
+    /// Final scorecard for the completed soak: the tallies as filled,
+    /// plus the verdicts derived from them and from the fleet's end state.
     fn score(self) -> ScenarioScore {
-        let byz_total = (0..self.cfg.agents)
-            .filter(|&i| self.net.is_ever_byzantine(i))
+        let mut card = self.card;
+        let byz = |i: &usize| self.net.is_ever_byzantine(*i);
+        card.byz_total = (0..self.cfg.agents).filter(byz).count();
+        card.byz_quarantined = (0..self.cfg.agents)
+            .filter(|i| byz(i) && self.first_quarantined[*i].is_some())
             .count();
-        let byz_quarantined = (0..self.cfg.agents)
-            .filter(|&i| self.net.is_ever_byzantine(i) && self.first_quarantined[i].is_some())
-            .count();
-        let authoritative = if self.promoted {
-            &self.coords[1]
-        } else {
-            &self.coords[0]
-        };
-        let evictions = authoritative
+        let authoritative = &self.coords[usize::from(self.promoted)];
+        card.evictions = authoritative
             .core
             .views()
             .iter()
@@ -979,47 +956,25 @@ impl ChaosFleet {
             .count() as u64;
         // A takeover that never completed (no successor-term grant ever
         // applied) scores as the full run length, not as "no kill".
-        let takeover_epochs = self.kill_epoch.map(|k| {
+        card.takeover_epochs = self.kill_epoch.map(|k| {
             self.takeover_epoch
                 .map(|t| t.saturating_sub(k))
                 .unwrap_or(self.cfg.epochs)
         });
         // A resurrected stale primary must have ended the run fenced; a
         // primary that stayed dead passes vacuously.
-        let fenced_ok = if self.kill_epoch.is_some() && self.coords[0].alive {
-            self.coords[0].core.fenced()
-        } else {
-            true
-        };
-        let mut card = ScenarioScore {
-            scenario: self.scenario_name,
-            seed: self.cfg.seed,
-            agents: self.cfg.agents,
-            epochs: self.cfg.epochs,
-            budget_w: self.cfg.budget.value(),
-            conservation_ok: self.tallies.conservation_violations == 0,
-            conservation_violations: self.tallies.conservation_violations,
-            floor_ok: self.tallies.floor_violations == 0,
-            floor_violations: self.tallies.floor_violations,
-            byz_total,
-            byz_quarantined,
-            max_quarantine_delay: self.max_quarantine_delay,
-            max_time_to_reclaim: self.max_reclaim,
-            max_time_to_heal: self.max_heal,
-            safe_cap_violations: self.tallies.safe_cap_violations,
-            frames_dropped: self.tallies.frames_dropped,
-            frames_corrupted: self.tallies.frames_corrupted,
-            wire_errors: self.tallies.wire_errors,
-            evictions,
-            takeover_epochs,
-            stale_grants_fenced: self.tallies.stale_grants_fenced,
-            replay_matched: self.replay_matched,
-            fenced_ok,
-            score: 0.0,
-        };
+        card.fenced_ok =
+            self.kill_epoch.is_none() || !self.coords[0].alive || self.coords[0].core.fenced();
+        card.conservation_ok = card.conservation_violations == 0;
+        card.floor_ok = card.floor_violations == 0;
         card.score = card.score_of();
         card
     }
+}
+
+/// Raises a latency high-water mark to `delay`.
+fn raise(max: &mut Option<u64>, delay: u64) {
+    *max = Some(max.map_or(delay, |m| m.max(delay)));
 }
 
 /// Runs one named scenario (built-in) under `cfg`.
@@ -1072,7 +1027,7 @@ fn rank(cards: &mut [ScenarioScore]) {
 /// `epoch`, and a reorder swaps the last two queued frames. The fate is
 /// drawn only for an uncut link.
 fn transmit<D: Copy>(
-    (net, tallies): (&NetFaultInjector, &mut Tallies),
+    (net, card): (&NetFaultInjector, &mut ScenarioScore),
     queue: &mut Vec<Queued<D>>,
     (i, dir, cut): (usize, Dir, bool),
     (epoch, lag): (u64, u64),
@@ -1080,18 +1035,18 @@ fn transmit<D: Copy>(
     frame: &Frame,
 ) {
     if cut {
-        tallies.frames_dropped += 1;
+        card.frames_dropped += 1;
         return;
     }
     let fate = net.fate(i, dir, epoch);
     if fate.drop {
-        tallies.frames_dropped += 1;
+        card.frames_dropped += 1;
         return;
     }
     let mut bytes = frame.encode();
     if fate.corrupt {
         corrupt(&mut bytes);
-        tallies.frames_corrupted += 1;
+        card.frames_corrupted += 1;
     }
     let deliver = epoch.saturating_add(lag).saturating_add(fate.delay_epochs);
     for _ in 0..fate.duplicates {
@@ -1281,6 +1236,90 @@ mod tests {
         assert!(run_matrix(&cfg).is_err());
         cfg.budget = Watts(715.0);
         cfg.validate().unwrap();
+    }
+
+    #[test]
+    fn a_handover_farewell_over_a_lossy_wire_rehomes_or_falls_back_within_the_grace() {
+        let cfg = ChaosConfig::new(42);
+        let (leave, kill) = (14, 15);
+        let plan = "coord-kill,window=15+999;drop,p=0.1;delay,p=0.25,n=2";
+        let plan = NetFaultPlan::parse(plan).unwrap();
+        let mut fleet = ChaosFleet::from_plan(cfg.clone(), "handover", plan, false).unwrap();
+        let mut stale_due = 0;
+        for epoch in 1..=cfg.epochs {
+            // A term-1 grant reaching an agent that already holds term 2
+            // must be fenced: count the ones about to be delivered.
+            for a in fleet.agents.iter().filter(|a| a.core.max_term() >= 2) {
+                let stale = |q: &&Queued<()>| {
+                    let grant = Frame::decode(&q.2);
+                    q.0 <= epoch && matches!(grant, Ok(Frame::BudgetGrant { term: 1, .. }))
+                };
+                stale_due += a.down.iter().filter(stale).count() as u64;
+            }
+            fleet.step(epoch);
+            if epoch == leave {
+                // The primary retires naming the standby, then dies.
+                for (slot, frame) in fleet.coords[0].core.farewell(Some("standby")) {
+                    if let Some(owner) = fleet.linked_owner(0, slot) {
+                        fleet.send_down(owner, &frame, epoch);
+                    }
+                }
+            }
+            if epoch == kill + HANDOVER_HOLD_EPOCHS {
+                for a in &fleet.agents {
+                    let (term, ceiling) = (a.core.max_term(), a.core.ceiling());
+                    let ok = term == 2 || ceiling <= DEFAULT_SAFE_CAP;
+                    assert!(ok, "n{}: term {term}, ceiling {ceiling}", a.idx);
+                }
+            }
+        }
+        assert!(stale_due > 0, "no stale grant crossed the handover");
+        let card = fleet.score();
+        assert!(
+            card.stale_grants_fenced >= stale_due,
+            "{stale_due}: {card:?}"
+        );
+        assert!(card.frames_dropped > 0, "{card:?}");
+        assert_eq!(card.replay_matched, Some(true), "{card:?}");
+        assert!(card.takeover_epochs.is_some_and(|t| t <= 3), "{card:?}");
+        assert!(card.conservation_ok && card.floor_ok, "{card:?}");
+        assert_eq!(card.safe_cap_violations, 0, "{card:?}");
+    }
+
+    #[test]
+    fn a_departing_agents_watts_return_within_two_epochs_with_or_without_its_goodbye() {
+        let leave = 10;
+        // Agent 0 exits after `leave`; the second plan also cuts its
+        // up-link, so its farewell never arrives.
+        let exit = "kill,peer=0,window=11+99";
+        for plan in [
+            exit.to_string(),
+            format!("{exit};partition,peer=0,dir=up,window=11+99"),
+        ] {
+            let cfg = ChaosConfig::new(42);
+            let net = NetFaultPlan::parse(&plan).unwrap();
+            let mut fleet = ChaosFleet::from_plan(cfg.clone(), "farewell", net, false).unwrap();
+            for epoch in 1..=cfg.epochs {
+                fleet.step(epoch);
+                if epoch == leave {
+                    // The process writes its farewell and exits: it is
+                    // gone before the kill could flush its queue, and its
+                    // reclaim clock starts.
+                    let a = &mut fleet.agents[0];
+                    let dest = a.coord.expect("agent 0 is linked");
+                    let farewell = a.core.farewell(a.core.ceiling());
+                    (a.alive, a.killed_at) = (false, Some(leave + 1));
+                    let cut = fleet.net.partitioned(0, Dir::Up, leave + 1);
+                    for frame in &farewell {
+                        fleet.send_up(0, frame, leave + 1, cut, dest);
+                    }
+                }
+            }
+            let card = fleet.score();
+            let reclaim = card.max_time_to_reclaim;
+            assert!(reclaim.is_some_and(|t| t <= 2), "{plan}: {card:?}");
+            assert!(card.conservation_ok && card.floor_ok, "{plan}: {card:?}");
+        }
     }
 
     /// Runs the baseline scenario with `plan` merged in, for the `n=` bound

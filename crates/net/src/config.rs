@@ -4,9 +4,14 @@
 use dufp_cluster::allocator::{AllocatorPolicy, DemandBased, StaticSplit};
 use dufp_cluster::node::DufpNode;
 use dufp_types::check::{fraction, positive};
-use dufp_types::{Error, Ratio, Result, Watts};
+use dufp_types::{splitmix, Error, Ratio, Result, Watts};
 use std::path::PathBuf;
 use std::time::Duration;
+
+/// The ceiling an agent enforces while it has no coordinator, unless
+/// configured otherwise: the safe local static cap, between the node's
+/// 65 W floor and its 125 W PL1.
+pub const DEFAULT_SAFE_CAP: Watts = Watts(90.0);
 
 /// Which allocation policy the coordinator runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -71,19 +76,17 @@ pub struct CoordinatorConfig {
     pub budget: Watts,
     /// Allocation policy.
     pub policy: PolicyKind,
-    /// Wall-clock allocator epoch length.
+    /// Wall-clock allocator epoch length; the heartbeat timeout is derived
+    /// from it ([`CoordinatorConfig::heartbeat_timeout`]).
     pub epoch: Duration,
-    /// A node whose last report or heartbeat is older than this is dead;
-    /// its watts are reclaimed and redistributed at the next epoch.
-    /// Defaults to 1.5 × `epoch` so a kill is detected within two epochs.
-    pub heartbeat_timeout: Duration,
     /// Stop after this many allocator epochs (`None` = run until every
     /// agent that ever joined has departed, or shutdown is requested).
     pub max_epochs: Option<u64>,
     /// Floor for the demand-based policy: no live node's ceiling falls
-    /// below it.
+    /// below it. Defaults to [`DufpNode::cap_floor`].
     pub floor: Watts,
-    /// Per-node silicon limit for the demand-based policy.
+    /// Per-node silicon limit for the demand-based policy. Defaults to
+    /// [`DufpNode::pl1`].
     pub node_max: Watts,
     /// Journal directory for durable coordinator state (DESIGN.md §15).
     /// When set, every core input event is appended to a
@@ -108,29 +111,33 @@ pub struct CoordinatorConfig {
 impl CoordinatorConfig {
     /// A coordinator on `listen` owning `budget` watts, with the defaults
     /// the loopback fleet tests and the CLI use: demand-based policy,
-    /// 1-second epochs, heartbeat timeout 1.5 epochs.
+    /// 1-second epochs, and the bounds every [`DufpNode`] announces.
     pub fn new(listen: impl Into<String>, budget: Watts) -> Self {
-        let epoch = Duration::from_secs(1);
         CoordinatorConfig {
             listen: listen.into(),
             budget,
             policy: PolicyKind::DemandBased,
-            epoch,
-            heartbeat_timeout: epoch.mul_f64(1.5),
+            epoch: Duration::from_secs(1),
             max_epochs: None,
-            floor: Watts(65.0),
-            node_max: Watts(125.0),
+            floor: DufpNode::cap_floor(),
+            node_max: DufpNode::pl1(),
             journal_dir: None,
             standby_of: None,
             successor: None,
         }
     }
 
-    /// Sets the epoch and rescales the heartbeat timeout to 1.5 epochs.
+    /// Sets the allocator epoch.
     pub fn with_epoch(mut self, epoch: Duration) -> Self {
         self.epoch = epoch;
-        self.heartbeat_timeout = epoch.mul_f64(1.5);
         self
+    }
+
+    /// A node whose last report or heartbeat is older than this is dead;
+    /// its watts are reclaimed and redistributed at the next epoch. It is
+    /// 1.5 × `epoch`, so a kill is detected within two epochs.
+    pub fn heartbeat_timeout(&self) -> Duration {
+        self.epoch.mul_f64(1.5)
     }
 
     /// Rejects configurations no coordinator can serve — zero/negative/NaN
@@ -156,9 +163,6 @@ impl CoordinatorConfig {
         fund_floors(self.budget, self.floor)?;
         if self.epoch.is_zero() {
             return Err(Error::invalid("epoch", "zero allocator epoch"));
-        }
-        if self.heartbeat_timeout.is_zero() {
-            return Err(Error::invalid("heartbeat_timeout", "zero timeout"));
         }
         if self.max_epochs == Some(0) {
             return Err(Error::invalid("max_epochs", "zero epochs"));
@@ -198,8 +202,9 @@ pub struct AgentConfig {
     /// RNG seed for the simulated node.
     pub seed: u64,
     /// The ceiling the node enforces while unconnected or degraded — the
-    /// safe local static cap. The Hello announces the node's own limits,
-    /// [`DufpNode::cap_floor`] and [`DufpNode::pl1`].
+    /// safe local static cap ([`DEFAULT_SAFE_CAP`] unless set). The Hello
+    /// announces the node's own limits, [`DufpNode::cap_floor`] and
+    /// [`DufpNode::pl1`].
     pub safe_cap: Watts,
     /// Wall-clock pause per 200 ms control interval. The simulator runs
     /// much faster than real time; pacing keeps a demo fleet observable
@@ -209,7 +214,7 @@ pub struct AgentConfig {
     /// left (`None` = run to completion). Used by benchmarks and CI.
     pub max_intervals: Option<u64>,
     /// Connection retry/backoff policy (initial connect and reconnects).
-    pub retry: dufp_control::RetryPolicy,
+    pub retry: RetryPolicy,
 }
 
 impl AgentConfig {
@@ -227,10 +232,10 @@ impl AgentConfig {
             queue: vec![app.into()],
             slowdown: Ratio::from_percent(10.0),
             seed: 42,
-            safe_cap: Watts(90.0),
+            safe_cap: DEFAULT_SAFE_CAP,
             pace: Duration::ZERO,
             max_intervals: None,
-            retry: dufp_control::RetryPolicy::default(),
+            retry: RetryPolicy::default(),
         }
     }
 
@@ -267,6 +272,60 @@ impl AgentConfig {
             return Err(Error::invalid("max_intervals", "zero intervals"));
         }
         Ok(())
+    }
+}
+
+/// Retry count and backoff for a node agent's coordinator connection
+/// (initial connect and reconnects).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RetryPolicy {
+    /// Attempts per candidate coordinator before the agent gives up.
+    pub max_retries: u32,
+    /// Backoff before the first retry; doubles per retry.
+    pub base_backoff: Duration,
+    /// Backoff ceiling.
+    pub max_backoff: Duration,
+}
+
+impl Default for RetryPolicy {
+    fn default() -> Self {
+        RetryPolicy {
+            max_retries: 3,
+            base_backoff: Duration::from_millis(1),
+            max_backoff: Duration::from_millis(50),
+        }
+    }
+}
+
+impl RetryPolicy {
+    /// Backoff before retry number `attempt` (1-based): exponential from
+    /// [`RetryPolicy::base_backoff`], capped at [`RetryPolicy::max_backoff`].
+    pub fn backoff(&self, attempt: u32) -> Duration {
+        let factor = 1u32 << attempt.saturating_sub(1).min(16);
+        self.base_backoff
+            .saturating_mul(factor)
+            .min(self.max_backoff)
+    }
+
+    /// Like [`RetryPolicy::backoff`], but with deterministic jitter: the
+    /// delay is drawn uniformly from `[backoff(attempt)/2, backoff(attempt)]`
+    /// by a SplitMix64 stream keyed on `(seed, attempt)`. Two agents with
+    /// different seeds desynchronise their reconnect storms against a
+    /// recovering coordinator, while any given `(seed, attempt)` pair always
+    /// yields the same delay — replayable chaos runs depend on that.
+    pub fn backoff_jittered(&self, attempt: u32, seed: u64) -> Duration {
+        let full = self.backoff(attempt);
+        let half = full / 2;
+        let span = full.saturating_sub(half);
+        if span.is_zero() {
+            return full;
+        }
+        // One SplitMix64 step from a (seed, attempt) state — the same
+        // generator the fault-injection DSL uses, so one seed governs the
+        // whole adversarial run.
+        let mut state = seed.wrapping_add(u64::from(attempt).wrapping_mul(splitmix::GAMMA));
+        let frac = splitmix::unit_f64(&mut state);
+        (half + span.mul_f64(frac)).min(self.max_backoff)
     }
 }
 
@@ -395,5 +454,61 @@ mod tests {
         let mut cfg = AgentConfig::new("127.0.0.1:7070", "n0", "EP");
         cfg.queue.clear();
         assert!(cfg.validate().is_err());
+    }
+
+    #[test]
+    fn backoff_is_exponential_and_capped() {
+        let p = RetryPolicy::default();
+        assert_eq!(p.backoff(1), Duration::from_millis(1));
+        assert_eq!(p.backoff(2), Duration::from_millis(2));
+        assert_eq!(p.backoff(3), Duration::from_millis(4));
+        assert_eq!(p.backoff(30), p.max_backoff);
+    }
+
+    #[test]
+    fn jittered_backoff_stays_within_half_to_full_band() {
+        let p = RetryPolicy {
+            base_backoff: Duration::from_millis(8),
+            max_backoff: Duration::from_secs(2),
+            ..RetryPolicy::default()
+        };
+        for seed in 0..64u64 {
+            for attempt in 1..=8u32 {
+                let full = p.backoff(attempt);
+                let d = p.backoff_jittered(attempt, seed);
+                assert!(d >= full / 2, "attempt {attempt} seed {seed}: {d:?} < half");
+                assert!(d <= full, "attempt {attempt} seed {seed}: {d:?} > full");
+            }
+        }
+    }
+
+    #[test]
+    fn jittered_backoff_is_deterministic_per_seed_and_varies_across_seeds() {
+        let p = RetryPolicy::default();
+        for attempt in 1..=6u32 {
+            assert_eq!(
+                p.backoff_jittered(attempt, 42),
+                p.backoff_jittered(attempt, 42),
+                "same (seed, attempt) must replay identically"
+            );
+        }
+        // Across many seeds at a wide band, at least two distinct delays
+        // must appear — otherwise there is no jitter at all.
+        let p = RetryPolicy {
+            base_backoff: Duration::from_millis(100),
+            max_backoff: Duration::from_secs(5),
+            ..RetryPolicy::default()
+        };
+        let delays: std::collections::HashSet<Duration> =
+            (0..16u64).map(|s| p.backoff_jittered(4, s)).collect();
+        assert!(delays.len() > 1, "jitter collapsed to a single value");
+    }
+
+    #[test]
+    fn jittered_backoff_never_exceeds_ceiling() {
+        let p = RetryPolicy::default();
+        for seed in 0..32u64 {
+            assert!(p.backoff_jittered(30, seed) <= p.max_backoff);
+        }
     }
 }

@@ -30,9 +30,9 @@
 //! incarnation's, and stale slots stay pinned (their watts reserved)
 //! through the hold-down window. [`run_standby`] wraps that in a
 //! warm-standby loop — probe the primary, promote on sustained silence.
-//! A finishing coordinator with a configured successor says
-//! [`Frame::Handover`] instead of Goodbye, so agents re-home immediately
-//! instead of waiting out the disconnect grace.
+//! A finishing coordinator with a configured successor hands its agents
+//! over instead of saying Goodbye ([`FleetCore::farewell`]), so they
+//! re-home immediately instead of waiting out the disconnect grace.
 
 use crate::config::CoordinatorConfig;
 pub use crate::core::{EpochRecord, NodeState};
@@ -97,17 +97,6 @@ pub struct FleetOutcome {
     pub fenced: bool,
     /// Decision trace + metrics (grant/shrink/reclaim/vetting events).
     pub telemetry: TelemetryReport,
-}
-
-/// What a finishing coordinator tells its live agents.
-enum Farewell {
-    /// Clean detach: agents stop chasing this coordinator.
-    Goodbye,
-    /// Graceful handover: agents reconnect to `successor` immediately and
-    /// accept nothing below `term`.
-    Handover { successor: String, term: u64 },
-    /// Nothing — crash-like teardown (fenced, or [`Coordinator::abort`]).
-    Silence,
 }
 
 /// Brain plus the per-slot write halves, behind one lock.
@@ -185,7 +174,7 @@ impl Coordinator {
         };
         if cfg.successor.is_some() || cfg.standby_of.is_some() {
             // Someone may take over: a long stall must self-fence.
-            core.enable_pause_fencing(2 * cfg.heartbeat_timeout.as_millis() as u64);
+            core.enable_pause_fencing();
         }
         let epoch = core.epoch();
         let listener = TcpListener::bind(&cfg.listen)?;
@@ -316,73 +305,46 @@ impl Coordinator {
         Ok(self.finish())
     }
 
-    /// Stops accepting, bids live agents farewell (a [`Frame::Handover`]
-    /// naming the successor when one is configured, else Goodbye — or
-    /// silence if fenced), joins the handler threads and produces the
-    /// outcome. `epoch_once` steppers call this directly.
+    /// Stops accepting, bids live agents the core's farewell (see
+    /// [`FleetCore::farewell`]: a handover to the configured successor,
+    /// else Goodbye, or silence if fenced), joins the handler threads and
+    /// produces the outcome. `epoch_once` steppers call this directly.
     pub fn finish(self) -> FleetOutcome {
-        let farewell = {
-            let st = self.shared.state.lock();
-            if st.core.fenced() {
-                // Superseded: any farewell would race the successor's
-                // grants. Die the way a crash would.
-                Farewell::Silence
-            } else {
-                match self.cfg.successor.clone() {
-                    Some(successor) => Farewell::Handover {
-                        successor,
-                        // The successor recovers this journal (term T) and
-                        // promotes to exactly T + 1.
-                        term: st.core.term() + 1,
-                    },
-                    None => Farewell::Goodbye,
-                }
-            }
-        };
-        self.teardown(farewell)
+        let successor = self.cfg.successor.clone();
+        self.teardown(|core| core.farewell(successor.as_deref()))
     }
 
-    /// Stops like a crash: connections are torn down with no Goodbye, so
-    /// agents experience coordinator *loss* (and must degrade to their
-    /// safe local caps) rather than a graceful detach. Test-facing.
+    /// Stops like a crash: the journal is committed, then connections are
+    /// torn down with no Goodbye, so agents experience coordinator *loss*
+    /// (and must degrade to their safe local caps) rather than a graceful
+    /// detach. Test-facing.
     pub fn abort(self) -> FleetOutcome {
-        self.teardown(Farewell::Silence)
+        self.teardown(|core| {
+            core.commit_journal();
+            Vec::new()
+        })
     }
 
-    fn teardown(mut self, farewell: Farewell) -> FleetOutcome {
+    /// Stops accepting, writes the frames `farewell` returns and closes
+    /// every connection.
+    fn teardown(
+        mut self,
+        farewell: impl FnOnce(&mut FleetCore) -> Vec<(usize, Frame)>,
+    ) -> FleetOutcome {
         self.stop_accept.store(true, Ordering::Relaxed);
         if let Some(h) = self.accept_handle.take() {
             let _ = h.join();
         }
         {
             let mut st = self.shared.state.lock();
-            // A farewell is an output like a grant: every input journaled
-            // before it must be on disk first.
-            st.core.commit_journal();
-            let views = st.core.views();
-            for (view, stream) in views.iter().zip(st.streams.iter_mut()) {
-                if let Some(s) = stream.as_mut() {
-                    if view.state == NodeState::Live {
-                        let frame = match &farewell {
-                            Farewell::Goodbye => Some(Frame::Goodbye),
-                            Farewell::Handover { successor, term } => Some(Frame::Handover {
-                                successor: successor.clone(),
-                                term: *term,
-                            }),
-                            Farewell::Silence => None,
-                        };
-                        if let Some(f) = frame {
-                            let _ = f.write_to(s);
-                            let _ = s.flush();
-                        }
-                    }
-                }
-                if let Some(s) = stream.take() {
-                    let _ = s.shutdown(Shutdown::Both);
+            for (slot, frame) in farewell(&mut st.core) {
+                if let Some(s) = st.streams.get_mut(slot).and_then(Option::as_mut) {
+                    let _ = frame.write_to(s);
+                    let _ = s.flush();
                 }
             }
-            if matches!(farewell, Farewell::Handover { .. }) {
-                self.shared.tel.counter("handovers_sent_total").inc();
+            for s in st.streams.iter_mut().filter_map(Option::take) {
+                let _ = s.shutdown(Shutdown::Both);
             }
         }
         let handles: Vec<_> = std::mem::take(&mut *self.handler_handles.lock());
@@ -426,7 +388,7 @@ pub fn run_standby(cfg: CoordinatorConfig) -> Result<FleetOutcome> {
         .standby_of
         .clone()
         .ok_or_else(|| Error::invalid("standby_of", "run_standby needs a primary address"))?;
-    let probe_period = cfg.heartbeat_timeout / 2;
+    let probe_period = cfg.heartbeat_timeout() / 2;
     let mut failures: u32 = 0;
     loop {
         if shutdown::requested() {

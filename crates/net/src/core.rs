@@ -38,7 +38,8 @@ use std::sync::{Arc, OnceLock};
 /// detection, so the budget the dead primary already handed out cannot be
 /// double-spent before the agents holding it re-attach or fall back to
 /// their safe caps. After the hold, ordinary heartbeat-timeout reclaim
-/// resumes. Two epochs matches the agents' disconnect grace window.
+/// resumes. The chaos soak's agents use it as their disconnect grace, so
+/// the two windows match.
 pub const HANDOVER_HOLD_EPOCHS: u64 = 2;
 
 /// Where a node is in its lifecycle.
@@ -198,6 +199,7 @@ enum Count {
     AdmissionRejects,
     TermFences,
     Takeovers,
+    HandoversSent,
     JournalCommits,
     JournalErrors,
 }
@@ -222,6 +224,7 @@ impl Count {
             Count::AdmissionRejects => "admission_rejects_total",
             Count::TermFences => "term_fences_total",
             Count::Takeovers => "takeovers_total",
+            Count::HandoversSent => "handovers_sent_total",
             Count::JournalCommits => "journal_commits_total",
             Count::JournalErrors => "journal_errors_total",
         }
@@ -266,7 +269,7 @@ impl FleetCore {
     ) -> Self {
         FleetCore {
             budget: cfg.budget,
-            heartbeat_timeout_ms: cfg.heartbeat_timeout.as_millis() as u64,
+            heartbeat_timeout_ms: cfg.heartbeat_timeout().as_millis() as u64,
             policy,
             state: CoreSnapshot {
                 epoch: 0,
@@ -322,9 +325,9 @@ impl FleetCore {
 
     /// Enables pause self-fencing (see the `pause_fence_ms` field). Call
     /// when a standby or successor is configured: a coordinator stalled
-    /// past `threshold_ms` must assume it was superseded.
-    pub fn enable_pause_fencing(&mut self, threshold_ms: u64) {
-        self.pause_fence_ms = Some(threshold_ms);
+    /// past twice the heartbeat timeout must assume it was superseded.
+    pub fn enable_pause_fencing(&mut self) {
+        self.pause_fence_ms = Some(2 * self.heartbeat_timeout_ms);
     }
 
     /// The current coordination term.
@@ -1015,10 +1018,34 @@ impl FleetCore {
         self.count_commit(committed);
     }
 
+    /// The coordinator's farewell, one frame per live slot: a `Handover`
+    /// to `successor` at the term it will promote to (this term + 1), or
+    /// `Goodbye` when none is named. A fenced core says nothing: any
+    /// farewell would race the successor's grants. A farewell is an
+    /// output like a grant, so the journal is committed first either way.
+    pub fn farewell(&mut self, successor: Option<&str>) -> Vec<(usize, Frame)> {
+        self.commit_journal();
+        if self.fenced() {
+            return Vec::new();
+        }
+        let frame = match successor {
+            Some(successor) => {
+                self.count(Count::HandoversSent);
+                let term = self.state.term + 1;
+                let successor = successor.to_string();
+                Frame::Handover { successor, term }
+            }
+            None => Frame::Goodbye,
+        };
+        let live = self.state.nodes.iter().enumerate();
+        let live = live.filter(|(_, n)| n.state == NodeState::Live);
+        live.map(|(slot, _)| (slot, frame.clone())).collect()
+    }
+
     /// Makes every journaled input durable (`fdatasync` when the log
     /// holds unsynced records; a no-op without a disk journal). The
     /// transport calls it before any frame that is not an epoch's grant
-    /// leaves, such as a farewell; `epoch_once` commits on its own.
+    /// leaves; `epoch_once` and `farewell` commit on their own.
     pub fn commit_journal(&mut self) {
         if let Some(committed) = self.journal.as_mut().map(FleetJournal::commit) {
             self.count_commit(committed);
@@ -1234,6 +1261,45 @@ mod tests {
     }
 
     #[test]
+    fn farewell_reaches_only_live_slots_and_a_fenced_core_says_nothing() {
+        // One slot at each lifecycle end: live, departed, dead, evicted.
+        let fleet = || {
+            let mut core = core(300.0);
+            let slots = ["live", "departed", "dead", "evicted"].map(|n| admit(&mut core, n));
+            core.on_goodbye(slots[1]);
+            for epoch in 1..=6u64 {
+                let at = epoch * 1000 - 500;
+                core.on_report(slots[0], epoch, Watts(90.0), Watts(85.0), true, at);
+                core.on_report(slots[3], epoch, Watts(f64::NAN), Watts(0.0), true, at);
+                core.epoch_once(epoch * 1000);
+            }
+            let states: Vec<NodeState> = core.views().iter().map(|v| v.state).collect();
+            use NodeState::*;
+            assert_eq!(states, [Live, Departed, Dead, Evicted]);
+            core
+        };
+        let handover = |term| Frame::Handover {
+            successor: "s:2".into(),
+            term,
+        };
+        let fence: fn(&mut FleetCore) = |c| c.force_fence(c.term() + 1);
+        let promote: fn(&mut FleetCore) = FleetCore::promote;
+        let serving: fn(&mut FleetCore) = |_| {};
+        let cases = [
+            (serving, None, vec![(0, Frame::Goodbye)]),
+            (serving, Some("s:2"), vec![(0, handover(2))]),
+            (promote, Some("s:2"), vec![(0, handover(3))]),
+            (fence, Some("s:2"), vec![]),
+            (fence, None, vec![]),
+        ];
+        for (i, (prepare, successor, want)) in cases.into_iter().enumerate() {
+            let mut core = fleet();
+            prepare(&mut core);
+            assert_eq!(core.farewell(successor), want, "case {i}");
+        }
+    }
+
+    #[test]
     fn conservation_holds_when_floors_oversubscribe_the_budget() {
         let mut core = core(100.0); // two nodes × 65 W floor = 130 > 100
         let a = admit(&mut core, "a");
@@ -1380,13 +1446,15 @@ mod tests {
 
     #[test]
     fn pause_fencing_trips_only_past_the_threshold() {
+        // 1 s epochs: a 1.5 s heartbeat timeout, so a 3 s threshold.
         let mut core = core(300.0);
-        core.enable_pause_fencing(3000);
+        core.enable_pause_fencing();
         admit(&mut core, "a");
         core.epoch_once(1000);
         core.epoch_once(2000);
+        core.epoch_once(5000); // a 3 s gap is not past the threshold
         assert!(!core.fenced(), "normal cadence must not self-fence");
-        core.epoch_once(9000); // 7 s gap > 3 s threshold
+        core.epoch_once(8001);
         assert!(core.fenced(), "a long stall presumes a takeover");
         assert!(core.epoch_once(10_000).grants.is_empty());
     }

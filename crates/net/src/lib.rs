@@ -78,7 +78,7 @@ pub mod wire;
 pub use agent::{Agent, AgentCore, AgentInbound, AgentOutcome};
 pub use chaos::{ChaosConfig, ChaosFleet, ScenarioScore, SCENARIOS};
 pub use cluster::{run_cluster, ClusterConfig, ClusterOutcome, NodeOutcome, NodeSpec};
-pub use config::{AgentConfig, CoordinatorConfig, PolicyKind};
+pub use config::{AgentConfig, CoordinatorConfig, PolicyKind, RetryPolicy};
 pub use coordinator::{
     run_standby, Coordinator, FleetOutcome, NodeSummary, STANDBY_PROBE_FAILURES,
 };

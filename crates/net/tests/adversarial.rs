@@ -12,10 +12,10 @@
 //! the shipped [`AgentCore`] under arbitrary grant, handover and link
 //! interleavings.
 
-use dufp_control::RetryPolicy;
 use dufp_net::chaos::{run_matrix, run_scenario, ChaosConfig, ChaosFleet};
 use dufp_net::{
     AgentCore, AgentInbound, CoordinatorConfig, FleetCore, Frame, GrantKind, NetFaultPlan,
+    RetryPolicy,
 };
 use dufp_telemetry::Telemetry;
 use dufp_types::Watts;

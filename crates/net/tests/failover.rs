@@ -69,7 +69,6 @@ fn wait_for(mut cond: impl FnMut() -> bool, timeout: Duration) -> bool {
 fn journaled(listen: &str, dir: &TestDir) -> CoordinatorConfig {
     let mut cfg =
         CoordinatorConfig::new(listen, Watts(BUDGET)).with_epoch(Duration::from_millis(100));
-    cfg.heartbeat_timeout = Duration::from_millis(150);
     cfg.journal_dir = Some(dir.path().to_path_buf());
     cfg
 }

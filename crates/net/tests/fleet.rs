@@ -23,9 +23,8 @@ const BUDGET: f64 = 300.0;
 const SAFE_CAP: f64 = 90.0;
 
 fn coordinator(heartbeat_ms: u64) -> Coordinator {
-    let mut cfg = CoordinatorConfig::new("127.0.0.1:0", Watts(BUDGET))
+    let cfg = CoordinatorConfig::new("127.0.0.1:0", Watts(BUDGET))
         .with_epoch(Duration::from_millis(heartbeat_ms * 2 / 3));
-    cfg.heartbeat_timeout = Duration::from_millis(heartbeat_ms);
     Coordinator::bind(cfg).expect("bind loopback coordinator")
 }
 
